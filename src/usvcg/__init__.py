@@ -60,6 +60,7 @@ from .model import (
     BudgetDecision,
     BudgetInstance,
     CharacteristicTriplet,
+    excluded_means,
     feature_vector,
     mean_excluding,
     mean_type,

@@ -74,16 +74,16 @@ def _parse_type_flag(text: str, m: int) -> AgentType:
     return AgentType(tuple(values[:-1]), values[-1])
 
 
-def _profile_from_inputs(args, instance, ballots):
-    """Profile from explicit types, or by inverting ballots (answers file
-    feeds any follow-ups).  Returns (profile, pending-questions or None)."""
+def _profile_from_inputs(instance, ballots, answers_path: str | None):
+    """Profile from explicit types, or by inverting ballots (the answers
+    file feeds any follow-ups).  Returns (profile, pending-questions or None)."""
     if instance.types is not None:
         return instance.types, None
     if ballots is None:
         raise SchemaError("a profile is required: give types or ballots")
     answers = {}
-    if getattr(args, "answers", None):
-        answers = files.parse_answers(files.load_json(args.answers), where=args.answers)
+    if answers_path:
+        answers = files.parse_answers(files.load_json(answers_path), where=answers_path)
     sessions = [invert_ballot(b, instance) for b in ballots]
     questions = []
     for i, session in enumerate(sessions):
@@ -143,8 +143,7 @@ def cmd_elicit(args) -> int:
         ballots = files.parse_ballots(files.load_json(args.ballots), where=args.ballots)
     if ballots is None:
         raise SchemaError("no ballots: put them in the instance file or pass --ballots")
-    args_ballots_profile = argparse.Namespace(ballots=None, answers=args.answers)
-    profile, questions = _profile_from_inputs(args_ballots_profile, instance, ballots)
+    profile, questions = _profile_from_inputs(instance, ballots, args.answers)
     if questions is not None:
         _emit(questions, args.questions or args.out)
         return EXIT_PENDING
@@ -152,27 +151,24 @@ def cmd_elicit(args) -> int:
     return EXIT_OK
 
 
-def _run_variant(args, instance, profile) -> tuple[Outcome, dict, list[float] | None]:
-    """Dispatch to the requested mechanism variant.  Returns the outcome,
-    the variant descriptor for the result document, and identity residuals
-    (None when the variant has no closed accounting identity)."""
-    bias = files.load_bias(args.bias) if getattr(args, "bias", None) else None
+def _run_variant(
+    instance, profile, bias=None, hetero: bool = False, npc: NonPositiveConfig | None = None
+) -> tuple[Outcome, dict, list[float] | None]:
+    """Run one mechanism variant (at most one of ``bias``, ``hetero`` and
+    ``npc`` set).  Returns the outcome, the variant descriptor for the result
+    document, and identity residuals (None when the variant has no closed
+    accounting identity)."""
     if bias is not None:
         outcome = run_bus_vcg(profile, bias, instance)
         residuals = identity_residuals(profile, outcome, instance, bias=bias)
         return outcome, {"bias": files.bias_to_dict(bias), "non_positive": False, "hetero": False}, residuals
-    if getattr(args, "hetero", False):
+    if hetero:
         outcome = run_us_vcg_hetero(profile, instance)
         residuals = identity_residuals(profile, outcome, instance, hetero=True)
         return outcome, {"bias": None, "non_positive": False, "hetero": True}, residuals
     outcome = run_us_vcg(profile, instance)
-    if getattr(args, "non_positive", False):
-        npc = NonPositiveConfig(
-            gamma=args.gamma if args.gamma else 2.0 * (1.0 + args.mu),
-            r=args.rebate,
-            fd_step=args.fd_step,
-        )
-        rebated = mechanism.non_positive_payments(profile, instance, npc)
+    if npc is not None:
+        rebated = mechanism.non_positive_payments(profile, instance, npc, outcome=outcome)
         outcome = Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
         variant = {
             "bias": None,
@@ -186,13 +182,26 @@ def _run_variant(args, instance, profile) -> tuple[Outcome, dict, list[float] | 
 
 def cmd_mechanism(args) -> int:
     instance, ballots = files.load_instance(args.instance)
-    profile, questions = _profile_from_inputs(args, instance, ballots)
+    profile, questions = _profile_from_inputs(instance, ballots, args.answers)
     if questions is not None:
         _emit(questions, args.out)
         return EXIT_PENDING
     if sum(bool(x) for x in (args.bias, args.non_positive, args.hetero)) > 1:
         raise SchemaError("--bias, --non-positive and --hetero are mutually exclusive")
-    outcome, variant, residuals = _run_variant(args, instance, profile)
+    npc = None
+    if args.non_positive:
+        npc = NonPositiveConfig(
+            gamma=args.gamma if args.gamma else 2.0 * (1.0 + args.mu),
+            r=args.rebate,
+            fd_step=args.fd_step,
+        )
+    outcome, variant, residuals = _run_variant(
+        instance,
+        profile,
+        bias=files.load_bias(args.bias) if args.bias else None,
+        hetero=args.hetero,
+        npc=npc,
+    )
     doc = {
         "command": "mechanism",
         "variant": variant,
@@ -280,22 +289,22 @@ def cmd_check(args) -> int:
             raise SchemaError("result document carries no types to re-verify against")
         variant = result.get("variant", {})
         np_doc = variant.get("non_positive", False)
-        ns = argparse.Namespace(
-            bias=None,
-            non_positive=bool(np_doc),
-            hetero=variant.get("hetero", False),
-            gamma=np_doc.get("gamma") if isinstance(np_doc, dict) else None,
-            rebate=np_doc.get("r", 0.0) if isinstance(np_doc, dict) else 0.0,
-            fd_step=np_doc.get("fd_step", 1e-5) if isinstance(np_doc, dict) else 1e-5,
-            mu=2.0,
-        )
+        npc = None
+        if np_doc:
+            spec = np_doc if isinstance(np_doc, dict) else {}
+            npc = NonPositiveConfig(
+                gamma=spec.get("gamma") or 2.0 * (1.0 + 2.0),  # mechanism's default band mu=2
+                r=spec.get("r", 0.0),
+                fd_step=spec.get("fd_step", 1e-5),
+            )
         bias_doc = variant.get("bias")
-        if bias_doc:
-            bias = files.parse_bias(bias_doc, "result variant bias")
-            fresh_outcome = run_bus_vcg(profile, bias, instance)
-            residuals = identity_residuals(profile, fresh_outcome, instance, bias=bias)
-        else:
-            fresh_outcome, _, residuals = _run_variant(ns, instance, profile)
+        fresh_outcome, _, residuals = _run_variant(
+            instance,
+            profile,
+            bias=files.parse_bias(bias_doc, "result variant bias") if bias_doc else None,
+            hetero=bool(variant.get("hetero", False)),
+            npc=npc,
+        )
         stored = files.outcome_from_dict(result, "result")
         ok = close(stored.decision.tax, fresh_outcome.decision.tax)
         ok = ok and all(

@@ -34,7 +34,7 @@ from .model import (
     AgentType,
     BudgetInstance,
     CharacteristicTriplet,
-    mean_excluding,
+    excluded_means,
     mean_type,
     valuation,
 )
@@ -345,7 +345,7 @@ def sdsic_fuzz(
         i = int(rng.integers(n))
         report = _draw_misreport(rng, profile[i], mu, misreport_space)
 
-        excl = mean_excluding(profile, i)
+        (excl,) = excluded_means(profile, (i,))
         best_excl = optimize(excl, instance, config)
         truth_decision = optimize(mean_type(profile), instance, config)
         lie_profile = profile[:i] + (report,) + profile[i + 1 :]
@@ -407,8 +407,7 @@ def coalition_probe(
     def utilities(reported: tuple[AgentType, ...], members) -> dict[int, float]:
         decision = optimize(mean_type(reported), instance, config)
         out = {}
-        for i in members:
-            excl = mean_excluding(reported, i)
+        for i, excl in zip(members, excluded_means(reported, members)):
             best_excl = optimize(excl, instance, config)
             out[i] = _report_utility(
                 true_profile[i], reported[i].money_weight, decision, excl, best_excl, instance

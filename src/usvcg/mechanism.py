@@ -8,13 +8,18 @@ accounting identity survives non-quasi-linear utilities:
     p_i = (n-1) * (v_excl(best_excl) - v_excl(best_all))     (pivot, >= 0)
     P_i = -t* + f^{-1}( f(t*) + p_i / w_money_i )
 
-With that P_i the realised utility of agent i equals the total welfare at
-the chosen decision minus the others' welfare in her absence, which is what
-makes truthful reporting dominant.
+Here v_excl is the valuation of the mean of the other n-1 agents and
+best_excl its optimum.  With that P_i the realised utility of agent i equals
+the total welfare at the chosen decision minus the others' welfare in their
+absence, which is what makes truthful reporting dominant.
 
-Variants: payments made non-positive via a Jacobian-bound rebate, a biased
-mechanism steering toward phantom targets, and designer-assigned
-heterogeneous tax weights.
+Welfare depends on a profile only through its mean, so one O(n*m) pass over
+the profile's totals (``excluded_means``) gives every agent's excluded mean,
+and a run costs one solve for the decision plus one pivot solve per agent.
+
+Variants: payments made non-positive by a Jacobian-bound rebate taken off
+the raw pivots of ``run_us_vcg``, a biased mechanism steering toward phantom
+targets, and designer-assigned heterogeneous tax weights.
 
 Every run is a pure function of (profile, instance, config); the per-agent
 pivot solves are independent and could execute in any order or in parallel
@@ -34,6 +39,7 @@ from .model import (
     AgentType,
     BudgetDecision,
     BudgetInstance,
+    excluded_means,
     feature_vector,
     mean_excluding,
     mean_type,
@@ -146,6 +152,19 @@ def sensitive_payment(p_vcg: float, t_star: float, money_weight: float, money_cu
     return -t_star + money_curve.inverse(argument)
 
 
+def _pivots(profile, decision: BudgetDecision, instance: BudgetInstance, solve):
+    """Every agent's raw pivot ``(n-1) * (v_excl(best_excl) - v_excl(decision))``
+    with the others' own decision ``best_excl = solve(excluded mean)``, as
+    (pivot, best_excl) pairs in profile order."""
+    n = len(profile)
+    out = []
+    for excl in excluded_means(profile):
+        best_excl = solve(excl)
+        p = (n - 1) * (valuation(excl, best_excl, instance) - valuation(excl, decision, instance))
+        out.append((p, best_excl))
+    return out
+
+
 def run_us_vcg(
     profile, instance: BudgetInstance, config: SolverConfig | None = None
 ) -> Outcome:
@@ -158,17 +177,13 @@ def run_us_vcg(
     welfare = social_welfare(profile, decision, instance)
     if len(profile) == 1:
         return Outcome(decision, (0.0,), (0.0,), welfare)
-    raw = []
-    payments = []
-    for i, agent in enumerate(profile):
-        excl = mean_excluding(profile, i)
-        best_excl = optimize(excl, instance, config)
-        p = (len(profile) - 1) * (
-            valuation(excl, best_excl, instance) - valuation(excl, decision, instance)
-        )
-        raw.append(p)
-        payments.append(sensitive_payment(p, decision.tax, agent.money_weight, instance.money_curve))
-    return Outcome(decision, tuple(raw), tuple(payments), welfare)
+    pivots = _pivots(profile, decision, instance, lambda e: optimize(e, instance, config))
+    raw = tuple(p for p, _ in pivots)
+    payments = tuple(
+        sensitive_payment(p, decision.tax, agent.money_weight, instance.money_curve)
+        for p, agent in zip(raw, profile)
+    )
+    return Outcome(decision, raw, payments, welfare)
 
 
 def realized_utility(profile, i: int, outcome: Outcome, instance: BudgetInstance) -> float:
@@ -195,33 +210,37 @@ def identity_residuals(
     config: SolverConfig | None = None,
 ) -> list[float]:
     """Per-agent residual of the accounting identity, recomputed from
-    scratch (fresh pivot solves) so results can be audited independently."""
+    scratch (fresh pivot solves) so results can be audited independently:
+    realised utility minus (total welfare at the decision - the others'
+    welfare at their own optimum without the agent)."""
     profile = tuple(profile)
     n = len(profile)
     if n == 1:
         return [0.0]
+    decision = outcome.decision
+    if hetero:
+        total = _welfare_excluding(profile, None, decision, instance)
+    elif bias is not None:
+        total = n * valuation(mean_type(profile), decision, instance) + n * bias_value(
+            bias, decision, instance
+        )
+    else:
+        total = social_welfare(profile, decision, instance)
+    excluded = None if hetero else excluded_means(profile)
     residuals = []
     for i in range(n):
-        u = realized_utility(profile, i, outcome, instance)
         if hetero:
             best_excl = optimize_hetero(profile, instance, config, exclude=i)
             h = _welfare_excluding(profile, i, best_excl, instance)
-            total = _welfare_excluding(profile, None, outcome.decision, instance)
         elif bias is not None:
-            excl = mean_excluding(profile, i)
-            best_excl = optimize_biased(excl, bias, instance, config)
-            h = (n - 1) * valuation(excl, best_excl, instance) + n * bias_value(
+            best_excl = optimize_biased(excluded[i], bias, instance, config)
+            h = (n - 1) * valuation(excluded[i], best_excl, instance) + n * bias_value(
                 bias, best_excl, instance
             )
-            total = n * valuation(mean_type(profile), outcome.decision, instance) + n * bias_value(
-                bias, outcome.decision, instance
-            )
         else:
-            excl = mean_excluding(profile, i)
-            best_excl = optimize(excl, instance, config)
-            h = (n - 1) * valuation(excl, best_excl, instance)
-            total = social_welfare(profile, outcome.decision, instance)
-        residuals.append(u - (total - h))
+            best_excl = optimize(excluded[i], instance, config)
+            h = (n - 1) * valuation(excluded[i], best_excl, instance)
+        residuals.append(realized_utility(profile, i, outcome, instance) - (total - h))
     return residuals
 
 
@@ -304,6 +323,7 @@ def non_positive_payments(
     instance: BudgetInstance,
     np_config: NonPositiveConfig,
     config: SolverConfig | None = None,
+    outcome: Outcome | None = None,
 ) -> tuple[float, ...]:
     """Pivot payments minus a certified per-capita rebate, so nobody pays on
     top of the tax.
@@ -314,6 +334,10 @@ def non_positive_payments(
     central differences, spectral norm by power iteration).  Per-capita
     semantics only; the step-halved Jacobian must agree within 10% or a
     RegularityWarning is emitted.
+
+    The rebate is taken off the raw pivots of ``run_us_vcg``.  A caller that
+    already holds ``outcome = run_us_vcg(profile, instance, config)`` passes
+    it, so its decision and pivots are not solved a second time.
     """
     profile = tuple(profile)
     if instance.semantics != "per_capita":
@@ -321,15 +345,13 @@ def non_positive_payments(
     if len(profile) != instance.n or len(profile) < 2:
         raise DomainError("non-positive payments need the instance's full profile, n >= 2")
     n = len(profile)
-    decision = optimize(mean_type(profile), instance, config)
+    if outcome is None:
+        outcome = run_us_vcg(profile, instance, config)
+    elif len(outcome.raw_vcg) != n:
+        raise DomainError(f"outcome has {len(outcome.raw_vcg)} pivots, profile has {n} agents")
     money = instance.money_curve
     payments = []
-    for i, agent in enumerate(profile):
-        excl = mean_excluding(profile, i)
-        best_excl = optimize(excl, instance, config)
-        p = (n - 1) * (
-            valuation(excl, best_excl, instance) - valuation(excl, decision, instance)
-        )
+    for i, (agent, excl, p) in enumerate(zip(profile, excluded_means(profile), outcome.raw_vcg)):
         J_half = _decision_map_jacobian(excl, instance, np_config.fd_step / 2.0, config)
         J_full = _decision_map_jacobian(excl, instance, np_config.fd_step, config)
         norm_half = _spectral_norm(J_half)
@@ -344,7 +366,7 @@ def non_positive_payments(
             )
         rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
         payments.append(
-            sensitive_payment(p - rebate, decision.tax, agent.money_weight, money)
+            sensitive_payment(p - rebate, outcome.decision.tax, agent.money_weight, money)
         )
     return tuple(payments)
 
@@ -371,20 +393,19 @@ def run_bus_vcg(
     if n == 1:
         return Outcome(decision, (0.0,), (0.0,), welfare)
     c_at_decision = bias_value(bias, decision, instance)
-    raw = []
-    payments = []
-    for i, agent in enumerate(profile):
-        excl = mean_excluding(profile, i)
-        best_excl = optimize_biased(excl, bias, instance, config)
-        p = (n - 1) * (
-            valuation(excl, best_excl, instance) - valuation(excl, decision, instance)
+    pivots = _pivots(
+        profile, decision, instance, lambda e: optimize_biased(e, bias, instance, config)
+    )
+    payments = tuple(
+        sensitive_payment(
+            p + n * (bias_value(bias, best_excl, instance) - c_at_decision),
+            decision.tax,
+            agent.money_weight,
+            instance.money_curve,
         )
-        raw.append(p)
-        shift = n * (bias_value(bias, best_excl, instance) - c_at_decision)
-        payments.append(
-            sensitive_payment(p + shift, decision.tax, agent.money_weight, instance.money_curve)
-        )
-    return Outcome(decision, tuple(raw), tuple(payments), welfare)
+        for (p, best_excl), agent in zip(pivots, profile)
+    )
+    return Outcome(decision, tuple(p for p, _ in pivots), payments, welfare)
 
 
 # =============================================================================

@@ -38,6 +38,7 @@ __all__ = [
     "valuation",
     "feature_vector",
     "mean_type",
+    "excluded_means",
     "mean_excluding",
     "social_welfare",
 ]
@@ -336,14 +337,53 @@ def mean_type(types) -> AgentType:
     return AgentType(weights, money)
 
 
-def mean_excluding(types, i: int) -> AgentType:
-    """Mean of the profile with agent i removed (needs n >= 2)."""
+def _exact_sum(values: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    The first term is ``math.fsum(values)``; each later one is the correctly
+    rounded remainder the terms before it leave.  The loop ends: each step
+    shrinks the remainder by a factor of at least 2**52, and a nonzero
+    remainder is a multiple of the smallest bit among the inputs.
+    """
+    terms = [math.fsum(values)]
+    while rest := math.fsum(values + [-s for s in terms]):
+        terms.append(rest)
+    return terms
+
+
+def excluded_means(types, agents=None) -> tuple[AgentType, ...]:
+    """Mean of the profile with agent i removed, for each i in ``agents``
+    (default: every agent), in one O(n*m) pass (needs n >= 2).
+
+    Each coordinate's profile total is held as an exact sum of a few floats,
+    so removing agent i takes one short ``math.fsum`` that returns the
+    correctly rounded sum of the others.  Every entry is therefore
+    bit-identical to averaging the n-1 remaining types, whatever the order
+    of the profile, and a weight is exactly 0.0 when every other agent's
+    weight on that good is 0.0, however large agent i's own weight is.
+    """
     types = tuple(types)
-    if len(types) < 2:
+    n = len(types)
+    if n < 2:
         raise EmptyProfile("excluded mean needs at least two agents")
-    if not 0 <= i < len(types):
-        raise DomainError(f"agent index {i} out of range for n={len(types)}")
-    return mean_type(types[:i] + types[i + 1 :])
+    agents = range(n) if agents is None else tuple(agents)
+    for i in agents:
+        if not 0 <= i < n:
+            raise DomainError(f"agent index {i} out of range for n={n}")
+    rows = [t.alloc_weights + (t.money_weight,) for t in types]
+    totals = [_exact_sum(list(column)) for column in zip(*rows)]
+    out = []
+    for i in agents:
+        mean = [math.fsum((*total, -w)) / (n - 1) for total, w in zip(totals, rows[i])]
+        out.append(AgentType(tuple(mean[:-1]), mean[-1]))
+    return tuple(out)
+
+
+def mean_excluding(types, i: int) -> AgentType:
+    """Mean of the profile with agent i removed (needs n >= 2): the entry
+    for i of ``excluded_means``.  Loops over agents call that instead, which
+    prices all of them in one pass."""
+    return excluded_means(types, (i,))[0]
 
 
 def social_welfare(profile, decision: BudgetDecision, instance: BudgetInstance) -> float:

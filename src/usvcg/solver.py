@@ -72,7 +72,6 @@ class SolverConfig:
     bracket_growth: float = 2.0
     max_bracket: float = 1e12
     grid_resolution: int = 500  # oracle default, per axis
-    tie_break: str = "lowest_tax_then_lex"
     max_iterations: int = 200
     bracket_patience: int = 6
     multistart: int = 3
@@ -82,8 +81,6 @@ class SolverConfig:
             raise DomainError("solver tolerances must be positive")
         if self.bracket_growth <= 1.0:
             raise DomainError("bracket growth must exceed 1")
-        if self.tie_break != "lowest_tax_then_lex":
-            raise DomainError(f"unknown tie break rule {self.tie_break!r}")
 
 
 _DEFAULT = SolverConfig()

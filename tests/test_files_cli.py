@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import RUNNING_PROFILE, make_running_instance
-from usvcg import SchemaError, files
+from usvcg import NonPositiveConfig, SchemaError, files, non_positive_payments, run_us_vcg
 from usvcg.cli import main
 from usvcg.solver import BiasSpec, ConstantTarget, EquitableTarget, TaxPreference
 
@@ -201,6 +201,24 @@ def test_cli_mechanism_hetero(tmp_path):
     res = json.loads(out.read_text())
     assert max(abs(r) for r in res["identity_residuals"]) <= 1e-8
     assert main(["check", str(inst_path), str(out)]) == 0
+
+
+def test_cli_mechanism_non_positive_and_check(tmp_path):
+    inst = make_running_instance(semantics="per_capita")
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(files.instance_to_dict(inst)))
+    out = tmp_path / "result.json"
+    argv = ["mechanism", str(inst_path), "--non-positive", "--gamma", "1.5", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    expected = non_positive_payments(inst.types, inst, NonPositiveConfig(gamma=1.5))
+    assert tuple(doc["payments"]) == expected
+    assert doc["raw_vcg"] == list(run_us_vcg(inst.types, inst).raw_vcg)
+    assert main(["check", str(inst_path), str(out)]) == 0
+
+    doc["payments"][1] -= 0.5
+    out.write_text(json.dumps(doc))
+    assert main(["check", str(inst_path), str(out)]) == 5
 
 
 def test_cli_fuzz_pass_and_fail(tmp_path):

@@ -24,7 +24,9 @@ from usvcg import (
     RegularityWarning,
     clarke_pivot,
     corresponding_type,
+    excluded_means,
     mean_excluding,
+    mean_type,
     non_positive_payments,
     optimize,
     raw_vcg_payment,
@@ -168,6 +170,41 @@ def test_identity_on_random_instances():
         assert max(abs(r) for r in residuals) <= 1e-8
 
 
+def test_pivot_loop_matches_slice_mean_reference():
+    # reference: the O(n^2) loop that re-averaged the other n-1 types afresh
+    # for every agent, written out inline
+    n = 300
+    profile = random_profile(np.random.default_rng(300), n, 2)
+    inst = _per_capita_log_instance(n, profile)
+    out = run_us_vcg(profile, inst)
+    decision = optimize(mean_type(profile), inst)
+    total = social_welfare(profile, decision, inst)
+    raw, payments, residuals = [], [], []
+    for i, agent in enumerate(profile):
+        excl = mean_type(profile[:i] + profile[i + 1 :])
+        v_own = valuation(excl, optimize(excl, inst), inst)
+        p = (n - 1) * (v_own - valuation(excl, decision, inst))
+        raw.append(p)
+        payments.append(sensitive_payment(p, decision.tax, agent.money_weight, inst.money_curve))
+        residuals.append(realized_utility(profile, i, out, inst) - (total - (n - 1) * v_own))
+    assert out.decision == decision
+    np.testing.assert_allclose(out.raw_vcg, raw, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(out.payments, payments, rtol=0.0, atol=1e-12)
+    audited = identity_residuals(profile, out, inst)
+    np.testing.assert_allclose(audited, residuals, rtol=0.0, atol=1e-12)
+
+
+def test_identity_when_one_agent_funds_a_log_good(running_instance):
+    # without agent 0 nobody weights good 0: its excluded weight must be
+    # exactly zero, or the others' optimum would need log(0) spend
+    profile = (AgentType((0.1, 0.9), 1.0), AgentType((0.0, 1.0), 1.3), AgentType((0.0, 1.0), 0.7))
+    assert excluded_means(profile)[0].alloc_weights[0] == 0.0
+    out = run_us_vcg(profile, running_instance)
+    assert all(math.isfinite(p) for p in out.payments)
+    residuals = identity_residuals(profile, out, running_instance)
+    assert max(abs(r) for r in residuals) <= 1e-8
+
+
 def test_realized_utility_without_payment_is_valuation(running_instance):
     out = run_us_vcg(RUNNING_PROFILE, running_instance)
     zeroed = dataclasses.replace(out, payments=(0.0, 0.0, 0.0))
@@ -208,6 +245,19 @@ def test_jacobian_matches_closed_form():
     expected[0, 1] = expected[1, 1] = a * (-2.0 / wm)
     expected[2, 1] = 2.0 * a / wm**2
     assert np.max(np.abs(J - expected)) <= 1e-4
+
+
+def test_nonpositive_reuses_outcome_pivots():
+    profile = random_profile(np.random.default_rng(8), 5, 2)
+    inst = _per_capita_log_instance(5, profile)
+    npc = NonPositiveConfig(gamma=1.0)
+    outcome = run_us_vcg(profile, inst)
+    assert non_positive_payments(profile, inst, npc, outcome=outcome) == non_positive_payments(
+        profile, inst, npc
+    )
+    short = dataclasses.replace(inst, n=4, types=None, tax_weights=None)
+    with pytest.raises(DomainError):
+        non_positive_payments(profile, inst, npc, outcome=run_us_vcg(profile[:4], short))
 
 
 def test_nonpositive_needs_per_capita(running_instance):

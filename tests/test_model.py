@@ -25,6 +25,7 @@ from usvcg import (
     EmptyProfile,
     GainCurve,
     MoneyCurve,
+    excluded_means,
     feature_vector,
     mean_excluding,
     mean_type,
@@ -212,6 +213,62 @@ def test_mean_errors():
         mean_type(())
     with pytest.raises(EmptyProfile):
         mean_excluding((RUNNING_PROFILE[0],), 0)
+    with pytest.raises(EmptyProfile):
+        excluded_means((RUNNING_PROFILE[0],))
+    for i in (-1, 3):
+        with pytest.raises(DomainError):
+            mean_excluding(RUNNING_PROFILE, i)
+
+
+def _bits(agent: AgentType) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in agent.as_vector())
+
+
+def _slice_mean(profile, i: int) -> AgentType:
+    """The O(n^2) reference: average the n-1 remaining types afresh."""
+    return mean_type(profile[:i] + profile[i + 1 :])
+
+
+def _excluded_means_cases():
+    rng = np.random.default_rng(2024)
+    for n, m in ((2, 1), (3, 2), (17, 3), (64, 4), (301, 2)):
+        yield random_profile(rng, n, m, mu=50.0)
+    # one agent holds nearly all of good 0 while the others hold weights
+    # far below its ulp: a total-minus-own difference cancels completely
+    tiny = tuple(AgentType((1e-18 * k, 1.0), 1.0 + k) for k in range(1, 6))
+    yield (AgentType((0.3, 0.7), 2.0),) + tiny
+
+
+@pytest.mark.parametrize("profile", list(_excluded_means_cases()))
+def test_excluded_means_bit_identical_to_slice_average(profile):
+    batch = excluded_means(profile)
+    assert len(batch) == len(profile)
+    for i, excl in enumerate(batch):
+        assert _bits(excl) == _bits(_slice_mean(profile, i))
+        assert _bits(excl) == _bits(mean_excluding(profile, i))
+    picked = (len(profile) - 1, 0)
+    assert excluded_means(profile, picked) == (batch[-1], batch[0])
+
+
+@pytest.mark.parametrize("profile", list(_excluded_means_cases()))
+def test_excluded_means_permutation_invariant(profile):
+    batch = excluded_means(profile)
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(len(profile))
+        permuted = excluded_means(tuple(profile[k] for k in order))
+        for pos, k in enumerate(order):
+            assert _bits(permuted[pos]) == _bits(batch[k])
+
+
+def test_excluded_means_exact_support():
+    # only agent 0 funds good 0: without it that weight is exactly zero
+    alone = (AgentType((0.1, 0.9), 1.0), AgentType((0.0, 1.0), 1.3), AgentType((0.0, 1.0), 0.7))
+    batch = excluded_means(alone)
+    assert batch[0].alloc_weights == (0.0, 1.0)
+    assert all(excl.alloc_weights[0] > 0.0 for excl in batch[1:])
+    # the others' weights vanish next to agent 0's but are not zero
+    tiny = (AgentType((0.3, 0.7), 1.0), AgentType((1e-18, 1.0), 1.0), AgentType((3e-18, 1.0), 1.0))
+    assert excluded_means(tiny)[0].alloc_weights[0] == 2e-18
 
 
 # =============================================================================
