@@ -47,6 +47,8 @@ EXIT_ENGINE = 3
 EXIT_PENDING = 4
 EXIT_FAILED = 5
 
+_DEFAULT_MU = 2.0  # money-weight band behind the default non-positive gamma
+
 
 def _emit(doc: dict, out_path: str | None) -> None:
     if out_path:
@@ -190,11 +192,8 @@ def cmd_mechanism(args) -> int:
         raise SchemaError("--bias, --non-positive and --hetero are mutually exclusive")
     npc = None
     if args.non_positive:
-        npc = NonPositiveConfig(
-            gamma=args.gamma if args.gamma else 2.0 * (1.0 + args.mu),
-            r=args.rebate,
-            fd_step=args.fd_step,
-        )
+        gamma = args.gamma or NonPositiveConfig.for_band(args.mu).gamma
+        npc = NonPositiveConfig(gamma=gamma, r=args.rebate, fd_step=args.fd_step)
     outcome, variant, residuals = _run_variant(
         instance,
         profile,
@@ -293,7 +292,7 @@ def cmd_check(args) -> int:
         if np_doc:
             spec = np_doc if isinstance(np_doc, dict) else {}
             npc = NonPositiveConfig(
-                gamma=spec.get("gamma") or 2.0 * (1.0 + 2.0),  # mechanism's default band mu=2
+                gamma=spec.get("gamma") or NonPositiveConfig.for_band(_DEFAULT_MU).gamma,
                 r=spec.get("r", 0.0),
                 fd_step=spec.get("fd_step", 1e-5),
             )
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None, help="type-spread bound for --non-positive")
     p.add_argument("--rebate", type=float, default=0.0, help="extra rebate constant r")
     p.add_argument("--fd-step", type=float, default=1e-5, dest="fd_step")
-    p.add_argument("--mu", type=float, default=2.0, help="money-weight band for the default gamma")
+    p.add_argument("--mu", type=float, default=_DEFAULT_MU, help="money-weight band for the default gamma")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mechanism)
 

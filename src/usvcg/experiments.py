@@ -25,18 +25,18 @@ import numpy as np
 from .errors import DomainError, NonUniqueOptimum
 from .mechanism import (
     NonPositiveConfig,
+    _Plain,
     non_positive_payments,
     run_us_vcg,
-    sensitive_payment,
     tangent_basis,
 )
 from .model import (
     AgentType,
     BudgetInstance,
     CharacteristicTriplet,
+    _utility_at,
     excluded_means,
     mean_type,
-    valuation,
 )
 from .solver import SolverConfig, optimize
 
@@ -268,29 +268,14 @@ def _draw_misreport(
     return AgentType.normalized(weights, money)
 
 
-def _report_utility(
-    agent: AgentType,
-    report_money_weight: float,
-    decision,
-    excl: AgentType,
-    best_excl,
-    instance: BudgetInstance,
-) -> float:
-    """True-type utility when the mechanism chose ``decision`` and charges
-    the payment implied by the reported money weight."""
-    n = instance.n
-    p = (n - 1) * (
-        valuation(excl, best_excl, instance) - valuation(excl, decision, instance)
-    )
-    payment = sensitive_payment(
-        p, decision.tax, report_money_weight, instance.money_curve
-    )
-    pool = instance.pool(decision.tax)
-    gains = 0.0
-    for w, x, curve in zip(agent.alloc_weights, decision.allocation, instance.gain_curves):
-        if w > 0.0:
-            gains += w * curve.value(x * pool)
-    return gains - agent.money_weight * instance.money_curve.value(decision.tax + payment)
+def _report_utility(variant: _Plain, i: int, agent: AgentType, decision, excl, best_excl) -> float:
+    """``agent``'s utility when the mechanism on ``variant``'s profile chose
+    ``decision`` and charges agent i the pivot against the others' optimum
+    ``best_excl``, inverted through i's reported money weight."""
+    _, argument = variant.pivot_at(decision)(excl, best_excl)
+    payment = variant.payment(i, argument, decision)
+    transfer = variant.own_tax(i, decision) + payment
+    return _utility_at(agent, decision, transfer, variant.instance)
 
 
 # =============================================================================
@@ -345,18 +330,12 @@ def sdsic_fuzz(
         i = int(rng.integers(n))
         report = _draw_misreport(rng, profile[i], mu, misreport_space)
 
+        truth = _Plain(profile, instance, config)
+        lie = _Plain(profile[:i] + (report,) + profile[i + 1 :], instance, config)
         (excl,) = excluded_means(profile, (i,))
-        best_excl = optimize(excl, instance, config)
-        truth_decision = optimize(mean_type(profile), instance, config)
-        lie_profile = profile[:i] + (report,) + profile[i + 1 :]
-        lie_decision = optimize(mean_type(lie_profile), instance, config)
-
-        u_truth = _report_utility(
-            profile[i], profile[i].money_weight, truth_decision, excl, best_excl, instance
-        )
-        u_lie = _report_utility(
-            profile[i], report.money_weight, lie_decision, excl, best_excl, instance
-        )
+        best_excl = truth.others_optimum(excl)
+        u_truth = _report_utility(truth, i, profile[i], truth.decide(), excl, best_excl)
+        u_lie = _report_utility(lie, i, profile[i], lie.decide(), excl, best_excl)
         gain = u_lie - u_truth
         gains.append(gain)
         if gain > max_gain:
@@ -405,13 +384,12 @@ def coalition_probe(
     per_trial: list[tuple[int, int, int]] = []
 
     def utilities(reported: tuple[AgentType, ...], members) -> dict[int, float]:
-        decision = optimize(mean_type(reported), instance, config)
+        variant = _Plain(reported, instance, config)
+        decision = variant.decide()
         out = {}
         for i, excl in zip(members, excluded_means(reported, members)):
-            best_excl = optimize(excl, instance, config)
-            out[i] = _report_utility(
-                true_profile[i], reported[i].money_weight, decision, excl, best_excl, instance
-            )
+            best_excl = variant.others_optimum(excl)
+            out[i] = _report_utility(variant, i, true_profile[i], decision, excl, best_excl)
         return out
 
     for trial in range(trials):

@@ -6,20 +6,26 @@ a pivot payment pushed through the money curve so that the quasi-linear
 accounting identity survives non-quasi-linear utilities:
 
     p_i = (n-1) * (v_excl(best_excl) - v_excl(best_all))     (pivot, >= 0)
-    P_i = -t* + f^{-1}( f(t*) + p_i / w_money_i )
+    P_i = -t_i + f^{-1}( f(t_i) + p_i / w_money_i )          (t_i: own tax)
 
 Here v_excl is the valuation of the mean of the other n-1 agents and
 best_excl its optimum.  With that P_i the realised utility of agent i equals
 the total welfare at the chosen decision minus the others' welfare in their
 absence, which is what makes truthful reporting dominant.
 
+One engine runs every variant (``_run``) and audits it
+(``identity_residuals``).  A variant names only its decision oracle
+(``decide``), its others' optimum oracle (``others_optimum``) and its
+excluded-welfare terms (``pivot_at`` for the payments, ``total`` and
+``others_welfare`` for the audit): ``_Plain`` is US-VCG, ``_Biased`` steers
+toward phantom targets, ``_Hetero`` has designer-assigned tax weights.  The
+oracles are module globals read at call time, so rebinding one reaches every
+solve.  Non-positive payments are a Jacobian-bound rebate taken off the raw
+pivots of ``run_us_vcg``.
+
 Welfare depends on a profile only through its mean, so one O(n*m) pass over
 the profile's totals (``excluded_means``) gives every agent's excluded mean,
 and a run costs one solve for the decision plus one pivot solve per agent.
-
-Variants: payments made non-positive by a Jacobian-bound rebate taken off
-the raw pivots of ``run_us_vcg``, a biased mechanism steering toward phantom
-targets, and designer-assigned heterogeneous tax weights.
 
 Every run is a pure function of (profile, instance, config); the per-agent
 pivot solves are independent and could execute in any order or in parallel
@@ -39,9 +45,9 @@ from .model import (
     AgentType,
     BudgetDecision,
     BudgetInstance,
+    _utility_at,
     excluded_means,
     feature_vector,
-    mean_excluding,
     mean_type,
     social_welfare,
     valuation,
@@ -113,36 +119,8 @@ class NonPositiveConfig:
 
 
 # =============================================================================
-# Core payments
+# The pivot engine
 # =============================================================================
-
-
-def clarke_pivot(
-    profile, i: int, instance: BudgetInstance, config: SolverConfig | None = None
-) -> float:
-    """Welfare the others would reach at their own optimum without agent i."""
-    profile = tuple(profile)
-    if len(profile) < 2:
-        raise PivotUndefined("the pivot term needs at least two agents")
-    excl = mean_excluding(profile, i)
-    best = optimize(excl, instance, config)
-    return (len(profile) - 1) * valuation(excl, best, instance)
-
-
-def raw_vcg_payment(
-    profile, i: int, instance: BudgetInstance, config: SolverConfig | None = None
-) -> float:
-    """Externality agent i imposes: the others' welfare loss from moving the
-    decision to the full-profile optimum.  Always nonnegative."""
-    profile = tuple(profile)
-    if len(profile) < 2:
-        raise PivotUndefined("the pivot payment needs at least two agents")
-    excl = mean_excluding(profile, i)
-    best_excl = optimize(excl, instance, config)
-    best_all = optimize(mean_type(profile), instance, config)
-    return (len(profile) - 1) * (
-        valuation(excl, best_excl, instance) - valuation(excl, best_all, instance)
-    )
 
 
 def sensitive_payment(p_vcg: float, t_star: float, money_weight: float, money_curve) -> float:
@@ -152,17 +130,92 @@ def sensitive_payment(p_vcg: float, t_star: float, money_weight: float, money_cu
     return -t_star + money_curve.inverse(argument)
 
 
-def _pivots(profile, decision: BudgetDecision, instance: BudgetInstance, solve):
-    """Every agent's raw pivot ``(n-1) * (v_excl(best_excl) - v_excl(decision))``
-    with the others' own decision ``best_excl = solve(excluded mean)``, as
-    (pivot, best_excl) pairs in profile order."""
-    n = len(profile)
-    out = []
-    for excl in excluded_means(profile):
-        best_excl = solve(excl)
-        p = (n - 1) * (valuation(excl, best_excl, instance) - valuation(excl, decision, instance))
-        out.append((p, best_excl))
-    return out
+class _Plain:
+    """US-VCG: the mean type decides, and the others without agent i are
+    their mean type, n-1 strong."""
+
+    def __init__(self, profile, instance: BudgetInstance, config: SolverConfig | None):
+        self.profile, self.instance, self.config = tuple(profile), instance, config
+        self.n = len(self.profile)
+
+    def decide(self) -> BudgetDecision:
+        return optimize(mean_type(self.profile), self.instance, self.config)
+
+    def others(self):
+        return excluded_means(self.profile)
+
+    def others_optimum(self, excl) -> BudgetDecision:
+        return optimize(excl, self.instance, self.config)
+
+    def own_tax(self, i: int, decision: BudgetDecision) -> float:
+        return decision.tax
+
+    def pivot_at(self, decision: BudgetDecision):
+        """(others, their optimum) -> (raw pivot, payment argument)."""
+        inst = self.instance
+
+        def pivot(excl, best):
+            p = (self.n - 1) * (valuation(excl, best, inst) - valuation(excl, decision, inst))
+            return p, p
+
+        return pivot
+
+    def payment(self, i: int, argument: float, decision: BudgetDecision) -> float:
+        """Agent i's payment: ``argument`` pushed through the money curve."""
+        own_tax = self.own_tax(i, decision)
+        money_weight = self.profile[i].money_weight
+        return sensitive_payment(argument, own_tax, money_weight, self.instance.money_curve)
+
+    def total(self, decision: BudgetDecision) -> float:
+        return social_welfare(self.profile, decision, self.instance)
+
+    def others_welfare(self, excl, decision: BudgetDecision) -> float:
+        return (self.n - 1) * valuation(excl, decision, self.instance)
+
+
+def _run(variant) -> Outcome:
+    """The variant's decision, then for every agent one fresh solve of the
+    others' optimum, its pivot, and one money-curve inversion."""
+    profile, instance = variant.profile, variant.instance
+    if len(profile) != instance.n:
+        raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
+    decision = variant.decide()
+    welfare = social_welfare(profile, decision, instance)
+    if len(profile) == 1:
+        return Outcome(decision, (0.0,), (0.0,), welfare)
+    pivot = variant.pivot_at(decision)
+    raw, payments = [], []
+    for i, excl in enumerate(variant.others()):
+        p, argument = pivot(excl, variant.others_optimum(excl))
+        raw.append(p)
+        payments.append(variant.payment(i, argument, decision))
+    return Outcome(decision, tuple(raw), tuple(payments), welfare)
+
+
+def _one_agent(profile, i: int, instance: BudgetInstance, config, what: str):
+    """US-VCG's (variant, others, their optimum) for agent i alone."""
+    variant = _Plain(profile, instance, config)
+    if variant.n < 2:
+        raise PivotUndefined(f"{what} needs at least two agents")
+    (excl,) = excluded_means(variant.profile, (i,))
+    return variant, excl, variant.others_optimum(excl)
+
+
+def clarke_pivot(
+    profile, i: int, instance: BudgetInstance, config: SolverConfig | None = None
+) -> float:
+    """Welfare the others would reach at their own optimum without agent i."""
+    variant, excl, best = _one_agent(profile, i, instance, config, "the pivot term")
+    return variant.others_welfare(excl, best)
+
+
+def raw_vcg_payment(
+    profile, i: int, instance: BudgetInstance, config: SolverConfig | None = None
+) -> float:
+    """Externality agent i imposes: the others' welfare loss from moving the
+    decision to the full-profile optimum.  Always nonnegative."""
+    variant, excl, best = _one_agent(profile, i, instance, config, "the pivot payment")
+    return variant.pivot_at(variant.decide())(excl, best)[0]
 
 
 def run_us_vcg(
@@ -170,35 +223,14 @@ def run_us_vcg(
 ) -> Outcome:
     """Run the mechanism: decision from the mean type, one pivot solve per
     agent, payments pushed through the money curve."""
-    profile = tuple(profile)
-    if len(profile) != instance.n:
-        raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
-    decision = optimize(mean_type(profile), instance, config)
-    welfare = social_welfare(profile, decision, instance)
-    if len(profile) == 1:
-        return Outcome(decision, (0.0,), (0.0,), welfare)
-    pivots = _pivots(profile, decision, instance, lambda e: optimize(e, instance, config))
-    raw = tuple(p for p, _ in pivots)
-    payments = tuple(
-        sensitive_payment(p, decision.tax, agent.money_weight, instance.money_curve)
-        for p, agent in zip(raw, profile)
-    )
-    return Outcome(decision, raw, payments, welfare)
+    return _run(_Plain(profile, instance, config))
 
 
 def realized_utility(profile, i: int, outcome: Outcome, instance: BudgetInstance) -> float:
     """Agent i's utility at the outcome: gains at the funded spends minus
     the disutility of her total transfer (weighted tax plus payment)."""
-    profile = tuple(profile)
-    agent = profile[i]
-    decision = outcome.decision
-    pool = instance.pool(decision.tax)
-    gains = 0.0
-    for w, x, curve in zip(agent.alloc_weights, decision.allocation, instance.gain_curves):
-        if w > 0.0:
-            gains += w * curve.value(x * pool)
-    transfer = instance.tax_weights[i] * decision.tax + outcome.payments[i]
-    return gains - agent.money_weight * instance.money_curve.value(transfer)
+    transfer = instance.tax_weights[i] * outcome.decision.tax + outcome.payments[i]
+    return _utility_at(tuple(profile)[i], outcome.decision, transfer, instance)
 
 
 def identity_residuals(
@@ -213,35 +245,20 @@ def identity_residuals(
     scratch (fresh pivot solves) so results can be audited independently:
     realised utility minus (total welfare at the decision - the others'
     welfare at their own optimum without the agent)."""
-    profile = tuple(profile)
-    n = len(profile)
-    if n == 1:
-        return [0.0]
-    decision = outcome.decision
     if hetero:
-        total = _welfare_excluding(profile, None, decision, instance)
+        variant = _Hetero(profile, instance, config)
     elif bias is not None:
-        total = n * valuation(mean_type(profile), decision, instance) + n * bias_value(
-            bias, decision, instance
-        )
+        variant = _Biased(profile, instance, config, bias)
     else:
-        total = social_welfare(profile, decision, instance)
-    excluded = None if hetero else excluded_means(profile)
-    residuals = []
-    for i in range(n):
-        if hetero:
-            best_excl = optimize_hetero(profile, instance, config, exclude=i)
-            h = _welfare_excluding(profile, i, best_excl, instance)
-        elif bias is not None:
-            best_excl = optimize_biased(excluded[i], bias, instance, config)
-            h = (n - 1) * valuation(excluded[i], best_excl, instance) + n * bias_value(
-                bias, best_excl, instance
-            )
-        else:
-            best_excl = optimize(excluded[i], instance, config)
-            h = (n - 1) * valuation(excluded[i], best_excl, instance)
-        residuals.append(realized_utility(profile, i, outcome, instance) - (total - h))
-    return residuals
+        variant = _Plain(profile, instance, config)
+    if variant.n == 1:
+        return [0.0]
+    total = variant.total(outcome.decision)
+    return [
+        realized_utility(variant.profile, i, outcome, instance)
+        - (total - variant.others_welfare(excl, variant.others_optimum(excl)))
+        for i, excl in enumerate(variant.others())
+    ]
 
 
 # =============================================================================
@@ -349,9 +366,9 @@ def non_positive_payments(
         outcome = run_us_vcg(profile, instance, config)
     elif len(outcome.raw_vcg) != n:
         raise DomainError(f"outcome has {len(outcome.raw_vcg)} pivots, profile has {n} agents")
-    money = instance.money_curve
+    plain = _Plain(profile, instance, config)
     payments = []
-    for i, (agent, excl, p) in enumerate(zip(profile, excluded_means(profile), outcome.raw_vcg)):
+    for i, (excl, p) in enumerate(zip(plain.others(), outcome.raw_vcg)):
         J_half = _decision_map_jacobian(excl, instance, np_config.fd_step / 2.0, config)
         J_full = _decision_map_jacobian(excl, instance, np_config.fd_step, config)
         norm_half = _spectral_norm(J_half)
@@ -365,9 +382,7 @@ def non_positive_payments(
                 stacklevel=2,
             )
         rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
-        payments.append(
-            sensitive_payment(p - rebate, outcome.decision.tax, agent.money_weight, money)
-        )
+        payments.append(plain.payment(i, p - rebate, outcome.decision))
     return tuple(payments)
 
 
@@ -376,36 +391,49 @@ def non_positive_payments(
 # =============================================================================
 
 
+class _Biased(_Plain):
+    """Phantom bias: valuation plus bias decides, and n times the bias
+    difference joins the payment argument, never the raw pivot."""
+
+    def __init__(self, profile, instance: BudgetInstance, config, bias: BiasSpec):
+        super().__init__(profile, instance, config)
+        self.bias = bias
+
+    def _c(self, decision: BudgetDecision) -> float:
+        return bias_value(self.bias, decision, self.instance)
+
+    def decide(self) -> BudgetDecision:
+        return optimize_biased(mean_type(self.profile), self.bias, self.instance, self.config)
+
+    def others_optimum(self, excl) -> BudgetDecision:
+        return optimize_biased(excl, self.bias, self.instance, self.config)
+
+    def pivot_at(self, decision: BudgetDecision):
+        plain, c_at_decision = super().pivot_at(decision), self._c(decision)
+
+        def pivot(excl, best):
+            p, _ = plain(excl, best)
+            return p, p + self.n * (self._c(best) - c_at_decision)
+
+        return pivot
+
+    def total(self, decision: BudgetDecision) -> float:
+        mean = mean_type(self.profile)
+        return self.n * valuation(mean, decision, self.instance) + self.n * self._c(decision)
+
+    def others_welfare(self, excl, decision: BudgetDecision) -> float:
+        return super().others_welfare(excl, decision) + self.n * self._c(decision)
+
+
 def run_bus_vcg(
     profile, bias: BiasSpec, instance: BudgetInstance, config: SolverConfig | None = None
 ) -> Outcome:
     """Mechanism steered by a phantom bias: the decision maximises
     valuation-plus-bias of the mean, and the bias differences enter the
     payment inversion alongside the pivot term."""
-    profile = tuple(profile)
-    if len(profile) != instance.n:
-        raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
     if bias.is_null:
         return run_us_vcg(profile, instance, config)
-    n = len(profile)
-    decision = optimize_biased(mean_type(profile), bias, instance, config)
-    welfare = social_welfare(profile, decision, instance)
-    if n == 1:
-        return Outcome(decision, (0.0,), (0.0,), welfare)
-    c_at_decision = bias_value(bias, decision, instance)
-    pivots = _pivots(
-        profile, decision, instance, lambda e: optimize_biased(e, bias, instance, config)
-    )
-    payments = tuple(
-        sensitive_payment(
-            p + n * (bias_value(bias, best_excl, instance) - c_at_decision),
-            decision.tax,
-            agent.money_weight,
-            instance.money_curve,
-        )
-        for (p, best_excl), agent in zip(pivots, profile)
-    )
-    return Outcome(decision, tuple(p for p, _ in pivots), payments, welfare)
+    return _run(_Biased(profile, instance, config, bias))
 
 
 # =============================================================================
@@ -413,15 +441,39 @@ def run_bus_vcg(
 # =============================================================================
 
 
-def _welfare_excluding(
-    profile, i: int | None, decision: BudgetDecision, instance: BudgetInstance
-) -> float:
-    """Sum of valuations (with each agent's own tax weight) excluding i."""
-    return math.fsum(
-        valuation(agent, decision, instance, tax_weight=instance.tax_weights[k])
-        for k, agent in enumerate(profile)
-        if k != i
-    )
+class _Hetero(_Plain):
+    """Designer tax weights: agent k pays tax_weights[k] * t, so the others
+    without agent i are everyone else, their welfare is summed agent by
+    agent, and each payment offsets its own weighted tax."""
+
+    def decide(self) -> BudgetDecision:
+        return optimize_hetero(self.profile, self.instance, self.config)
+
+    def others(self):
+        return range(self.n)
+
+    def others_optimum(self, i: int) -> BudgetDecision:
+        return optimize_hetero(self.profile, self.instance, self.config, exclude=i)
+
+    def own_tax(self, i: int, decision: BudgetDecision) -> float:
+        return self.instance.tax_weights[i] * decision.tax
+
+    def pivot_at(self, decision: BudgetDecision):
+        def pivot(i, best):
+            p = self.others_welfare(i, best) - self.others_welfare(i, decision)
+            return p, p
+
+        return pivot
+
+    def total(self, decision: BudgetDecision) -> float:
+        return self.others_welfare(None, decision)
+
+    def others_welfare(self, i: int | None, decision: BudgetDecision) -> float:
+        return math.fsum(
+            valuation(agent, decision, self.instance, tax_weight=self.instance.tax_weights[k])
+            for k, agent in enumerate(self.profile)
+            if k != i
+        )
 
 
 def run_us_vcg_hetero(
@@ -433,23 +485,4 @@ def run_us_vcg_hetero(
     total transfer is tax_weights[i]*t* + P_i and the accounting identity
     still closes.
     """
-    profile = tuple(profile)
-    if len(profile) != instance.n:
-        raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
-    decision = optimize_hetero(profile, instance, config)
-    welfare = social_welfare(profile, decision, instance)
-    if len(profile) == 1:
-        return Outcome(decision, (0.0,), (0.0,), welfare)
-    money = instance.money_curve
-    raw = []
-    payments = []
-    for i, agent in enumerate(profile):
-        best_excl = optimize_hetero(profile, instance, config, exclude=i)
-        p = _welfare_excluding(profile, i, best_excl, instance) - _welfare_excluding(
-            profile, i, decision, instance
-        )
-        raw.append(p)
-        own_tax = instance.tax_weights[i] * decision.tax
-        argument = money.value(own_tax) + p / agent.money_weight
-        payments.append(-own_tax + money.inverse(argument))
-    return Outcome(decision, tuple(raw), tuple(payments), welfare)
+    return _run(_Hetero(profile, instance, config))

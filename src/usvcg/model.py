@@ -302,15 +302,18 @@ def valuation(
     itself is undefined at zero spend.
     """
     instance.check_decision(decision)
+    return _utility_at(agent, decision, tax_weight * decision.tax, instance)
+
+
+def _utility_at(agent: AgentType, decision: BudgetDecision, transfer: float, instance) -> float:
+    """A type's gains at the decision's spends minus the disutility of a
+    total transfer (``valuation`` when the transfer is a weighted tax)."""
     pool = instance.pool(decision.tax)
-    total = 0.0
+    gains = 0.0
     for w, x, curve in zip(agent.alloc_weights, decision.allocation, instance.gain_curves):
-        if w == 0.0:
-            continue
-        total += w * curve.value(x * pool)
-    return total - agent.money_weight * instance.money_curve.value(
-        tax_weight * decision.tax
-    )
+        if w > 0.0:
+            gains += w * curve.value(x * pool)
+    return gains - agent.money_weight * instance.money_curve.value(transfer)
 
 
 def feature_vector(decision: BudgetDecision, instance: BudgetInstance) -> np.ndarray:

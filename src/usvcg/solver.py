@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITERATIONS = 200  # water-filling Newton steps
+_BRACKET_PATIENCE = 6  # falling tax samples before the bracket stops
+_MULTISTART = 3  # sampled local maxima refined by golden section
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,6 @@ class SolverConfig:
     t_tolerance: float = 1e-9  # relative, on the tax axis
     bracket_growth: float = 2.0
     max_bracket: float = 1e12
-    grid_resolution: int = 500  # oracle default, per axis
-    max_iterations: int = 200
-    bracket_patience: int = 6
-    multistart: int = 3
 
     def __post_init__(self) -> None:
         if self.x_tolerance <= 0 or self.t_tolerance <= 0:
@@ -111,17 +110,6 @@ def _water_fill(
         x[j] = 1.0
         return x, weights[j] * curves[j].value(budget), weights[j] * curves[j].deriv(budget)
 
-    if all(curves[j].kind == "log" for j in active):
-        # Common-marginal solution is proportional to w_j * scale_j.
-        wa = np.array([weights[j] * curves[j].scale for j in active])
-        total = float(wa.sum())
-        shares = wa / total
-        gains = 0.0
-        for share, j, w in zip(shares, active, wa):
-            x[j] = share
-            gains += w * math.log(share * budget)
-        return x, gains, total / budget
-
     caps = [weights[j] * curves[j].deriv_at_zero() for j in active]
 
     def spends_at(lam: float) -> list[float]:
@@ -157,7 +145,7 @@ def _water_fill(
 
     lam = math.sqrt(lo * hi)
     spends = spends_at(lam)
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         h = excess(spends)
         if abs(h) <= cfg.x_tolerance * budget:
             break
@@ -377,7 +365,7 @@ def _maximize_over_tax(
             drops = 0
         else:
             drops += 1
-            if drops >= cfg.bracket_patience and len(ts) - 1 > best + 2:
+            if drops >= _BRACKET_PATIENCE and len(ts) - 1 > best + 2:
                 break
         k += 1
 
@@ -388,7 +376,7 @@ def _maximize_over_tax(
         if (i == 0 or vs[i] >= vs[i - 1]) and (i == last or vs[i] >= vs[i + 1])
     ]
     candidates.sort(key=lambda i: -vs[i])
-    picked = candidates[: max(1, cfg.multistart)]
+    picked = candidates[:_MULTISTART]
     if best not in picked:
         picked.append(best)
 
@@ -625,7 +613,7 @@ def optimize_biased(
         pool = instance.pool(t)
         xhat = np.asarray(bias.target.allocation_at(t, instance), dtype=float)
         ahat = _phantom_weights(xhat, t, instance)
-        x, combined, _ = _water_fill(base + bias.lam * ahat, instance.gain_curves, pool, cfg)
+        x, combined = _Conditional(base + bias.lam * ahat, instance.gain_curves, cfg).both(pool)
         at_target = math.fsum(
             a * curve.value(float(xj) * pool)
             for a, xj, curve in zip(ahat, xhat, instance.gain_curves)
@@ -803,9 +791,8 @@ def _simplex_lattice(m: int, resolution: int) -> np.ndarray:
 def grid_oracle(
     target,
     instance: BudgetInstance,
-    resolution: int | None = None,
+    resolution: int = 500,
     t_range: tuple[float, float] = (0.0, 0.0),
-    config: SolverConfig | None = None,
 ) -> OracleResult:
     """Exhaustive search over a simplex lattice times a tax grid.
 
@@ -816,8 +803,6 @@ def grid_oracle(
     Intended for verification; m <= 3 only, and a bounded, nonempty
     ``t_range`` must be supplied.
     """
-    if resolution is None:
-        resolution = (config or _DEFAULT).grid_resolution
     if resolution < 10:
         raise ResolutionTooCoarse(f"need at least 10 points per axis, got {resolution}")
     if instance.m > 3:

@@ -18,8 +18,10 @@ from usvcg import (
     coalition_probe,
     continuity_probe,
     convergence_study,
+    excluded_means,
     mean_type,
     optimize,
+    realized_utility,
     run_us_vcg,
     sdsic_fuzz,
     sigma_population,
@@ -73,21 +75,18 @@ def test_full_space_exposes_the_money_weight_channel(running_instance):
 
 
 def test_truthful_report_gains_nothing(running_instance):
+    # the fuzzer's truthful-report utility is the mechanism's realised utility
     from usvcg.experiments import _report_utility
-    from usvcg.model import mean_excluding
+    from usvcg.mechanism import _Plain
 
     profile = RUNNING_PROFILE
-    i = 1
-    excl = mean_excluding(profile, i)
-    best_excl = optimize(excl, running_instance)
-    decision = optimize(mean_type(profile), running_instance)
-    u1 = _report_utility(
-        profile[i], profile[i].money_weight, decision, excl, best_excl, running_instance
-    )
-    u2 = _report_utility(
-        profile[i], profile[i].money_weight, decision, excl, best_excl, running_instance
-    )
-    assert u1 == u2
+    outcome = run_us_vcg(profile, running_instance)
+    truth = _Plain(profile, running_instance, None)
+    for i, excl in enumerate(excluded_means(profile)):
+        u = _report_utility(
+            truth, i, profile[i], truth.decide(), excl, truth.others_optimum(excl)
+        )
+        assert u == realized_utility(profile, i, outcome, running_instance)
 
 
 def test_dsic_mode_for_finite_marginal_catalog():

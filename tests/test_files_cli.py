@@ -221,6 +221,26 @@ def test_cli_mechanism_non_positive_and_check(tmp_path):
     assert main(["check", str(inst_path), str(out)]) == 5
 
 
+def test_cli_non_positive_default_gamma(tmp_path):
+    # a two-sided money curve can absorb the large rebate a wide band gives
+    doc = files.instance_to_dict(make_running_instance(semantics="per_capita"))
+    doc["money_curve"] = {"kind": "kt", "q": 0.6, "r": 0.7, "loss_weight": 1.5}
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    out = tmp_path / "result.json"
+    assert main(["mechanism", str(inst_path), "--non-positive", "--mu", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["variant"]["non_positive"]["gamma"] == NonPositiveConfig.for_band(3.0).gamma
+    assert main(["check", str(inst_path), str(out)]) == 0
+
+    # a document without gamma is re-verified at the default band
+    assert main(["mechanism", str(inst_path), "--non-positive", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["variant"]["non_positive"]["gamma"]
+    out.write_text(json.dumps(doc))
+    assert main(["check", str(inst_path), str(out)]) == 0
+
+
 def test_cli_fuzz_pass_and_fail(tmp_path):
     out = tmp_path / "fuzz.json"
     csv_path = tmp_path / "fuzz.csv"

@@ -39,6 +39,7 @@ from usvcg import (
     valuation,
 )
 from usvcg.mechanism import _decision_map_jacobian, identity_residuals, tangent_basis
+from usvcg.solver import bias_value, optimize_biased, optimize_hetero
 
 
 def _per_capita_log_instance(n: int, profile) -> BudgetInstance:
@@ -170,6 +171,60 @@ def test_identity_on_random_instances():
         assert max(abs(r) for r in residuals) <= 1e-8
 
 
+def _excluded_slice_mean(profile, i):
+    return mean_type(profile[:i] + profile[i + 1 :])
+
+
+def _mixed_instance(profile, money, tax_weights=None) -> BudgetInstance:
+    return BudgetInstance(
+        m=3,
+        n=len(profile),
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+        money_curve=money,
+        semantics="per_capita",
+        tax_weights=tax_weights,
+        types=tuple(profile),
+    )
+
+
+def _bus_reference(profile, bias, inst):
+    # the biased pivot loop written out: bias differences shift only the
+    # payment argument, never the raw pivot
+    n = len(profile)
+    decision = optimize_biased(mean_type(profile), bias, inst)
+    c_at_decision = bias_value(bias, decision, inst)
+    raw, payments = [], []
+    for i, agent in enumerate(profile):
+        excl = _excluded_slice_mean(profile, i)
+        best = optimize_biased(excl, bias, inst)
+        p = (n - 1) * (valuation(excl, best, inst) - valuation(excl, decision, inst))
+        raw.append(p)
+        arg = p + n * (bias_value(bias, best, inst) - c_at_decision)
+        payments.append(sensitive_payment(arg, decision.tax, agent.money_weight, inst.money_curve))
+    return decision, tuple(raw), tuple(payments)
+
+
+def _hetero_reference(profile, inst):
+    # the heterogeneous pivot loop written out: fsum of the others' own
+    # weighted valuations, inverted on top of each agent's weighted tax
+    decision = optimize_hetero(profile, inst)
+    weights, money = inst.tax_weights, inst.money_curve
+
+    def others(i, x):
+        return math.fsum(
+            valuation(a, x, inst, tax_weight=weights[k]) for k, a in enumerate(profile) if k != i
+        )
+
+    raw, payments = [], []
+    for i, agent in enumerate(profile):
+        p = others(i, optimize_hetero(profile, inst, exclude=i)) - others(i, decision)
+        raw.append(p)
+        own_tax = weights[i] * decision.tax
+        payments.append(-own_tax + money.inverse(money.value(own_tax) + p / agent.money_weight))
+    return decision, tuple(raw), tuple(payments)
+
+
 def test_pivot_loop_matches_slice_mean_reference():
     # reference: the O(n^2) loop that re-averaged the other n-1 types afresh
     # for every agent, written out inline
@@ -181,7 +236,7 @@ def test_pivot_loop_matches_slice_mean_reference():
     total = social_welfare(profile, decision, inst)
     raw, payments, residuals = [], [], []
     for i, agent in enumerate(profile):
-        excl = mean_type(profile[:i] + profile[i + 1 :])
+        excl = _excluded_slice_mean(profile, i)
         v_own = valuation(excl, optimize(excl, inst), inst)
         p = (n - 1) * (v_own - valuation(excl, decision, inst))
         raw.append(p)
@@ -192,6 +247,18 @@ def test_pivot_loop_matches_slice_mean_reference():
     np.testing.assert_allclose(out.payments, payments, rtol=0.0, atol=1e-12)
     audited = identity_residuals(profile, out, inst)
     np.testing.assert_allclose(audited, residuals, rtol=0.0, atol=1e-12)
+
+    # the variants, bit for bit, on a water-filling log/power/log1p catalog
+    mixed = random_profile(np.random.default_rng(301), 6, 3)
+    inst = _mixed_instance(mixed, MoneyCurve.power(0.5))
+    for target in (ConstantTarget((0.3, 0.3, 0.4)), EquitableTarget()):
+        bias = BiasSpec(lam=0.5, target=target)
+        out = run_bus_vcg(mixed, bias, inst)
+        assert (out.decision, out.raw_vcg, out.payments) == _bus_reference(mixed, bias, inst)
+    kt = MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5)
+    inst = _mixed_instance(mixed, kt, tax_weights=(1.6, 0.6, 1.2, 0.9, 0.7, 1.0))
+    out = run_us_vcg_hetero(mixed, inst)
+    assert (out.decision, out.raw_vcg, out.payments) == _hetero_reference(mixed, inst)
 
 
 def test_identity_when_one_agent_funds_a_log_good(running_instance):
