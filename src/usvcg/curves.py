@@ -244,6 +244,14 @@ class MoneyCurve:
             return self.loss_weight * delta**self.r
         return -((-delta) ** self.q)
 
+    def exponent(self, delta: float) -> float:
+        """The degree e of homogeneity on delta's side of zero:
+        f(omega * delta) = omega**e * f(delta) and
+        omega * f'(omega * delta) = omega**e * f'(delta) for every omega > 0.
+        q for the power kind; for the kt kind r when delta > 0 and q when
+        delta < 0.  At delta = 0 both sides vanish and any e holds."""
+        return self.r if self.kind == "kt" and delta > 0.0 else self.q
+
     def deriv(self, delta: float) -> float:
         """f'(delta); returns +inf at the origin where the slope diverges."""
         self._check(delta)

@@ -27,9 +27,12 @@ Welfare depends on a profile only through its mean, so one O(n*m) pass over
 the profile's totals (``excluded_means``) gives every agent's excluded mean,
 and a run costs one solve for the decision plus one pivot solve per agent.
 
-Every run is a pure function of (profile, instance, config); the per-agent
-pivot solves are independent and could execute in any order or in parallel
-without changing the result.
+Every run is a pure function of (profile, instance, config).  The biased
+run's n+1 solves share one table of the target side of the objective (the
+phantom target, its weights and its gains at each tax they visit); each
+entry is a pure function of the tax, so the result does not depend on the
+order of the solves.  The per-agent pivot solves could run in any order, or
+in parallel with a table each, without changing the result.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .model import (
     AgentType,
     BudgetDecision,
     BudgetInstance,
+    _exact_sum,
     _utility_at,
     excluded_means,
     feature_vector,
@@ -55,7 +59,7 @@ from .model import (
 from .solver import (
     BiasSpec,
     SolverConfig,
-    bias_value,
+    _TargetSides,
     corresponding_type,
     optimize,
     optimize_biased,
@@ -398,15 +402,17 @@ class _Biased(_Plain):
     def __init__(self, profile, instance: BudgetInstance, config, bias: BiasSpec):
         super().__init__(profile, instance, config)
         self.bias = bias
+        self.sides = _TargetSides(bias, instance)
 
     def _c(self, decision: BudgetDecision) -> float:
-        return bias_value(self.bias, decision, self.instance)
+        return self.sides.bias_value(decision)
 
     def decide(self) -> BudgetDecision:
-        return optimize_biased(mean_type(self.profile), self.bias, self.instance, self.config)
+        mean = mean_type(self.profile)
+        return optimize_biased(mean, self.bias, self.instance, self.config, sides=self.sides)
 
     def others_optimum(self, excl) -> BudgetDecision:
-        return optimize_biased(excl, self.bias, self.instance, self.config)
+        return optimize_biased(excl, self.bias, self.instance, self.config, sides=self.sides)
 
     def pivot_at(self, decision: BudgetDecision):
         plain, c_at_decision = super().pivot_at(decision), self._c(decision)
@@ -459,8 +465,14 @@ class _Hetero(_Plain):
         return self.instance.tax_weights[i] * decision.tax
 
     def pivot_at(self, decision: BudgetDecision):
+        # every agent's valuation at the decision once, held as an exact
+        # total: removing agent i is one short fsum, bit-identical to the
+        # others_welfare fsum over k != i
+        values = [self._valuation(k, decision) for k in range(self.n)]
+        total = _exact_sum(values)
+
         def pivot(i, best):
-            p = self.others_welfare(i, best) - self.others_welfare(i, decision)
+            p = self.others_welfare(i, best) - math.fsum((*total, -values[i]))
             return p, p
 
         return pivot
@@ -469,11 +481,12 @@ class _Hetero(_Plain):
         return self.others_welfare(None, decision)
 
     def others_welfare(self, i: int | None, decision: BudgetDecision) -> float:
-        return math.fsum(
-            valuation(agent, decision, self.instance, tax_weight=self.instance.tax_weights[k])
-            for k, agent in enumerate(self.profile)
-            if k != i
-        )
+        return math.fsum(self._valuation(k, decision) for k in range(self.n) if k != i)
+
+    def _valuation(self, k: int, decision: BudgetDecision) -> float:
+        """Agent k's valuation at the decision under her own tax weight."""
+        tax_weight = self.instance.tax_weights[k]
+        return valuation(self.profile[k], decision, self.instance, tax_weight=tax_weight)
 
 
 def run_us_vcg_hetero(

@@ -578,19 +578,57 @@ def corresponding_type(
     return _phantom_weights(x, t, instance)
 
 
+class _TargetSides:
+    """The target side of a biased objective, tabulated by tax.
+
+    At tax t it is the phantom weights a(t) of the target allocation
+    xhat(t), the target levels theta_j(xhat_j(t) * pool) of the goods a(t)
+    weights (0.0 elsewhere), and lam * sum_j a_j(t) theta_j(xhat_j(t) * pool),
+    packed in one array of 2m + 1 floats.  None of it depends on the type
+    being solved, and each entry is a pure function of (bias, instance, t)
+    keyed by the exact float t, so one table shared by every solve of a
+    mechanism run gives the same bits as recomputing each entry, in any
+    order of the solves.  The table lives as long as its owner (one run or
+    one audit) and keeps every tax it was asked for.
+    """
+
+    def __init__(self, bias: BiasSpec, instance: BudgetInstance):
+        self.bias, self.instance = bias, instance
+        self._table: dict[float, np.ndarray] = {}
+
+    def at(self, t: float) -> np.ndarray:
+        row = self._table.get(t)
+        if row is None:
+            instance = self.instance
+            pool = instance.pool(t)
+            xhat = np.asarray(self.bias.target.allocation_at(t, instance), dtype=float)
+            ahat = _phantom_weights(xhat, t, instance)
+            levels = [
+                curve.value(float(xj) * pool) if a > 0.0 else 0.0
+                for a, xj, curve in zip(ahat, xhat, instance.gain_curves)
+            ]
+            at_target = math.fsum(a * level for a, level in zip(ahat, levels) if a > 0.0)
+            row = self._table[t] = np.concatenate((ahat, levels, [self.bias.lam * at_target]))
+        return row
+
+    def bias_value(self, decision: BudgetDecision) -> float:
+        """C(x, t) of ``bias_value``, with the target side from the table."""
+        bias, t, instance = self.bias, decision.tax, self.instance
+        if bias.lam == 0.0:
+            return bias.psi.value(t)
+        row, m, pool = self.at(t), instance.m, instance.pool(t)
+        goods = zip(row[:m], row[m:-1], decision.allocation, instance.gain_curves)
+        loss = 0.0
+        for a, level, x_d, curve in goods:
+            if a == 0.0:
+                continue
+            loss += a * (curve.value(float(x_d) * pool) - level)
+        return bias.lam * loss + bias.psi.value(t)
+
+
 def bias_value(bias: BiasSpec, decision: BudgetDecision, instance: BudgetInstance) -> float:
     """C(x, t): phantom utility loss relative to the target, plus psi(t)."""
-    if bias.lam == 0.0:
-        return bias.psi.value(decision.tax)
-    pool = instance.pool(decision.tax)
-    xhat = np.asarray(bias.target.allocation_at(decision.tax, instance), dtype=float)
-    ahat = _phantom_weights(xhat, decision.tax, instance)
-    loss = 0.0
-    for a, x_t, x_d, curve in zip(ahat, xhat, decision.allocation, instance.gain_curves):
-        if a == 0.0:
-            continue
-        loss += a * (curve.value(float(x_d) * pool) - curve.value(float(x_t) * pool))
-    return bias.lam * loss + bias.psi.value(decision.tax)
+    return _TargetSides(bias, instance).bias_value(decision)
 
 
 def optimize_biased(
@@ -598,29 +636,38 @@ def optimize_biased(
     bias: BiasSpec,
     instance: BudgetInstance,
     config: SolverConfig | None = None,
+    *,
+    sides: _TargetSides | None = None,
 ) -> BudgetDecision:
     """argmax of valuation + bias.  The inner stage folds the phantom
     weights into the water-filling problem; the outer stage carries the
-    target-loss offset and psi."""
+    target-loss offset and psi.
+
+    ``sides`` is a target-side table of this bias and instance that several
+    solves share (a mechanism run passes one to all of its n+1 solves);
+    without it the call builds its own.  The result is the same either way.
+
+    The tax search has no slope polish, so the tax is resolved only to the
+    plateau of the value comparisons (relative width about sqrt(ulp)): an
+    ulp-level change in the objective can move it by about 1e-7 relative.
+    """
     if bias.is_null:
         return optimize(agent, instance, config)
+    if sides is None:
+        sides = _TargetSides(bias, instance)
+    elif sides.bias is not bias or sides.instance is not instance:
+        raise DomainError("target-side table belongs to another bias or instance")
     cfg = config or _DEFAULT
+    m, lam, psi = instance.m, bias.lam, bias.psi
     money = instance.money_curve
     kappa = instance.money_factor() * agent.money_weight
     base = np.array(agent.alloc_weights)
 
     def solve_at(t: float) -> tuple[np.ndarray, float]:
-        pool = instance.pool(t)
-        xhat = np.asarray(bias.target.allocation_at(t, instance), dtype=float)
-        ahat = _phantom_weights(xhat, t, instance)
-        x, combined = _Conditional(base + bias.lam * ahat, instance.gain_curves, cfg).both(pool)
-        at_target = math.fsum(
-            a * curve.value(float(xj) * pool)
-            for a, xj, curve in zip(ahat, xhat, instance.gain_curves)
-            if a > 0.0
-        )
-        value = combined - bias.lam * at_target + bias.psi.value(t) - kappa * money.value(t)
-        return x, value
+        row = sides.at(t)
+        cond = _Conditional(base + lam * row[:m], instance.gain_curves, cfg)
+        x, combined = cond.both(instance.pool(t))
+        return x, combined - row[-1] + psi.value(t) - kappa * money.value(t)
 
     t_star, _ = _maximize_over_tax(lambda t: solve_at(t)[1], instance, cfg)
     x, _ = solve_at(t_star)
@@ -720,6 +767,17 @@ def equitable_allocation(
 # =============================================================================
 
 
+def _money_coefficients(money, terms) -> Callable[[float], float]:
+    """t -> sum_k w_k omega_k^e over the (w_k, omega_k) terms, with e the
+    money curve's degree of homogeneity on t's side of zero, so that
+    sum_k w_k f(omega_k t) is the coefficient times f(t)."""
+    sums = {
+        e: math.fsum(w * omega**e for w, omega in terms)
+        for e in (money.exponent(-1.0), money.exponent(1.0))
+    }
+    return lambda t: sums[money.exponent(t)]
+
+
 def optimize_hetero(
     profile,
     instance: BudgetInstance,
@@ -729,7 +787,13 @@ def optimize_hetero(
     """Welfare-optimal decision when agent i pays tax_weights[i] * t.
 
     The inner stage is unchanged (the allocation only sees the pool); the
-    outer stage sums the per-agent money terms.  ``exclude`` drops one
+    outer stage carries the per-agent money terms sum_k w_k f(omega_k t).
+    The money curve is homogeneous on each side of zero (``MoneyCurve.exponent``:
+    f(omega t) = omega^e f(t), and so omega f'(omega t) = omega^e f'(t)),
+    so that sum is (sum_k w_k omega_k^e) f(t) and its slope
+    (sum_k w_k omega_k^e) f'(t).  Both coefficients (one per side of zero)
+    are summed once per solve, and each value or slope evaluation calls the
+    money curve once, whatever the number of agents.  ``exclude`` drops one
     agent from the welfare, which is what pivot payments need; the budget
     mechanics (pool and feasible range) keep the full population.
     """
@@ -750,13 +814,14 @@ def optimize_hetero(
     rate = instance.pool_rate
     terms = [(profile[k].money_weight, instance.tax_weights[k]) for k in included]
     dm = max(money.domain_min / omega for _, omega in terms)
+    coefficient = _money_coefficients(money, terms)
 
     def value(t: float) -> float:
-        money_total = math.fsum(w * money.value(omega * t) for w, omega in terms)
+        money_total = coefficient(t) * money.value(t)
         return cond.gains(instance.pool(t)) - kappa * money_total
 
     def slope(t: float) -> float:
-        money_slope = math.fsum(w * omega * money.deriv(omega * t) for w, omega in terms)
+        money_slope = coefficient(t) * money.deriv(t)
         return cond.marginal(instance.pool(t)) * rate - kappa * money_slope
 
     t_star, _ = _maximize_over_tax(value, instance, cfg, money_domain_min=dm, slope=slope)

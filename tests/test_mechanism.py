@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import RUNNING_PROFILE, random_instance, random_profile
+from conftest import RUNNING_PROFILE, make_running_instance, random_instance, random_profile
 from usvcg import (
     AgentType,
     BiasSpec,
@@ -39,7 +40,7 @@ from usvcg import (
     valuation,
 )
 from usvcg.mechanism import _decision_map_jacobian, identity_residuals, tangent_basis
-from usvcg.solver import bias_value, optimize_biased, optimize_hetero
+from usvcg.solver import _TargetSides, bias_value, optimize_biased, optimize_hetero
 
 
 def _per_capita_log_instance(n: int, profile) -> BudgetInstance:
@@ -395,6 +396,58 @@ def test_phantom_type_for_log_curves(running_instance):
     assert np.allclose(ahat, [0.25, 0.75], atol=1e-12)
 
 
+class _CountingTarget:
+    """The equitable target, counting the taxes it is asked for."""
+
+    def __init__(self):
+        self.asked = collections.Counter()
+
+    def allocation_at(self, t, instance):
+        self.asked[t] += 1
+        return EquitableTarget().allocation_at(t, instance)
+
+
+def test_bus_shares_one_target_side_per_tax():
+    # one run's n+1 solves share a table keyed by the exact tax: the target
+    # is computed once per distinct tax, and the outcome is the one the
+    # plain equitable target gives
+    mixed = random_profile(np.random.default_rng(303), 6, 3)
+    inst = _mixed_instance(mixed, MoneyCurve.power(0.5))
+    counting = _CountingTarget()
+    out = run_bus_vcg(mixed, BiasSpec(lam=0.5, target=counting), inst)
+    assert len(counting.asked) > 100
+    assert set(counting.asked.values()) == {1}
+    bias = BiasSpec(lam=0.5, target=EquitableTarget())
+    assert out == run_bus_vcg(mixed, bias, inst)
+    residuals = identity_residuals(mixed, out, inst, bias=bias)
+    assert max(abs(r) for r in residuals) <= 1e-8
+
+
+def test_bus_outcome_independent_of_solve_order():
+    # the reversed profile solves the same agents in the opposite order
+    # against the shared table: pivots and payments come back reversed, bit
+    # for bit
+    mixed = random_profile(np.random.default_rng(304), 7, 3)
+    inst = _mixed_instance(mixed, MoneyCurve.power(0.5))
+    bias = BiasSpec(lam=0.5, target=EquitableTarget())
+    out = run_bus_vcg(mixed, bias, inst)
+    rev = run_bus_vcg(mixed[::-1], bias, inst)
+    assert rev.decision == out.decision
+    assert rev.raw_vcg == out.raw_vcg[::-1]
+    assert rev.payments == out.payments[::-1]
+
+
+def test_target_side_table_must_match_its_solve():
+    inst = make_running_instance()
+    bias = BiasSpec(lam=0.5, target=EquitableTarget())
+    sides = _TargetSides(bias, inst)
+    mean = mean_type(RUNNING_PROFILE)
+    assert optimize_biased(mean, bias, inst, sides=sides) == optimize_biased(mean, bias, inst)
+    other = BiasSpec(lam=0.7, target=EquitableTarget())
+    with pytest.raises(DomainError):
+        optimize_biased(mean, other, inst, sides=sides)
+
+
 def test_bus_identity_with_constant_target():
     rng = np.random.default_rng(53)
     inst = random_instance(rng, m=2, n=4)
@@ -439,3 +492,15 @@ def test_hetero_identity_with_kt_money(running_instance):
     out = run_us_vcg_hetero(RUNNING_PROFILE, inst)
     residuals = identity_residuals(RUNNING_PROFILE, out, inst, hetero=True)
     assert max(abs(r) for r in residuals) <= 1e-8
+
+
+def test_hetero_pivots_match_reference_at_larger_n():
+    # the others' welfare at the decision comes from one exact total of the
+    # n valuations minus agent i's own; at n = 40 a plainly rounded
+    # difference would miss the per-agent fsum in some agent's last bit
+    profile = random_profile(np.random.default_rng(305), 40, 3)
+    weights = np.random.default_rng(306).uniform(0.5, 1.5, 40)
+    weights *= 40 / weights.sum()
+    inst = _mixed_instance(profile, MoneyCurve.power(0.5), tax_weights=tuple(weights))
+    out = run_us_vcg_hetero(profile, inst)
+    assert (out.decision, out.raw_vcg, out.payments) == _hetero_reference(profile, inst)

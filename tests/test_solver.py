@@ -40,7 +40,7 @@ from usvcg import (
     social_welfare,
     valuation,
 )
-from usvcg.solver import bias_value, invert_increasing
+from usvcg.solver import _money_coefficients, bias_value, invert_increasing
 
 
 # =============================================================================
@@ -448,6 +448,81 @@ def test_hetero_matches_grid_oracle():
     res = grid_oracle(RUNNING_PROFILE, inst, 400, (1e-6, 4.0 * d.tax))
     assert w_solver >= res.value - 1e-9
     assert abs(w_solver - res.value) <= 1e-4 * abs(res.value)
+
+
+def test_hetero_negative_tax_matches_grid_oracle():
+    # an external budget large enough that the optimum hands money back:
+    # the solve runs on the kt curve's t < 0 side, and the oracle scans
+    # both sides of zero
+    inst = dataclasses.replace(
+        make_running_instance(),
+        external_budget=300.0,
+        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5),
+        tax_weights=(2.0, 0.5, 0.5),
+    )
+    d = optimize_hetero(RUNNING_PROFILE, inst)
+    assert d.tax < 0.0
+    w_solver = social_welfare(RUNNING_PROFILE, d, inst)
+    res = grid_oracle(RUNNING_PROFILE, inst, 400, (inst.tax_floor, 2.0 * abs(d.tax)))
+    assert w_solver >= res.value - 1e-9
+    assert abs(w_solver - res.value) <= 1e-4 * abs(res.value)
+
+
+@pytest.mark.parametrize(
+    "money, taxes",
+    [
+        (MoneyCurve.power(0.5), (0.0, 0.37, 415.0)),
+        (MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5), (-52.0, -0.8, 0.0, 0.37, 415.0)),
+    ],
+)
+def test_hetero_money_term_matches_per_agent_sum(money, taxes):
+    # sum_k w_k f(omega_k t) and its slope, summed agent by agent, against
+    # one coefficient per side of zero times f(t) or f'(t)
+    rng = np.random.default_rng(71)
+    terms = list(zip(rng.uniform(0.5, 2.0, 40), rng.uniform(0.3, 2.5, 40)))
+    coefficient = _money_coefficients(money, terms)
+    for t in taxes:
+        value = math.fsum(w * money.value(omega * t) for w, omega in terms)
+        slope = math.fsum(w * omega * money.deriv(omega * t) for w, omega in terms)
+        if t == 0.0:
+            assert coefficient(t) * money.value(t) == value == 0.0
+            assert coefficient(t) * money.deriv(t) == slope == math.inf
+            continue
+        assert coefficient(t) * money.value(t) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert coefficient(t) * money.deriv(t) == pytest.approx(slope, rel=1e-12, abs=0.0)
+
+
+def test_hetero_money_calls_do_not_grow_with_n(monkeypatch):
+    # n copies of one type with tax weights alternating 0.5 and 1.5: at
+    # n = 64 the objective is exactly 8 times the one at n = 8, so both
+    # solves take the same search path, and the money curve must be called
+    # as often in one as in the other
+    calls = []
+    for name in ("value", "deriv"):
+        original = getattr(MoneyCurve, name)
+
+        def counted(self, delta, _original=original):
+            calls.append(1)
+            return _original(self, delta)
+
+        monkeypatch.setattr(MoneyCurve, name, counted)
+    agent = AgentType((0.5, 0.3, 0.2), 1.1)
+    taxes, counts = [], []
+    for n in (8, 64):
+        inst = BudgetInstance(
+            m=3,
+            n=n,
+            external_budget=0.0,
+            gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+            money_curve=MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5),
+            semantics="per_capita",
+            tax_weights=(0.5, 1.5) * (n // 2),
+        )
+        calls.clear()
+        taxes.append(optimize_hetero((agent,) * n, inst).tax)
+        counts.append(len(calls))
+    assert taxes[0] == taxes[1]
+    assert counts[0] == counts[1]
 
 
 # =============================================================================
