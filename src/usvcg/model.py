@@ -360,7 +360,9 @@ def excluded_means(types, agents=None) -> tuple[AgentType, ...]:
 
     Each coordinate's profile total is held as an exact sum of a few floats,
     so removing agent i takes one short ``math.fsum`` that returns the
-    correctly rounded sum of the others.  Every entry is therefore
+    correctly rounded sum of the others.  For a single agent the others'
+    columns are summed directly, one ``math.fsum`` each, which costs less
+    than building the totals and rounds the same.  Every entry is therefore
     bit-identical to averaging the n-1 remaining types, whatever the order
     of the profile, and a weight is exactly 0.0 when every other agent's
     weight on that good is 0.0, however large agent i's own weight is.
@@ -374,10 +376,18 @@ def excluded_means(types, agents=None) -> tuple[AgentType, ...]:
         if not 0 <= i < n:
             raise DomainError(f"agent index {i} out of range for n={n}")
     rows = [t.alloc_weights + (t.money_weight,) for t in types]
-    totals = [_exact_sum(list(column)) for column in zip(*rows)]
+    if len(agents) == 1:
+        (i,) = agents
+        sums = [[math.fsum(column) for column in zip(*rows[:i], *rows[i + 1 :])]]
+    else:
+        totals = [_exact_sum(list(column)) for column in zip(*rows)]
+        sums = (
+            [math.fsum((*total, -w)) for total, w in zip(totals, rows[i])]
+            for i in agents
+        )
     out = []
-    for i in agents:
-        mean = [math.fsum((*total, -w)) / (n - 1) for total, w in zip(totals, rows[i])]
+    for others in sums:
+        mean = [s / (n - 1) for s in others]
         out.append(AgentType(tuple(mean[:-1]), mean[-1]))
     return tuple(out)
 

@@ -9,7 +9,8 @@ The optimisation is solved in the two natural stages:
    funded goods share a common weighted marginal ``lambda``, goods whose
    best attainable weighted marginal stays below ``lambda`` are clipped
    to zero (KKT), and ``lambda`` is found by a safeguarded Newton search
-   on ``sum_j spend_j(lambda) = B``.
+   on ``sum_j spend_j(lambda) = B``, started warm from the previous
+   evaluation of the same tax search when its prediction is usable.
 
 2. *Outer stage*: a search on t over the conditional value.  The bracket
    doubles upward from the feasible floor until the value decays, then
@@ -95,11 +96,23 @@ def _water_fill(
     curves: Sequence[GainCurve],
     budget: float,
     cfg: SolverConfig,
-) -> tuple[np.ndarray, float, float]:
+    warm: tuple[float, float, float] | None = None,
+) -> tuple[np.ndarray, float, float, float]:
     """Maximise sum_j w_j theta_j(x_j * budget) over the simplex.
 
-    Returns (allocation, gains, common marginal).  Callers guarantee
-    budget > 0 and at least one strictly positive weight.
+    Returns (allocation, gains, common marginal lambda, dlambda/dbudget),
+    the last being 1 / sum_j 1/(w_j theta_j''(s_j)) at Newton's last step,
+    or the guess's own when a warm start took none (else nan).  Callers
+    guarantee budget > 0 and at least one strictly positive weight.
+
+    ``warm`` is the (budget, lambda, dlambda/dbudget) of an earlier call.
+    Its tangent in log-log coordinates, lambda * (budget/budget_prev)**e
+    with e = dlambda/dbudget * budget_prev/lambda, predicts lambda_0; it is
+    the linear tangent to first order, and exact for one-kind log or power
+    catalogs, so it also predicts a doubled pool.  When lambda_0 lies
+    strictly inside the derivative bracket, Newton starts there, skipping
+    the bracket-verification sweeps.  A warm run that ends outside the
+    tolerance reruns the cold path: a bad guess costs time, not accuracy.
     """
     m = len(weights)
     active = [j for j in range(m) if weights[j] > 0.0]
@@ -108,9 +121,11 @@ def _water_fill(
     if len(active) == 1:
         j = active[0]
         x[j] = 1.0
-        return x, weights[j] * curves[j].value(budget), weights[j] * curves[j].deriv(budget)
+        lam = weights[j] * curves[j].deriv(budget)
+        return x, weights[j] * curves[j].value(budget), lam, math.nan
 
     caps = [weights[j] * curves[j].deriv_at_zero() for j in active]
+    tolerance = cfg.x_tolerance * budget
 
     def spends_at(lam: float) -> list[float]:
         out = []
@@ -123,51 +138,70 @@ def _water_fill(
     def excess(spends: list[float]) -> float:
         return math.fsum(spends) - budget
 
+    def newton(lam: float, lo: float, hi: float, slope: float) -> tuple[list, float, float]:
+        """Safeguarded Newton on the budget residual inside (lo, hi):
+        (spends, lambda, last slope)."""
+        spends = spends_at(lam)
+        for _ in range(_MAX_ITERATIONS):
+            h = excess(spends)
+            if abs(h) <= tolerance:
+                break
+            if h > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            slope = math.fsum(
+                1.0 / (weights[j] * curves[j].deriv2(s))
+                for j, s in zip(active, spends)
+                if s > 0.0
+            )
+            lam_newton = lam - h / slope if slope < 0.0 else math.nan
+            if math.isfinite(lam_newton) and lo < lam_newton < hi:
+                lam = lam_newton
+            else:
+                lam = math.sqrt(lo * hi)
+            spends = spends_at(lam)
+            if hi - lo <= 1e-15 * lam:
+                break
+        else:
+            raise ConvergenceError("water-filling hit its iteration cap")
+        return spends, lam, slope
+
     # lambda* is bracketed by the weighted marginals at the full budget and
-    # at an equal split; expand defensively in case of rounding.
+    # at an equal split; the cold path expands defensively for rounding.
     k = len(active)
     lo = max(weights[j] * curves[j].deriv(budget) for j in active)
     hi = max(weights[j] * curves[j].deriv(budget / k) for j in active)
     if hi <= lo:
         hi = lo * (1.0 + 1e-9) + 1e-300
-    for _ in range(200):
-        if excess(spends_at(hi)) <= 0.0:
-            break
-        hi *= 4.0
-    else:
-        raise ConvergenceError("water-filling could not bracket the marginal")
-    for _ in range(200):
-        if excess(spends_at(lo)) >= 0.0:
-            break
-        lo /= 4.0
-    else:
-        raise ConvergenceError("water-filling could not bracket the marginal")
 
-    lam = math.sqrt(lo * hi)
-    spends = spends_at(lam)
-    for _ in range(_MAX_ITERATIONS):
-        h = excess(spends)
-        if abs(h) <= cfg.x_tolerance * budget:
-            break
-        if h > 0.0:
-            lo = lam
+    found = None
+    if warm is not None:
+        b_prev, lam_prev, dlam_db = warm
+        # the tangent in (log budget, log lambda): the elasticity of lambda
+        # in the pool is a weighted mean of the funded goods' X theta''/theta',
+        # which is -1 for log and within (-1, 0) for power and log1p
+        elasticity = min(max(dlam_db * b_prev / lam_prev, -1.0), 0.0)
+        lam0 = lam_prev * (budget / b_prev) ** elasticity
+        if lo < lam0 < hi:
+            found = newton(lam0, lo, hi, 1.0 / dlam_db if dlam_db else math.nan)
+            if abs(excess(found[0])) > tolerance:
+                found = None
+    if found is None:
+        for _ in range(200):
+            if excess(spends_at(hi)) <= 0.0:
+                break
+            hi *= 4.0
         else:
-            hi = lam
-        slope = math.fsum(
-            1.0 / (weights[j] * curves[j].deriv2(s))
-            for j, s in zip(active, spends)
-            if s > 0.0
-        )
-        lam_newton = lam - h / slope if slope < 0.0 else math.nan
-        if math.isfinite(lam_newton) and lo < lam_newton < hi:
-            lam = lam_newton
+            raise ConvergenceError("water-filling could not bracket the marginal")
+        for _ in range(200):
+            if excess(spends_at(lo)) >= 0.0:
+                break
+            lo /= 4.0
         else:
-            lam = math.sqrt(lo * hi)
-        spends = spends_at(lam)
-        if hi - lo <= 1e-15 * lam:
-            break
-    else:
-        raise ConvergenceError("water-filling hit its iteration cap")
+            raise ConvergenceError("water-filling could not bracket the marginal")
+        found = newton(math.sqrt(lo * hi), lo, hi, math.nan)
+    spends, lam, slope = found
 
     total = math.fsum(spends)
     gains = 0.0
@@ -178,22 +212,34 @@ def _water_fill(
             gains += weights[j] * curves[j].value(share * budget)
         elif curves[j].strict_domain:
             raise ConvergenceError("zero share on a strictly positive-domain curve")
-    return x, gains, lam
+    return x, gains, lam, 1.0 / slope if slope else math.nan
 
 
 class _Conditional:
-    """Inner-stage solution as a reusable function of the pool size.
+    """Inner-stage solution as a function of the pool size, for one solve.
 
     All-log catalogs admit a budget-independent allocation, so the shares
     and the log-constant are precomputed once.  ``marginal`` is the common
     weighted marginal at the inner optimum -- by the envelope theorem it is
     the derivative of the conditional gains with respect to the pool.
+
+    Otherwise each evaluation water-fills, warm-started from ``warm``: the
+    (budget, lambda, dlambda/dbudget) of the previous water-fill, or of the
+    caller's.  The object lives for one solve, so a solve stays a pure
+    function of its inputs.
     """
 
-    def __init__(self, weights: Sequence[float], curves: Sequence[GainCurve], cfg: SolverConfig):
+    def __init__(
+        self,
+        weights: Sequence[float],
+        curves: Sequence[GainCurve],
+        cfg: SolverConfig,
+        warm: tuple[float, float, float] | None = None,
+    ):
         self.weights = tuple(float(w) for w in weights)
         self.curves = tuple(curves)
         self.cfg = cfg
+        self.warm = warm
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
         self._single = active[0] if len(active) == 1 else None
         self._fast = len(active) >= 1 and all(
@@ -207,15 +253,22 @@ class _Conditional:
             self._w_total = float(wa.sum())
             self._const = float(np.dot(wa, np.log(shares)))
 
+    def _fill(self, budget: float) -> tuple[np.ndarray, float, float]:
+        x, gains, lam, dlam_db = _water_fill(
+            self.weights, self.curves, budget, self.cfg, self.warm
+        )
+        self.warm = (budget, lam, dlam_db)
+        return x, gains, lam
+
     def gains(self, budget: float) -> float:
         if self._fast:
             return self._const + self._w_total * math.log(budget)
-        return _water_fill(self.weights, self.curves, budget, self.cfg)[1]
+        return self._fill(budget)[1]
 
     def both(self, budget: float) -> tuple[np.ndarray, float]:
         if self._fast:
             return self._x.copy(), self.gains(budget)
-        return _water_fill(self.weights, self.curves, budget, self.cfg)[:2]
+        return self._fill(budget)[:2]
 
     def marginal(self, budget: float) -> float:
         if self._fast:
@@ -223,7 +276,7 @@ class _Conditional:
         if self._single is not None:
             j = self._single
             return self.weights[j] * self.curves[j].deriv(budget)
-        return _water_fill(self.weights, self.curves, budget, self.cfg)[2]
+        return self._fill(budget)[2]
 
 
 def inner_allocation(
@@ -248,11 +301,12 @@ def inner_allocation(
 
 
 def _golden_max(
-    f: Callable[[float], float], a: float, b: float, tol: float, max_iter: int = 300
+    f: Callable[[float], float], a: float, b: float, va: float, vb: float, tol: float,
+    max_iter: int = 300,
 ) -> tuple[float, float]:
-    """Golden-section maximisation tracking the best evaluated point."""
-    best_t, best_v = a, f(a)
-    vb = f(b)
+    """Golden-section maximisation of f on [a, b], given va = f(a) and
+    vb = f(b) already sampled, tracking the best evaluated point."""
+    best_t, best_v = a, va
     if vb > best_v:
         best_t, best_v = b, vb
     xc = b - _INVPHI * (b - a)
@@ -382,12 +436,11 @@ def _maximize_over_tax(
 
     best_t, best_v = ts[best], vs[best]
     for i in picked:
-        a = ts[i - 1] if i > 0 else ts[0]
-        b = ts[i + 1] if i < last else ts[last]
-        if b <= a:
+        ia, ib = max(i - 1, 0), min(i + 1, last)
+        if ts[ib] <= ts[ia]:
             t_i, v_i = ts[i], vs[i]
         else:
-            t_i, v_i = _golden_max(value, a, b, cfg.t_tolerance)
+            t_i, v_i = _golden_max(value, ts[ia], ts[ib], vs[ia], vs[ib], cfg.t_tolerance)
         scale = max(1.0, abs(best_v))
         same_optimum = abs(t_i - best_t) <= 10.0 * cfg.t_tolerance * max(
             1.0, abs(t_i), abs(best_t)
@@ -663,10 +716,14 @@ def optimize_biased(
     kappa = instance.money_factor() * agent.money_weight
     base = np.array(agent.alloc_weights)
 
+    warm = None  # the last water-fill of this solve, across the per-tax weights
+
     def solve_at(t: float) -> tuple[np.ndarray, float]:
+        nonlocal warm
         row = sides.at(t)
-        cond = _Conditional(base + lam * row[:m], instance.gain_curves, cfg)
+        cond = _Conditional(base + lam * row[:m], instance.gain_curves, cfg, warm)
         x, combined = cond.both(instance.pool(t))
+        warm = cond.warm
         return x, combined - row[-1] + psi.value(t) - kappa * money.value(t)
 
     t_star, _ = _maximize_over_tax(lambda t: solve_at(t)[1], instance, cfg)
@@ -679,6 +736,39 @@ def optimize_biased(
 # =============================================================================
 
 
+def _equalising_level(
+    curves: Sequence[GainCurve],
+    idx: Sequence[int],
+    pool: float,
+    c: float,
+    floor: float,
+) -> list[float]:
+    """The spends theta_j^{-1}(c) of the goods in ``idx`` at the level c
+    where they add up to the pool, by Newton from a level c at or above it.
+
+    g(c) = sum_j theta_j^{-1}(c) - pool is increasing and convex for every
+    gain kind (log, power, log1p), so Newton with the slope
+    sum_j 1/theta_j'(theta_j^{-1}(c)) descends monotonically onto the root
+    without overshooting.  ``floor`` is a level known to lie at or below
+    the root; iterates are clamped to it, so rounding never asks a curve
+    for a level under it.
+    """
+    for _ in range(_MAX_ITERATIONS):
+        spends = [curves[j].inverse(c) for j in idx]
+        g = math.fsum(spends) - pool
+        if g <= 0.0 or c <= floor:
+            return spends
+        slope = math.fsum(
+            1.0 / (curves[j].deriv(s) if s > 0.0 else curves[j].deriv_at_zero())
+            for j, s in zip(idx, spends)
+        )
+        lower = max(c - g / slope, floor)
+        if not lower < c:
+            return spends
+        c = lower
+    raise ConvergenceError("equalising level did not converge")
+
+
 def equitable_allocation(
     t: float, instance: BudgetInstance, config: SolverConfig | None = None
 ) -> np.ndarray:
@@ -687,10 +777,11 @@ def equitable_allocation(
     smallest per-good utility.
 
     When a common level c with theta_j(x_j B) = c for all j fits inside
-    the pool, it is found by bisection on c.  Otherwise (mixed catalogs
-    whose bounded-below curves cannot reach the required negative level)
-    the curves with unbounded-below range absorb the whole pool at a
-    common level and the rest sit at zero.
+    the pool, it is found by monotone Newton on c, down from the lowest
+    full-pool level min_j theta_j(B).  Otherwise (mixed catalogs whose
+    bounded-below curves cannot reach the required negative level) the
+    curves with unbounded-below range absorb the whole pool at a common
+    level and the rest sit at zero.
     """
     pool = instance.pool(t)
     if not pool > 0.0:
@@ -699,66 +790,20 @@ def equitable_allocation(
     if m == 1:
         return np.array([1.0])
     curves = instance.gain_curves
-
-    def share_sum(c: float, idx: Sequence[int]) -> float:
-        return math.fsum(curves[j].inverse(c) for j in idx) / pool
-
     everyone = range(m)
-    c_hi = min(curve.value(pool) for curve in curves)
     floored = [j for j in everyone if curves[j].value_limit_at_zero() == 0.0]
-
-    if floored and share_sum(0.0, everyone) > 1.0:
-        # No common level exists: bounded-below curves stop at level 0 but
-        # the unbounded (log) curves already need more than the pool there.
-        deep = [j for j in everyone if j not in floored]
-        x = np.zeros(m)
-        if not deep:
-            raise ConvergenceError("no equalising level found")  # unreachable
-        lo, hi = None, min(curves[j].value(pool) for j in deep)
-        step = max(1.0, abs(hi))
-        probe = hi
-        for _ in range(200):
-            probe -= step
-            if share_sum(probe, deep) < 1.0:
-                lo = probe
-                break
-            step *= 2.0
-        if lo is None:
-            raise ConvergenceError("could not bracket the equalising level")
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if share_sum(mid, deep) > 1.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-                break
-        shares = np.array([curves[j].inverse(0.5 * (lo + hi)) for j in deep]) / pool
-        x[deep] = shares / shares.sum()
-        return x
-
+    idx, floor = everyone, -math.inf
     if floored:
-        lo = 0.0
-    else:
-        lo, step = c_hi, max(1.0, abs(c_hi))
-        for _ in range(200):
-            lo -= step
-            if share_sum(lo, everyone) < 1.0:
-                break
-            step *= 2.0
+        if math.fsum(curve.inverse(0.0) for curve in curves) > pool:
+            # No common level exists: bounded-below curves stop at level 0
+            # but the unbounded (log) curves already need more than the
+            # pool there, so they share it and the rest sit at zero.
+            idx = [j for j in everyone if j not in floored]
         else:
-            raise ConvergenceError("could not bracket the equalising level")
-    hi = c_hi
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if share_sum(mid, everyone) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            break
-    c = 0.5 * (lo + hi)
-    x = np.array([curves[j].inverse(c) for j in everyone]) / pool
+            floor = 0.0
+    c_hi = min(curves[j].value(pool) for j in idx)
+    x = np.zeros(m)
+    x[list(idx)] = _equalising_level(curves, idx, pool, c_hi, floor)
     return x / x.sum()
 
 

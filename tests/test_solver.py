@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     RUNNING_PROFILE,
@@ -40,7 +42,13 @@ from usvcg import (
     social_welfare,
     valuation,
 )
-from usvcg.solver import _money_coefficients, bias_value, invert_increasing
+from usvcg.solver import (
+    _Conditional,
+    _money_coefficients,
+    _water_fill,
+    bias_value,
+    invert_increasing,
+)
 
 
 # =============================================================================
@@ -95,6 +103,128 @@ def test_corner_clipping_with_finite_marginal():
     # the common level 0.995*10/budget for any budget under ~4975
     x = inner_allocation(AgentType((0.995, 0.005), 1.0), 1000.0, inst)
     assert x[1] == 0.0 and x[0] == 1.0
+
+
+# =============================================================================
+# Warm-started water-filling
+# =============================================================================
+
+_CURVE = st.one_of(
+    st.builds(GainCurve.log, st.floats(0.1, 50.0)),
+    st.builds(GainCurve.power, st.floats(0.1, 50.0), st.floats(0.1, 0.9)),
+    st.builds(GainCurve.log1p, st.floats(0.1, 50.0)),
+)
+
+
+@st.composite
+def _catalogs(draw):
+    curves = draw(st.lists(_CURVE, min_size=2, max_size=4))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+            min_size=len(curves),
+            max_size=len(curves),
+        ).filter(lambda ws: sum(w > 0.0 for w in ws) >= 2)
+    )
+    return weights, curves
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(GainCurve, name)
+
+    def counted(self, arg):
+        calls.append(1)
+        return original(self, arg)
+
+    monkeypatch.setattr(GainCurve, name, counted)
+    return calls
+
+
+@given(
+    catalog=_catalogs(),
+    budget=st.floats(1e-6, 1e6),
+    guess=st.tuples(
+        st.floats(1e-8, 1e8),  # budget of the guess
+        st.floats(1e-12, 1e12),  # its lambda
+        st.floats(-1e12, 1e12),  # its dlambda/dbudget
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_warm_water_fill_matches_cold(catalog, budget, guess):
+    weights, curves = catalog
+    cfg = SolverConfig()
+    x_cold, _, lam_cold, _ = _water_fill(weights, curves, budget, cfg)
+    x_warm, _, lam_warm, dlam_db = _water_fill(weights, curves, budget, cfg, guess)
+    assert np.allclose(x_warm, x_cold, rtol=0.0, atol=1e-9)
+    assert lam_warm == pytest.approx(lam_cold, rel=1e-9, abs=0.0)
+    # chaining the returned state, as a tax search does
+    state = (budget, lam_warm, dlam_db)
+    x_next, _, lam_next, _ = _water_fill(weights, curves, 1.01 * budget, cfg, state)
+    x_ref, _, lam_ref, _ = _water_fill(weights, curves, 1.01 * budget, cfg)
+    assert np.allclose(x_next, x_ref, rtol=0.0, atol=1e-9)
+    assert lam_next == pytest.approx(lam_ref, rel=1e-9, abs=0.0)
+
+
+def test_bad_warm_guess_takes_the_cold_path(monkeypatch):
+    calls = _count_calls(monkeypatch, "inverse_deriv")
+
+    def run(weights, curves, budget, cfg, warm):
+        calls.clear()
+        out = _water_fill(weights, curves, budget, cfg, warm)
+        return out, len(calls)
+
+    weights = (0.5, 0.3, 0.2)
+    curves = (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0))
+    cfg = SolverConfig()
+    cold, cold_calls = run(weights, curves, 300.0, cfg, None)
+    for far in ((300.0, 1e9, 0.0), (30.0, 1e-9, -1.0), (290.0, cold[2], math.nan)):
+        # the prediction lies outside the bracket: straight to the cold path
+        out, n = run(weights, curves, 300.0, cfg, far)
+        assert n == cold_calls
+        assert all(np.array_equal(a, b) for a, b in zip(out, cold))
+    _, n = run(weights, curves, 300.0, cfg, (290.0, cold[2] * 1.03, cold[3]))
+    assert n < cold_calls
+    # a flat tangent predicts the previous lambda unchanged
+    out, _ = run(weights, curves, 300.0, cfg, (290.0, cold[2], 0.0))
+    assert np.allclose(out[0], cold[0], rtol=0.0, atol=1e-9)
+
+    # Two identical goods put the root exactly on the bracket's upper end,
+    # and no Newton run inside the bracket meets a 1e-300 tolerance there:
+    # the warm run ends unconverged and the call reruns the cold path (which
+    # first widens the bracket), returning its result unchanged.
+    weights, curves, strict = (1.0, 1.0), (GainCurve.log(10.0),) * 2, SolverConfig(1e-300)
+    cold, cold_calls = run(weights, curves, 3.0, strict, None)
+    out, n = run(weights, curves, 3.0, strict, (2.97, cold[2] * 0.999, -cold[2] / 3.0))
+    assert n > cold_calls
+    assert all(np.array_equal(a, b) for a, b in zip(out, cold))
+
+
+@pytest.mark.parametrize(
+    "curves",
+    [
+        (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+        (GainCurve.power(1.0, 0.5), GainCurve.power(3.0, 0.3)),
+        (GainCurve.log1p(3.0), GainCurve.log1p(0.5), GainCurve.log(2.0)),
+    ],
+)
+def test_warm_water_fill_sweeps_along_a_golden_search(monkeypatch, curves):
+    # the budgets of a golden-section refinement: each one a shrinking step
+    # from the last, alternating sides; after the first (cold) call, every
+    # water-fill may take at most three sweeps of the spend functions
+    calls = _count_calls(monkeypatch, "inverse_deriv")
+    weights = (0.5, 0.3, 0.2)[: len(curves)]
+    cond = _Conditional(weights, curves, SolverConfig())
+    budget, step = 200.0, 60.0
+    cond.both(budget)
+    for k in range(40):
+        budget += step if k % 2 == 0 else -step
+        step *= 0.618
+        calls.clear()
+        x, _ = cond.both(budget)
+        assert len(calls) <= 3 * len(curves)
+        cold = _water_fill(weights, curves, budget, SolverConfig())[0]
+        assert np.allclose(x, cold, rtol=0.0, atol=1e-9)
 
 
 # =============================================================================
@@ -381,6 +511,80 @@ def test_equitable_needs_positive_pool():
     inst = make_running_instance()
     with pytest.raises(DomainError):
         equitable_allocation(-10.0, inst)
+
+
+_EQUITABLE_CATALOGS = [
+    (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+    (GainCurve.log(5.0), GainCurve.power(2.0, 0.45), GainCurve.log(4.0)),
+    (GainCurve.power(1.0, 0.5), GainCurve.log1p(3.0), GainCurve.power(3.0, 0.3)),
+]
+_EQUITABLE_POOLS = (1e-3, 0.5, 3.0, 90.0, 1e4, 1e7)
+
+
+def _equitable_on(curves, pool):
+    inst = BudgetInstance(
+        m=len(curves),
+        n=1,
+        external_budget=0.0,
+        gain_curves=tuple(curves),
+        money_curve=MoneyCurve.power(0.5),
+    )
+    return equitable_allocation(pool, inst)
+
+
+def _bisected_level(curves, pool, lo, hi):
+    """Reference: the goods' spends at their common level, by bisection of
+    sum_j theta_j^{-1}(c) = pool on [lo, hi], normalised to shares."""
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if math.fsum(c.inverse(mid) for c in curves) > pool:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+            break
+    spends = np.array([c.inverse(0.5 * (lo + hi)) for c in curves])
+    return spends / spends.sum()
+
+
+@pytest.mark.parametrize("curves", _EQUITABLE_CATALOGS)
+def test_equitable_funded_levels_are_equal(curves):
+    for pool in _EQUITABLE_POOLS:
+        x = _equitable_on(curves, pool)
+        levels = [c.value(xj * pool) for xj, c in zip(x, curves) if xj > 0.0]
+        assert len(levels) >= 1
+        scale = max(abs(v) for v in levels)
+        assert max(levels) - min(levels) <= 1e-12 * scale
+
+
+def test_equitable_floored_root_at_level_zero():
+    # both log goods reach level 0 at spend 1, so at pool 2 the common
+    # level is exactly 0 and the power good gets nothing
+    curves = (GainCurve.log(2.0), GainCurve.log(5.0), GainCurve.power(1.0, 0.5))
+    x = _equitable_on(curves, 2.0)
+    reference = _bisected_level(curves, 2.0, 0.0, min(c.value(2.0) for c in curves))
+    assert np.allclose(x, reference, rtol=0.0, atol=1e-12)
+    assert np.allclose(x, [0.5, 0.5, 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_equitable_deep_branch_matches_bisection():
+    # at pool 0.5 the two log goods need more than the pool at level 0, so
+    # they share it at a common negative level and the log1p good sits at 0
+    curves = (GainCurve.log(10.0), GainCurve.log(3.0), GainCurve.log1p(2.0))
+    x = _equitable_on(curves, 0.5)
+    deep = curves[:2]
+    reference = _bisected_level(deep, 0.5, -1e3, min(c.value(0.5) for c in deep))
+    assert x[2] == 0.0
+    assert np.allclose(x[:2], reference, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("curves", _EQUITABLE_CATALOGS + [(GainCurve.log(10.0), GainCurve.log(20.0))])
+def test_equitable_inverse_calls_per_allocation(monkeypatch, curves):
+    calls = _count_calls(monkeypatch, "inverse")
+    for pool in _EQUITABLE_POOLS:
+        calls.clear()
+        _equitable_on(curves, pool)
+        assert len(calls) <= 12 * len(curves)
 
 
 # =============================================================================
