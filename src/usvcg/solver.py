@@ -12,13 +12,12 @@ The optimisation is solved in the two natural stages:
    on ``sum_j spend_j(lambda) = B``, started warm from the previous
    evaluation of the same tax search when its prediction is usable.
 
-2. *Outer stage*: a search on t over the conditional value.  The bracket
-   doubles upward from the feasible floor until the value decays, then
-   golden-section refines around the best sampled local maxima
-   (multi-start, since the money curve's convex branch can break
-   unimodality when negative taxes are feasible), and a final bisection
-   on the analytic conditional slope polishes past the float plateau that
-   limits any value-comparison search.
+2. *Outer stage*: a search on t over the sign of the analytic conditional
+   slope.  The feasible interval is cut at the kt money curve's kink t = 0
+   (its convex branch can put a local maximum on each side), each piece is
+   sampled geometrically, every sampled sign change from + to - is bisected
+   down to the slope's rounding bound, and the candidates are compared by
+   value.
 
 Ties between equal-value optima break deterministically: lowest tax,
 then lexicographically smallest allocation.
@@ -26,6 +25,7 @@ then lexicographically smallest allocation.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -61,10 +61,9 @@ __all__ = [
     "invert_increasing",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITERATIONS = 200  # water-filling Newton steps
-_BRACKET_PATIENCE = 6  # falling tax samples before the bracket stops
-_MULTISTART = 3  # sampled local maxima refined by golden section
+_BRACKET_PATIENCE = 6  # non-positive slope samples before the open piece stops
+_ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its largest term
 
 
 @dataclass(frozen=True)
@@ -219,9 +218,10 @@ class _Conditional:
     """Inner-stage solution as a function of the pool size, for one solve.
 
     All-log catalogs admit a budget-independent allocation, so the shares
-    and the log-constant are precomputed once.  ``marginal`` is the common
-    weighted marginal at the inner optimum -- by the envelope theorem it is
-    the derivative of the conditional gains with respect to the pool.
+    and the log-constant are precomputed once.  The marginal ``at`` returns
+    is the common weighted marginal at the inner optimum -- by the envelope
+    theorem it is the derivative of the conditional gains with respect to
+    the pool, so one evaluation gives the value and the slope of a tax.
 
     Otherwise each evaluation water-fills, warm-started from ``warm``: the
     (budget, lambda, dlambda/dbudget) of the previous water-fill, or of the
@@ -236,12 +236,11 @@ class _Conditional:
         cfg: SolverConfig,
         warm: tuple[float, float, float] | None = None,
     ):
-        self.weights = tuple(float(w) for w in weights)
+        self.weights = tuple(np.asarray(weights, dtype=float).tolist())
         self.curves = tuple(curves)
         self.cfg = cfg
         self.warm = warm
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
-        self._single = active[0] if len(active) == 1 else None
         self._fast = len(active) >= 1 and all(
             curves[j].kind == "log" for j in active
         )
@@ -253,30 +252,21 @@ class _Conditional:
             self._w_total = float(wa.sum())
             self._const = float(np.dot(wa, np.log(shares)))
 
-    def _fill(self, budget: float) -> tuple[np.ndarray, float, float]:
+    def at(self, budget: float) -> tuple[np.ndarray, float, float]:
+        """(allocation, gains, marginal) at the pool, from one evaluation.
+        On the all-log path the allocation array is shared: do not write it."""
+        if self._fast:
+            gains = self._const + self._w_total * math.log(budget)
+            return self._x, gains, self._w_total / budget
         x, gains, lam, dlam_db = _water_fill(
             self.weights, self.curves, budget, self.cfg, self.warm
         )
         self.warm = (budget, lam, dlam_db)
         return x, gains, lam
 
-    def gains(self, budget: float) -> float:
-        if self._fast:
-            return self._const + self._w_total * math.log(budget)
-        return self._fill(budget)[1]
-
     def both(self, budget: float) -> tuple[np.ndarray, float]:
-        if self._fast:
-            return self._x.copy(), self.gains(budget)
-        return self._fill(budget)[:2]
-
-    def marginal(self, budget: float) -> float:
-        if self._fast:
-            return self._w_total / budget
-        if self._single is not None:
-            j = self._single
-            return self.weights[j] * self.curves[j].deriv(budget)
-        return self._fill(budget)[2]
+        x, gains, _ = self.at(budget)
+        return x.copy(), gains
 
 
 def inner_allocation(
@@ -300,164 +290,97 @@ def inner_allocation(
 # =============================================================================
 
 
-def _golden_max(
-    f: Callable[[float], float], a: float, b: float, va: float, vb: float, tol: float,
-    max_iter: int = 300,
-) -> tuple[float, float]:
-    """Golden-section maximisation of f on [a, b], given va = f(a) and
-    vb = f(b) already sampled, tracking the best evaluated point."""
-    best_t, best_v = a, va
-    if vb > best_v:
-        best_t, best_v = b, vb
-    xc = b - _INVPHI * (b - a)
-    xd = a + _INVPHI * (b - a)
-    fc, fd = f(xc), f(xd)
-    for t, v in ((xc, fc), (xd, fd)):
-        if v > best_v:
-            best_t, best_v = t, v
-    it = 0
-    while (b - a) > tol * max(1.0, abs(a), abs(b)) and it < max_iter:
-        if fc >= fd:
-            b, xd, fd = xd, xc, fc
-            xc = b - _INVPHI * (b - a)
-            fc = f(xc)
-            if fc > best_v:
-                best_t, best_v = xc, fc
-        else:
-            a, xc, fc = xc, xd, fd
-            xd = a + _INVPHI * (b - a)
-            fd = f(xd)
-            if fd > best_v:
-                best_t, best_v = xd, fd
-        it += 1
-    return best_t, best_v
-
-
 def _feasible_start(instance: BudgetInstance, money_domain_min: float) -> float:
     return max(instance.tax_floor + instance.tax_epsilon, money_domain_min)
 
 
-def _polish_stationary(
-    slope: Callable[[float], float], t_best: float, start: float
-) -> float:
-    """Refine a value-search optimum by bisecting the conditional slope.
-
-    Value comparisons stall once differences drop below one ulp of the
-    objective (a plateau of width ~sqrt(ulp/curvature) around the optimum);
-    the sign of the analytic slope keeps resolving far below that.  Falls
-    back to the input when no sign change brackets (boundary optimum)."""
-    scale = max(1.0, abs(t_best))
-    lo = None
-    span = 1e-7 * scale
-    for _ in range(40):
-        a = max(start, t_best - span)
-        if slope(a) > 0.0:
-            lo = a
-            break
-        if a <= start:
-            break
-        span *= 4.0
-    if lo is None:
-        return t_best
-    hi = None
-    span = 1e-7 * scale
-    for _ in range(40):
-        b = t_best + span
-        if slope(b) < 0.0:
-            hi = b
-            break
-        span *= 4.0
-    if hi is None:
-        return t_best
-    for _ in range(200):
+def _bisect_slope(probe: Callable, lo: float, hi: float, at_lo: float, at_hi: float) -> float:
+    """Bisect a sign change of the slope, positive (``at_lo``) at lo and not
+    (``at_hi``) at hi.  Stops at a midpoint whose slope is within its
+    rounding bound, or when lo and hi are adjacent floats (a kink maximum,
+    or a slope whose noise never meets the bound), returning the end whose
+    slope is smaller."""
+    while True:
         mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
+        if not lo < mid < hi:
+            return lo if at_lo <= -at_hi else hi
+        slope, size, _ = probe(mid)
+        if abs(slope) <= _ROUNDING * size:
+            return mid
+        if slope > 0.0:
+            lo, at_lo = mid, slope
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+            hi, at_hi = mid, slope
 
 
 def _maximize_over_tax(
-    value: Callable[[float], float],
+    probe: Callable[..., tuple[float, float, float]],
     instance: BudgetInstance,
     cfg: SolverConfig,
     money_domain_min: float | None = None,
-    slope: Callable[[float], float] | None = None,
-) -> tuple[float, float]:
-    """Maximise a conditional value over the feasible tax interval."""
-    dm = (
-        instance.money_curve.domain_min
-        if money_domain_min is None
-        else money_domain_min
-    )
-    start = _feasible_start(instance, dm)
-    s0 = 1e-8 * max(1.0, abs(start))
+) -> float:
+    """The tax of the best local maximum of a conditional value.
 
-    ts = [start]
-    vs = [value(start)]
-    best = 0
-    drops = 0
-    k = 0
-    while True:
-        s = s0 * cfg.bracket_growth**k
+    ``probe(t, valued=False)`` gives, from one inner evaluation, the slope at
+    t, the size of its largest term (the slope's rounding bound is a few
+    ulps of it) and, when ``valued``, the value (else nan).  The feasible
+    interval is cut at t = 0 when negative taxes are feasible (only the kt
+    money curve admits them; its slope is -inf there), and each piece is
+    sampled geometrically up from its lower end: the bounded one up to 0,
+    the open one until the slope has stayed <= 0 for _BRACKET_PATIENCE
+    samples past both its last positive slope and the scale max(1, |start|),
+    so that a dip after the kink cannot end it.  Every sampled sign change
+    from + to <= 0 is bisected; these and the feasible start, when its
+    slope is <= 0, are compared by value, and within 1e-12 relative the
+    lowest tax wins.  Raises TaxDivergence when the slope is still positive
+    at the bracket cap.
+    """
+    if money_domain_min is None:
+        money_domain_min = instance.money_curve.domain_min
+    start = _feasible_start(instance, money_domain_min)
+    scale = max(1.0, abs(start))
+    samples = []  # (tax, slope), in increasing tax
+
+    def sample(t: float) -> float:
+        samples.append((t, probe(t)[0]))
+        return samples[-1][1]
+
+    s0 = 1e-8 * scale
+    sample(start)
+    s = s0
+    if start < 0.0:
+        while start + s < 0.0:
+            sample(start + s)
+            s *= cfg.bracket_growth
+        sample(0.0)
+        s = s0
+    lower, patience = samples[-1][0], 0
+    while patience < _BRACKET_PATIENCE:
         if s > cfg.max_bracket:
-            if best >= len(ts) - 3:
+            if samples[-1][1] > 0.0:
                 raise TaxDivergence(
-                    f"conditional value still rising at tax offset {s:.3g}; "
+                    f"conditional slope still positive at tax offset {s:.3g}; "
                     "no finite optimum within the bracket cap"
                 )
             break
-        t = start + s
-        v = value(t)
-        ts.append(t)
-        vs.append(v)
-        if v > vs[best]:
-            best = len(ts) - 1
-            drops = 0
-        else:
-            drops += 1
-            if drops >= _BRACKET_PATIENCE and len(ts) - 1 > best + 2:
-                break
-        k += 1
+        if sample(lower + s) > 0.0:
+            patience = 0
+        elif s > scale:
+            patience += 1
+        s *= cfg.bracket_growth
 
-    last = len(ts) - 1
-    candidates = [
-        i
-        for i in range(len(ts))
-        if (i == 0 or vs[i] >= vs[i - 1]) and (i == last or vs[i] >= vs[i + 1])
-    ]
-    candidates.sort(key=lambda i: -vs[i])
-    picked = candidates[:_MULTISTART]
-    if best not in picked:
-        picked.append(best)
-
-    best_t, best_v = ts[best], vs[best]
-    for i in picked:
-        ia, ib = max(i - 1, 0), min(i + 1, last)
-        if ts[ib] <= ts[ia]:
-            t_i, v_i = ts[i], vs[i]
-        else:
-            t_i, v_i = _golden_max(value, ts[ia], ts[ib], vs[ia], vs[ib], cfg.t_tolerance)
-        scale = max(1.0, abs(best_v))
-        same_optimum = abs(t_i - best_t) <= 10.0 * cfg.t_tolerance * max(
-            1.0, abs(t_i), abs(best_t)
-        )
-        if same_optimum:
-            if v_i > best_v:
-                best_t, best_v = t_i, v_i
-        elif v_i > best_v + 1e-12 * scale:
-            best_t, best_v = t_i, v_i
-        elif abs(v_i - best_v) <= 1e-12 * scale and t_i < best_t:
-            # genuinely distinct optima of equal value: lowest tax wins
-            best_t, best_v = t_i, v_i
-    if slope is not None:
-        polished = _polish_stationary(slope, best_t, start)
-        if polished != best_t:
-            best_t, best_v = polished, value(polished)
-    return best_t, best_v
+    candidates = [] if samples[0][1] > 0.0 else [start]
+    for (a, at_a), (b, at_b) in zip(samples, samples[1:]):
+        if at_a > 0.0 and not at_b > 0.0:
+            candidates.append(_bisect_slope(probe, a, b, at_a, at_b))
+    best_t = candidates[0]
+    if len(candidates) > 1:
+        best_v = probe(best_t, True)[2]
+        for t in candidates[1:]:
+            v = probe(t, True)[2]
+            if v > best_v + 1e-12 * max(1.0, abs(best_v)):
+                best_t, best_v = t, v
+    return best_t
 
 
 def optimize(
@@ -474,20 +397,34 @@ def optimize(
     """
     if agent.m != instance.m:
         raise DomainError("type length does not match the instance")
-    cfg = config or _DEFAULT
-    cond = _Conditional(agent.alloc_weights, instance.gain_curves, cfg)
-    money = instance.money_curve
     kappa = instance.money_factor() * agent.money_weight
-    rate = instance.pool_rate
+    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, config)
 
-    def value(t: float) -> float:
-        return cond.gains(instance.pool(t)) - kappa * money.value(t)
 
-    def slope(t: float) -> float:
-        return cond.marginal(instance.pool(t)) * rate - kappa * money.deriv(t)
+def _decide(
+    weights: Sequence[float],
+    kappa: float,
+    coefficients: tuple[float, float],
+    instance: BudgetInstance,
+    config: SolverConfig | None,
+    money_domain_min: float | None = None,
+) -> BudgetDecision:
+    """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
+    with c the first of ``coefficients`` for t <= 0 and the second above."""
+    cfg = config or _DEFAULT
+    cond = _Conditional(weights, instance.gain_curves, cfg)
+    money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
+    below, above = coefficients
 
-    t_star, _ = _maximize_over_tax(value, instance, cfg, slope=slope)
-    x, _ = cond.both(instance.pool(t_star))
+    def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
+        _, gains, marginal = cond.at(pool(t))
+        c = above if t > 0.0 else below
+        gain, cost = marginal * rate, kappa * (c * money.deriv(t))
+        value = gains - kappa * (c * money.value(t)) if valued else math.nan
+        return gain - cost, gain if gain > cost else cost, value
+
+    t_star = _maximize_over_tax(probe, instance, cfg, money_domain_min)
+    x, _, _ = cond.at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
 
@@ -512,6 +449,10 @@ class ConstantTarget:
     def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
         return np.array(self.allocation)
 
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation: np.ndarray) -> np.ndarray:
+        """d(xhat_j(t) * pool)/dt, given xhat(t) = ``allocation``."""
+        return allocation * instance.pool_rate
+
 
 @dataclass(frozen=True)
 class EquitableTarget:
@@ -519,6 +460,19 @@ class EquitableTarget:
 
     def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
         return equitable_allocation(t, instance)
+
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation: np.ndarray) -> np.ndarray:
+        """d(xhat_j(t) * pool)/dt: the funded goods share the level c, so
+        theta_j'(s_j) s_j' = c' with sum_j s_j' = d(pool)/dt, which gives
+        s_j' = rate / (theta_j'(s_j) sum_k 1/theta_k'(s_k)); the goods the
+        deep branch leaves at zero stay there."""
+        pool = instance.pool(t)
+        inv = [
+            1.0 / curve.deriv(xj * pool) if xj > 0.0 else 0.0
+            for xj, curve in zip(allocation.tolist(), instance.gain_curves)
+        ]
+        scale = instance.pool_rate / math.fsum(inv)
+        return np.array([r * scale for r in inv])
 
 
 @dataclass(frozen=True)
@@ -542,12 +496,25 @@ class TableTarget:
             if abs(math.fsum(row) - 1.0) > 1e-9 or any(x < 0.0 for x in row):
                 raise DomainError(f"table row must be a simplex point: {row}")
 
-    def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
+    def _interpolated(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The interpolant u(t) and its right-hand slope (0 off the table)."""
         cols = np.array(self.allocations)
-        out = np.array(
-            [np.interp(t, self.taxes, cols[:, j]) for j in range(cols.shape[1])]
-        )
-        return out / out.sum()
+        u = np.array([np.interp(t, self.taxes, cols[:, j]) for j in range(cols.shape[1])])
+        k = bisect.bisect_right(self.taxes, t)
+        if 0 < k < len(self.taxes):
+            return u, (cols[k] - cols[k - 1]) / (self.taxes[k] - self.taxes[k - 1])
+        return u, np.zeros(len(u))
+
+    def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
+        u, _ = self._interpolated(t)
+        return u / u.sum()
+
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation: np.ndarray) -> np.ndarray:
+        """d(xhat_j(t) * pool)/dt with xhat = u/U and U = sum_j u_j:
+        pool (u' - xhat U')/U + xhat rate, on the segment right of t."""
+        u, du = self._interpolated(t)
+        shift = (du - allocation * du.sum()) / u.sum()
+        return instance.pool(t) * shift + allocation * instance.pool_rate
 
 
 @dataclass(frozen=True)
@@ -581,6 +548,12 @@ class TaxPreference:
             return 0.0
         return self.amplitude * math.exp(-min(t / self.decay_scale, 700.0))
 
+    def deriv(self, t: float) -> float:
+        """psi'(t); 0 where ``value`` holds its floor exp(-700)."""
+        if self.kind == "none" or t / self.decay_scale >= 700.0:
+            return 0.0
+        return -self.amplitude / self.decay_scale * math.exp(-t / self.decay_scale)
+
 
 @dataclass(frozen=True)
 class BiasSpec:
@@ -599,10 +572,10 @@ class BiasSpec:
         return self.lam == 0.0 and self.psi.kind == "none"
 
 
-def _phantom_weights(x: np.ndarray, t: float, instance: BudgetInstance) -> np.ndarray:
-    """Weights proportional to the reciprocal marginals at the target; on
-    boundary coordinates the continuous limit applies (zero weight when the
-    marginal diverges at zero spend, 1/theta'(0) when it is finite)."""
+def _reciprocal_marginals(x: np.ndarray, t: float, instance: BudgetInstance) -> np.ndarray:
+    """1/theta_j'(x_j * pool); on boundary coordinates the continuous limit
+    applies (0 when the marginal diverges at zero spend, 1/theta'(0) when
+    it is finite)."""
     pool = instance.pool(t)
     if not pool > 0.0:
         raise DomainError(f"pool must be positive at tax {t}")
@@ -613,7 +586,7 @@ def _phantom_weights(x: np.ndarray, t: float, instance: BudgetInstance) -> np.nd
         else:
             at_zero = curve.deriv_at_zero()
             raw[j] = 0.0 if math.isinf(at_zero) else 1.0 / at_zero
-    return raw / raw.sum()
+    return raw
 
 
 def corresponding_type(
@@ -628,49 +601,69 @@ def corresponding_type(
         raise DomainError(f"target allocation sums to {x.sum()}, not 1")
     if np.any(x <= 0.0):
         raise BoundaryTarget(f"target allocation must be interior: {tuple(x)}")
-    return _phantom_weights(x, t, instance)
+    raw = _reciprocal_marginals(x, t, instance)
+    return raw / raw.sum()
 
 
 class _TargetSides:
     """The target side of a biased objective, tabulated by tax.
 
-    At tax t it is the phantom weights a(t) of the target allocation
-    xhat(t), the target levels theta_j(xhat_j(t) * pool) of the goods a(t)
-    weights (0.0 elsewhere), and lam * sum_j a_j(t) theta_j(xhat_j(t) * pool),
-    packed in one array of 2m + 1 floats.  None of it depends on the type
-    being solved, and each entry is a pure function of (bias, instance, t)
-    keyed by the exact float t, so one table shared by every solve of a
-    mechanism run gives the same bits as recomputing each entry, in any
-    order of the solves.  The table lives as long as its owner (one run or
-    one audit) and keeps every tax it was asked for.
+    At tax t, with s_j = xhat_j(t) * pool for the target allocation xhat(t),
+    it is the phantom weights a(t), the target levels theta_j(s_j) of the
+    goods a(t) weights (0.0 elsewhere), a'(t), and lam * sum_j a_j
+    theta_j(s_j) with its derivative.  With r_j = 1/theta_j'(s_j) and the
+    target's spend rates s_j', a = r / sum r, r_j' = -theta_j''(s_j) s_j'
+    r_j^2 (0 at zero spend), a' = (r' - a sum r') / sum r, and a_j
+    theta_j'(s_j) = 1 / sum r.  A target without ``spend_rate`` is taken to
+    keep its funded goods' levels equal, as ``EquitableTarget`` does.  None
+    of it depends on the type being solved, and each entry is a pure
+    function of (bias, instance, t) keyed by the exact float t, so one table
+    shared by every solve of a mechanism run gives the same bits as
+    recomputing each entry, in any order of the solves.  The table lives as
+    long as its owner (one run or one audit) and keeps every tax it was
+    asked for, packed in one array of 3m + 2 floats.
     """
 
     def __init__(self, bias: BiasSpec, instance: BudgetInstance):
         self.bias, self.instance = bias, instance
         self._table: dict[float, np.ndarray] = {}
 
-    def at(self, t: float) -> np.ndarray:
+    def at(self, t: float) -> tuple[list, list, list, float, float]:
+        """(a, levels, a', lam sum_j a_j theta_j(s_j), its derivative) at t."""
         row = self._table.get(t)
         if row is None:
-            instance = self.instance
+            instance, target, lam = self.instance, self.bias.target, self.bias.lam
             pool = instance.pool(t)
-            xhat = np.asarray(self.bias.target.allocation_at(t, instance), dtype=float)
-            ahat = _phantom_weights(xhat, t, instance)
-            levels = [
-                curve.value(float(xj) * pool) if a > 0.0 else 0.0
-                for a, xj, curve in zip(ahat, xhat, instance.gain_curves)
-            ]
-            at_target = math.fsum(a * level for a, level in zip(ahat, levels) if a > 0.0)
-            row = self._table[t] = np.concatenate((ahat, levels, [self.bias.lam * at_target]))
-        return row
+            xhat = np.asarray(target.allocation_at(t, instance), dtype=float)
+            spend_rate = getattr(target, "spend_rate", EquitableTarget().spend_rate)
+            rates = spend_rate(t, instance, xhat).tolist()
+            raw = _reciprocal_marginals(xhat, t, instance)
+            total = float(raw.sum())
+            ahat = (raw / total).tolist()
+            levels, raw_slope = [], []
+            for xj, r, rate, curve in zip(xhat.tolist(), raw.tolist(), rates, instance.gain_curves):
+                spend = xj * pool
+                levels.append(curve.value(spend) if r > 0.0 else 0.0)
+                raw_slope.append(-curve.deriv2(spend) * rate * r * r if spend > 0.0 else 0.0)
+            shift = math.fsum(raw_slope)
+            slope = [(d - a * shift) / total for d, a in zip(raw_slope, ahat)]
+            goods = [g for g in zip(ahat, levels, slope, rates) if g[0] > 0.0]
+            at_target = math.fsum(a * level for a, level, _, _ in goods)
+            at_target_slope = math.fsum(d * level + rate / total for _, level, d, rate in goods)
+            row = self._table[t] = np.array(
+                ahat + levels + slope + [lam * at_target, lam * at_target_slope]
+            )
+        m, side = self.instance.m, row.tolist()
+        return side[:m], side[m : 2 * m], side[2 * m : 3 * m], side[-2], side[-1]
 
     def bias_value(self, decision: BudgetDecision) -> float:
         """C(x, t) of ``bias_value``, with the target side from the table."""
         bias, t, instance = self.bias, decision.tax, self.instance
         if bias.lam == 0.0:
             return bias.psi.value(t)
-        row, m, pool = self.at(t), instance.m, instance.pool(t)
-        goods = zip(row[:m], row[m:-1], decision.allocation, instance.gain_curves)
+        weights, levels, _, _, _ = self.at(t)
+        pool = instance.pool(t)
+        goods = zip(weights, levels, decision.allocation, instance.gain_curves)
         loss = 0.0
         for a, level, x_d, curve in goods:
             if a == 0.0:
@@ -693,16 +686,16 @@ def optimize_biased(
     sides: _TargetSides | None = None,
 ) -> BudgetDecision:
     """argmax of valuation + bias.  The inner stage folds the phantom
-    weights into the water-filling problem; the outer stage carries the
+    weights a(t) into the water-filling problem; the outer stage carries the
     target-loss offset and psi.
 
     ``sides`` is a target-side table of this bias and instance that several
     solves share (a mechanism run passes one to all of its n+1 solves);
     without it the call builds its own.  The result is the same either way.
 
-    The tax search has no slope polish, so the tax is resolved only to the
-    plateau of the value comparisons (relative width about sqrt(ulp)): an
-    ulp-level change in the objective can move it by about 1e-7 relative.
+    The tax search runs on the analytic slope, by the envelope theorem
+    Lambda rate + lam sum_j a_j'(t) theta_j(x_j pool) - d/dt[lam sum_j a_j
+    theta_j(xhat_j pool)] + psi'(t) - kappa f'(t).
     """
     if bias.is_null:
         return optimize(agent, instance, config)
@@ -711,23 +704,40 @@ def optimize_biased(
     elif sides.bias is not bias or sides.instance is not instance:
         raise DomainError("target-side table belongs to another bias or instance")
     cfg = config or _DEFAULT
-    m, lam, psi = instance.m, bias.lam, bias.psi
+    lam, psi = bias.lam, bias.psi
+    curves, rate = instance.gain_curves, instance.pool_rate
     money = instance.money_curve
     kappa = instance.money_factor() * agent.money_weight
-    base = np.array(agent.alloc_weights)
+    base = agent.alloc_weights
 
     warm = None  # the last water-fill of this solve, across the per-tax weights
 
-    def solve_at(t: float) -> tuple[np.ndarray, float]:
+    def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
         nonlocal warm
-        row = sides.at(t)
-        cond = _Conditional(base + lam * row[:m], instance.gain_curves, cfg, warm)
-        x, combined = cond.both(instance.pool(t))
+        weights, _, slopes, at_target, at_target_slope = sides.at(t)
+        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves, cfg, warm)
+        pool = instance.pool(t)
+        x, combined, marginal = cond.at(pool)
         warm = cond.warm
-        return x, combined - row[-1] + psi.value(t) - kappa * money.value(t)
+        reweighted = 0.0  # sum_j a_j'(t) theta_j(x_j pool)
+        for a, xj, curve in zip(slopes, x, curves):
+            if a != 0.0:
+                reweighted += a * curve.value(float(xj) * pool)
+        terms = (
+            marginal * rate,
+            lam * reweighted,
+            -at_target_slope,
+            psi.deriv(t),
+            -kappa * money.deriv(t),
+        )
+        value = math.nan
+        if valued:
+            value = combined - at_target + psi.value(t) - kappa * money.value(t)
+        return sum(terms), max(map(abs, terms)), value
 
-    t_star, _ = _maximize_over_tax(lambda t: solve_at(t)[1], instance, cfg)
-    x, _ = solve_at(t_star)
+    t_star = _maximize_over_tax(probe, instance, cfg)
+    weights = [w + lam * a for w, a in zip(base, sides.at(t_star)[0])]
+    x, _, _ = _Conditional(weights, curves, cfg, warm).at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
 
@@ -842,7 +852,6 @@ def optimize_hetero(
     agent from the welfare, which is what pivot payments need; the budget
     mechanics (pool and feasible range) keep the full population.
     """
-    cfg = config or _DEFAULT
     profile = tuple(profile)
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
@@ -853,25 +862,12 @@ def optimize_hetero(
     weights = [
         math.fsum(profile[k].alloc_weights[j] for k in included) for j in range(m)
     ]
-    cond = _Conditional(weights, instance.gain_curves, cfg)
     money = instance.money_curve
-    kappa = instance.money_factor()
-    rate = instance.pool_rate
     terms = [(profile[k].money_weight, instance.tax_weights[k]) for k in included]
     dm = max(money.domain_min / omega for _, omega in terms)
     coefficient = _money_coefficients(money, terms)
-
-    def value(t: float) -> float:
-        money_total = coefficient(t) * money.value(t)
-        return cond.gains(instance.pool(t)) - kappa * money_total
-
-    def slope(t: float) -> float:
-        money_slope = coefficient(t) * money.deriv(t)
-        return cond.marginal(instance.pool(t)) * rate - kappa * money_slope
-
-    t_star, _ = _maximize_over_tax(value, instance, cfg, money_domain_min=dm, slope=slope)
-    x, _ = cond.both(instance.pool(t_star))
-    return BudgetDecision(tuple(x), t_star)
+    coefficients = (coefficient(-1.0), coefficient(1.0))
+    return _decide(weights, instance.money_factor(), coefficients, instance, config, dm)
 
 
 # =============================================================================

@@ -39,9 +39,11 @@ from usvcg import (
     optimize,
     optimize_biased,
     optimize_hetero,
+    sdsic_fuzz,
     social_welfare,
     valuation,
 )
+from usvcg import solver
 from usvcg.solver import (
     _Conditional,
     _money_coefficients,
@@ -788,3 +790,208 @@ def test_invert_increasing():
     assert root == pytest.approx(3.0, rel=1e-10)
     root = invert_increasing(lambda x: x, 5.0, 0.0, hi=10.0)
     assert root == pytest.approx(5.0, rel=1e-10)
+
+
+# =============================================================================
+# Outer tax search: kinks, probe counts, the biased slope
+# =============================================================================
+
+
+def _kt_fuzz_catalog(rng):
+    # fuzz_cold's water-fill kt catalog, but with an external budget, so
+    # negative taxes are feasible and the tax axis can have a mode on each
+    # side of the kt curve's kink at t = 0
+    return BudgetInstance(
+        m=3,
+        n=3,
+        external_budget=float(rng.uniform(5.0, 60.0)),
+        gain_curves=(
+            GainCurve.log(float(rng.uniform(5.0, 15.0))),
+            GainCurve.power(float(rng.uniform(2.0, 8.0)), float(rng.uniform(0.3, 0.45))),
+            GainCurve.log1p(float(rng.uniform(2.0, 6.0))),
+        ),
+        money_curve=MoneyCurve.kahneman_tversky(
+            float(rng.uniform(0.6, 0.9)), float(rng.uniform(0.65, 0.9)), float(rng.uniform(1.5, 2.5))
+        ),
+    )
+
+
+def test_kt_external_budget_fuzz_finds_the_global_mode():
+    # the reproducer of bench/kt_defect.py, then single-trial allocation
+    # fuzzes on freshly drawn catalogs (two of these 60 draws failed when
+    # the search refined the wrong side of t = 0)
+    defect = BudgetInstance(
+        m=3,
+        n=3,
+        external_budget=41.07297040776804,
+        gain_curves=(
+            GainCurve.log(7.574585875458979),
+            GainCurve.power(7.275715754986248, 0.4448090106856578),
+            GainCurve.log1p(3.5494111616411894),
+        ),
+        money_curve=MoneyCurve.kahneman_tversky(
+            0.6728789946505016, 0.7113661941218359, 2.133001340521651
+        ),
+    )
+    runs = [(defect, 1932293069)]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        instance = _kt_fuzz_catalog(rng)
+        runs.append((instance, int(rng.integers(2**31))))
+    for instance, trial in runs:
+        report = sdsic_fuzz(instance, 1, trial, misreport_space="allocation")
+        assert report.passed, (instance, trial, report.max_gain)
+
+
+def test_kt_negative_tax_optima_match_grid_oracle():
+    rng = np.random.default_rng(11)
+    for agent in (AgentType((0.5, 0.3, 0.2), 1.0), AgentType((0.2, 0.3, 0.5), 1.4)):
+        instance = _kt_fuzz_catalog(rng)
+        d = optimize(agent, instance)
+        assert d.tax < 0.0
+        v_solver = valuation(agent, d, instance)
+        res = grid_oracle(agent, instance, 200, (instance.tax_floor, 2.0 * abs(d.tax) + 1.0))
+        assert v_solver >= res.value - 1e-9
+        assert abs(v_solver - res.value) <= 1e-4 * abs(res.value)
+
+
+def test_criterion_07_instance_1_takes_the_mode_after_the_dip():
+    # criterion 7's second draw: B0 = 20 and a kt curve, so the value falls
+    # from t = 0+ (slope -inf) for about 0.06 in tax and then rises to a mode
+    # near 6.8; a bracket that stopped on the falling samples right after
+    # the kink would return t ~ 0 (value 24.55 against 25.32)
+    rng = np.random.default_rng(1007)
+    for k in range(2):
+        m = 1 + k % 3
+        instance = random_instance(rng, m=m, n=3)
+        agent = random_profile(rng, 1, m)[0]
+    d = optimize(agent, instance)
+    assert 6.0 < d.tax < 8.0
+    v_solver = valuation(agent, d, instance)
+    res = grid_oracle(agent, instance, 500, (instance.tax_floor + 1e-6, 4.0 * abs(d.tax) + 1.0))
+    assert v_solver >= res.value - 1e-9
+
+
+def _variants_catalog():
+    # the variants_mixed benchmark's catalog and population, n = 150
+    rng = np.random.default_rng([1, 2])
+    n = 150
+    alloc = rng.dirichlet(np.full(3, 2.0), size=n)
+    money = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=n))
+    types = tuple(AgentType.normalized(a, float(w)) for a, w in zip(alloc, money))
+    weights = rng.uniform(0.5, 1.5, size=n)
+    weights *= n / weights.sum()
+    base = dict(
+        m=3,
+        n=n,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+        types=types,
+    )
+    return types, BudgetInstance(**base), BudgetInstance(**base, tax_weights=tuple(weights))
+
+
+def _keep_probes(monkeypatch):
+    """Wrap the outer search so that each solve's probe is kept and counted."""
+    kept = []
+    original = solver._maximize_over_tax
+
+    def keeping(probe, *args, **kwargs):
+        calls = []
+
+        def counted(t, *more):
+            calls.append(t)
+            return probe(t, *more)
+
+        kept.append((probe, calls))
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_maximize_over_tax", keeping)
+    return kept
+
+
+def test_probes_per_solve(monkeypatch):
+    kept = _keep_probes(monkeypatch)
+    bias = BiasSpec(0.5, EquitableTarget())
+    running = make_running_instance()
+    types, plain, hetero = _variants_catalog()
+    cases = [(RUNNING_PROFILE, running, running), (types, plain, hetero)]
+    for profile, instance, weighted in cases:
+        mean = mean_type(profile)
+        for agent in (mean, profile[0]):
+            optimize(agent, instance)
+            optimize_biased(agent, bias, instance)
+        optimize_hetero(profile, weighted)
+    assert len(kept) == 10
+    for _, calls in kept:
+        assert len(calls) <= 100
+
+
+_SLOPE_TARGETS = [
+    # (catalog, target, taxes): the equitable target on an all-log catalog
+    # shares one level everywhere; on the mixed catalog it takes the deep
+    # branch below a pool of 1 (the log good alone) and the floored
+    # common level above; the table's taxes lie inside its segments
+    ("log", EquitableTarget(), (0.05, 3.0, 40.0)),
+    ("mixed", EquitableTarget(), (0.05, 0.5, 3.0, 12.0, 40.0)),
+    ("mixed", ConstantTarget((0.2, 0.5, 0.3)), (0.05, 3.0, 40.0)),
+    (
+        "mixed",
+        TableTarget((0.0, 10.0, 50.0), ((0.2, 0.5, 0.3), (0.5, 0.2, 0.3), (0.3, 0.3, 0.4))),
+        (0.5, 3.0, 12.0, 40.0),
+    ),
+]
+
+
+def _slope_instance(kind):
+    curves = {
+        "log": (GainCurve.log(10.0), GainCurve.log(4.0), GainCurve.log(6.0)),
+        "mixed": (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+    }[kind]
+    return BudgetInstance(
+        m=3,
+        n=150,
+        external_budget=0.0,
+        gain_curves=curves,
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+    )
+
+
+@pytest.mark.parametrize("psi", [TaxPreference.none(), TaxPreference.exp_decay(3.0, 5.0)])
+@pytest.mark.parametrize("kind, target, taxes", _SLOPE_TARGETS)
+def test_biased_slope_matches_central_differences(monkeypatch, psi, kind, target, taxes):
+    kept = _keep_probes(monkeypatch)
+    instance = _slope_instance(kind)
+    agent = AgentType((0.5, 0.3, 0.2), 1.1)
+    optimize_biased(agent, BiasSpec(0.5, target, psi), instance, SolverConfig(x_tolerance=1e-14))
+    probe = kept[0][0]
+    for t in taxes:
+        if isinstance(target, EquitableTarget):
+            xhat = equitable_allocation(t, instance)
+            deep = kind == "mixed" and instance.pool(t) < 1.0
+            assert (np.count_nonzero(xhat) == 1) == deep
+        h = 1e-5 * t
+        difference = (probe(t + h, True)[2] - probe(t - h, True)[2]) / (2.0 * h)
+        slope = probe(t)[0]
+        assert slope == pytest.approx(difference, rel=1e-7, abs=0.0), t
+
+
+@pytest.mark.parametrize(
+    "bias",
+    [
+        BiasSpec(0.5, EquitableTarget()),
+        BiasSpec(0.7, ConstantTarget((0.35, 0.65))),
+        BiasSpec(0.5, EquitableTarget(), TaxPreference.exp_decay(20.0, 100.0)),
+    ],
+)
+def test_biased_tax_is_stationary(monkeypatch, bias):
+    # on the closed-form all-log running example the slope at the returned
+    # tax is within its rounding bound: the tax is resolved past the value
+    # plateau that a value-comparison search stops on
+    kept = _keep_probes(monkeypatch)
+    d = optimize_biased(mean_type(RUNNING_PROFILE), bias, make_running_instance())
+    slope, size, _ = kept[0][0](d.tax)
+    assert abs(slope) <= solver._ROUNDING * size
