@@ -311,9 +311,10 @@ def _decision_map_jacobian(
     simplex tangent directions and the money-weight axis.
 
     The difference quotient divides solver noise by 2h, so the inner solves
-    run at a tightened tax tolerance.
+    run at a tightened allocation tolerance; the tax search has no tolerance
+    of its own (it bisects the slope down to its rounding bound).
     """
-    config = replace(config or SolverConfig(), t_tolerance=1e-13, x_tolerance=1e-13)
+    config = replace(config or SolverConfig(), x_tolerance=1e-13)
     m = instance.m
     directions: list[tuple[np.ndarray, float]] = [
         (d, 0.0) for d in tangent_basis(m)

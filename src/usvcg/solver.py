@@ -71,13 +71,12 @@ class SolverConfig:
     """Tolerances and search limits for the two-stage optimiser."""
 
     x_tolerance: float = 1e-10
-    t_tolerance: float = 1e-9  # relative, on the tax axis
     bracket_growth: float = 2.0
     max_bracket: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.x_tolerance <= 0 or self.t_tolerance <= 0:
-            raise DomainError("solver tolerances must be positive")
+        if self.x_tolerance <= 0:
+            raise DomainError("solver tolerance must be positive")
         if self.bracket_growth <= 1.0:
             raise DomainError("bracket growth must exceed 1")
 
@@ -557,7 +556,12 @@ class TaxPreference:
 
 @dataclass(frozen=True)
 class BiasSpec:
-    """Weight, target family, and tax preference of a phantom-agent bias."""
+    """Weight, target family, and tax preference of a phantom-agent bias.
+
+    The target gives ``allocation_at(t, instance)`` and the spend rates
+    ``spend_rate(t, instance, allocation)`` = d(xhat_j(t) pool)/dt; one
+    without ``spend_rate`` must keep its funded goods at one level.
+    """
 
     lam: float
     target: ConstantTarget | EquitableTarget | TableTarget
@@ -614,28 +618,34 @@ class _TargetSides:
     theta_j(s_j) with its derivative.  With r_j = 1/theta_j'(s_j) and the
     target's spend rates s_j', a = r / sum r, r_j' = -theta_j''(s_j) s_j'
     r_j^2 (0 at zero spend), a' = (r' - a sum r') / sum r, and a_j
-    theta_j'(s_j) = 1 / sum r.  A target without ``spend_rate`` is taken to
-    keep its funded goods' levels equal, as ``EquitableTarget`` does.  None
-    of it depends on the type being solved, and each entry is a pure
+    theta_j'(s_j) = 1 / sum r.  A target without ``spend_rate`` gets the
+    equitable rates, and is refused where its funded goods' levels differ.
+    None of it depends on the type being solved, and each entry is a pure
     function of (bias, instance, t) keyed by the exact float t, so one table
     shared by every solve of a mechanism run gives the same bits as
     recomputing each entry, in any order of the solves.  The table lives as
     long as its owner (one run or one audit) and keeps every tax it was
-    asked for, packed in one array of 3m + 2 floats.
+    asked for.
     """
 
     def __init__(self, bias: BiasSpec, instance: BudgetInstance):
         self.bias, self.instance = bias, instance
-        self._table: dict[float, np.ndarray] = {}
+        self._table: dict[float, tuple[list, list, list, float, float]] = {}
 
     def at(self, t: float) -> tuple[list, list, list, float, float]:
         """(a, levels, a', lam sum_j a_j theta_j(s_j), its derivative) at t."""
-        row = self._table.get(t)
-        if row is None:
+        side = self._table.get(t)
+        if side is None:
             instance, target, lam = self.instance, self.bias.target, self.bias.lam
             pool = instance.pool(t)
             xhat = np.asarray(target.allocation_at(t, instance), dtype=float)
-            spend_rate = getattr(target, "spend_rate", EquitableTarget().spend_rate)
+            spend_rate = getattr(target, "spend_rate", None)
+            if spend_rate is None:  # only a target keeping one level may omit it
+                goods = zip(xhat.tolist(), instance.gain_curves)
+                funded = [curve.value(x * pool) for x, curve in goods if x > 0.0]
+                if max(funded) - min(funded) > 1e-9 * max(1.0, max(map(abs, funded))):
+                    raise DomainError(f"target without spend_rate: unequal levels at tax {t}")
+                spend_rate = EquitableTarget().spend_rate
             rates = spend_rate(t, instance, xhat).tolist()
             raw = _reciprocal_marginals(xhat, t, instance)
             total = float(raw.sum())
@@ -650,11 +660,8 @@ class _TargetSides:
             goods = [g for g in zip(ahat, levels, slope, rates) if g[0] > 0.0]
             at_target = math.fsum(a * level for a, level, _, _ in goods)
             at_target_slope = math.fsum(d * level + rate / total for _, level, d, rate in goods)
-            row = self._table[t] = np.array(
-                ahat + levels + slope + [lam * at_target, lam * at_target_slope]
-            )
-        m, side = self.instance.m, row.tolist()
-        return side[:m], side[m : 2 * m], side[2 * m : 3 * m], side[-2], side[-1]
+            side = self._table[t] = (ahat, levels, slope, lam * at_target, lam * at_target_slope)
+        return side
 
     def bias_value(self, decision: BudgetDecision) -> float:
         """C(x, t) of ``bias_value``, with the target side from the table."""
@@ -704,9 +711,8 @@ def optimize_biased(
     elif sides.bias is not bias or sides.instance is not instance:
         raise DomainError("target-side table belongs to another bias or instance")
     cfg = config or _DEFAULT
-    lam, psi = bias.lam, bias.psi
+    lam, psi, money = bias.lam, bias.psi, instance.money_curve
     curves, rate = instance.gain_curves, instance.pool_rate
-    money = instance.money_curve
     kappa = instance.money_factor() * agent.money_weight
     base = agent.alloc_weights
 
@@ -719,10 +725,9 @@ def optimize_biased(
         pool = instance.pool(t)
         x, combined, marginal = cond.at(pool)
         warm = cond.warm
-        reweighted = 0.0  # sum_j a_j'(t) theta_j(x_j pool)
-        for a, xj, curve in zip(slopes, x, curves):
-            if a != 0.0:
-                reweighted += a * curve.value(float(xj) * pool)
+        reweighted = sum(  # sum_j a_j'(t) theta_j(x_j pool)
+            a * curve.value(float(xj) * pool) for a, xj, curve in zip(slopes, x, curves) if a
+        )
         terms = (
             marginal * rate,
             lam * reweighted,
@@ -730,9 +735,7 @@ def optimize_biased(
             psi.deriv(t),
             -kappa * money.deriv(t),
         )
-        value = math.nan
-        if valued:
-            value = combined - at_target + psi.value(t) - kappa * money.value(t)
+        value = combined - at_target + psi.value(t) - kappa * money.value(t) if valued else math.nan
         return sum(terms), max(map(abs, terms)), value
 
     t_star = _maximize_over_tax(probe, instance, cfg)
@@ -779,9 +782,7 @@ def _equalising_level(
     raise ConvergenceError("equalising level did not converge")
 
 
-def equitable_allocation(
-    t: float, instance: BudgetInstance, config: SolverConfig | None = None
-) -> np.ndarray:
+def equitable_allocation(t: float, instance: BudgetInstance) -> np.ndarray:
     """Allocation minimising the largest pairwise gap among the per-good
     utilities theta_j(x_j * pool); it simultaneously maximises the
     smallest per-good utility.

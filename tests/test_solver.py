@@ -995,3 +995,24 @@ def test_biased_tax_is_stationary(monkeypatch, bias):
     d = optimize_biased(mean_type(RUNNING_PROFILE), bias, make_running_instance())
     slope, size, _ = kept[0][0](d.tax)
     assert abs(slope) <= solver._ROUNDING * size
+
+
+class _RateFreeTarget:
+    """A target that gives allocations but no spend rates."""
+
+    def __init__(self, allocation_at):
+        self.allocation_at = allocation_at
+
+
+def test_target_without_spend_rate_must_keep_one_level():
+    # a rate-free target is given the equitable spend rates, which are only
+    # right while its funded goods share one level: an equitable allocation
+    # solves as EquitableTarget does, a constant one is refused
+    instance = _slope_instance("mixed")
+    agent = AgentType((0.5, 0.3, 0.2), 1.1)
+    equitable = _RateFreeTarget(EquitableTarget().allocation_at)
+    got = optimize_biased(agent, BiasSpec(0.5, equitable), instance)
+    assert got == optimize_biased(agent, BiasSpec(0.5, EquitableTarget()), instance)
+    constant = _RateFreeTarget(ConstantTarget((0.2, 0.5, 0.3)).allocation_at)
+    with pytest.raises(DomainError, match="spend_rate"):
+        optimize_biased(agent, BiasSpec(0.5, constant), instance)
