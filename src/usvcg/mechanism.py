@@ -312,7 +312,7 @@ def _decision_map_jacobian(
 
     The difference quotient divides solver noise by 2h, so the inner solves
     run at a tightened allocation tolerance; the tax search has no tolerance
-    of its own (it bisects the slope down to its rounding bound).
+    of its own (its root finder resolves the slope to its rounding bound).
     """
     config = replace(config or SolverConfig(), x_tolerance=1e-13)
     m = instance.m

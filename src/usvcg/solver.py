@@ -15,9 +15,10 @@ The optimisation is solved in the two natural stages:
 2. *Outer stage*: a search on t over the sign of the analytic conditional
    slope.  The feasible interval is cut at the kt money curve's kink t = 0
    (its convex branch can put a local maximum on each side), each piece is
-   sampled geometrically, every sampled sign change from + to - is bisected
-   down to the slope's rounding bound, and the candidates are compared by
-   value.
+   sampled geometrically, the root of every sampled sign change from + to -
+   is found by Chandrupatla's method (inverse quadratic interpolation
+   safeguarded by bisection) down to the slope's rounding bound, and the
+   candidates are compared by value.
 
 Ties between equal-value optima break deterministically: lowest tax,
 then lexicographically smallest allocation.
@@ -293,23 +294,43 @@ def _feasible_start(instance: BudgetInstance, money_domain_min: float) -> float:
     return max(instance.tax_floor + instance.tax_epsilon, money_domain_min)
 
 
-def _bisect_slope(probe: Callable, lo: float, hi: float, at_lo: float, at_hi: float) -> float:
-    """Bisect a sign change of the slope, positive (``at_lo``) at lo and not
-    (``at_hi``) at hi.  Stops at a midpoint whose slope is within its
-    rounding bound, or when lo and hi are adjacent floats (a kink maximum,
-    or a slope whose noise never meets the bound), returning the end whose
-    slope is smaller."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo if at_lo <= -at_hi else hi
-        slope, size, _ = probe(mid)
+def _slope_root(probe: Callable, lo: float, hi: float, at_lo: float, at_hi: float) -> float:
+    """Find the root of a sign change of the slope, positive (``at_lo``) at
+    lo and not (``at_hi``) at hi, by Chandrupatla's method (Adv. Eng.
+    Softw. 28:145, 1997).
+
+    Each probe replaces the bracket end of its sign.  The next probe is the
+    inverse quadratic interpolation through the probe, the other end and
+    the replaced end, kept strictly inside the bracket, when Chandrupatla's
+    test accepts it; otherwise, or when it is not finite (an end at the kt
+    kink, whose slope is -inf), the midpoint.  Stops at a probe whose slope
+    is within its rounding bound, or when lo and hi are adjacent floats (a
+    kink maximum, or a slope whose noise never meets the bound), returning
+    the end whose slope is smaller."""
+    x = 0.5 * (lo + hi)
+    while lo < x < hi:
+        slope, size, _ = probe(x)
         if abs(slope) <= _ROUNDING * size:
-            return mid
+            return x
         if slope > 0.0:
-            lo, at_lo = mid, slope
+            b, at_b, c, at_c, lo, at_lo = hi, at_hi, lo, at_lo, x, slope
         else:
-            hi, at_hi = mid, slope
+            b, at_b, c, at_c, hi, at_hi = lo, at_lo, hi, at_hi, x, slope
+        # xi and phi place the probe and its slope between the other end (0)
+        # and the replaced one (1); the interpolating inverse quadratic is
+        # monotone over the three samples only when phi**2 < xi and
+        # (1 - phi)**2 < 1 - xi
+        xi, phi = (x - b) / (c - b), (slope - at_b) / (at_c - at_b)
+        step = math.nan
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            step = (slope / (at_b - slope) * at_c / (at_b - at_c)
+                    + (c - x) / (b - x) * slope / (at_c - slope) * at_b / (at_c - at_b))
+        x += step * (b - x)
+        if math.isfinite(x):
+            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        else:
+            x = 0.5 * (lo + hi)
+    return lo if at_lo <= -at_hi else hi
 
 
 def _maximize_over_tax(
@@ -328,11 +349,11 @@ def _maximize_over_tax(
     sampled geometrically up from its lower end: the bounded one up to 0,
     the open one until the slope has stayed <= 0 for _BRACKET_PATIENCE
     samples past both its last positive slope and the scale max(1, |start|),
-    so that a dip after the kink cannot end it.  Every sampled sign change
-    from + to <= 0 is bisected; these and the feasible start, when its
-    slope is <= 0, are compared by value, and within 1e-12 relative the
-    lowest tax wins.  Raises TaxDivergence when the slope is still positive
-    at the bracket cap.
+    so that a dip after the kink cannot end it.  The root of every sampled
+    sign change from + to <= 0 is found (``_slope_root``); these roots and
+    the feasible start, when its slope is <= 0, are compared by value, and
+    within 1e-12 relative the lowest tax wins.  Raises TaxDivergence when
+    the slope is still positive at the bracket cap.
     """
     if money_domain_min is None:
         money_domain_min = instance.money_curve.domain_min
@@ -371,7 +392,7 @@ def _maximize_over_tax(
     candidates = [] if samples[0][1] > 0.0 else [start]
     for (a, at_a), (b, at_b) in zip(samples, samples[1:]):
         if at_a > 0.0 and not at_b > 0.0:
-            candidates.append(_bisect_slope(probe, a, b, at_a, at_b))
+            candidates.append(_slope_root(probe, a, b, at_a, at_b))
     best_t = candidates[0]
     if len(candidates) > 1:
         best_v = probe(best_t, True)[2]

@@ -410,8 +410,10 @@ class _CountingTarget:
 def test_bus_shares_one_target_side_per_tax():
     # one run's n+1 solves share a table keyed by the exact tax: the target
     # is computed once per distinct tax, and the outcome is the one the
-    # plain equitable target gives
-    mixed = random_profile(np.random.default_rng(303), 6, 3)
+    # plain equitable target gives; the sampled taxes are shared across
+    # solves and each solve's root takes about 7 more, so 12 agents ask for
+    # 121 distinct taxes
+    mixed = random_profile(np.random.default_rng(303), 12, 3)
     inst = _mixed_instance(mixed, MoneyCurve.power(0.5))
     counting = _CountingTarget()
     out = run_bus_vcg(mixed, BiasSpec(lam=0.5, target=counting), inst)

@@ -926,7 +926,141 @@ def test_probes_per_solve(monkeypatch):
         optimize_hetero(profile, weighted)
     assert len(kept) == 10
     for _, calls in kept:
-        assert len(calls) <= 100
+        assert len(calls) <= 60
+
+
+class _BracketProbe:
+    """A probe of ``slope_of(t) -> (slope, size)`` for the slope root finder.
+
+    It keeps its calls, checks that each lies strictly inside the bracket
+    left by the calls before it and gets no nan slope, and stops a search
+    that runs past 200 probes.
+    """
+
+    def __init__(self, slope_of, lo, hi):
+        self.slope_of, self.lo, self.hi = slope_of, lo, hi
+        self.calls = []
+
+    def __call__(self, t, valued=False):
+        assert self.lo < t < self.hi, (self.lo, t, self.hi)
+        self.calls.append(t)
+        assert len(self.calls) <= 200
+        slope, size = self.slope_of(t)
+        assert not math.isnan(slope), t
+        if slope > 0.0:
+            self.lo = t
+        else:
+            self.hi = t
+        return slope, size, math.nan
+
+    def root(self):
+        at_lo, at_hi = self.slope_of(self.lo)[0], self.slope_of(self.hi)[0]
+        return solver._slope_root(self, self.lo, self.hi, at_lo, at_hi)
+
+
+@pytest.mark.parametrize(
+    "lo, root",
+    [(1.0, 1.3), (1.0, 1.0001), (1.0, 1.999), (256.0, 374.6), (1e-6, 1.7e-6), (4e6, 5e6)],
+)
+@pytest.mark.parametrize("exponent", [1.0, 0.5, 0.2])
+def test_slope_root_meets_the_bound_on_a_smooth_slope(lo, root, exponent):
+    # the slope of log(t) against a power cost t**exponent that balances at
+    # root, on a ratio-2 bracket as the sampling leaves it
+    kappa = root**-exponent / exponent
+
+    def slope_of(t):
+        gain, cost = 1.0 / t, kappa * exponent * t ** (exponent - 1.0)
+        return gain - cost, max(gain, cost)
+
+    probe = _BracketProbe(slope_of, lo, 2.0 * lo)
+    t = probe.root()
+    slope, size = slope_of(t)
+    assert abs(slope) <= solver._ROUNDING * size
+    assert t == pytest.approx(root, rel=1e-14)
+    assert len(probe.calls) <= 10
+
+
+@pytest.mark.parametrize("below, above", [(1.0, -2.0), (3.0, -0.5), (2.0, -2.0)])
+def test_slope_root_at_a_kink_returns_the_end_with_the_smaller_slope(below, above):
+    # a step slope never meets its rounding bound: the bracket closes to the
+    # adjacent floats around the step, and the end with the smaller |slope|
+    # (the lower one on a tie) is the maximum
+    step = 1.2345
+    probe = _BracketProbe(lambda t: (below if t < step else above, 4.0), 1.0, 2.0)
+    t = probe.root()
+    assert t == (math.nextafter(step, 0.0) if below <= -above else step)
+
+
+@pytest.mark.parametrize("gain", [0.5, 2.0, 1e6])
+def test_slope_root_below_the_kt_kink(gain):
+    # below the kt money curve's kink the cost's slope grows like
+    # |t|**(beta - 1) and is -inf at t = 0 itself: the interpolation through
+    # the -inf end is not finite, so the search bisects until a probe
+    # replaces it (a gain of 1e6 puts the root at -1e-20)
+    def slope_of(t):
+        cost = (-t) ** -0.3 if t < 0.0 else math.inf
+        return gain - cost, max(gain, cost)
+
+    probe = _BracketProbe(slope_of, -16.0, 0.0)
+    t = probe.root()
+    assert -16.0 < t <= 0.0
+    assert t == pytest.approx(-(gain ** (-1.0 / 0.3)), rel=1e-14)
+
+
+def test_slope_root_terminates_on_sign_noise():
+    # a slope whose noise (1e-9) is far above its rounding bound changes sign
+    # at random near its root: the search ends at adjacent floats inside the
+    # noise band
+    for root in np.linspace(1.05, 1.95, 19):
+
+        def slope_of(t):
+            return root - t + 1e-9 * math.sin(1e15 * t), 1.0
+
+        probe = _BracketProbe(slope_of, 1.0, 2.0)
+        t = probe.root()
+        assert abs(t - root) <= 1e-9
+        assert math.nextafter(probe.lo, 2.0) == probe.hi
+
+
+def _bisected_slope_root(probe, lo, hi, at_lo, at_hi):
+    """Reference: bisection of the sign change, with the root finder's two
+    stopping rules."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if at_lo <= -at_hi else hi
+        slope, size, _ = probe(mid)
+        if abs(slope) <= solver._ROUNDING * size:
+            return mid
+        if slope > 0.0:
+            lo, at_lo = mid, slope
+        else:
+            hi, at_hi = mid, slope
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["all-log", "water-fill", "kt-b0"]))
+@settings(max_examples=80, deadline=None)
+def test_slope_root_matches_bisection(seed, kind):
+    # all-log catalogs (closed-form inner stage), log/power/log1p catalogs
+    # with a power or kt money curve (B0 = 0 or 20 for kt), and fuzz_cold's
+    # kt water-fill catalog with B0 in (5, 60)
+    rng = np.random.default_rng(seed)
+    if kind == "kt-b0":
+        instance = _kt_fuzz_catalog(rng)
+    else:
+        m = int(rng.integers(2, 4))
+        instance = random_instance(rng, m, 3, diverging_only=False, with_types=False)
+        if kind == "all-log":
+            logs = tuple(GainCurve.log(float(s)) for s in rng.uniform(2.0, 15.0, m))
+            instance = dataclasses.replace(instance, gain_curves=logs)
+    agent = random_profile(rng, 1, instance.m)[0]
+    got = optimize(agent, instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_slope_root", _bisected_slope_root)
+        ref = optimize(agent, instance)
+    assert got.tax == pytest.approx(ref.tax, rel=1e-9, abs=0.0)
+    v, v_ref = valuation(agent, got, instance), valuation(agent, ref, instance)
+    assert v >= v_ref - 1e-12 * max(1.0, abs(v_ref))
 
 
 _SLOPE_TARGETS = [
