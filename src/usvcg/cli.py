@@ -220,7 +220,12 @@ def cmd_fuzz(args) -> int:
     instance, _ = files.load_instance(args.instance)
     if args.coalition:
         report = experiments.coalition_probe(
-            instance, args.coalition, args.trials, args.seed, mu=args.mu
+            instance,
+            args.coalition,
+            args.trials,
+            args.seed,
+            mu=args.mu,
+            misreport_space=args.misreport_space,
         )
         if args.csv:
             _write_csv(

@@ -41,8 +41,8 @@ class ConvergenceError(UsvcgError, ArithmeticError):
 
 
 class TaxDivergence(UsvcgError, ArithmeticError):
-    """The optimal tax exceeds the search cap; the instance admits no
-    finite optimum within the configured bracket (diverging tax)."""
+    """The optimal tax exceeds the search cap; the conditional slope is still
+    positive at a tax offset of 1e12, a fixed cap (diverging tax)."""
 
 
 class ResolutionTooCoarse(UsvcgError, ValueError):

@@ -32,6 +32,7 @@ from .mechanism import (
 )
 from .model import (
     AgentType,
+    BudgetDecision,
     BudgetInstance,
     CharacteristicTriplet,
     _utility_at,
@@ -99,6 +100,7 @@ class CoalitionReport:
     unstable: int
     stable_cases: tuple[dict, ...]
     per_trial: tuple[tuple[int, int, int], ...] = ()  # (trial, found, unstable)
+    misreport_space: str = "full"
 
     @property
     def passed(self) -> bool:
@@ -112,6 +114,7 @@ class CoalitionReport:
             "manipulations_found": self.manipulations_found,
             "unstable": self.unstable,
             "stable_cases": list(self.stable_cases),
+            "misreport_space": self.misreport_space,
             "passed": self.passed,
         }
 
@@ -288,16 +291,14 @@ def sdsic_fuzz(
     trials: int,
     seed: int,
     mu: float = 4.0,
-    mode: str | None = None,
     tolerance: float = 1e-9,
     misreport_space: str = "full",
-    config: SolverConfig | None = None,
 ) -> FuzzReport:
     """Search for a profitable unilateral misreport.
 
     Each trial draws a fresh profile, a deviating agent, and a misreport
     (Dirichlet-global or truth-local), then compares the agent's realised
-    utility under the lie against truth-telling.  ``mode`` defaults to
+    utility under the lie against truth-telling.  The report's ``mode`` is
     "sdsic" when every gain curve has a diverging marginal at zero spend
     (interior optima certified) and "dsic" otherwise; the numeric pass
     criterion -- max gain at most ``tolerance`` -- is the same in both.
@@ -312,12 +313,8 @@ def sdsic_fuzz(
     """
     if misreport_space not in ("full", "allocation"):
         raise DomainError(f"unknown misreport space {misreport_space!r}")
-    if mode is None:
-        mode = (
-            "sdsic"
-            if all(math.isinf(c.deriv_at_zero()) for c in instance.gain_curves)
-            else "dsic"
-        )
+    interior = all(math.isinf(c.deriv_at_zero()) for c in instance.gain_curves)
+    mode = "sdsic" if interior else "dsic"
     n = instance.n
     if n < 2:
         raise DomainError("misreport fuzzing needs at least two agents")
@@ -330,8 +327,8 @@ def sdsic_fuzz(
         i = int(rng.integers(n))
         report = _draw_misreport(rng, profile[i], mu, misreport_space)
 
-        truth = _Plain(profile, instance, config)
-        lie = _Plain(profile[:i] + (report,) + profile[i + 1 :], instance, config)
+        truth = _Plain(profile, instance)
+        lie = _Plain(profile[:i] + (report,) + profile[i + 1 :], instance)
         (excl,) = excluded_means(profile, (i,))
         best_excl = truth.others_optimum(excl)
         u_truth = _report_utility(truth, i, profile[i], truth.decide(), excl, best_excl)
@@ -363,7 +360,6 @@ def coalition_probe(
     restarts: int = 2,
     tolerance: float = 1e-9,
     misreport_space: str = "full",
-    config: SolverConfig | None = None,
 ) -> CoalitionReport:
     """Search for coordinated misreports that benefit a coalition and check
     that each one found is unstable: at least one member would do strictly
@@ -384,7 +380,7 @@ def coalition_probe(
     per_trial: list[tuple[int, int, int]] = []
 
     def utilities(reported: tuple[AgentType, ...], members) -> dict[int, float]:
-        variant = _Plain(reported, instance, config)
+        variant = _Plain(reported, instance)
         decision = variant.decide()
         out = {}
         for i, excl in zip(members, excluded_means(reported, members)):
@@ -441,7 +437,8 @@ def coalition_probe(
                 )
         per_trial.append((trial, trial_found, trial_unstable))
     return CoalitionReport(
-        trials, coalition_size, found, unstable, tuple(stable_cases), tuple(per_trial)
+        trials, coalition_size, found, unstable, tuple(stable_cases), tuple(per_trial),
+        misreport_space,
     )
 
 
@@ -499,20 +496,18 @@ def sigma_population(
     return tuple(types)
 
 
-def _require_unique_optimum(
-    agent: AgentType, instance: BudgetInstance, config: SolverConfig | None
-) -> None:
+def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
     """Multi-start agreement check: a second search with different bracket
-    geometry must land on the same decision."""
-    cfg = config or SolverConfig()
-    d1 = optimize(agent, instance, cfg)
-    d2 = optimize(agent, instance, replace(cfg, bracket_growth=1.7))
+    geometry must land on the same decision.  Returns the first search's."""
+    d1 = optimize(agent, instance)
+    d2 = optimize(agent, instance, SolverConfig(bracket_growth=1.7))
     if abs(d1.tax - d2.tax) > 1e-6 * max(1.0, abs(d1.tax)) or any(
         abs(a - b) > 1e-6 for a, b in zip(d1.allocation, d2.allocation)
     ):
         raise NonUniqueOptimum(
             f"searches disagree: t={d1.tax} vs t={d2.tax}; the optimum may not be unique"
         )
+    return d1
 
 
 def convergence_study(
@@ -521,16 +516,14 @@ def convergence_study(
     n_list,
     generator_seed: int,
     payment_rule: str = "sensitive",
-    np_config: NonPositiveConfig | None = None,
     spread_scale: float = 1.0,
-    config: SolverConfig | None = None,
 ) -> ConvergenceTable:
     """Payment magnitudes on sigma-preserving populations of growing size.
 
     ``instance`` supplies curves and conventions (must be per-capita); per
     population the external budget is sigma.b0 * n.  ``payment_rule`` is
-    "sensitive" (mechanism payments) or "non_positive" (rebated scheme; the
-    default gamma is certified from the generator's spread bound).
+    "sensitive" (mechanism payments) or "non_positive" (rebated scheme,
+    with gamma certified from the generator's spread bound).
     """
     if instance.semantics != "per_capita":
         raise DomainError("convergence studies are defined for per-capita semantics")
@@ -550,14 +543,12 @@ def convergence_study(
             types=types,
             tax_weights=None,
         )
-        _require_unique_optimum(mean_type(types), inst_n, config)
+        _require_unique_optimum(mean_type(types), inst_n)
         if payment_rule == "sensitive":
-            payments = run_us_vcg(types, inst_n, config).payments
+            payments = run_us_vcg(types, inst_n).payments
         else:
-            npc = np_config or NonPositiveConfig(
-                gamma=1.25 * population_spread(sigma), fd_step=1e-5
-            )
-            payments = non_positive_payments(types, inst_n, npc, config)
+            npc = NonPositiveConfig(gamma=1.25 * population_spread(sigma))
+            payments = non_positive_payments(types, inst_n, npc)
         arr = np.array(payments)
         rows.append(
             ConvergenceRow(
@@ -581,7 +572,6 @@ def tax_divergence_demo(
     q: float,
     n_list,
     alpha_f: float = 1.0,
-    config: SolverConfig | None = None,
 ) -> DivergenceReport:
     """Preferred tax of a single-good power/power agent across population
     sizes, under both semantics.
@@ -608,7 +598,7 @@ def tax_divergence_demo(
                 money_curve=MoneyCurve.power(q),
                 semantics=semantics,
             )
-            per_semantics[semantics] = optimize(agent, inst, config).tax
+            per_semantics[semantics] = optimize(agent, inst).tax
         rows.append((int(n), per_semantics["nominal"], per_semantics["per_capita"]))
     ns = np.array([r[0] for r in rows], dtype=float)
     nominal = np.array([r[1] for r in rows])
@@ -634,14 +624,12 @@ def continuity_probe(
     agent: AgentType,
     instance: BudgetInstance,
     deltas,
-    config: SolverConfig | None = None,
 ) -> ContinuityReport:
     """Displacement of the optimal decision under type perturbations of the
     given magnitudes, probed along every simplex-tangent axis (both signs)
     and the money axis.  Stable displacement/magnitude ratios across scales
     are evidence of differentiability at the optimum."""
-    _require_unique_optimum(agent, instance, config)
-    base = optimize(agent, instance, config)
+    base = _require_unique_optimum(agent, instance)
     t_scale = max(1.0, abs(base.tax))
     m = agent.m
     directions: list[tuple[np.ndarray, float]] = []
@@ -676,7 +664,7 @@ def continuity_probe(
                 tuple(w + h * d for w, d in zip(agent.alloc_weights, alloc_dir)),
                 agent.money_weight + h * money_dir,
             )
-            moved = optimize(shifted, instance, config)
+            moved = optimize(shifted, instance)
             dist = math.sqrt(
                 sum((a - b) ** 2 for a, b in zip(moved.allocation, base.allocation))
                 + ((moved.tax - base.tax) / t_scale) ** 2

@@ -197,18 +197,7 @@ def parse_instance(doc: dict, where: str = "instance") -> tuple[BudgetInstance, 
         types = tuple(
             type_from_dict(t, f"{where}: types[{i}]") for i, t in enumerate(doc["types"])
         )
-    ballots = None
-    if "ballots" in doc:
-        if not isinstance(doc["ballots"], list):
-            raise SchemaError(f"{where}: ballots must be a list")
-        ballots = []
-        for i, b in enumerate(doc["ballots"]):
-            alloc = _require(b, "allocation", f"{where}: ballots[{i}]")
-            tax = _number(b, "tax", f"{where}: ballots[{i}]")
-            try:
-                ballots.append(Ballot.from_raw(alloc, tax))
-            except UsvcgError as exc:
-                raise SchemaError(f"{where}: ballots[{i}]: {exc}") from exc
+    ballots = parse_ballots(doc, where) if "ballots" in doc else None
 
     tax_weights = None
     if "tax_weights" in doc:

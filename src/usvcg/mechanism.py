@@ -27,7 +27,9 @@ Welfare depends on a profile only through its mean, so one O(n*m) pass over
 the profile's totals (``excluded_means``) gives every agent's excluded mean,
 and a run costs one solve for the decision plus one pivot solve per agent.
 
-Every run is a pure function of (profile, instance, config).  The biased
+Every run is a pure function of (profile, instance): every solve runs at
+the solver's default settings, except the Jacobian's, which tighten the
+inner-stage tolerance (``_decision_map_jacobian``).  The biased
 run's n+1 solves share one table of the target side of the objective (the
 phantom target, its weights and its gains at each tax they visit); each
 entry is a pure function of the tax, so the result does not depend on the
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,10 +118,10 @@ class NonPositiveConfig:
             raise DomainError(f"finite-difference step must be positive, got {self.fd_step}")
 
     @classmethod
-    def for_band(cls, mu: float, r: float = 0.0, fd_step: float = 1e-5) -> "NonPositiveConfig":
+    def for_band(cls, mu: float, r: float = 0.0) -> "NonPositiveConfig":
         """Certified cover of |mean_excl - type| when money weights stay in
         the (1/mu, mu) band."""
-        return cls(gamma=2.0 * (1.0 + mu), r=r, fd_step=fd_step)
+        return cls(gamma=2.0 * (1.0 + mu), r=r)
 
 
 # =============================================================================
@@ -138,18 +140,18 @@ class _Plain:
     """US-VCG: the mean type decides, and the others without agent i are
     their mean type, n-1 strong."""
 
-    def __init__(self, profile, instance: BudgetInstance, config: SolverConfig | None):
-        self.profile, self.instance, self.config = tuple(profile), instance, config
+    def __init__(self, profile, instance: BudgetInstance):
+        self.profile, self.instance = tuple(profile), instance
         self.n = len(self.profile)
 
     def decide(self) -> BudgetDecision:
-        return optimize(mean_type(self.profile), self.instance, self.config)
+        return optimize(mean_type(self.profile), self.instance)
 
     def others(self):
         return excluded_means(self.profile)
 
     def others_optimum(self, excl) -> BudgetDecision:
-        return optimize(excl, self.instance, self.config)
+        return optimize(excl, self.instance)
 
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return decision.tax
@@ -196,38 +198,32 @@ def _run(variant) -> Outcome:
     return Outcome(decision, tuple(raw), tuple(payments), welfare)
 
 
-def _one_agent(profile, i: int, instance: BudgetInstance, config, what: str):
+def _one_agent(profile, i: int, instance: BudgetInstance, what: str):
     """US-VCG's (variant, others, their optimum) for agent i alone."""
-    variant = _Plain(profile, instance, config)
+    variant = _Plain(profile, instance)
     if variant.n < 2:
         raise PivotUndefined(f"{what} needs at least two agents")
     (excl,) = excluded_means(variant.profile, (i,))
     return variant, excl, variant.others_optimum(excl)
 
 
-def clarke_pivot(
-    profile, i: int, instance: BudgetInstance, config: SolverConfig | None = None
-) -> float:
+def clarke_pivot(profile, i: int, instance: BudgetInstance) -> float:
     """Welfare the others would reach at their own optimum without agent i."""
-    variant, excl, best = _one_agent(profile, i, instance, config, "the pivot term")
+    variant, excl, best = _one_agent(profile, i, instance, "the pivot term")
     return variant.others_welfare(excl, best)
 
 
-def raw_vcg_payment(
-    profile, i: int, instance: BudgetInstance, config: SolverConfig | None = None
-) -> float:
+def raw_vcg_payment(profile, i: int, instance: BudgetInstance) -> float:
     """Externality agent i imposes: the others' welfare loss from moving the
     decision to the full-profile optimum.  Always nonnegative."""
-    variant, excl, best = _one_agent(profile, i, instance, config, "the pivot payment")
+    variant, excl, best = _one_agent(profile, i, instance, "the pivot payment")
     return variant.pivot_at(variant.decide())(excl, best)[0]
 
 
-def run_us_vcg(
-    profile, instance: BudgetInstance, config: SolverConfig | None = None
-) -> Outcome:
+def run_us_vcg(profile, instance: BudgetInstance) -> Outcome:
     """Run the mechanism: decision from the mean type, one pivot solve per
     agent, payments pushed through the money curve."""
-    return _run(_Plain(profile, instance, config))
+    return _run(_Plain(profile, instance))
 
 
 def realized_utility(profile, i: int, outcome: Outcome, instance: BudgetInstance) -> float:
@@ -243,18 +239,17 @@ def identity_residuals(
     instance: BudgetInstance,
     bias: BiasSpec | None = None,
     hetero: bool = False,
-    config: SolverConfig | None = None,
 ) -> list[float]:
     """Per-agent residual of the accounting identity, recomputed from
     scratch (fresh pivot solves) so results can be audited independently:
     realised utility minus (total welfare at the decision - the others'
     welfare at their own optimum without the agent)."""
     if hetero:
-        variant = _Hetero(profile, instance, config)
+        variant = _Hetero(profile, instance)
     elif bias is not None:
-        variant = _Biased(profile, instance, config, bias)
+        variant = _Biased(profile, instance, bias)
     else:
-        variant = _Plain(profile, instance, config)
+        variant = _Plain(profile, instance)
     if variant.n == 1:
         return [0.0]
     total = variant.total(outcome.decision)
@@ -304,9 +299,7 @@ def _perturbed(base: AgentType, alloc_dir: np.ndarray, money_dir: float, h: floa
     return AgentType(weights, base.money_weight + h * money_dir)
 
 
-def _decision_map_jacobian(
-    base: AgentType, instance: BudgetInstance, h: float, config: SolverConfig | None
-) -> np.ndarray:
+def _decision_map_jacobian(base: AgentType, instance: BudgetInstance, h: float) -> np.ndarray:
     """Central finite differences of the decision's feature vector along the
     simplex tangent directions and the money-weight axis.
 
@@ -314,7 +307,7 @@ def _decision_map_jacobian(
     run at a tightened allocation tolerance; the tax search has no tolerance
     of its own (its root finder resolves the slope to its rounding bound).
     """
-    config = replace(config or SolverConfig(), x_tolerance=1e-13)
+    tight = SolverConfig(x_tolerance=1e-13)
     m = instance.m
     directions: list[tuple[np.ndarray, float]] = [
         (d, 0.0) for d in tangent_basis(m)
@@ -331,10 +324,10 @@ def _decision_map_jacobian(
         if money_dir != 0.0:
             h_eff = min(h_eff, 0.45 * base.money_weight)
         plus = feature_vector(
-            optimize(_perturbed(base, alloc_dir, money_dir, h_eff), instance, config), instance
+            optimize(_perturbed(base, alloc_dir, money_dir, h_eff), instance, tight), instance
         )
         minus = feature_vector(
-            optimize(_perturbed(base, alloc_dir, money_dir, -h_eff), instance, config), instance
+            optimize(_perturbed(base, alloc_dir, money_dir, -h_eff), instance, tight), instance
         )
         cols.append((plus - minus) / (2.0 * h_eff))
     return np.column_stack(cols)
@@ -344,7 +337,6 @@ def non_positive_payments(
     profile,
     instance: BudgetInstance,
     np_config: NonPositiveConfig,
-    config: SolverConfig | None = None,
     outcome: Outcome | None = None,
 ) -> tuple[float, ...]:
     """Pivot payments minus a certified per-capita rebate, so nobody pays on
@@ -358,7 +350,7 @@ def non_positive_payments(
     RegularityWarning is emitted.
 
     The rebate is taken off the raw pivots of ``run_us_vcg``.  A caller that
-    already holds ``outcome = run_us_vcg(profile, instance, config)`` passes
+    already holds ``outcome = run_us_vcg(profile, instance)`` passes
     it, so its decision and pivots are not solved a second time.
     """
     profile = tuple(profile)
@@ -368,14 +360,14 @@ def non_positive_payments(
         raise DomainError("non-positive payments need the instance's full profile, n >= 2")
     n = len(profile)
     if outcome is None:
-        outcome = run_us_vcg(profile, instance, config)
+        outcome = run_us_vcg(profile, instance)
     elif len(outcome.raw_vcg) != n:
         raise DomainError(f"outcome has {len(outcome.raw_vcg)} pivots, profile has {n} agents")
-    plain = _Plain(profile, instance, config)
+    plain = _Plain(profile, instance)
     payments = []
     for i, (excl, p) in enumerate(zip(plain.others(), outcome.raw_vcg)):
-        J_half = _decision_map_jacobian(excl, instance, np_config.fd_step / 2.0, config)
-        J_full = _decision_map_jacobian(excl, instance, np_config.fd_step, config)
+        J_half = _decision_map_jacobian(excl, instance, np_config.fd_step / 2.0)
+        J_full = _decision_map_jacobian(excl, instance, np_config.fd_step)
         norm_half = _spectral_norm(J_half)
         norm_full = _spectral_norm(J_full)
         if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
@@ -400,8 +392,8 @@ class _Biased(_Plain):
     """Phantom bias: valuation plus bias decides, and n times the bias
     difference joins the payment argument, never the raw pivot."""
 
-    def __init__(self, profile, instance: BudgetInstance, config, bias: BiasSpec):
-        super().__init__(profile, instance, config)
+    def __init__(self, profile, instance: BudgetInstance, bias: BiasSpec):
+        super().__init__(profile, instance)
         self.bias = bias
         self.sides = _TargetSides(bias, instance)
 
@@ -410,10 +402,10 @@ class _Biased(_Plain):
 
     def decide(self) -> BudgetDecision:
         mean = mean_type(self.profile)
-        return optimize_biased(mean, self.bias, self.instance, self.config, sides=self.sides)
+        return optimize_biased(mean, self.bias, self.instance, sides=self.sides)
 
     def others_optimum(self, excl) -> BudgetDecision:
-        return optimize_biased(excl, self.bias, self.instance, self.config, sides=self.sides)
+        return optimize_biased(excl, self.bias, self.instance, sides=self.sides)
 
     def pivot_at(self, decision: BudgetDecision):
         plain, c_at_decision = super().pivot_at(decision), self._c(decision)
@@ -432,15 +424,13 @@ class _Biased(_Plain):
         return super().others_welfare(excl, decision) + self.n * self._c(decision)
 
 
-def run_bus_vcg(
-    profile, bias: BiasSpec, instance: BudgetInstance, config: SolverConfig | None = None
-) -> Outcome:
+def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
     """Mechanism steered by a phantom bias: the decision maximises
     valuation-plus-bias of the mean, and the bias differences enter the
     payment inversion alongside the pivot term."""
     if bias.is_null:
-        return run_us_vcg(profile, instance, config)
-    return _run(_Biased(profile, instance, config, bias))
+        return run_us_vcg(profile, instance)
+    return _run(_Biased(profile, instance, bias))
 
 
 # =============================================================================
@@ -454,13 +444,13 @@ class _Hetero(_Plain):
     agent, and each payment offsets its own weighted tax."""
 
     def decide(self) -> BudgetDecision:
-        return optimize_hetero(self.profile, self.instance, self.config)
+        return optimize_hetero(self.profile, self.instance)
 
     def others(self):
         return range(self.n)
 
     def others_optimum(self, i: int) -> BudgetDecision:
-        return optimize_hetero(self.profile, self.instance, self.config, exclude=i)
+        return optimize_hetero(self.profile, self.instance, exclude=i)
 
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return self.instance.tax_weights[i] * decision.tax
@@ -490,13 +480,11 @@ class _Hetero(_Plain):
         return valuation(self.profile[k], decision, self.instance, tax_weight=tax_weight)
 
 
-def run_us_vcg_hetero(
-    profile, instance: BudgetInstance, config: SolverConfig | None = None
-) -> Outcome:
+def run_us_vcg_hetero(profile, instance: BudgetInstance) -> Outcome:
     """Mechanism under designer tax weights: agent i pays tax_weights[i]*t.
 
     The payment inversion offsets each agent's own weighted tax, so her
     total transfer is tax_weights[i]*t* + P_i and the accounting identity
     still closes.
     """
-    return _run(_Hetero(profile, instance, config))
+    return _run(_Hetero(profile, instance))

@@ -59,21 +59,20 @@ __all__ = [
     "TableTarget",
     "TaxPreference",
     "bias_value",
-    "invert_increasing",
 ]
 
 _MAX_ITERATIONS = 200  # water-filling Newton steps
 _BRACKET_PATIENCE = 6  # non-positive slope samples before the open piece stops
 _ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its largest term
+_MAX_BRACKET = 1e12  # largest tax offset the open piece samples before TaxDivergence
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and search limits for the two-stage optimiser."""
+    """Inner-stage tolerance and tax-bracket growth for ``optimize``."""
 
     x_tolerance: float = 1e-10
     bracket_growth: float = 2.0
-    max_bracket: float = 1e12
 
     def __post_init__(self) -> None:
         if self.x_tolerance <= 0:
@@ -273,15 +272,13 @@ def inner_allocation(
     agent: AgentType,
     budget: float,
     instance: BudgetInstance,
-    config: SolverConfig | None = None,
 ) -> np.ndarray:
     """Welfare-maximising split of a fixed spending pool for one type."""
     if not budget > 0.0:
         raise DomainError(f"allocation needs a positive pool, got {budget}")
     if agent.m != instance.m:
         raise DomainError("type length does not match the instance")
-    cfg = config or _DEFAULT
-    x, _ = _Conditional(agent.alloc_weights, instance.gain_curves, cfg).both(budget)
+    x, _ = _Conditional(agent.alloc_weights, instance.gain_curves, _DEFAULT).both(budget)
     return x
 
 
@@ -353,7 +350,7 @@ def _maximize_over_tax(
     sign change from + to <= 0 is found (``_slope_root``); these roots and
     the feasible start, when its slope is <= 0, are compared by value, and
     within 1e-12 relative the lowest tax wins.  Raises TaxDivergence when
-    the slope is still positive at the bracket cap.
+    the slope is still positive at the tax cap, _MAX_BRACKET.
     """
     if money_domain_min is None:
         money_domain_min = instance.money_curve.domain_min
@@ -376,11 +373,11 @@ def _maximize_over_tax(
         s = s0
     lower, patience = samples[-1][0], 0
     while patience < _BRACKET_PATIENCE:
-        if s > cfg.max_bracket:
+        if s > _MAX_BRACKET:
             if samples[-1][1] > 0.0:
                 raise TaxDivergence(
                     f"conditional slope still positive at tax offset {s:.3g}; "
-                    "no finite optimum within the bracket cap"
+                    "no finite optimum within the tax cap"
                 )
             break
         if sample(lower + s) > 0.0:
@@ -412,13 +409,15 @@ def optimize(
 
     Maximises the conditional value consistent with the instance's MRS
     convention; under the semantics-exact default this is the type's
-    valuation itself.  Raises TaxDivergence when the preferred tax exceeds
-    the bracket cap.
+    valuation itself.  Raises TaxDivergence when the conditional slope is
+    still positive at the fixed tax cap (an offset of 1e12).  ``config``
+    (default ``SolverConfig()``) sets the inner-stage tolerance and the
+    tax-bracket growth; no other entry point takes one.
     """
     if agent.m != instance.m:
         raise DomainError("type length does not match the instance")
     kappa = instance.money_factor() * agent.money_weight
-    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, config)
+    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, config or _DEFAULT)
 
 
 def _decide(
@@ -426,12 +425,11 @@ def _decide(
     kappa: float,
     coefficients: tuple[float, float],
     instance: BudgetInstance,
-    config: SolverConfig | None,
+    cfg: SolverConfig,
     money_domain_min: float | None = None,
 ) -> BudgetDecision:
     """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
     with c the first of ``coefficients`` for t <= 0 and the second above."""
-    cfg = config or _DEFAULT
     cond = _Conditional(weights, instance.gain_curves, cfg)
     money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
     below, above = coefficients
@@ -709,7 +707,6 @@ def optimize_biased(
     agent: AgentType,
     bias: BiasSpec,
     instance: BudgetInstance,
-    config: SolverConfig | None = None,
     *,
     sides: _TargetSides | None = None,
 ) -> BudgetDecision:
@@ -726,12 +723,11 @@ def optimize_biased(
     theta_j(xhat_j pool)] + psi'(t) - kappa f'(t).
     """
     if bias.is_null:
-        return optimize(agent, instance, config)
+        return optimize(agent, instance)
     if sides is None:
         sides = _TargetSides(bias, instance)
     elif sides.bias is not bias or sides.instance is not instance:
         raise DomainError("target-side table belongs to another bias or instance")
-    cfg = config or _DEFAULT
     lam, psi, money = bias.lam, bias.psi, instance.money_curve
     curves, rate = instance.gain_curves, instance.pool_rate
     kappa = instance.money_factor() * agent.money_weight
@@ -742,7 +738,7 @@ def optimize_biased(
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
         nonlocal warm
         weights, _, slopes, at_target, at_target_slope = sides.at(t)
-        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves, cfg, warm)
+        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves, _DEFAULT, warm)
         pool = instance.pool(t)
         x, combined, marginal = cond.at(pool)
         warm = cond.warm
@@ -759,9 +755,9 @@ def optimize_biased(
         value = combined - at_target + psi.value(t) - kappa * money.value(t) if valued else math.nan
         return sum(terms), max(map(abs, terms)), value
 
-    t_star = _maximize_over_tax(probe, instance, cfg)
+    t_star = _maximize_over_tax(probe, instance, _DEFAULT)
     weights = [w + lam * a for w, a in zip(base, sides.at(t_star)[0])]
-    x, _, _ = _Conditional(weights, curves, cfg, warm).at(instance.pool(t_star))
+    x, _, _ = _Conditional(weights, curves, _DEFAULT, warm).at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
 
@@ -858,7 +854,6 @@ def _money_coefficients(money, terms) -> Callable[[float], float]:
 def optimize_hetero(
     profile,
     instance: BudgetInstance,
-    config: SolverConfig | None = None,
     exclude: int | None = None,
 ) -> BudgetDecision:
     """Welfare-optimal decision when agent i pays tax_weights[i] * t.
@@ -889,7 +884,7 @@ def optimize_hetero(
     dm = max(money.domain_min / omega for _, omega in terms)
     coefficient = _money_coefficients(money, terms)
     coefficients = (coefficient(-1.0), coefficient(1.0))
-    return _decide(weights, instance.money_factor(), coefficients, instance, config, dm)
+    return _decide(weights, instance.money_factor(), coefficients, instance, _DEFAULT, dm)
 
 
 # =============================================================================
@@ -979,40 +974,3 @@ def grid_oracle(
     if best_row is None or not math.isfinite(best_val):
         raise DomainError("oracle found no finite-valued grid point")
     return OracleResult(BudgetDecision(tuple(best_row), best_t), best_val)
-
-
-# =============================================================================
-# Small shared numeric utility
-# =============================================================================
-
-
-def invert_increasing(
-    fn: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float | None = None,
-    tol: float = 1e-12,
-) -> float:
-    """Solve fn(x) = target for an increasing fn by monotone bisection
-    with exponential bracket expansion upward from ``lo``."""
-    if fn(lo) > target:
-        raise DomainError(f"target {target} below fn({lo})")
-    if hi is None:
-        step = max(1.0, abs(lo)) * 1e-6
-        hi = lo + step
-        for _ in range(200):
-            if fn(hi) >= target:
-                break
-            step *= 2.0
-            hi = lo + step
-        else:
-            raise ConvergenceError("could not bracket the target value")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)

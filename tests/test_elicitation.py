@@ -29,7 +29,6 @@ from usvcg import (
     invert_ballot,
     optimize,
 )
-from usvcg.solver import invert_increasing
 
 
 def _mixed_log1p_instance() -> BudgetInstance:
@@ -136,11 +135,8 @@ def test_probe_ratio_direct_substitution():
     fu = session.pending[0]
     curve = inst.gain_curves[1]
     assert curve.value(fu.probe_spend) == pytest.approx(1.0, rel=1e-12)
-    tau = invert_increasing(
-        lambda s: inst.money_curve.value(100.0 + s) - inst.money_curve.value(100.0),
-        0.2,
-        0.0,
-    )
+    money = inst.money_curve
+    tau = money.inverse(money.value(100.0) + 0.2) - 100.0
     answer_followup(session, 1, tau)
     assert session.resolved_ratios[1] == pytest.approx(0.2, rel=1e-9)
 
@@ -153,13 +149,12 @@ def test_truthful_corner_agent_roundtrip():
     session = invert_ballot(Ballot(decision), inst)
     fu = session.pending[0]
     t = decision.tax
-    # the agent's own indifference point, found numerically
+    # the agent's own indifference point: f(t + tau) - f(t) = target
     target = (truth.alloc_weights[1] / truth.money_weight) * inst.gain_curves[1].value(
         fu.probe_spend
     )
-    tau = invert_increasing(
-        lambda s: inst.money_curve.value(t + s) - inst.money_curve.value(t), target, 0.0
-    )
+    money = inst.money_curve
+    tau = money.inverse(money.value(t) + target) - t
     answer_followup(session, fu.good_index, tau)
     recovered = complete_type(session)
     ratio = recovered.alloc_weights[1] / recovered.money_weight

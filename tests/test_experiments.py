@@ -81,7 +81,7 @@ def test_truthful_report_gains_nothing(running_instance):
 
     profile = RUNNING_PROFILE
     outcome = run_us_vcg(profile, running_instance)
-    truth = _Plain(profile, running_instance, None)
+    truth = _Plain(profile, running_instance)
     for i, excl in enumerate(excluded_means(profile)):
         u = _report_utility(
             truth, i, profile[i], truth.decide(), excl, truth.others_optimum(excl)
@@ -126,6 +126,7 @@ def test_coalition_probe_allocation_space(running_instance):
     assert report.passed
     assert report.manipulations_found == report.unstable
     assert len(report.per_trial) == 60
+    assert report.as_dict()["misreport_space"] == "allocation"
 
 
 def test_coalition_size_must_be_partial(running_instance):

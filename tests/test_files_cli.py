@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import RUNNING_PROFILE, make_running_instance
-from usvcg import NonPositiveConfig, SchemaError, files, non_positive_payments, run_us_vcg
+from usvcg import (
+    NonPositiveConfig,
+    SchemaError,
+    coalition_probe,
+    files,
+    non_positive_payments,
+    run_us_vcg,
+)
 from usvcg.cli import main
 from usvcg.solver import BiasSpec, ConstantTarget, EquitableTarget, TaxPreference
 
@@ -269,14 +276,20 @@ def test_cli_fuzz_deterministic_output(tmp_path):
 
 
 def test_cli_coalition_probe(tmp_path):
+    # the CLI report is the library's, on the misreport space the flag names
     out = tmp_path / "coalition.json"
-    rc = main(
-        ["fuzz", RUNNING, "--trials", "12", "--seed", "7", "--coalition", "2",
-         "--out", str(out)]
-    )
-    doc = json.loads(out.read_text())
-    assert doc["experiment"] == "coalition_probe"
-    assert rc in (0, 5)
+    instance, _ = files.load_instance(RUNNING)
+    for flags, space in (([], "full"), (["--misreport-space", "allocation"], "allocation")):
+        rc = main(
+            ["fuzz", RUNNING, "--trials", "12", "--seed", "7", "--coalition", "2",
+             *flags, "--out", str(out)]
+        )
+        doc = json.loads(out.read_text())
+        expected = coalition_probe(instance, 2, 12, seed=7, misreport_space=space)
+        assert doc == json.loads(json.dumps(expected.as_dict()))
+        assert doc["experiment"] == "coalition_probe"
+        assert doc["misreport_space"] == space
+        assert rc == (0 if expected.passed else 5)
 
 
 def test_cli_converge(tmp_path):

@@ -300,7 +300,7 @@ def test_jacobian_matches_closed_form():
     profile = random_profile(np.random.default_rng(3), 6, 2)
     inst = _per_capita_log_instance(6, profile)
     base = mean_excluding(profile, 0)
-    J = _decision_map_jacobian(base, inst, 1e-5, None)
+    J = _decision_map_jacobian(base, inst, 1e-5)
     a = 10.0
     w = np.array(base.alloc_weights)
     wm = base.money_weight

@@ -1,0 +1,62 @@
+"""The public API: every advertised name resolves, and solver settings are
+taken by ``optimize`` alone."""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import usvcg
+from usvcg.solver import SolverConfig
+
+MODULES = (
+    "cli",
+    "curves",
+    "elicitation",
+    "errors",
+    "experiments",
+    "files",
+    "mechanism",
+    "model",
+    "solver",
+)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "errors"])
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"usvcg.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_exports_resolve_to_their_modules():
+    tree = ast.parse(Path(usvcg.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert {node.module for node in imports} <= set(MODULES)
+    for node in imports:
+        source = importlib.import_module(f"usvcg.{node.module}")
+        public = getattr(source, "__all__", None)
+        for alias in node.names:
+            assert getattr(usvcg, alias.asname or alias.name) is getattr(source, alias.name)
+            assert public is None or alias.name in public, (node.module, alias.name)
+
+
+def test_only_optimize_takes_solver_settings():
+    takers = []
+    for name in MODULES:
+        module = importlib.import_module(f"usvcg.{name}")
+        for attr, obj in vars(module).items():
+            if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+                try:
+                    parameters = inspect.signature(obj).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "config" in parameters:
+                    takers.append(f"{name}.{attr}")
+    assert takers == ["solver.optimize"]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["x_tolerance", "bracket_growth"]

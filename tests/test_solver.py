@@ -49,7 +49,6 @@ from usvcg.solver import (
     _money_coefficients,
     _water_fill,
     bias_value,
-    invert_increasing,
 )
 
 
@@ -346,15 +345,22 @@ def test_deterministic_output():
 
 
 def test_tax_divergence():
-    inst = BudgetInstance(
-        m=1,
-        n=100_000,
-        external_budget=0.0,
-        gain_curves=(GainCurve.power(1.0, 0.3),),
-        money_curve=MoneyCurve.power(0.5),
-    )
+    # nominal power/power: t* grows like n^(p/(q-p)), n^9 at p = 0.45, far
+    # past the fixed 1e12 cap at n = 1e5; at p = 0.3 it is n^1.5, inside it
+    def instance(p):
+        return BudgetInstance(
+            m=1,
+            n=100_000,
+            external_budget=0.0,
+            gain_curves=(GainCurve.power(1.0, p),),
+            money_curve=MoneyCurve.power(0.5),
+            semantics="nominal",
+        )
+
     with pytest.raises(TaxDivergence):
-        optimize(AgentType((1.0,), 1.0), inst, SolverConfig(max_bracket=1e6))
+        optimize(AgentType((1.0,), 1.0), instance(0.45))
+    finite = optimize(AgentType((1.0,), 1.0), instance(0.3)).tax
+    assert finite == pytest.approx(0.6**5 * 100_000**1.5, rel=1e-9)
 
 
 # =============================================================================
@@ -781,18 +787,6 @@ def test_solver_never_beaten_by_oracle():
 
 
 # =============================================================================
-# Small utilities
-# =============================================================================
-
-
-def test_invert_increasing():
-    root = invert_increasing(lambda x: x * x, 9.0, 0.0)
-    assert root == pytest.approx(3.0, rel=1e-10)
-    root = invert_increasing(lambda x: x, 5.0, 0.0, hi=10.0)
-    assert root == pytest.approx(5.0, rel=1e-10)
-
-
-# =============================================================================
 # Outer tax search: kinks, probe counts, the biased slope
 # =============================================================================
 
@@ -1100,7 +1094,7 @@ def test_biased_slope_matches_central_differences(monkeypatch, psi, kind, target
     kept = _keep_probes(monkeypatch)
     instance = _slope_instance(kind)
     agent = AgentType((0.5, 0.3, 0.2), 1.1)
-    optimize_biased(agent, BiasSpec(0.5, target, psi), instance, SolverConfig(x_tolerance=1e-14))
+    optimize_biased(agent, BiasSpec(0.5, target, psi), instance)
     probe = kept[0][0]
     for t in taxes:
         if isinstance(target, EquitableTarget):
