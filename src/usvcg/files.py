@@ -80,6 +80,8 @@ def write_json(path, doc: dict) -> None:
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {doc!r}")
     if key not in doc:
         raise SchemaError(f"{where}: missing required field {key!r}")
     return doc[key]

@@ -26,6 +26,12 @@ pivots of ``run_us_vcg``.
 Welfare depends on a profile only through its mean, so one O(n*m) pass over
 the profile's totals (``excluded_means``) gives every agent's excluded mean,
 and a run costs one solve for the decision plus one pivot solve per agent.
+US-VCG's and the heterogeneous variant's pivot solves are certified against
+the decision's (``solver._certified_pivots``): an excluded mean lies within
+O(1/n) of the full mean, so a bound proves most of the tax-slope signs the
+decision's search sampled, and a pivot solve probes only the rest, its
+brackets' ends and its roots -- about 8-9 slope probes against the
+decision's 46-50 -- and returns its own cold search's decision, bit for bit.
 
 Every run is a pure function of (profile, instance): every solve runs at
 the solver's default settings, except the Jacobian's, which tighten the
@@ -33,8 +39,10 @@ inner-stage tolerance (``_decision_map_jacobian``).  The biased
 run's n+1 solves share one table of the target side of the objective (the
 phantom target, its weights and its gains at each tax they visit); each
 entry is a pure function of the tax, so the result does not depend on the
-order of the solves.  The per-agent pivot solves could run in any order, or
-in parallel with a table each, without changing the result.
+order of the solves.  A pivot solve depends only on the decision's record
+and its own type, so the per-agent pivot solves could run in any order, or
+in parallel (the biased ones with a table each), without changing the
+result.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ from .model import (
 from .solver import (
     BiasSpec,
     SolverConfig,
+    _certified_pivots,
     _TargetSides,
     corresponding_type,
     optimize,
@@ -140,6 +149,8 @@ class _Plain:
     """US-VCG: the mean type decides, and the others without agent i are
     their mean type, n-1 strong."""
 
+    certified = True  # the pivot solves are certified against the decision's
+
     def __init__(self, profile, instance: BudgetInstance):
         self.profile, self.instance = tuple(profile), instance
         self.n = len(self.profile)
@@ -180,21 +191,23 @@ class _Plain:
 
 
 def _run(variant) -> Outcome:
-    """The variant's decision, then for every agent one fresh solve of the
-    others' optimum, its pivot, and one money-curve inversion."""
+    """The variant's decision, then for every agent one solve of the
+    others' optimum, certified against the decision's, its pivot, and one
+    money-curve inversion."""
     profile, instance = variant.profile, variant.instance
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
-    decision = variant.decide()
-    welfare = social_welfare(profile, decision, instance)
-    if len(profile) == 1:
-        return Outcome(decision, (0.0,), (0.0,), welfare)
-    pivot = variant.pivot_at(decision)
-    raw, payments = [], []
-    for i, excl in enumerate(variant.others()):
-        p, argument = pivot(excl, variant.others_optimum(excl))
-        raw.append(p)
-        payments.append(variant.payment(i, argument, decision))
+    with _certified_pivots():
+        decision = variant.decide()
+        welfare = social_welfare(profile, decision, instance)
+        if len(profile) == 1:
+            return Outcome(decision, (0.0,), (0.0,), welfare)
+        pivot = variant.pivot_at(decision)
+        raw, payments = [], []
+        for i, excl in enumerate(variant.others()):
+            p, argument = pivot(excl, variant.others_optimum(excl))
+            raw.append(p)
+            payments.append(variant.payment(i, argument, decision))
     return Outcome(decision, tuple(raw), tuple(payments), welfare)
 
 
@@ -243,7 +256,9 @@ def identity_residuals(
     """Per-agent residual of the accounting identity, recomputed from
     scratch (fresh pivot solves) so results can be audited independently:
     realised utility minus (total welfare at the decision - the others'
-    welfare at their own optimum without the agent)."""
+    welfare at their own optimum without the agent).  The decision is
+    solved once more, not taken from ``outcome``, for the record its pivot
+    solves are certified against; the biased variant's are not."""
     if hetero:
         variant = _Hetero(profile, instance)
     elif bias is not None:
@@ -253,11 +268,14 @@ def identity_residuals(
     if variant.n == 1:
         return [0.0]
     total = variant.total(outcome.decision)
-    return [
-        realized_utility(variant.profile, i, outcome, instance)
-        - (total - variant.others_welfare(excl, variant.others_optimum(excl)))
-        for i, excl in enumerate(variant.others())
-    ]
+    with _certified_pivots():
+        if variant.certified:
+            variant.decide()
+        return [
+            realized_utility(variant.profile, i, outcome, instance)
+            - (total - variant.others_welfare(excl, variant.others_optimum(excl)))
+            for i, excl in enumerate(variant.others())
+        ]
 
 
 # =============================================================================
@@ -391,6 +409,8 @@ def non_positive_payments(
 class _Biased(_Plain):
     """Phantom bias: valuation plus bias decides, and n times the bias
     difference joins the payment argument, never the raw pivot."""
+
+    certified = False  # its slope moves with the type's own allocation
 
     def __init__(self, profile, instance: BudgetInstance, bias: BiasSpec):
         super().__init__(profile, instance)

@@ -18,7 +18,13 @@ The optimisation is solved in the two natural stages:
    sampled geometrically, the root of every sampled sign change from + to -
    is found by Chandrupatla's method (inverse quadratic interpolation
    safeguarded by bisection) down to the slope's rounding bound, and the
-   candidates are compared by value.
+   candidates are compared by value.  Each bracket's root search starts
+   cold: on a water-filling catalog the inner stage forgets its warm start
+   and re-probes the bracket's ends, so the roots do not depend on the
+   samples taken before them.  A mechanism's pivot solves take the signs of
+   the decision solve's samples where a bound proves them
+   (``_SlopeRecord``) and probe only the rest, with the same result as the
+   full search, bit for bit.
 
 Ties between equal-value optima break deterministically: lowest tax,
 then lexicographically smallest allocation.
@@ -27,6 +33,8 @@ then lexicographically smallest allocation.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -65,6 +73,7 @@ _MAX_ITERATIONS = 200  # water-filling Newton steps
 _BRACKET_PATIENCE = 6  # non-positive slope samples before the open piece stops
 _ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its largest term
 _MAX_BRACKET = 1e12  # largest tax offset the open piece samples before TaxDivergence
+_SLACK = 1e-8  # relative margin of a proven slope sign: 100x water-filling's error on lambda
 
 
 @dataclass(frozen=True)
@@ -263,6 +272,10 @@ class _Conditional:
         self.warm = (budget, lam, dlam_db)
         return x, gains, lam
 
+    def restart(self) -> None:
+        """Forget the warm start, so the next water-fill starts cold."""
+        self.warm = None
+
     def both(self, budget: float) -> tuple[np.ndarray, float]:
         x, gains, _ = self.at(budget)
         return x.copy(), gains
@@ -330,11 +343,17 @@ def _slope_root(probe: Callable, lo: float, hi: float, at_lo: float, at_hi: floa
     return lo if at_lo <= -at_hi else hi
 
 
+class _Uncertified(Exception):
+    """A certified tax search cannot vouch for the cold search's result."""
+
+
 def _maximize_over_tax(
     probe: Callable[..., tuple[float, float, float]],
     instance: BudgetInstance,
     cfg: SolverConfig,
     money_domain_min: float | None = None,
+    restart: Callable[[], None] | None = None,
+    signs: Callable[[float, Callable], float] | None = None,
 ) -> float:
     """The tax of the best local maximum of a conditional value.
 
@@ -351,6 +370,18 @@ def _maximize_over_tax(
     the feasible start, when its slope is <= 0, are compared by value, and
     within 1e-12 relative the lowest tax wins.  Raises TaxDivergence when
     the slope is still positive at the tax cap, _MAX_BRACKET.
+
+    A probe whose result depends on the probes before it (the warm-started
+    water-filling) passes ``restart``, which makes its next evaluation cold.
+    It is called before each root search, which then starts from fresh
+    probes of its bracket's ends (from the sampled slopes, should a fresh
+    sign differ), and before returning when there is no bracket.  So what
+    follows the sampling depends on the sampled taxes and signs alone, not
+    on the warm starts the sampling left.  A certified search passes
+    ``signs(t, probe)``: the slope at t, or a number of its sign where a
+    bound proves it (``_SlopeRecord.signs``).  Its root searches always
+    start from fresh probes, and a fresh sign that differs raises
+    _Uncertified.
     """
     if money_domain_min is None:
         money_domain_min = instance.money_curve.domain_min
@@ -359,7 +390,7 @@ def _maximize_over_tax(
     samples = []  # (tax, slope), in increasing tax
 
     def sample(t: float) -> float:
-        samples.append((t, probe(t)[0]))
+        samples.append((t, probe(t)[0] if signs is None else signs(t, probe)))
         return samples[-1][1]
 
     s0 = 1e-8 * scale
@@ -387,9 +418,23 @@ def _maximize_over_tax(
         s *= cfg.bracket_growth
 
     candidates = [] if samples[0][1] > 0.0 else [start]
-    for (a, at_a), (b, at_b) in zip(samples, samples[1:]):
-        if at_a > 0.0 and not at_b > 0.0:
-            candidates.append(_slope_root(probe, a, b, at_a, at_b))
+    brackets = [
+        (a, b, at_a, at_b)
+        for (a, at_a), (b, at_b) in zip(samples, samples[1:])
+        if at_a > 0.0 and not at_b > 0.0
+    ]
+    for a, b, at_a, at_b in brackets:
+        if restart is not None or signs is not None:
+            if restart is not None:
+                restart()
+            fresh = probe(a)[0], probe(b)[0]
+            if fresh[0] > 0.0 and not fresh[1] > 0.0:
+                at_a, at_b = fresh
+            elif signs is not None:
+                raise _Uncertified
+        candidates.append(_slope_root(probe, a, b, at_a, at_b))
+    if restart is not None and not brackets:
+        restart()
     best_t = candidates[0]
     if len(candidates) > 1:
         best_v = probe(best_t, True)[2]
@@ -420,6 +465,73 @@ def optimize(
     return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, config or _DEFAULT)
 
 
+# The record of the first solve inside ``_certified_pivots``, once it is made.
+_RECORD: contextvars.ContextVar[list | None] = contextvars.ContextVar("slope_record", default=None)
+
+
+@contextlib.contextmanager
+def _certified_pivots():
+    """Inside the block, the first ``_decide`` (a mechanism's decision)
+    leaves its record, and every later one (a pivot) is certified against
+    it; each result is still that of the solve's own cold search."""
+    token = _RECORD.set([])
+    try:
+        yield
+    finally:
+        _RECORD.reset(token)
+
+
+class _SlopeRecord:
+    """A decision solve's gain and cost terms of the slope, by tax.
+
+    Another type's gain term at a tax is lambda(pool; w') rate.  The common
+    marginal lambda never decreases when a weight grows and scales linearly
+    with the weights, so when rho_lo w <= w' <= rho_hi w good by good, it
+    lies in [rho_lo, rho_hi] times the recorded one; when both inner stages
+    are all-log, exactly W'/W times it, W the scale-weighted weight total.
+    Its cost term is exactly r times the recorded one, r the ratio of kappa
+    times the money coefficient on the tax's side of 0.  A sign these bounds
+    give with _SLACK to spare is the sign the type's cold search samples
+    there, whatever its water-fills' warm starts.
+    """
+
+    def __init__(self, instance, cond, kappa, coefficients, terms):
+        self.instance, self.cond, self.terms = instance, cond, terms
+        self.kappa, self.coefficients = kappa, coefficients
+
+    def signs(self, cond: _Conditional, kappa: float, coefficients: tuple[float, float]):
+        """The ``signs`` of a certified search for another type of the same
+        instance.  At a tax of the record where the bounds prove the sign it
+        is +-1; elsewhere it is the probed slope, and a probed slope within
+        _SLACK of its size raises _Uncertified, since the cold search's
+        probe there, warm-started differently, might take the other sign."""
+        ours, theirs = cond.weights, self.cond.weights
+        if cond._fast and self.cond._fast:
+            lo = hi = cond._w_total / self.cond._w_total
+        else:
+            ratios = [w / v for w, v in zip(ours, theirs) if v > 0.0]
+            lo = min(ratios)
+            hi = max(ratios) if all(v > 0.0 or w == 0.0 for w, v in zip(ours, theirs)) else math.inf
+        below, above = (kappa * c / (self.kappa * d) for c, d in zip(coefficients, self.coefficients))
+        terms = self.terms
+
+        def sign(t: float, probe: Callable) -> float:
+            recorded = terms.get(t)
+            if recorded is not None:
+                gain, cost = recorded
+                scaled = (above if t > 0.0 else below) * cost
+                if lo * gain * (1.0 - _SLACK) > scaled * (1.0 + _SLACK):
+                    return 1.0
+                if hi * gain * (1.0 + _SLACK) < scaled * (1.0 - _SLACK):
+                    return -1.0
+            slope, size, _ = probe(t)
+            if not abs(slope) > _SLACK * size:
+                raise _Uncertified
+            return slope
+
+        return sign
+
+
 def _decide(
     weights: Sequence[float],
     kappa: float,
@@ -429,19 +541,42 @@ def _decide(
     money_domain_min: float | None = None,
 ) -> BudgetDecision:
     """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
-    with c the first of ``coefficients`` for t <= 0 and the second above."""
+    with c the first of ``coefficients`` for t <= 0 and the second above.
+
+    Inside ``_certified_pivots`` the tax search is first tried certified
+    against the record there; when it cannot vouch for its result, the
+    inner stage restarts cold and the cold search runs."""
     cond = _Conditional(weights, instance.gain_curves, cfg)
     money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
     below, above = coefficients
+    shared = _RECORD.get()
+    # each tax's first gain and cost terms, kept by the solve that makes the record
+    terms: dict[float, tuple[float, float]] | None = {} if shared == [] else None
 
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
         _, gains, marginal = cond.at(pool(t))
         c = above if t > 0.0 else below
         gain, cost = marginal * rate, kappa * (c * money.deriv(t))
+        if terms is not None:
+            terms.setdefault(t, (gain, cost))
         value = gains - kappa * (c * money.value(t)) if valued else math.nan
         return gain - cost, gain if gain > cost else cost, value
 
-    t_star = _maximize_over_tax(probe, instance, cfg, money_domain_min)
+    restart = None if cond._fast else cond.restart
+
+    def search(signs=None) -> float:
+        return _maximize_over_tax(probe, instance, cfg, money_domain_min, restart, signs)
+
+    t_star = None
+    if shared and shared[0].instance is instance:
+        try:
+            t_star = search(shared[0].signs(cond, kappa, coefficients))
+        except _Uncertified:
+            cond.restart()
+    if t_star is None:
+        t_star = search()
+        if shared == []:
+            shared.append(_SlopeRecord(instance, cond, kappa, coefficients, terms))
     x, _, _ = cond.at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 

@@ -333,3 +333,17 @@ def test_cli_exit_codes(tmp_path):
     div_path = tmp_path / "div.json"
     div_path.write_text(json.dumps(divergent))
     assert main(["solve", str(div_path), "--type", "1,1"]) == 3
+
+
+def test_cli_rows_that_are_not_objects(tmp_path, capsys):
+    # a ballot or type row that is a number is a schema error (exit 2 with
+    # the row named), not a Python traceback
+    ballots = json.loads(open(BALLOTS).read())
+    types = json.loads(open(RUNNING).read())
+    types["types"][0] = 5
+    cases = [({**ballots, "ballots": [1, 2, 3]}, "ballots[0]"), (types, "types[0]")]
+    for k, (doc, row) in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--mean"]) == 2
+        assert row in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""The public API: every advertised name resolves, and solver settings are
-taken by ``optimize`` alone."""
+"""The public API: every advertised name resolves, solver settings are
+taken by ``optimize`` alone, and the solvers and mechanisms that share a
+decision's slope record with their pivot solves take no parameter for it."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import usvcg
+from usvcg import mechanism, solver
 from usvcg.solver import SolverConfig
 
 MODULES = (
@@ -60,3 +62,16 @@ def test_only_optimize_takes_solver_settings():
                     takers.append(f"{name}.{attr}")
     assert takers == ["solver.optimize"]
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["x_tolerance", "bracket_growth"]
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        (solver.optimize, ["agent", "instance", "config"]),
+        (solver.optimize_hetero, ["profile", "instance", "exclude"]),
+        (mechanism.run_us_vcg, ["profile", "instance"]),
+        (mechanism.run_us_vcg_hetero, ["profile", "instance"]),
+    ],
+)
+def test_pivot_record_takes_no_parameter(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters

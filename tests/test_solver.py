@@ -33,12 +33,15 @@ from usvcg import (
     TaxPreference,
     corresponding_type,
     equitable_allocation,
+    excluded_means,
     grid_oracle,
     inner_allocation,
     mean_type,
     optimize,
     optimize_biased,
     optimize_hetero,
+    run_us_vcg,
+    run_us_vcg_hetero,
     sdsic_fuzz,
     social_welfare,
     valuation,
@@ -810,6 +813,23 @@ def _kt_fuzz_catalog(rng):
     )
 
 
+_FUZZ_KINDS = ["all-log", "water-fill", "kt-b0"]
+
+
+def _fuzz_instance(rng, kind):
+    # all-log catalogs (closed-form inner stage), log/power/log1p catalogs
+    # with a power or kt money curve (B0 = 0 or 20 for kt), and fuzz_cold's
+    # kt water-fill catalog with B0 in (5, 60); n = 3
+    if kind == "kt-b0":
+        return _kt_fuzz_catalog(rng)
+    m = int(rng.integers(2, 4))
+    instance = random_instance(rng, m, 3, diverging_only=False, with_types=False)
+    if kind == "all-log":
+        logs = tuple(GainCurve.log(float(s)) for s in rng.uniform(2.0, 15.0, m))
+        instance = dataclasses.replace(instance, gain_curves=logs)
+    return instance
+
+
 def test_kt_external_budget_fuzz_finds_the_global_mode():
     # the reproducer of bench/kt_defect.py, then single-trial allocation
     # fuzzes on freshly drawn catalogs (two of these 60 draws failed when
@@ -923,6 +943,90 @@ def test_probes_per_solve(monkeypatch):
         assert len(calls) <= 60
 
 
+def test_probes_per_pivot_solve(monkeypatch):
+    # the pivot solves take the decision's proven slope signs and probe
+    # little more than their brackets' ends and roots (about 8-9 here,
+    # against the decision's 48-50)
+    kept = _keep_probes(monkeypatch)
+    running = make_running_instance()
+    types, plain, hetero = _variants_catalog()
+    cases = [(RUNNING_PROFILE, running, running), (types, plain, hetero)]
+    for profile, instance, weighted in cases:
+        for run, inst in ((run_us_vcg, instance), (run_us_vcg_hetero, weighted)):
+            kept.clear()
+            run(profile, inst)
+            assert len(kept) == len(profile) + 1
+            pivots = [len(calls) for _, calls in kept[1:]]
+            assert sum(pivots) <= 15 * len(pivots)
+            assert max(len(calls) for _, calls in kept) <= 60
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_FUZZ_KINDS),
+    n=st.sampled_from([2, 3, 12]),
+    hetero=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
+    # every pivot solve certified against the decision's record returns the
+    # decision of its own cold search, bit for bit
+    rng = np.random.default_rng(seed)
+    instance = dataclasses.replace(_fuzz_instance(rng, kind), n=n)
+    profile = random_profile(rng, n, instance.m)
+    if hetero:
+        weights = rng.uniform(0.5, 1.5, n)
+        instance = dataclasses.replace(instance, tax_weights=tuple(weights * (n / weights.sum())))
+
+        def solve(i=None):
+            return optimize_hetero(profile, instance, exclude=i)
+    else:
+        excluded = excluded_means(profile)
+
+        def solve(i=None):
+            return optimize(mean_type(profile) if i is None else excluded[i], instance)
+
+    cold = [solve(i) for i in range(n)]
+    with solver._certified_pivots():
+        solve()
+        assert [solve(i) for i in range(n)] == cold
+
+
+def test_certified_pivot_solve_falls_back_to_the_cold_search(monkeypatch):
+    # n = 2, far-apart types: without agent 0 the others are agent 1, whose
+    # optimum (per-capita all-log, q = 1/2: t* = (20 / w_money)**2) is put on
+    # a tax the decision's search samples, where that agent's slope is 0 to
+    # rounding; no bound proves its sign and the probed slope lies within
+    # the slack, so agent 0's pivot solve falls back to the cold search
+    instance = BudgetInstance(
+        m=2,
+        n=2,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+    )
+    sampled = instance.tax_floor + instance.tax_epsilon + 1e-8 * 2.0**35
+    profile = (AgentType((0.9, 0.1), 3.0), AgentType((0.1, 0.9), 20.0 / math.sqrt(sampled)))
+    fallbacks = []
+    original = solver._maximize_over_tax
+
+    def watched(*args):
+        try:
+            return original(*args)
+        except solver._Uncertified:
+            fallbacks.append(args)
+            raise
+
+    monkeypatch.setattr(solver, "_maximize_over_tax", watched)
+    cold = [optimize(excl, instance) for excl in excluded_means(profile)]
+    assert cold[0].tax == pytest.approx(sampled, rel=1e-12)
+    with solver._certified_pivots():
+        optimize(mean_type(profile), instance)
+        assert [optimize(excl, instance) for excl in excluded_means(profile)] == cold
+    assert len(fallbacks) == 1
+
+
 class _BracketProbe:
     """A probe of ``slope_of(t) -> (slope, size)`` for the slope root finder.
 
@@ -1032,21 +1136,11 @@ def _bisected_slope_root(probe, lo, hi, at_lo, at_hi):
             hi, at_hi = mid, slope
 
 
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["all-log", "water-fill", "kt-b0"]))
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_FUZZ_KINDS))
 @settings(max_examples=80, deadline=None)
 def test_slope_root_matches_bisection(seed, kind):
-    # all-log catalogs (closed-form inner stage), log/power/log1p catalogs
-    # with a power or kt money curve (B0 = 0 or 20 for kt), and fuzz_cold's
-    # kt water-fill catalog with B0 in (5, 60)
     rng = np.random.default_rng(seed)
-    if kind == "kt-b0":
-        instance = _kt_fuzz_catalog(rng)
-    else:
-        m = int(rng.integers(2, 4))
-        instance = random_instance(rng, m, 3, diverging_only=False, with_types=False)
-        if kind == "all-log":
-            logs = tuple(GainCurve.log(float(s)) for s in rng.uniform(2.0, 15.0, m))
-            instance = dataclasses.replace(instance, gain_curves=logs)
+    instance = _fuzz_instance(rng, kind)
     agent = random_profile(rng, 1, instance.m)[0]
     got = optimize(agent, instance)
     with pytest.MonkeyPatch.context() as patch:
