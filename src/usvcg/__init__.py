@@ -71,7 +71,6 @@ from .solver import (
     BiasSpec,
     ConstantTarget,
     EquitableTarget,
-    SolverConfig,
     TableTarget,
     TaxPreference,
     equitable_allocation,

@@ -5,6 +5,7 @@ Commands::
     usvcg solve INSTANCE (--mean | --agent-index I | --type W1,..,WM,WMONEY)
     usvcg elicit INSTANCE [--ballots PATH] [--answers PATH] [--questions PATH]
     usvcg mechanism INSTANCE [--bias PATH | --non-positive | --hetero] ...
+                    [--gamma G] [--rebate R] [--mu MU]
     usvcg fuzz INSTANCE --trials N [--seed S] [--coalition K] [--csv PATH]
     usvcg converge SIGMA --n-list 10,100,1000 [--seed S] [--non-positive]
     usvcg check INSTANCE RESULT
@@ -13,7 +14,9 @@ Results are JSON documents (stdout, or --out PATH).  Exit codes: 0 ok,
 2 schema/input error, 3 solver or mechanism error, 4 follow-up questions
 pending (the questions are emitted as a request document), 5 a verified
 property failed.  Every command with randomness takes --seed and is
-deterministic given its inputs.
+deterministic given its inputs.  No command takes a numerical setting of
+the solver: tolerances, tax-sample growth and the non-positive scheme's
+finite-difference step are fixed by the library.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ def _run_variant(
         outcome = Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
         variant = {
             "bias": None,
-            "non_positive": {"gamma": npc.gamma, "r": npc.r, "fd_step": npc.fd_step},
+            "non_positive": {"gamma": npc.gamma, "r": npc.r},
             "hetero": False,
         }
         return outcome, variant, None
@@ -193,7 +196,7 @@ def cmd_mechanism(args) -> int:
     npc = None
     if args.non_positive:
         gamma = args.gamma or NonPositiveConfig.for_band(args.mu).gamma
-        npc = NonPositiveConfig(gamma=gamma, r=args.rebate, fd_step=args.fd_step)
+        npc = NonPositiveConfig(gamma=gamma, r=args.rebate)
     outcome, variant, residuals = _run_variant(
         instance,
         profile,
@@ -299,7 +302,6 @@ def cmd_check(args) -> int:
             npc = NonPositiveConfig(
                 gamma=spec.get("gamma") or NonPositiveConfig.for_band(_DEFAULT_MU).gamma,
                 r=spec.get("r", 0.0),
-                fd_step=spec.get("fd_step", 1e-5),
             )
         bias_doc = variant.get("bias")
         fresh_outcome, _, residuals = _run_variant(
@@ -361,12 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mechanism", help="run the mechanism and assign payments")
     p.add_argument("instance")
     p.add_argument("--bias", default=None, help="bias spec JSON path")
-    p.add_argument("--non-positive", action="store_true", dest="non_positive")
+    p.add_argument(
+        "--non-positive", action="store_true", help="Jacobian-bound rebate off the payments (per-capita)"
+    )
     p.add_argument("--hetero", action="store_true")
     p.add_argument("--answers", default=None, help="follow-up answers when eliciting from ballots")
     p.add_argument("--gamma", type=float, default=None, help="type-spread bound for --non-positive")
     p.add_argument("--rebate", type=float, default=0.0, help="extra rebate constant r")
-    p.add_argument("--fd-step", type=float, default=1e-5, dest="fd_step")
     p.add_argument("--mu", type=float, default=_DEFAULT_MU, help="money-weight band for the default gamma")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mechanism)

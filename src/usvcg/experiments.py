@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NonUniqueOptimum
+from .errors import DomainError
 from .mechanism import (
     NonPositiveConfig,
     _Plain,
@@ -32,14 +32,13 @@ from .mechanism import (
 )
 from .model import (
     AgentType,
-    BudgetDecision,
     BudgetInstance,
     CharacteristicTriplet,
     _utility_at,
     excluded_means,
     mean_type,
 )
-from .solver import SolverConfig, optimize
+from .solver import _require_unique_optimum, optimize
 
 __all__ = [
     "FuzzReport",
@@ -494,20 +493,6 @@ def sigma_population(
         types.append(AgentType(tuple(w + z), base.money_weight + dm))
         types.append(AgentType(tuple(w - z), base.money_weight - dm))
     return tuple(types)
-
-
-def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
-    """Multi-start agreement check: a second search with different bracket
-    geometry must land on the same decision.  Returns the first search's."""
-    d1 = optimize(agent, instance)
-    d2 = optimize(agent, instance, SolverConfig(bracket_growth=1.7))
-    if abs(d1.tax - d2.tax) > 1e-6 * max(1.0, abs(d1.tax)) or any(
-        abs(a - b) > 1e-6 for a, b in zip(d1.allocation, d2.allocation)
-    ):
-        raise NonUniqueOptimum(
-            f"searches disagree: t={d1.tax} vs t={d2.tax}; the optimum may not be unique"
-        )
-    return d1
 
 
 def convergence_study(

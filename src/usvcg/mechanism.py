@@ -33,9 +33,9 @@ decision's search sampled, and a pivot solve probes only the rest, its
 brackets' ends and its roots -- about 8-9 slope probes against the
 decision's 46-50 -- and returns its own cold search's decision, bit for bit.
 
-Every run is a pure function of (profile, instance): every solve runs at
-the solver's default settings, except the Jacobian's, which tighten the
-inner-stage tolerance (``_decision_map_jacobian``).  The biased
+Every run is a pure function of (profile, instance): no solve takes a
+numerical setting, and the non-positive scheme's finite-difference step
+is the constant _FD_STEP (``_decision_map_jacobian``).  The biased
 run's n+1 solves share one table of the target side of the objective (the
 phantom target, its weights and its gains at each tax they visit); each
 entry is a pure function of the tax, so the result does not depend on the
@@ -68,7 +68,6 @@ from .model import (
 )
 from .solver import (
     BiasSpec,
-    SolverConfig,
     _certified_pivots,
     _TargetSides,
     corresponding_type,
@@ -94,6 +93,8 @@ __all__ = [
     "tangent_basis",
 ]
 
+_FD_STEP = 1e-5  # central-difference step of the decision-map Jacobian
+
 
 @dataclass(frozen=True)
 class Outcome:
@@ -110,21 +111,17 @@ class NonPositiveConfig:
     """Parameters of the non-positive payment scheme.
 
     ``gamma`` bounds the distance between any agent's type and the others'
-    mean; ``r`` is an extra per-capita rebate; ``fd_step`` is the
-    finite-difference step for the decision-map Jacobian.
+    mean; ``r`` is an extra per-capita rebate.
     """
 
     gamma: float
     r: float = 0.0
-    fd_step: float = 1e-5
 
     def __post_init__(self) -> None:
         if not self.gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
         if self.r < 0.0:
             raise DomainError(f"rebate constant must be >= 0, got {self.r}")
-        if not self.fd_step > 0.0:
-            raise DomainError(f"finite-difference step must be positive, got {self.fd_step}")
 
     @classmethod
     def for_band(cls, mu: float, r: float = 0.0) -> "NonPositiveConfig":
@@ -321,11 +318,12 @@ def _decision_map_jacobian(base: AgentType, instance: BudgetInstance, h: float) 
     """Central finite differences of the decision's feature vector along the
     simplex tangent directions and the money-weight axis.
 
-    The difference quotient divides solver noise by 2h, so the inner solves
-    run at a tightened allocation tolerance; the tax search has no tolerance
-    of its own (its root finder resolves the slope to its rounding bound).
+    The difference quotient divides solver noise by 2h; the inner stage
+    water-fills to 1e-13 of the pool and the tax search resolves the slope
+    to its rounding bound.  The step shrinks to keep the perturbed weights
+    positive, so ``base`` must weight every good: a zero weight leaves no
+    room along any direction that moves it.
     """
-    tight = SolverConfig(x_tolerance=1e-13)
     m = instance.m
     directions: list[tuple[np.ndarray, float]] = [
         (d, 0.0) for d in tangent_basis(m)
@@ -341,11 +339,9 @@ def _decision_map_jacobian(base: AgentType, instance: BudgetInstance, h: float) 
             h_eff = min(h, 0.45 * room)
         if money_dir != 0.0:
             h_eff = min(h_eff, 0.45 * base.money_weight)
-        plus = feature_vector(
-            optimize(_perturbed(base, alloc_dir, money_dir, h_eff), instance, tight), instance
-        )
-        minus = feature_vector(
-            optimize(_perturbed(base, alloc_dir, money_dir, -h_eff), instance, tight), instance
+        plus, minus = (
+            feature_vector(optimize(_perturbed(base, alloc_dir, money_dir, s), instance), instance)
+            for s in (h_eff, -h_eff)
         )
         cols.append((plus - minus) / (2.0 * h_eff))
     return np.column_stack(cols)
@@ -363,9 +359,11 @@ def non_positive_payments(
     The rebate (gamma^2 / n) * (||D|| + 1) + r/n bounds any agent's possible
     pivot payment given the others' reports, with D the Jacobian of the
     feature-vector-of-the-optimum map at the excluded mean (estimated by
-    central differences, spectral norm by power iteration).  Per-capita
-    semantics only; the step-halved Jacobian must agree within 10% or a
-    RegularityWarning is emitted.
+    central differences at the step _FD_STEP, spectral norm by power
+    iteration).  Per-capita semantics only; the step-halved Jacobian must
+    agree within 10% or a RegularityWarning is emitted.  An excluded mean
+    that weights a good at 0 (every other agent does) has no two-sided
+    differences there, so it raises DomainError before any solve.
 
     The rebate is taken off the raw pivots of ``run_us_vcg``.  A caller that
     already holds ``outcome = run_us_vcg(profile, instance)`` passes
@@ -377,15 +375,22 @@ def non_positive_payments(
     if len(profile) != instance.n or len(profile) < 2:
         raise DomainError("non-positive payments need the instance's full profile, n >= 2")
     n = len(profile)
-    if outcome is None:
-        outcome = run_us_vcg(profile, instance)
-    elif len(outcome.raw_vcg) != n:
+    if outcome is not None and len(outcome.raw_vcg) != n:
         raise DomainError(f"outcome has {len(outcome.raw_vcg)} pivots, profile has {n} agents")
     plain = _Plain(profile, instance)
+    others = plain.others()
+    for i, excl in enumerate(others):
+        if 0.0 in excl.alloc_weights:
+            raise DomainError(
+                f"agent {i}: every other agent weights good {excl.alloc_weights.index(0.0)} "
+                "at 0, so the decision map has no two-sided difference at their mean"
+            )
+    if outcome is None:
+        outcome = run_us_vcg(profile, instance)
     payments = []
-    for i, (excl, p) in enumerate(zip(plain.others(), outcome.raw_vcg)):
-        J_half = _decision_map_jacobian(excl, instance, np_config.fd_step / 2.0)
-        J_full = _decision_map_jacobian(excl, instance, np_config.fd_step)
+    for i, (excl, p) in enumerate(zip(others, outcome.raw_vcg)):
+        J_half = _decision_map_jacobian(excl, instance, _FD_STEP / 2.0)
+        J_full = _decision_map_jacobian(excl, instance, _FD_STEP)
         norm_half = _spectral_norm(J_half)
         norm_full = _spectral_norm(J_full)
         if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):

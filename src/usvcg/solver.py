@@ -46,13 +46,13 @@ from .errors import (
     BoundaryTarget,
     ConvergenceError,
     DomainError,
+    NonUniqueOptimum,
     ResolutionTooCoarse,
     TaxDivergence,
 )
 from .model import AgentType, BudgetDecision, BudgetInstance
 
 __all__ = [
-    "SolverConfig",
     "inner_allocation",
     "optimize",
     "optimize_biased",
@@ -73,24 +73,9 @@ _MAX_ITERATIONS = 200  # water-filling Newton steps
 _BRACKET_PATIENCE = 6  # non-positive slope samples before the open piece stops
 _ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its largest term
 _MAX_BRACKET = 1e12  # largest tax offset the open piece samples before TaxDivergence
-_SLACK = 1e-8  # relative margin of a proven slope sign: 100x water-filling's error on lambda
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Inner-stage tolerance and tax-bracket growth for ``optimize``."""
-
-    x_tolerance: float = 1e-10
-    bracket_growth: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.x_tolerance <= 0:
-            raise DomainError("solver tolerance must be positive")
-        if self.bracket_growth <= 1.0:
-            raise DomainError("bracket growth must exceed 1")
-
-
-_DEFAULT = SolverConfig()
+_SLACK = 1e-8  # relative margin of a proven slope sign: 1e5x water-filling's error on lambda
+_X_TOLERANCE = 1e-13  # water-filling's budget residual, relative to the pool
+_GROWTH = 2.0  # ratio of successive tax-sample offsets
 
 
 # =============================================================================
@@ -102,7 +87,6 @@ def _water_fill(
     weights: Sequence[float],
     curves: Sequence[GainCurve],
     budget: float,
-    cfg: SolverConfig,
     warm: tuple[float, float, float] | None = None,
 ) -> tuple[np.ndarray, float, float, float]:
     """Maximise sum_j w_j theta_j(x_j * budget) over the simplex.
@@ -132,7 +116,7 @@ def _water_fill(
         return x, weights[j] * curves[j].value(budget), lam, math.nan
 
     caps = [weights[j] * curves[j].deriv_at_zero() for j in active]
-    tolerance = cfg.x_tolerance * budget
+    tolerance = _X_TOLERANCE * budget
 
     def spends_at(lam: float) -> list[float]:
         out = []
@@ -241,12 +225,10 @@ class _Conditional:
         self,
         weights: Sequence[float],
         curves: Sequence[GainCurve],
-        cfg: SolverConfig,
         warm: tuple[float, float, float] | None = None,
     ):
         self.weights = tuple(np.asarray(weights, dtype=float).tolist())
         self.curves = tuple(curves)
-        self.cfg = cfg
         self.warm = warm
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
         self._fast = len(active) >= 1 and all(
@@ -266,9 +248,7 @@ class _Conditional:
         if self._fast:
             gains = self._const + self._w_total * math.log(budget)
             return self._x, gains, self._w_total / budget
-        x, gains, lam, dlam_db = _water_fill(
-            self.weights, self.curves, budget, self.cfg, self.warm
-        )
+        x, gains, lam, dlam_db = _water_fill(self.weights, self.curves, budget, self.warm)
         self.warm = (budget, lam, dlam_db)
         return x, gains, lam
 
@@ -291,7 +271,7 @@ def inner_allocation(
         raise DomainError(f"allocation needs a positive pool, got {budget}")
     if agent.m != instance.m:
         raise DomainError("type length does not match the instance")
-    x, _ = _Conditional(agent.alloc_weights, instance.gain_curves, _DEFAULT).both(budget)
+    x, _ = _Conditional(agent.alloc_weights, instance.gain_curves).both(budget)
     return x
 
 
@@ -350,10 +330,10 @@ class _Uncertified(Exception):
 def _maximize_over_tax(
     probe: Callable[..., tuple[float, float, float]],
     instance: BudgetInstance,
-    cfg: SolverConfig,
     money_domain_min: float | None = None,
     restart: Callable[[], None] | None = None,
     signs: Callable[[float, Callable], float] | None = None,
+    growth: float = _GROWTH,
 ) -> float:
     """The tax of the best local maximum of a conditional value.
 
@@ -362,7 +342,9 @@ def _maximize_over_tax(
     ulps of it) and, when ``valued``, the value (else nan).  The feasible
     interval is cut at t = 0 when negative taxes are feasible (only the kt
     money curve admits them; its slope is -inf there), and each piece is
-    sampled geometrically up from its lower end: the bounded one up to 0,
+    sampled geometrically up from its lower end, at offsets 1e-8 max(1,
+    |start|) times powers of ``growth`` (2; only the uniqueness check,
+    ``_require_unique_optimum``, passes another): the bounded one up to 0,
     the open one until the slope has stayed <= 0 for _BRACKET_PATIENCE
     samples past both its last positive slope and the scale max(1, |start|),
     so that a dip after the kink cannot end it.  The root of every sampled
@@ -399,7 +381,7 @@ def _maximize_over_tax(
     if start < 0.0:
         while start + s < 0.0:
             sample(start + s)
-            s *= cfg.bracket_growth
+            s *= growth
         sample(0.0)
         s = s0
     lower, patience = samples[-1][0], 0
@@ -415,7 +397,7 @@ def _maximize_over_tax(
             patience = 0
         elif s > scale:
             patience += 1
-        s *= cfg.bracket_growth
+        s *= growth
 
     candidates = [] if samples[0][1] > 0.0 else [start]
     brackets = [
@@ -445,24 +427,37 @@ def _maximize_over_tax(
     return best_t
 
 
-def optimize(
-    agent: AgentType,
-    instance: BudgetInstance,
-    config: SolverConfig | None = None,
-) -> BudgetDecision:
+def optimize(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
     """The optimal budget decision for one (possibly hypothetical) type.
 
     Maximises the conditional value consistent with the instance's MRS
     convention; under the semantics-exact default this is the type's
     valuation itself.  Raises TaxDivergence when the conditional slope is
-    still positive at the fixed tax cap (an offset of 1e12).  ``config``
-    (default ``SolverConfig()``) sets the inner-stage tolerance and the
-    tax-bracket growth; no other entry point takes one.
+    still positive at the fixed tax cap (an offset of 1e12).  It takes no
+    numerical settings: the inner stage water-fills to a budget residual of
+    1e-13 of the pool, and the tax search resolves the slope to its
+    rounding bound.
     """
     if agent.m != instance.m:
         raise DomainError("type length does not match the instance")
     kappa = instance.money_factor() * agent.money_weight
-    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, config or _DEFAULT)
+    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance)
+
+
+def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
+    """Multi-start agreement check: a second tax search, sampling the axis
+    at growth 1.7 instead of 2, must land on the same decision.  Returns the
+    first search's; raises NonUniqueOptimum when they disagree."""
+    d1 = optimize(agent, instance)
+    kappa = instance.money_factor() * agent.money_weight
+    d2 = _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, growth=1.7)
+    if abs(d1.tax - d2.tax) > 1e-6 * max(1.0, abs(d1.tax)) or any(
+        abs(a - b) > 1e-6 for a, b in zip(d1.allocation, d2.allocation)
+    ):
+        raise NonUniqueOptimum(
+            f"searches disagree: t={d1.tax} vs t={d2.tax}; the optimum may not be unique"
+        )
+    return d1
 
 
 # The record of the first solve inside ``_certified_pivots``, once it is made.
@@ -537,16 +532,17 @@ def _decide(
     kappa: float,
     coefficients: tuple[float, float],
     instance: BudgetInstance,
-    cfg: SolverConfig,
     money_domain_min: float | None = None,
+    growth: float = _GROWTH,
 ) -> BudgetDecision:
     """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
-    with c the first of ``coefficients`` for t <= 0 and the second above.
+    with c the first of ``coefficients`` for t <= 0 and the second above,
+    its taxes sampled at ``growth`` (``_maximize_over_tax``).
 
     Inside ``_certified_pivots`` the tax search is first tried certified
     against the record there; when it cannot vouch for its result, the
     inner stage restarts cold and the cold search runs."""
-    cond = _Conditional(weights, instance.gain_curves, cfg)
+    cond = _Conditional(weights, instance.gain_curves)
     money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
     below, above = coefficients
     shared = _RECORD.get()
@@ -565,7 +561,7 @@ def _decide(
     restart = None if cond._fast else cond.restart
 
     def search(signs=None) -> float:
-        return _maximize_over_tax(probe, instance, cfg, money_domain_min, restart, signs)
+        return _maximize_over_tax(probe, instance, money_domain_min, restart, signs, growth)
 
     t_star = None
     if shared and shared[0].instance is instance:
@@ -873,7 +869,7 @@ def optimize_biased(
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
         nonlocal warm
         weights, _, slopes, at_target, at_target_slope = sides.at(t)
-        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves, _DEFAULT, warm)
+        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves, warm)
         pool = instance.pool(t)
         x, combined, marginal = cond.at(pool)
         warm = cond.warm
@@ -890,9 +886,9 @@ def optimize_biased(
         value = combined - at_target + psi.value(t) - kappa * money.value(t) if valued else math.nan
         return sum(terms), max(map(abs, terms)), value
 
-    t_star = _maximize_over_tax(probe, instance, _DEFAULT)
+    t_star = _maximize_over_tax(probe, instance)
     weights = [w + lam * a for w, a in zip(base, sides.at(t_star)[0])]
-    x, _, _ = _Conditional(weights, curves, _DEFAULT, warm).at(instance.pool(t_star))
+    x, _, _ = _Conditional(weights, curves, warm).at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
 
@@ -1019,7 +1015,7 @@ def optimize_hetero(
     dm = max(money.domain_min / omega for _, omega in terms)
     coefficient = _money_coefficients(money, terms)
     coefficients = (coefficient(-1.0), coefficient(1.0))
-    return _decide(weights, instance.money_factor(), coefficients, instance, _DEFAULT, dm)
+    return _decide(weights, instance.money_factor(), coefficients, instance, dm)
 
 
 # =============================================================================

@@ -1,4 +1,5 @@
-"""Shared fixtures: the running log/sqrt instance and random-instance helpers."""
+"""Shared fixtures: the running log/sqrt instance, the kt branch-switch and
+boundary instances, and random-instance helpers."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from usvcg import AgentType, BudgetInstance, GainCurve, MoneyCurve
+from usvcg import AgentType, BudgetInstance, GainCurve, MoneyCurve, optimize
 
 RUNNING_PROFILE = (
     AgentType((0.7, 0.3), 0.8),
@@ -44,6 +45,67 @@ def running_instance() -> BudgetInstance:
 @pytest.fixture
 def running_instance_nfree() -> BudgetInstance:
     return make_running_instance(convention="n_free")
+
+
+BOUNDARY_PROFILE = (
+    AgentType((0.1, 0.9), 1.0),
+    AgentType((0.0, 1.0), 1.3),
+    AgentType((0.0, 1.0), 0.7),
+)
+
+
+def make_boundary_instance(gains, money) -> BudgetInstance:
+    """Agents 1 and 2 weight good 0 at 0, so agent 0's excluded mean does."""
+    return BudgetInstance(
+        m=2,
+        n=3,
+        external_budget=0.0,
+        gain_curves=gains,
+        money_curve=money,
+        semantics="per_capita",
+        types=BOUNDARY_PROFILE,
+    )
+
+
+BOUNDARY_CATALOGS = [
+    # used to return nan for agent 0: a zero step, 0/0 in the difference
+    ((GainCurve.power(5.0, 0.5), GainCurve.log(10.0)), MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5)),
+    # used to fail inside the Jacobian, on a log curve at zero spend
+    ((GainCurve.log(10.0), GainCurve.log(10.0)), MoneyCurve.power(0.5)),
+]
+
+
+def make_kt_branch_instance(profile=None) -> BudgetInstance:
+    """Per-capita log/log with a two-sided money curve and an external
+    budget: the conditional value is bimodal, a cash-back branch at t < 0
+    against a funding branch at t > 0."""
+    return BudgetInstance(
+        m=2,
+        n=4,
+        external_budget=200.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.6, 1.0),
+        semantics="per_capita",
+        types=profile,
+    )
+
+
+@pytest.fixture(scope="session")
+def kt_branch_switch() -> float:
+    """The largest money weight w at which the type ((0.5, 0.5), w) still
+    takes the funding branch on ``make_kt_branch_instance``, by bisection on
+    the sign of its optimal tax: one float above it, the optimum jumps to
+    the cash-back branch."""
+    instance = make_kt_branch_instance()
+    lo, hi = 0.6, 0.7
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if optimize(AgentType((0.5, 0.5), mid), instance).tax > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def random_money_curve(rng: np.random.Generator) -> MoneyCurve:

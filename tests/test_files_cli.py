@@ -7,7 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import RUNNING_PROFILE, make_running_instance
+from conftest import (
+    BOUNDARY_CATALOGS,
+    RUNNING_PROFILE,
+    make_boundary_instance,
+    make_running_instance,
+)
 from usvcg import (
     NonPositiveConfig,
     SchemaError,
@@ -226,6 +231,35 @@ def test_cli_mechanism_non_positive_and_check(tmp_path):
     doc["payments"][1] -= 0.5
     out.write_text(json.dumps(doc))
     assert main(["check", str(inst_path), str(out)]) == 5
+
+
+def test_cli_non_positive_documents_carry_no_step(tmp_path, capsys):
+    # the finite-difference step is a library constant: the flag is gone
+    # (an unknown option is a usage error, exit 2), the result document no
+    # longer records it, and one written while it did still checks
+    inst = make_running_instance(semantics="per_capita")
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(files.instance_to_dict(inst)))
+    out = tmp_path / "result.json"
+    argv = ["mechanism", str(inst_path), "--non-positive", "--out", str(out)]
+    with pytest.raises(SystemExit) as usage:
+        main(argv + ["--fd-step", "1e-5"])
+    assert usage.value.code == 2
+    assert "--fd-step" in capsys.readouterr().err
+    assert main(argv + ["--gamma", "1.5"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["variant"]["non_positive"] == {"gamma": 1.5, "r": 0.0}
+    doc["variant"]["non_positive"]["fd_step"] = 1e-5
+    out.write_text(json.dumps(doc))
+    assert main(["check", str(inst_path), str(out)]) == 0
+
+
+@pytest.mark.parametrize("gains, money", BOUNDARY_CATALOGS)
+def test_cli_non_positive_boundary_excluded_mean(tmp_path, capsys, gains, money):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(files.instance_to_dict(make_boundary_instance(gains, money))))
+    assert main(["mechanism", str(inst_path), "--non-positive", "--gamma", "0.1"]) == 3
+    assert "DomainError: agent 0: every other agent weights good 0 at 0" in capsys.readouterr().err
 
 
 def test_cli_non_positive_default_gamma(tmp_path):

@@ -10,7 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import RUNNING_PROFILE, make_running_instance, random_instance, random_profile
+from conftest import (
+    BOUNDARY_CATALOGS,
+    BOUNDARY_PROFILE,
+    RUNNING_PROFILE,
+    make_boundary_instance,
+    make_kt_branch_instance,
+    make_running_instance,
+    random_instance,
+    random_profile,
+)
 from usvcg import (
     AgentType,
     BiasSpec,
@@ -28,6 +37,7 @@ from usvcg import (
     excluded_means,
     mean_excluding,
     mean_type,
+    mechanism,
     non_positive_payments,
     optimize,
     raw_vcg_payment,
@@ -333,24 +343,60 @@ def test_nonpositive_needs_per_capita(running_instance):
         non_positive_payments(RUNNING_PROFILE, running_instance, NonPositiveConfig(gamma=1.0))
 
 
-def test_regularity_warning_at_branch_switch():
-    # two-sided money curve with an external budget makes the conditional
-    # value bimodal (cash-back branch vs funding branch); near money weight
-    # ~0.6544 the global optimum jumps between branches, so the decision map
-    # is genuinely not differentiable there and step halving disagrees
-    switch = 0.6544
-    profile = (AgentType((0.5, 0.5), 0.9),) + (AgentType((0.5, 0.5), switch),) * 3
+def test_regularity_warning_at_branch_switch(kt_branch_switch):
+    # at the switch the global optimum jumps between the cash-back and the
+    # funding branch, so the decision map of the others' mean is genuinely
+    # not differentiable there and step halving disagrees
+    at = AgentType((0.5, 0.5), kt_branch_switch)
+    profile = (AgentType((0.5, 0.5), 0.9),) + (at,) * 3
+    inst = make_kt_branch_instance(profile)
+    with pytest.warns(RegularityWarning):
+        non_positive_payments(profile, inst, NonPositiveConfig(gamma=1.0))
+
+
+def test_no_regularity_warning_off_branch_switch(kt_branch_switch):
+    # 1e-4 above the switch every perturbed solve stays on one branch
+    above = AgentType((0.5, 0.5), kt_branch_switch + 1e-4)
+    profile = (AgentType((0.5, 0.5), 0.9),) + (above,) * 3
+    inst = make_kt_branch_instance(profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RegularityWarning)
+        non_positive_payments(profile, inst, NonPositiveConfig(gamma=1.0))
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_nonpositive_on_a_water_fill_catalog(n):
+    # the only path where the inner stage's tolerance reaches the Jacobian;
+    # gamma is the profile's own largest type-to-excluded-mean distance
+    profile = random_profile(np.random.default_rng(301), n, 3)
     inst = BudgetInstance(
-        m=2,
-        n=4,
-        external_budget=200.0,
-        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
-        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.6, 1.0),
+        m=3,
+        n=n,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5),
         semantics="per_capita",
         types=profile,
     )
-    with pytest.warns(RegularityWarning):
-        non_positive_payments(profile, inst, NonPositiveConfig(gamma=1.0, fd_step=0.02))
+    gamma = max(
+        math.dist((*t.alloc_weights, t.money_weight), (*e.alloc_weights, e.money_weight))
+        for t, e in zip(profile, excluded_means(profile))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RegularityWarning)
+        payments = non_positive_payments(profile, inst, NonPositiveConfig(gamma=gamma))
+    assert max(payments) <= 0.0
+
+
+@pytest.mark.parametrize("gains, money", BOUNDARY_CATALOGS)
+def test_nonpositive_refuses_a_boundary_excluded_mean(monkeypatch, gains, money):
+    def no_jacobian(*args):
+        raise AssertionError("a Jacobian was differenced")
+
+    monkeypatch.setattr(mechanism, "_decision_map_jacobian", no_jacobian)
+    inst = make_boundary_instance(gains, money)
+    with pytest.raises(DomainError, match="agent 0: every other agent weights good 0 at 0"):
+        non_positive_payments(BOUNDARY_PROFILE, inst, NonPositiveConfig(gamma=0.1))
 
 
 def test_no_warning_on_smooth_family():

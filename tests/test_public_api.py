@@ -1,6 +1,7 @@
-"""The public API: every advertised name resolves, solver settings are
-taken by ``optimize`` alone, and the solvers and mechanisms that share a
-decision's slope record with their pivot solves take no parameter for it."""
+"""The public API: every advertised name resolves, no function or
+dataclass field takes a numerical setting of the solver, and the solvers
+and mechanisms that share a decision's slope record with their pivot
+solves take no parameter for it."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import pytest
 
 import usvcg
 from usvcg import mechanism, solver
-from usvcg.solver import SolverConfig
 
 MODULES = (
     "cli",
@@ -48,7 +48,7 @@ def test_package_exports_resolve_to_their_modules():
             assert public is None or alias.name in public, (node.module, alias.name)
 
 
-def test_only_optimize_takes_solver_settings():
+def test_no_function_takes_solver_settings():
     takers = []
     for name in MODULES:
         module = importlib.import_module(f"usvcg.{name}")
@@ -60,14 +60,17 @@ def test_only_optimize_takes_solver_settings():
                     continue
                 if "config" in parameters:
                     takers.append(f"{name}.{attr}")
-    assert takers == ["solver.optimize"]
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["x_tolerance", "bracket_growth"]
+    assert takers == []
+    assert not hasattr(usvcg, "SolverConfig")
+    assert not hasattr(solver, "SolverConfig")
+    fields = dataclasses.fields(mechanism.NonPositiveConfig)
+    assert tuple(f.name for f in fields) == ("gamma", "r")
 
 
 @pytest.mark.parametrize(
     "function, parameters",
     [
-        (solver.optimize, ["agent", "instance", "config"]),
+        (solver.optimize, ["agent", "instance"]),
         (solver.optimize_hetero, ["profile", "instance", "exclude"]),
         (mechanism.run_us_vcg, ["profile", "instance"]),
         (mechanism.run_us_vcg_hetero, ["profile", "instance"]),

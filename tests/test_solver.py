@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     RUNNING_PROFILE,
+    make_kt_branch_instance,
     make_running_instance,
     random_instance,
     random_profile,
@@ -26,8 +27,8 @@ from usvcg import (
     EquitableTarget,
     GainCurve,
     MoneyCurve,
+    NonUniqueOptimum,
     ResolutionTooCoarse,
-    SolverConfig,
     TableTarget,
     TaxDivergence,
     TaxPreference,
@@ -157,15 +158,14 @@ def _count_calls(monkeypatch, name):
 @settings(max_examples=300, deadline=None)
 def test_warm_water_fill_matches_cold(catalog, budget, guess):
     weights, curves = catalog
-    cfg = SolverConfig()
-    x_cold, _, lam_cold, _ = _water_fill(weights, curves, budget, cfg)
-    x_warm, _, lam_warm, dlam_db = _water_fill(weights, curves, budget, cfg, guess)
+    x_cold, _, lam_cold, _ = _water_fill(weights, curves, budget)
+    x_warm, _, lam_warm, dlam_db = _water_fill(weights, curves, budget, guess)
     assert np.allclose(x_warm, x_cold, rtol=0.0, atol=1e-9)
     assert lam_warm == pytest.approx(lam_cold, rel=1e-9, abs=0.0)
     # chaining the returned state, as a tax search does
     state = (budget, lam_warm, dlam_db)
-    x_next, _, lam_next, _ = _water_fill(weights, curves, 1.01 * budget, cfg, state)
-    x_ref, _, lam_ref, _ = _water_fill(weights, curves, 1.01 * budget, cfg)
+    x_next, _, lam_next, _ = _water_fill(weights, curves, 1.01 * budget, state)
+    x_ref, _, lam_ref, _ = _water_fill(weights, curves, 1.01 * budget)
     assert np.allclose(x_next, x_ref, rtol=0.0, atol=1e-9)
     assert lam_next == pytest.approx(lam_ref, rel=1e-9, abs=0.0)
 
@@ -173,33 +173,33 @@ def test_warm_water_fill_matches_cold(catalog, budget, guess):
 def test_bad_warm_guess_takes_the_cold_path(monkeypatch):
     calls = _count_calls(monkeypatch, "inverse_deriv")
 
-    def run(weights, curves, budget, cfg, warm):
+    def run(weights, curves, budget, warm):
         calls.clear()
-        out = _water_fill(weights, curves, budget, cfg, warm)
+        out = _water_fill(weights, curves, budget, warm)
         return out, len(calls)
 
     weights = (0.5, 0.3, 0.2)
     curves = (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0))
-    cfg = SolverConfig()
-    cold, cold_calls = run(weights, curves, 300.0, cfg, None)
+    cold, cold_calls = run(weights, curves, 300.0, None)
     for far in ((300.0, 1e9, 0.0), (30.0, 1e-9, -1.0), (290.0, cold[2], math.nan)):
         # the prediction lies outside the bracket: straight to the cold path
-        out, n = run(weights, curves, 300.0, cfg, far)
+        out, n = run(weights, curves, 300.0, far)
         assert n == cold_calls
         assert all(np.array_equal(a, b) for a, b in zip(out, cold))
-    _, n = run(weights, curves, 300.0, cfg, (290.0, cold[2] * 1.03, cold[3]))
+    _, n = run(weights, curves, 300.0, (290.0, cold[2] * 1.03, cold[3]))
     assert n < cold_calls
     # a flat tangent predicts the previous lambda unchanged
-    out, _ = run(weights, curves, 300.0, cfg, (290.0, cold[2], 0.0))
+    out, _ = run(weights, curves, 300.0, (290.0, cold[2], 0.0))
     assert np.allclose(out[0], cold[0], rtol=0.0, atol=1e-9)
 
     # Two identical goods put the root exactly on the bracket's upper end,
     # and no Newton run inside the bracket meets a 1e-300 tolerance there:
     # the warm run ends unconverged and the call reruns the cold path (which
     # first widens the bracket), returning its result unchanged.
-    weights, curves, strict = (1.0, 1.0), (GainCurve.log(10.0),) * 2, SolverConfig(1e-300)
-    cold, cold_calls = run(weights, curves, 3.0, strict, None)
-    out, n = run(weights, curves, 3.0, strict, (2.97, cold[2] * 0.999, -cold[2] / 3.0))
+    monkeypatch.setattr(solver, "_X_TOLERANCE", 1e-300)
+    weights, curves = (1.0, 1.0), (GainCurve.log(10.0),) * 2
+    cold, cold_calls = run(weights, curves, 3.0, None)
+    out, n = run(weights, curves, 3.0, (2.97, cold[2] * 0.999, -cold[2] / 3.0))
     assert n > cold_calls
     assert all(np.array_equal(a, b) for a, b in zip(out, cold))
 
@@ -218,7 +218,7 @@ def test_warm_water_fill_sweeps_along_a_golden_search(monkeypatch, curves):
     # water-fill may take at most three sweeps of the spend functions
     calls = _count_calls(monkeypatch, "inverse_deriv")
     weights = (0.5, 0.3, 0.2)[: len(curves)]
-    cond = _Conditional(weights, curves, SolverConfig())
+    cond = _Conditional(weights, curves)
     budget, step = 200.0, 60.0
     cond.both(budget)
     for k in range(40):
@@ -227,7 +227,7 @@ def test_warm_water_fill_sweeps_along_a_golden_search(monkeypatch, curves):
         calls.clear()
         x, _ = cond.both(budget)
         assert len(calls) <= 3 * len(curves)
-        cold = _water_fill(weights, curves, budget, SolverConfig())[0]
+        cold = _water_fill(weights, curves, budget)[0]
         assert np.allclose(x, cold, rtol=0.0, atol=1e-9)
 
 
@@ -905,6 +905,18 @@ def _variants_catalog():
         types=types,
     )
     return types, BudgetInstance(**base), BudgetInstance(**base, tax_weights=tuple(weights))
+
+
+def test_uniqueness_check_raises_at_a_branch_switch(kt_branch_switch):
+    # at the switch the two branches' maxima tie to within rounding: the
+    # search at growth 2 settles on the funding branch (t = 126.60) and the
+    # one at growth 1.7 on the cash-back branch (t = -4.31)
+    profile = (AgentType((0.5, 0.5), kt_branch_switch),) * 4
+    instance = make_kt_branch_instance(profile)
+    with pytest.raises(NonUniqueOptimum):
+        solver._require_unique_optimum(mean_type(profile), instance)
+    away = AgentType((0.5, 0.5), 0.6)
+    assert solver._require_unique_optimum(away, instance) == optimize(away, instance)
 
 
 def _keep_probes(monkeypatch):
