@@ -368,7 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--hetero", action="store_true")
     p.add_argument("--answers", default=None, help="follow-up answers when eliciting from ballots")
-    p.add_argument("--gamma", type=float, default=None, help="type-spread bound for --non-positive")
+    p.add_argument(
+        "--gamma",
+        type=float,
+        default=None,
+        help="type-spread bound for --non-positive; it must cover every type's distance to the others' mean",
+    )
     p.add_argument("--rebate", type=float, default=0.0, help="extra rebate constant r")
     p.add_argument("--mu", type=float, default=_DEFAULT_MU, help="money-weight band for the default gamma")
     p.add_argument("--out", default=None)

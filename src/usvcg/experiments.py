@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _LOCAL_SCALES = (1e-1, 1e-2)
+_TOLERANCE = 1e-9  # utility gain a misreport must beat to count as profitable
+_COALITION_LIES = 2  # coordinated lies each coalition trial draws
 
 
 # =============================================================================
@@ -290,7 +292,6 @@ def sdsic_fuzz(
     trials: int,
     seed: int,
     mu: float = 4.0,
-    tolerance: float = 1e-9,
     misreport_space: str = "full",
 ) -> FuzzReport:
     """Search for a profitable unilateral misreport.
@@ -300,7 +301,7 @@ def sdsic_fuzz(
     utility under the lie against truth-telling.  The report's ``mode`` is
     "sdsic" when every gain curve has a diverging marginal at zero spend
     (interior optima certified) and "dsic" otherwise; the numeric pass
-    criterion -- max gain at most ``tolerance`` -- is the same in both.
+    criterion -- max gain at most _TOLERANCE (1e-9) -- is the same in both.
 
     ``misreport_space`` is "full" or "allocation".  No-profit holds on the
     allocation space: a lie there only displaces the outcome away from the
@@ -346,7 +347,7 @@ def sdsic_fuzz(
     if trials == 0:
         max_gain = 0.0
     return FuzzReport(
-        trials, max_gain, worst, tolerance, mode, tuple(gains), misreport_space
+        trials, max_gain, worst, _TOLERANCE, mode, tuple(gains), misreport_space
     )
 
 
@@ -356,8 +357,6 @@ def coalition_probe(
     trials: int,
     seed: int,
     mu: float = 4.0,
-    restarts: int = 2,
-    tolerance: float = 1e-9,
     misreport_space: str = "full",
 ) -> CoalitionReport:
     """Search for coordinated misreports that benefit a coalition and check
@@ -394,7 +393,7 @@ def coalition_probe(
         u_truth = utilities(true_profile, members)
         trial_found = 0
         trial_unstable = 0
-        for _ in range(restarts):
+        for _ in range(_COALITION_LIES):
             lies = {
                 i: _draw_misreport(rng, true_profile[i], mu, misreport_space)
                 for i in members
@@ -404,7 +403,7 @@ def coalition_probe(
             )
             u_lie = utilities(reported, members)
             weak = all(u_lie[i] >= u_truth[i] - 1e-12 for i in members)
-            strict = any(u_lie[i] > u_truth[i] + tolerance for i in members)
+            strict = any(u_lie[i] > u_truth[i] + _TOLERANCE for i in members)
             if not (weak and strict):
                 continue
             found += 1
@@ -418,7 +417,7 @@ def coalition_probe(
                 for cand in candidates:
                     probe = reported[:i] + (cand,) + reported[i + 1 :]
                     u_cand = utilities(probe, [i])[i]
-                    if u_cand > u_lie[i] + tolerance:
+                    if u_cand > u_lie[i] + _TOLERANCE:
                         deviator = i
                         break
                 if deviator is not None:

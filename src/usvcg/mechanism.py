@@ -291,24 +291,6 @@ def tangent_basis(m: int) -> list[np.ndarray]:
     return basis
 
 
-def _spectral_norm(J: np.ndarray, iters: int = 50, tol: float = 1e-10) -> float:
-    """Largest singular value by power iteration on J^T J."""
-    A = J.T @ J
-    v = np.ones(A.shape[0]) / math.sqrt(A.shape[0])
-    lam = 0.0
-    for _ in range(iters):
-        w = A @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - lam) <= tol * max(1.0, norm):
-            lam = norm
-            break
-        lam = norm
-    return math.sqrt(lam)
-
-
 def _perturbed(base: AgentType, alloc_dir: np.ndarray, money_dir: float, h: float) -> AgentType:
     weights = tuple(w + h * d for w, d in zip(base.alloc_weights, alloc_dir))
     return AgentType(weights, base.money_weight + h * money_dir)
@@ -359,11 +341,13 @@ def non_positive_payments(
     The rebate (gamma^2 / n) * (||D|| + 1) + r/n bounds any agent's possible
     pivot payment given the others' reports, with D the Jacobian of the
     feature-vector-of-the-optimum map at the excluded mean (estimated by
-    central differences at the step _FD_STEP, spectral norm by power
-    iteration).  Per-capita semantics only; the step-halved Jacobian must
-    agree within 10% or a RegularityWarning is emitted.  An excluded mean
-    that weights a good at 0 (every other agent does) has no two-sided
-    differences there, so it raises DomainError before any solve.
+    central differences at the step _FD_STEP, spectral norm from its
+    singular values).  Per-capita semantics only; the step-halved Jacobian
+    must agree within 10% or a RegularityWarning is emitted.  An excluded
+    mean that weights a good at 0 (every other agent does) has no two-sided
+    differences there, and a type farther than gamma from its excluded mean
+    (Euclidean over the allocation weights and the money weight) breaks the
+    bound the rebate rests on; either raises DomainError before any solve.
 
     The rebate is taken off the raw pivots of ``run_us_vcg``.  A caller that
     already holds ``outcome = run_us_vcg(profile, instance)`` passes
@@ -385,14 +369,23 @@ def non_positive_payments(
                 f"agent {i}: every other agent weights good {excl.alloc_weights.index(0.0)} "
                 "at 0, so the decision map has no two-sided difference at their mean"
             )
+    for i, (agent, excl) in enumerate(zip(profile, others)):
+        distance = math.dist(
+            (*agent.alloc_weights, agent.money_weight), (*excl.alloc_weights, excl.money_weight)
+        )
+        if distance > np_config.gamma:
+            raise DomainError(
+                f"agent {i}: distance {distance:.6g} to the others' mean exceeds "
+                f"gamma {np_config.gamma:.6g}, so the rebate does not bound its pivot"
+            )
     if outcome is None:
         outcome = run_us_vcg(profile, instance)
     payments = []
     for i, (excl, p) in enumerate(zip(others, outcome.raw_vcg)):
         J_half = _decision_map_jacobian(excl, instance, _FD_STEP / 2.0)
         J_full = _decision_map_jacobian(excl, instance, _FD_STEP)
-        norm_half = _spectral_norm(J_half)
-        norm_full = _spectral_norm(J_full)
+        norm_half = float(np.linalg.norm(J_half, 2))
+        norm_full = float(np.linalg.norm(J_full, 2))
         if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
             warnings.warn(
                 f"decision-map Jacobian at agent {i} changes by more than 10% "

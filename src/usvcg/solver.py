@@ -8,9 +8,8 @@ The optimisation is solved in the two natural stages:
    ``sum_j w_j theta_j(x_j B)`` over the simplex by water-filling -- all
    funded goods share a common weighted marginal ``lambda``, goods whose
    best attainable weighted marginal stays below ``lambda`` are clipped
-   to zero (KKT), and ``lambda`` is found by a safeguarded Newton search
-   on ``sum_j spend_j(lambda) = B``, started warm from the previous
-   evaluation of the same tax search when its prediction is usable.
+   to zero (KKT), and ``lambda`` is found by Newton's method on the water
+   level 1/lambda, from a start that only depends on (weights, curves, B).
 
 2. *Outer stage*: a search on t over the sign of the analytic conditional
    slope.  The feasible interval is cut at the kt money curve's kink t = 0
@@ -18,13 +17,11 @@ The optimisation is solved in the two natural stages:
    sampled geometrically, the root of every sampled sign change from + to -
    is found by Chandrupatla's method (inverse quadratic interpolation
    safeguarded by bisection) down to the slope's rounding bound, and the
-   candidates are compared by value.  Each bracket's root search starts
-   cold: on a water-filling catalog the inner stage forgets its warm start
-   and re-probes the bracket's ends, so the roots do not depend on the
-   samples taken before them.  A mechanism's pivot solves take the signs of
-   the decision solve's samples where a bound proves them
-   (``_SlopeRecord``) and probe only the rest, with the same result as the
-   full search, bit for bit.
+   candidates are compared by value.  Every evaluation is a pure function
+   of its tax, so a search's result depends on nothing but the taxes it
+   evaluates.  A mechanism's pivot solves take the signs of the decision
+   solve's samples where a bound proves them (``_SlopeRecord``) and probe
+   only the rest, with the same result as the full search, bit for bit.
 
 Ties between equal-value optima break deterministically: lowest tax,
 then lexicographically smallest allocation.
@@ -87,23 +84,22 @@ def _water_fill(
     weights: Sequence[float],
     curves: Sequence[GainCurve],
     budget: float,
-    warm: tuple[float, float, float] | None = None,
-) -> tuple[np.ndarray, float, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Maximise sum_j w_j theta_j(x_j * budget) over the simplex.
 
-    Returns (allocation, gains, common marginal lambda, dlambda/dbudget),
-    the last being 1 / sum_j 1/(w_j theta_j''(s_j)) at Newton's last step,
-    or the guess's own when a warm start took none (else nan).  Callers
-    guarantee budget > 0 and at least one strictly positive weight.
+    Returns (allocation, gains, common marginal lambda).  Callers guarantee
+    budget > 0 and at least one strictly positive weight.
 
-    ``warm`` is the (budget, lambda, dlambda/dbudget) of an earlier call.
-    Its tangent in log-log coordinates, lambda * (budget/budget_prev)**e
-    with e = dlambda/dbudget * budget_prev/lambda, predicts lambda_0; it is
-    the linear tangent to first order, and exact for one-kind log or power
-    catalogs, so it also predicts a doubled pool.  When lambda_0 lies
-    strictly inside the derivative bracket, Newton starts there, skipping
-    the bracket-verification sweeps.  A warm run that ends outside the
-    tolerance reruns the cold path: a bad guess costs time, not accuracy.
+    Newton on the water level mu = 1/lambda (Palomar & Fonollosa, IEEE TSP
+    53:686, 2005).  Good j spends theta_j'^-1(1/(w_j mu)), or nothing once
+    1/mu reaches w_j theta_j'(0).  That spend is linear in mu for log and
+    log1p (clipped at 0) and c mu**(1/(1-e)) for power, so the total spend
+    is convex and increasing in mu.  At mu_0 = 1/max_j w_j theta_j'(budget)
+    the best good alone spends the budget, so Newton descends from there
+    onto the root monotonically.  It stops at a residual of _X_TOLERANCE of
+    the budget, or at a step within 1e-15 of mu, the rounding floor of the
+    spends (log1p's a/lambda - 1 at a tiny pool cannot meet the residual).
+    The result is a pure function of the arguments.
     """
     m = len(weights)
     active = [j for j in range(m) if weights[j] > 0.0]
@@ -113,86 +109,29 @@ def _water_fill(
         j = active[0]
         x[j] = 1.0
         lam = weights[j] * curves[j].deriv(budget)
-        return x, weights[j] * curves[j].value(budget), lam, math.nan
+        return x, weights[j] * curves[j].value(budget), lam
 
-    caps = [weights[j] * curves[j].deriv_at_zero() for j in active]
+    goods = [(weights[j], curves[j], weights[j] * curves[j].deriv_at_zero()) for j in active]
     tolerance = _X_TOLERANCE * budget
-
-    def spends_at(lam: float) -> list[float]:
-        out = []
-        for j, cap in zip(active, caps):
-            out.append(
-                0.0 if lam >= cap else curves[j].inverse_deriv(lam / weights[j])
-            )
-        return out
-
-    def excess(spends: list[float]) -> float:
-        return math.fsum(spends) - budget
-
-    def newton(lam: float, lo: float, hi: float, slope: float) -> tuple[list, float, float]:
-        """Safeguarded Newton on the budget residual inside (lo, hi):
-        (spends, lambda, last slope)."""
-        spends = spends_at(lam)
-        for _ in range(_MAX_ITERATIONS):
-            h = excess(spends)
-            if abs(h) <= tolerance:
-                break
-            if h > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            slope = math.fsum(
-                1.0 / (weights[j] * curves[j].deriv2(s))
-                for j, s in zip(active, spends)
-                if s > 0.0
-            )
-            lam_newton = lam - h / slope if slope < 0.0 else math.nan
-            if math.isfinite(lam_newton) and lo < lam_newton < hi:
-                lam = lam_newton
-            else:
-                lam = math.sqrt(lo * hi)
-            spends = spends_at(lam)
-            if hi - lo <= 1e-15 * lam:
-                break
-        else:
-            raise ConvergenceError("water-filling hit its iteration cap")
-        return spends, lam, slope
-
-    # lambda* is bracketed by the weighted marginals at the full budget and
-    # at an equal split; the cold path expands defensively for rounding.
-    k = len(active)
-    lo = max(weights[j] * curves[j].deriv(budget) for j in active)
-    hi = max(weights[j] * curves[j].deriv(budget / k) for j in active)
-    if hi <= lo:
-        hi = lo * (1.0 + 1e-9) + 1e-300
-
-    found = None
-    if warm is not None:
-        b_prev, lam_prev, dlam_db = warm
-        # the tangent in (log budget, log lambda): the elasticity of lambda
-        # in the pool is a weighted mean of the funded goods' X theta''/theta',
-        # which is -1 for log and within (-1, 0) for power and log1p
-        elasticity = min(max(dlam_db * b_prev / lam_prev, -1.0), 0.0)
-        lam0 = lam_prev * (budget / b_prev) ** elasticity
-        if lo < lam0 < hi:
-            found = newton(lam0, lo, hi, 1.0 / dlam_db if dlam_db else math.nan)
-            if abs(excess(found[0])) > tolerance:
-                found = None
-    if found is None:
-        for _ in range(200):
-            if excess(spends_at(hi)) <= 0.0:
-                break
-            hi *= 4.0
-        else:
-            raise ConvergenceError("water-filling could not bracket the marginal")
-        for _ in range(200):
-            if excess(spends_at(lo)) >= 0.0:
-                break
-            lo /= 4.0
-        else:
-            raise ConvergenceError("water-filling could not bracket the marginal")
-        found = newton(math.sqrt(lo * hi), lo, hi, math.nan)
-    spends, lam, slope = found
+    lam = max(w * curve.deriv(budget) for w, curve, _ in goods)
+    for _ in range(_MAX_ITERATIONS):
+        spends = [curve.inverse_deriv(lam / w) if lam < cap else 0.0 for w, curve, cap in goods]
+        excess = math.fsum(spends) - budget
+        if abs(excess) <= tolerance:
+            break
+        # d spend_j / d mu = -lambda**2 / (w_j theta_j''(spend_j))
+        slope = math.fsum(
+            -lam * lam / (w * curve.deriv2(s)) for (w, curve, _), s in zip(goods, spends) if s > 0.0
+        )
+        if not slope > 0.0:
+            raise ConvergenceError("water-filling funds no good")
+        mu = 1.0 / lam
+        step = excess / slope
+        if abs(step) <= 1e-15 * mu:
+            break
+        lam = 1.0 / (mu - step)
+    else:
+        raise ConvergenceError("water-filling hit its iteration cap")
 
     total = math.fsum(spends)
     gains = 0.0
@@ -203,7 +142,7 @@ def _water_fill(
             gains += weights[j] * curves[j].value(share * budget)
         elif curves[j].strict_domain:
             raise ConvergenceError("zero share on a strictly positive-domain curve")
-    return x, gains, lam, 1.0 / slope if slope else math.nan
+    return x, gains, lam
 
 
 class _Conditional:
@@ -215,21 +154,13 @@ class _Conditional:
     theorem it is the derivative of the conditional gains with respect to
     the pool, so one evaluation gives the value and the slope of a tax.
 
-    Otherwise each evaluation water-fills, warm-started from ``warm``: the
-    (budget, lambda, dlambda/dbudget) of the previous water-fill, or of the
-    caller's.  The object lives for one solve, so a solve stays a pure
-    function of its inputs.
+    Otherwise each evaluation water-fills from scratch, so ``at`` is a
+    pure function of the pool whatever was evaluated before it.
     """
 
-    def __init__(
-        self,
-        weights: Sequence[float],
-        curves: Sequence[GainCurve],
-        warm: tuple[float, float, float] | None = None,
-    ):
+    def __init__(self, weights: Sequence[float], curves: Sequence[GainCurve]):
         self.weights = tuple(np.asarray(weights, dtype=float).tolist())
         self.curves = tuple(curves)
-        self.warm = warm
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
         self._fast = len(active) >= 1 and all(
             curves[j].kind == "log" for j in active
@@ -248,13 +179,7 @@ class _Conditional:
         if self._fast:
             gains = self._const + self._w_total * math.log(budget)
             return self._x, gains, self._w_total / budget
-        x, gains, lam, dlam_db = _water_fill(self.weights, self.curves, budget, self.warm)
-        self.warm = (budget, lam, dlam_db)
-        return x, gains, lam
-
-    def restart(self) -> None:
-        """Forget the warm start, so the next water-fill starts cold."""
-        self.warm = None
+        return _water_fill(self.weights, self.curves, budget)
 
     def both(self, budget: float) -> tuple[np.ndarray, float]:
         x, gains, _ = self.at(budget)
@@ -331,7 +256,6 @@ def _maximize_over_tax(
     probe: Callable[..., tuple[float, float, float]],
     instance: BudgetInstance,
     money_domain_min: float | None = None,
-    restart: Callable[[], None] | None = None,
     signs: Callable[[float, Callable], float] | None = None,
     growth: float = _GROWTH,
 ) -> float:
@@ -353,17 +277,13 @@ def _maximize_over_tax(
     within 1e-12 relative the lowest tax wins.  Raises TaxDivergence when
     the slope is still positive at the tax cap, _MAX_BRACKET.
 
-    A probe whose result depends on the probes before it (the warm-started
-    water-filling) passes ``restart``, which makes its next evaluation cold.
-    It is called before each root search, which then starts from fresh
-    probes of its bracket's ends (from the sampled slopes, should a fresh
-    sign differ), and before returning when there is no bracket.  So what
-    follows the sampling depends on the sampled taxes and signs alone, not
-    on the warm starts the sampling left.  A certified search passes
-    ``signs(t, probe)``: the slope at t, or a number of its sign where a
-    bound proves it (``_SlopeRecord.signs``).  Its root searches always
-    start from fresh probes, and a fresh sign that differs raises
-    _Uncertified.
+    Every probe is a pure function of its tax, so each root search starts
+    from the slopes sampled at its bracket's ends.  A certified search
+    passes ``signs(t, probe)``: the slope at t, or a number of its sign
+    where a bound proves it (``_SlopeRecord.signs``).  A proven sign is not
+    a slope, so its root searches start from fresh probes of their ends:
+    the cold search's sampled slopes, bit for bit.  A fresh sign that
+    differs raises _Uncertified.
     """
     if money_domain_min is None:
         money_domain_min = instance.money_curve.domain_min
@@ -406,17 +326,11 @@ def _maximize_over_tax(
         if at_a > 0.0 and not at_b > 0.0
     ]
     for a, b, at_a, at_b in brackets:
-        if restart is not None or signs is not None:
-            if restart is not None:
-                restart()
-            fresh = probe(a)[0], probe(b)[0]
-            if fresh[0] > 0.0 and not fresh[1] > 0.0:
-                at_a, at_b = fresh
-            elif signs is not None:
+        if signs is not None:
+            at_a, at_b = probe(a)[0], probe(b)[0]
+            if not (at_a > 0.0 and not at_b > 0.0):
                 raise _Uncertified
         candidates.append(_slope_root(probe, a, b, at_a, at_b))
-    if restart is not None and not brackets:
-        restart()
     best_t = candidates[0]
     if len(candidates) > 1:
         best_v = probe(best_t, True)[2]
@@ -487,7 +401,7 @@ class _SlopeRecord:
     Its cost term is exactly r times the recorded one, r the ratio of kappa
     times the money coefficient on the tax's side of 0.  A sign these bounds
     give with _SLACK to spare is the sign the type's cold search samples
-    there, whatever its water-fills' warm starts.
+    there.
     """
 
     def __init__(self, instance, cond, kappa, coefficients, terms):
@@ -498,8 +412,7 @@ class _SlopeRecord:
         """The ``signs`` of a certified search for another type of the same
         instance.  At a tax of the record where the bounds prove the sign it
         is +-1; elsewhere it is the probed slope, and a probed slope within
-        _SLACK of its size raises _Uncertified, since the cold search's
-        probe there, warm-started differently, might take the other sign."""
+        _SLACK of its size raises _Uncertified."""
         ours, theirs = cond.weights, self.cond.weights
         if cond._fast and self.cond._fast:
             lo = hi = cond._w_total / self.cond._w_total
@@ -541,7 +454,7 @@ def _decide(
 
     Inside ``_certified_pivots`` the tax search is first tried certified
     against the record there; when it cannot vouch for its result, the
-    inner stage restarts cold and the cold search runs."""
+    cold search runs."""
     cond = _Conditional(weights, instance.gain_curves)
     money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
     below, above = coefficients
@@ -558,17 +471,13 @@ def _decide(
         value = gains - kappa * (c * money.value(t)) if valued else math.nan
         return gain - cost, gain if gain > cost else cost, value
 
-    restart = None if cond._fast else cond.restart
-
     def search(signs=None) -> float:
-        return _maximize_over_tax(probe, instance, money_domain_min, restart, signs, growth)
+        return _maximize_over_tax(probe, instance, money_domain_min, signs, growth)
 
     t_star = None
     if shared and shared[0].instance is instance:
-        try:
+        with contextlib.suppress(_Uncertified):
             t_star = search(shared[0].signs(cond, kappa, coefficients))
-        except _Uncertified:
-            cond.restart()
     if t_star is None:
         t_star = search()
         if shared == []:
@@ -864,15 +773,11 @@ def optimize_biased(
     kappa = instance.money_factor() * agent.money_weight
     base = agent.alloc_weights
 
-    warm = None  # the last water-fill of this solve, across the per-tax weights
-
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
-        nonlocal warm
         weights, _, slopes, at_target, at_target_slope = sides.at(t)
-        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves, warm)
+        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves)
         pool = instance.pool(t)
         x, combined, marginal = cond.at(pool)
-        warm = cond.warm
         reweighted = sum(  # sum_j a_j'(t) theta_j(x_j pool)
             a * curve.value(float(xj) * pool) for a, xj, curve in zip(slopes, x, curves) if a
         )
@@ -888,7 +793,7 @@ def optimize_biased(
 
     t_star = _maximize_over_tax(probe, instance)
     weights = [w + lam * a for w, a in zip(base, sides.at(t_star)[0])]
-    x, _, _ = _Conditional(weights, curves, warm).at(instance.pool(t_star))
+    x, _, _ = _Conditional(weights, curves).at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: the running log/sqrt instance, the kt branch-switch and
-boundary instances, and random-instance helpers."""
+"""Shared fixtures: the running log/sqrt instance, the kt branch-switch,
+boundary and water-filling non-positive instances, and random-instance
+helpers."""
 
 from __future__ import annotations
 
@@ -73,6 +74,20 @@ BOUNDARY_CATALOGS = [
     # used to fail inside the Jacobian, on a log curve at zero spend
     ((GainCurve.log(10.0), GainCurve.log(10.0)), MoneyCurve.power(0.5)),
 ]
+
+
+def make_water_fill_kt_instance(n: int) -> BudgetInstance:
+    """Per-capita log/power/log1p with a two-sided money curve and a random
+    profile (``default_rng(301)``): its non-positive payments water-fill."""
+    return BudgetInstance(
+        m=3,
+        n=n,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5),
+        semantics="per_capita",
+        types=random_profile(np.random.default_rng(301), n, 3),
+    )
 
 
 def make_kt_branch_instance(profile=None) -> BudgetInstance:

@@ -12,6 +12,7 @@ from conftest import (
     RUNNING_PROFILE,
     make_boundary_instance,
     make_running_instance,
+    make_water_fill_kt_instance,
 )
 from usvcg import (
     NonPositiveConfig,
@@ -260,6 +261,15 @@ def test_cli_non_positive_boundary_excluded_mean(tmp_path, capsys, gains, money)
     inst_path.write_text(json.dumps(files.instance_to_dict(make_boundary_instance(gains, money))))
     assert main(["mechanism", str(inst_path), "--non-positive", "--gamma", "0.1"]) == 3
     assert "DomainError: agent 0: every other agent weights good 0 at 0" in capsys.readouterr().err
+
+
+def test_cli_non_positive_gamma_below_the_profile_spread(tmp_path, capsys):
+    # 0.6126 is the profile's spread over the allocation weights alone;
+    # with the money weight it is 1.797
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(files.instance_to_dict(make_water_fill_kt_instance(6))))
+    assert main(["mechanism", str(inst_path), "--non-positive", "--gamma", "0.6126"]) == 3
+    assert "to the others' mean exceeds gamma 0.6126" in capsys.readouterr().err
 
 
 def test_cli_non_positive_default_gamma(tmp_path):

@@ -17,6 +17,7 @@ from conftest import (
     make_boundary_instance,
     make_kt_branch_instance,
     make_running_instance,
+    make_water_fill_kt_instance,
     random_instance,
     random_profile,
 )
@@ -326,9 +327,12 @@ def test_jacobian_matches_closed_form():
 
 
 def test_nonpositive_reuses_outcome_pivots():
+    # gamma covers the profile's spread (1.594); on the one-sided power
+    # money curve no such rebate is attainable, the two-sided kt one absorbs it
     profile = random_profile(np.random.default_rng(8), 5, 2)
-    inst = _per_capita_log_instance(5, profile)
-    npc = NonPositiveConfig(gamma=1.0)
+    kt = MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5)
+    inst = dataclasses.replace(_per_capita_log_instance(5, profile), money_curve=kt)
+    npc = NonPositiveConfig(gamma=2.0)
     outcome = run_us_vcg(profile, inst)
     assert non_positive_payments(profile, inst, npc, outcome=outcome) == non_positive_payments(
         profile, inst, npc
@@ -364,20 +368,16 @@ def test_no_regularity_warning_off_branch_switch(kt_branch_switch):
         non_positive_payments(profile, inst, NonPositiveConfig(gamma=1.0))
 
 
+def _no_jacobian(*args):
+    raise AssertionError("a Jacobian was differenced")
+
+
 @pytest.mark.parametrize("n", [6, 12])
 def test_nonpositive_on_a_water_fill_catalog(n):
     # the only path where the inner stage's tolerance reaches the Jacobian;
     # gamma is the profile's own largest type-to-excluded-mean distance
-    profile = random_profile(np.random.default_rng(301), n, 3)
-    inst = BudgetInstance(
-        m=3,
-        n=n,
-        external_budget=0.0,
-        gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
-        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5),
-        semantics="per_capita",
-        types=profile,
-    )
+    inst = make_water_fill_kt_instance(n)
+    profile = inst.types
     gamma = max(
         math.dist((*t.alloc_weights, t.money_weight), (*e.alloc_weights, e.money_weight))
         for t, e in zip(profile, excluded_means(profile))
@@ -390,13 +390,44 @@ def test_nonpositive_on_a_water_fill_catalog(n):
 
 @pytest.mark.parametrize("gains, money", BOUNDARY_CATALOGS)
 def test_nonpositive_refuses_a_boundary_excluded_mean(monkeypatch, gains, money):
-    def no_jacobian(*args):
-        raise AssertionError("a Jacobian was differenced")
-
-    monkeypatch.setattr(mechanism, "_decision_map_jacobian", no_jacobian)
+    monkeypatch.setattr(mechanism, "_decision_map_jacobian", _no_jacobian)
     inst = make_boundary_instance(gains, money)
     with pytest.raises(DomainError, match="agent 0: every other agent weights good 0 at 0"):
         non_positive_payments(BOUNDARY_PROFILE, inst, NonPositiveConfig(gamma=0.1))
+
+
+def test_nonpositive_refuses_a_gamma_below_the_profile_spread(monkeypatch):
+    # gamma over the allocation weights alone (0.6126) leaves out the money
+    # weight, and the profile's own spread is 1.797: the rebate would not
+    # cover the pivots (the largest payment came out +0.221)
+    monkeypatch.setattr(mechanism, "_decision_map_jacobian", _no_jacobian)
+    inst = make_water_fill_kt_instance(6)
+    profile = inst.types
+    gamma = max(
+        math.dist(t.alloc_weights, e.alloc_weights)
+        for t, e in zip(profile, excluded_means(profile))
+    )
+    assert gamma == pytest.approx(0.6126, abs=1e-4)
+    refusal = r"agent \d+: distance 1\.79\d* to the others' mean exceeds gamma 0\.6126"
+    with pytest.raises(DomainError, match=refusal):
+        non_positive_payments(profile, inst, NonPositiveConfig(gamma=gamma))
+
+
+def test_nonpositive_rebate_takes_the_exact_spectral_norm(monkeypatch):
+    # both Jacobians have spectral norm 1.1, but the first one's top right
+    # singular vector (1, -1)/sqrt(2) is orthogonal to the vector of ones a
+    # power iteration would start from, which would find 1.0 instead
+    root = math.sqrt(0.5)
+    hidden = np.array([[1.1 * root, -1.1 * root], [root, root], [0.0, 0.0]])
+    plain = np.array([[1.1, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    profile = (AgentType((0.4, 0.6), 1.0),) * 4
+    inst = _per_capita_log_instance(4, profile)
+    npc = NonPositiveConfig(gamma=1.0)
+    payments = []
+    for J in (hidden, plain):
+        monkeypatch.setattr(mechanism, "_decision_map_jacobian", lambda *args, J=J: J)
+        payments.append(non_positive_payments(profile, inst, npc))
+    np.testing.assert_allclose(payments[0], payments[1], rtol=1e-12, atol=0.0)
 
 
 def test_no_warning_on_smooth_family():

@@ -1,7 +1,8 @@
 """The public API: every advertised name resolves, no function or
-dataclass field takes a numerical setting of the solver, and the solvers
+dataclass field takes a numerical setting of the solver, the solvers
 and mechanisms that share a decision's slope record with their pivot
-solves take no parameter for it."""
+solves take no parameter for it, and the misreport fuzzers take no
+tolerance or restart count."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import usvcg
-from usvcg import mechanism, solver
+from usvcg import experiments, mechanism, solver
 
 MODULES = (
     "cli",
@@ -77,4 +78,18 @@ def test_no_function_takes_solver_settings():
     ],
 )
 def test_pivot_record_takes_no_parameter(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        (experiments.sdsic_fuzz, ["instance", "trials", "seed", "mu", "misreport_space"]),
+        (
+            experiments.coalition_probe,
+            ["instance", "coalition_size", "trials", "seed", "mu", "misreport_space"],
+        ),
+    ],
+)
+def test_fuzzers_take_no_tolerance(function, parameters):
     assert list(inspect.signature(function).parameters) == parameters

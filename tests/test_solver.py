@@ -111,7 +111,7 @@ def test_corner_clipping_with_finite_marginal():
 
 
 # =============================================================================
-# Warm-started water-filling
+# Water-filling
 # =============================================================================
 
 _CURVE = st.one_of(
@@ -146,89 +146,100 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@given(
-    catalog=_catalogs(),
-    budget=st.floats(1e-6, 1e6),
-    guess=st.tuples(
-        st.floats(1e-8, 1e8),  # budget of the guess
-        st.floats(1e-12, 1e12),  # its lambda
-        st.floats(-1e12, 1e12),  # its dlambda/dbudget
-    ),
-)
+def _bisected_fill(weights, curves, budget):
+    """(allocation, lambda) by bisection on lambda down to adjacent floats:
+    the total spend falls as lambda rises, from at least the budget at
+    max_j w_j theta_j'(budget) to at most it at max_j w_j theta_j'(budget/k)."""
+    goods = [(w, curve) for w, curve in zip(weights, curves) if w > 0.0]
+
+    def spends(lam):
+        return [
+            curve.inverse_deriv(lam / w) if lam < w * curve.deriv_at_zero() else 0.0
+            for w, curve in goods
+        ]
+
+    lo = max(w * curve.deriv(budget) for w, curve in goods)
+    hi = max(w * curve.deriv(budget / len(goods)) for w, curve in goods)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if math.fsum(spends(mid)) > budget:
+            lo = mid
+        else:
+            hi = mid
+    funded = iter(np.array(spends(lo)) / math.fsum(spends(lo)))
+    return np.array([next(funded) if w > 0.0 else 0.0 for w in weights]), lo
+
+
+@given(catalog=_catalogs(), budget=st.floats(1e-6, 1e6))
 @settings(max_examples=300, deadline=None)
-def test_warm_water_fill_matches_cold(catalog, budget, guess):
+def test_water_fill_meets_kkt_and_matches_bisection(catalog, budget):
     weights, curves = catalog
-    x_cold, _, lam_cold, _ = _water_fill(weights, curves, budget)
-    x_warm, _, lam_warm, dlam_db = _water_fill(weights, curves, budget, guess)
-    assert np.allclose(x_warm, x_cold, rtol=0.0, atol=1e-9)
-    assert lam_warm == pytest.approx(lam_cold, rel=1e-9, abs=0.0)
-    # chaining the returned state, as a tax search does
-    state = (budget, lam_warm, dlam_db)
-    x_next, _, lam_next, _ = _water_fill(weights, curves, 1.01 * budget, state)
-    x_ref, _, lam_ref, _ = _water_fill(weights, curves, 1.01 * budget)
-    assert np.allclose(x_next, x_ref, rtol=0.0, atol=1e-9)
-    assert lam_next == pytest.approx(lam_ref, rel=1e-9, abs=0.0)
+    x, _, lam = _water_fill(weights, curves, budget)
+    for w, xj, curve in zip(weights, x, curves):
+        if xj > 0.0:
+            assert w * curve.deriv(xj * budget) == pytest.approx(lam, rel=1e-9, abs=0.0)
+        elif w > 0.0:
+            assert w * curve.deriv_at_zero() <= lam
+    x_ref, lam_ref = _bisected_fill(weights, curves, budget)
+    assert np.allclose(x, x_ref, rtol=0.0, atol=1e-9)
+    assert lam == pytest.approx(lam_ref, rel=1e-9, abs=0.0)
 
 
-def test_bad_warm_guess_takes_the_cold_path(monkeypatch):
-    calls = _count_calls(monkeypatch, "inverse_deriv")
-
-    def run(weights, curves, budget, warm):
-        calls.clear()
-        out = _water_fill(weights, curves, budget, warm)
-        return out, len(calls)
-
-    weights = (0.5, 0.3, 0.2)
-    curves = (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0))
-    cold, cold_calls = run(weights, curves, 300.0, None)
-    for far in ((300.0, 1e9, 0.0), (30.0, 1e-9, -1.0), (290.0, cold[2], math.nan)):
-        # the prediction lies outside the bracket: straight to the cold path
-        out, n = run(weights, curves, 300.0, far)
-        assert n == cold_calls
-        assert all(np.array_equal(a, b) for a, b in zip(out, cold))
-    _, n = run(weights, curves, 300.0, (290.0, cold[2] * 1.03, cold[3]))
-    assert n < cold_calls
-    # a flat tangent predicts the previous lambda unchanged
-    out, _ = run(weights, curves, 300.0, (290.0, cold[2], 0.0))
-    assert np.allclose(out[0], cold[0], rtol=0.0, atol=1e-9)
-
-    # Two identical goods put the root exactly on the bracket's upper end,
-    # and no Newton run inside the bracket meets a 1e-300 tolerance there:
-    # the warm run ends unconverged and the call reruns the cold path (which
-    # first widens the bracket), returning its result unchanged.
-    monkeypatch.setattr(solver, "_X_TOLERANCE", 1e-300)
-    weights, curves = (1.0, 1.0), (GainCurve.log(10.0),) * 2
-    cold, cold_calls = run(weights, curves, 3.0, None)
-    out, n = run(weights, curves, 3.0, (2.97, cold[2] * 0.999, -cold[2] / 3.0))
-    assert n > cold_calls
-    assert all(np.array_equal(a, b) for a, b in zip(out, cold))
+@given(catalog=_catalogs(), budget=st.floats(1e-6, 1e6))
+@settings(max_examples=300, deadline=None)
+def test_water_fill_takes_at_most_eight_sweeps(catalog, budget):
+    # Newton descends from the level where the best good alone spends the
+    # budget; each sweep asks every funded good for its spend once
+    weights, curves = catalog
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_calls(patch, "inverse_deriv")
+        _water_fill(weights, curves, budget)
+    assert len(calls) <= 8 * sum(w > 0.0 for w in weights)
 
 
 @pytest.mark.parametrize(
-    "curves",
+    "scales, weights, budget, expected",
     [
-        (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
-        (GainCurve.power(1.0, 0.5), GainCurve.power(3.0, 0.3)),
-        (GainCurve.log1p(3.0), GainCurve.log1p(0.5), GainCurve.log(2.0)),
+        ((17.954, 16.161), (3.3857, 8.9038), 5.32e-4, [0.0, 1.0]),
+        ((45.0, 5.75), (4.7, 2.5), 1.5e-4, [1.0, 0.0]),
     ],
 )
-def test_warm_water_fill_sweeps_along_a_golden_search(monkeypatch, curves):
-    # the budgets of a golden-section refinement: each one a shrinking step
-    # from the last, alternating sides; after the first (cold) call, every
-    # water-fill may take at most three sweeps of the spend functions
-    calls = _count_calls(monkeypatch, "inverse_deriv")
-    weights = (0.5, 0.3, 0.2)[: len(curves)]
+def test_water_fill_stops_at_the_rounding_floor(scales, weights, budget, expected):
+    # two log1p goods at a tiny pool: one is funded, and its spend
+    # a w / lambda - 1 carries a rounding error of about 1e-16, as large as
+    # the residual bound 1e-13 of the pool; where it misses the bound,
+    # Newton stops once its step falls under the rounding of mu (the second
+    # case loops to the iteration cap without that stop)
+    curves = tuple(GainCurve.log1p(a) for a in scales)
+    x, _, _ = _water_fill(weights, curves, budget)
+    assert x.tolist() == expected
+
+
+def test_water_fill_returns_at_a_vanishing_tolerance(monkeypatch):
+    monkeypatch.setattr(solver, "_X_TOLERANCE", 1e-300)
+    x, _, lam = _water_fill((1.0, 1.0), (GainCurve.log(10.0),) * 2, 3.0)
+    assert x.tolist() == [0.5, 0.5] and lam == pytest.approx(20.0 / 3.0, rel=1e-15)
+    mixed = (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0))
+    x, _, _ = _water_fill((0.5, 0.3, 0.2), mixed, 300.0)
+    assert math.fsum(x) == pytest.approx(1.0, abs=1e-15)
+
+
+@given(
+    catalog=_catalogs(),
+    budget=st.floats(1e-6, 1e6),
+    before=st.lists(st.floats(1e-6, 1e6), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_inner_stage_is_a_pure_function_of_the_pool(catalog, budget, before):
+    weights, curves = catalog
+    fresh = _Conditional(weights, curves).at(budget)
     cond = _Conditional(weights, curves)
-    budget, step = 200.0, 60.0
-    cond.both(budget)
-    for k in range(40):
-        budget += step if k % 2 == 0 else -step
-        step *= 0.618
-        calls.clear()
-        x, _ = cond.both(budget)
-        assert len(calls) <= 3 * len(curves)
-        cold = _water_fill(weights, curves, budget)[0]
-        assert np.allclose(x, cold, rtol=0.0, atol=1e-9)
+    for b in before:
+        cond.at(b)
+    again = cond.at(budget)
+    assert again[0].tobytes() == fresh[0].tobytes() and again[1:] == fresh[1:]
 
 
 # =============================================================================
