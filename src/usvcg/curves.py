@@ -123,14 +123,18 @@ class GainCurve:
         return self.scale / (1.0 + spend)
 
     def deriv2(self, spend: float) -> float:
-        """Second derivative; strictly negative on the interior."""
+        """Second derivative; strictly negative on the interior, and -inf
+        where the power kind's magnitude overflows at a tiny spend."""
         if not spend > 0.0:
             raise DomainError(f"curvature needs spend > 0, got {spend}")
         if self.kind == "log":
             return -self.scale / spend**2
         if self.kind == "power":
             e = self.exponent
-            return self.scale * e * (e - 1.0) * spend ** (e - 2.0)
+            try:
+                return self.scale * e * (e - 1.0) * spend ** (e - 2.0)
+            except OverflowError:
+                return -math.inf
         return -self.scale / (1.0 + spend) ** 2
 
     def inverse_deriv(self, marginal: float) -> float:
@@ -159,6 +163,18 @@ class GainCurve:
         if y < 0.0:
             raise RangeError(f"log1p gain curve never reaches {y}")
         return math.expm1(y / self.scale)
+
+    def level_shift(self, level: float, sigma: float) -> float:
+        """A bound on |theta(theta'^-1(y r)) - theta(theta'^-1(y))| over
+        every r in [1/sigma, sigma] (sigma >= 1), given the level
+        theta(theta'^-1(y)): how far a good's level moves when its marginal
+        moves by a factor of at most sigma.  a ln(sigma) for log and log1p
+        (log1p's clip at zero spend only shrinks the move), and
+        level (sigma**(e/(1-e)) - 1) for power."""
+        if self.kind != "power":
+            return self.scale * math.log(sigma)
+        power = self.exponent / (1.0 - self.exponent) * math.log(sigma)
+        return level * math.expm1(power) if power < 700.0 else math.inf
 
     def deriv_at_zero(self) -> float:
         """Limiting marginal utility as spend -> 0+ (may be infinite)."""

@@ -26,12 +26,14 @@ pivots of ``run_us_vcg``.
 Welfare depends on a profile only through its mean, so one O(n*m) pass over
 the profile's totals (``excluded_means``) gives every agent's excluded mean,
 and a run costs one solve for the decision plus one pivot solve per agent.
-US-VCG's and the heterogeneous variant's pivot solves are certified against
-the decision's (``solver._certified_pivots``): an excluded mean lies within
-O(1/n) of the full mean, so a bound proves most of the tax-slope signs the
-decision's search sampled, and a pivot solve probes only the rest, its
-brackets' ends and its roots -- about 8-9 slope probes against the
-decision's 46-50 -- and returns its own cold search's decision, bit for bit.
+Every variant's pivot solves are certified against the decision's
+(``solver._certified_pivots``): an excluded mean lies within O(1/n) of the
+full mean, so a bound proves most of the tax-slope signs the decision's
+search sampled, and a pivot solve probes only the rest, its brackets' ends
+and its roots -- about 8-9 slope probes against the decision's 46-50 -- and
+returns its own cold search's decision, bit for bit.  The biased variant's
+bound also covers its reweighted term, which moves with the type's own
+allocation: by how far each good's level can move (``GainCurve.level_shift``).
 
 Every run is a pure function of (profile, instance): no solve takes a
 numerical setting, and the non-positive scheme's finite-difference step
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PivotUndefined, RegularityWarning
+from .errors import DomainError, PivotUndefined, RangeError, RegularityWarning
 from .model import (
     AgentType,
     BudgetDecision,
@@ -145,8 +147,6 @@ def sensitive_payment(p_vcg: float, t_star: float, money_weight: float, money_cu
 class _Plain:
     """US-VCG: the mean type decides, and the others without agent i are
     their mean type, n-1 strong."""
-
-    certified = True  # the pivot solves are certified against the decision's
 
     def __init__(self, profile, instance: BudgetInstance):
         self.profile, self.instance = tuple(profile), instance
@@ -255,7 +255,7 @@ def identity_residuals(
     realised utility minus (total welfare at the decision - the others'
     welfare at their own optimum without the agent).  The decision is
     solved once more, not taken from ``outcome``, for the record its pivot
-    solves are certified against; the biased variant's are not."""
+    solves are certified against, in every variant."""
     if hetero:
         variant = _Hetero(profile, instance)
     elif bias is not None:
@@ -266,8 +266,7 @@ def identity_residuals(
         return [0.0]
     total = variant.total(outcome.decision)
     with _certified_pivots():
-        if variant.certified:
-            variant.decide()
+        variant.decide()
         return [
             realized_utility(variant.profile, i, outcome, instance)
             - (total - variant.others_welfare(excl, variant.others_optimum(excl)))
@@ -348,6 +347,9 @@ def non_positive_payments(
     differences there, and a type farther than gamma from its excluded mean
     (Euclidean over the allocation weights and the money weight) breaks the
     bound the rebate rests on; either raises DomainError before any solve.
+    A rebated pivot the money curve cannot carry (below what the one-sided
+    power curve attains) raises RangeError naming the agent, the raw pivot
+    and the rebate.
 
     The rebate is taken off the raw pivots of ``run_us_vcg``.  A caller that
     already holds ``outcome = run_us_vcg(profile, instance)`` passes
@@ -395,7 +397,13 @@ def non_positive_payments(
                 stacklevel=2,
             )
         rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
-        payments.append(plain.payment(i, p - rebate, outcome.decision))
+        try:
+            payments.append(plain.payment(i, p - rebate, outcome.decision))
+        except RangeError as exc:
+            raise RangeError(
+                f"agent {i}: raw pivot {p:.6g} minus rebate {rebate:.6g} is not a payment "
+                f"the money curve can carry ({exc})"
+            ) from exc
     return tuple(payments)
 
 
@@ -407,8 +415,6 @@ def non_positive_payments(
 class _Biased(_Plain):
     """Phantom bias: valuation plus bias decides, and n times the bias
     difference joins the payment argument, never the raw pivot."""
-
-    certified = False  # its slope moves with the type's own allocation
 
     def __init__(self, profile, instance: BudgetInstance, bias: BiasSpec):
         super().__init__(profile, instance)

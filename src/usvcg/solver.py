@@ -32,7 +32,9 @@ from __future__ import annotations
 import bisect
 import contextlib
 import contextvars
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -380,9 +382,9 @@ _RECORD: contextvars.ContextVar[list | None] = contextvars.ContextVar("slope_rec
 
 @contextlib.contextmanager
 def _certified_pivots():
-    """Inside the block, the first ``_decide`` (a mechanism's decision)
-    leaves its record, and every later one (a pivot) is certified against
-    it; each result is still that of the solve's own cold search."""
+    """Inside the block, the first solve (a mechanism's decision) leaves its
+    record, and every later one of the same kind (a pivot) is certified
+    against it; each result is still that of the solve's own cold search."""
     token = _RECORD.set([])
     try:
         yield
@@ -391,53 +393,135 @@ def _certified_pivots():
 
 
 class _SlopeRecord:
-    """A decision solve's gain and cost terms of the slope, by tax.
+    """One solve's type and, for the solve that makes the record, its slope
+    terms by tax: the gain term Lambda rate, the cost term kappa c f'(t)
+    and, for ``optimize_biased``, its other terms: their sum, the sum of
+    their sizes, and (lam |a_j'(t)|, curve, level theta_j(s_j)) for each
+    good its reweighted term lam sum_j a_j'(t) theta_j(s_j) weights.
+    ``_decide`` has no other terms (None).
 
-    Another type's gain term at a tax is lambda(pool; w') rate.  The common
-    marginal lambda never decreases when a weight grows and scales linearly
-    with the weights, so when rho_lo w <= w' <= rho_hi w good by good, it
-    lies in [rho_lo, rho_hi] times the recorded one; when both inner stages
-    are all-log, exactly W'/W times it, W the scale-weighted weight total.
-    Its cost term is exactly r times the recorded one, r the ratio of kappa
-    times the money coefficient on the tax's side of 0.  A sign these bounds
-    give with _SLACK to spare is the sign the type's cold search samples
-    there.
+    Another type's inner weights are b' + lam a(t) against the record's
+    b + lam a(t) (lam a = 0 for ``_decide``).  Good by good their ratio lies
+    between 1 and b'_j/b_j, so within [w_lo, w_hi], the least and largest of
+    the b'_j/b_j and, with phantom weights, 1.  The common marginal Lambda
+    never decreases when a weight grows and scales linearly with the
+    weights, so the other type's gain term lies within [rho_lo, rho_hi] =
+    [w_lo, w_hi] times the recorded one; when every good of the catalog is
+    log, Lambda is the scale-weighted weight total over the pool, and the
+    ratio of those totals (with phantom weights, and 1) takes the place of
+    the b'_j/b_j there.
+    Each good's marginal Lambda/W_j moves by (Lambda'/Lambda)/(W'_j/W_j), a
+    factor within [1/sigma, sigma], sigma = max(w_hi/rho_lo, rho_hi/w_lo), so
+    its level moves by at most ``GainCurve.level_shift`` and the reweighted
+    term by at most lam sum_j |a_j'| times those shifts.  The cost term is
+    exactly r times the recorded one, r the ratio of kappa times the money
+    coefficient on the tax's side of 0, and the target term and psi' of the
+    biased objective do not depend on the type.  A sign these bounds give
+    with _SLACK of the terms to spare is the sign the type's cold search
+    samples there.
     """
 
-    def __init__(self, instance, cond, kappa, coefficients, terms):
-        self.instance, self.cond, self.terms = instance, cond, terms
+    def __init__(
+        self,
+        instance: BudgetInstance,
+        base: tuple[float, ...],
+        kappa: float,
+        coefficients: tuple[float, float],
+        sides: _TargetSides | None = None,
+    ):
+        self.instance, self.sides, self.base = instance, sides, base
         self.kappa, self.coefficients = kappa, coefficients
+        # each tax's first slope terms, kept only by the solve that makes the record
+        self.terms: dict[float, tuple] | None = {} if _RECORD.get() == [] else None
 
-    def signs(self, cond: _Conditional, kappa: float, coefficients: tuple[float, float]):
-        """The ``signs`` of a certified search for another type of the same
-        instance.  At a tax of the record where the bounds prove the sign it
-        is +-1; elsewhere it is the probed slope, and a probed slope within
-        _SLACK of its size raises _Uncertified."""
-        ours, theirs = cond.weights, self.cond.weights
-        if cond._fast and self.cond._fast:
-            lo = hi = cond._w_total / self.cond._w_total
-        else:
-            ratios = [w / v for w, v in zip(ours, theirs) if v > 0.0]
-            lo = min(ratios)
-            hi = max(ratios) if all(v > 0.0 or w == 0.0 for w, v in zip(ours, theirs)) else math.inf
-        below, above = (kappa * c / (self.kappa * d) for c, d in zip(coefficients, self.coefficients))
+    @functools.cached_property
+    def _log_scales(self) -> list[float] | None:
+        """The catalog's scales when every good is log, else None."""
+        curves = self.instance.gain_curves
+        return [curve.scale for curve in curves] if all(c.kind == "log" for c in curves) else None
+
+    @functools.cached_property
+    def _log_total(self) -> float:
+        """sum_j b_j a_j over an all-log catalog: the type's part of Lambda
+        times the pool."""
+        return sum(map(operator.mul, self.base, self._log_scales))
+
+    def _bounds(self, base) -> tuple[float, float, float]:
+        """rho_lo, rho_hi and sigma for another type's type weights ``base``;
+        sigma only bounds the reweighted term, which needs phantom weights."""
+        ours, theirs, phantom = base, self.base, self.sides is not None
+        scales = self._log_scales
+        total = None if scales is None else sum(map(operator.mul, ours, scales)) / self._log_total
+        if total is not None and not phantom:
+            return total, total, math.inf
+        ratios = [
+            w / v if v > 0.0 else math.inf for w, v in zip(ours, theirs) if w > 0.0 or v > 0.0
+        ]
+        if phantom:  # the phantom weights lam a(t) are every type's
+            ratios.append(1.0)
+        w_lo, w_hi = min(ratios), max(ratios)
+        rho_lo, rho_hi = (w_lo, w_hi) if total is None else (min(total, 1.0), max(total, 1.0))
+        # a good's marginal Lambda/W_j moves by (Lambda'/Lambda)/(W_j'/W_j)
+        sigma = max(w_hi / rho_lo, rho_hi / w_lo) if w_lo > 0.0 else math.inf
+        return rho_lo, rho_hi, sigma
+
+    def signs(self, other: "_SlopeRecord") -> Callable[[float, Callable], float]:
+        """The ``signs`` of a certified search for the type of ``other``, a
+        solve of the same kind: at a tax of the record where the bounds
+        prove the sign it is +-1, elsewhere the probed slope."""
+        lo, hi, sigma = self._bounds(other.base)
+        # the bounds with _SLACK to spare: rho_lo and rho_hi on the gain
+        # term, and the cost ratio on each side of 0 widened both ways
+        wide, narrow = 1.0 + _SLACK, 1.0 - _SLACK
+        lo, hi = lo * narrow, hi * wide
+        r = other.kappa / self.kappa
+        (c_below, c_above), (d_below, d_above) = other.coefficients, self.coefficients
+        below = (r * c_below / d_below * wide, r * c_below / d_below * narrow)
+        above = (r * c_above / d_above * wide, r * c_above / d_above * narrow)
         terms = self.terms
 
         def sign(t: float, probe: Callable) -> float:
             recorded = terms.get(t)
             if recorded is not None:
-                gain, cost = recorded
-                scaled = (above if t > 0.0 else below) * cost
-                if lo * gain * (1.0 - _SLACK) > scaled * (1.0 + _SLACK):
+                gain, cost, others = recorded
+                up, down = above if t > 0.0 else below
+                up, down = up * cost, down * cost
+                if others is not None:
+                    rest, rest_size, goods = others
+                    spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods)
+                    pad = spread + _SLACK * (rest_size + spread)
+                    up, down = up - rest + pad, down - rest - pad
+                if lo * gain > up:
                     return 1.0
-                if hi * gain * (1.0 + _SLACK) < scaled * (1.0 - _SLACK):
+                if hi * gain < down:
                     return -1.0
-            slope, size, _ = probe(t)
-            if not abs(slope) > _SLACK * size:
-                raise _Uncertified
-            return slope
+            return probe(t)[0]
 
         return sign
+
+
+def _certified_search(
+    probe: Callable[..., tuple[float, float, float]],
+    own: _SlopeRecord,
+    money_domain_min: float | None = None,
+    growth: float = _GROWTH,
+) -> float:
+    """The tax of the solve's cold search (``_maximize_over_tax``).
+
+    Inside ``_certified_pivots`` a solve of the record's kind (the same
+    instance and target-side table, None for ``_decide``) is first searched
+    certified against the record; when that search cannot vouch for its
+    result, the cold search runs.  ``own`` is the solve's own record, which
+    its probe fills when it is the first solve in the block."""
+    instance, shared = own.instance, _RECORD.get()
+    if shared and shared[0].instance is instance and shared[0].sides is own.sides:
+        with contextlib.suppress(_Uncertified):
+            signs = shared[0].signs(own)
+            return _maximize_over_tax(probe, instance, money_domain_min, signs, growth)
+    t_star = _maximize_over_tax(probe, instance, money_domain_min, None, growth)
+    if own.terms is not None:
+        shared.append(own)
+    return t_star
 
 
 def _decide(
@@ -450,38 +534,24 @@ def _decide(
 ) -> BudgetDecision:
     """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
     with c the first of ``coefficients`` for t <= 0 and the second above,
-    its taxes sampled at ``growth`` (``_maximize_over_tax``).
-
-    Inside ``_certified_pivots`` the tax search is first tried certified
-    against the record there; when it cannot vouch for its result, the
-    cold search runs."""
+    its taxes sampled at ``growth`` (``_maximize_over_tax``), certified
+    inside ``_certified_pivots`` (``_certified_search``)."""
     cond = _Conditional(weights, instance.gain_curves)
     money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
     below, above = coefficients
-    shared = _RECORD.get()
-    # each tax's first gain and cost terms, kept by the solve that makes the record
-    terms: dict[float, tuple[float, float]] | None = {} if shared == [] else None
+    own = _SlopeRecord(instance, cond.weights, kappa, coefficients)
+    terms = own.terms
 
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
         _, gains, marginal = cond.at(pool(t))
         c = above if t > 0.0 else below
         gain, cost = marginal * rate, kappa * (c * money.deriv(t))
         if terms is not None:
-            terms.setdefault(t, (gain, cost))
+            terms.setdefault(t, (gain, cost, None))
         value = gains - kappa * (c * money.value(t)) if valued else math.nan
         return gain - cost, gain if gain > cost else cost, value
 
-    def search(signs=None) -> float:
-        return _maximize_over_tax(probe, instance, money_domain_min, signs, growth)
-
-    t_star = None
-    if shared and shared[0].instance is instance:
-        with contextlib.suppress(_Uncertified):
-            t_star = search(shared[0].signs(cond, kappa, coefficients))
-    if t_star is None:
-        t_star = search()
-        if shared == []:
-            shared.append(_SlopeRecord(instance, cond, kappa, coefficients, terms))
+    t_star = _certified_search(probe, own, money_domain_min, growth)
     x, _, _ = cond.at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
@@ -760,7 +830,10 @@ def optimize_biased(
 
     The tax search runs on the analytic slope, by the envelope theorem
     Lambda rate + lam sum_j a_j'(t) theta_j(x_j pool) - d/dt[lam sum_j a_j
-    theta_j(xhat_j pool)] + psi'(t) - kappa f'(t).
+    theta_j(xhat_j pool)] + psi'(t) - kappa f'(t).  Inside
+    ``_certified_pivots`` the solves that share one table are certified
+    against the first one's slope terms (``_SlopeRecord``), as ``_decide``'s
+    are; the result is still that of the solve's own cold search.
     """
     if bias.is_null:
         return optimize(agent, instance)
@@ -772,15 +845,20 @@ def optimize_biased(
     curves, rate = instance.gain_curves, instance.pool_rate
     kappa = instance.money_factor() * agent.money_weight
     base = agent.alloc_weights
+    own = _SlopeRecord(instance, base, kappa, (1.0, 1.0), sides)
+    record = own.terms
 
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
         weights, _, slopes, at_target, at_target_slope = sides.at(t)
         cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves)
         pool = instance.pool(t)
         x, combined, marginal = cond.at(pool)
-        reweighted = sum(  # sum_j a_j'(t) theta_j(x_j pool)
-            a * curve.value(float(xj) * pool) for a, xj, curve in zip(slopes, x, curves) if a
-        )
+        goods = [  # (a_j'(t), curve, theta_j(x_j pool)) where a_j'(t) != 0
+            (a, curve, curve.value(float(xj) * pool))
+            for a, xj, curve in zip(slopes, x, curves)
+            if a
+        ]
+        reweighted = sum(a * level for a, _, level in goods)
         terms = (
             marginal * rate,
             lam * reweighted,
@@ -788,10 +866,14 @@ def optimize_biased(
             psi.deriv(t),
             -kappa * money.deriv(t),
         )
+        if record is not None and t not in record:
+            rest = terms[1:4]
+            levels = tuple((lam * abs(a), curve, level) for a, curve, level in goods)
+            record[t] = (terms[0], -terms[4], (sum(rest), sum(map(abs, rest)), levels))
         value = combined - at_target + psi.value(t) - kappa * money.value(t) if valued else math.nan
         return sum(terms), max(map(abs, terms)), value
 
-    t_star = _maximize_over_tax(probe, instance)
+    t_star = _certified_search(probe, own)
     weights = [w + lam * a for w, a in zip(base, sides.at(t_star)[0])]
     x, _, _ = _Conditional(weights, curves).at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)

@@ -130,6 +130,30 @@ def test_level_inverse_identity(curve):
         assert curve.inverse(curve.value(x)) == pytest.approx(x, rel=1e-9)
 
 
+@pytest.mark.parametrize("curve", ALL_GAINS)
+@pytest.mark.parametrize("sigma", [1.0, 1.0001, 1.07, 2.0, 30.0])
+def test_level_shift_bounds_the_level_move(curve, sigma):
+    # moving the marginal y by any factor r in [1/sigma, sigma] moves the
+    # level theta(theta'^-1(y r)) by at most level_shift; the bound is met at
+    # an end of the range wherever neither marginal tops log1p's marginal at
+    # zero spend (where its spend is clipped at 0)
+    cap = curve.deriv_at_zero()
+
+    def level(y):
+        return curve.value(curve.inverse_deriv(y) if y < cap else 0.0)
+
+    marginals = [curve.deriv(s) for s in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+    if curve.kind == "log1p":
+        marginals += [0.5 * cap, 0.99 * cap, 2.0 * cap]
+    for y in marginals:
+        base = level(y)
+        bound = curve.level_shift(base, sigma)
+        moves = [abs(level(y * r) - base) for r in np.geomspace(1.0 / sigma, sigma, 41)]
+        assert max(moves) <= bound + 1e-12 * max(1.0, abs(base))
+        if y * sigma < cap:
+            assert max(moves) == pytest.approx(bound, rel=1e-9, abs=1e-12)
+
+
 @pytest.mark.parametrize("curve", ALL_MONEY)
 def test_money_inverse_identity(curve):
     rng = np.random.default_rng(2)

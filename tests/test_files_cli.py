@@ -13,8 +13,12 @@ from conftest import (
     make_boundary_instance,
     make_running_instance,
     make_water_fill_kt_instance,
+    random_profile,
 )
 from usvcg import (
+    BudgetInstance,
+    GainCurve,
+    MoneyCurve,
     NonPositiveConfig,
     SchemaError,
     coalition_probe,
@@ -270,6 +274,27 @@ def test_cli_non_positive_gamma_below_the_profile_spread(tmp_path, capsys):
     inst_path.write_text(json.dumps(files.instance_to_dict(make_water_fill_kt_instance(6))))
     assert main(["mechanism", str(inst_path), "--non-positive", "--gamma", "0.6126"]) == 3
     assert "to the others' mean exceeds gamma 0.6126" in capsys.readouterr().err
+
+
+def test_cli_non_positive_rebate_the_money_curve_cannot_carry(tmp_path, capsys):
+    # gamma 1.6 covers the profile's spread (1.594), but on the one-sided
+    # power money curve no payment carries the rebate it asks for: exit 3,
+    # naming the agent, its raw pivot and the rebate
+    profile = random_profile(np.random.default_rng(8), 5, 2)
+    instance = BudgetInstance(
+        m=2,
+        n=5,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+        types=profile,
+    )
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(files.instance_to_dict(instance)))
+    assert main(["mechanism", str(inst_path), "--non-positive", "--gamma", "1.6"]) == 3
+    err = capsys.readouterr().err
+    assert "RangeError: agent 0: raw pivot 0.584458 minus rebate 19.82" in err
 
 
 def test_cli_non_positive_default_gamma(tmp_path):

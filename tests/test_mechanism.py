@@ -32,6 +32,7 @@ from usvcg import (
     MoneyCurve,
     NonPositiveConfig,
     PivotUndefined,
+    RangeError,
     RegularityWarning,
     clarke_pivot,
     corresponding_type,
@@ -340,6 +341,16 @@ def test_nonpositive_reuses_outcome_pivots():
     short = dataclasses.replace(inst, n=4, types=None, tax_weights=None)
     with pytest.raises(DomainError):
         non_positive_payments(profile, inst, npc, outcome=run_us_vcg(profile[:4], short))
+
+
+def test_nonpositive_rebate_the_money_curve_cannot_carry_names_its_agent():
+    # on the one-sided power money curve the profile's spread (1.594) asks
+    # for a rebate of 19.8 at gamma 1.6, which no payment can carry: the
+    # error names the agent, its raw pivot and the rebate
+    profile = random_profile(np.random.default_rng(8), 5, 2)
+    inst = _per_capita_log_instance(5, profile)
+    with pytest.raises(RangeError, match=r"agent 0: raw pivot 0\.58\d* minus rebate 19\.8\d*"):
+        non_positive_payments(profile, inst, NonPositiveConfig(gamma=1.6))
 
 
 def test_nonpositive_needs_per_capita(running_instance):

@@ -75,6 +75,8 @@ def test_no_function_takes_solver_settings():
         (solver.optimize_hetero, ["profile", "instance", "exclude"]),
         (mechanism.run_us_vcg, ["profile", "instance"]),
         (mechanism.run_us_vcg_hetero, ["profile", "instance"]),
+        (solver.optimize_biased, ["agent", "bias", "instance", "sides"]),
+        (mechanism.run_bus_vcg, ["profile", "bias", "instance"]),
     ],
 )
 def test_pivot_record_takes_no_parameter(function, parameters):

@@ -41,6 +41,7 @@ from usvcg import (
     optimize,
     optimize_biased,
     optimize_hetero,
+    run_bus_vcg,
     run_us_vcg,
     run_us_vcg_hetero,
     sdsic_fuzz,
@@ -224,6 +225,27 @@ def test_water_fill_returns_at_a_vanishing_tolerance(monkeypatch):
     mixed = (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0))
     x, _, _ = _water_fill((0.5, 0.3, 0.2), mixed, 300.0)
     assert math.fsum(x) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_water_fill_survives_a_curvature_overflow():
+    # the last good (power, exponent 0.975) is left a spend of about 3e-316,
+    # where theta'' = a e (e - 1) s**(e - 2) overflows: deriv2 gives -inf
+    # there (that good's spend no longer moves with the water level), and
+    # the fill meets KKT
+    weights = (0.06142889839419747, 0.00011761377621675979, 4644.446484465659, 3.779886705070044)
+    curves = (
+        GainCurve.power(829.9637116363565, 0.4076448035910222),
+        GainCurve.log(0.040625629544154024),
+        GainCurve.log1p(71.16327482463628),
+        GainCurve.power(0.0010709090919621218, 0.9748944199852064),
+    )
+    budget = 9.192832898781936e-05
+    assert curves[3].deriv2(3e-316) == -math.inf
+    x, _, lam = _water_fill(weights, curves, budget)
+    assert math.fsum(x) == pytest.approx(1.0, abs=1e-12)
+    for w, xj, curve in zip(weights, x, curves):
+        assert xj > 0.0
+        assert w * curve.deriv(xj * budget) == pytest.approx(lam, rel=1e-9, abs=0.0)
 
 
 @given(
@@ -967,21 +989,59 @@ def test_probes_per_solve(monkeypatch):
 
 
 def test_probes_per_pivot_solve(monkeypatch):
-    # the pivot solves take the decision's proven slope signs and probe
-    # little more than their brackets' ends and roots (about 8-9 here,
-    # against the decision's 48-50)
+    # the pivot solves of every variant take the decision's proven slope
+    # signs and probe little more than their brackets' ends and roots
+    # (about 8-9 here, against the decision's 46-50)
     kept = _keep_probes(monkeypatch)
+    bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
     types, plain, hetero = _variants_catalog()
     cases = [(RUNNING_PROFILE, running, running), (types, plain, hetero)]
     for profile, instance, weighted in cases:
-        for run, inst in ((run_us_vcg, instance), (run_us_vcg_hetero, weighted)):
+        runs = (
+            (run_us_vcg, profile, instance),
+            (run_bus_vcg, profile, bias, instance),
+            (run_us_vcg_hetero, profile, weighted),
+        )
+        for run, *args in runs:
             kept.clear()
-            run(profile, inst)
+            run(*args)
             assert len(kept) == len(profile) + 1
             pivots = [len(calls) for _, calls in kept[1:]]
             assert sum(pivots) <= 15 * len(pivots)
             assert max(len(calls) for _, calls in kept) <= 60
+
+
+def _watch_searches(patch):
+    """Wrap the outer search so that the arguments of each certified search
+    are kept, and those of each one that cannot vouch for its result (and
+    so falls back to the cold search) are counted."""
+    searches, fallbacks = [], []
+    original = solver._maximize_over_tax
+
+    def watched(*args):
+        if args[3] is not None:
+            searches.append(args)
+        try:
+            return original(*args)
+        except solver._Uncertified:
+            fallbacks.append(args)
+            raise
+
+    patch.setattr(solver, "_maximize_over_tax", watched)
+    return searches, fallbacks
+
+
+def _assert_proven_signs_hold(record, searches):
+    # at every tax of the record, a sign the bounds prove for a certified
+    # search is the sign of that search's own probe, not only where the
+    # search asked for it
+    assert searches
+    for probe, _, _, signs, _ in searches:
+        for t in record.terms:
+            sign = signs(t, lambda t: (math.nan,))
+            if not math.isnan(sign):
+                assert (sign > 0.0) == (probe(t)[0] > 0.0), t
 
 
 @given(
@@ -993,7 +1053,8 @@ def test_probes_per_pivot_solve(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
     # every pivot solve certified against the decision's record returns the
-    # decision of its own cold search, bit for bit
+    # decision of its own cold search, bit for bit, and every sign the
+    # bounds prove is the pivot's own
     rng = np.random.default_rng(seed)
     instance = dataclasses.replace(_fuzz_instance(rng, kind), n=n)
     profile = random_profile(rng, n, instance.m)
@@ -1010,17 +1071,99 @@ def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
             return optimize(mean_type(profile) if i is None else excluded[i], instance)
 
     cold = [solve(i) for i in range(n)]
+    with pytest.MonkeyPatch.context() as patch:
+        searches, fallbacks = _watch_searches(patch)
+        with solver._certified_pivots():
+            solve()
+            assert [solve(i) for i in range(n)] == cold
+            (record,) = solver._RECORD.get()
+    assert fallbacks == []
+    _assert_proven_signs_hold(record, searches)
+
+
+def _fuzz_bias(rng, instance, target, psi, lam):
+    # an equitable, constant or three-row table target drawn for the
+    # instance (the table's taxes span both signs, for kt catalogs with B0 >
+    # 0), with or without an exp_decay tax preference
+    m = instance.m
+    if target == "constant":
+        target = ConstantTarget(tuple(rng.dirichlet(np.ones(m))))
+    elif target == "table":
+        taxes = tuple(np.sort(rng.uniform(-5.0, 60.0, 3)).tolist())
+        target = TableTarget(taxes, tuple(tuple(rng.dirichlet(np.ones(m))) for _ in taxes))
+    else:
+        target = EquitableTarget()
+    if psi:
+        amplitude, decay_scale = rng.uniform(0.5, 5.0), rng.uniform(1.0, 50.0)
+        psi = TaxPreference.exp_decay(float(amplitude), float(decay_scale))
+    else:
+        psi = TaxPreference.none()
+    return BiasSpec(lam, target, psi)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_FUZZ_KINDS),
+    n=st.sampled_from([2, 3, 12]),
+    target=st.sampled_from(["equitable", "constant", "table"]),
+    psi=st.booleans(),
+    lam=st.sampled_from([0.1, 0.5, 2.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_biased_pivot_solves_equal_the_cold_search(seed, kind, n, target, psi, lam):
+    # the biased solves that share one target-side table are certified
+    # against the first one's slope terms, the reweighted term bounded by how
+    # far each good's level can move; each returns its cold decision bit for
+    # bit, and every sign the bounds prove is the pivot's own
+    rng = np.random.default_rng(seed)
+    instance = dataclasses.replace(_fuzz_instance(rng, kind), n=n)
+    profile = random_profile(rng, n, instance.m)
+    bias = _fuzz_bias(rng, instance, target, psi, lam)
+    sides = solver._TargetSides(bias, instance)
+    excluded = excluded_means(profile)
+    cold = [optimize_biased(excl, bias, instance, sides=sides) for excl in excluded]
+    with pytest.MonkeyPatch.context() as patch:
+        searches, fallbacks = _watch_searches(patch)
+        with solver._certified_pivots():
+            optimize_biased(mean_type(profile), bias, instance, sides=sides)
+            certified = [optimize_biased(excl, bias, instance, sides=sides) for excl in excluded]
+            (record,) = solver._RECORD.get()
+    assert certified == cold
+    assert fallbacks == []
+    _assert_proven_signs_hold(record, searches)
+
+
+def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
+    # a record is keyed to its instance and target-side table: a plain
+    # solve never uses a biased record, a biased solve never uses a plain
+    # one or one of another table, and each keeps its cold result
+    kept = _keep_probes(monkeypatch)
+    instance = _slope_instance("mixed")
+    first, other = AgentType((0.5, 0.3, 0.2), 1.1), AgentType((0.45, 0.35, 0.2), 1.0)
+    bias = BiasSpec(0.5, EquitableTarget())
+    sides = solver._TargetSides(bias, instance)
+    plain, biased = optimize(other, instance), optimize_biased(other, bias, instance)
     with solver._certified_pivots():
-        solve()
-        assert [solve(i) for i in range(n)] == cold
+        optimize(first, instance)
+        kept.clear()
+        assert optimize_biased(other, bias, instance, sides=sides) == biased
+    with solver._certified_pivots():
+        optimize_biased(first, bias, instance, sides=sides)
+        kept.clear()
+        assert optimize(other, instance) == plain
+        assert optimize_biased(other, bias, instance) == biased
+        cold = [len(calls) for _, calls in kept]
+        assert optimize_biased(other, bias, instance, sides=sides) == biased
+    assert min(cold) >= 40
+    assert len(kept[-1][1]) <= 15
 
 
-def test_certified_pivot_solve_falls_back_to_the_cold_search(monkeypatch):
+def test_certified_pivot_solve_at_a_sampled_root_needs_no_fallback(monkeypatch):
     # n = 2, far-apart types: without agent 0 the others are agent 1, whose
     # optimum (per-capita all-log, q = 1/2: t* = (20 / w_money)**2) is put on
     # a tax the decision's search samples, where that agent's slope is 0 to
-    # rounding; no bound proves its sign and the probed slope lies within
-    # the slack, so agent 0's pivot solve falls back to the cold search
+    # rounding; no bound proves its sign there, so it is probed, with the
+    # bits the cold search samples, and no pivot solve falls back
     instance = BudgetInstance(
         m=2,
         n=2,
@@ -1031,23 +1174,44 @@ def test_certified_pivot_solve_falls_back_to_the_cold_search(monkeypatch):
     )
     sampled = instance.tax_floor + instance.tax_epsilon + 1e-8 * 2.0**35
     profile = (AgentType((0.9, 0.1), 3.0), AgentType((0.1, 0.9), 20.0 / math.sqrt(sampled)))
-    fallbacks = []
-    original = solver._maximize_over_tax
-
-    def watched(*args):
-        try:
-            return original(*args)
-        except solver._Uncertified:
-            fallbacks.append(args)
-            raise
-
-    monkeypatch.setattr(solver, "_maximize_over_tax", watched)
+    _, fallbacks = _watch_searches(monkeypatch)
     cold = [optimize(excl, instance) for excl in excluded_means(profile)]
     assert cold[0].tax == pytest.approx(sampled, rel=1e-12)
     with solver._certified_pivots():
         optimize(mean_type(profile), instance)
         assert [optimize(excl, instance) for excl in excluded_means(profile)] == cold
-    assert len(fallbacks) == 1
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("biased", [False, True])
+def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
+    # a record whose gain term is planted far too large at the third of the
+    # six taxes past the decision's root where its slope stayed <= 0 (the
+    # largest six it probed) proves a + sign there that no pivot's slope
+    # has: the search samples on past it, the fresh probe of the bracket end
+    # it leaves disagrees, and every pivot solve falls back to its cold
+    # search and its result
+    types, instance, _ = _variants_catalog()
+    profile = types[:6]
+    bias = BiasSpec(0.5, EquitableTarget())
+    sides = solver._TargetSides(bias, instance)
+    if biased:
+        def solve(agent):
+            return optimize_biased(agent, bias, instance, sides=sides)
+    else:
+        def solve(agent):
+            return optimize(agent, instance)
+    excluded = excluded_means(profile)
+    cold = [solve(excl) for excl in excluded]
+    _, fallbacks = _watch_searches(monkeypatch)
+    with solver._certified_pivots():
+        solve(mean_type(profile))
+        (record,) = solver._RECORD.get()
+        planted = sorted(record.terms)[-4]
+        _, *rest = record.terms[planted]
+        monkeypatch.setitem(record.terms, planted, (1e300, *rest))
+        assert [solve(excl) for excl in excluded] == cold
+    assert len(fallbacks) == len(profile)
 
 
 class _BracketProbe:
