@@ -15,8 +15,8 @@ Results are JSON documents (stdout, or --out PATH).  Exit codes: 0 ok,
 pending (the questions are emitted as a request document), 5 a verified
 property failed.  Every command with randomness takes --seed and is
 deterministic given its inputs.  No command takes a numerical setting of
-the solver: tolerances, tax-sample growth and the non-positive scheme's
-finite-difference step are fixed by the library.
+the solver: tolerances, tax-sample growth, uniqueness margin and the
+non-positive scheme's finite-difference step are fixed by the library.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ excluded-welfare terms (``pivot_at`` for the payments, ``total`` and
 toward phantom targets, ``_Hetero`` has designer-assigned tax weights.  The
 oracles are module globals read at call time, so rebinding one reaches every
 solve.  Non-positive payments are a Jacobian-bound rebate taken off the raw
-pivots of ``run_us_vcg``.
+pivots of ``run_us_vcg``; the Jacobian's perturbed solves are certified
+against the decision's as the pivot solves are, with the same bits.
 
 Welfare depends on a profile only through its mean, so one O(n*m) pass over
 the profile's totals (``excluded_means``) gives every agent's excluded mean,
@@ -383,27 +384,29 @@ def non_positive_payments(
     if outcome is None:
         outcome = run_us_vcg(profile, instance)
     payments = []
-    for i, (excl, p) in enumerate(zip(others, outcome.raw_vcg)):
-        J_half = _decision_map_jacobian(excl, instance, _FD_STEP / 2.0)
-        J_full = _decision_map_jacobian(excl, instance, _FD_STEP)
-        norm_half = float(np.linalg.norm(J_half, 2))
-        norm_full = float(np.linalg.norm(J_full, 2))
-        if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
-            warnings.warn(
-                f"decision-map Jacobian at agent {i} changes by more than 10% "
-                f"under step halving ({norm_full:.4g} vs {norm_half:.4g}); "
-                "the optimum may not be a regular maximum",
-                RegularityWarning,
-                stacklevel=2,
-            )
-        rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
-        try:
-            payments.append(plain.payment(i, p - rebate, outcome.decision))
-        except RangeError as exc:
-            raise RangeError(
-                f"agent {i}: raw pivot {p:.6g} minus rebate {rebate:.6g} is not a payment "
-                f"the money curve can carry ({exc})"
-            ) from exc
+    with _certified_pivots():
+        plain.decide()
+        for i, (excl, p) in enumerate(zip(others, outcome.raw_vcg)):
+            J_half = _decision_map_jacobian(excl, instance, _FD_STEP / 2.0)
+            J_full = _decision_map_jacobian(excl, instance, _FD_STEP)
+            norm_half = float(np.linalg.norm(J_half, 2))
+            norm_full = float(np.linalg.norm(J_full, 2))
+            if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
+                warnings.warn(
+                    f"decision-map Jacobian at agent {i} changes by more than 10% "
+                    f"under step halving ({norm_full:.4g} vs {norm_half:.4g}); "
+                    "the optimum may not be a regular maximum",
+                    RegularityWarning,
+                    stacklevel=2,
+                )
+            rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
+            try:
+                payments.append(plain.payment(i, p - rebate, outcome.decision))
+            except RangeError as exc:
+                raise RangeError(
+                    f"agent {i}: raw pivot {p:.6g} minus rebate {rebate:.6g} is not a "
+                    f"payment the money curve can carry ({exc})"
+                ) from exc
     return tuple(payments)
 
 

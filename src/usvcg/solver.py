@@ -161,18 +161,16 @@ class _Conditional:
     """
 
     def __init__(self, weights: Sequence[float], curves: Sequence[GainCurve]):
-        self.weights = tuple(np.asarray(weights, dtype=float).tolist())
+        self.weights = tuple(map(float, weights))
         self.curves = tuple(curves)
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
-        self._fast = len(active) >= 1 and all(
-            curves[j].kind == "log" for j in active
-        )
+        self._fast = bool(active) and all(curves[j].kind == "log" for j in active)
         if self._fast:
-            wa = np.array([self.weights[j] * curves[j].scale for j in active])
-            shares = wa / wa.sum()
+            wa = [self.weights[j] * curves[j].scale for j in active]
+            self._w_total = sum(wa)
+            shares = [w / self._w_total for w in wa]
             self._x = np.zeros(len(curves))
             self._x[active] = shares
-            self._w_total = float(wa.sum())
             self._const = float(np.dot(wa, np.log(shares)))
 
     def at(self, budget: float) -> tuple[np.ndarray, float, float]:
@@ -259,7 +257,7 @@ def _maximize_over_tax(
     instance: BudgetInstance,
     money_domain_min: float | None = None,
     signs: Callable[[float, Callable], float] | None = None,
-    growth: float = _GROWTH,
+    unique: bool = False,
 ) -> float:
     """The tax of the best local maximum of a conditional value.
 
@@ -269,15 +267,19 @@ def _maximize_over_tax(
     interval is cut at t = 0 when negative taxes are feasible (only the kt
     money curve admits them; its slope is -inf there), and each piece is
     sampled geometrically up from its lower end, at offsets 1e-8 max(1,
-    |start|) times powers of ``growth`` (2; only the uniqueness check,
-    ``_require_unique_optimum``, passes another): the bounded one up to 0,
-    the open one until the slope has stayed <= 0 for _BRACKET_PATIENCE
-    samples past both its last positive slope and the scale max(1, |start|),
-    so that a dip after the kink cannot end it.  The root of every sampled
-    sign change from + to <= 0 is found (``_slope_root``); these roots and
-    the feasible start, when its slope is <= 0, are compared by value, and
-    within 1e-12 relative the lowest tax wins.  Raises TaxDivergence when
-    the slope is still positive at the tax cap, _MAX_BRACKET.
+    |start|) times powers of _GROWTH: the bounded one up to 0, the open one
+    until the slope has stayed <= 0 for _BRACKET_PATIENCE samples past both
+    its last positive slope and the scale max(1, |start|), so that a dip
+    after the kink cannot end it.  The root of every sampled sign change
+    from + to <= 0 is found (``_slope_root``); these roots and the feasible
+    start, when its slope is <= 0, are compared by value, and within 1e-12
+    relative the lowest tax wins.  Raises TaxDivergence when the slope is
+    still positive at the tax cap, _MAX_BRACKET.
+
+    With ``unique`` a runner-up candidate within 1e-9 max(1, |v*|) of the
+    best value v*, at a tax more than 1e-6 max(1, |t*|) from the best t*,
+    raises NonUniqueOptimum; a local maximum no sample brackets is no
+    candidate, so it escapes.
 
     Every probe is a pure function of its tax, so each root search starts
     from the slopes sampled at its bracket's ends.  A certified search
@@ -303,7 +305,7 @@ def _maximize_over_tax(
     if start < 0.0:
         while start + s < 0.0:
             sample(start + s)
-            s *= growth
+            s *= _GROWTH
         sample(0.0)
         s = s0
     lower, patience = samples[-1][0], 0
@@ -319,7 +321,7 @@ def _maximize_over_tax(
             patience = 0
         elif s > scale:
             patience += 1
-        s *= growth
+        s *= _GROWTH
 
     candidates = [] if samples[0][1] > 0.0 else [start]
     brackets = [
@@ -335,11 +337,16 @@ def _maximize_over_tax(
         candidates.append(_slope_root(probe, a, b, at_a, at_b))
     best_t = candidates[0]
     if len(candidates) > 1:
-        best_v = probe(best_t, True)[2]
-        for t in candidates[1:]:
-            v = probe(t, True)[2]
+        valued = [(t, probe(t, True)[2]) for t in candidates]
+        best_t, best_v = valued[0]
+        for t, v in valued[1:]:
             if v > best_v + 1e-12 * max(1.0, abs(best_v)):
                 best_t, best_v = t, v
+        if unique:  # a runner-up that ties the best in value, at another tax
+            v_tol, t_tol = 1e-9 * max(1.0, abs(best_v)), 1e-6 * max(1.0, abs(best_t))
+            for t, v in valued:
+                if abs(v - best_v) <= v_tol and abs(t - best_t) > t_tol:
+                    raise NonUniqueOptimum(f"local maxima at t={best_t} and t={t} tie in value")
     return best_t
 
 
@@ -361,19 +368,13 @@ def optimize(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
 
 
 def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
-    """Multi-start agreement check: a second tax search, sampling the axis
-    at growth 1.7 instead of 2, must land on the same decision.  Returns the
-    first search's; raises NonUniqueOptimum when they disagree."""
-    d1 = optimize(agent, instance)
+    """``optimize``'s decision, from its one tax search; a runner-up local
+    maximum that ties the best raises NonUniqueOptimum (``_maximize_over_tax``
+    gives the margins, and what escapes them)."""
+    if agent.m != instance.m:
+        raise DomainError("type length does not match the instance")
     kappa = instance.money_factor() * agent.money_weight
-    d2 = _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, growth=1.7)
-    if abs(d1.tax - d2.tax) > 1e-6 * max(1.0, abs(d1.tax)) or any(
-        abs(a - b) > 1e-6 for a, b in zip(d1.allocation, d2.allocation)
-    ):
-        raise NonUniqueOptimum(
-            f"searches disagree: t={d1.tax} vs t={d2.tax}; the optimum may not be unique"
-        )
-    return d1
+    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, unique=True)
 
 
 # The record of the first solve inside ``_certified_pivots``, once it is made.
@@ -504,7 +505,7 @@ def _certified_search(
     probe: Callable[..., tuple[float, float, float]],
     own: _SlopeRecord,
     money_domain_min: float | None = None,
-    growth: float = _GROWTH,
+    unique: bool = False,
 ) -> float:
     """The tax of the solve's cold search (``_maximize_over_tax``).
 
@@ -517,8 +518,8 @@ def _certified_search(
     if shared and shared[0].instance is instance and shared[0].sides is own.sides:
         with contextlib.suppress(_Uncertified):
             signs = shared[0].signs(own)
-            return _maximize_over_tax(probe, instance, money_domain_min, signs, growth)
-    t_star = _maximize_over_tax(probe, instance, money_domain_min, None, growth)
+            return _maximize_over_tax(probe, instance, money_domain_min, signs, unique)
+    t_star = _maximize_over_tax(probe, instance, money_domain_min, None, unique)
     if own.terms is not None:
         shared.append(own)
     return t_star
@@ -530,12 +531,12 @@ def _decide(
     coefficients: tuple[float, float],
     instance: BudgetInstance,
     money_domain_min: float | None = None,
-    growth: float = _GROWTH,
+    unique: bool = False,
 ) -> BudgetDecision:
     """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
     with c the first of ``coefficients`` for t <= 0 and the second above,
-    its taxes sampled at ``growth`` (``_maximize_over_tax``), certified
-    inside ``_certified_pivots`` (``_certified_search``)."""
+    certified inside ``_certified_pivots`` (``_certified_search``); a tie
+    raises NonUniqueOptimum when ``unique`` (``_maximize_over_tax``)."""
     cond = _Conditional(weights, instance.gain_curves)
     money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
     below, above = coefficients
@@ -551,7 +552,7 @@ def _decide(
         value = gains - kappa * (c * money.value(t)) if valued else math.nan
         return gain - cost, gain if gain > cost else cost, value
 
-    t_star = _certified_search(probe, own, money_domain_min, growth)
+    t_star = _certified_search(probe, own, money_domain_min, unique)
     x, _, _ = cond.at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
@@ -687,9 +688,10 @@ class TaxPreference:
 class BiasSpec:
     """Weight, target family, and tax preference of a phantom-agent bias.
 
-    The target gives ``allocation_at(t, instance)`` and the spend rates
-    ``spend_rate(t, instance, allocation)`` = d(xhat_j(t) pool)/dt; one
-    without ``spend_rate`` must keep its funded goods at one level.
+    The target is a ``ConstantTarget``, ``EquitableTarget`` or
+    ``TableTarget``; each gives ``allocation_at(t, instance)`` and the spend
+    rates ``spend_rate(t, instance, allocation)`` = d(xhat_j(t) pool)/dt.
+    Any other target raises DomainError.
     """
 
     lam: float
@@ -699,6 +701,8 @@ class BiasSpec:
     def __post_init__(self) -> None:
         if self.lam < 0.0 or not math.isfinite(self.lam):
             raise DomainError(f"bias weight must be >= 0, got {self.lam}")
+        if not isinstance(self.target, (ConstantTarget, EquitableTarget, TableTarget)):
+            raise DomainError(f"unknown bias target {self.target!r}")
 
     @property
     def is_null(self) -> bool:
@@ -747,14 +751,12 @@ class _TargetSides:
     theta_j(s_j) with its derivative.  With r_j = 1/theta_j'(s_j) and the
     target's spend rates s_j', a = r / sum r, r_j' = -theta_j''(s_j) s_j'
     r_j^2 (0 at zero spend), a' = (r' - a sum r') / sum r, and a_j
-    theta_j'(s_j) = 1 / sum r.  A target without ``spend_rate`` gets the
-    equitable rates, and is refused where its funded goods' levels differ.
-    None of it depends on the type being solved, and each entry is a pure
-    function of (bias, instance, t) keyed by the exact float t, so one table
-    shared by every solve of a mechanism run gives the same bits as
-    recomputing each entry, in any order of the solves.  The table lives as
-    long as its owner (one run or one audit) and keeps every tax it was
-    asked for.
+    theta_j'(s_j) = 1 / sum r.  None of it depends on the type being
+    solved, and each entry is a pure function of (bias, instance, t) keyed
+    by the exact float t, so one table shared by every solve of a mechanism
+    run gives the same bits as recomputing each entry, in any order of the
+    solves.  The table lives as long as its owner (one run or one audit)
+    and keeps every tax it was asked for.
     """
 
     def __init__(self, bias: BiasSpec, instance: BudgetInstance):
@@ -768,14 +770,7 @@ class _TargetSides:
             instance, target, lam = self.instance, self.bias.target, self.bias.lam
             pool = instance.pool(t)
             xhat = np.asarray(target.allocation_at(t, instance), dtype=float)
-            spend_rate = getattr(target, "spend_rate", None)
-            if spend_rate is None:  # only a target keeping one level may omit it
-                goods = zip(xhat.tolist(), instance.gain_curves)
-                funded = [curve.value(x * pool) for x, curve in goods if x > 0.0]
-                if max(funded) - min(funded) > 1e-9 * max(1.0, max(map(abs, funded))):
-                    raise DomainError(f"target without spend_rate: unequal levels at tax {t}")
-                spend_rate = EquitableTarget().spend_rate
-            rates = spend_rate(t, instance, xhat).tolist()
+            rates = target.spend_rate(t, instance, xhat).tolist()
             raw = _reciprocal_marginals(xhat, t, instance)
             total = float(raw.sum())
             ahat = (raw / total).tolist()

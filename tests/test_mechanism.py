@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -49,6 +50,7 @@ from usvcg import (
     run_us_vcg_hetero,
     sensitive_payment,
     social_welfare,
+    solver,
     valuation,
 )
 from usvcg.mechanism import _decision_map_jacobian, identity_residuals, tangent_basis
@@ -441,6 +443,44 @@ def test_nonpositive_rebate_takes_the_exact_spectral_norm(monkeypatch):
     np.testing.assert_allclose(payments[0], payments[1], rtol=1e-12, atol=0.0)
 
 
+def _nonpositive_and_warnings(profile, inst, npc):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RegularityWarning)
+        payments = non_positive_payments(profile, inst, npc)
+    return payments, [str(w.message) for w in caught]
+
+
+def test_nonpositive_jacobian_solves_are_certified_bit_for_bit(monkeypatch, kt_branch_switch):
+    # the Jacobian's perturbed solves are certified against the decision's
+    # slope record and return their cold searches' bits: the payments and
+    # the warnings are those of uncertified solves, at a branch switch too
+    water = make_water_fill_kt_instance(6)
+    gamma = max(
+        math.dist((*t.alloc_weights, t.money_weight), (*e.alloc_weights, e.money_weight))
+        for t, e in zip(water.types, excluded_means(water.types))
+    )
+    switch = (AgentType((0.5, 0.5), 0.9),) + (AgentType((0.5, 0.5), kt_branch_switch),) * 3
+    cases = [
+        (water.types, water, NonPositiveConfig(gamma=gamma)),
+        (switch, make_kt_branch_instance(switch), NonPositiveConfig(gamma=1.0)),
+    ]
+    searches = []
+    original = solver._maximize_over_tax
+
+    def keeping(probe, instance, money_domain_min=None, signs=None, *rest):
+        searches.append(signs is not None)
+        return original(probe, instance, money_domain_min, signs, *rest)
+
+    monkeypatch.setattr(solver, "_maximize_over_tax", keeping)
+    certified = [_nonpositive_and_warnings(*case) for case in cases]
+    assert sum(searches) > len(searches) // 2
+    assert certified[1][1]  # the switch warns
+    monkeypatch.setattr(mechanism, "_certified_pivots", contextlib.nullcontext)
+    del searches[:]
+    assert [_nonpositive_and_warnings(*case) for case in cases] == certified
+    assert not any(searches)
+
+
 def test_no_warning_on_smooth_family():
     profile = random_profile(np.random.default_rng(6), 4, 2)
     inst = _per_capita_log_instance(4, profile)
@@ -484,15 +524,15 @@ def test_phantom_type_for_log_curves(running_instance):
     assert np.allclose(ahat, [0.25, 0.75], atol=1e-12)
 
 
-class _CountingTarget:
+class _CountingTarget(EquitableTarget):
     """The equitable target, counting the taxes it is asked for."""
 
     def __init__(self):
-        self.asked = collections.Counter()
+        object.__setattr__(self, "asked", collections.Counter())
 
     def allocation_at(self, t, instance):
         self.asked[t] += 1
-        return EquitableTarget().allocation_at(t, instance)
+        return super().allocation_at(t, instance)
 
 
 def test_bus_shares_one_target_side_per_tax():

@@ -1,8 +1,8 @@
 """The public API: every advertised name resolves, no function or
-dataclass field takes a numerical setting of the solver, the solvers
-and mechanisms that share a decision's slope record with their pivot
-solves take no parameter for it, and the misreport fuzzers take no
-tolerance or restart count."""
+dataclass field takes a numerical setting of the solver (a config or a
+tax-sample growth), the solvers and mechanisms that share a decision's
+slope record with their pivot solves take no parameter for it, and the
+misreport fuzzers take no tolerance or restart count."""
 
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def test_no_function_takes_solver_settings():
                     parameters = inspect.signature(obj).parameters
                 except (TypeError, ValueError):
                     continue
-                if "config" in parameters:
+                if "config" in parameters or "growth" in parameters:
                     takers.append(f"{name}.{attr}")
     assert takers == []
     assert not hasattr(usvcg, "SolverConfig")

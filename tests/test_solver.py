@@ -249,6 +249,30 @@ def test_water_fill_survives_a_curvature_overflow():
 
 
 @given(
+    goods=st.lists(
+        st.tuples(st.floats(1e-6, 1e3), st.floats(1e-3, 1e3), st.booleans()),
+        min_size=1,
+        max_size=4,
+    ).filter(lambda goods: not all(zero for _, _, zero in goods)),
+)
+@settings(max_examples=200, deadline=None)
+def test_all_log_constants_match_the_numpy_formula(goods):
+    # the plain-float shares, total and log-constant carry the bits of the
+    # numpy formula they replace
+    weights = [0.0 if zero else w for w, _, zero in goods]
+    curves = [GainCurve.log(scale) for _, scale, _ in goods]
+    cond = _Conditional(weights, curves)
+    active = [j for j, w in enumerate(weights) if w > 0.0]
+    wa = np.array([weights[j] * curves[j].scale for j in active])
+    shares = wa / wa.sum()
+    x = np.zeros(len(curves))
+    x[active] = shares
+    assert cond._x.tobytes() == x.tobytes()
+    assert cond._w_total.hex() == float(wa.sum()).hex()
+    assert cond._const.hex() == float(np.dot(wa, np.log(shares))).hex()
+
+
+@given(
     catalog=_catalogs(),
     budget=st.floats(1e-6, 1e6),
     before=st.lists(st.floats(1e-6, 1e6), max_size=4),
@@ -942,14 +966,37 @@ def _variants_catalog():
 
 def test_uniqueness_check_raises_at_a_branch_switch(kt_branch_switch):
     # at the switch the two branches' maxima tie to within rounding: the
-    # search at growth 2 settles on the funding branch (t = 126.60) and the
-    # one at growth 1.7 on the cash-back branch (t = -4.31)
+    # search finds both, the funding branch (t = 126.60) and the cash-back
+    # branch (t = -4.31), 1e-12 apart in value relative
     profile = (AgentType((0.5, 0.5), kt_branch_switch),) * 4
     instance = make_kt_branch_instance(profile)
     with pytest.raises(NonUniqueOptimum):
         solver._require_unique_optimum(mean_type(profile), instance)
     away = AgentType((0.5, 0.5), 0.6)
     assert solver._require_unique_optimum(away, instance) == optimize(away, instance)
+
+
+def test_uniqueness_check_runs_one_tax_search(monkeypatch, kt_branch_switch):
+    # the runner-up comes from the search's own candidates, with no second
+    # search, whether the check passes or raises
+    profile = (AgentType((0.5, 0.5), kt_branch_switch),) * 4
+    instance = make_kt_branch_instance(profile)
+    kept = _keep_probes(monkeypatch)
+    with pytest.raises(NonUniqueOptimum):
+        solver._require_unique_optimum(mean_type(profile), instance)
+    assert len(kept) == 1
+    solver._require_unique_optimum(AgentType((0.5, 0.5), 0.6), instance)
+    assert len(kept) == 2
+
+
+def test_uniqueness_check_passes_near_a_branch_switch():
+    # at w = 0.6543 the search still finds both branches' maxima, but they
+    # differ by 5e-5 in value relative: no tie, and the check returns
+    # optimize's decision
+    profile = (AgentType((0.5, 0.5), 0.6543),) * 4
+    instance = make_kt_branch_instance(profile)
+    agent = mean_type(profile)
+    assert solver._require_unique_optimum(agent, instance) == optimize(agent, instance)
 
 
 def _keep_probes(monkeypatch):
@@ -1409,19 +1456,12 @@ def test_biased_tax_is_stationary(monkeypatch, bias):
 class _RateFreeTarget:
     """A target that gives allocations but no spend rates."""
 
-    def __init__(self, allocation_at):
-        self.allocation_at = allocation_at
+    def allocation_at(self, t, instance):
+        return EquitableTarget().allocation_at(t, instance)
 
 
-def test_target_without_spend_rate_must_keep_one_level():
-    # a rate-free target is given the equitable spend rates, which are only
-    # right while its funded goods share one level: an equitable allocation
-    # solves as EquitableTarget does, a constant one is refused
-    instance = _slope_instance("mixed")
-    agent = AgentType((0.5, 0.3, 0.2), 1.1)
-    equitable = _RateFreeTarget(EquitableTarget().allocation_at)
-    got = optimize_biased(agent, BiasSpec(0.5, equitable), instance)
-    assert got == optimize_biased(agent, BiasSpec(0.5, EquitableTarget()), instance)
-    constant = _RateFreeTarget(ConstantTarget((0.2, 0.5, 0.3)).allocation_at)
-    with pytest.raises(DomainError, match="spend_rate"):
-        optimize_biased(agent, BiasSpec(0.5, constant), instance)
+def test_bias_refuses_an_unknown_target():
+    # the tax slope needs the target's spend rates, which only the three
+    # target classes define: any other target is refused on construction
+    with pytest.raises(DomainError, match="unknown bias target"):
+        BiasSpec(0.5, _RateFreeTarget())
