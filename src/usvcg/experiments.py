@@ -279,7 +279,8 @@ def _report_utility(variant: _Plain, i: int, agent: AgentType, decision, excl, b
     _, argument = variant.pivot_at(decision)(excl, best_excl)
     payment = variant.payment(i, argument, decision)
     transfer = variant.own_tax(i, decision) + payment
-    return _utility_at(agent, decision, transfer, variant.instance)
+    weights, instance = agent.alloc_weights, variant.instance
+    return _utility_at(weights, agent.money_weight, decision, transfer, instance)
 
 
 # =============================================================================

@@ -5,13 +5,19 @@ mean-dependency, is the optimum of the mean type -- and charges each agent
 a pivot payment pushed through the money curve so that the quasi-linear
 accounting identity survives non-quasi-linear utilities:
 
-    p_i = (n-1) * (v_excl(best_excl) - v_excl(best_all))     (pivot, >= 0)
+    p_i = (n-1) * (v_excl(best_excl) - v_excl(best_all))     (pivot)
     P_i = -t_i + f^{-1}( f(t_i) + p_i / w_money_i )          (t_i: own tax)
 
 Here v_excl is the valuation of the mean of the other n-1 agents and
 best_excl its optimum.  With that P_i the realised utility of agent i equals
 the total welfare at the chosen decision minus the others' welfare in their
-absence, which is what makes truthful reporting dominant.
+absence, which is what makes truthful reporting dominant.  The pivot is >= 0
+in exact arithmetic, since best_excl maximises v_excl.  Computed, it is the
+difference of two O(1) valuations that differ by O(1/n^2), so its relative
+error grows about as n^2 and a pivot near 0 can come out slightly negative:
+at n = 100,000 on a per-capita all-log population, 3 of 100,000 raw pivots
+are <= 0, the lowest -7.1e-10.  A cancellation-free form of the difference
+is open work (ROADMAP.md, "Cancellation-free pivot differences").
 
 One engine runs every variant (``_run``) and audits it
 (``identity_residuals``).  A variant names only its decision oracle
@@ -24,9 +30,16 @@ solve.  Non-positive payments are a Jacobian-bound rebate taken off the raw
 pivots of ``run_us_vcg``; the Jacobian's perturbed solves are certified
 against the decision's as the pivot solves are, with the same bits.
 
-Welfare depends on a profile only through its mean, so one O(n*m) pass over
-the profile's totals (``excluded_means``) gives every agent's excluded mean,
-and a run costs one solve for the decision plus one pivot solve per agent.
+Every variant prices all agents' removals from the profile's totals in one
+O(n*m) pass.  Welfare depends on a profile only through its mean, so
+``excluded_means`` gives every agent's excluded mean for US-VCG and the
+biased variant.  Under designer tax weights the totals are each good's
+weight total and the money coefficient sum_k w_k omega_k^e
+(``solver._HeteroTotals``): the heterogeneous variant's solves read them, and
+the others' welfare at a decision is those totals against the decision's
+gains and f(t), O(m) per agent.  In both forms removing agent i is one short
+``math.fsum`` of exact totals, the correctly rounded sum of the others, and
+a run costs one solve for the decision plus one pivot solve per agent.
 Every variant's pivot solves are certified against the decision's
 (``solver._certified_pivots``): an excluded mean lies within O(1/n) of the
 full mean, so a bound proves most of the tax-slope signs the decision's
@@ -61,7 +74,6 @@ from .model import (
     AgentType,
     BudgetDecision,
     BudgetInstance,
-    _exact_sum,
     _utility_at,
     excluded_means,
     feature_vector,
@@ -72,6 +84,7 @@ from .model import (
 from .solver import (
     BiasSpec,
     _certified_pivots,
+    _HeteroTotals,
     _TargetSides,
     corresponding_type,
     optimize,
@@ -226,7 +239,9 @@ def clarke_pivot(profile, i: int, instance: BudgetInstance) -> float:
 
 def raw_vcg_payment(profile, i: int, instance: BudgetInstance) -> float:
     """Externality agent i imposes: the others' welfare loss from moving the
-    decision to the full-profile optimum.  Always nonnegative."""
+    decision to the full-profile optimum.  Nonnegative in exact arithmetic;
+    the computed value can fall slightly below 0 at large n (see the module
+    docstring)."""
     variant, excl, best = _one_agent(profile, i, instance, "the pivot payment")
     return variant.pivot_at(variant.decide())(excl, best)[0]
 
@@ -240,8 +255,9 @@ def run_us_vcg(profile, instance: BudgetInstance) -> Outcome:
 def realized_utility(profile, i: int, outcome: Outcome, instance: BudgetInstance) -> float:
     """Agent i's utility at the outcome: gains at the funded spends minus
     the disutility of her total transfer (weighted tax plus payment)."""
-    transfer = instance.tax_weights[i] * outcome.decision.tax + outcome.payments[i]
-    return _utility_at(tuple(profile)[i], outcome.decision, transfer, instance)
+    agent, decision = tuple(profile)[i], outcome.decision
+    transfer = instance.tax_weights[i] * decision.tax + outcome.payments[i]
+    return _utility_at(agent.alloc_weights, agent.money_weight, decision, transfer, instance)
 
 
 def identity_residuals(
@@ -467,30 +483,32 @@ def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
 
 class _Hetero(_Plain):
     """Designer tax weights: agent k pays tax_weights[k] * t, so the others
-    without agent i are everyone else, their welfare is summed agent by
-    agent, and each payment offsets its own weighted tax."""
+    without agent i are everyone else.  The run builds the profile's exact
+    totals once (``_HeteroTotals``): each solve reads them through
+    ``optimize_hetero``, which they are held for, and the others' welfare
+    and the pivots are those totals against a decision's gains and f(t),
+    O(m) per agent.  Each payment offsets its own weighted tax."""
+
+    def __init__(self, profile, instance: BudgetInstance):
+        super().__init__(profile, instance)
+        self.totals = _HeteroTotals(self.profile, instance)
 
     def decide(self) -> BudgetDecision:
-        return optimize_hetero(self.profile, self.instance)
+        return self.others_optimum(None)
 
     def others(self):
         return range(self.n)
 
-    def others_optimum(self, i: int) -> BudgetDecision:
-        return optimize_hetero(self.profile, self.instance, exclude=i)
+    def others_optimum(self, i: int | None) -> BudgetDecision:
+        with self.totals.held():
+            return optimize_hetero(self.profile, self.instance, exclude=i)
 
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return self.instance.tax_weights[i] * decision.tax
 
     def pivot_at(self, decision: BudgetDecision):
-        # every agent's valuation at the decision once, held as an exact
-        # total: removing agent i is one short fsum, bit-identical to the
-        # others_welfare fsum over k != i
-        values = [self._valuation(k, decision) for k in range(self.n)]
-        total = _exact_sum(values)
-
         def pivot(i, best):
-            p = self.others_welfare(i, best) - math.fsum((*total, -values[i]))
+            p = self.totals.pivot(i, best, decision)
             return p, p
 
         return pivot
@@ -499,12 +517,7 @@ class _Hetero(_Plain):
         return self.others_welfare(None, decision)
 
     def others_welfare(self, i: int | None, decision: BudgetDecision) -> float:
-        return math.fsum(self._valuation(k, decision) for k in range(self.n) if k != i)
-
-    def _valuation(self, k: int, decision: BudgetDecision) -> float:
-        """Agent k's valuation at the decision under her own tax weight."""
-        tax_weight = self.instance.tax_weights[k]
-        return valuation(self.profile[k], decision, self.instance, tax_weight=tax_weight)
+        return self.totals.welfare(decision, i)
 
 
 def run_us_vcg_hetero(profile, instance: BudgetInstance) -> Outcome:

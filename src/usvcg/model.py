@@ -302,18 +302,22 @@ def valuation(
     itself is undefined at zero spend.
     """
     instance.check_decision(decision)
-    return _utility_at(agent, decision, tax_weight * decision.tax, instance)
+    transfer = tax_weight * decision.tax
+    return _utility_at(agent.alloc_weights, agent.money_weight, decision, transfer, instance)
 
 
-def _utility_at(agent: AgentType, decision: BudgetDecision, transfer: float, instance) -> float:
-    """A type's gains at the decision's spends minus the disutility of a
-    total transfer (``valuation`` when the transfer is a weighted tax)."""
+def _utility_at(
+    weights, money_weight: float, decision: BudgetDecision, transfer: float, instance
+) -> float:
+    """Gains under allocation weights at the decision's spends minus the
+    money weight times the disutility of a transfer (``valuation`` when the
+    weights are a type's and the transfer its weighted tax)."""
     pool = instance.pool(decision.tax)
     gains = 0.0
-    for w, x, curve in zip(agent.alloc_weights, decision.allocation, instance.gain_curves):
+    for w, x, curve in zip(weights, decision.allocation, instance.gain_curves):
         if w > 0.0:
             gains += w * curve.value(x * pool)
-    return gains - agent.money_weight * instance.money_curve.value(transfer)
+    return gains - money_weight * instance.money_curve.value(transfer)
 
 
 def feature_vector(decision: BudgetDecision, instance: BudgetInstance) -> np.ndarray:

@@ -49,7 +49,7 @@ from .errors import (
     ResolutionTooCoarse,
     TaxDivergence,
 )
-from .model import AgentType, BudgetDecision, BudgetInstance
+from .model import AgentType, BudgetDecision, BudgetInstance, _exact_sum, _utility_at
 
 __all__ = [
     "inner_allocation",
@@ -953,15 +953,106 @@ def equitable_allocation(t: float, instance: BudgetInstance) -> np.ndarray:
 # =============================================================================
 
 
-def _money_coefficients(money, terms) -> Callable[[float], float]:
-    """t -> sum_k w_k omega_k^e over the (w_k, omega_k) terms, with e the
-    money curve's degree of homogeneity on t's side of zero, so that
-    sum_k w_k f(omega_k t) is the coefficient times f(t)."""
-    sums = {
-        e: math.fsum(w * omega**e for w, omega in terms)
-        for e in (money.exponent(-1.0), money.exponent(1.0))
-    }
-    return lambda t: sums[money.exponent(t)]
+class _HeteroTotals:
+    """A profile's exact totals under designer tax weights (agent k pays
+    omega_k t): each good's weight total and the money coefficient
+    sum_k w_k omega_k^e on each side of zero (``MoneyCurve.exponent``), as
+    exact sums (``_exact_sum``), and the two largest domain bounds
+    domain_min / omega_k.  Removing agent i is one short ``math.fsum`` per
+    total, the correctly rounded sum of the others, so the profile without
+    any one agent is priced in O(m), with the bits of a fresh sum over it.
+    """
+
+    def __init__(self, profile: tuple, instance: BudgetInstance):
+        self.profile, self.instance = profile, instance
+        money, omegas = instance.money_curve, instance.tax_weights
+        rows = [a.alloc_weights for a in profile]
+        self.weights = [_exact_sum(list(column)) for column in zip(*rows)]
+        self.exponents = (money.exponent(-1.0), money.exponent(1.0))
+        self.money = [
+            _exact_sum([a.money_weight * omega**e for a, omega in zip(profile, omegas)])
+            for e in self.exponents
+        ]
+        bounds = [money.domain_min / omega for omega in omegas]
+        self.top = max(range(len(bounds)), key=bounds.__getitem__)
+        rest = bounds[: self.top] + bounds[self.top + 1 :]
+        self.bounds = (bounds[self.top], max(rest, default=-math.inf))
+
+    def without(self, i: int | None) -> tuple[list[float], tuple[float, float], float]:
+        """The others' weights, money coefficients (t <= 0, t > 0) and
+        domain bound without agent i (None: the whole profile)."""
+        n = len(self.profile)
+        if i is None:
+            weights, money = [0.0] * self.instance.m, (0.0, 0.0)
+        elif 0 <= i < n:
+            agent, omega = self.profile[i], self.instance.tax_weights[i]
+            weights = agent.alloc_weights
+            money = tuple(agent.money_weight * omega**e for e in self.exponents)
+        else:
+            raise DomainError(f"agent index {i} out of range for n={n}")
+        others = [math.fsum((*total, -w)) for total, w in zip(self.weights, weights)]
+        coefficients = tuple(math.fsum((*total, -c)) for total, c in zip(self.money, money))
+        return others, coefficients, self.bounds[1] if i == self.top else self.bounds[0]
+
+    def decide(self, exclude: int | None) -> BudgetDecision:
+        """The welfare-optimal decision of the profile without ``exclude``."""
+        weights, coefficients, bound = self.without(exclude)
+        if len(self.profile) == 1 and exclude is not None:
+            raise DomainError("cannot optimise for an empty included set")
+        instance = self.instance
+        return _decide(weights, instance.money_factor(), coefficients, instance, bound)
+
+    def welfare(self, decision: BudgetDecision, exclude: int | None = None) -> float:
+        """sum_{k != exclude} v_k(decision), each agent under her own tax
+        weight: the others' weight totals times theta_j(x_j pool) (goods
+        they weight at exactly 0 skipped, as ``valuation`` does) minus their
+        money coefficient times f(t)."""
+        weights, (below, above), _ = self.without(exclude)
+        self.instance.check_decision(decision)
+        tax = decision.tax
+        return _utility_at(weights, above if tax > 0.0 else below, decision, tax, self.instance)
+
+    def pivot(self, i: int, best: BudgetDecision, decision: BudgetDecision) -> float:
+        """welfare(best, i) - welfare(decision, i), taken good by good: each
+        funded good's weight total times the change of theta_j, and the
+        money coefficient times the change of f, so products and sum round
+        at the size of those changes, not of the welfare.  The rounding of
+        theta_j and f at each decision is left, n-fold through the totals."""
+        weights, (below, above), _ = self.without(i)
+        instance, money = self.instance, self.instance.money_curve
+        instance.check_decision(best)
+        instance.check_decision(decision)
+        pool_b, pool_d = instance.pool(best.tax), instance.pool(decision.tax)
+        terms = [
+            w * (curve.value(xb * pool_b) - curve.value(xd * pool_d))
+            for w, xb, xd, curve in zip(
+                weights, best.allocation, decision.allocation, instance.gain_curves
+            )
+            if w > 0.0
+        ]
+        tb, td = best.tax, decision.tax
+        cb, cd = (above if tb > 0.0 else below), (above if td > 0.0 else below)
+        if cb == cd:
+            terms.append(-cb * (money.value(tb) - money.value(td)))
+        else:
+            terms += [-cb * money.value(tb), cd * money.value(td)]
+        return math.fsum(terms)
+
+    @contextlib.contextmanager
+    def held(self):
+        """Inside the block, ``optimize_hetero`` on this profile and instance
+        reads these totals instead of summing its own."""
+        token = _HELD.set(self)
+        try:
+            yield
+        finally:
+            _HELD.reset(token)
+
+
+# The totals a mechanism run holds for its solves (``_HeteroTotals.held``).
+_HELD: contextvars.ContextVar[_HeteroTotals | None] = contextvars.ContextVar(
+    "hetero_totals", default=None
+)
 
 
 def optimize_hetero(
@@ -972,32 +1063,25 @@ def optimize_hetero(
     """Welfare-optimal decision when agent i pays tax_weights[i] * t.
 
     The inner stage is unchanged (the allocation only sees the pool); the
-    outer stage carries the per-agent money terms sum_k w_k f(omega_k t).
-    The money curve is homogeneous on each side of zero (``MoneyCurve.exponent``:
-    f(omega t) = omega^e f(t), and so omega f'(omega t) = omega^e f'(t)),
-    so that sum is (sum_k w_k omega_k^e) f(t) and its slope
-    (sum_k w_k omega_k^e) f'(t).  Both coefficients (one per side of zero)
-    are summed once per solve, and each value or slope evaluation calls the
-    money curve once, whatever the number of agents.  ``exclude`` drops one
-    agent from the welfare, which is what pivot payments need; the budget
-    mechanics (pool and feasible range) keep the full population.
+    outer stage carries the per-agent money terms sum_k w_k f(omega_k t),
+    which is (sum_k w_k omega_k^e) f(t) with e the money curve's degree of
+    homogeneity on t's side of zero, so each value or slope evaluation calls
+    the money curve once, whatever the number of agents.  The weights and
+    the two coefficients come from the profile's exact totals
+    (``_HeteroTotals``), built once per call, or once per mechanism run that
+    holds them; removing one agent from them costs O(m) and rounds as a
+    fresh sum over the others.  ``exclude`` drops one agent from the
+    welfare, which is what pivot payments need; an index outside the
+    profile raises DomainError.  The budget mechanics (pool and feasible
+    range) keep the full population.
     """
     profile = tuple(profile)
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
-    included = [k for k in range(instance.n) if k != exclude]
-    if not included:
-        raise DomainError("cannot optimise for an empty included set")
-    m = instance.m
-    weights = [
-        math.fsum(profile[k].alloc_weights[j] for k in included) for j in range(m)
-    ]
-    money = instance.money_curve
-    terms = [(profile[k].money_weight, instance.tax_weights[k]) for k in included]
-    dm = max(money.domain_min / omega for _, omega in terms)
-    coefficient = _money_coefficients(money, terms)
-    coefficients = (coefficient(-1.0), coefficient(1.0))
-    return _decide(weights, instance.money_factor(), coefficients, instance, dm)
+    totals = _HELD.get()
+    if totals is None or totals.profile is not profile or totals.instance is not instance:
+        totals = _HeteroTotals(profile, instance)
+    return totals.decide(exclude)
 
 
 # =============================================================================

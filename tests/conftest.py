@@ -149,6 +149,27 @@ def random_gain_curve(
     return GainCurve.power(scale, float(rng.uniform(0.1, tail - 0.25)))
 
 
+def variants_catalog(n: int = 150):
+    """The variants_mixed benchmark's catalog and population (n = 150 there):
+    the types, the instance, and the instance with seeded tax weights."""
+    rng = np.random.default_rng([1, 2])
+    alloc = rng.dirichlet(np.full(3, 2.0), size=n)
+    money = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=n))
+    types = tuple(AgentType.normalized(a, float(w)) for a, w in zip(alloc, money))
+    weights = rng.uniform(0.5, 1.5, size=n)
+    weights *= n / weights.sum()
+    base = dict(
+        m=3,
+        n=n,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+        types=types,
+    )
+    return types, BudgetInstance(**base), BudgetInstance(**base, tax_weights=tuple(weights))
+
+
 def random_profile(rng: np.random.Generator, n: int, m: int, mu: float = 3.0):
     types = []
     for _ in range(n):

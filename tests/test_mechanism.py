@@ -6,6 +6,7 @@ import collections
 import contextlib
 import dataclasses
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from conftest import (
     make_water_fill_kt_instance,
     random_instance,
     random_profile,
+    variants_catalog,
 )
 from usvcg import (
     AgentType,
@@ -220,24 +222,47 @@ def _bus_reference(profile, bias, inst):
     return decision, tuple(raw), tuple(payments)
 
 
+def _hetero_others(profile, inst, i, decision):
+    # the others' welfare agent by agent: fsum of their own weighted valuations
+    weights = inst.tax_weights
+    return math.fsum(
+        valuation(a, decision, inst, tax_weight=weights[k])
+        for k, a in enumerate(profile)
+        if k != i
+    )
+
+
 def _hetero_reference(profile, inst):
-    # the heterogeneous pivot loop written out: fsum of the others' own
-    # weighted valuations, inverted on top of each agent's weighted tax
+    # the heterogeneous pivot loop written out: the others' welfare summed
+    # agent by agent, inverted on top of each agent's weighted tax
     decision = optimize_hetero(profile, inst)
     weights, money = inst.tax_weights, inst.money_curve
-
-    def others(i, x):
-        return math.fsum(
-            valuation(a, x, inst, tax_weight=weights[k]) for k, a in enumerate(profile) if k != i
-        )
-
     raw, payments = [], []
     for i, agent in enumerate(profile):
-        p = others(i, optimize_hetero(profile, inst, exclude=i)) - others(i, decision)
+        best = optimize_hetero(profile, inst, exclude=i)
+        p = _hetero_others(profile, inst, i, best) - _hetero_others(profile, inst, i, decision)
         raw.append(p)
         own_tax = weights[i] * decision.tax
         payments.append(-own_tax + money.inverse(money.value(own_tax) + p / agent.money_weight))
     return decision, tuple(raw), tuple(payments)
+
+
+# The engine takes the others' welfare from the profile's totals and the
+# reference agent by agent, so their pivots round differently; each loses
+# about n^2 eps relative to the pivot.  Against a 50-digit reference at the
+# same decisions, the worst raw-pivot error on the n = 40 profile below
+# (rng 305) is 5.2e-11 for the engine and 6.8e-11 for the reference, so the
+# two can differ by 1.2e-10 relative; 1e-9 leaves 8x to spare.  A payment
+# carries its pivot's relative error (there 1.6e-11 apart in pivots and
+# 1.7e-11 in payments).
+_HETERO_RTOL = 1e-9
+
+
+def _assert_matches_hetero_reference(out, profile, inst):
+    decision, raw, payments = _hetero_reference(profile, inst)
+    assert out.decision == decision
+    np.testing.assert_allclose(out.raw_vcg, raw, rtol=_HETERO_RTOL, atol=0.0)
+    np.testing.assert_allclose(out.payments, payments, rtol=_HETERO_RTOL, atol=0.0)
 
 
 def test_pivot_loop_matches_slice_mean_reference():
@@ -273,7 +298,7 @@ def test_pivot_loop_matches_slice_mean_reference():
     kt = MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5)
     inst = _mixed_instance(mixed, kt, tax_weights=(1.6, 0.6, 1.2, 0.9, 0.7, 1.0))
     out = run_us_vcg_hetero(mixed, inst)
-    assert (out.decision, out.raw_vcg, out.payments) == _hetero_reference(mixed, inst)
+    _assert_matches_hetero_reference(out, mixed, inst)
 
 
 def test_identity_when_one_agent_funds_a_log_good(running_instance):
@@ -625,12 +650,92 @@ def test_hetero_identity_with_kt_money(running_instance):
 
 
 def test_hetero_pivots_match_reference_at_larger_n():
-    # the others' welfare at the decision comes from one exact total of the
-    # n valuations minus agent i's own; at n = 40 a plainly rounded
-    # difference would miss the per-agent fsum in some agent's last bit
+    # the decision bit for bit; the pivots, taken from the profile's
+    # totals, within _HETERO_RTOL of the per-agent sums
     profile = random_profile(np.random.default_rng(305), 40, 3)
     weights = np.random.default_rng(306).uniform(0.5, 1.5, 40)
     weights *= 40 / weights.sum()
     inst = _mixed_instance(profile, MoneyCurve.power(0.5), tax_weights=tuple(weights))
     out = run_us_vcg_hetero(profile, inst)
-    assert (out.decision, out.raw_vcg, out.payments) == _hetero_reference(profile, inst)
+    _assert_matches_hetero_reference(out, profile, inst)
+
+
+def _exact_hetero_pivots(profile, inst, decision, bests, mpmath):
+    # sum_{k != i} v_k(best_i) - v_k(decision) at 50 digits, at the engine's
+    # own decisions, from exact weight totals and the power money curve's
+    # exact coefficient sum_k w_k omega_k^q
+    mp = mpmath.mpf
+    curves, q = inst.gain_curves, mp(inst.money_curve.q)
+    assert inst.money_curve.kind == "power" and inst.semantics == "per_capita"
+
+    def theta(curve, spend):
+        if curve.kind == "log":
+            return curve.scale * mpmath.log(spend)
+        if curve.kind == "power":
+            return curve.scale * spend ** mp(curve.exponent)
+        return curve.scale * mpmath.log1p(spend)
+
+    def welfare(weights, coefficient, d):
+        pool = mp(inst.external_budget) / inst.n + mp(d.tax)
+        gains = [w * theta(c, mp(x) * pool) for w, x, c in zip(weights, d.allocation, curves) if w]
+        return mpmath.fsum(gains) - coefficient * mp(d.tax) ** q
+
+    with mpmath.workdps(50):
+        totals = [mpmath.fsum(mp(a.alloc_weights[j]) for a in profile) for j in range(inst.m)]
+        terms = [mp(a.money_weight) * mp(w) ** q for a, w in zip(profile, inst.tax_weights)]
+        total_money = mpmath.fsum(terms)
+        exact = []
+        for i, (agent, best) in enumerate(zip(profile, bests)):
+            weights = [t - mp(w) for t, w in zip(totals, agent.alloc_weights)]
+            coefficient = total_money - terms[i]
+            rise = welfare(weights, coefficient, best) - welfare(weights, coefficient, decision)
+            exact.append(rise)
+        return [float(p) for p in exact]
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_hetero_pivots_against_a_50_digit_reference(n):
+    # the pivots from the profile's totals are about as accurate as the
+    # per-agent sums (both lose about n^2 eps through the shared rounding of
+    # theta_j and f), none falls to 0 or below, and the audit closes
+    mpmath = pytest.importorskip("mpmath")
+    profile, _, inst = variants_catalog(n)
+    out = run_us_vcg_hetero(profile, inst)
+    bests = [optimize_hetero(profile, inst, exclude=i) for i in range(n)]
+    exact = _exact_hetero_pivots(profile, inst, out.decision, bests, mpmath)
+    per_agent = [
+        _hetero_others(profile, inst, i, best) - _hetero_others(profile, inst, i, out.decision)
+        for i, best in enumerate(bests)
+    ]
+
+    def errors(pivots):
+        return [abs(p - e) / e for p, e in zip(pivots, exact)]
+
+    engine, reference = errors(out.raw_vcg), errors(per_agent)
+    assert statistics.median(engine) <= 4.0 * statistics.median(reference)
+    assert max(engine) <= 4.0 * max(reference)
+    assert min(out.raw_vcg) > 0.0
+    residuals = identity_residuals(profile, out, inst, hetero=True)
+    assert max(abs(r) for r in residuals) <= 1e-8
+
+
+def test_hetero_gain_calls_per_agent_do_not_grow_with_n(monkeypatch):
+    # a run and its audit price each agent from the profile's totals: the
+    # gain-curve calls per agent stay flat from n = 20 to n = 80, where a
+    # per-agent sum over the others would grow with n
+    calls = []
+    original = GainCurve.value
+
+    def counted(self, spend):
+        calls.append(1)
+        return original(self, spend)
+
+    monkeypatch.setattr(GainCurve, "value", counted)
+    per_agent = []
+    for n in (20, 80):
+        profile, _, inst = variants_catalog(n)
+        calls.clear()
+        out = run_us_vcg_hetero(profile, inst)
+        identity_residuals(profile, out, inst, hetero=True)
+        per_agent.append(len(calls) / n)
+    assert per_agent[1] <= 1.25 * per_agent[0]

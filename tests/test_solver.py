@@ -16,6 +16,7 @@ from conftest import (
     make_running_instance,
     random_instance,
     random_profile,
+    variants_catalog,
 )
 from usvcg import (
     AgentType,
@@ -51,7 +52,6 @@ from usvcg import (
 from usvcg import solver
 from usvcg.solver import (
     _Conditional,
-    _money_coefficients,
     _water_fill,
     bias_value,
 )
@@ -749,19 +749,71 @@ def test_hetero_negative_tax_matches_grid_oracle():
 )
 def test_hetero_money_term_matches_per_agent_sum(money, taxes):
     # sum_k w_k f(omega_k t) and its slope, summed agent by agent, against
-    # one coefficient per side of zero times f(t) or f'(t)
+    # the profile totals' coefficient on t's side of zero times f(t) or f'(t)
     rng = np.random.default_rng(71)
-    terms = list(zip(rng.uniform(0.5, 2.0, 40), rng.uniform(0.3, 2.5, 40)))
-    coefficient = _money_coefficients(money, terms)
+    n = 40
+    money_weights, omegas = rng.uniform(0.5, 2.0, n), rng.uniform(0.3, 2.5, n)
+    profile = tuple(AgentType((1.0,), float(w)) for w in money_weights)
+    inst = BudgetInstance(
+        m=1,
+        n=n,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(1.0),),
+        money_curve=money,
+        tax_weights=tuple(omegas * (n / omegas.sum())),
+    )
+    terms = [(a.money_weight, omega) for a, omega in zip(profile, inst.tax_weights)]
+    totals = solver._HeteroTotals(profile, inst)
+    _, (below, above), _ = totals.without(None)
     for t in taxes:
+        coefficient = above if t > 0.0 else below
         value = math.fsum(w * money.value(omega * t) for w, omega in terms)
         slope = math.fsum(w * omega * money.deriv(omega * t) for w, omega in terms)
         if t == 0.0:
-            assert coefficient(t) * money.value(t) == value == 0.0
-            assert coefficient(t) * money.deriv(t) == slope == math.inf
+            assert coefficient * money.value(t) == value == 0.0
+            assert coefficient * money.deriv(t) == slope == math.inf
             continue
-        assert coefficient(t) * money.value(t) == pytest.approx(value, rel=1e-12, abs=0.0)
-        assert coefficient(t) * money.deriv(t) == pytest.approx(slope, rel=1e-12, abs=0.0)
+        assert coefficient * money.value(t) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert coefficient * money.deriv(t) == pytest.approx(slope, rel=1e-12, abs=0.0)
+    # without one agent: the correctly rounded sum over the others
+    for i in (0, 17, n - 1):
+        _, coefficients, _ = totals.without(i)
+        others = [term for k, term in enumerate(terms) if k != i]
+        assert coefficients == tuple(
+            math.fsum(w * omega ** money.exponent(side) for w, omega in others)
+            for side in (-1.0, 1.0)
+        )
+
+
+@pytest.mark.parametrize("domain_min", [0.0, 1.0])
+def test_hetero_exclusion_matches_a_fresh_sum_over_the_others(domain_min):
+    # removing agent i from the profile's exact totals gives the weights,
+    # money coefficients and domain bound of a fresh pass over the others,
+    # so each solve is the one those decide, bit for bit; with a positive
+    # domain_min the bound moves when the agent with the smallest tax
+    # weight leaves
+    profile, _, inst = variants_catalog(40)
+    inst = dataclasses.replace(inst, money_curve=MoneyCurve("power", 0.5, domain_min=domain_min))
+    money, omegas = inst.money_curve, inst.tax_weights
+    smallest = min(range(40), key=omegas.__getitem__)
+    for exclude in (None, 0, 7, 39, smallest):
+        included = [k for k in range(40) if k != exclude]
+        weights = [math.fsum(profile[k].alloc_weights[j] for k in included) for j in range(3)]
+        coefficients = tuple(
+            math.fsum(profile[k].money_weight * omegas[k] ** money.exponent(side) for k in included)
+            for side in (-1.0, 1.0)
+        )
+        bound = max(domain_min / omegas[k] for k in included)
+        fresh = solver._decide(weights, inst.money_factor(), coefficients, inst, bound)
+        assert optimize_hetero(profile, inst, exclude=exclude) == fresh
+
+
+@pytest.mark.parametrize("exclude", [8, -1])
+def test_hetero_exclude_outside_the_profile_is_refused(exclude):
+    # -1 would drop the last agent, 8 nobody; neither names an agent
+    profile, _, inst = variants_catalog(8)
+    with pytest.raises(DomainError, match="out of range"):
+        optimize_hetero(profile, inst, exclude=exclude)
 
 
 def test_hetero_money_calls_do_not_grow_with_n(monkeypatch):
@@ -943,27 +995,6 @@ def test_criterion_07_instance_1_takes_the_mode_after_the_dip():
     assert v_solver >= res.value - 1e-9
 
 
-def _variants_catalog():
-    # the variants_mixed benchmark's catalog and population, n = 150
-    rng = np.random.default_rng([1, 2])
-    n = 150
-    alloc = rng.dirichlet(np.full(3, 2.0), size=n)
-    money = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=n))
-    types = tuple(AgentType.normalized(a, float(w)) for a, w in zip(alloc, money))
-    weights = rng.uniform(0.5, 1.5, size=n)
-    weights *= n / weights.sum()
-    base = dict(
-        m=3,
-        n=n,
-        external_budget=0.0,
-        gain_curves=(GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0)),
-        money_curve=MoneyCurve.power(0.5),
-        semantics="per_capita",
-        types=types,
-    )
-    return types, BudgetInstance(**base), BudgetInstance(**base, tax_weights=tuple(weights))
-
-
 def test_uniqueness_check_raises_at_a_branch_switch(kt_branch_switch):
     # at the switch the two branches' maxima tie to within rounding: the
     # search finds both, the funding branch (t = 126.60) and the cash-back
@@ -1022,7 +1053,7 @@ def test_probes_per_solve(monkeypatch):
     kept = _keep_probes(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
-    types, plain, hetero = _variants_catalog()
+    types, plain, hetero = variants_catalog()
     cases = [(RUNNING_PROFILE, running, running), (types, plain, hetero)]
     for profile, instance, weighted in cases:
         mean = mean_type(profile)
@@ -1042,7 +1073,7 @@ def test_probes_per_pivot_solve(monkeypatch):
     kept = _keep_probes(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
-    types, plain, hetero = _variants_catalog()
+    types, plain, hetero = variants_catalog()
     cases = [(RUNNING_PROFILE, running, running), (types, plain, hetero)]
     for profile, instance, weighted in cases:
         runs = (
@@ -1238,7 +1269,7 @@ def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
     # has: the search samples on past it, the fresh probe of the bracket end
     # it leaves disagrees, and every pivot solve falls back to its cold
     # search and its result
-    types, instance, _ = _variants_catalog()
+    types, instance, _ = variants_catalog()
     profile = types[:6]
     bias = BiasSpec(0.5, EquitableTarget())
     sides = solver._TargetSides(bias, instance)
