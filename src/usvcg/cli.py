@@ -280,13 +280,17 @@ def cmd_check(args) -> int:
     def close(a: float, b: float) -> bool:
         return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
+    def near(a: float, b: float) -> bool:
+        return abs(a - b) <= tol
+
+    def same(stored, fresh, match) -> bool:
+        return len(stored) == len(fresh) and all(map(match, stored, fresh))
+
     if command == "solve":
         agent = files.type_from_dict(result["agent"], "result agent")
         stored = files.decision_from_dict(result["decision"], "result decision")
         fresh = optimize(agent, instance)
-        ok = close(stored.tax, fresh.tax) and all(
-            abs(a - b) <= tol for a, b in zip(stored.allocation, fresh.allocation)
-        )
+        ok = close(stored.tax, fresh.tax) and same(stored.allocation, fresh.allocation, near)
         ok = ok and close(result["valuation"], valuation(agent, fresh, instance))
     elif command == "mechanism":
         profile = tuple(
@@ -313,11 +317,9 @@ def cmd_check(args) -> int:
         )
         stored = files.outcome_from_dict(result, "result")
         ok = close(stored.decision.tax, fresh_outcome.decision.tax)
-        ok = ok and all(
-            abs(a - b) <= tol
-            for a, b in zip(stored.decision.allocation, fresh_outcome.decision.allocation)
-        )
-        ok = ok and all(close(a, b) for a, b in zip(stored.payments, fresh_outcome.payments))
+        ok = ok and same(stored.decision.allocation, fresh_outcome.decision.allocation, near)
+        ok = ok and same(stored.raw_vcg, fresh_outcome.raw_vcg, close)
+        ok = ok and same(stored.payments, fresh_outcome.payments, close)
         ok = ok and close(stored.welfare, fresh_outcome.welfare)
         if residuals is not None:
             ok = ok and max(abs(r) for r in residuals) <= 1e-8

@@ -25,7 +25,7 @@ pure, so instances may be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -208,15 +208,16 @@ class GainCurve:
 class MoneyCurve:
     """Disutility of a monetary transfer (loss-averse around zero).
 
-    ``domain_min`` is the lowest admissible argument: 0 for the one-sided
-    power kind, -inf for the two-sided prospect-theory kind.
+    ``domain_min``, the lowest admissible argument, follows from the kind
+    and is no field: 0 for the one-sided power kind, -inf for the two-sided
+    prospect-theory kind.  It is set once per curve, because every ``value``
+    and ``deriv`` call reads it.
     """
 
     kind: str
     q: float
     r: float | None = None
     loss_weight: float | None = None
-    domain_min: float = field(default=math.nan)
 
     def __post_init__(self) -> None:
         if self.kind not in _MONEY_KINDS:
@@ -232,10 +233,7 @@ class MoneyCurve:
                 )
         elif self.r is not None or self.loss_weight is not None:
             raise DomainError("power money curve takes only q")
-        if math.isnan(self.domain_min):
-            object.__setattr__(
-                self, "domain_min", 0.0 if self.kind == "power" else -math.inf
-            )
+        object.__setattr__(self, "domain_min", 0.0 if self.kind == "power" else -math.inf)
 
     @classmethod
     def power(cls, q: float) -> "MoneyCurve":
@@ -288,17 +286,6 @@ class MoneyCurve:
         if y > 0.0:
             return (y / self.loss_weight) ** (1.0 / self.r)
         return -((-y) ** (1.0 / self.q))
-
-    def value_array(self, deltas: np.ndarray) -> np.ndarray:
-        """Vectorised f; +inf below the domain (never optimal)."""
-        deltas = np.asarray(deltas, dtype=float)
-        if self.kind == "power":
-            return np.where(
-                deltas >= 0.0, np.maximum(deltas, 0.0) ** self.q, np.inf
-            )
-        pos = self.loss_weight * np.maximum(deltas, 0.0) ** self.r
-        neg = -np.maximum(-deltas, 0.0) ** self.q
-        return np.where(deltas > 0.0, pos, neg)
 
 
 # =============================================================================
@@ -369,14 +356,7 @@ def _sampled_shape_checks(curve: GainCurve, label: str) -> list[AssumptionCheck]
 
 def _money_shape_checks(curve: MoneyCurve) -> list[AssumptionCheck]:
     checks = []
-    at_origin = curve.value(0.0) if curve.domain_min <= 0.0 else None
-    checks.append(
-        AssumptionCheck(
-            "money-origin",
-            at_origin is None or at_origin == 0.0,
-            "f(0) = 0",
-        )
-    )
+    checks.append(AssumptionCheck("money-origin", curve.value(0.0) == 0.0, "f(0) = 0"))
     xs = np.geomspace(1e-6, 1e6, 25)
     pos_vals = [curve.value(float(x)) for x in xs]
     increasing = all(b > a for a, b in zip(pos_vals, pos_vals[1:]))
@@ -479,41 +459,21 @@ def validate_assumptions(instance: "BudgetInstance") -> ValidationReport:
             )
         )
 
-    # Interior optima: either every curve has a diverging marginal at zero
-    # spend, or every agent wants some spending on every good even at the
-    # money curve's steepest point.
+    # Interior optima: every curve has a diverging marginal at zero spend.
+    # Otherwise the per-agent test n * w_j * theta_j'(0) > w_money * f'(0)
+    # fails at every agent and good, because f'(0) = +inf for every money
+    # kind.
     diverging = all(math.isinf(c.deriv_at_zero()) for c in instance.gain_curves)
-    if diverging:
-        checks.append(
-            AssumptionCheck(
-                "interior-optima",
-                True,
-                "all gain curves have diverging marginal utility at zero spend",
-            )
+    checks.append(
+        AssumptionCheck(
+            "interior-optima",
+            diverging,
+            "all gain curves have diverging marginal utility at zero spend"
+            if diverging
+            else "finite-marginal gain curves present; checked "
+            "n * w_j * theta_j'(0) > w_money * f'(0) per agent and good",
         )
-    else:
-        f0 = money.deriv(0.0) if money.domain_min <= 0.0 else money.deriv(money.domain_min)
-        ok = bool(types) and math.isfinite(f0)
-        witness = None
-        if ok:
-            for i, agent in enumerate(types):
-                for j, w in enumerate(agent.alloc_weights):
-                    lhs = instance.n * w * instance.gain_curves[j].deriv_at_zero()
-                    if not lhs > agent.money_weight * f0:
-                        ok = False
-                        witness = f"agent {i}, good {j}"
-                        break
-                if not ok:
-                    break
-        checks.append(
-            AssumptionCheck(
-                "interior-optima",
-                ok,
-                "finite-marginal gain curves present; checked "
-                "n * w_j * theta_j'(0) > w_money * f'(0) per agent and good",
-                witness=witness,
-            )
-        )
+    )
 
     if instance.semantics == "nominal" and all(
         c.kind == "power" for c in instance.gain_curves

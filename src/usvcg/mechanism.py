@@ -24,7 +24,8 @@ One engine runs every variant (``_run``) and audits it
 (``decide``), its others' optimum oracle (``others_optimum``) and its
 excluded-welfare terms (``pivot_at`` for the payments, ``total`` and
 ``others_welfare`` for the audit): ``_Plain`` is US-VCG, ``_Biased`` steers
-toward phantom targets, ``_Hetero`` has designer-assigned tax weights.  The
+toward phantom targets, ``_Hetero`` has designer-assigned tax weights (the
+other two refuse an instance that carries them).  The
 oracles are module globals read at call time, so rebinding one reaches every
 solve.  Non-positive payments are a Jacobian-bound rebate taken off the raw
 pivots of ``run_us_vcg``; the Jacobian's perturbed solves are certified
@@ -201,6 +202,17 @@ class _Plain:
         return (self.n - 1) * valuation(excl, decision, self.instance)
 
 
+def _check_tax_weights(variant) -> None:
+    """Refuse designer tax weights in a variant that charges every agent t:
+    its decision and payments would ignore them, while ``realized_utility``
+    charges agent i tax_weights[i] * t."""
+    if not (isinstance(variant, _Hetero) or variant.instance.homogeneous_tax):
+        raise DomainError(
+            "the instance carries designer tax weights; run it with run_us_vcg_hetero "
+            "(CLI: --hetero)"
+        )
+
+
 def _run(variant) -> Outcome:
     """The variant's decision, then for every agent one solve of the
     others' optimum, certified against the decision's, its pivot, and one
@@ -208,6 +220,7 @@ def _run(variant) -> Outcome:
     profile, instance = variant.profile, variant.instance
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
+    _check_tax_weights(variant)
     with _certified_pivots():
         decision = variant.decide()
         welfare = social_welfare(profile, decision, instance)
@@ -279,6 +292,7 @@ def identity_residuals(
         variant = _Biased(profile, instance, bias)
     else:
         variant = _Plain(profile, instance)
+    _check_tax_weights(variant)
     if variant.n == 1:
         return [0.0]
     total = variant.total(outcome.decision)
@@ -381,6 +395,7 @@ def non_positive_payments(
     if outcome is not None and len(outcome.raw_vcg) != n:
         raise DomainError(f"outcome has {len(outcome.raw_vcg)} pivots, profile has {n} agents")
     plain = _Plain(profile, instance)
+    _check_tax_weights(plain)
     others = plain.others()
     for i, excl in enumerate(others):
         if 0.0 in excl.alloc_weights:

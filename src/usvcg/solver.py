@@ -32,9 +32,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import contextvars
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -205,8 +203,8 @@ def inner_allocation(
 # =============================================================================
 
 
-def _feasible_start(instance: BudgetInstance, money_domain_min: float) -> float:
-    return max(instance.tax_floor + instance.tax_epsilon, money_domain_min)
+def _feasible_start(instance: BudgetInstance) -> float:
+    return max(instance.tax_floor + instance.tax_epsilon, instance.money_curve.domain_min)
 
 
 def _slope_root(probe: Callable, lo: float, hi: float, at_lo: float, at_hi: float) -> float:
@@ -255,7 +253,6 @@ class _Uncertified(Exception):
 def _maximize_over_tax(
     probe: Callable[..., tuple[float, float, float]],
     instance: BudgetInstance,
-    money_domain_min: float | None = None,
     signs: Callable[[float, Callable], float] | None = None,
     unique: bool = False,
 ) -> float:
@@ -264,8 +261,11 @@ def _maximize_over_tax(
     ``probe(t, valued=False)`` gives, from one inner evaluation, the slope at
     t, the size of its largest term (the slope's rounding bound is a few
     ulps of it) and, when ``valued``, the value (else nan).  The feasible
-    interval is cut at t = 0 when negative taxes are feasible (only the kt
-    money curve admits them; its slope is -inf there), and each piece is
+    interval starts at the tax floor plus ``tax_epsilon``, or at the money
+    curve's ``domain_min`` when that is higher (0 for the power kind; a tax
+    weight omega_k > 0 leaves the domain of f(omega_k t) the same).  It is
+    cut at t = 0 when negative taxes are feasible (only the kt money curve
+    admits them; its slope is -inf there), and each piece is
     sampled geometrically up from its lower end, at offsets 1e-8 max(1,
     |start|) times powers of _GROWTH: the bounded one up to 0, the open one
     until the slope has stayed <= 0 for _BRACKET_PATIENCE samples past both
@@ -289,9 +289,7 @@ def _maximize_over_tax(
     the cold search's sampled slopes, bit for bit.  A fresh sign that
     differs raises _Uncertified.
     """
-    if money_domain_min is None:
-        money_domain_min = instance.money_curve.domain_min
-    start = _feasible_start(instance, money_domain_min)
+    start = _feasible_start(instance)
     scale = max(1.0, abs(start))
     samples = []  # (tax, slope), in increasing tax
 
@@ -406,20 +404,17 @@ class _SlopeRecord:
     between 1 and b'_j/b_j, so within [w_lo, w_hi], the least and largest of
     the b'_j/b_j and, with phantom weights, 1.  The common marginal Lambda
     never decreases when a weight grows and scales linearly with the
-    weights, so the other type's gain term lies within [rho_lo, rho_hi] =
-    [w_lo, w_hi] times the recorded one; when every good of the catalog is
-    log, Lambda is the scale-weighted weight total over the pool, and the
-    ratio of those totals (with phantom weights, and 1) takes the place of
-    the b'_j/b_j there.
-    Each good's marginal Lambda/W_j moves by (Lambda'/Lambda)/(W'_j/W_j), a
-    factor within [1/sigma, sigma], sigma = max(w_hi/rho_lo, rho_hi/w_lo), so
-    its level moves by at most ``GainCurve.level_shift`` and the reweighted
-    term by at most lam sum_j |a_j'| times those shifts.  The cost term is
-    exactly r times the recorded one, r the ratio of kappa times the money
-    coefficient on the tax's side of 0, and the target term and psi' of the
-    biased objective do not depend on the type.  A sign these bounds give
-    with _SLACK of the terms to spare is the sign the type's cold search
-    samples there.
+    weights, so the other type's gain term lies within [w_lo, w_hi] times
+    the recorded one.  Each good's marginal Lambda/W_j moves by
+    (Lambda'/Lambda)/(W'_j/W_j), a factor within [1/sigma, sigma],
+    sigma = w_hi/w_lo, so its level moves by at most
+    ``GainCurve.level_shift`` and the reweighted term by at most
+    lam sum_j |a_j'| times those shifts.  The cost term is exactly r times
+    the recorded one, r the ratio of kappa times the money coefficient on
+    the tax's side of 0, and the target term and psi' of the biased
+    objective do not depend on the type.  A sign these bounds give with
+    _SLACK of the terms to spare is the sign the type's cold search samples
+    there.
     """
 
     def __init__(
@@ -435,43 +430,23 @@ class _SlopeRecord:
         # each tax's first slope terms, kept only by the solve that makes the record
         self.terms: dict[float, tuple] | None = {} if _RECORD.get() == [] else None
 
-    @functools.cached_property
-    def _log_scales(self) -> list[float] | None:
-        """The catalog's scales when every good is log, else None."""
-        curves = self.instance.gain_curves
-        return [curve.scale for curve in curves] if all(c.kind == "log" for c in curves) else None
-
-    @functools.cached_property
-    def _log_total(self) -> float:
-        """sum_j b_j a_j over an all-log catalog: the type's part of Lambda
-        times the pool."""
-        return sum(map(operator.mul, self.base, self._log_scales))
-
     def _bounds(self, base) -> tuple[float, float, float]:
-        """rho_lo, rho_hi and sigma for another type's type weights ``base``;
+        """w_lo, w_hi and sigma for another type's type weights ``base``;
         sigma only bounds the reweighted term, which needs phantom weights."""
-        ours, theirs, phantom = base, self.base, self.sides is not None
-        scales = self._log_scales
-        total = None if scales is None else sum(map(operator.mul, ours, scales)) / self._log_total
-        if total is not None and not phantom:
-            return total, total, math.inf
         ratios = [
-            w / v if v > 0.0 else math.inf for w, v in zip(ours, theirs) if w > 0.0 or v > 0.0
+            w / v if v > 0.0 else math.inf for w, v in zip(base, self.base) if w > 0.0 or v > 0.0
         ]
-        if phantom:  # the phantom weights lam a(t) are every type's
+        if self.sides is not None:  # the phantom weights lam a(t) are every type's
             ratios.append(1.0)
         w_lo, w_hi = min(ratios), max(ratios)
-        rho_lo, rho_hi = (w_lo, w_hi) if total is None else (min(total, 1.0), max(total, 1.0))
-        # a good's marginal Lambda/W_j moves by (Lambda'/Lambda)/(W_j'/W_j)
-        sigma = max(w_hi / rho_lo, rho_hi / w_lo) if w_lo > 0.0 else math.inf
-        return rho_lo, rho_hi, sigma
+        return w_lo, w_hi, w_hi / w_lo if w_lo > 0.0 else math.inf
 
     def signs(self, other: "_SlopeRecord") -> Callable[[float, Callable], float]:
         """The ``signs`` of a certified search for the type of ``other``, a
         solve of the same kind: at a tax of the record where the bounds
         prove the sign it is +-1, elsewhere the probed slope."""
         lo, hi, sigma = self._bounds(other.base)
-        # the bounds with _SLACK to spare: rho_lo and rho_hi on the gain
+        # the bounds with _SLACK to spare: w_lo and w_hi on the gain
         # term, and the cost ratio on each side of 0 widened both ways
         wide, narrow = 1.0 + _SLACK, 1.0 - _SLACK
         lo, hi = lo * narrow, hi * wide
@@ -504,7 +479,6 @@ class _SlopeRecord:
 def _certified_search(
     probe: Callable[..., tuple[float, float, float]],
     own: _SlopeRecord,
-    money_domain_min: float | None = None,
     unique: bool = False,
 ) -> float:
     """The tax of the solve's cold search (``_maximize_over_tax``).
@@ -518,8 +492,8 @@ def _certified_search(
     if shared and shared[0].instance is instance and shared[0].sides is own.sides:
         with contextlib.suppress(_Uncertified):
             signs = shared[0].signs(own)
-            return _maximize_over_tax(probe, instance, money_domain_min, signs, unique)
-    t_star = _maximize_over_tax(probe, instance, money_domain_min, None, unique)
+            return _maximize_over_tax(probe, instance, signs, unique)
+    t_star = _maximize_over_tax(probe, instance, None, unique)
     if own.terms is not None:
         shared.append(own)
     return t_star
@@ -530,7 +504,6 @@ def _decide(
     kappa: float,
     coefficients: tuple[float, float],
     instance: BudgetInstance,
-    money_domain_min: float | None = None,
     unique: bool = False,
 ) -> BudgetDecision:
     """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
@@ -552,7 +525,7 @@ def _decide(
         value = gains - kappa * (c * money.value(t)) if valued else math.nan
         return gain - cost, gain if gain > cost else cost, value
 
-    t_star = _certified_search(probe, own, money_domain_min, unique)
+    t_star = _certified_search(probe, own, unique)
     x, _, _ = cond.at(instance.pool(t_star))
     return BudgetDecision(tuple(x), t_star)
 
@@ -957,10 +930,10 @@ class _HeteroTotals:
     """A profile's exact totals under designer tax weights (agent k pays
     omega_k t): each good's weight total and the money coefficient
     sum_k w_k omega_k^e on each side of zero (``MoneyCurve.exponent``), as
-    exact sums (``_exact_sum``), and the two largest domain bounds
-    domain_min / omega_k.  Removing agent i is one short ``math.fsum`` per
-    total, the correctly rounded sum of the others, so the profile without
-    any one agent is priced in O(m), with the bits of a fresh sum over it.
+    exact sums (``_exact_sum``).  Removing agent i is one short
+    ``math.fsum`` per total, the correctly rounded sum of the others, so the
+    profile without any one agent is priced in O(m), with the bits of a
+    fresh sum over it.
     """
 
     def __init__(self, profile: tuple, instance: BudgetInstance):
@@ -973,14 +946,10 @@ class _HeteroTotals:
             _exact_sum([a.money_weight * omega**e for a, omega in zip(profile, omegas)])
             for e in self.exponents
         ]
-        bounds = [money.domain_min / omega for omega in omegas]
-        self.top = max(range(len(bounds)), key=bounds.__getitem__)
-        rest = bounds[: self.top] + bounds[self.top + 1 :]
-        self.bounds = (bounds[self.top], max(rest, default=-math.inf))
 
-    def without(self, i: int | None) -> tuple[list[float], tuple[float, float], float]:
-        """The others' weights, money coefficients (t <= 0, t > 0) and
-        domain bound without agent i (None: the whole profile)."""
+    def without(self, i: int | None) -> tuple[list[float], tuple[float, float]]:
+        """The others' weights and money coefficients (t <= 0, t > 0)
+        without agent i (None: the whole profile)."""
         n = len(self.profile)
         if i is None:
             weights, money = [0.0] * self.instance.m, (0.0, 0.0)
@@ -992,22 +961,22 @@ class _HeteroTotals:
             raise DomainError(f"agent index {i} out of range for n={n}")
         others = [math.fsum((*total, -w)) for total, w in zip(self.weights, weights)]
         coefficients = tuple(math.fsum((*total, -c)) for total, c in zip(self.money, money))
-        return others, coefficients, self.bounds[1] if i == self.top else self.bounds[0]
+        return others, coefficients
 
     def decide(self, exclude: int | None) -> BudgetDecision:
         """The welfare-optimal decision of the profile without ``exclude``."""
-        weights, coefficients, bound = self.without(exclude)
+        weights, coefficients = self.without(exclude)
         if len(self.profile) == 1 and exclude is not None:
             raise DomainError("cannot optimise for an empty included set")
         instance = self.instance
-        return _decide(weights, instance.money_factor(), coefficients, instance, bound)
+        return _decide(weights, instance.money_factor(), coefficients, instance)
 
     def welfare(self, decision: BudgetDecision, exclude: int | None = None) -> float:
         """sum_{k != exclude} v_k(decision), each agent under her own tax
         weight: the others' weight totals times theta_j(x_j pool) (goods
         they weight at exactly 0 skipped, as ``valuation`` does) minus their
         money coefficient times f(t)."""
-        weights, (below, above), _ = self.without(exclude)
+        weights, (below, above) = self.without(exclude)
         self.instance.check_decision(decision)
         tax = decision.tax
         return _utility_at(weights, above if tax > 0.0 else below, decision, tax, self.instance)
@@ -1018,7 +987,7 @@ class _HeteroTotals:
         money coefficient times the change of f, so products and sum round
         at the size of those changes, not of the welfare.  The rounding of
         theta_j and f at each decision is left, n-fold through the totals."""
-        weights, (below, above), _ = self.without(i)
+        weights, (below, above) = self.without(i)
         instance, money = self.instance, self.instance.money_curve
         instance.check_decision(best)
         instance.check_decision(decision)
@@ -1142,8 +1111,7 @@ def grid_oracle(
             (a.money_weight, w) for a, w in zip(profile, instance.tax_weights)
         ]
 
-    dm = max(money.domain_min / omega for _, omega in money_terms)
-    t_lo = max(t_range[0], _feasible_start(instance, dm))
+    t_lo = max(t_range[0], _feasible_start(instance))
     t_hi = t_range[1]
     if not t_hi > t_lo:
         raise DomainError(f"empty tax range after feasibility clipping: {t_range}")

@@ -182,6 +182,36 @@ def test_cli_mechanism_and_check(tmp_path):
     assert main(["check", RUNNING, str(out)]) == 5
 
 
+@pytest.mark.parametrize("tamper", ["cut_payments", "shift_raw_vcg"])
+def test_cli_check_catches_tampered_schedules(tmp_path, capsys, tamper):
+    # a schedule cut short, or raw pivots that no longer match, is a
+    # mismatch: check compares every entry of every schedule
+    out = tmp_path / "result.json"
+    assert main(["mechanism", RUNNING, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    if tamper == "cut_payments":
+        doc["payments"] = doc["payments"][:1]
+    else:
+        doc["raw_vcg"] = [p + 1000.0 for p in doc["raw_vcg"]]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", RUNNING, str(out)]) == 5
+    assert "check: MISMATCH" in capsys.readouterr().err
+
+
+def test_cli_solve_and_check(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    assert main(["solve", RUNNING, "--mean", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["check", RUNNING, str(out)]) == 0
+    assert "check: OK" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    doc["decision"]["tax"] += 1.0
+    out.write_text(json.dumps(doc))
+    assert main(["check", RUNNING, str(out)]) == 5
+    assert "check: MISMATCH" in capsys.readouterr().err
+
+
 def test_cli_mechanism_bias_and_check(tmp_path):
     bias_path = tmp_path / "bias.json"
     bias_path.write_text(json.dumps({"lambda": 1.0, "target": {"kind": "equitable"}}))
@@ -218,6 +248,16 @@ def test_cli_mechanism_hetero(tmp_path):
     res = json.loads(out.read_text())
     assert max(abs(r) for r in res["identity_residuals"]) <= 1e-8
     assert main(["check", str(inst_path), str(out)]) == 0
+
+
+def test_cli_mechanism_refuses_tax_weights_without_hetero(tmp_path, capsys):
+    # plain and biased runs charge every agent t: a weighted instance needs --hetero
+    doc = files.instance_to_dict(make_running_instance())
+    doc["tax_weights"] = [1.5, 1.0, 0.5]
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    assert main(["mechanism", str(inst_path)]) == 3
+    assert "--hetero" in capsys.readouterr().err
 
 
 def test_cli_mechanism_non_positive_and_check(tmp_path):

@@ -492,9 +492,9 @@ def test_nonpositive_jacobian_solves_are_certified_bit_for_bit(monkeypatch, kt_b
     searches = []
     original = solver._maximize_over_tax
 
-    def keeping(probe, instance, money_domain_min=None, signs=None, *rest):
+    def keeping(probe, instance, signs=None, *rest):
         searches.append(signs is not None)
-        return original(probe, instance, money_domain_min, signs, *rest)
+        return original(probe, instance, signs, *rest)
 
     monkeypatch.setattr(solver, "_maximize_over_tax", keeping)
     certified = [_nonpositive_and_warnings(*case) for case in cases]
@@ -647,6 +647,46 @@ def test_hetero_identity_with_kt_money(running_instance):
     out = run_us_vcg_hetero(RUNNING_PROFILE, inst)
     residuals = identity_residuals(RUNNING_PROFILE, out, inst, hetero=True)
     assert max(abs(r) for r in residuals) <= 1e-8
+
+
+def test_hetero_pivot_splits_the_money_term_at_the_kink():
+    # without agent 0 the others take the cash-back branch (t < 0) while
+    # the decision funds (t > 0); with q != r the two sides' money
+    # coefficients differ, so the pivot prices f at each tax with its own
+    profile = tuple(AgentType((0.5, 0.5), w) for w in (0.58, 0.6, 0.6, 0.62))
+    inst = dataclasses.replace(
+        make_kt_branch_instance(profile),
+        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.62, 1.0),
+        tax_weights=(0.5, 1.0, 1.0, 1.5),
+    )
+    _, (below, above) = solver._HeteroTotals(profile, inst).without(0)
+    assert below != above
+    out = run_us_vcg_hetero(profile, inst)
+    assert optimize_hetero(profile, inst, exclude=0).tax < 0.0 < out.decision.tax
+    _assert_matches_hetero_reference(out, profile, inst)
+    assert max(map(abs, identity_residuals(profile, out, inst, hetero=True))) <= 1e-8
+
+
+def test_plain_and_biased_runs_refuse_designer_tax_weights():
+    # they charge every agent t, so on a weighted instance their decision
+    # and payments would ignore the weights that realized_utility charges
+    profile = random_profile(np.random.default_rng(301), 6, 3)
+    weights = np.random.default_rng(302).uniform(0.5, 1.5, 6)
+    weights *= 6 / weights.sum()
+    inst = _mixed_instance(profile, MoneyCurve.power(0.5), tax_weights=tuple(weights))
+    out = run_us_vcg_hetero(profile, inst)
+    assert max(map(abs, identity_residuals(profile, out, inst, hetero=True))) <= 1e-8
+    bias = BiasSpec(lam=0.5, target=EquitableTarget())
+    refused = [
+        lambda: run_us_vcg(profile, inst),
+        lambda: run_bus_vcg(profile, bias, inst),
+        lambda: identity_residuals(profile, out, inst),
+        lambda: identity_residuals(profile, out, inst, bias=bias),
+        lambda: non_positive_payments(profile, inst, NonPositiveConfig(gamma=10.0)),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError, match="run_us_vcg_hetero"):
+            call()
 
 
 def test_hetero_pivots_match_reference_at_larger_n():

@@ -764,7 +764,7 @@ def test_hetero_money_term_matches_per_agent_sum(money, taxes):
     )
     terms = [(a.money_weight, omega) for a, omega in zip(profile, inst.tax_weights)]
     totals = solver._HeteroTotals(profile, inst)
-    _, (below, above), _ = totals.without(None)
+    _, (below, above) = totals.without(None)
     for t in taxes:
         coefficient = above if t > 0.0 else below
         value = math.fsum(w * money.value(omega * t) for w, omega in terms)
@@ -777,7 +777,7 @@ def test_hetero_money_term_matches_per_agent_sum(money, taxes):
         assert coefficient * money.deriv(t) == pytest.approx(slope, rel=1e-12, abs=0.0)
     # without one agent: the correctly rounded sum over the others
     for i in (0, 17, n - 1):
-        _, coefficients, _ = totals.without(i)
+        _, coefficients = totals.without(i)
         others = [term for k, term in enumerate(terms) if k != i]
         assert coefficients == tuple(
             math.fsum(w * omega ** money.exponent(side) for w, omega in others)
@@ -785,16 +785,17 @@ def test_hetero_money_term_matches_per_agent_sum(money, taxes):
         )
 
 
-@pytest.mark.parametrize("domain_min", [0.0, 1.0])
+@pytest.mark.parametrize("domain_min", [0.0, -math.inf])
 def test_hetero_exclusion_matches_a_fresh_sum_over_the_others(domain_min):
-    # removing agent i from the profile's exact totals gives the weights,
-    # money coefficients and domain bound of a fresh pass over the others,
-    # so each solve is the one those decide, bit for bit; with a positive
-    # domain_min the bound moves when the agent with the smallest tax
-    # weight leaves
+    # removing agent i from the profile's exact totals gives the weights
+    # and money coefficients of a fresh pass over the others, so each solve
+    # is the one those decide, bit for bit; the money curve's domain
+    # follows from its kind, and no tax weight moves it
     profile, _, inst = variants_catalog(40)
-    inst = dataclasses.replace(inst, money_curve=MoneyCurve("power", 0.5, domain_min=domain_min))
-    money, omegas = inst.money_curve, inst.tax_weights
+    money = MoneyCurve.power(0.5) if domain_min == 0.0 else MoneyCurve("kt", 0.5, 0.6, 2.0)
+    assert money.domain_min == domain_min
+    inst = dataclasses.replace(inst, money_curve=money)
+    omegas = inst.tax_weights
     smallest = min(range(40), key=omegas.__getitem__)
     for exclude in (None, 0, 7, 39, smallest):
         included = [k for k in range(40) if k != exclude]
@@ -803,8 +804,7 @@ def test_hetero_exclusion_matches_a_fresh_sum_over_the_others(domain_min):
             math.fsum(profile[k].money_weight * omegas[k] ** money.exponent(side) for k in included)
             for side in (-1.0, 1.0)
         )
-        bound = max(domain_min / omegas[k] for k in included)
-        fresh = solver._decide(weights, inst.money_factor(), coefficients, inst, bound)
+        fresh = solver._decide(weights, inst.money_factor(), coefficients, inst)
         assert optimize_hetero(profile, inst, exclude=exclude) == fresh
 
 
@@ -1098,7 +1098,7 @@ def _watch_searches(patch):
     original = solver._maximize_over_tax
 
     def watched(*args):
-        if args[3] is not None:
+        if args[2] is not None:
             searches.append(args)
         try:
             return original(*args)
@@ -1115,7 +1115,7 @@ def _assert_proven_signs_hold(record, searches):
     # search is the sign of that search's own probe, not only where the
     # search asked for it
     assert searches
-    for probe, _, _, signs, _ in searches:
+    for probe, _, signs, _ in searches:
         for t in record.terms:
             sign = signs(t, lambda t: (math.nan,))
             if not math.isnan(sign):
