@@ -17,6 +17,12 @@ property failed.  Every command with randomness takes --seed and is
 deterministic given its inputs.  No command takes a numerical setting of
 the solver: tolerances, tax-sample growth, uniqueness margin and the
 non-positive scheme's finite-difference step are fixed by the library.
+
+``mechanism`` takes the accounting identity's residuals from the run's own
+pivot solves.  ``check`` runs the mechanism again and compares the stored
+decision, schedules and realised utilities with the fresh ones; it
+re-solves the residuals (``identity_residuals``) and bounds both the stored
+and the fresh ones.  ``python -m usvcg`` runs the same driver.
 """
 
 from __future__ import annotations
@@ -158,31 +164,18 @@ def cmd_elicit(args) -> int:
 
 def _run_variant(
     instance, profile, bias=None, hetero: bool = False, npc: NonPositiveConfig | None = None
-) -> tuple[Outcome, dict, list[float] | None]:
+) -> Outcome:
     """Run one mechanism variant (at most one of ``bias``, ``hetero`` and
-    ``npc`` set).  Returns the outcome, the variant descriptor for the result
-    document, and identity residuals (None when the variant has no closed
-    accounting identity)."""
+    ``npc`` set)."""
     if bias is not None:
-        outcome = run_bus_vcg(profile, bias, instance)
-        residuals = identity_residuals(profile, outcome, instance, bias=bias)
-        return outcome, {"bias": files.bias_to_dict(bias), "non_positive": False, "hetero": False}, residuals
+        return run_bus_vcg(profile, bias, instance)
     if hetero:
-        outcome = run_us_vcg_hetero(profile, instance)
-        residuals = identity_residuals(profile, outcome, instance, hetero=True)
-        return outcome, {"bias": None, "non_positive": False, "hetero": True}, residuals
+        return run_us_vcg_hetero(profile, instance)
     outcome = run_us_vcg(profile, instance)
-    if npc is not None:
-        rebated = mechanism.non_positive_payments(profile, instance, npc, outcome=outcome)
-        outcome = Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
-        variant = {
-            "bias": None,
-            "non_positive": {"gamma": npc.gamma, "r": npc.r},
-            "hetero": False,
-        }
-        return outcome, variant, None
-    residuals = identity_residuals(profile, outcome, instance)
-    return outcome, {"bias": None, "non_positive": False, "hetero": False}, residuals
+    if npc is None:
+        return outcome
+    rebated = mechanism.non_positive_payments(profile, instance, npc, outcome=outcome)
+    return Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
 
 
 def cmd_mechanism(args) -> int:
@@ -197,21 +190,22 @@ def cmd_mechanism(args) -> int:
     if args.non_positive:
         gamma = args.gamma or NonPositiveConfig.for_band(args.mu).gamma
         npc = NonPositiveConfig(gamma=gamma, r=args.rebate)
-    outcome, variant, residuals = _run_variant(
-        instance,
-        profile,
-        bias=files.load_bias(args.bias) if args.bias else None,
-        hetero=args.hetero,
-        npc=npc,
-    )
+    bias = files.load_bias(args.bias) if args.bias else None
+    with mechanism._keeping_optima() as kept:
+        outcome = _run_variant(instance, profile, bias=bias, hetero=args.hetero, npc=npc)
     doc = {
         "command": "mechanism",
-        "variant": variant,
+        "variant": {
+            "bias": None if bias is None else files.bias_to_dict(bias),
+            "non_positive": False if npc is None else {"gamma": npc.gamma, "r": npc.r},
+            "hetero": args.hetero,
+        },
         **files.outcome_to_dict(outcome),
         "realized_utilities": [
             realized_utility(profile, i, outcome, instance) for i in range(len(profile))
         ],
-        "identity_residuals": residuals,
+        # the non-positive variant has no closed accounting identity
+        "identity_residuals": mechanism._residuals(*kept[0], outcome) if npc is None else None,
         "types": [files.type_to_dict(t) for t in profile],
         "validation": validate_assumptions(instance).as_dict(),
     }
@@ -283,8 +277,20 @@ def cmd_check(args) -> int:
     def near(a: float, b: float) -> bool:
         return abs(a - b) <= tol
 
+    def tiny(a: float, b: float) -> bool:
+        return max(abs(a), abs(b)) <= 1e-8
+
     def same(stored, fresh, match) -> bool:
         return len(stored) == len(fresh) and all(map(match, stored, fresh))
+
+    def numbers(key: str) -> list | None:
+        values = result.get(key)
+        if values is not None and not (
+            isinstance(values, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+        ):
+            raise SchemaError(f"result field {key!r} must be a list of numbers or null")
+        return values
 
     if command == "solve":
         agent = files.type_from_dict(result["agent"], "result agent")
@@ -308,21 +314,26 @@ def cmd_check(args) -> int:
                 r=spec.get("r", 0.0),
             )
         bias_doc = variant.get("bias")
-        fresh_outcome, _, residuals = _run_variant(
-            instance,
-            profile,
-            bias=files.parse_bias(bias_doc, "result variant bias") if bias_doc else None,
-            hetero=bool(variant.get("hetero", False)),
-            npc=npc,
-        )
+        bias = files.parse_bias(bias_doc, "result variant bias") if bias_doc else None
+        hetero = bool(variant.get("hetero", False))
+        fresh_outcome = _run_variant(instance, profile, bias=bias, hetero=hetero, npc=npc)
         stored = files.outcome_from_dict(result, "result")
         ok = close(stored.decision.tax, fresh_outcome.decision.tax)
         ok = ok and same(stored.decision.allocation, fresh_outcome.decision.allocation, near)
         ok = ok and same(stored.raw_vcg, fresh_outcome.raw_vcg, close)
         ok = ok and same(stored.payments, fresh_outcome.payments, close)
         ok = ok and close(stored.welfare, fresh_outcome.welfare)
-        if residuals is not None:
-            ok = ok and max(abs(r) for r in residuals) <= 1e-8
+        utilities = [
+            realized_utility(profile, i, fresh_outcome, instance) for i in range(len(profile))
+        ]
+        ok = ok and same(numbers("realized_utilities") or (), utilities, close)
+        residuals = numbers("identity_residuals")
+        if npc is not None:
+            ok = ok and residuals is None
+        else:
+            # the stored residuals come from the run's pivot solves, the audit's from fresh ones
+            audit = identity_residuals(profile, fresh_outcome, instance, bias=bias, hetero=hetero)
+            ok = ok and same(residuals or (), audit, tiny)
     else:
         raise SchemaError(f"cannot re-verify result documents of command {command!r}")
 

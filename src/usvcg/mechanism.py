@@ -19,8 +19,11 @@ at n = 100,000 on a per-capita all-log population, 3 of 100,000 raw pivots
 are <= 0, the lowest -7.1e-10.  A cancellation-free form of the difference
 is open work (ROADMAP.md, "Cancellation-free pivot differences").
 
-One engine runs every variant (``_run``) and audits it
-(``identity_residuals``).  A variant names only its decision oracle
+One engine runs every variant (``_run``), and one step (``_residuals``)
+audits a run from the others' optima: ``usvcg mechanism`` passes the run's
+own pivot solves (``_keeping_optima``), and ``identity_residuals`` solves
+them afresh for ``usvcg check``, which bounds both its own and the stored
+residuals.  In one process both give the same bits.  A variant names only its decision oracle
 (``decide``), its others' optimum oracle (``others_optimum``) and its
 excluded-welfare terms (``pivot_at`` for the payments, ``total`` and
 ``others_welfare`` for the audit): ``_Plain`` is US-VCG, ``_Biased`` steers
@@ -64,6 +67,8 @@ result.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -213,14 +218,32 @@ def _check_tax_weights(variant) -> None:
         )
 
 
+_KEPT: contextvars.ContextVar[list | None] = contextvars.ContextVar("kept_optima", default=None)
+
+
+@contextlib.contextmanager
+def _keeping_optima():
+    """Inside the block, each run appends (its variant, its (others, their
+    optimum) pairs) to the yielded list, for ``_residuals``."""
+    token = _KEPT.set(kept := [])
+    try:
+        yield kept
+    finally:
+        _KEPT.reset(token)
+
+
 def _run(variant) -> Outcome:
     """The variant's decision, then for every agent one solve of the
     others' optimum, certified against the decision's, its pivot, and one
-    money-curve inversion."""
+    money-curve inversion.  It keeps the (others, their optimum) pairs
+    for a caller inside ``_keeping_optima``."""
     profile, instance = variant.profile, variant.instance
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
     _check_tax_weights(variant)
+    optima = []
+    if (kept := _KEPT.get()) is not None:
+        kept.append((variant, optima))
     with _certified_pivots():
         decision = variant.decide()
         welfare = social_welfare(profile, decision, instance)
@@ -229,7 +252,8 @@ def _run(variant) -> Outcome:
         pivot = variant.pivot_at(decision)
         raw, payments = [], []
         for i, excl in enumerate(variant.others()):
-            p, argument = pivot(excl, variant.others_optimum(excl))
+            optima.append((excl, variant.others_optimum(excl)))
+            p, argument = pivot(*optima[-1])
             raw.append(p)
             payments.append(variant.payment(i, argument, decision))
     return Outcome(decision, tuple(raw), tuple(payments), welfare)
@@ -238,6 +262,7 @@ def _run(variant) -> Outcome:
 def _one_agent(profile, i: int, instance: BudgetInstance, what: str):
     """US-VCG's (variant, others, their optimum) for agent i alone."""
     variant = _Plain(profile, instance)
+    _check_tax_weights(variant)
     if variant.n < 2:
         raise PivotUndefined(f"{what} needs at least two agents")
     (excl,) = excluded_means(variant.profile, (i,))
@@ -268,7 +293,10 @@ def run_us_vcg(profile, instance: BudgetInstance) -> Outcome:
 def realized_utility(profile, i: int, outcome: Outcome, instance: BudgetInstance) -> float:
     """Agent i's utility at the outcome: gains at the funded spends minus
     the disutility of her total transfer (weighted tax plus payment)."""
-    agent, decision = tuple(profile)[i], outcome.decision
+    profile = tuple(profile)
+    if not 0 <= i < len(profile):
+        raise DomainError(f"agent index {i} out of range for n={len(profile)}")
+    agent, decision = profile[i], outcome.decision
     transfer = instance.tax_weights[i] * decision.tax + outcome.payments[i]
     return _utility_at(agent.alloc_weights, agent.money_weight, decision, transfer, instance)
 
@@ -282,10 +310,11 @@ def identity_residuals(
 ) -> list[float]:
     """Per-agent residual of the accounting identity, recomputed from
     scratch (fresh pivot solves) so results can be audited independently:
-    realised utility minus (total welfare at the decision - the others'
-    welfare at their own optimum without the agent).  The decision is
+    ``_residuals`` at the others' optima solved afresh.  The decision is
     solved once more, not taken from ``outcome``, for the record its pivot
-    solves are certified against, in every variant."""
+    solves are certified against, in every variant.  ``usvcg mechanism``
+    takes its residuals from the run's own pivot solves instead, and
+    ``usvcg check`` bounds them next to these."""
     if hetero:
         variant = _Hetero(profile, instance)
     elif bias is not None:
@@ -295,14 +324,24 @@ def identity_residuals(
     _check_tax_weights(variant)
     if variant.n == 1:
         return [0.0]
-    total = variant.total(outcome.decision)
     with _certified_pivots():
         variant.decide()
-        return [
-            realized_utility(variant.profile, i, outcome, instance)
-            - (total - variant.others_welfare(excl, variant.others_optimum(excl)))
-            for i, excl in enumerate(variant.others())
-        ]
+        optima = ((excl, variant.others_optimum(excl)) for excl in variant.others())
+        return _residuals(variant, optima, outcome)
+
+
+def _residuals(variant, optima, outcome: Outcome) -> list[float]:
+    """Per agent i, with ``optima``'s i-th pair the others without i and
+    their own optimum: realised utility minus (total welfare at the
+    decision - the others' welfare at their optimum)."""
+    if variant.n == 1:
+        return [0.0]
+    total = variant.total(outcome.decision)
+    return [
+        realized_utility(variant.profile, i, outcome, variant.instance)
+        - (total - variant.others_welfare(excl, best))
+        for i, (excl, best) in enumerate(optima)
+    ]
 
 
 # =============================================================================

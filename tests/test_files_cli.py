@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import usvcg
 from conftest import (
     BOUNDARY_CATALOGS,
     RUNNING_PROFILE,
@@ -14,6 +19,7 @@ from conftest import (
     make_running_instance,
     make_water_fill_kt_instance,
     random_profile,
+    variants_catalog,
 )
 from usvcg import (
     BudgetInstance,
@@ -25,8 +31,10 @@ from usvcg import (
     files,
     non_positive_payments,
     run_us_vcg,
+    solver,
 )
 from usvcg.cli import main
+from usvcg.mechanism import identity_residuals
 from usvcg.solver import BiasSpec, ConstantTarget, EquitableTarget, TaxPreference
 
 RUNNING = "fixtures/running_example.json"
@@ -197,6 +205,106 @@ def test_cli_check_catches_tampered_schedules(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert main(["check", RUNNING, str(out)]) == 5
     assert "check: MISMATCH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", ["residuals_and_utilities", "cut_residuals", "null_residuals"])
+def test_cli_check_compares_the_stored_identity(tmp_path, capsys, tamper):
+    # the stored residuals come from the run's own pivot solves: check
+    # bounds every one of them, and the realised utilities must match
+    out = tmp_path / "result.json"
+    assert main(["mechanism", RUNNING, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    if tamper == "residuals_and_utilities":
+        doc["identity_residuals"] = [1e3] * 3
+        doc["realized_utilities"] = [-1e3] * 3
+    elif tamper == "cut_residuals":
+        doc["identity_residuals"] = doc["identity_residuals"][:1]
+    else:
+        doc["identity_residuals"] = None
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", RUNNING, str(out)]) == 5
+    assert "check: MISMATCH" in capsys.readouterr().err
+
+
+def test_cli_check_refuses_non_numeric_identity_entries(tmp_path, capsys):
+    # a schema error (exit 2) naming the field, not a Python traceback
+    out = tmp_path / "result.json"
+    assert main(["mechanism", RUNNING, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for key, value in (("identity_residuals", ["x", 0.0, 0.0]), ("realized_utilities", 1.0)):
+        tampered = {**doc, key: value}
+        out.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        assert main(["check", RUNNING, str(out)]) == 2
+        assert key in capsys.readouterr().err
+
+
+def _variant_run(tmp_path, variant: str, n: int):
+    """The variants_mixed catalog at n agents as an instance file, and the
+    mechanism flags and ``identity_residuals`` keywords of one variant."""
+    _, inst, weighted = variants_catalog(n)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(files.instance_to_dict(weighted if variant == "hetero" else inst)))
+    if variant == "plain":
+        return path, [], {}
+    if variant == "hetero":
+        return path, ["--hetero"], {"hetero": True}
+    bias = BiasSpec(lam=0.5, target=EquitableTarget())
+    bias_path = tmp_path / "bias.json"
+    bias_path.write_text(json.dumps(files.bias_to_dict(bias)))
+    return path, ["--bias", str(bias_path)], {"bias": bias}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("variant", ["plain", "biased", "hetero"])
+def test_cli_residuals_from_the_run_equal_a_fresh_audit(tmp_path, variant, n):
+    # the document's residuals, from the run's own pivot solves, are the
+    # bits identity_residuals gets from solving them again
+    path, flags, keywords = _variant_run(tmp_path, variant, n)
+    out = tmp_path / "result.json"
+    assert main(["mechanism", str(path), *flags, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    instance, _ = files.load_instance(path)
+    outcome = files.outcome_from_dict(doc)
+    audit = identity_residuals(instance.types, outcome, instance, **keywords)
+    assert len(doc["identity_residuals"]) == n
+    assert all(a == b for a, b in zip(doc["identity_residuals"], audit, strict=True))
+    if n == 1:
+        assert doc["identity_residuals"] == [0.0]
+    assert main(["check", str(path), str(out)]) == 0
+
+
+@pytest.mark.parametrize("variant", ["plain", "biased", "hetero"])
+def test_cli_mechanism_solves_once_and_check_twice(tmp_path, monkeypatch, variant):
+    # n + 1 solves (the decision and one pivot per agent) for mechanism;
+    # check runs again and audits with fresh pivot solves, 2(n + 1)
+    n = 5
+    path, flags, _ = _variant_run(tmp_path, variant, n)
+    solves, depth = [0], [0]
+    for name in ("optimize", "optimize_biased", "optimize_hetero"):
+        original = getattr(solver, name)
+
+        def counted(*args, _original=original, **kwargs):
+            if depth[0] == 0:
+                solves[0] += 1
+            depth[0] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        # every module holding the solver entry point, as bench/tracing.py rebinds them
+        for key, module in list(sys.modules.items()):
+            if key == "usvcg" or key.startswith("usvcg."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    out = tmp_path / "result.json"
+    assert main(["mechanism", str(path), *flags, "--out", str(out)]) == 0
+    assert solves[0] == n + 1
+    assert main(["check", str(path), str(out)]) == 0
+    assert solves[0] == (n + 1) + 2 * (n + 1)
 
 
 def test_cli_solve_and_check(tmp_path, capsys):
@@ -421,6 +529,30 @@ def test_cli_converge(tmp_path):
     doc = json.loads(out.read_text())
     assert [r["n"] for r in doc["rows"]] == [10, 40]
     assert csv_path.read_text().startswith("n,max_abs_payment")
+
+
+def _python_m_usvcg(*argv):
+    """``python -m usvcg ARGV`` in a child process importing this package."""
+    src = str(Path(usvcg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "usvcg", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_m_usvcg_runs_the_cli(tmp_path):
+    usage = _python_m_usvcg("--help")
+    assert usage.returncode == 0
+    assert "mechanism" in usage.stdout
+    out = tmp_path / "result.json"
+    assert main(["mechanism", RUNNING, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["identity_residuals"] = None
+    out.write_text(json.dumps(doc))
+    checked = _python_m_usvcg("check", RUNNING, str(out))
+    assert checked.returncode == 5
+    assert "check: MISMATCH" in checked.stderr
 
 
 def test_cli_exit_codes(tmp_path):

@@ -98,6 +98,15 @@ def test_pivot_needs_two_agents(running_instance):
         raw_vcg_payment((RUNNING_PROFILE[0],), 0, running_instance)
 
 
+def test_pivot_functions_refuse_designer_tax_weights(running_instance):
+    # both would price agent i as if every agent paid t; run_us_vcg_hetero
+    # gives agent 0 a raw pivot of about 0.998 here, not the plain 1.234
+    inst = dataclasses.replace(running_instance, tax_weights=(1.5, 1.0, 0.5))
+    for pivot in (clarke_pivot, raw_vcg_payment):
+        with pytest.raises(DomainError, match="run_us_vcg_hetero"):
+            pivot(RUNNING_PROFILE, 0, inst)
+
+
 def test_homogeneous_raw_payment_is_zero(running_instance):
     agent = AgentType((0.5, 0.5), 1.0)
     assert raw_vcg_payment((agent,) * 3, 1, running_instance) == pytest.approx(0.0, abs=1e-9)
@@ -310,6 +319,14 @@ def test_identity_when_one_agent_funds_a_log_good(running_instance):
     assert all(math.isfinite(p) for p in out.payments)
     residuals = identity_residuals(profile, out, running_instance)
     assert max(abs(r) for r in residuals) <= 1e-8
+
+
+def test_realized_utility_refuses_agent_indices_out_of_range(running_instance):
+    # -1 would index the last agent and 3 the end of the profile
+    out = run_us_vcg(RUNNING_PROFILE, running_instance)
+    for i in (-1, 3):
+        with pytest.raises(DomainError, match=f"agent index {i} out of range for n=3"):
+            realized_utility(RUNNING_PROFILE, i, out, running_instance)
 
 
 def test_realized_utility_without_payment_is_valuation(running_instance):
