@@ -81,7 +81,10 @@ def _parse_type_flag(text: str, m: int) -> AgentType:
         raise SchemaError(
             f"--type needs {m} allocation weights plus a money weight, got {len(parts)} values"
         )
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise SchemaError(f"--type: {exc}") from exc
     return AgentType(tuple(values[:-1]), values[-1])
 
 
@@ -130,6 +133,8 @@ def cmd_solve(args) -> int:
     elif args.agent_index is not None:
         if instance.types is None:
             raise SchemaError("--agent-index needs types in the instance file")
+        if not 0 <= args.agent_index < len(instance.types):
+            raise SchemaError(f"--agent-index must lie in 0..{len(instance.types) - 1}")
         agent = instance.types[args.agent_index]
     else:
         if instance.types is None:
@@ -188,7 +193,7 @@ def cmd_mechanism(args) -> int:
         raise SchemaError("--bias, --non-positive and --hetero are mutually exclusive")
     npc = None
     if args.non_positive:
-        gamma = args.gamma or NonPositiveConfig.for_band(args.mu).gamma
+        gamma = NonPositiveConfig.for_band(args.mu).gamma if args.gamma is None else args.gamma
         npc = NonPositiveConfig(gamma=gamma, r=args.rebate)
     bias = files.load_bias(args.bias) if args.bias else None
     with mechanism._keeping_optima() as kept:
@@ -214,6 +219,8 @@ def cmd_mechanism(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.trials < 0:
+        raise SchemaError(f"--trials must be >= 0, got {args.trials}")
     instance, _ = files.load_instance(args.instance)
     if args.coalition:
         report = experiments.coalition_probe(
@@ -247,7 +254,10 @@ def cmd_fuzz(args) -> int:
 
 def cmd_converge(args) -> int:
     sigma, template = files.load_sigma(args.sigma, mu_default=args.mu)
-    n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+    except ValueError as exc:
+        raise SchemaError(f"--n-list: {exc}") from exc
     rule = "non_positive" if args.non_positive else "sensitive"
     table = experiments.convergence_study(
         sigma, template, n_list, args.seed, payment_rule=rule
@@ -283,41 +293,38 @@ def cmd_check(args) -> int:
     def same(stored, fresh, match) -> bool:
         return len(stored) == len(fresh) and all(map(match, stored, fresh))
 
-    def numbers(key: str) -> list | None:
-        values = result.get(key)
-        if values is not None and not (
-            isinstance(values, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-        ):
-            raise SchemaError(f"result field {key!r} must be a list of numbers or null")
-        return values
-
     if command == "solve":
-        agent = files.type_from_dict(result["agent"], "result agent")
-        stored = files.decision_from_dict(result["decision"], "result decision")
+        agent = files.type_from_dict(result.get("agent"), "result agent")
+        stored = files.decision_from_dict(result.get("decision"), "result decision")
         fresh = optimize(agent, instance)
         ok = close(stored.tax, fresh.tax) and same(stored.allocation, fresh.allocation, near)
-        ok = ok and close(result["valuation"], valuation(agent, fresh, instance))
+        stored_value = files._number(result, "valuation", "result")
+        ok = ok and close(stored_value, valuation(agent, fresh, instance))
     elif command == "mechanism":
-        profile = tuple(
-            files.type_from_dict(t, "result types") for t in result.get("types", [])
-        )
-        if not profile:
-            raise SchemaError("result document carries no types to re-verify against")
+        rows = result.get("types")
+        if not isinstance(rows, list) or not rows:
+            raise SchemaError("result document carries no list of types to re-verify against")
+        profile = tuple(files.type_from_dict(t, f"result types[{i}]") for i, t in enumerate(rows))
         variant = result.get("variant", {})
-        np_doc = variant.get("non_positive", False)
+        if not isinstance(variant, dict):
+            raise SchemaError(f"result field 'variant' must be a JSON object, got {variant!r}")
+        np_doc, hetero = variant.get("non_positive", False), variant.get("hetero", False)
+        if not isinstance(np_doc, (bool, dict)) or not isinstance(hetero, bool):
+            raise SchemaError("result variant: non_positive is a flag or object, hetero a flag")
         npc = None
         if np_doc:
             spec = np_doc if isinstance(np_doc, dict) else {}
+            where, default = "result variant non_positive", NonPositiveConfig.for_band(_DEFAULT_MU)
             npc = NonPositiveConfig(
-                gamma=spec.get("gamma") or NonPositiveConfig.for_band(_DEFAULT_MU).gamma,
-                r=spec.get("r", 0.0),
+                gamma=files._number(spec, "gamma", where) if "gamma" in spec else default.gamma,
+                r=files._number(spec, "r", where) if "r" in spec else 0.0,
             )
         bias_doc = variant.get("bias")
         bias = files.parse_bias(bias_doc, "result variant bias") if bias_doc else None
-        hetero = bool(variant.get("hetero", False))
-        fresh_outcome = _run_variant(instance, profile, bias=bias, hetero=hetero, npc=npc)
         stored = files.outcome_from_dict(result, "result")
+        stored_utilities = files.number_list(result, "realized_utilities", "result", nullable=True)
+        residuals = files.number_list(result, "identity_residuals", "result", nullable=True)
+        fresh_outcome = _run_variant(instance, profile, bias=bias, hetero=hetero, npc=npc)
         ok = close(stored.decision.tax, fresh_outcome.decision.tax)
         ok = ok and same(stored.decision.allocation, fresh_outcome.decision.allocation, near)
         ok = ok and same(stored.raw_vcg, fresh_outcome.raw_vcg, close)
@@ -326,8 +333,7 @@ def cmd_check(args) -> int:
         utilities = [
             realized_utility(profile, i, fresh_outcome, instance) for i in range(len(profile))
         ]
-        ok = ok and same(numbers("realized_utilities") or (), utilities, close)
-        residuals = numbers("identity_residuals")
+        ok = ok and same(stored_utilities or (), utilities, close)
         if npc is not None:
             ok = ok and residuals is None
         else:

@@ -94,6 +94,20 @@ def _number(doc: dict, key: str, where: str) -> float:
     return float(v)
 
 
+def number_list(doc: dict, key: str, where: str, nullable: bool = False) -> tuple | None:
+    """``doc[key]`` as a tuple of floats; it must be a list of numbers, or,
+    when ``nullable``, null or absent (None)."""
+    values = doc.get(key) if nullable else _require(doc, key, where)
+    if nullable and values is None:
+        return None
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        kind = "a list of numbers or null" if nullable else "a list of numbers"
+        raise SchemaError(f"{where}: field {key!r} must be {kind}, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 # =============================================================================
 # Curves
 # =============================================================================
@@ -411,7 +425,7 @@ def outcome_to_dict(outcome: Outcome) -> dict:
 def outcome_from_dict(doc: dict, where: str = "outcome") -> Outcome:
     return Outcome(
         decision=decision_from_dict(_require(doc, "decision", where), f"{where}: decision"),
-        raw_vcg=tuple(float(x) for x in _require(doc, "raw_vcg", where)),
-        payments=tuple(float(x) for x in _require(doc, "payments", where)),
+        raw_vcg=number_list(doc, "raw_vcg", where),
+        payments=number_list(doc, "payments", where),
         welfare=_number(doc, "welfare", where),
     )

@@ -539,7 +539,7 @@ class _Hetero(_Plain):
     """Designer tax weights: agent k pays tax_weights[k] * t, so the others
     without agent i are everyone else.  The run builds the profile's exact
     totals once (``_HeteroTotals``): each solve reads them through
-    ``optimize_hetero``, which they are held for, and the others' welfare
+    ``optimize_hetero(totals=)``, and the others' welfare
     and the pivots are those totals against a decision's gains and f(t),
     O(m) per agent.  Each payment offsets its own weighted tax."""
 
@@ -554,8 +554,7 @@ class _Hetero(_Plain):
         return range(self.n)
 
     def others_optimum(self, i: int | None) -> BudgetDecision:
-        with self.totals.held():
-            return optimize_hetero(self.profile, self.instance, exclude=i)
+        return optimize_hetero(self.profile, self.instance, exclude=i, totals=self.totals)
 
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return self.instance.tax_weights[i] * decision.tax

@@ -23,6 +23,14 @@ The optimisation is solved in the two natural stages:
    solve's samples where a bound proves them (``_SlopeRecord``) and probe
    only the rest, with the same result as the full search, bit for bit.
 
+Each solver kind is one objective whose ``at(t)`` names, from one inner
+evaluation, the allocation, the gains and the slope and value terms
+(``_PlainObjective``: a type's valuation, or a profile's welfare under
+designer tax weights; ``_BiasedObjective``: valuation plus bias).  One step,
+``_solve``, builds from them the probe and the slope record, one layout for
+every kind.  A mechanism run's n+1 solves share its state as arguments: the
+target-side table (``sides=``) and the profile totals (``totals=``).
+
 Ties between equal-value optima break deterministically: lowest tax,
 then lexicographically smallest allocation.
 """
@@ -146,20 +154,23 @@ def _water_fill(
 
 
 class _Conditional:
-    """Inner-stage solution as a function of the pool size, for one solve.
+    """Inner-stage solution as a function of the tax, for one solve.  The
+    pool is start + rate t: the pool is affine in the tax, so an instance's
+    pool(0) and pool rate give the bits of its pool(t), and with the
+    defaults t is the pool itself.
 
     All-log catalogs admit a budget-independent allocation, so the shares
-    and the log-constant are precomputed once.  The marginal ``at`` returns
-    is the common weighted marginal at the inner optimum -- by the envelope
-    theorem it is the derivative of the conditional gains with respect to
-    the pool, so one evaluation gives the value and the slope of a tax.
+    and the log-constant are precomputed once.  The common weighted marginal
+    Lambda at the inner optimum is, by the envelope theorem, the derivative
+    of the conditional gains with respect to the pool, so one evaluation
+    gives the value and the gain term Lambda rate of a tax's slope.
 
     Otherwise each evaluation water-fills from scratch, so ``at`` is a
-    pure function of the pool whatever was evaluated before it.
+    pure function of the tax whatever was evaluated before it.
     """
 
-    def __init__(self, weights: Sequence[float], curves: Sequence[GainCurve]):
-        self.weights = tuple(map(float, weights))
+    def __init__(self, weights, curves: Sequence[GainCurve], start=0.0, rate=1.0):
+        self.weights, self.start, self.rate = tuple(map(float, weights)), start, rate
         self.curves = tuple(curves)
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
         self._fast = bool(active) and all(curves[j].kind == "log" for j in active)
@@ -167,21 +178,22 @@ class _Conditional:
             wa = [self.weights[j] * curves[j].scale for j in active]
             self._w_total = sum(wa)
             shares = [w / self._w_total for w in wa]
-            self._x = np.zeros(len(curves))
-            self._x[active] = shares
+            x = [0.0] * len(curves)
+            for j, share in zip(active, shares):
+                x[j] = share
+            self._x = np.array(x)
             self._const = float(np.dot(wa, np.log(shares)))
 
-    def at(self, budget: float) -> tuple[np.ndarray, float, float]:
-        """(allocation, gains, marginal) at the pool, from one evaluation.
-        On the all-log path the allocation array is shared: do not write it."""
+    def at(self, t: float) -> tuple:
+        """(allocation, gains, gain term, (), (), ()) at tax t, from one
+        evaluation: ``_solve``'s objective terms, with no other term.  On
+        the all-log path the allocation array is shared: do not write it."""
+        budget = self.start + self.rate * t
         if self._fast:
             gains = self._const + self._w_total * math.log(budget)
-            return self._x, gains, self._w_total / budget
-        return _water_fill(self.weights, self.curves, budget)
-
-    def both(self, budget: float) -> tuple[np.ndarray, float]:
-        x, gains, _ = self.at(budget)
-        return x.copy(), gains
+            return self._x, gains, self._w_total / budget * self.rate, (), (), ()
+        x, gains, marginal = _water_fill(self.weights, self.curves, budget)
+        return x, gains, marginal * self.rate, (), (), ()
 
 
 def inner_allocation(
@@ -194,8 +206,7 @@ def inner_allocation(
         raise DomainError(f"allocation needs a positive pool, got {budget}")
     if agent.m != instance.m:
         raise DomainError("type length does not match the instance")
-    x, _ = _Conditional(agent.alloc_weights, instance.gain_curves).both(budget)
-    return x
+    return _Conditional(agent.alloc_weights, instance.gain_curves).at(budget)[0].copy()
 
 
 # =============================================================================
@@ -294,8 +305,9 @@ def _maximize_over_tax(
     samples = []  # (tax, slope), in increasing tax
 
     def sample(t: float) -> float:
-        samples.append((t, probe(t)[0] if signs is None else signs(t, probe)))
-        return samples[-1][1]
+        slope = probe(t)[0] if signs is None else signs(t, probe)
+        samples.append((t, slope))
+        return slope
 
     s0 = 1e-8 * scale
     sample(start)
@@ -359,20 +371,14 @@ def optimize(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
     1e-13 of the pool, and the tax search resolves the slope to its
     rounding bound.
     """
-    if agent.m != instance.m:
-        raise DomainError("type length does not match the instance")
-    kappa = instance.money_factor() * agent.money_weight
-    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance)
+    return _solve(_PlainObjective.of(agent, instance))
 
 
 def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
     """``optimize``'s decision, from its one tax search; a runner-up local
     maximum that ties the best raises NonUniqueOptimum (``_maximize_over_tax``
     gives the margins, and what escapes them)."""
-    if agent.m != instance.m:
-        raise DomainError("type length does not match the instance")
-    kappa = instance.money_factor() * agent.money_weight
-    return _decide(agent.alloc_weights, kappa, (1.0, 1.0), instance, unique=True)
+    return _solve(_PlainObjective.of(agent, instance), unique=True)
 
 
 # The record of the first solve inside ``_certified_pivots``, once it is made.
@@ -392,20 +398,21 @@ def _certified_pivots():
 
 
 class _SlopeRecord:
-    """One solve's type and, for the solve that makes the record, its slope
-    terms by tax: the gain term Lambda rate, the cost term kappa c f'(t)
-    and, for ``optimize_biased``, its other terms: their sum, the sum of
-    their sizes, and (lam |a_j'(t)|, curve, level theta_j(s_j)) for each
-    good its reweighted term lam sum_j a_j'(t) theta_j(s_j) weights.
-    ``_decide`` has no other terms (None).
+    """The slope terms by tax of the solve that made the record (its
+    ``objective``), in one layout for every solver kind: (gain, cost, rest,
+    rest_size, goods).  gain is the gain term Lambda rate, cost the cost
+    term kappa c f'(t), rest the sum of the other slope terms and rest_size
+    the sum of their sizes; goods holds (lam |a_j'(t)|, curve, level
+    theta_j(s_j)) for each good the reweighted term lam sum_j a_j'(t)
+    theta_j(s_j) weights.  The plain kind has no other term: (0, 0, ()).
 
     Another type's inner weights are b' + lam a(t) against the record's
-    b + lam a(t) (lam a = 0 for ``_decide``).  Good by good their ratio lies
-    between 1 and b'_j/b_j, so within [w_lo, w_hi], the least and largest of
-    the b'_j/b_j and, with phantom weights, 1.  The common marginal Lambda
-    never decreases when a weight grows and scales linearly with the
-    weights, so the other type's gain term lies within [w_lo, w_hi] times
-    the recorded one.  Each good's marginal Lambda/W_j moves by
+    b + lam a(t) (lam a = 0 for the plain kind).  Good by good their ratio
+    lies between 1 and b'_j/b_j, so within [w_lo, w_hi], the least and
+    largest of the b'_j/b_j and, with phantom weights, 1.  The common
+    marginal Lambda never decreases when a weight grows and scales linearly
+    with the weights, so the other type's gain term lies within [w_lo, w_hi]
+    times the recorded one.  Each good's marginal Lambda/W_j moves by
     (Lambda'/Lambda)/(W'_j/W_j), a factor within [1/sigma, sigma],
     sigma = w_hi/w_lo, so its level moves by at most
     ``GainCurve.level_shift`` and the reweighted term by at most
@@ -417,117 +424,126 @@ class _SlopeRecord:
     there.
     """
 
-    def __init__(
-        self,
-        instance: BudgetInstance,
-        base: tuple[float, ...],
-        kappa: float,
-        coefficients: tuple[float, float],
-        sides: _TargetSides | None = None,
-    ):
-        self.instance, self.sides, self.base = instance, sides, base
-        self.kappa, self.coefficients = kappa, coefficients
-        # each tax's first slope terms, kept only by the solve that makes the record
-        self.terms: dict[float, tuple] | None = {} if _RECORD.get() == [] else None
+    def __init__(self, objective, terms: dict[float, tuple]):
+        self.objective, self.terms = objective, terms
 
     def _bounds(self, base) -> tuple[float, float, float]:
         """w_lo, w_hi and sigma for another type's type weights ``base``;
         sigma only bounds the reweighted term, which needs phantom weights."""
+        made = self.objective
         ratios = [
-            w / v if v > 0.0 else math.inf for w, v in zip(base, self.base) if w > 0.0 or v > 0.0
+            w / v if v > 0.0 else math.inf for w, v in zip(base, made.base) if w > 0.0 or v > 0.0
         ]
-        if self.sides is not None:  # the phantom weights lam a(t) are every type's
+        if made.sides is not None:  # the phantom weights lam a(t) are every type's
             ratios.append(1.0)
         w_lo, w_hi = min(ratios), max(ratios)
         return w_lo, w_hi, w_hi / w_lo if w_lo > 0.0 else math.inf
 
-    def signs(self, other: "_SlopeRecord") -> Callable[[float, Callable], float]:
-        """The ``signs`` of a certified search for the type of ``other``, a
-        solve of the same kind: at a tax of the record where the bounds
-        prove the sign it is +-1, elsewhere the probed slope."""
+    def signs(self, other) -> Callable[[float, Callable], float]:
+        """The ``signs`` of a certified search for the objective ``other``,
+        of the record's kind: at a tax of the record where the bounds prove
+        the sign it is +-1, elsewhere the probed slope."""
         lo, hi, sigma = self._bounds(other.base)
         # the bounds with _SLACK to spare: w_lo and w_hi on the gain
         # term, and the cost ratio on each side of 0 widened both ways
         wide, narrow = 1.0 + _SLACK, 1.0 - _SLACK
         lo, hi = lo * narrow, hi * wide
-        r = other.kappa / self.kappa
-        (c_below, c_above), (d_below, d_above) = other.coefficients, self.coefficients
+        made = self.objective
+        r = other.kappa / made.kappa
+        (c_below, c_above), (d_below, d_above) = other.coefficients, made.coefficients
         below = (r * c_below / d_below * wide, r * c_below / d_below * narrow)
         above = (r * c_above / d_above * wide, r * c_above / d_above * narrow)
-        terms = self.terms
+        recorded_at = self.terms.get
 
         def sign(t: float, probe: Callable) -> float:
-            recorded = terms.get(t)
+            recorded = recorded_at(t)
             if recorded is not None:
-                gain, cost, others = recorded
+                gain, cost, rest, rest_size, goods = recorded
                 up, down = above if t > 0.0 else below
-                up, down = up * cost, down * cost
-                if others is not None:
-                    rest, rest_size, goods = others
+                if rest_size or goods:
                     spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods)
                     pad = spread + _SLACK * (rest_size + spread)
-                    up, down = up - rest + pad, down - rest - pad
-                if lo * gain > up:
+                    if lo * gain > up * cost - rest + pad:
+                        return 1.0
+                    if hi * gain < down * cost - rest - pad:
+                        return -1.0
+                elif lo * gain > up * cost:  # the padding is exactly 0
                     return 1.0
-                if hi * gain < down:
+                elif hi * gain < down * cost:
                     return -1.0
             return probe(t)[0]
 
         return sign
 
 
-def _certified_search(
-    probe: Callable[..., tuple[float, float, float]],
-    own: _SlopeRecord,
-    unique: bool = False,
-) -> float:
-    """The tax of the solve's cold search (``_maximize_over_tax``).
+def _solve(objective, unique: bool = False) -> BudgetDecision:
+    """The decision maximising ``objective`` over the tax.
 
+    ``objective.at(t)`` gives, from one inner evaluation, the allocation,
+    the gains, the gain term Lambda rate, the other slope terms (``rest``),
+    the reweighted goods (``_SlopeRecord``) and the other value terms
+    (``offsets``).  With the cost kappa c f'(t), c the first of
+    ``objective.coefficients`` for t <= 0 and the second above, the probe's
+    slope is the left-to-right sum of (gain, *rest, -cost), its size the
+    largest |term| and its value the sum of (gains, *offsets, -kappa c f(t)).
     Inside ``_certified_pivots`` a solve of the record's kind (the same
-    instance and target-side table, None for ``_decide``) is first searched
-    certified against the record; when that search cannot vouch for its
-    result, the cold search runs.  ``own`` is the solve's own record, which
-    its probe fills when it is the first solve in the block."""
-    instance, shared = own.instance, _RECORD.get()
-    if shared and shared[0].instance is instance and shared[0].sides is own.sides:
-        with contextlib.suppress(_Uncertified):
-            signs = shared[0].signs(own)
-            return _maximize_over_tax(probe, instance, signs, unique)
-    t_star = _maximize_over_tax(probe, instance, None, unique)
-    if own.terms is not None:
-        shared.append(own)
-    return t_star
-
-
-def _decide(
-    weights: Sequence[float],
-    kappa: float,
-    coefficients: tuple[float, float],
-    instance: BudgetInstance,
-    unique: bool = False,
-) -> BudgetDecision:
-    """The decision maximising sum_j w_j theta_j(x_j pool(t)) - kappa c f(t),
-    with c the first of ``coefficients`` for t <= 0 and the second above,
-    certified inside ``_certified_pivots`` (``_certified_search``); a tie
-    raises NonUniqueOptimum when ``unique`` (``_maximize_over_tax``)."""
-    cond = _Conditional(weights, instance.gain_curves)
-    money, rate, pool = instance.money_curve, instance.pool_rate, instance.pool
-    below, above = coefficients
-    own = _SlopeRecord(instance, cond.weights, kappa, coefficients)
-    terms = own.terms
+    instance and ``sides``) is certified against the record, and cold when
+    that search cannot vouch for its result.  With ``unique`` a tie raises
+    NonUniqueOptimum.
+    """
+    instance, at, kappa = objective.instance, objective.at, objective.kappa
+    below, above = objective.coefficients
+    money, shared = instance.money_curve, _RECORD.get()
+    terms = {} if shared == [] else None
 
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
-        _, gains, marginal = cond.at(pool(t))
+        _, gains, gain, rest, goods, offsets = at(t)
         c = above if t > 0.0 else below
-        gain, cost = marginal * rate, kappa * (c * money.deriv(t))
-        if terms is not None:
-            terms.setdefault(t, (gain, cost, None))
-        value = gains - kappa * (c * money.value(t)) if valued else math.nan
-        return gain - cost, gain if gain > cost else cost, value
+        cost = kappa * (c * money.deriv(t))
+        if rest:
+            summed = (gain, *rest, -cost)
+            slope, size = sum(summed), max(map(abs, summed))
+        else:  # gain and cost are never negative: the same bits
+            slope, size = gain - cost, gain if gain > cost else cost
+        if terms is not None and t not in terms:
+            terms[t] = (gain, cost, sum(rest), sum(map(abs, rest)), goods)
+        value = sum((gains, *offsets, -kappa * (c * money.value(t)))) if valued else math.nan
+        return slope, size, value
 
-    t_star = _certified_search(probe, own, unique)
-    x, _, _ = cond.at(instance.pool(t_star))
-    return BudgetDecision(tuple(x), t_star)
+    t_star, made = None, shared[0].objective if shared else None
+    if made is not None and made.instance is instance and made.sides is objective.sides:
+        with contextlib.suppress(_Uncertified):
+            t_star = _maximize_over_tax(probe, instance, shared[0].signs(objective), unique)
+    if t_star is None:
+        t_star = _maximize_over_tax(probe, instance, None, unique)
+        if terms is not None:
+            shared.append(_SlopeRecord(objective, terms))
+    return BudgetDecision(tuple(objective.allocation(t_star)), t_star)
+
+
+class _PlainObjective(_Conditional):
+    """sum_j w_j theta_j(x_j pool(t)) - kappa c f(t), with c the first of
+    ``coefficients`` for t <= 0 and the second above: a type's valuation
+    (``of``), or a profile's welfare under designer tax weights
+    (``optimize_hetero``).  Its slope has no term but gain and cost, so its
+    ``at`` is the inner stage's."""
+
+    sides = None  # no target side, so no phantom weights
+
+    def __init__(self, weights, kappa: float, coefficients: tuple, instance: BudgetInstance):
+        super().__init__(weights, instance.gain_curves, instance.pool(0.0), instance.pool_rate)
+        self.base, self.kappa, self.coefficients = self.weights, kappa, coefficients
+        self.instance = instance
+
+    @classmethod
+    def of(cls, agent: AgentType, instance: BudgetInstance) -> "_PlainObjective":
+        if agent.m != instance.m:
+            raise DomainError("type length does not match the instance")
+        kappa = instance.money_factor() * agent.money_weight
+        return cls(agent.alloc_weights, kappa, (1.0, 1.0), instance)
+
+    def allocation(self, t: float) -> np.ndarray:
+        return self.at(t)[0]
 
 
 # =============================================================================
@@ -781,6 +797,42 @@ def bias_value(bias: BiasSpec, decision: BudgetDecision, instance: BudgetInstanc
     return _TargetSides(bias, instance).bias_value(decision)
 
 
+class _BiasedObjective:
+    """Valuation plus bias of one type, against a target-side table
+    (``_TargetSides``): the inner stage folds the phantom weights lam a(t)
+    into the water-filling problem.  By the envelope theorem the other slope
+    terms are lam sum_j a_j'(t) theta_j(x_j pool), the reweighted term,
+    -d/dt[lam sum_j a_j theta_j(xhat_j pool)] and psi'(t); the other value
+    terms are -lam sum_j a_j theta_j(xhat_j pool) and psi(t)."""
+
+    coefficients = (1.0, 1.0)
+
+    def __init__(self, agent: AgentType, bias: BiasSpec, instance: BudgetInstance, sides):
+        self.base, self.bias, self.instance, self.sides = agent.alloc_weights, bias, instance, sides
+        self.kappa = instance.money_factor() * agent.money_weight
+        self.start, self.rate = instance.pool(0.0), instance.pool_rate
+
+    def at(self, t: float) -> tuple:
+        instance, lam, psi = self.instance, self.bias.lam, self.bias.psi
+        phantom, _, slopes, at_target, at_target_slope = self.sides.at(t)
+        pool, curves = instance.pool(t), instance.gain_curves
+        weights = [w + lam * a for w, a in zip(self.base, phantom)]
+        x, combined, gain = _Conditional(weights, curves, self.start, self.rate).at(t)[:3]
+        reweighted, goods = 0, []  # sum_j a_j'(t) theta_j(x_j pool), over a_j'(t) != 0
+        for a, xj, curve in zip(slopes, x, curves):
+            if a:
+                level = curve.value(float(xj) * pool)
+                reweighted += a * level
+                goods.append((lam * abs(a), curve, level))
+        rest = (lam * reweighted, -at_target_slope, psi.deriv(t))
+        return x, combined, gain, rest, goods, (-at_target, psi.value(t))
+
+    def allocation(self, t: float) -> np.ndarray:
+        lam, phantom = self.bias.lam, self.sides.at(t)[0]
+        weights = [w + lam * a for w, a in zip(self.base, phantom)]
+        return _Conditional(weights, self.instance.gain_curves, self.start, self.rate).at(t)[0]
+
+
 def optimize_biased(
     agent: AgentType,
     bias: BiasSpec,
@@ -788,20 +840,16 @@ def optimize_biased(
     *,
     sides: _TargetSides | None = None,
 ) -> BudgetDecision:
-    """argmax of valuation + bias.  The inner stage folds the phantom
-    weights a(t) into the water-filling problem; the outer stage carries the
-    target-loss offset and psi.
+    """argmax of valuation + bias (``_BiasedObjective``): the phantom
+    weights a(t) join the water-filling problem, and the tax search carries
+    the target-loss offset and psi on the analytic slope.
 
-    ``sides`` is a target-side table of this bias and instance that several
-    solves share (a mechanism run passes one to all of its n+1 solves);
-    without it the call builds its own.  The result is the same either way.
-
-    The tax search runs on the analytic slope, by the envelope theorem
-    Lambda rate + lam sum_j a_j'(t) theta_j(x_j pool) - d/dt[lam sum_j a_j
-    theta_j(xhat_j pool)] + psi'(t) - kappa f'(t).  Inside
-    ``_certified_pivots`` the solves that share one table are certified
-    against the first one's slope terms (``_SlopeRecord``), as ``_decide``'s
-    are; the result is still that of the solve's own cold search.
+    ``sides`` is a target-side table of this bias and instance that a
+    mechanism run passes to all of its n+1 solves; without it the call
+    builds its own, and a table of another bias or instance raises
+    DomainError.  Inside ``_certified_pivots`` the solves that share one
+    table are certified against the first one's slope terms (``_SlopeRecord``,
+    one layout for every solver kind).  The result is the same either way.
     """
     if bias.is_null:
         return optimize(agent, instance)
@@ -809,42 +857,7 @@ def optimize_biased(
         sides = _TargetSides(bias, instance)
     elif sides.bias is not bias or sides.instance is not instance:
         raise DomainError("target-side table belongs to another bias or instance")
-    lam, psi, money = bias.lam, bias.psi, instance.money_curve
-    curves, rate = instance.gain_curves, instance.pool_rate
-    kappa = instance.money_factor() * agent.money_weight
-    base = agent.alloc_weights
-    own = _SlopeRecord(instance, base, kappa, (1.0, 1.0), sides)
-    record = own.terms
-
-    def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
-        weights, _, slopes, at_target, at_target_slope = sides.at(t)
-        cond = _Conditional([w + lam * a for w, a in zip(base, weights)], curves)
-        pool = instance.pool(t)
-        x, combined, marginal = cond.at(pool)
-        goods = [  # (a_j'(t), curve, theta_j(x_j pool)) where a_j'(t) != 0
-            (a, curve, curve.value(float(xj) * pool))
-            for a, xj, curve in zip(slopes, x, curves)
-            if a
-        ]
-        reweighted = sum(a * level for a, _, level in goods)
-        terms = (
-            marginal * rate,
-            lam * reweighted,
-            -at_target_slope,
-            psi.deriv(t),
-            -kappa * money.deriv(t),
-        )
-        if record is not None and t not in record:
-            rest = terms[1:4]
-            levels = tuple((lam * abs(a), curve, level) for a, curve, level in goods)
-            record[t] = (terms[0], -terms[4], (sum(rest), sum(map(abs, rest)), levels))
-        value = combined - at_target + psi.value(t) - kappa * money.value(t) if valued else math.nan
-        return sum(terms), max(map(abs, terms)), value
-
-    t_star = _certified_search(probe, own)
-    weights = [w + lam * a for w, a in zip(base, sides.at(t_star)[0])]
-    x, _, _ = _Conditional(weights, curves).at(instance.pool(t_star))
-    return BudgetDecision(tuple(x), t_star)
+    return _solve(_BiasedObjective(agent, bias, instance, sides))
 
 
 # =============================================================================
@@ -963,14 +976,6 @@ class _HeteroTotals:
         coefficients = tuple(math.fsum((*total, -c)) for total, c in zip(self.money, money))
         return others, coefficients
 
-    def decide(self, exclude: int | None) -> BudgetDecision:
-        """The welfare-optimal decision of the profile without ``exclude``."""
-        weights, coefficients = self.without(exclude)
-        if len(self.profile) == 1 and exclude is not None:
-            raise DomainError("cannot optimise for an empty included set")
-        instance = self.instance
-        return _decide(weights, instance.money_factor(), coefficients, instance)
-
     def welfare(self, decision: BudgetDecision, exclude: int | None = None) -> float:
         """sum_{k != exclude} v_k(decision), each agent under her own tax
         weight: the others' weight totals times theta_j(x_j pool) (goods
@@ -1007,27 +1012,13 @@ class _HeteroTotals:
             terms += [-cb * money.value(tb), cd * money.value(td)]
         return math.fsum(terms)
 
-    @contextlib.contextmanager
-    def held(self):
-        """Inside the block, ``optimize_hetero`` on this profile and instance
-        reads these totals instead of summing its own."""
-        token = _HELD.set(self)
-        try:
-            yield
-        finally:
-            _HELD.reset(token)
-
-
-# The totals a mechanism run holds for its solves (``_HeteroTotals.held``).
-_HELD: contextvars.ContextVar[_HeteroTotals | None] = contextvars.ContextVar(
-    "hetero_totals", default=None
-)
-
 
 def optimize_hetero(
     profile,
     instance: BudgetInstance,
     exclude: int | None = None,
+    *,
+    totals: _HeteroTotals | None = None,
 ) -> BudgetDecision:
     """Welfare-optimal decision when agent i pays tax_weights[i] * t.
 
@@ -1037,20 +1028,28 @@ def optimize_hetero(
     homogeneity on t's side of zero, so each value or slope evaluation calls
     the money curve once, whatever the number of agents.  The weights and
     the two coefficients come from the profile's exact totals
-    (``_HeteroTotals``), built once per call, or once per mechanism run that
-    holds them; removing one agent from them costs O(m) and rounds as a
-    fresh sum over the others.  ``exclude`` drops one agent from the
+    (``_HeteroTotals``); removing one agent from them costs O(m) and rounds
+    as a fresh sum over the others.  ``exclude`` drops one agent from the
     welfare, which is what pivot payments need; an index outside the
     profile raises DomainError.  The budget mechanics (pool and feasible
     range) keep the full population.
+
+    ``totals`` are the totals of this profile (the same tuple) and instance
+    that a mechanism run passes to all of its n+1 solves; without them the
+    call builds its own, and totals of another profile or instance raise
+    DomainError.  The result is the same either way.
     """
     profile = tuple(profile)
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
-    totals = _HELD.get()
-    if totals is None or totals.profile is not profile or totals.instance is not instance:
+    if totals is None:
         totals = _HeteroTotals(profile, instance)
-    return totals.decide(exclude)
+    elif totals.profile is not profile or totals.instance is not instance:
+        raise DomainError("profile totals belong to another profile or instance")
+    weights, coefficients = totals.without(exclude)
+    if len(profile) == 1 and exclude is not None:
+        raise DomainError("cannot optimise for an empty included set")
+    return _solve(_PlainObjective(weights, instance.money_factor(), coefficients, instance))
 
 
 # =============================================================================

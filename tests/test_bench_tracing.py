@@ -1,14 +1,18 @@
 """The benchmark's traced run: its tracer must still find every function
-and curve method it wraps (``bench/tracing.py``'s SPANS and COUNTERS)."""
+and curve method it wraps (``bench/tracing.py``'s SPANS and COUNTERS), and
+every solve of a mechanism run must go through a public solver it counts."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import usvcg.cli  # noqa: F401  -- Tracer.install looks up every traced module, usvcg.files too
 from conftest import RUNNING_PROFILE, make_running_instance
-from usvcg import MoneyCurve, mechanism
+from usvcg import BiasSpec, EquitableTarget, MoneyCurve, mechanism
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -31,3 +35,27 @@ def test_bench_tracer_installs_counts_and_uninstalls():
     # the decision and one pivot solve per agent
     assert tracer.metrics()["solver.solves"] == 4
     assert mechanism.run_us_vcg is run and MoneyCurve.__dict__["value"] is value
+
+
+@pytest.mark.parametrize("variant", ["biased", "hetero"])
+def test_bench_tracer_counts_every_solve_of_the_variants(variant):
+    # the decision and one pivot solve per agent, each through the public
+    # solver the tracer wraps (a private entry point would hide it)
+    instance = make_running_instance()
+    if variant == "biased":
+        bias = BiasSpec(lam=0.5, target=EquitableTarget())
+
+        def run():
+            return mechanism.run_bus_vcg(RUNNING_PROFILE, bias, instance)
+    else:
+        instance = dataclasses.replace(instance, tax_weights=(1.5, 1.0, 0.5))
+
+        def run():
+            return mechanism.run_us_vcg_hetero(RUNNING_PROFILE, instance)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["solver.solves"] == len(RUNNING_PROFILE) + 1

@@ -240,6 +240,48 @@ def test_cli_check_refuses_non_numeric_identity_entries(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def _tampered_check(tmp_path, command: str, **fields) -> list[str]:
+    """``check`` argv for a ``solve --mean`` or ``mechanism`` document of
+    the running example with ``fields`` replaced (None: removed)."""
+    out = tmp_path / "result.json"
+    run = ["solve", RUNNING, "--mean"] if command == "solve" else ["mechanism", RUNNING]
+    assert main([*run, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for key, value in fields.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    out.write_text(json.dumps(doc))
+    return ["check", RUNNING, str(out)]
+
+
+_MALFORMED = {
+    "raw_vcg_entry": lambda tmp: _tampered_check(tmp, "mechanism", raw_vcg=["x", 0.0, 0.0]),
+    "payments_number": lambda tmp: _tampered_check(tmp, "mechanism", payments=5),
+    "types_number": lambda tmp: _tampered_check(tmp, "mechanism", types=5),
+    "variant_list": lambda tmp: _tampered_check(tmp, "mechanism", variant=[1]),
+    "hetero_string": lambda tmp: _tampered_check(tmp, "mechanism", variant={"hetero": "false"}),
+    "solve_without_agent": lambda tmp: _tampered_check(tmp, "solve", agent=None),
+    "solve_without_valuation": lambda tmp: _tampered_check(tmp, "solve", valuation=None),
+    "agent_index_past_the_end": lambda tmp: ["solve", RUNNING, "--agent-index", "7"],
+    "negative_agent_index": lambda tmp: ["solve", RUNNING, "--agent-index", "-1"],
+    "type_not_numbers": lambda tmp: ["solve", RUNNING, "--type", "a,b,c"],
+    "n_list_not_integers": lambda tmp: ["converge", RUNNING, "--n-list", "10,x"],
+    "negative_trials": lambda tmp: ["fuzz", RUNNING, "--trials", "-5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
+    # every malformed input is a schema error (exit 2 with a message), not
+    # a Python traceback, a quiet wrong answer or a vacuous pass
+    argv = _MALFORMED[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _variant_run(tmp_path, variant: str, n: int):
     """The variants_mixed catalog at n agents as an instance file, and the
     mechanism flags and ``identity_residuals`` keywords of one variant."""
@@ -463,6 +505,13 @@ def test_cli_non_positive_default_gamma(tmp_path):
     del doc["variant"]["non_positive"]["gamma"]
     out.write_text(json.dumps(doc))
     assert main(["check", str(inst_path), str(out)]) == 0
+
+    # a gamma of 0, given or stored, is refused as any gamma <= 0 is, not
+    # replaced by the default
+    assert main(["mechanism", str(inst_path), "--non-positive", "--gamma", "0"]) == 3
+    doc["variant"]["non_positive"]["gamma"] = 0
+    out.write_text(json.dumps(doc))
+    assert main(["check", str(inst_path), str(out)]) == 3
 
 
 def test_cli_fuzz_pass_and_fail(tmp_path):

@@ -620,6 +620,20 @@ def test_target_side_table_must_match_its_solve():
         optimize_biased(mean, other, inst, sides=sides)
 
 
+def test_profile_totals_must_match_their_solve():
+    # like the target-side table: a run's totals give every solve its own
+    # bits, and totals of another profile or instance are refused
+    inst = dataclasses.replace(make_running_instance(), tax_weights=(1.5, 1.0, 0.5))
+    totals = solver._HeteroTotals(RUNNING_PROFILE, inst)
+    for exclude in (None, 0, 2):
+        shared = optimize_hetero(RUNNING_PROFILE, inst, exclude, totals=totals)
+        assert shared == optimize_hetero(RUNNING_PROFILE, inst, exclude)
+    with pytest.raises(DomainError):
+        optimize_hetero(RUNNING_PROFILE[::-1], inst, totals=totals)
+    with pytest.raises(DomainError):
+        optimize_hetero(RUNNING_PROFILE, dataclasses.replace(inst), totals=totals)
+
+
 def test_bus_identity_with_constant_target():
     rng = np.random.default_rng(53)
     inst = random_instance(rng, m=2, n=4)

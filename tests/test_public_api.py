@@ -72,7 +72,7 @@ def test_no_function_takes_solver_settings():
     "function, parameters",
     [
         (solver.optimize, ["agent", "instance"]),
-        (solver.optimize_hetero, ["profile", "instance", "exclude"]),
+        (solver.optimize_hetero, ["profile", "instance", "exclude", "totals"]),
         (mechanism.run_us_vcg, ["profile", "instance"]),
         (mechanism.run_us_vcg_hetero, ["profile", "instance"]),
         (solver.optimize_biased, ["agent", "bias", "instance", "sides"]),

@@ -804,7 +804,8 @@ def test_hetero_exclusion_matches_a_fresh_sum_over_the_others(domain_min):
             math.fsum(profile[k].money_weight * omegas[k] ** money.exponent(side) for k in included)
             for side in (-1.0, 1.0)
         )
-        fresh = solver._decide(weights, inst.money_factor(), coefficients, inst)
+        objective = solver._PlainObjective(weights, inst.money_factor(), coefficients, inst)
+        fresh = solver._solve(objective)
         assert optimize_hetero(profile, inst, exclude=exclude) == fresh
 
 
@@ -1111,9 +1112,12 @@ def _watch_searches(patch):
 
 
 def _assert_proven_signs_hold(record, searches):
-    # at every tax of the record, a sign the bounds prove for a certified
-    # search is the sign of that search's own probe, not only where the
-    # search asked for it
+    # every kind writes one entry layout, (gain, cost, rest, rest_size,
+    # goods); at every tax of the record, a sign the bounds prove for a
+    # certified search is the sign of that search's own probe, not only
+    # where the search asked for it
+    for entry in record.terms.values():
+        assert len(entry) == 5 and all(len(good) == 3 for good in entry[4])
     assert searches
     for probe, _, signs, _ in searches:
         for t in record.terms:
