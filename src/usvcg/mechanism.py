@@ -49,9 +49,14 @@ Every variant's pivot solves are certified against the decision's
 full mean, so a bound proves most of the tax-slope signs the decision's
 search sampled, and a pivot solve probes only the rest, its brackets' ends
 and its roots -- about 8-9 slope probes against the decision's 46-50 -- and
-returns its own cold search's decision, bit for bit.  The biased variant's
-bound also covers its reweighted term, which moves with the type's own
-allocation: by how far each good's level can move (``GainCurve.level_shift``).
+returns its own cold search's decision, bit for bit.  Where the slope has
+no term but gain and cost (US-VCG, heterogeneous and the Jacobian's pivots)
+the leading run of samples the bound shows positive is proven in one
+comparison, against the running minimum of the decision's gain/cost ratios,
+so such a pivot evaluates about 7 per-sample signs where the decision walks
+about 43.  The biased variant's bound also covers its reweighted term, which
+moves with the type's own allocation: by how far each good's level can move
+(``GainCurve.level_shift``); it keeps the per-sample walk.
 
 Every run is a pure function of (profile, instance): no solve takes a
 numerical setting, and the non-positive scheme's finite-difference step
@@ -133,17 +138,19 @@ class NonPositiveConfig:
     """Parameters of the non-positive payment scheme.
 
     ``gamma`` bounds the distance between any agent's type and the others'
-    mean; ``r`` is an extra per-capita rebate.
+    mean; ``r`` is an extra per-capita rebate.  Both are finite, and so is
+    gamma^2, so the rebate's constant part gamma^2/n + r/n is finite before
+    any solve.
     """
 
     gamma: float
     r: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if self.r < 0.0:
-            raise DomainError(f"rebate constant must be >= 0, got {self.r}")
+        if not (self.gamma > 0.0 and math.isfinite(self.gamma * self.gamma)):
+            raise DomainError(f"gamma must be positive with a finite square, got {self.gamma}")
+        if not 0.0 <= self.r < math.inf:
+            raise DomainError(f"rebate constant must be finite and >= 0, got {self.r}")
 
     @classmethod
     def for_band(cls, mu: float, r: float = 0.0) -> "NonPositiveConfig":

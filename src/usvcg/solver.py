@@ -22,6 +22,9 @@ The optimisation is solved in the two natural stages:
    evaluates.  A mechanism's pivot solves take the signs of the decision
    solve's samples where a bound proves them (``_SlopeRecord``) and probe
    only the rest, with the same result as the full search, bit for bit.
+   The leading run of samples a piece's bounds show positive is proven in
+   one comparison, against the running minimum of the recorded gain/cost
+   ratios, so such a search walks on from the run's last sample.
 
 Each solver kind is one objective whose ``at(t)`` names, from one inner
 evaluation, the allocation, the gains and the slope and value terms
@@ -40,6 +43,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import contextvars
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -80,7 +84,6 @@ _ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its largest 
 _MAX_BRACKET = 1e12  # largest tax offset the open piece samples before TaxDivergence
 _SLACK = 1e-8  # relative margin of a proven slope sign: 1e5x water-filling's error on lambda
 _X_TOLERANCE = 1e-13  # water-filling's budget residual, relative to the pool
-_GROWTH = 2.0  # ratio of successive tax-sample offsets
 
 
 # =============================================================================
@@ -218,6 +221,15 @@ def _feasible_start(instance: BudgetInstance) -> float:
     return max(instance.tax_floor + instance.tax_epsilon, instance.money_curve.domain_min)
 
 
+def _walk_origin(instance: BudgetInstance) -> tuple[float, float, float]:
+    """The tax walk's feasible start, the lower end of its open piece (0
+    when the start is negative) and its first offset 1e-8 max(1, |start|):
+    a piece's k-th sample lies ``math.ldexp(offset, k)`` above its lower
+    end, the bits of repeated doubling."""
+    start = _feasible_start(instance)
+    return start, 0.0 if start < 0.0 else start, 1e-8 * max(1.0, abs(start))
+
+
 def _slope_root(probe: Callable, lo: float, hi: float, at_lo: float, at_hi: float) -> float:
     """Find the root of a sign change of the slope, positive (``at_lo``) at
     lo and not (``at_hi``) at hi, by Chandrupatla's method (Adv. Eng.
@@ -295,13 +307,18 @@ def _maximize_over_tax(
     Every probe is a pure function of its tax, so each root search starts
     from the slopes sampled at its bracket's ends.  A certified search
     passes ``signs(t, probe)``: the slope at t, or a number of its sign
-    where a bound proves it (``_SlopeRecord.signs``).  A proven sign is not
-    a slope, so its root searches start from fresh probes of their ends:
-    the cold search's sampled slopes, bit for bit.  A fresh sign that
-    differs raises _Uncertified.
+    where a bound proves it (``_SlopeRecord.signs``).  ``signs.runs`` is,
+    for the bounded and the open piece, the number of leading samples
+    proven +: the walk keeps only the last of them, with sign +1, and goes
+    on from the offset after it.  Patience stays 0 over a run and no
+    bracket lies inside one, so the brackets are the cold search's.  A
+    proven sign is not a slope, so its root searches start from fresh
+    probes of their ends: the cold search's sampled slopes, bit for bit.
+    A fresh sign that differs raises _Uncertified.
     """
-    start = _feasible_start(instance)
+    start, lower, s0 = _walk_origin(instance)
     scale = max(1.0, abs(start))
+    bounded_run, open_run = (0, 0) if signs is None else signs.runs
     samples = []  # (tax, slope), in increasing tax
 
     def sample(t: float) -> float:
@@ -309,16 +326,21 @@ def _maximize_over_tax(
         samples.append((t, slope))
         return slope
 
-    s0 = 1e-8 * scale
+    def skip(base: float, run: int) -> float:
+        """Keep the last of a piece's ``run`` leading samples, proven +,
+        and give the offset of the sample after them."""
+        if run:
+            samples.append((base + math.ldexp(s0, run - 1), 1.0))
+        return math.ldexp(s0, run)
+
     sample(start)
-    s = s0
     if start < 0.0:
+        s = skip(start, bounded_run)
         while start + s < 0.0:
             sample(start + s)
-            s *= _GROWTH
+            s *= 2.0
         sample(0.0)
-        s = s0
-    lower, patience = samples[-1][0], 0
+    s, patience = skip(lower, open_run), 0
     while patience < _BRACKET_PATIENCE:
         if s > _MAX_BRACKET:
             if samples[-1][1] > 0.0:
@@ -331,7 +353,7 @@ def _maximize_over_tax(
             patience = 0
         elif s > scale:
             patience += 1
-        s *= _GROWTH
+        s *= 2.0
 
     candidates = [] if samples[0][1] > 0.0 else [start]
     brackets = [
@@ -422,10 +444,38 @@ class _SlopeRecord:
     objective do not depend on the type.  A sign these bounds give with
     _SLACK of the terms to spare is the sign the type's cold search samples
     there.
+
+    Where no other term enters (rest_size 0 and no goods: the plain kind,
+    which serves the US-VCG, hetero and Jacobian pivots), the bound proves
+    + exactly where gain/cost exceeds up/lo: up is the cost ratio on the
+    tax's side of 0 and lo is w_lo, each with _SLACK to spare.  For each
+    piece of the walk (the bounded one below 0 from a negative start, and
+    the open one) the record keeps the running minimum of gain/cost over its
+    samples in walk order (negated, ``peaks``), so one bisection against
+    up/lo, tightened by a few ulps, gives the leading run of samples that
+    ``sign`` would each prove +.
     """
 
     def __init__(self, objective, terms: dict[float, tuple]):
         self.objective, self.terms = objective, terms
+        start, lower, s0 = _walk_origin(objective.instance)
+        self.peaks = (self._peaks(start, s0, True) if start < 0.0 else [], self._peaks(lower, s0))
+
+    def _peaks(self, base: float, s0: float, bounded: bool = False) -> list[float]:
+        """-min(gain/cost) over the first k+1 samples of the piece above
+        ``base`` that the walk reached, for each k (non-decreasing), up to
+        the first entry with another slope term or a gain term <= 0."""
+        peaks, low = [], math.inf
+        for k in itertools.count():
+            t = base + math.ldexp(s0, k)
+            entry = self.terms.get(t)
+            if entry is None or (bounded and not t < 0.0):
+                return peaks
+            gain, cost, _, rest_size, goods = entry
+            if rest_size or goods or not (gain > 0.0 and cost >= 0.0):
+                return peaks
+            low = min(low, gain / cost if cost else math.inf)
+            peaks.append(-low)
 
     def _bounds(self, base) -> tuple[float, float, float]:
         """w_lo, w_hi and sigma for another type's type weights ``base``;
@@ -442,7 +492,9 @@ class _SlopeRecord:
     def signs(self, other) -> Callable[[float, Callable], float]:
         """The ``signs`` of a certified search for the objective ``other``,
         of the record's kind: at a tax of the record where the bounds prove
-        the sign it is +-1, elsewhere the probed slope."""
+        the sign it is +-1, elsewhere the probed slope.  Its ``runs`` are
+        the lengths of the leading runs of samples proven + on the bounded
+        and the open piece, each found in O(log K)."""
         lo, hi, sigma = self._bounds(other.base)
         # the bounds with _SLACK to spare: w_lo and w_hi on the gain
         # term, and the cost ratio on each side of 0 widened both ways
@@ -454,6 +506,11 @@ class _SlopeRecord:
         below = (r * c_below / d_below * wide, r * c_below / d_below * narrow)
         above = (r * c_above / d_above * wide, r * c_above / d_above * narrow)
         recorded_at = self.terms.get
+
+        def run(peaks: list[float], up: float) -> int:
+            # the leading samples whose running minimum of gain/cost beats
+            # up/lo by a few ulps, so that ``sign`` proves each of them +
+            return bisect.bisect_left(peaks, -(up / lo * (1.0 + _ROUNDING))) if lo > 0.0 else 0
 
         def sign(t: float, probe: Callable) -> float:
             recorded = recorded_at(t)
@@ -473,6 +530,7 @@ class _SlopeRecord:
                     return -1.0
             return probe(t)[0]
 
+        sign.runs = (run(self.peaks[0], below[0]), run(self.peaks[1], above[0]))
         return sign
 
 
@@ -647,6 +705,11 @@ class TaxPreference:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "exp_decay"):
             raise DomainError(f"unknown tax preference kind {self.kind!r}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.decay_scale)):
+            raise DomainError(
+                f"tax preference needs a finite amplitude and decay scale, "
+                f"got {self.amplitude} and {self.decay_scale}"
+            )
         if self.kind == "exp_decay":
             if self.decay_scale <= 0.0:
                 raise DomainError("decay scale must be positive")

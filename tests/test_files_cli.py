@@ -487,6 +487,28 @@ def test_cli_non_positive_rebate_the_money_curve_cannot_carry(tmp_path, capsys):
     assert "RangeError: agent 0: raw pivot 0.584458 minus rebate 19.82" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [("--gamma", "1e308"), ("--gamma", "inf"), ("--rebate", "nan"), ("--rebate", "inf")]
+)
+def test_cli_non_positive_refuses_a_rebate_that_is_not_finite(tmp_path, capsys, monkeypatch, flags):
+    # a gamma whose square overflows, or a gamma or rebate constant that is
+    # not finite, exits 3 before any solve (gamma 1e308 used to end in an
+    # OverflowError traceback after every solve of the run)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(files.instance_to_dict(make_running_instance(semantics="per_capita"))))
+    solves = []
+    original = solver._solve
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve", counted)
+    assert main(["mechanism", str(inst_path), "--non-positive", *flags]) == 3
+    assert "DomainError: " in capsys.readouterr().err
+    assert solves == []
+
+
 def test_cli_non_positive_default_gamma(tmp_path):
     # a two-sided money curve can absorb the large rebate a wide band gives
     doc = files.instance_to_dict(make_running_instance(semantics="per_capita"))

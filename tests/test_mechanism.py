@@ -531,6 +531,15 @@ def test_no_warning_on_smooth_family():
         non_positive_payments(profile, inst, NonPositiveConfig(gamma=1.0))
 
 
+@pytest.mark.parametrize("gamma, r", [(1e308, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)])
+def test_non_positive_config_refuses_a_rebate_that_is_not_finite(gamma, r):
+    # the rebate is (gamma^2 / n)(||D|| + 1) + r / n: gamma = 1e308 used to
+    # overflow in gamma**2 after every Jacobian solve, and a nan or infinite
+    # gamma or r was accepted
+    with pytest.raises(DomainError, match="finite"):
+        NonPositiveConfig(gamma=gamma, r=r)
+
+
 def test_band_cover_constructor():
     npc = NonPositiveConfig.for_band(2.0, r=1.0)
     assert npc.gamma == pytest.approx(6.0)

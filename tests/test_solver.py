@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from usvcg import (
     BiasSpec,
     BudgetDecision,
     BudgetInstance,
+    CharacteristicTriplet,
     ConstantTarget,
     DomainError,
     EquitableTarget,
@@ -46,6 +48,7 @@ from usvcg import (
     run_us_vcg,
     run_us_vcg_hetero,
     sdsic_fuzz,
+    sigma_population,
     social_welfare,
     valuation,
 )
@@ -485,6 +488,16 @@ def test_tax_preference_must_vanish():
     psi = TaxPreference.exp_decay(5.0, 100.0)
     assert psi.value(0.0) == pytest.approx(5.0)
     assert abs(psi.value(1e9)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "amplitude, decay_scale", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+)
+def test_tax_preference_refuses_non_finite_parameters(amplitude, decay_scale):
+    # a nan amplitude or decay scale used to be accepted, and run_bus_vcg
+    # on the running example then paid nan to every agent
+    with pytest.raises(DomainError, match="finite amplitude and decay scale"):
+        TaxPreference.exp_decay(amplitude, decay_scale)
 
 
 # =============================================================================
@@ -1091,6 +1104,42 @@ def test_probes_per_pivot_solve(monkeypatch):
             assert max(len(calls) for _, calls in kept) <= 60
 
 
+def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
+    # on a 200-agent antithetic all-log population (criterion 5's triplet)
+    # each pivot solve proves its leading run of + samples in one
+    # comparison and takes the per-sample sign only from there: at most 12
+    # sign evaluations, where the decision's walk samples about 43
+    sigma = CharacteristicTriplet(b0=0.0, mu=2.0, mean_type=AgentType((0.4, 0.6), 31.0 / 30.0))
+    profile = sigma_population(sigma, 200, np.random.default_rng(5))
+    instance = BudgetInstance(
+        m=2,
+        n=200,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+    )
+    evaluations = []
+    original = solver._maximize_over_tax
+
+    def counting(probe, instance, signs=None, *rest):
+        if signs is None:
+            return original(probe, instance, signs, *rest)
+        calls = []
+
+        def counted(t, probe):
+            calls.append(t)
+            return signs(t, probe)
+
+        evaluations.append(calls)
+        return original(probe, instance, functools.update_wrapper(counted, signs), *rest)
+
+    monkeypatch.setattr(solver, "_maximize_over_tax", counting)
+    run_us_vcg(profile, instance)
+    assert len(evaluations) == 200
+    assert max(map(len, evaluations)) <= 12
+
+
 def _watch_searches(patch):
     """Wrap the outer search so that the arguments of each certified search
     are kept, and those of each one that cannot vouch for its result (and
@@ -1115,28 +1164,29 @@ def _assert_proven_signs_hold(record, searches):
     # every kind writes one entry layout, (gain, cost, rest, rest_size,
     # goods); at every tax of the record, a sign the bounds prove for a
     # certified search is the sign of that search's own probe, not only
-    # where the search asked for it
+    # where the search asked for it; and every sample inside the search's
+    # run on each piece of the walk (proven + in one comparison) is one
+    # that its sign proves + and that its own probe samples +
     for entry in record.terms.values():
         assert len(entry) == 5 and all(len(good) == 3 for good in entry[4])
     assert searches
-    for probe, _, signs, _ in searches:
+    for probe, instance, signs, _ in searches:
         for t in record.terms:
             sign = signs(t, lambda t: (math.nan,))
             if not math.isnan(sign):
                 assert (sign > 0.0) == (probe(t)[0] > 0.0), t
+        start, lower, s0 = solver._walk_origin(instance)
+        for base, run in zip((start, lower), signs.runs):
+            for t in (base + math.ldexp(s0, k) for k in range(run)):
+                assert t in record.terms
+                assert signs(t, lambda t: (math.nan,)) == 1.0 and probe(t)[0] > 0.0, t
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(_FUZZ_KINDS),
-    n=st.sampled_from([2, 3, 12]),
-    hetero=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
-    # every pivot solve certified against the decision's record returns the
-    # decision of its own cold search, bit for bit, and every sign the
-    # bounds prove is the pivot's own
+def _certified_equal_cold(seed, kind, n, hetero):
+    """Certify a fuzzed profile's pivot solves (plain, or hetero with drawn
+    tax weights) against its decision's record; each returns its cold
+    decision, none falls back and every proven sign and run holds.  Returns
+    the certified searches."""
     rng = np.random.default_rng(seed)
     instance = dataclasses.replace(_fuzz_instance(rng, kind), n=n)
     profile = random_profile(rng, n, instance.m)
@@ -1161,6 +1211,34 @@ def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
             (record,) = solver._RECORD.get()
     assert fallbacks == []
     _assert_proven_signs_hold(record, searches)
+    return searches
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_FUZZ_KINDS),
+    n=st.sampled_from([2, 3, 12]),
+    hetero=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
+    # every pivot solve certified against the decision's record returns the
+    # decision of its own cold search, bit for bit, and every sign the
+    # bounds prove, one by one or in a run, is the pivot's own
+    _certified_equal_cold(seed, kind, n, hetero)
+
+
+@pytest.mark.parametrize("hetero", [False, True])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_certified_runs_on_a_kt_walk_with_an_external_budget(seed, hetero):
+    # B0 > 0 makes negative taxes feasible: the walk samples a bounded piece
+    # below the kt kink at t = 0, then the open piece above it.  Every
+    # pivot's run proves the bounded piece's leading samples + in one
+    # comparison; the open piece starts at the kink, where the money
+    # curve's marginal is infinite, so it has no run and is walked sample
+    # by sample, from the same offsets
+    searches = _certified_equal_cold(seed, "kt-b0", 12, hetero)
+    assert all(signs.runs[0] >= 20 and signs.runs[1] == 0 for _, _, signs, _ in searches)
 
 
 def _fuzz_bias(rng, instance, target, psi, lam):
@@ -1293,6 +1371,33 @@ def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
         _, *rest = record.terms[planted]
         monkeypatch.setitem(record.terms, planted, (1e300, *rest))
         assert [solve(excl) for excl in excluded] == cold
+    assert len(fallbacks) == len(profile)
+
+
+def test_a_run_stretched_past_the_roots_falls_back_to_the_cold_search(monkeypatch):
+    # a record whose gain terms are planted far too large at every sample
+    # of the open piece up to the third past the decision's root gives every
+    # pivot a run that covers its own root: the search walks on from the
+    # run's last sample, the fresh probe of that bracket end disagrees,
+    # and every pivot solve falls back to its cold search and its result
+    types, instance, _ = variants_catalog()
+    profile = types[:6]
+    excluded = excluded_means(profile)
+    cold = [optimize(excl, instance) for excl in excluded]
+    _, lower, s0 = solver._walk_origin(instance)
+    searches, fallbacks = _watch_searches(monkeypatch)
+    with solver._certified_pivots():
+        root = optimize(mean_type(profile), instance).tax
+        shared = solver._RECORD.get()
+        terms = dict(shared[0].terms)
+        walk = [lower + math.ldexp(s0, k) for k in range(len(shared[0].peaks[1]))]
+        last = [t for t in walk if t > root][2]
+        assert max(c.tax for c in cold) < last
+        for t in walk[: walk.index(last) + 1]:
+            terms[t] = (1e300, *terms[t][1:])
+        shared[0] = solver._SlopeRecord(shared[0].objective, terms)
+        assert [optimize(excl, instance) for excl in excluded] == cold
+    assert [signs.runs for _, _, signs, _ in searches] == [(0, walk.index(last) + 1)] * len(profile)
     assert len(fallbacks) == len(profile)
 
 
