@@ -94,20 +94,16 @@ class GainCurve:
         """True when the curve is only defined for strictly positive spend."""
         return self.kind == "log"
 
-    def _check_spend(self, spend: float) -> None:
-        if self.strict_domain:
-            if not spend > 0.0:
-                raise DomainError(f"log gain curve needs spend > 0, got {spend}")
-        elif not spend >= 0.0:
-            raise DomainError(f"gain curve needs spend >= 0, got {spend}")
-
     # -- evaluation -------------------------------------------------------
 
     def value(self, spend: float) -> float:
-        """theta(spend)."""
-        self._check_spend(spend)
+        """theta(spend), on the kind's domain (``strict_domain``)."""
         if self.kind == "log":
+            if not spend > 0.0:
+                raise DomainError(f"log gain curve needs spend > 0, got {spend}")
             return self.scale * math.log(spend)
+        if not spend >= 0.0:
+            raise DomainError(f"gain curve needs spend >= 0, got {spend}")
         if self.kind == "power":
             return self.scale * spend**self.exponent
         return self.scale * math.log1p(spend)
@@ -265,6 +261,21 @@ class MoneyCurve:
         q for the power kind; for the kt kind r when delta > 0 and q when
         delta < 0.  At delta = 0 both sides vanish and any e holds."""
         return self.r if self.kind == "kt" and delta > 0.0 else self.q
+
+    def difference(self, b: float, a: float) -> float:
+        """f(b) - f(a), without the cancellation of two rounded values when b
+        and a lie strictly on one side of zero: there f(b) = f(a) (b/a)**e
+        with e the exponent on that side, so the difference is
+        f(a) expm1(e ln(b/a)), a few ulps off itself.  ln(b/a) is
+        log1p((b - a)/a) while b lies within a factor of 2 of a, where
+        b - a is exact.  Across zero, or at it, the values have no common
+        factor, and it is their plain difference."""
+        self._check(b)
+        if a == 0.0 or b == 0.0 or (a < 0.0) != (b < 0.0):
+            return self.value(b) - self.value(a)
+        ratio = b / a
+        growth = math.log1p((b - a) / a) if 0.5 <= ratio <= 2.0 else math.log(ratio)
+        return self.value(a) * math.expm1(self.exponent(a) * growth)
 
     def deriv(self, delta: float) -> float:
         """f'(delta); returns +inf at the origin where the slope diverges."""

@@ -49,14 +49,16 @@ Every variant's pivot solves are certified against the decision's
 full mean, so a bound proves most of the tax-slope signs the decision's
 search sampled, and a pivot solve probes only the rest, its brackets' ends
 and its roots -- about 8-9 slope probes against the decision's 46-50 -- and
-returns its own cold search's decision, bit for bit.  Where the slope has
-no term but gain and cost (US-VCG, heterogeneous and the Jacobian's pivots)
-the leading run of samples the bound shows positive is proven in one
-comparison, against the running minimum of the decision's gain/cost ratios,
-so such a pivot evaluates about 7 per-sample signs where the decision walks
-about 43.  The biased variant's bound also covers its reweighted term, which
-moves with the type's own allocation: by how far each good's level can move
-(``GainCurve.level_shift``); it keeps the per-sample walk.
+returns its own cold search's decision, bit for bit.  The leading run of
+samples the bound shows positive, and the tail past the bracket it shows
+negative, are each proven in one comparison, against a running minimum of
+how far the decision's samples let a type deviate, so a pivot evaluates
+about one per-sample sign where the decision walks about 43.  Where the
+slope has no term but gain and cost (US-VCG, heterogeneous and the
+Jacobian's pivots) that deviation is a ratio of the gain and cost terms;
+the biased variant's bound also covers its reweighted term, which moves
+with the type's own allocation, by how far each good's level can move
+(``GainCurve.level_shift``), and its deviation is one radius.
 
 Every run is a pure function of (profile, instance): no solve takes a
 numerical setting, and the non-positive scheme's finite-difference step
@@ -424,9 +426,10 @@ def non_positive_payments(
     differences there, and a type farther than gamma from its excluded mean
     (Euclidean over the allocation weights and the money weight) breaks the
     bound the rebate rests on; either raises DomainError before any solve.
-    A rebated pivot the money curve cannot carry (below what the one-sided
-    power curve attains) raises RangeError naming the agent, the raw pivot
-    and the rebate.
+    A rebate that overflows raises RangeError naming the agent, gamma and
+    the norm, right after that agent's norms; a rebated pivot the money
+    curve cannot carry (below what the one-sided power curve attains)
+    raises RangeError naming the agent, the raw pivot and the rebate.
 
     The rebate is taken off the raw pivots of ``run_us_vcg``.  A caller that
     already holds ``outcome = run_us_vcg(profile, instance)`` passes
@@ -468,6 +471,12 @@ def non_positive_payments(
             J_full = _decision_map_jacobian(excl, instance, _FD_STEP)
             norm_half = float(np.linalg.norm(J_half, 2))
             norm_full = float(np.linalg.norm(J_full, 2))
+            rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
+            if not math.isfinite(rebate):
+                raise RangeError(
+                    f"agent {i}: the rebate (gamma^2/n)(||D|| + 1) + r/n overflows at "
+                    f"gamma {np_config.gamma:.6g} and ||D|| {norm_half:.6g}"
+                )
             if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
                 warnings.warn(
                     f"decision-map Jacobian at agent {i} changes by more than 10% "
@@ -476,7 +485,6 @@ def non_positive_payments(
                     RegularityWarning,
                     stacklevel=2,
                 )
-            rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
             try:
                 payments.append(plain.payment(i, p - rebate, outcome.decision))
             except RangeError as exc:

@@ -22,9 +22,12 @@ The optimisation is solved in the two natural stages:
    evaluates.  A mechanism's pivot solves take the signs of the decision
    solve's samples where a bound proves them (``_SlopeRecord``) and probe
    only the rest, with the same result as the full search, bit for bit.
-   The leading run of samples a piece's bounds show positive is proven in
-   one comparison, against the running minimum of the recorded gain/cost
-   ratios, so such a search walks on from the run's last sample.
+   Each recorded sample keeps how far another type may deviate with its
+   sign still proven, so the leading run of samples proven + and the tail
+   proven - past the bracket each take one comparison, against a running
+   minimum, and a pivot solve asks for the sign of about one sample by
+   itself, for every solver kind.  A solve keeps the inner evaluation of
+   each tax it probes, so no tax is water-filled twice within it.
 
 Each solver kind is one objective whose ``at(t)`` names, from one inner
 evaluation, the allocation, the gains and the slope and value terms
@@ -124,16 +127,18 @@ def _water_fill(
 
     goods = [(weights[j], curves[j], weights[j] * curves[j].deriv_at_zero()) for j in active]
     tolerance = _X_TOLERANCE * budget
-    lam = max(w * curve.deriv(budget) for w, curve, _ in goods)
+    lam = max([w * curve.deriv(budget) for w, curve, _ in goods])
     for _ in range(_MAX_ITERATIONS):
         spends = [curve.inverse_deriv(lam / w) if lam < cap else 0.0 for w, curve, cap in goods]
-        excess = math.fsum(spends) - budget
+        total = math.fsum(spends)
+        excess = total - budget
         if abs(excess) <= tolerance:
             break
         # d spend_j / d mu = -lambda**2 / (w_j theta_j''(spend_j))
-        slope = math.fsum(
-            -lam * lam / (w * curve.deriv2(s)) for (w, curve, _), s in zip(goods, spends) if s > 0.0
-        )
+        square = -lam * lam
+        slope = math.fsum([
+            square / (w * curve.deriv2(s)) for (w, curve, _), s in zip(goods, spends) if s > 0.0
+        ])
         if not slope > 0.0:
             raise ConvergenceError("water-filling funds no good")
         mu = 1.0 / lam
@@ -144,7 +149,6 @@ def _water_fill(
     else:
         raise ConvergenceError("water-filling hit its iteration cap")
 
-    total = math.fsum(spends)
     gains = 0.0
     for j, s in zip(active, spends):
         share = s / total
@@ -168,8 +172,8 @@ class _Conditional:
     of the conditional gains with respect to the pool, so one evaluation
     gives the value and the gain term Lambda rate of a tax's slope.
 
-    Otherwise each evaluation water-fills from scratch, so ``at`` is a
-    pure function of the tax whatever was evaluated before it.
+    Otherwise each evaluation water-fills from scratch (``fills``), so
+    ``at`` is a pure function of the tax whatever was evaluated before it.
     """
 
     def __init__(self, weights, curves: Sequence[GainCurve], start=0.0, rate=1.0):
@@ -177,6 +181,7 @@ class _Conditional:
         self.curves = tuple(curves)
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
         self._fast = bool(active) and all(curves[j].kind == "log" for j in active)
+        self.fills = not self._fast
         if self._fast:
             wa = [self.weights[j] * curves[j].scale for j in active]
             self._w_total = sum(wa)
@@ -290,7 +295,7 @@ def _maximize_over_tax(
     cut at t = 0 when negative taxes are feasible (only the kt money curve
     admits them; its slope is -inf there), and each piece is
     sampled geometrically up from its lower end, at offsets 1e-8 max(1,
-    |start|) times powers of _GROWTH: the bounded one up to 0, the open one
+    |start|) times powers of 2: the bounded one up to 0, the open one
     until the slope has stayed <= 0 for _BRACKET_PATIENCE samples past both
     its last positive slope and the scale max(1, |start|), so that a dip
     after the kink cannot end it.  The root of every sampled sign change
@@ -308,39 +313,45 @@ def _maximize_over_tax(
     from the slopes sampled at its bracket's ends.  A certified search
     passes ``signs(t, probe)``: the slope at t, or a number of its sign
     where a bound proves it (``_SlopeRecord.signs``).  ``signs.runs`` is,
-    for the bounded and the open piece, the number of leading samples
-    proven +: the walk keeps only the last of them, with sign +1, and goes
-    on from the offset after it.  Patience stays 0 over a run and no
-    bracket lies inside one, so the brackets are the cold search's.  A
-    proven sign is not a slope, so its root searches start from fresh
-    probes of their ends: the cold search's sampled slopes, bit for bit.
-    A fresh sign that differs raises _Uncertified.
+    for the bounded and the open piece, (run, first, end): its leading
+    ``run`` samples are proven +, and its samples first to end - 1, the
+    tail of the decision's walk, are proven -.  The walk keeps only the
+    last of the leading samples, with sign +1, goes on from the offset
+    after it, and takes -1 for a sample of the tail without asking
+    ``signs``.  Patience stays 0 over a leading run, counts on over a tail,
+    and no bracket lies inside either, so the brackets are the cold
+    search's.  A proven sign is not a slope, so its root searches start
+    from fresh probes of their ends: the cold search's sampled slopes, bit
+    for bit.  A fresh sign that differs raises _Uncertified.
     """
     start, lower, s0 = _walk_origin(instance)
     scale = max(1.0, abs(start))
-    bounded_run, open_run = (0, 0) if signs is None else signs.runs
+    bounded, unbounded = ((0, 0, 0),) * 2 if signs is None else signs.runs
     samples = []  # (tax, slope), in increasing tax
 
-    def sample(t: float) -> float:
-        slope = probe(t)[0] if signs is None else signs(t, probe)
+    def sample(t: float, proven: float = 0.0) -> float:
+        slope = proven or (probe(t)[0] if signs is None else signs(t, probe))
         samples.append((t, slope))
         return slope
 
-    def skip(base: float, run: int) -> float:
-        """Keep the last of a piece's ``run`` leading samples, proven +,
-        and give the offset of the sample after them."""
+    def skip(base: float, piece: tuple[int, int, int]) -> tuple[float, float, float]:
+        """Keep the last of a piece's leading samples, proven +, and give
+        the offset of the sample after them and the offsets its tail spans
+        (from, past)."""
+        run, first, end = piece
         if run:
             samples.append((base + math.ldexp(s0, run - 1), 1.0))
-        return math.ldexp(s0, run)
+        return math.ldexp(s0, run), math.ldexp(s0, first), math.ldexp(s0, end)
 
     sample(start)
     if start < 0.0:
-        s = skip(start, bounded_run)
+        s, tail, past = skip(start, bounded)
         while start + s < 0.0:
-            sample(start + s)
+            sample(start + s, -1.0 if tail <= s < past else 0.0)
             s *= 2.0
         sample(0.0)
-    s, patience = skip(lower, open_run), 0
+    s, tail, past = skip(lower, unbounded)
+    patience = 0
     while patience < _BRACKET_PATIENCE:
         if s > _MAX_BRACKET:
             if samples[-1][1] > 0.0:
@@ -349,7 +360,7 @@ def _maximize_over_tax(
                     "no finite optimum within the tax cap"
                 )
             break
-        if sample(lower + s) > 0.0:
+        if sample(lower + s, -1.0 if tail <= s < past else 0.0) > 0.0:
             patience = 0
         elif s > scale:
             patience += 1
@@ -419,6 +430,50 @@ def _certified_pivots():
         _RECORD.reset(token)
 
 
+def _proof(entry: tuple, lo: float, up: float, hi: float, down: float, sigma: float) -> float:
+    """+1 or -1 where the bounds prove the sign of another type's slope at a
+    recorded ``entry`` (``_SlopeRecord``), else 0: its gain term lies within
+    [lo, hi] times the recorded one, its cost term within [down, up] times
+    it, and each good's marginal moves by a factor within [1/sigma, sigma]."""
+    gain, cost, rest, rest_size, goods = entry
+    if rest_size or goods:
+        spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods)
+        pad = spread + _SLACK * (rest_size + spread)
+        if lo * gain > up * cost - rest + pad:
+            return 1.0
+        if hi * gain < down * cost - rest - pad:
+            return -1.0
+    elif lo * gain > up * cost:  # the padding is exactly 0
+        return 1.0
+    elif hi * gain < down * cost:
+        return -1.0
+    return 0.0
+
+
+def _radius(entry: tuple, sign: float) -> float:
+    """A radius rho >= 1 at which ``_proof`` gives ``sign`` at ``entry`` for
+    every type whose bounds lie within rho: w_lo >= 1/rho, w_hi <= rho, the
+    cost ratio within [1/rho, rho] and so sigma <= rho**2, each with a few
+    ulps to spare; 0 where none is found.  The first guess is where the
+    margin at rho = 1 runs out at the terms' rates of change there (the
+    reweighted term's taken at sigma = e), halved until ``_proof`` holds."""
+    gain, cost, rest, rest_size, goods = entry
+    narrow, wide = 1.0 - _SLACK, 1.0 + _SLACK
+    ahead, behind = (gain, cost) if sign > 0.0 else (cost, gain)
+    margin = narrow * ahead - wide * behind + sign * rest - _SLACK * rest_size
+    if not margin > 0.0:
+        return 0.0
+    spread = sum(c * curve.level_shift(level, math.e) for c, curve, level in goods)
+    step = margin / (narrow * ahead + wide * behind + 2.0 * wide * spread)
+    for _ in range(8):
+        rho = 1.0 + step
+        inner, outer = (1.0 - _ROUNDING) / rho, rho * (1.0 + _ROUNDING)
+        if _proof(entry, inner * narrow, outer * wide, outer * wide, inner * narrow, rho * outer) == sign:
+            return rho
+        step *= 0.5
+    return 0.0
+
+
 class _SlopeRecord:
     """The slope terms by tax of the solve that made the record (its
     ``objective``), in one layout for every solver kind: (gain, cost, rest,
@@ -442,40 +497,55 @@ class _SlopeRecord:
     the recorded one, r the ratio of kappa times the money coefficient on
     the tax's side of 0, and the target term and psi' of the biased
     objective do not depend on the type.  A sign these bounds give with
-    _SLACK of the terms to spare is the sign the type's cold search samples
-    there.
+    _SLACK of the terms to spare (``_proof``) is the sign the type's cold
+    search samples there.
 
-    Where no other term enters (rest_size 0 and no goods: the plain kind,
-    which serves the US-VCG, hetero and Jacobian pivots), the bound proves
-    + exactly where gain/cost exceeds up/lo: up is the cost ratio on the
-    tax's side of 0 and lo is w_lo, each with _SLACK to spare.  For each
-    piece of the walk (the bounded one below 0 from a negative start, and
-    the open one) the record keeps the running minimum of gain/cost over its
-    samples in walk order (negated, ``peaks``), so one bisection against
-    up/lo, tightened by a few ulps, gives the leading run of samples that
-    ``sign`` would each prove +.
+    Each sample of a piece of the decision's walk (the bounded one below 0
+    from a negative start, and the open one) keeps the largest deviation of
+    another type at which its sign is still proven + and the one at which
+    it is proven -.  Where no other term enters (the plain kind, which
+    serves the US-VCG, hetero and Jacobian pivots) the deviations are
+    ratios: + is proven exactly where up/lo stays below gain/cost, and -
+    where hi/down stays below cost/gain (up and down the cost ratio on the
+    tax's side of 0, each with _SLACK to spare).  The biased kind's is one
+    radius, ``_radius``.  The record keeps, per piece, the running minimum
+    of the + deviations in walk order (negated, ``peaks``) and that of the
+    - deviations from the last sample back (``tails``), so one bisection
+    each, against the type's own deviation tightened by a few ulps, gives
+    the leading run of samples and the tail that ``_proof`` would each
+    prove.
     """
 
     def __init__(self, objective, terms: dict[float, tuple]):
         self.objective, self.terms = objective, terms
+        self.padded = objective.sides is not None
         start, lower, s0 = _walk_origin(objective.instance)
-        self.peaks = (self._peaks(start, s0, True) if start < 0.0 else [], self._peaks(lower, s0))
+        bounded = self._piece(start, s0, True) if start < 0.0 else ([], [])
+        self.pieces = (bounded, self._piece(lower, s0))
 
-    def _peaks(self, base: float, s0: float, bounded: bool = False) -> list[float]:
-        """-min(gain/cost) over the first k+1 samples of the piece above
-        ``base`` that the walk reached, for each k (non-decreasing), up to
-        the first entry with another slope term or a gain term <= 0."""
-        peaks, low = [], math.inf
+    def _piece(self, base: float, s0: float, bounded: bool = False) -> tuple[list, list]:
+        """(peaks, tails) over the samples of the piece above ``base`` that
+        the walk reached, both non-decreasing: peaks[k] is -min of the +
+        deviations of samples 0..k, tails[k] the min of the - deviations of
+        samples k and after."""
+        plus, minus = [], []
         for k in itertools.count():
             t = base + math.ldexp(s0, k)
             entry = self.terms.get(t)
             if entry is None or (bounded and not t < 0.0):
-                return peaks
-            gain, cost, _, rest_size, goods = entry
-            if rest_size or goods or not (gain > 0.0 and cost >= 0.0):
-                return peaks
-            low = min(low, gain / cost if cost else math.inf)
-            peaks.append(-low)
+                break
+            gain, cost = entry[:2]
+            if self.padded:
+                reach = _radius(entry, 1.0), _radius(entry, -1.0)
+            elif gain >= 0.0 and cost >= 0.0:
+                reach = (gain / cost if cost else math.inf if gain else 0.0,
+                         cost / gain if gain else math.inf if cost else 0.0)
+            else:
+                reach = 0.0, 0.0
+            plus.append(-reach[0])
+            minus.append(reach[1])
+        tails = list(itertools.accumulate(reversed(minus), min))
+        return list(itertools.accumulate(plus, max)), tails[::-1]
 
     def _bounds(self, base) -> tuple[float, float, float]:
         """w_lo, w_hi and sigma for another type's type weights ``base``;
@@ -492,46 +562,58 @@ class _SlopeRecord:
     def signs(self, other) -> Callable[[float, Callable], float]:
         """The ``signs`` of a certified search for the objective ``other``,
         of the record's kind: at a tax of the record where the bounds prove
-        the sign it is +-1, elsewhere the probed slope.  Its ``runs`` are
-        the lengths of the leading runs of samples proven + on the bounded
-        and the open piece, each found in O(log K)."""
-        lo, hi, sigma = self._bounds(other.base)
+        the sign it is +-1, elsewhere the probed slope.  Its ``runs`` are,
+        for the bounded and the open piece, the length of the leading run of
+        samples proven + and the indices first and end that bound the tail
+        proven -, each found in O(log K)."""
+        w_lo, w_hi, sigma = self._bounds(other.base)
         # the bounds with _SLACK to spare: w_lo and w_hi on the gain
         # term, and the cost ratio on each side of 0 widened both ways
         wide, narrow = 1.0 + _SLACK, 1.0 - _SLACK
-        lo, hi = lo * narrow, hi * wide
+        lo, hi = w_lo * narrow, w_hi * wide
         made = self.objective
         r = other.kappa / made.kappa
         (c_below, c_above), (d_below, d_above) = other.coefficients, made.coefficients
-        below = (r * c_below / d_below * wide, r * c_below / d_below * narrow)
-        above = (r * c_above / d_above * wide, r * c_above / d_above * narrow)
+        below, above = r * c_below / d_below, r * c_above / d_above
         recorded_at = self.terms.get
 
-        def run(peaks: list[float], up: float) -> int:
-            # the leading samples whose running minimum of gain/cost beats
-            # up/lo by a few ulps, so that ``sign`` proves each of them +
-            return bisect.bisect_left(peaks, -(up / lo * (1.0 + _ROUNDING))) if lo > 0.0 else 0
+        def runs(piece: tuple[list, list], ratio: float) -> tuple[int, int, int]:
+            # the type's + and - deviations, tightened by a few ulps, so
+            # that ``_proof`` proves each sample of the run and of the tail
+            peaks, tails = piece
+            if not peaks or w_lo == 0.0:
+                return 0, 0, 0
+            if self.padded:
+                plus = minus = max(1.0 / w_lo, w_hi, ratio, 1.0 / ratio)
+            else:
+                plus, minus = ratio * wide / lo, hi / (ratio * narrow)
+            first = bisect.bisect_right(tails, minus * (1.0 + _ROUNDING))
+            return bisect.bisect_left(peaks, -(plus * (1.0 + _ROUNDING))), first, len(tails)
 
         def sign(t: float, probe: Callable) -> float:
             recorded = recorded_at(t)
             if recorded is not None:
-                gain, cost, rest, rest_size, goods = recorded
-                up, down = above if t > 0.0 else below
-                if rest_size or goods:
-                    spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods)
-                    pad = spread + _SLACK * (rest_size + spread)
-                    if lo * gain > up * cost - rest + pad:
-                        return 1.0
-                    if hi * gain < down * cost - rest - pad:
-                        return -1.0
-                elif lo * gain > up * cost:  # the padding is exactly 0
-                    return 1.0
-                elif hi * gain < down * cost:
-                    return -1.0
+                ratio = above if t > 0.0 else below
+                proven = _proof(recorded, lo, ratio * wide, hi, ratio * narrow, sigma)
+                if proven:
+                    return proven
             return probe(t)[0]
 
-        sign.runs = (run(self.peaks[0], below[0]), run(self.peaks[1], above[0]))
+        sign.runs = (runs(self.pieces[0], below), runs(self.pieces[1], above))
         return sign
+
+
+def _kept(at: Callable[[float], tuple]) -> Callable[[float], tuple]:
+    """``at``, evaluated once per tax for as long as the result is held."""
+    evaluated = {}
+
+    def kept(t: float) -> tuple:
+        entry = evaluated.get(t)
+        if entry is None:
+            entry = evaluated[t] = at(t)
+        return entry
+
+    return kept
 
 
 def _solve(objective, unique: bool = False) -> BudgetDecision:
@@ -547,12 +629,18 @@ def _solve(objective, unique: bool = False) -> BudgetDecision:
     Inside ``_certified_pivots`` a solve of the record's kind (the same
     instance and ``sides``) is certified against the record, and cold when
     that search cannot vouch for its result.  With ``unique`` a tie raises
-    NonUniqueOptimum.
+    NonUniqueOptimum.  Where an evaluation water-fills (``objective.fills``)
+    the solve keeps ``at(t)`` of every tax it probes, so the re-probed
+    bracket ends, the valued candidates and the decision's allocation
+    evaluate no tax twice; a closed-form evaluation costs less than keeping
+    it.
     """
     instance, at, kappa = objective.instance, objective.at, objective.kappa
     below, above = objective.coefficients
     money, shared = instance.money_curve, _RECORD.get()
     terms = {} if shared == [] else None
+    if objective.fills:
+        at = _kept(at)
 
     def probe(t: float, valued: bool = False) -> tuple[float, float, float]:
         _, gains, gain, rest, goods, offsets = at(t)
@@ -576,7 +664,7 @@ def _solve(objective, unique: bool = False) -> BudgetDecision:
         t_star = _maximize_over_tax(probe, instance, None, unique)
         if terms is not None:
             shared.append(_SlopeRecord(objective, terms))
-    return BudgetDecision(tuple(objective.allocation(t_star)), t_star)
+    return BudgetDecision(tuple(at(t_star)[0]), t_star)
 
 
 class _PlainObjective(_Conditional):
@@ -600,9 +688,6 @@ class _PlainObjective(_Conditional):
         kappa = instance.money_factor() * agent.money_weight
         return cls(agent.alloc_weights, kappa, (1.0, 1.0), instance)
 
-    def allocation(self, t: float) -> np.ndarray:
-        return self.at(t)[0]
-
 
 # =============================================================================
 # Bias machinery (phantom targets)
@@ -625,9 +710,10 @@ class ConstantTarget:
     def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
         return np.array(self.allocation)
 
-    def spend_rate(self, t: float, instance: BudgetInstance, allocation: np.ndarray) -> np.ndarray:
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation, reciprocal) -> list:
         """d(xhat_j(t) * pool)/dt, given xhat(t) = ``allocation``."""
-        return allocation * instance.pool_rate
+        rate = instance.pool_rate
+        return [x * rate for x in allocation]
 
 
 @dataclass(frozen=True)
@@ -637,18 +723,15 @@ class EquitableTarget:
     def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
         return equitable_allocation(t, instance)
 
-    def spend_rate(self, t: float, instance: BudgetInstance, allocation: np.ndarray) -> np.ndarray:
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation, reciprocal) -> list:
         """d(xhat_j(t) * pool)/dt: the funded goods share the level c, so
         theta_j'(s_j) s_j' = c' with sum_j s_j' = d(pool)/dt, which gives
-        s_j' = rate / (theta_j'(s_j) sum_k 1/theta_k'(s_k)); the goods the
-        deep branch leaves at zero stay there."""
-        pool = instance.pool(t)
-        inv = [
-            1.0 / curve.deriv(xj * pool) if xj > 0.0 else 0.0
-            for xj, curve in zip(allocation.tolist(), instance.gain_curves)
-        ]
+        s_j' = rate / (theta_j'(s_j) sum_k 1/theta_k'(s_k)), with the
+        ``reciprocal`` marginals 1/theta_j'(s_j); the goods the deep branch
+        leaves at zero stay there."""
+        inv = [r if x > 0.0 else 0.0 for x, r in zip(allocation, reciprocal)]
         scale = instance.pool_rate / math.fsum(inv)
-        return np.array([r * scale for r in inv])
+        return [r * scale for r in inv]
 
 
 @dataclass(frozen=True)
@@ -685,12 +768,13 @@ class TableTarget:
         u, _ = self._interpolated(t)
         return u / u.sum()
 
-    def spend_rate(self, t: float, instance: BudgetInstance, allocation: np.ndarray) -> np.ndarray:
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation, reciprocal) -> list:
         """d(xhat_j(t) * pool)/dt with xhat = u/U and U = sum_j u_j:
         pool (u' - xhat U')/U + xhat rate, on the segment right of t."""
         u, du = self._interpolated(t)
+        allocation = np.array(allocation)
         shift = (du - allocation * du.sum()) / u.sum()
-        return instance.pool(t) * shift + allocation * instance.pool_rate
+        return (instance.pool(t) * shift + allocation * instance.pool_rate).tolist()
 
 
 @dataclass(frozen=True)
@@ -742,8 +826,10 @@ class BiasSpec:
 
     The target is a ``ConstantTarget``, ``EquitableTarget`` or
     ``TableTarget``; each gives ``allocation_at(t, instance)`` and the spend
-    rates ``spend_rate(t, instance, allocation)`` = d(xhat_j(t) pool)/dt.
-    Any other target raises DomainError.
+    rates ``spend_rate(t, instance, allocation, reciprocal)`` =
+    d(xhat_j(t) pool)/dt, from the allocation xhat(t) and the reciprocal
+    marginals 1/theta_j'(xhat_j(t) pool), as lists.  Any other target
+    raises DomainError.
     """
 
     lam: float
@@ -761,21 +847,32 @@ class BiasSpec:
         return self.lam == 0.0 and self.psi.kind == "none"
 
 
-def _reciprocal_marginals(x: np.ndarray, t: float, instance: BudgetInstance) -> np.ndarray:
+def _reciprocal_marginals(x: list[float], t: float, instance: BudgetInstance) -> list[float]:
     """1/theta_j'(x_j * pool); on boundary coordinates the continuous limit
     applies (0 when the marginal diverges at zero spend, 1/theta'(0) when
     it is finite)."""
     pool = instance.pool(t)
     if not pool > 0.0:
         raise DomainError(f"pool must be positive at tax {t}")
-    raw = np.empty(instance.m)
-    for j, (xj, curve) in enumerate(zip(x, instance.gain_curves)):
+    raw = []
+    for xj, curve in zip(x, instance.gain_curves):
         if xj > 0.0:
-            raw[j] = 1.0 / curve.deriv(float(xj) * pool)
+            raw.append(1.0 / curve.deriv(xj * pool))
         else:
             at_zero = curve.deriv_at_zero()
-            raw[j] = 0.0 if math.isinf(at_zero) else 1.0 / at_zero
+            raw.append(0.0 if math.isinf(at_zero) else 1.0 / at_zero)
     return raw
+
+
+def _array_sum(values: list[float]) -> float:
+    """numpy's sum of ``values`` as a float array, bit for bit: left to
+    right below 8 terms, numpy's own pairwise order from 8 on."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
 
 
 def corresponding_type(
@@ -790,7 +887,7 @@ def corresponding_type(
         raise DomainError(f"target allocation sums to {x.sum()}, not 1")
     if np.any(x <= 0.0):
         raise BoundaryTarget(f"target allocation must be interior: {tuple(x)}")
-    raw = _reciprocal_marginals(x, t, instance)
+    raw = np.array(_reciprocal_marginals(x.tolist(), t, instance))
     return raw / raw.sum()
 
 
@@ -816,26 +913,32 @@ class _TargetSides:
         self._table: dict[float, tuple[list, list, list, float, float]] = {}
 
     def at(self, t: float) -> tuple[list, list, list, float, float]:
-        """(a, levels, a', lam sum_j a_j theta_j(s_j), its derivative) at t."""
+        """(a, levels, a', lam sum_j a_j theta_j(s_j), its derivative) at t,
+        in one pass over the goods in plain floats: each 1/theta_j'(s_j) is
+        computed once, for a(t) and the target's spend rates."""
         side = self._table.get(t)
         if side is None:
             instance, target, lam = self.instance, self.bias.target, self.bias.lam
             pool = instance.pool(t)
-            xhat = np.asarray(target.allocation_at(t, instance), dtype=float)
-            rates = target.spend_rate(t, instance, xhat).tolist()
+            xhat = np.asarray(target.allocation_at(t, instance), dtype=float).tolist()
             raw = _reciprocal_marginals(xhat, t, instance)
-            total = float(raw.sum())
-            ahat = (raw / total).tolist()
-            levels, raw_slope = [], []
-            for xj, r, rate, curve in zip(xhat.tolist(), raw.tolist(), rates, instance.gain_curves):
+            rates = target.spend_rate(t, instance, xhat, raw)
+            total = _array_sum(raw)
+            ahat, levels, raw_slope = [], [], []
+            for xj, r, rate, curve in zip(xhat, raw, rates, instance.gain_curves):
                 spend = xj * pool
+                ahat.append(r / total)
                 levels.append(curve.value(spend) if r > 0.0 else 0.0)
                 raw_slope.append(-curve.deriv2(spend) * rate * r * r if spend > 0.0 else 0.0)
             shift = math.fsum(raw_slope)
-            slope = [(d - a * shift) / total for d, a in zip(raw_slope, ahat)]
-            goods = [g for g in zip(ahat, levels, slope, rates) if g[0] > 0.0]
-            at_target = math.fsum(a * level for a, level, _, _ in goods)
-            at_target_slope = math.fsum(d * level + rate / total for _, level, d, rate in goods)
+            slope, at_target, at_target_slope = [], [], []
+            for a, level, d, rate in zip(ahat, levels, raw_slope, rates):
+                d = (d - a * shift) / total
+                slope.append(d)
+                if a > 0.0:
+                    at_target.append(a * level)
+                    at_target_slope.append(d * level + rate / total)
+            at_target, at_target_slope = math.fsum(at_target), math.fsum(at_target_slope)
             side = self._table[t] = (ahat, levels, slope, lam * at_target, lam * at_target_slope)
         return side
 
@@ -869,31 +972,34 @@ class _BiasedObjective:
     terms are -lam sum_j a_j theta_j(xhat_j pool) and psi(t)."""
 
     coefficients = (1.0, 1.0)
+    fills = True  # each evaluation solves the inner stage at weights of its own
 
     def __init__(self, agent: AgentType, bias: BiasSpec, instance: BudgetInstance, sides):
         self.base, self.bias, self.instance, self.sides = agent.alloc_weights, bias, instance, sides
         self.kappa = instance.money_factor() * agent.money_weight
         self.start, self.rate = instance.pool(0.0), instance.pool_rate
+        self._filled = [j for j, curve in enumerate(instance.gain_curves) if curve.kind != "log"]
 
     def at(self, t: float) -> tuple:
         instance, lam, psi = self.instance, self.bias.lam, self.bias.psi
         phantom, _, slopes, at_target, at_target_slope = self.sides.at(t)
         pool, curves = instance.pool(t), instance.gain_curves
         weights = [w + lam * a for w, a in zip(self.base, phantom)]
-        x, combined, gain = _Conditional(weights, curves, self.start, self.rate).at(t)[:3]
+        # a funded good that is not log leaves no closed form, so water-fill
+        # without building a ``_Conditional`` for one evaluation
+        if any(weights[j] > 0.0 for j in self._filled):
+            x, combined, gain = _water_fill(weights, curves, self.start + self.rate * t)
+            gain *= self.rate
+        else:
+            x, combined, gain = _Conditional(weights, curves, self.start, self.rate).at(t)[:3]
         reweighted, goods = 0, []  # sum_j a_j'(t) theta_j(x_j pool), over a_j'(t) != 0
-        for a, xj, curve in zip(slopes, x, curves):
+        for a, xj, curve in zip(slopes, x.tolist(), curves):
             if a:
-                level = curve.value(float(xj) * pool)
+                level = curve.value(xj * pool)
                 reweighted += a * level
                 goods.append((lam * abs(a), curve, level))
         rest = (lam * reweighted, -at_target_slope, psi.deriv(t))
         return x, combined, gain, rest, goods, (-at_target, psi.value(t))
-
-    def allocation(self, t: float) -> np.ndarray:
-        lam, phantom = self.bias.lam, self.sides.at(t)[0]
-        weights = [w + lam * a for w, a in zip(self.base, phantom)]
-        return _Conditional(weights, self.instance.gain_curves, self.start, self.rate).at(t)[0]
 
 
 def optimize_biased(
@@ -945,15 +1051,16 @@ def _equalising_level(
     the root; iterates are clamped to it, so rounding never asks a curve
     for a level under it.
     """
+    picked = [curves[j] for j in idx]
     for _ in range(_MAX_ITERATIONS):
-        spends = [curves[j].inverse(c) for j in idx]
+        spends = [curve.inverse(c) for curve in picked]
         g = math.fsum(spends) - pool
         if g <= 0.0 or c <= floor:
             return spends
-        slope = math.fsum(
-            1.0 / (curves[j].deriv(s) if s > 0.0 else curves[j].deriv_at_zero())
-            for j, s in zip(idx, spends)
-        )
+        slope = math.fsum([
+            1.0 / (curve.deriv(s) if s > 0.0 else curve.deriv_at_zero())
+            for curve, s in zip(picked, spends)
+        ])
         lower = max(c - g / slope, floor)
         if not lower < c:
             return spends
@@ -992,9 +1099,11 @@ def equitable_allocation(t: float, instance: BudgetInstance) -> np.ndarray:
         else:
             floor = 0.0
     c_hi = min(curves[j].value(pool) for j in idx)
-    x = np.zeros(m)
-    x[list(idx)] = _equalising_level(curves, idx, pool, c_hi, floor)
-    return x / x.sum()
+    x = [0.0] * m
+    for j, spend in zip(idx, _equalising_level(curves, idx, pool, c_hi, floor)):
+        x[j] = spend
+    total = _array_sum(x)
+    return np.array([spend / total for spend in x])
 
 
 # =============================================================================
@@ -1053,8 +1162,10 @@ class _HeteroTotals:
         """welfare(best, i) - welfare(decision, i), taken good by good: each
         funded good's weight total times the change of theta_j, and the
         money coefficient times the change of f, so products and sum round
-        at the size of those changes, not of the welfare.  The rounding of
-        theta_j and f at each decision is left, n-fold through the totals."""
+        at the size of those changes, not of the welfare.  On one side of
+        zero the change of f is ``MoneyCurve.difference``, accurate to a few
+        ulps of itself; the rounding of theta_j at each decision is left,
+        n-fold through the totals."""
         weights, (below, above) = self.without(i)
         instance, money = self.instance, self.instance.money_curve
         instance.check_decision(best)
@@ -1070,7 +1181,7 @@ class _HeteroTotals:
         tb, td = best.tax, decision.tax
         cb, cd = (above if tb > 0.0 else below), (above if td > 0.0 else below)
         if cb == cd:
-            terms.append(-cb * (money.value(tb) - money.value(td)))
+            terms.append(-cb * money.difference(tb, td))
         else:
             terms += [-cb * money.value(tb), cd * money.value(td)]
         return math.fsum(terms)

@@ -164,6 +164,56 @@ def test_money_inverse_identity(curve):
         assert abs(curve.value(back) - y) <= 1e-10 * max(1.0, abs(y))
 
 
+def _exact_money(curve, delta, mpmath):
+    d = mpmath.mpf(delta)
+    if curve.kind == "power":
+        return d ** mpmath.mpf(curve.q)
+    if d > 0:
+        return mpmath.mpf(curve.loss_weight) * d ** mpmath.mpf(curve.r)
+    return -((-d) ** mpmath.mpf(curve.q))
+
+
+@pytest.mark.parametrize("curve", ALL_MONEY)
+@given(
+    a=st.floats(1e-6, 1e6),
+    spread=st.floats(-6.0, 6.0),
+    close=st.booleans(),
+    negative=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_money_difference_is_accurate_to_itself(curve, a, spread, close, negative):
+    # f(b) - f(a) on one side of zero, for b from an ulp to a factor of 2
+    # away from a (close) or up to 1e6 times a or 1e-6 of it, is within a
+    # few ulps of its 50-digit value, however much of f(a) cancels
+    mpmath = pytest.importorskip("mpmath")
+    if negative and curve.domain_min == 0.0:
+        return
+    if close:
+        b = a * (1.0 + math.copysign(10.0 ** (-16.0 * abs(spread) / 6.0), spread))
+    else:
+        b = a * 10.0**spread
+    if negative:
+        a, b = -a, -b
+    with mpmath.workdps(50):
+        exact = _exact_money(curve, b, mpmath) - _exact_money(curve, a, mpmath)
+    got = curve.difference(b, a)
+    if exact == 0:
+        assert got == 0.0
+    else:
+        assert abs(got - float(exact)) <= 8 * 2.0**-52 * abs(float(exact))
+
+
+@pytest.mark.parametrize("curve", ALL_MONEY)
+def test_money_difference_across_zero_is_the_plain_difference(curve):
+    for b, a in ((3.0, 0.0), (0.0, 2.0), (1.5, 1.5)):
+        assert curve.difference(b, a) == curve.value(b) - curve.value(a)
+    if curve.domain_min < 0.0:
+        assert curve.difference(2.0, -1.0) == curve.value(2.0) - curve.value(-1.0)
+    else:
+        with pytest.raises(DomainError):
+            curve.difference(-1.0, 2.0)
+
+
 @pytest.mark.parametrize("curve", ALL_GAINS)
 def test_concavity_sampled(curve):
     xs = np.geomspace(1e-4, 1e5, 40)

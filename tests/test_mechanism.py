@@ -589,9 +589,10 @@ class _CountingTarget(EquitableTarget):
 def test_bus_shares_one_target_side_per_tax():
     # one run's n+1 solves share a table keyed by the exact tax: the target
     # is computed once per distinct tax, and the outcome is the one the
-    # plain equitable target gives; the sampled taxes are shared across
-    # solves and each solve's root takes about 7 more, so 12 agents ask for
-    # 121 distinct taxes
+    # plain equitable target gives; the decision's 48 taxes are shared
+    # across solves, each pivot's proven samples and bracket ends among
+    # them, and each pivot's root takes 5 more of its own, so 12 agents ask
+    # for 108 distinct taxes
     mixed = random_profile(np.random.default_rng(303), 12, 3)
     inst = _mixed_instance(mixed, MoneyCurve.power(0.5))
     counting = _CountingTarget()
@@ -616,6 +617,34 @@ def test_bus_outcome_independent_of_solve_order():
     assert rev.decision == out.decision
     assert rev.raw_vcg == out.raw_vcg[::-1]
     assert rev.payments == out.payments[::-1]
+
+
+def _outcome_bits(out):
+    return (
+        [x.hex() for x in out.decision.allocation],
+        out.decision.tax.hex(),
+        [p.hex() for p in out.raw_vcg],
+        [p.hex() for p in out.payments],
+        out.welfare.hex(),
+    )
+
+
+def test_bus_outcome_independent_of_a_filled_table(monkeypatch):
+    # a run against a table another run already filled (every tax a hit),
+    # and the reversed profile's run against it, give the fresh run's
+    # outcome bit for bit, the reversed one with pivots and payments
+    # reversed: each entry is a pure function of its tax
+    types, inst, _ = variants_catalog(30)
+    bias = BiasSpec(lam=0.5, target=EquitableTarget())
+    fresh = _outcome_bits(run_bus_vcg(types, bias, inst))
+    shared = _TargetSides(bias, inst)
+    monkeypatch.setattr(mechanism, "_TargetSides", lambda *_: shared)
+    assert _outcome_bits(run_bus_vcg(types, bias, inst)) == fresh
+    filled = len(shared._table)
+    assert _outcome_bits(run_bus_vcg(types, bias, inst)) == fresh
+    assert len(shared._table) == filled
+    *decision, raw, payments, welfare = _outcome_bits(run_bus_vcg(types[::-1], bias, inst))
+    assert (*decision, raw[::-1], payments[::-1], welfare) == fresh
 
 
 def test_target_side_table_must_match_its_solve():
@@ -797,6 +826,41 @@ def test_hetero_pivots_against_a_50_digit_reference(n):
     assert min(out.raw_vcg) > 0.0
     residuals = identity_residuals(profile, out, inst, hetero=True)
     assert max(abs(r) for r in residuals) <= 1e-8
+
+
+def test_hetero_money_term_against_a_50_digit_reference():
+    # on the variants_mixed catalog each hetero pivot's money term, its
+    # coefficient times f(t_best) - f(t_d), is within a few ulps of its
+    # 50-digit value at the same coefficient and taxes, which is under
+    # 1e-12 of the pivot; the difference of the two rounded values of f,
+    # which it replaces, was off by up to 7e-10 of the pivot, the most of
+    # the worst pivot's error
+    mpmath = pytest.importorskip("mpmath")
+    profile, _, inst = variants_catalog(150)
+    totals = solver._HeteroTotals(profile, inst)
+    out = run_us_vcg_hetero(profile, inst)
+    money, t_d = inst.money_curve, out.decision.tax
+    errors, plain = [], []
+    for i, pivot in enumerate(out.raw_vcg):
+        (coefficient, _), t_best = totals.without(i)[1], optimize_hetero(profile, inst, i).tax
+        with mpmath.workdps(50):
+            q = mpmath.mpf(money.q)
+            exact = coefficient * (mpmath.mpf(t_best) ** q - mpmath.mpf(t_d) ** q)
+        term = coefficient * money.difference(t_best, t_d)
+        assert abs(term - exact) <= 8 * 2.0**-52 * abs(exact)
+        errors.append(float(abs(term - exact)) / pivot)
+        plain.append(float(abs(coefficient * (money.value(t_best) - money.value(t_d)) - exact)) / pivot)
+    assert max(errors) <= 1e-12
+    assert max(plain) > 1e-10
+
+
+def test_nonpositive_rebate_overflow_names_gamma_and_the_norm():
+    # gamma = 1e154 has a finite square, so the config accepts it, but the
+    # rebate (gamma^2/n)(||D|| + 1) overflows once the norm is known: the
+    # error names gamma, the norm and the overflow, not the money curve
+    inst = make_running_instance(semantics="per_capita")
+    with pytest.raises(RangeError, match=r"agent 0: the rebate .* overflows at gamma 1e\+154 and \|\|D\|\| \d"):
+        non_positive_payments(RUNNING_PROFILE, inst, NonPositiveConfig(gamma=1e154))
 
 
 def test_hetero_gain_calls_per_agent_do_not_grow_with_n(monkeypatch):

@@ -1104,21 +1104,9 @@ def test_probes_per_pivot_solve(monkeypatch):
             assert max(len(calls) for _, calls in kept) <= 60
 
 
-def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
-    # on a 200-agent antithetic all-log population (criterion 5's triplet)
-    # each pivot solve proves its leading run of + samples in one
-    # comparison and takes the per-sample sign only from there: at most 12
-    # sign evaluations, where the decision's walk samples about 43
-    sigma = CharacteristicTriplet(b0=0.0, mu=2.0, mean_type=AgentType((0.4, 0.6), 31.0 / 30.0))
-    profile = sigma_population(sigma, 200, np.random.default_rng(5))
-    instance = BudgetInstance(
-        m=2,
-        n=200,
-        external_budget=0.0,
-        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
-        money_curve=MoneyCurve.power(0.5),
-        semantics="per_capita",
-    )
+def _count_signs(monkeypatch) -> list[list[float]]:
+    """Wrap the outer search so that the taxes each certified search asks
+    its ``signs`` for are kept, one list per search."""
     evaluations = []
     original = solver._maximize_over_tax
 
@@ -1135,7 +1123,40 @@ def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
         return original(probe, instance, functools.update_wrapper(counted, signs), *rest)
 
     monkeypatch.setattr(solver, "_maximize_over_tax", counting)
+    return evaluations
+
+
+def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
+    # on a 200-agent antithetic all-log population (criterion 5's triplet)
+    # each pivot solve proves its leading run of + samples and the tail of
+    # - samples past its bracket in one comparison each, and takes the
+    # per-sample sign only in between: at most 12 sign evaluations, where
+    # the decision's walk samples about 43
+    sigma = CharacteristicTriplet(b0=0.0, mu=2.0, mean_type=AgentType((0.4, 0.6), 31.0 / 30.0))
+    profile = sigma_population(sigma, 200, np.random.default_rng(5))
+    instance = BudgetInstance(
+        m=2,
+        n=200,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+    )
+    evaluations = _count_signs(monkeypatch)
     run_us_vcg(profile, instance)
+    assert len(evaluations) == 200
+    assert max(map(len, evaluations)) <= 12
+
+
+def test_biased_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
+    # the biased twin, on a 200-agent mixed catalog with the equitable
+    # target: each sample keeps the radius within which its sign is proven
+    # with its padding, so the biased pivot solves prove their leading run
+    # and tail in one comparison each as well (about 40 per-sample signs
+    # per pivot before)
+    types, instance, _ = variants_catalog(200)
+    evaluations = _count_signs(monkeypatch)
+    run_bus_vcg(types, BiasSpec(0.5, EquitableTarget()), instance)
     assert len(evaluations) == 200
     assert max(map(len, evaluations)) <= 12
 
@@ -1165,8 +1186,9 @@ def _assert_proven_signs_hold(record, searches):
     # goods); at every tax of the record, a sign the bounds prove for a
     # certified search is the sign of that search's own probe, not only
     # where the search asked for it; and every sample inside the search's
-    # run on each piece of the walk (proven + in one comparison) is one
-    # that its sign proves + and that its own probe samples +
+    # leading run (proven + in one comparison) or its tail (proven -) on
+    # each piece of the walk is one that its sign proves so and that its
+    # own probe samples so
     for entry in record.terms.values():
         assert len(entry) == 5 and all(len(good) == 3 for good in entry[4])
     assert searches
@@ -1176,10 +1198,13 @@ def _assert_proven_signs_hold(record, searches):
             if not math.isnan(sign):
                 assert (sign > 0.0) == (probe(t)[0] > 0.0), t
         start, lower, s0 = solver._walk_origin(instance)
-        for base, run in zip((start, lower), signs.runs):
-            for t in (base + math.ldexp(s0, k) for k in range(run)):
+        for base, (run, first, end) in zip((start, lower), signs.runs):
+            assert run <= first or first == end
+            for k in (*range(run), *range(first, end)):
+                t, proven = base + math.ldexp(s0, k), 1.0 if k < run else -1.0
                 assert t in record.terms
-                assert signs(t, lambda t: (math.nan,)) == 1.0 and probe(t)[0] > 0.0, t
+                assert signs(t, lambda t: (math.nan,)) == proven, t
+                assert (probe(t)[0] > 0.0) == (proven > 0.0), t
 
 
 def _certified_equal_cold(seed, kind, n, hetero):
@@ -1235,10 +1260,10 @@ def test_certified_runs_on_a_kt_walk_with_an_external_budget(seed, hetero):
     # below the kt kink at t = 0, then the open piece above it.  Every
     # pivot's run proves the bounded piece's leading samples + in one
     # comparison; the open piece starts at the kink, where the money
-    # curve's marginal is infinite, so it has no run and is walked sample
-    # by sample, from the same offsets
+    # curve's marginal is infinite, so it has no leading run and is walked
+    # sample by sample up to its tail, from the same offsets
     searches = _certified_equal_cold(seed, "kt-b0", 12, hetero)
-    assert all(signs.runs[0] >= 20 and signs.runs[1] == 0 for _, _, signs, _ in searches)
+    assert all(signs.runs[0][0] >= 20 and signs.runs[1][0] == 0 for _, _, signs, _ in searches)
 
 
 def _fuzz_bias(rng, instance, target, psi, lam):
@@ -1348,9 +1373,10 @@ def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
     # a record whose gain term is planted far too large at the third of the
     # six taxes past the decision's root where its slope stayed <= 0 (the
     # largest six it probed) proves a + sign there that no pivot's slope
-    # has: the search samples on past it, the fresh probe of the bracket end
-    # it leaves disagrees, and every pivot solve falls back to its cold
-    # search and its result
+    # has (the record made from those terms starts its tail after it): the
+    # search samples on past it, the fresh probe of the bracket end it
+    # leaves disagrees, and every pivot solve falls back to its cold search
+    # and its result
     types, instance, _ = variants_catalog()
     profile = types[:6]
     bias = BiasSpec(0.5, EquitableTarget())
@@ -1366,10 +1392,11 @@ def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
     _, fallbacks = _watch_searches(monkeypatch)
     with solver._certified_pivots():
         solve(mean_type(profile))
-        (record,) = solver._RECORD.get()
-        planted = sorted(record.terms)[-4]
-        _, *rest = record.terms[planted]
-        monkeypatch.setitem(record.terms, planted, (1e300, *rest))
+        shared = solver._RECORD.get()
+        terms = dict(shared[0].terms)
+        planted = sorted(terms)[-4]
+        terms[planted] = (1e300, *terms[planted][1:])
+        shared[0] = solver._SlopeRecord(shared[0].objective, terms)
         assert [solve(excl) for excl in excluded] == cold
     assert len(fallbacks) == len(profile)
 
@@ -1390,14 +1417,14 @@ def test_a_run_stretched_past_the_roots_falls_back_to_the_cold_search(monkeypatc
         root = optimize(mean_type(profile), instance).tax
         shared = solver._RECORD.get()
         terms = dict(shared[0].terms)
-        walk = [lower + math.ldexp(s0, k) for k in range(len(shared[0].peaks[1]))]
+        walk = [lower + math.ldexp(s0, k) for k in range(len(shared[0].pieces[1][0]))]
         last = [t for t in walk if t > root][2]
         assert max(c.tax for c in cold) < last
         for t in walk[: walk.index(last) + 1]:
             terms[t] = (1e300, *terms[t][1:])
         shared[0] = solver._SlopeRecord(shared[0].objective, terms)
         assert [optimize(excl, instance) for excl in excluded] == cold
-    assert [signs.runs for _, _, signs, _ in searches] == [(0, walk.index(last) + 1)] * len(profile)
+    assert [signs.runs[1][0] for _, _, signs, _ in searches] == [walk.index(last) + 1] * len(profile)
     assert len(fallbacks) == len(profile)
 
 
@@ -1591,6 +1618,137 @@ def test_biased_tax_is_stationary(monkeypatch, bias):
     d = optimize_biased(mean_type(RUNNING_PROFILE), bias, make_running_instance())
     slope, size, _ = kept[0][0](d.tax)
     assert abs(slope) <= solver._ROUNDING * size
+
+
+def _numpy_equitable(t, instance):
+    # the equitable allocation with its numpy renormalisation, as it was
+    # computed before the plain-float form
+    pool, m, curves = instance.pool(t), instance.m, instance.gain_curves
+    if m == 1:
+        return np.array([1.0])
+    floored = [j for j in range(m) if curves[j].value_limit_at_zero() == 0.0]
+    idx, floor = range(m), -math.inf
+    if floored:
+        if math.fsum(curve.inverse(0.0) for curve in curves) > pool:
+            idx = [j for j in range(m) if j not in floored]
+        else:
+            floor = 0.0
+    c_hi = min(curves[j].value(pool) for j in idx)
+    x = np.zeros(m)
+    x[list(idx)] = solver._equalising_level(curves, idx, pool, c_hi, floor)
+    return x / x.sum()
+
+
+def _field_by_field_side(bias, instance, t):
+    # the target-side entry as it was computed field by field, with numpy
+    # arrays and each 1/theta_j'(s_j) taken twice (spend rates and
+    # phantom weights)
+    target, lam, curves = bias.target, bias.lam, instance.gain_curves
+    pool = instance.pool(t)
+    if isinstance(target, EquitableTarget):
+        xhat = _numpy_equitable(t, instance)
+        inv = [
+            1.0 / curve.deriv(xj * pool) if xj > 0.0 else 0.0
+            for xj, curve in zip(xhat.tolist(), curves)
+        ]
+        scale = instance.pool_rate / math.fsum(inv)
+        rates = np.array([r * scale for r in inv])
+    else:
+        xhat = np.asarray(target.allocation_at(t, instance), dtype=float)
+        if isinstance(target, ConstantTarget):
+            rates = xhat * instance.pool_rate
+        else:
+            u, du = target._interpolated(t)
+            rates = pool * ((du - xhat * du.sum()) / u.sum()) + xhat * instance.pool_rate
+    raw = np.empty(instance.m)
+    for j, (xj, curve) in enumerate(zip(xhat, curves)):
+        if xj > 0.0:
+            raw[j] = 1.0 / curve.deriv(float(xj) * pool)
+        else:
+            at_zero = curve.deriv_at_zero()
+            raw[j] = 0.0 if math.isinf(at_zero) else 1.0 / at_zero
+    total = float(raw.sum())
+    ahat = (raw / total).tolist()
+    levels, raw_slope = [], []
+    for xj, r, rate, curve in zip(xhat.tolist(), raw.tolist(), rates.tolist(), curves):
+        spend = xj * pool
+        levels.append(curve.value(spend) if r > 0.0 else 0.0)
+        raw_slope.append(-curve.deriv2(spend) * rate * r * r if spend > 0.0 else 0.0)
+    shift = math.fsum(raw_slope)
+    slope = [(d - a * shift) / total for d, a in zip(raw_slope, ahat)]
+    goods = [g for g in zip(ahat, levels, slope, rates.tolist()) if g[0] > 0.0]
+    at_target = math.fsum(a * level for a, level, _, _ in goods)
+    at_target_slope = math.fsum(d * level + rate / total for _, level, d, rate in goods)
+    return ahat, levels, slope, lam * at_target, lam * at_target_slope
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return float(value).hex()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from([*_FUZZ_KINDS, "nine goods"]),
+    target=st.sampled_from(["equitable", "constant", "table"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_pass_target_side_equals_the_field_by_field_entry(seed, kind, target):
+    # each target-side entry, computed in one pass in plain floats, carries
+    # the bits of the field-by-field numpy computation it replaces, at
+    # taxes from the feasible start up, for each target on random catalogs
+    # (nine goods take numpy's pairwise summation order)
+    rng = np.random.default_rng(seed)
+    if kind == "nine goods":
+        instance = random_instance(rng, 9, 3, diverging_only=False, with_types=False)
+    else:
+        instance = _fuzz_instance(rng, kind)
+    bias = _fuzz_bias(rng, instance, target, False, 0.5)
+    start = solver._walk_origin(instance)[0]
+    sides = solver._TargetSides(bias, instance)
+    for t in start + 10.0 ** rng.uniform(-8.0, 3.0, 6):
+        t = float(t)
+        assert _bits(sides.at(t)) == _bits(_field_by_field_side(bias, instance, t)), t
+        if target == "equitable":
+            assert _bits(equitable_allocation(t, instance)) == _bits(_numpy_equitable(t, instance))
+
+
+def test_a_solve_water_fills_each_probed_tax_once(monkeypatch):
+    # a solve keeps the inner evaluation of each tax it probes: on the
+    # mixed catalog the re-probed bracket ends, the valued candidates and
+    # the decision's allocation water-fill nothing twice, for the plain,
+    # biased and hetero solves, cold or certified (where a decision at a
+    # tax proven without a probe takes one water-fill more)
+    kept = _keep_probes(monkeypatch)
+    fills = []
+    original = solver._water_fill
+
+    def counted(weights, curves, budget):
+        fills.append(budget)
+        return original(weights, curves, budget)
+
+    monkeypatch.setattr(solver, "_water_fill", counted)
+    types, instance, hetero = variants_catalog(12)
+    bias = BiasSpec(0.5, EquitableTarget())
+    runs = (
+        lambda: optimize(types[0], instance),
+        lambda: optimize_biased(types[0], bias, instance),
+        lambda: optimize_hetero(types, hetero),
+        lambda: run_us_vcg(types, instance),
+        lambda: run_bus_vcg(types, bias, instance),
+        lambda: run_us_vcg_hetero(types, hetero),
+    )
+    for k, run in enumerate(runs):
+        kept.clear()
+        fills.clear()
+        run()
+        distinct = sum(len(set(calls)) for _, calls in kept)
+        assert distinct <= len(fills) <= distinct + (len(kept) if k >= 3 else 0)
+        if k < 3:
+            assert len(fills) == distinct
 
 
 class _RateFreeTarget:
