@@ -272,13 +272,17 @@ def parse_bias(doc: dict, where: str = "bias") -> BiasSpec:
     kind = _require(target_doc, "kind", f"{where}: target")
     try:
         if kind == "constant":
-            target = ConstantTarget(tuple(float(x) for x in _require(target_doc, "allocation", where)))
+            target = ConstantTarget(number_list(target_doc, "allocation", where))
         elif kind == "equitable":
             target = EquitableTarget()
         elif kind == "table":
+            rows = _require(target_doc, "allocations", where)
+            if not isinstance(rows, list):
+                raise SchemaError(f"{where}: field 'allocations' must be a list, got {rows!r}")
+            by_index = dict(enumerate(rows))
             target = TableTarget(
-                tuple(float(t) for t in _require(target_doc, "taxes", where)),
-                tuple(tuple(float(x) for x in row) for row in _require(target_doc, "allocations", where)),
+                number_list(target_doc, "taxes", where),
+                tuple(number_list(by_index, k, f"{where}: allocations") for k in by_index),
             )
         else:
             raise SchemaError(f"{where}: unknown target kind {kind!r}")

@@ -23,16 +23,17 @@ One engine runs every variant (``_run``), and one step (``_residuals``)
 audits a run from the others' optima: ``usvcg mechanism`` passes the run's
 own pivot solves (``_keeping_optima``), and ``identity_residuals`` solves
 them afresh for ``usvcg check``, which bounds both its own and the stored
-residuals.  In one process both give the same bits.  A variant names only its decision oracle
-(``decide``), its others' optimum oracle (``others_optimum``) and its
-excluded-welfare terms (``pivot_at`` for the payments, ``total`` and
-``others_welfare`` for the audit): ``_Plain`` is US-VCG, ``_Biased`` steers
-toward phantom targets, ``_Hetero`` has designer-assigned tax weights (the
-other two refuse an instance that carries them).  The
-oracles are module globals read at call time, so rebinding one reaches every
-solve.  Non-positive payments are a Jacobian-bound rebate taken off the raw
-pivots of ``run_us_vcg``; the Jacobian's perturbed solves are certified
-against the decision's as the pivot solves are, with the same bits.
+residuals.  In one process both give the same bits.  A variant names
+only its decision oracle (``decide``), its others' optimum oracle
+(``others_optimum``), both given the run or none, and its excluded-welfare
+terms (``pivot_at`` for the payments, ``total`` and ``others_welfare`` for
+the audit): ``_Plain`` is US-VCG, ``_Biased`` steers toward phantom
+targets, ``_Hetero`` has designer-assigned tax weights (the other two
+refuse an instance that carries them).  The oracles are module globals
+read at call time, so rebinding one reaches every solve.  Non-positive
+payments are a Jacobian-bound rebate taken off the raw pivots of
+``run_us_vcg``; the Jacobian's perturbed solves are certified against the
+decision's as the pivot solves are, with the same bits.
 
 Every variant prices all agents' removals from the profile's totals in one
 O(n*m) pass.  Welfare depends on a profile only through its mean, so
@@ -44,8 +45,8 @@ the others' welfare at a decision is those totals against the decision's
 gains and f(t), O(m) per agent.  In both forms removing agent i is one short
 ``math.fsum`` of exact totals, the correctly rounded sum of the others, and
 a run costs one solve for the decision plus one pivot solve per agent.
-Every variant's pivot solves are certified against the decision's
-(``solver._certified_pivots``): an excluded mean lies within O(1/n) of the
+Every variant's pivot solves are certified against the decision's record
+(one ``solver._Run`` per run): an excluded mean lies within O(1/n) of the
 full mean, so a bound proves most of the tax-slope signs the decision's
 search sampled, and a pivot solve probes only the rest, its brackets' ends
 and its roots -- about 8-9 slope probes against the decision's 46-50 -- and
@@ -96,8 +97,8 @@ from .model import (
 )
 from .solver import (
     BiasSpec,
-    _certified_pivots,
     _HeteroTotals,
+    _Run,
     _TargetSides,
     corresponding_type,
     optimize,
@@ -179,16 +180,16 @@ class _Plain:
 
     def __init__(self, profile, instance: BudgetInstance):
         self.profile, self.instance = tuple(profile), instance
-        self.n = len(self.profile)
+        self.n, self.table = len(self.profile), None  # no table for a run's solves to share
 
-    def decide(self) -> BudgetDecision:
-        return optimize(mean_type(self.profile), self.instance)
+    def decide(self, run=None) -> BudgetDecision:
+        return optimize(mean_type(self.profile), self.instance, run=run)
 
     def others(self):
         return excluded_means(self.profile)
 
-    def others_optimum(self, excl) -> BudgetDecision:
-        return optimize(excl, self.instance)
+    def others_optimum(self, excl, run=None) -> BudgetDecision:
+        return optimize(excl, self.instance, run=run)
 
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return decision.tax
@@ -243,28 +244,27 @@ def _keeping_optima():
 
 def _run(variant) -> Outcome:
     """The variant's decision, then for every agent one solve of the
-    others' optimum, certified against the decision's, its pivot, and one
-    money-curve inversion.  It keeps the (others, their optimum) pairs
-    for a caller inside ``_keeping_optima``."""
+    others' optimum, certified against the decision's (one ``_Run``), its
+    pivot, and one money-curve inversion.  It keeps the (others, their
+    optimum) pairs for a caller inside ``_keeping_optima``."""
     profile, instance = variant.profile, variant.instance
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
     _check_tax_weights(variant)
-    optima = []
+    optima, run = [], _Run(instance, variant.table)
     if (kept := _KEPT.get()) is not None:
         kept.append((variant, optima))
-    with _certified_pivots():
-        decision = variant.decide()
-        welfare = social_welfare(profile, decision, instance)
-        if len(profile) == 1:
-            return Outcome(decision, (0.0,), (0.0,), welfare)
-        pivot = variant.pivot_at(decision)
-        raw, payments = [], []
-        for i, excl in enumerate(variant.others()):
-            optima.append((excl, variant.others_optimum(excl)))
-            p, argument = pivot(*optima[-1])
-            raw.append(p)
-            payments.append(variant.payment(i, argument, decision))
+    decision = variant.decide(run)
+    welfare = social_welfare(profile, decision, instance)
+    if len(profile) == 1:
+        return Outcome(decision, (0.0,), (0.0,), welfare)
+    pivot = variant.pivot_at(decision)
+    raw, payments = [], []
+    for i, excl in enumerate(variant.others()):
+        optima.append((excl, variant.others_optimum(excl, run)))
+        p, argument = pivot(*optima[-1])
+        raw.append(p)
+        payments.append(variant.payment(i, argument, decision))
     return Outcome(decision, tuple(raw), tuple(payments), welfare)
 
 
@@ -333,10 +333,10 @@ def identity_residuals(
     _check_tax_weights(variant)
     if variant.n == 1:
         return [0.0]
-    with _certified_pivots():
-        variant.decide()
-        optima = ((excl, variant.others_optimum(excl)) for excl in variant.others())
-        return _residuals(variant, optima, outcome)
+    run = _Run(instance, variant.table)
+    variant.decide(run)
+    optima = ((excl, variant.others_optimum(excl, run)) for excl in variant.others())
+    return _residuals(variant, optima, outcome)
 
 
 def _residuals(variant, optima, outcome: Outcome) -> list[float]:
@@ -374,7 +374,9 @@ def _perturbed(base: AgentType, alloc_dir: np.ndarray, money_dir: float, h: floa
     return AgentType(weights, base.money_weight + h * money_dir)
 
 
-def _decision_map_jacobian(base: AgentType, instance: BudgetInstance, h: float) -> np.ndarray:
+def _decision_map_jacobian(
+    base: AgentType, instance: BudgetInstance, h: float, run: _Run | None = None
+) -> np.ndarray:
     """Central finite differences of the decision's feature vector along the
     simplex tangent directions and the money-weight axis.
 
@@ -382,7 +384,7 @@ def _decision_map_jacobian(base: AgentType, instance: BudgetInstance, h: float) 
     water-fills to 1e-13 of the pool and the tax search resolves the slope
     to its rounding bound.  The step shrinks to keep the perturbed weights
     positive, so ``base`` must weight every good: a zero weight leaves no
-    room along any direction that moves it.
+    room along any direction that moves it.  Each solve takes ``run``.
     """
     m = instance.m
     directions: list[tuple[np.ndarray, float]] = [
@@ -399,10 +401,8 @@ def _decision_map_jacobian(base: AgentType, instance: BudgetInstance, h: float) 
             h_eff = min(h, 0.45 * room)
         if money_dir != 0.0:
             h_eff = min(h_eff, 0.45 * base.money_weight)
-        plus, minus = (
-            feature_vector(optimize(_perturbed(base, alloc_dir, money_dir, s), instance), instance)
-            for s in (h_eff, -h_eff)
-        )
+        types = (_perturbed(base, alloc_dir, money_dir, s) for s in (h_eff, -h_eff))
+        plus, minus = (feature_vector(optimize(a, instance, run=run), instance) for a in types)
         cols.append((plus - minus) / (2.0 * h_eff))
     return np.column_stack(cols)
 
@@ -463,35 +463,34 @@ def non_positive_payments(
             )
     if outcome is None:
         outcome = run_us_vcg(profile, instance)
-    payments = []
-    with _certified_pivots():
-        plain.decide()
-        for i, (excl, p) in enumerate(zip(others, outcome.raw_vcg)):
-            J_half = _decision_map_jacobian(excl, instance, _FD_STEP / 2.0)
-            J_full = _decision_map_jacobian(excl, instance, _FD_STEP)
-            norm_half = float(np.linalg.norm(J_half, 2))
-            norm_full = float(np.linalg.norm(J_full, 2))
-            rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
-            if not math.isfinite(rebate):
-                raise RangeError(
-                    f"agent {i}: the rebate (gamma^2/n)(||D|| + 1) + r/n overflows at "
-                    f"gamma {np_config.gamma:.6g} and ||D|| {norm_half:.6g}"
-                )
-            if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
-                warnings.warn(
-                    f"decision-map Jacobian at agent {i} changes by more than 10% "
-                    f"under step halving ({norm_full:.4g} vs {norm_half:.4g}); "
-                    "the optimum may not be a regular maximum",
-                    RegularityWarning,
-                    stacklevel=2,
-                )
-            try:
-                payments.append(plain.payment(i, p - rebate, outcome.decision))
-            except RangeError as exc:
-                raise RangeError(
-                    f"agent {i}: raw pivot {p:.6g} minus rebate {rebate:.6g} is not a "
-                    f"payment the money curve can carry ({exc})"
-                ) from exc
+    payments, run = [], _Run(instance)
+    plain.decide(run)
+    for i, (excl, p) in enumerate(zip(others, outcome.raw_vcg)):
+        J_half = _decision_map_jacobian(excl, instance, _FD_STEP / 2.0, run)
+        J_full = _decision_map_jacobian(excl, instance, _FD_STEP, run)
+        norm_half = float(np.linalg.norm(J_half, 2))
+        norm_full = float(np.linalg.norm(J_full, 2))
+        rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
+        if not math.isfinite(rebate):
+            raise RangeError(
+                f"agent {i}: the rebate (gamma^2/n)(||D|| + 1) + r/n overflows at "
+                f"gamma {np_config.gamma:.6g} and ||D|| {norm_half:.6g}"
+            )
+        if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
+            warnings.warn(
+                f"decision-map Jacobian at agent {i} changes by more than 10% "
+                f"under step halving ({norm_full:.4g} vs {norm_half:.4g}); "
+                "the optimum may not be a regular maximum",
+                RegularityWarning,
+                stacklevel=2,
+            )
+        try:
+            payments.append(plain.payment(i, p - rebate, outcome.decision))
+        except RangeError as exc:
+            raise RangeError(
+                f"agent {i}: raw pivot {p:.6g} minus rebate {rebate:.6g} is not a "
+                f"payment the money curve can carry ({exc})"
+            ) from exc
     return tuple(payments)
 
 
@@ -508,16 +507,16 @@ class _Biased(_Plain):
         super().__init__(profile, instance)
         self.bias = bias
         self.sides = _TargetSides(bias, instance)
+        self.table = None if bias.is_null else self.sides  # a null bias solves the plain kind
 
     def _c(self, decision: BudgetDecision) -> float:
         return self.sides.bias_value(decision)
 
-    def decide(self) -> BudgetDecision:
-        mean = mean_type(self.profile)
-        return optimize_biased(mean, self.bias, self.instance, sides=self.sides)
+    def decide(self, run=None) -> BudgetDecision:
+        return optimize_biased(mean_type(self.profile), self.bias, self.instance, run=run)
 
-    def others_optimum(self, excl) -> BudgetDecision:
-        return optimize_biased(excl, self.bias, self.instance, sides=self.sides)
+    def others_optimum(self, excl, run=None) -> BudgetDecision:
+        return optimize_biased(excl, self.bias, self.instance, run=run)
 
     def pivot_at(self, decision: BudgetDecision):
         plain, c_at_decision = super().pivot_at(decision), self._c(decision)
@@ -539,10 +538,10 @@ class _Biased(_Plain):
 def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
     """Mechanism steered by a phantom bias: the decision maximises
     valuation-plus-bias of the mean, and the bias differences enter the
-    payment inversion alongside the pivot term."""
-    if bias.is_null:
-        return run_us_vcg(profile, instance)
-    return _run(_Biased(profile, instance, bias))
+    payment inversion alongside the pivot term.  A target whose length is
+    not the instance's raises DomainError, a null bias's too."""
+    variant = _Biased(profile, instance, bias)
+    return run_us_vcg(profile, instance) if bias.is_null else _run(variant)
 
 
 # =============================================================================
@@ -553,23 +552,23 @@ def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
 class _Hetero(_Plain):
     """Designer tax weights: agent k pays tax_weights[k] * t, so the others
     without agent i are everyone else.  The run builds the profile's exact
-    totals once (``_HeteroTotals``): each solve reads them through
-    ``optimize_hetero(totals=)``, and the others' welfare
-    and the pivots are those totals against a decision's gains and f(t),
-    O(m) per agent.  Each payment offsets its own weighted tax."""
+    totals once (``_HeteroTotals``): its solves read them through its
+    ``_Run``, and the others' welfare and the pivots are those totals
+    against a decision's gains and f(t), O(m) per agent.  Each payment
+    offsets its own weighted tax."""
 
     def __init__(self, profile, instance: BudgetInstance):
         super().__init__(profile, instance)
-        self.totals = _HeteroTotals(self.profile, instance)
+        self.table = self.totals = _HeteroTotals(self.profile, instance)
 
-    def decide(self) -> BudgetDecision:
-        return self.others_optimum(None)
+    def decide(self, run=None) -> BudgetDecision:
+        return self.others_optimum(None, run)
 
     def others(self):
         return range(self.n)
 
-    def others_optimum(self, i: int | None) -> BudgetDecision:
-        return optimize_hetero(self.profile, self.instance, exclude=i, totals=self.totals)
+    def others_optimum(self, i: int | None, run=None) -> BudgetDecision:
+        return optimize_hetero(self.profile, self.instance, exclude=i, run=run)
 
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return self.instance.tax_weights[i] * decision.tax

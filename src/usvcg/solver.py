@@ -34,8 +34,8 @@ evaluation, the allocation, the gains and the slope and value terms
 (``_PlainObjective``: a type's valuation, or a profile's welfare under
 designer tax weights; ``_BiasedObjective``: valuation plus bias).  One step,
 ``_solve``, builds from them the probe and the slope record, one layout for
-every kind.  A mechanism run's n+1 solves share its state as arguments: the
-target-side table (``sides=``) and the profile totals (``totals=``).
+every kind.  A mechanism run's n+1 solves share its state as one argument,
+``run=`` (``_Run``): the kind's shared table and the decision's slope record.
 
 Ties between equal-value optima break deterministically: lowest tax,
 then lexicographically smallest allocation.
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -393,7 +392,9 @@ def _maximize_over_tax(
     return best_t
 
 
-def optimize(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
+def optimize(
+    agent: AgentType, instance: BudgetInstance, *, run: _Run | None = None
+) -> BudgetDecision:
     """The optimal budget decision for one (possibly hypothetical) type.
 
     Maximises the conditional value consistent with the instance's MRS
@@ -402,9 +403,10 @@ def optimize(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
     still positive at the fixed tax cap (an offset of 1e12).  It takes no
     numerical settings: the inner stage water-fills to a budget residual of
     1e-13 of the pool, and the tax search resolves the slope to its
-    rounding bound.
+    rounding bound.  A mechanism run's ``run`` (``_Run``) changes no bit.
     """
-    return _solve(_PlainObjective.of(agent, instance))
+    _shared(run, instance)
+    return _solve(_PlainObjective.of(agent, instance), run)
 
 
 def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> BudgetDecision:
@@ -414,20 +416,28 @@ def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> Budge
     return _solve(_PlainObjective.of(agent, instance), unique=True)
 
 
-# The record of the first solve inside ``_certified_pivots``, once it is made.
-_RECORD: contextvars.ContextVar[list | None] = contextvars.ContextVar("slope_record", default=None)
+class _Run:
+    """One mechanism run's state, which each of its solves takes as ``run=``:
+    its instance, its kind's shared table (``_TargetSides``, ``_HeteroTotals``
+    or None) and the slope record that its first solve leaves, against which
+    every later one is certified.  A solve without a run is cold."""
+
+    def __init__(self, instance: BudgetInstance, table=None):
+        self.instance, self.table, self.record = instance, table, None
 
 
-@contextlib.contextmanager
-def _certified_pivots():
-    """Inside the block, the first solve (a mechanism's decision) leaves its
-    record, and every later one of the same kind (a pivot) is certified
-    against it; each result is still that of the solve's own cold search."""
-    token = _RECORD.set([])
-    try:
-        yield
-    finally:
-        _RECORD.reset(token)
+def _shared(run: _Run | None, instance: BudgetInstance, kind: type = type(None), owner=None):
+    """The table a solve of ``instance`` reads: a ``kind`` built for
+    ``owner`` (its bias or its profile; none for the plain kind), the
+    ``run``'s or, without a run, a fresh one.  A run of another instance,
+    kind, table or profile raises DomainError."""
+    if run is None:
+        return None if owner is None else kind(owner, instance)
+    table = run.table
+    belongs = run.instance is instance and type(table) is kind
+    if not (belongs and getattr(table, "owner", None) is owner):
+        raise DomainError("the run belongs to another instance, kind, table or profile")
+    return table
 
 
 def _proof(entry: tuple, lo: float, up: float, hi: float, down: float, sigma: float) -> float:
@@ -616,7 +626,7 @@ def _kept(at: Callable[[float], tuple]) -> Callable[[float], tuple]:
     return kept
 
 
-def _solve(objective, unique: bool = False) -> BudgetDecision:
+def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDecision:
     """The decision maximising ``objective`` over the tax.
 
     ``objective.at(t)`` gives, from one inner evaluation, the allocation,
@@ -626,9 +636,9 @@ def _solve(objective, unique: bool = False) -> BudgetDecision:
     ``objective.coefficients`` for t <= 0 and the second above, the probe's
     slope is the left-to-right sum of (gain, *rest, -cost), its size the
     largest |term| and its value the sum of (gains, *offsets, -kappa c f(t)).
-    Inside ``_certified_pivots`` a solve of the record's kind (the same
-    instance and ``sides``) is certified against the record, and cold when
-    that search cannot vouch for its result.  With ``unique`` a tie raises
+    With a ``run`` (``_Run``) the solve is certified against the record of
+    the run's first solve, or cold when that search cannot vouch for its
+    result; the first solve leaves the record.  With ``unique`` a tie raises
     NonUniqueOptimum.  Where an evaluation water-fills (``objective.fills``)
     the solve keeps ``at(t)`` of every tax it probes, so the re-probed
     bracket ends, the valued candidates and the decision's allocation
@@ -640,8 +650,8 @@ def _solve(objective, unique: bool = False) -> BudgetDecision:
     """
     instance, at, kappa = objective.instance, objective.at, objective.kappa
     below, above = objective.coefficients
-    money, shared = instance.money_curve, _RECORD.get()
-    terms = {} if shared == [] else None
+    money, record = instance.money_curve, run.record if run else None
+    terms = {} if run and record is None else None
     if objective.fills:
         at = _kept(at)
 
@@ -659,14 +669,14 @@ def _solve(objective, unique: bool = False) -> BudgetDecision:
         value = sum((gains, *offsets, -kappa * (c * money.value(t)))) if valued else math.nan
         return slope, size, value
 
-    t_star, made = None, shared[0].objective if shared else None
-    if made is not None and made.instance is instance and made.sides is objective.sides:
+    t_star = None
+    if record is not None:
         with contextlib.suppress(_Uncertified):
-            t_star = _maximize_over_tax(probe, instance, shared[0].signs(objective), unique)
+            t_star = _maximize_over_tax(probe, instance, record.signs(objective), unique)
     if t_star is None:
         t_star = _maximize_over_tax(probe, instance, None, unique)
         if terms is not None:
-            shared.append(_SlopeRecord(objective, terms))
+            run.record = _SlopeRecord(objective, terms)
     return BudgetDecision(tuple(at(t_star)[0]), t_star)
 
 
@@ -697,6 +707,11 @@ class _PlainObjective(_Conditional):
 # =============================================================================
 
 
+def _simplex_point(x: tuple[float, ...]) -> bool:
+    """Finite, nonnegative entries that sum to 1 within 1e-9."""
+    return all(0.0 <= v < math.inf for v in x) and abs(math.fsum(x) - 1.0) <= 1e-9
+
+
 @dataclass(frozen=True)
 class ConstantTarget:
     """A single favoured allocation, independent of the tax."""
@@ -705,9 +720,7 @@ class ConstantTarget:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "allocation", tuple(float(x) for x in self.allocation))
-        if abs(math.fsum(self.allocation) - 1.0) > 1e-9 or any(
-            x < 0.0 for x in self.allocation
-        ):
+        if not _simplex_point(self.allocation):
             raise DomainError(f"target must be a simplex point: {self.allocation}")
 
     def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
@@ -752,10 +765,14 @@ class TableTarget:
         )
         if len(self.taxes) != len(self.allocations) or len(self.taxes) < 1:
             raise DomainError("table target needs matching, nonempty rows")
+        if len({len(row) for row in self.allocations}) != 1:
+            raise DomainError("table target rows must have one length")
+        if not all(map(math.isfinite, self.taxes)):
+            raise DomainError(f"table target taxes must be finite: {self.taxes}")
         if any(b <= a for a, b in zip(self.taxes, self.taxes[1:])):
             raise DomainError("table target taxes must be strictly increasing")
         for row in self.allocations:
-            if abs(math.fsum(row) - 1.0) > 1e-9 or any(x < 0.0 for x in row):
+            if not _simplex_point(row):
                 raise DomainError(f"table row must be a simplex point: {row}")
 
     def _interpolated(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -915,7 +932,11 @@ class _TargetSides:
     """
 
     def __init__(self, bias: BiasSpec, instance: BudgetInstance):
-        self.bias, self.instance = bias, instance
+        target = bias.target
+        rows = (target.allocation,) if isinstance(target, ConstantTarget) else ()
+        if any(len(row) != instance.m for row in getattr(target, "allocations", rows)):
+            raise DomainError(f"bias target allocations need {instance.m} entries, one per good")
+        self.bias, self.owner, self.instance = bias, bias, instance
         self._table: dict[float, tuple[list, list, list, float, float]] = {}
 
     def at(self, t: float) -> tuple[list, list, list, float, float]:
@@ -981,6 +1002,8 @@ class _BiasedObjective:
     fills = True  # each evaluation solves the inner stage at weights of its own
 
     def __init__(self, agent: AgentType, bias: BiasSpec, instance: BudgetInstance, sides):
+        if agent.m != instance.m:
+            raise DomainError("type length does not match the instance")
         self.base, self.bias, self.instance, self.sides = agent.alloc_weights, bias, instance, sides
         self.kappa = instance.money_factor() * agent.money_weight
         self.start, self.rate = instance.pool(0.0), instance.pool_rate
@@ -1002,30 +1025,22 @@ class _BiasedObjective:
 
 
 def optimize_biased(
-    agent: AgentType,
-    bias: BiasSpec,
-    instance: BudgetInstance,
-    *,
-    sides: _TargetSides | None = None,
+    agent: AgentType, bias: BiasSpec, instance: BudgetInstance, *, run: _Run | None = None
 ) -> BudgetDecision:
     """argmax of valuation + bias (``_BiasedObjective``): the phantom
     weights a(t) join the water-filling problem, and the tax search carries
     the target-loss offset and psi on the analytic slope.
 
-    ``sides`` is a target-side table of this bias and instance that a
-    mechanism run passes to all of its n+1 solves; without it the call
-    builds its own, and a table of another bias or instance raises
-    DomainError.  Inside ``_certified_pivots`` the solves that share one
-    table are certified against the first one's slope terms (``_SlopeRecord``,
-    one layout for every solver kind).  The result is the same either way.
+    A mechanism run passes its ``run`` (``_Run``) to all of its n+1 solves:
+    they share its target-side table of this bias and instance and are
+    certified against the first one's slope terms (``_SlopeRecord``, one
+    layout for every solver kind).  Without it the call builds its own
+    table.  The result is the same either way.
     """
     if bias.is_null:
-        return optimize(agent, instance)
-    if sides is None:
-        sides = _TargetSides(bias, instance)
-    elif sides.bias is not bias or sides.instance is not instance:
-        raise DomainError("target-side table belongs to another bias or instance")
-    return _solve(_BiasedObjective(agent, bias, instance, sides))
+        return optimize(agent, instance, run=run)
+    sides = _shared(run, instance, _TargetSides, bias)
+    return _solve(_BiasedObjective(agent, bias, instance, sides), run)
 
 
 # =============================================================================
@@ -1121,7 +1136,7 @@ class _HeteroTotals:
     """
 
     def __init__(self, profile: tuple, instance: BudgetInstance):
-        self.profile, self.instance = profile, instance
+        self.profile, self.owner, self.instance = profile, profile, instance
         money, omegas = instance.money_curve, instance.tax_weights
         rows = [a.alloc_weights for a in profile]
         self.weights = [_exact_sum(list(column)) for column in zip(*rows)]
@@ -1191,7 +1206,7 @@ def optimize_hetero(
     instance: BudgetInstance,
     exclude: int | None = None,
     *,
-    totals: _HeteroTotals | None = None,
+    run: _Run | None = None,
 ) -> BudgetDecision:
     """Welfare-optimal decision when agent i pays tax_weights[i] * t.
 
@@ -1207,22 +1222,19 @@ def optimize_hetero(
     profile raises DomainError.  The budget mechanics (pool and feasible
     range) keep the full population.
 
-    ``totals`` are the totals of this profile (the same tuple) and instance
-    that a mechanism run passes to all of its n+1 solves; without them the
-    call builds its own, and totals of another profile or instance raise
-    DomainError.  The result is the same either way.
+    A mechanism run passes its ``run`` (``_Run``) to all of its n+1 solves:
+    they share its totals of this profile (the same tuple) and instance and
+    are certified against the first one's slope terms.  Without it the call
+    builds its own totals.  The result is the same either way.
     """
     profile = tuple(profile)
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
-    if totals is None:
-        totals = _HeteroTotals(profile, instance)
-    elif totals.profile is not profile or totals.instance is not instance:
-        raise DomainError("profile totals belong to another profile or instance")
+    totals = _shared(run, instance, _HeteroTotals, profile)
     weights, coefficients = totals.without(exclude)
     if len(profile) == 1 and exclude is not None:
         raise DomainError("cannot optimise for an empty included set")
-    return _solve(_PlainObjective(weights, instance.money_factor(), coefficients, instance))
+    return _solve(_PlainObjective(weights, instance.money_factor(), coefficients, instance), run)
 
 
 # =============================================================================

@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
 import usvcg.cli  # noqa: F401  -- Tracer.install looks up every traced module, usvcg.files too
-from conftest import RUNNING_PROFILE, make_running_instance
+from conftest import RUNNING_PROFILE, make_running_instance, make_water_fill_kt_instance
 from usvcg import BiasSpec, EquitableTarget, MoneyCurve, mechanism
+from usvcg.model import excluded_means
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -59,3 +61,54 @@ def test_bench_tracer_counts_every_solve_of_the_variants(variant):
     finally:
         tracer.uninstall()
     assert tracer.metrics()["solver.solves"] == len(RUNNING_PROFILE) + 1
+
+
+def _traced_solves(call) -> int:
+    """The solves the tracer counts while ``call()`` runs."""
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    return tracer.metrics()["solver.solves"]
+
+
+@pytest.mark.parametrize("variant", ["plain", "biased", "hetero"])
+def test_bench_tracer_counts_every_solve_of_an_audit(variant):
+    # identity_residuals solves the decision again and one pivot per agent,
+    # each through the public solver the tracer wraps
+    instance, keywords = make_running_instance(), {}
+    if variant == "biased":
+        keywords = {"bias": BiasSpec(lam=0.5, target=EquitableTarget())}
+        outcome = mechanism.run_bus_vcg(RUNNING_PROFILE, keywords["bias"], instance)
+    elif variant == "hetero":
+        instance = dataclasses.replace(instance, tax_weights=(1.5, 1.0, 0.5))
+        keywords = {"hetero": True}
+        outcome = mechanism.run_us_vcg_hetero(RUNNING_PROFILE, instance)
+    else:
+        outcome = mechanism.run_us_vcg(RUNNING_PROFILE, instance)
+
+    def audit():
+        return mechanism.identity_residuals(RUNNING_PROFILE, outcome, instance, **keywords)
+
+    assert _traced_solves(audit) == len(RUNNING_PROFILE) + 1
+
+
+def test_bench_tracer_counts_every_solve_of_the_non_positive_scheme():
+    # given the run's outcome: the decision, then per agent two central
+    # differences along m directions (m - 1 tangent, one money weight) at
+    # the step and at half of it, 1 + 4 m n = 73 solves at m = 3, n = 6
+    instance = make_water_fill_kt_instance(6)
+    profile = instance.types
+    gamma = max(
+        math.dist((*t.alloc_weights, t.money_weight), (*e.alloc_weights, e.money_weight))
+        for t, e in zip(profile, excluded_means(profile))
+    )
+    outcome = mechanism.run_us_vcg(profile, instance)
+    config = mechanism.NonPositiveConfig(gamma=gamma)
+
+    def rebated():
+        return mechanism.non_positive_payments(profile, instance, config, outcome=outcome)
+
+    assert _traced_solves(rebated) == 1 + 4 * instance.m * len(profile) == 73

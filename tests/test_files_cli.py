@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -280,6 +281,47 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_MALFORMED_TARGETS = {
+    "allocation_number": {"kind": "constant", "allocation": 5},
+    "allocation_not_numbers": {"kind": "constant", "allocation": ["a", 0.5, 0.5]},
+    "allocation_nan": {"kind": "constant", "allocation": [math.nan, 1.0]},
+    "taxes_number": {"kind": "table", "taxes": 5, "allocations": [[0.5, 0.5]]},
+    "taxes_not_numbers": {"kind": "table", "taxes": ["a"], "allocations": [[0.5, 0.5]]},
+    "taxes_nan": {"kind": "table", "taxes": [math.nan], "allocations": [[0.5, 0.5]]},
+    "allocations_number": {"kind": "table", "taxes": [0.0], "allocations": 5},
+    "allocations_row_number": {"kind": "table", "taxes": [0.0], "allocations": [5]},
+    "allocations_row_not_numbers": {"kind": "table", "taxes": [0.0], "allocations": [["a", 1.0]]},
+    "allocations_ragged": {
+        "kind": "table", "taxes": [0.0, 9.0], "allocations": [[0.5, 0.5], [0.2, 0.3, 0.5]]
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TARGETS))
+def test_cli_malformed_bias_target_exits_2(tmp_path, capsys, case):
+    # a target that is not a list of finite numbers (a table: of rows of one
+    # length) is a schema error, not a traceback or a document with NaN
+    bias, out = tmp_path / "bias.json", tmp_path / "result.json"
+    bias.write_text(json.dumps({"lambda": 0.5, "target": _MALFORMED_TARGETS[case]}))
+    capsys.readouterr()
+    assert main(["mechanism", RUNNING, "--bias", str(bias), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_cli_mechanism_refuses_a_target_of_another_length(tmp_path, capsys, lam):
+    # the running example has 2 goods: a 3-entry target used to be cut to
+    # (0.2, 0.3) by zip, and the run exited 0 with a result check passed
+    bias, out = tmp_path / "bias.json", tmp_path / "result.json"
+    target = {"kind": "constant", "allocation": [0.2, 0.3, 0.5]}
+    bias.write_text(json.dumps({"lambda": lam, "target": target}))
+    capsys.readouterr()
+    assert main(["mechanism", RUNNING, "--bias", str(bias), "--out", str(out)]) == 3
+    assert "one per good" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _variant_run(tmp_path, variant: str, n: int):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import contextlib
 import dataclasses
 import math
 import statistics
@@ -517,7 +516,7 @@ def test_nonpositive_jacobian_solves_are_certified_bit_for_bit(monkeypatch, kt_b
     certified = [_nonpositive_and_warnings(*case) for case in cases]
     assert sum(searches) > len(searches) // 2
     assert certified[1][1]  # the switch warns
-    monkeypatch.setattr(mechanism, "_certified_pivots", contextlib.nullcontext)
+    monkeypatch.setattr(mechanism, "_Run", lambda *_: None)  # every solve without a run
     del searches[:]
     assert [_nonpositive_and_warnings(*case) for case in cases] == certified
     assert not any(searches)
@@ -647,29 +646,46 @@ def test_bus_outcome_independent_of_a_filled_table(monkeypatch):
     assert (*decision, raw[::-1], payments[::-1], welfare) == fresh
 
 
+@pytest.mark.parametrize("variant", ["us", "hetero"])
+def test_outcome_independent_of_profile_order(variant):
+    # the reversed profile, with its tax weights reversed alongside it,
+    # gives the same decision and welfare and the pivots and payments
+    # reversed, bit for bit: every total is an exact sum
+    types, inst, weighted = variants_catalog(30)
+    if variant == "hetero":
+        flipped = dataclasses.replace(weighted, tax_weights=weighted.tax_weights[::-1])
+        fresh = _outcome_bits(run_us_vcg_hetero(types, weighted))
+        reversed_run = run_us_vcg_hetero(types[::-1], flipped)
+    else:
+        fresh = _outcome_bits(run_us_vcg(types, inst))
+        reversed_run = run_us_vcg(types[::-1], inst)
+    *decision, raw, payments, welfare = _outcome_bits(reversed_run)
+    assert (*decision, raw[::-1], payments[::-1], welfare) == fresh
+
+
 def test_target_side_table_must_match_its_solve():
     inst = make_running_instance()
     bias = BiasSpec(lam=0.5, target=EquitableTarget())
-    sides = _TargetSides(bias, inst)
+    run = solver._Run(inst, _TargetSides(bias, inst))
     mean = mean_type(RUNNING_PROFILE)
-    assert optimize_biased(mean, bias, inst, sides=sides) == optimize_biased(mean, bias, inst)
+    assert optimize_biased(mean, bias, inst, run=run) == optimize_biased(mean, bias, inst)
     other = BiasSpec(lam=0.7, target=EquitableTarget())
     with pytest.raises(DomainError):
-        optimize_biased(mean, other, inst, sides=sides)
+        optimize_biased(mean, other, inst, run=run)
 
 
 def test_profile_totals_must_match_their_solve():
     # like the target-side table: a run's totals give every solve its own
     # bits, and totals of another profile or instance are refused
     inst = dataclasses.replace(make_running_instance(), tax_weights=(1.5, 1.0, 0.5))
-    totals = solver._HeteroTotals(RUNNING_PROFILE, inst)
+    run = solver._Run(inst, solver._HeteroTotals(RUNNING_PROFILE, inst))
     for exclude in (None, 0, 2):
-        shared = optimize_hetero(RUNNING_PROFILE, inst, exclude, totals=totals)
+        shared = optimize_hetero(RUNNING_PROFILE, inst, exclude, run=run)
         assert shared == optimize_hetero(RUNNING_PROFILE, inst, exclude)
     with pytest.raises(DomainError):
-        optimize_hetero(RUNNING_PROFILE[::-1], inst, totals=totals)
+        optimize_hetero(RUNNING_PROFILE[::-1], inst, run=run)
     with pytest.raises(DomainError):
-        optimize_hetero(RUNNING_PROFILE, dataclasses.replace(inst), totals=totals)
+        optimize_hetero(RUNNING_PROFILE, dataclasses.replace(inst), run=run)
 
 
 def test_bus_identity_with_constant_target():

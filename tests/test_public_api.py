@@ -71,11 +71,11 @@ def test_no_function_takes_solver_settings():
 @pytest.mark.parametrize(
     "function, parameters",
     [
-        (solver.optimize, ["agent", "instance"]),
-        (solver.optimize_hetero, ["profile", "instance", "exclude", "totals"]),
+        (solver.optimize, ["agent", "instance", "run"]),
+        (solver.optimize_hetero, ["profile", "instance", "exclude", "run"]),
         (mechanism.run_us_vcg, ["profile", "instance"]),
         (mechanism.run_us_vcg_hetero, ["profile", "instance"]),
-        (solver.optimize_biased, ["agent", "bias", "instance", "sides"]),
+        (solver.optimize_biased, ["agent", "bias", "instance", "run"]),
         (mechanism.run_bus_vcg, ["profile", "bias", "instance"]),
     ],
 )

@@ -500,6 +500,43 @@ def test_tax_preference_refuses_non_finite_parameters(amplitude, decay_scale):
         TaxPreference.exp_decay(amplitude, decay_scale)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((math.nan, 1.0),),
+        ((math.nan,), ((0.5, 0.5),)),
+        ((0.0, math.inf), ((0.5, 0.5), (0.5, 0.5))),
+        ((0.0, 1.0), ((0.5, 0.5), (math.nan, 1.0))),
+        ((0.0, 1.0), ((0.5, 0.5), (0.2, 0.3, 0.5))),
+    ],
+    ids=["constant-nan", "nan-tax", "inf-tax", "nan-row", "ragged-rows"],
+)
+def test_targets_refuse_non_finite_entries_and_ragged_rows(entries):
+    # a nan entry passed both the sum and the sign check, and a nan tax the
+    # increasing-taxes check, after which a biased run divided by zero
+    with pytest.raises(DomainError):
+        (ConstantTarget if len(entries) == 1 else TableTarget)(*entries)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [ConstantTarget((0.2, 0.3, 0.5)), TableTarget((0.0, 9.0), ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)))],
+    ids=["constant", "table"],
+)
+def test_biased_solves_refuse_a_length_mismatch(target):
+    # zip used to cut a 3-entry target, or type, to the running example's
+    # 2 goods, and the solve or the run returned a decision
+    inst = make_running_instance()
+    mean = mean_type(RUNNING_PROFILE)
+    for lam in (0.5, 0.0):
+        with pytest.raises(DomainError, match="one per good"):
+            run_bus_vcg(RUNNING_PROFILE, BiasSpec(lam, target), inst)
+    with pytest.raises(DomainError, match="one per good"):
+        optimize_biased(mean, BiasSpec(0.5, target), inst)
+    with pytest.raises(DomainError, match="type length"):
+        optimize_biased(AgentType((0.2, 0.3, 0.5), 1.0), BiasSpec(0.5, EquitableTarget()), inst)
+
+
 # =============================================================================
 # Equitable allocation
 # =============================================================================
@@ -1218,24 +1255,24 @@ def _certified_equal_cold(seed, kind, n, hetero):
     if hetero:
         weights = rng.uniform(0.5, 1.5, n)
         instance = dataclasses.replace(instance, tax_weights=tuple(weights * (n / weights.sum())))
+        run = solver._Run(instance, solver._HeteroTotals(profile, instance))
 
-        def solve(i=None):
-            return optimize_hetero(profile, instance, exclude=i)
+        def solve(i=None, run=None):
+            return optimize_hetero(profile, instance, exclude=i, run=run)
     else:
         excluded = excluded_means(profile)
+        run = solver._Run(instance)
 
-        def solve(i=None):
-            return optimize(mean_type(profile) if i is None else excluded[i], instance)
+        def solve(i=None, run=None):
+            return optimize(mean_type(profile) if i is None else excluded[i], instance, run=run)
 
     cold = [solve(i) for i in range(n)]
     with pytest.MonkeyPatch.context() as patch:
         searches, fallbacks = _watch_searches(patch)
-        with solver._certified_pivots():
-            solve()
-            assert [solve(i) for i in range(n)] == cold
-            (record,) = solver._RECORD.get()
+        solve(run=run)
+        assert [solve(i, run) for i in range(n)] == cold
     assert fallbacks == []
-    _assert_proven_signs_hold(record, searches)
+    _assert_proven_signs_hold(run.record, searches)
     return searches
 
 
@@ -1296,49 +1333,63 @@ def _fuzz_bias(rng, instance, target, psi, lam):
 )
 @settings(max_examples=60, deadline=None)
 def test_certified_biased_pivot_solves_equal_the_cold_search(seed, kind, n, target, psi, lam):
-    # the biased solves that share one target-side table are certified
-    # against the first one's slope terms, the reweighted term bounded by how
-    # far each good's level can move; each returns its cold decision bit for
-    # bit, and every sign the bounds prove is the pivot's own
+    # the biased solves of one run share its target-side table and are
+    # certified against the first one's slope terms, the reweighted term
+    # bounded by how far each good's level can move; each returns the
+    # decision of a cold solve without the run bit for bit, and every sign
+    # the bounds prove is the pivot's own
     rng = np.random.default_rng(seed)
     instance = dataclasses.replace(_fuzz_instance(rng, kind), n=n)
     profile = random_profile(rng, n, instance.m)
     bias = _fuzz_bias(rng, instance, target, psi, lam)
-    sides = solver._TargetSides(bias, instance)
+    run = solver._Run(instance, solver._TargetSides(bias, instance))
     excluded = excluded_means(profile)
-    cold = [optimize_biased(excl, bias, instance, sides=sides) for excl in excluded]
+    cold = [optimize_biased(excl, bias, instance) for excl in excluded]
     with pytest.MonkeyPatch.context() as patch:
         searches, fallbacks = _watch_searches(patch)
-        with solver._certified_pivots():
-            optimize_biased(mean_type(profile), bias, instance, sides=sides)
-            certified = [optimize_biased(excl, bias, instance, sides=sides) for excl in excluded]
-            (record,) = solver._RECORD.get()
+        optimize_biased(mean_type(profile), bias, instance, run=run)
+        certified = [optimize_biased(excl, bias, instance, run=run) for excl in excluded]
     assert certified == cold
     assert fallbacks == []
-    _assert_proven_signs_hold(record, searches)
+    _assert_proven_signs_hold(run.record, searches)
 
 
 def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
-    # a record is keyed to its instance and target-side table: a plain
-    # solve never uses a biased record, a biased solve never uses a plain
-    # one or one of another table, and each keeps its cold result
+    # a run belongs to one instance and one solver kind: a solve handed a
+    # run of another kind, instance, table or profile is refused, and a
+    # solve without a run keeps its cold search while a run's record exists
     kept = _keep_probes(monkeypatch)
     instance = _slope_instance("mixed")
     first, other = AgentType((0.5, 0.3, 0.2), 1.1), AgentType((0.45, 0.35, 0.2), 1.0)
     bias = BiasSpec(0.5, EquitableTarget())
-    sides = solver._TargetSides(bias, instance)
+    profile = (first, other)
+    weighted = dataclasses.replace(instance, n=2, tax_weights=(1.5, 0.5))
+    plain_run, weighted_run = solver._Run(instance), solver._Run(weighted)
+    biased_run = solver._Run(instance, solver._TargetSides(bias, instance))
+    hetero_run = solver._Run(weighted, solver._HeteroTotals(profile, weighted))
+    refused = [
+        # another kind
+        lambda: optimize(other, instance, run=biased_run),
+        lambda: optimize_biased(other, bias, instance, run=plain_run),
+        lambda: optimize_hetero(profile, weighted, run=weighted_run),
+        # another instance, equal to the run's
+        lambda: optimize(other, dataclasses.replace(instance), run=plain_run),
+        lambda: optimize_biased(other, bias, dataclasses.replace(instance), run=biased_run),
+        lambda: optimize_hetero(profile, dataclasses.replace(weighted), run=hetero_run),
+        # another table (of an equal bias) or profile
+        lambda: optimize_biased(other, BiasSpec(0.5, EquitableTarget()), instance, run=biased_run),
+        lambda: optimize_hetero(profile[::-1], weighted, run=hetero_run),
+    ]
+    for solve in refused:
+        with pytest.raises(DomainError, match="belongs to another"):
+            solve()
     plain, biased = optimize(other, instance), optimize_biased(other, bias, instance)
-    with solver._certified_pivots():
-        optimize(first, instance)
-        kept.clear()
-        assert optimize_biased(other, bias, instance, sides=sides) == biased
-    with solver._certified_pivots():
-        optimize_biased(first, bias, instance, sides=sides)
-        kept.clear()
-        assert optimize(other, instance) == plain
-        assert optimize_biased(other, bias, instance) == biased
-        cold = [len(calls) for _, calls in kept]
-        assert optimize_biased(other, bias, instance, sides=sides) == biased
+    optimize_biased(first, bias, instance, run=biased_run)
+    kept.clear()
+    assert optimize(other, instance) == plain
+    assert optimize_biased(other, bias, instance) == biased
+    cold = [len(calls) for _, calls in kept]
+    assert optimize_biased(other, bias, instance, run=biased_run) == biased
     assert min(cold) >= 40
     assert len(kept[-1][1]) <= 15
 
@@ -1362,9 +1413,9 @@ def test_certified_pivot_solve_at_a_sampled_root_needs_no_fallback(monkeypatch):
     _, fallbacks = _watch_searches(monkeypatch)
     cold = [optimize(excl, instance) for excl in excluded_means(profile)]
     assert cold[0].tax == pytest.approx(sampled, rel=1e-12)
-    with solver._certified_pivots():
-        optimize(mean_type(profile), instance)
-        assert [optimize(excl, instance) for excl in excluded_means(profile)] == cold
+    run = solver._Run(instance)
+    optimize(mean_type(profile), instance, run=run)
+    assert [optimize(excl, instance, run=run) for excl in excluded_means(profile)] == cold
     assert fallbacks == []
 
 
@@ -1380,24 +1431,22 @@ def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
     types, instance, _ = variants_catalog()
     profile = types[:6]
     bias = BiasSpec(0.5, EquitableTarget())
-    sides = solver._TargetSides(bias, instance)
-    if biased:
-        def solve(agent):
-            return optimize_biased(agent, bias, instance, sides=sides)
-    else:
-        def solve(agent):
-            return optimize(agent, instance)
+    run = solver._Run(instance, solver._TargetSides(bias, instance) if biased else None)
+
+    def solve(agent, run=None):
+        if biased:
+            return optimize_biased(agent, bias, instance, run=run)
+        return optimize(agent, instance, run=run)
+
     excluded = excluded_means(profile)
     cold = [solve(excl) for excl in excluded]
     _, fallbacks = _watch_searches(monkeypatch)
-    with solver._certified_pivots():
-        solve(mean_type(profile))
-        shared = solver._RECORD.get()
-        terms = dict(shared[0].terms)
-        planted = sorted(terms)[-4]
-        terms[planted] = (1e300, *terms[planted][1:])
-        shared[0] = solver._SlopeRecord(shared[0].objective, terms)
-        assert [solve(excl) for excl in excluded] == cold
+    solve(mean_type(profile), run)
+    terms = dict(run.record.terms)
+    planted = sorted(terms)[-4]
+    terms[planted] = (1e300, *terms[planted][1:])
+    run.record = solver._SlopeRecord(run.record.objective, terms)
+    assert [solve(excl, run) for excl in excluded] == cold
     assert len(fallbacks) == len(profile)
 
 
@@ -1413,17 +1462,16 @@ def test_a_run_stretched_past_the_roots_falls_back_to_the_cold_search(monkeypatc
     cold = [optimize(excl, instance) for excl in excluded]
     _, lower, s0 = solver._walk_origin(instance)
     searches, fallbacks = _watch_searches(monkeypatch)
-    with solver._certified_pivots():
-        root = optimize(mean_type(profile), instance).tax
-        shared = solver._RECORD.get()
-        terms = dict(shared[0].terms)
-        walk = [lower + math.ldexp(s0, k) for k in range(len(shared[0].pieces[1][0]))]
-        last = [t for t in walk if t > root][2]
-        assert max(c.tax for c in cold) < last
-        for t in walk[: walk.index(last) + 1]:
-            terms[t] = (1e300, *terms[t][1:])
-        shared[0] = solver._SlopeRecord(shared[0].objective, terms)
-        assert [optimize(excl, instance) for excl in excluded] == cold
+    run = solver._Run(instance)
+    root = optimize(mean_type(profile), instance, run=run).tax
+    terms = dict(run.record.terms)
+    walk = [lower + math.ldexp(s0, k) for k in range(len(run.record.pieces[1][0]))]
+    last = [t for t in walk if t > root][2]
+    assert max(c.tax for c in cold) < last
+    for t in walk[: walk.index(last) + 1]:
+        terms[t] = (1e300, *terms[t][1:])
+    run.record = solver._SlopeRecord(run.record.objective, terms)
+    assert [optimize(excl, instance, run=run) for excl in excluded] == cold
     for _, _, signs, _ in searches:
         bounded, (run, first, end) = signs.runs
         assert bounded == (0, 0, 0)  # the walk starts at 0: no bounded piece
