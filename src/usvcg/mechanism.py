@@ -15,9 +15,13 @@ absence, which is what makes truthful reporting dominant.  The pivot is >= 0
 in exact arithmetic, since best_excl maximises v_excl.  Computed, it is the
 difference of two O(1) valuations that differ by O(1/n^2), so its relative
 error grows about as n^2 and a pivot near 0 can come out slightly negative:
-at n = 100,000 on a per-capita all-log population, 3 of 100,000 raw pivots
-are <= 0, the lowest -7.1e-10.  A cancellation-free form of the difference
-is open work (ROADMAP.md, "Cancellation-free pivot differences").
+on ``bench/workloads.py``'s per-capita all-log population at n = 100,000
+no raw pivot is <= 0 (the lowest is 1.4e-9, the median 1.5e-5), but moving
+the excluded optima within the slope's rounding bound changes 19 % of the
+pivots, some by half their value, and another such population had 3 of
+100,000 raw pivots <= 0, the lowest -7.1e-10.  A cancellation-free form of
+the difference is open work (ROADMAP.md, "Cancellation-free pivot
+differences").
 
 One engine runs every variant (``_run``), and one step (``_residuals``)
 audits a run from the others' optima: ``usvcg mechanism`` passes the run's
@@ -49,8 +53,9 @@ Every variant's pivot solves are certified against the decision's record
 (one ``solver._Run`` per run): an excluded mean lies within O(1/n) of the
 full mean, so a bound proves most of the tax-slope signs the decision's
 search sampled, and a pivot solve probes only the rest, its brackets' ends
-and its roots -- about 8-9 slope probes against the decision's 46-50 -- and
-returns its own cold search's decision, bit for bit.  The leading run of
+and its roots -- about 3-5 slope probes on all-log catalogs and 5-6 on a
+mixed one, against the decision's 43-47 -- and returns its own cold
+search's decision, bit for bit.  The leading run of
 samples the bound shows positive, and the tail past the bracket it shows
 negative, are each proven in one comparison, against a running minimum of
 how far the decision's samples let a type deviate, so a pivot evaluates

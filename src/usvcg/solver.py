@@ -14,14 +14,19 @@ The optimisation is solved in the two natural stages:
 2. *Outer stage*: a search on t over the sign of the analytic conditional
    slope.  The feasible interval is cut at the kt money curve's kink t = 0
    (its convex branch can put a local maximum on each side), each piece is
-   sampled geometrically, the root of every sampled sign change from + to -
-   is found by Chandrupatla's method (inverse quadratic interpolation
-   safeguarded by bisection) down to the slope's rounding bound, and the
-   candidates are compared by value.  Every evaluation is a pure function
-   of its tax, so a search's result depends on nothing but the taxes it
-   evaluates.  A mechanism's pivot solves take the signs of the decision
-   solve's samples where a bound proves them (``_SlopeRecord``) and probe
-   only the rest, with the same result as the full search, bit for bit.
+   sampled geometrically, and the candidates are compared by value: the
+   feasible start, where its slope is not positive, and the root of every
+   sampled sign change from + to -.  Each root is found down to the
+   slope's rounding bound by Chandrupatla's method (inverse quadratic
+   interpolation safeguarded by bisection) on log(P/N) against log t, P
+   and N the sums of the slope's positive and negative terms, from the
+   secant through the bracket's ends.  For log gains against a power money
+   curve at B0 = 0 that ordinate is linear in log t, so the secant lands
+   on the root.  Every evaluation is a pure function of its tax, so a
+   search's result depends on nothing but the taxes it evaluates.  A
+   mechanism's pivot solves take the signs of the decision solve's samples
+   where a bound proves them (``_SlopeRecord``) and probe only the rest,
+   with the same result as the full search, bit for bit.
    Each recorded sample keeps how far another type may deviate with its
    sign still proven, so the leading run of samples proven + and the tail
    proven - past the bracket each take one comparison, against a running
@@ -82,7 +87,7 @@ __all__ = [
 
 _MAX_ITERATIONS = 200  # water-filling Newton steps
 _BRACKET_PATIENCE = 6  # non-positive slope samples before the open piece stops
-_ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its largest term
+_ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its size max(P, N)
 _MAX_BRACKET = 1e12  # largest tax offset the open piece samples before TaxDivergence
 _SLACK = 1e-8  # relative margin of a proven slope sign: 1e5x water-filling's error on lambda
 _X_TOLERANCE = 1e-13  # water-filling's budget residual, relative to the pool
@@ -234,43 +239,80 @@ def _walk_origin(instance: BudgetInstance) -> tuple[float, float, float]:
     return start, 0.0 if start < 0.0 else start, 1e-8 * max(1.0, abs(start))
 
 
-def _slope_root(probe: Callable, lo: float, hi: float, at_lo: float, at_hi: float) -> float:
-    """Find the root of a sign change of the slope, positive (``at_lo``) at
-    lo and not (``at_hi``) at hi, by Chandrupatla's method (Adv. Eng.
-    Softw. 28:145, 1997).
+def _ordinate(slope: float, size: float) -> float:
+    """log(P/N) for a slope P - N of size max(P, N), P and N the sums of its
+    positive terms and of its negative terms' magnitudes: the smaller sum
+    is size - |slope|, so it is -log1p(-|slope|/size) with the slope's
+    sign.  +-inf where the smaller sum is 0, or rounds below it, and at
+    the kt kink, whose slope is -inf."""
+    if abs(slope) < size:
+        return math.copysign(math.log1p(-abs(slope) / size), slope)
+    return math.copysign(math.inf, slope)
 
-    Each probe replaces the bracket end of its sign.  The next probe is the
-    inverse quadratic interpolation through the probe, the other end and
-    the replaced end, kept strictly inside the bracket, when Chandrupatla's
-    test accepts it; otherwise, or when it is not finite (an end at the kt
-    kink, whose slope is -inf), the midpoint.  Stops at a probe whose slope
-    is within its rounding bound, or when lo and hi are adjacent floats (a
-    kink maximum, or a slope whose noise never meets the bound), returning
-    the end whose slope is smaller."""
-    x = 0.5 * (lo + hi)
-    while lo < x < hi:
+
+def _slope_root(probe: Callable, lo: float, hi: float, end_lo: tuple, end_hi: tuple) -> float:
+    """Find the root of a sign change of the slope between lo, where it is
+    positive, and hi, where it is not; ``end_lo`` and ``end_hi`` are the
+    (slope, size) the probe gave there.
+
+    Chandrupatla's method (Adv. Eng. Softw. 28:145, 1997) runs on the
+    ordinate r = log(P/N) (``_ordinate``) against u = log(t/lo) on a
+    positive bracket, else u = t.  For log gains against a power money
+    curve at B0 = 0, r is linear in log t, and it stays close to linear on
+    the other catalogs, so the first probe, the secant through the ends in
+    (u, r), lands within a probe or two of the root.  Each probe replaces
+    the bracket end of its sign.  The next one is the inverse quadratic
+    interpolation through the probe, the other end and the replaced end
+    when Chandrupatla's test accepts it; otherwise, or when a step is not
+    finite (an infinite ordinate, as at the kt kink's -inf slope), the
+    midpoint in u.  Every probe is kept strictly inside the bracket.  Stops
+    at a probe whose slope is within its rounding bound, or when lo and hi
+    are adjacent floats (a kink maximum, or a slope whose noise never meets
+    the bound), returning the end whose slope is smaller."""
+    anchor, geometric = lo, lo > 0.0
+
+    def coordinate(t: float) -> float:
+        return math.log1p((t - anchor) / anchor) if geometric else t
+
+    def tax(u: float) -> float:
+        return anchor + anchor * math.expm1(u) if geometric else u
+
+    (at_lo, size_lo), (at_hi, size_hi) = end_lo, end_hi
+    u_lo, u_hi = coordinate(lo), coordinate(hi)
+    r_lo, r_hi = _ordinate(at_lo, size_lo), _ordinate(at_hi, size_hi)
+    spread = r_lo - r_hi  # r_lo >= 0 >= r_hi: a secant needs both finite, not both 0
+    u = u_lo + r_lo / spread * (u_hi - u_lo) if 0.0 < spread < math.inf else math.nan
+    while True:
+        x = tax(u if math.isfinite(u) else 0.5 * (u_lo + u_hi))
+        x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if not lo < x < hi:
+            return lo if at_lo <= -at_hi else hi
         slope, size, _ = probe(x)
         if abs(slope) <= _ROUNDING * size:
             return x
+        u, r = coordinate(x), _ordinate(slope, size)
         if slope > 0.0:
-            b, at_b, c, at_c, lo, at_lo = hi, at_hi, lo, at_lo, x, slope
+            b, r_b, c, r_c = u_hi, r_hi, u_lo, r_lo
+            lo, u_lo, r_lo, at_lo = x, u, r, slope
         else:
-            b, at_b, c, at_c, hi, at_hi = lo, at_lo, hi, at_hi, x, slope
-        # xi and phi place the probe and its slope between the other end (0)
-        # and the replaced one (1); the interpolating inverse quadratic is
-        # monotone over the three samples only when phi**2 < xi and
-        # (1 - phi)**2 < 1 - xi
-        xi, phi = (x - b) / (c - b), (slope - at_b) / (at_c - at_b)
+            b, r_b, c, r_c = u_lo, r_lo, u_hi, r_hi
+            hi, u_hi, r_hi, at_hi = x, u, r, slope
+        # xi and phi place the probe and its ordinate between the other end
+        # (0) and the replaced one (1); the interpolating inverse quadratic
+        # is monotone over the three samples only when phi**2 < xi and
+        # (1 - phi)**2 < 1 - xi.  An infinite ordinate makes phi 0, +-inf or
+        # nan, which fails the test; a bracket whose ends both have
+        # ordinate 0 (an end slope so small against its size that the ratio
+        # underflows) divides by 0
         step = math.nan
-        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
-            step = (slope / (at_b - slope) * at_c / (at_b - at_c)
-                    + (c - x) / (b - x) * slope / (at_c - slope) * at_b / (at_c - at_b))
-        x += step * (b - x)
-        if math.isfinite(x):
-            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-        else:
-            x = 0.5 * (lo + hi)
-    return lo if at_lo <= -at_hi else hi
+        try:
+            xi, phi = (u - b) / (c - b), (r - r_b) / (r_c - r_b)
+            if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+                step = (r / (r_b - r) * r_c / (r_b - r_c)
+                        + (c - u) / (b - u) * r / (r_c - r) * r_b / (r_c - r_b))
+        except ZeroDivisionError:
+            pass
+        u += step * (b - u)
 
 
 class _Uncertified(Exception):
@@ -286,11 +328,12 @@ def _maximize_over_tax(
     """The tax of the best local maximum of a conditional value.
 
     ``probe(t, valued=False)`` gives, from one inner evaluation, the slope at
-    t, the size of its largest term (the slope's rounding bound is a few
-    ulps of it) and, when ``valued``, the value (else nan).  The feasible
-    interval starts at the tax floor plus ``tax_epsilon``, or at the money
-    curve's ``domain_min`` when that is higher (0 for the power kind; a tax
-    weight omega_k > 0 leaves the domain of f(omega_k t) the same).  It is
+    t, its size (the larger of the sums of its positive and its negative
+    terms; the slope's rounding bound is a few ulps of it) and, when
+    ``valued``, the value (else nan).  The feasible interval starts at the
+    tax floor plus ``tax_epsilon``, or at the money curve's ``domain_min``
+    when that is higher (0 for the power kind; a tax weight omega_k > 0
+    leaves the domain of f(omega_k t) the same).  It is
     cut at t = 0 when negative taxes are feasible (only the kt money curve
     admits them; its slope is -inf there), and each piece is
     sampled geometrically up from its lower end, at offsets 1e-8 max(1,
@@ -309,7 +352,7 @@ def _maximize_over_tax(
     candidate, so it escapes.
 
     Every probe is a pure function of its tax, so each root search starts
-    from the slopes sampled at its bracket's ends.  A certified search
+    from the (slope, size) sampled at its bracket's ends.  A certified search
     passes ``signs(t, probe)``: the slope at t, or a number of its sign
     where a bound proves it (``_SlopeRecord.signs``).  ``signs.runs`` is,
     for the bounded and the open piece, (run, first, end): its leading
@@ -319,18 +362,21 @@ def _maximize_over_tax(
     after it, and takes -1 for a sample of the tail without asking
     ``signs``.  Patience stays 0 over a leading run, counts on over a tail,
     and no bracket lies inside either, so the brackets are the cold
-    search's.  A proven sign is not a slope, so its root searches start
-    from fresh probes of their ends: the cold search's sampled slopes, bit
+    search's.  A proven sign has no slope or size, so its root searches
+    start from fresh probes of their ends: the cold search's samples, bit
     for bit.  A fresh sign that differs raises _Uncertified.
     """
     start, lower, s0 = _walk_origin(instance)
     scale = max(1.0, abs(start))
     bounded, unbounded = ((0, 0, 0),) * 2 if signs is None else signs.runs
-    samples = []  # (tax, slope), in increasing tax
+    samples = []  # (tax, slope, size), in increasing tax; a sign has no size
 
     def sample(t: float, proven: float = 0.0) -> float:
-        slope = proven or (probe(t)[0] if signs is None else signs(t, probe))
-        samples.append((t, slope))
+        if proven or signs is not None:
+            slope, size = proven or signs(t, probe), math.nan
+        else:
+            slope, size, _ = probe(t)
+        samples.append((t, slope, size))
         return slope
 
     def skip(base: float, piece: tuple[int, int, int]) -> tuple[float, float, float]:
@@ -339,7 +385,7 @@ def _maximize_over_tax(
         (from, past)."""
         run, first, end = piece
         if run:
-            samples.append((base + math.ldexp(s0, run - 1), 1.0))
+            samples.append((base + math.ldexp(s0, run - 1), 1.0, math.nan))
         return math.ldexp(s0, run), math.ldexp(s0, first), math.ldexp(s0, end)
 
     sample(start)
@@ -367,16 +413,16 @@ def _maximize_over_tax(
 
     candidates = [] if samples[0][1] > 0.0 else [start]
     brackets = [
-        (a, b, at_a, at_b)
-        for (a, at_a), (b, at_b) in zip(samples, samples[1:])
+        (a, b, (at_a, size_a), (at_b, size_b))
+        for (a, at_a, size_a), (b, at_b, size_b) in zip(samples, samples[1:])
         if at_a > 0.0 and not at_b > 0.0
     ]
-    for a, b, at_a, at_b in brackets:
+    for a, b, end_a, end_b in brackets:
         if signs is not None:
-            at_a, at_b = probe(a)[0], probe(b)[0]
-            if not (at_a > 0.0 and not at_b > 0.0):
+            end_a, end_b = probe(a)[:2], probe(b)[:2]
+            if not (end_a[0] > 0.0 and not end_b[0] > 0.0):
                 raise _Uncertified
-        candidates.append(_slope_root(probe, a, b, at_a, at_b))
+        candidates.append(_slope_root(probe, a, b, end_a, end_b))
     best_t = candidates[0]
     if len(candidates) > 1:
         valued = [(t, probe(t, True)[2]) for t in candidates]
@@ -634,8 +680,9 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     the reweighted goods (``_SlopeRecord``) and the other value terms
     (``offsets``).  With the cost kappa c f'(t), c the first of
     ``objective.coefficients`` for t <= 0 and the second above, the probe's
-    slope is the left-to-right sum of (gain, *rest, -cost), its size the
-    largest |term| and its value the sum of (gains, *offsets, -kappa c f(t)).
+    slope is P - N, P the sum of gain and the positive other terms and N
+    that of cost and the negative ones' magnitudes, its size max(P, N) and
+    its value the sum of (gains, *offsets, -kappa c f(t)).
     With a ``run`` (``_Run``) the solve is certified against the record of
     the run's first solve, or cold when that search cannot vouch for its
     result; the first solve leaves the record.  With ``unique`` a tie raises
@@ -659,11 +706,13 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
         _, gains, gain, rest, goods, offsets = at(t)
         c = above if t > 0.0 else below
         cost = kappa * (c * money.deriv(t))
-        if rest:
-            summed = (gain, *rest, -cost)
-            slope, size = sum(summed), max(map(abs, summed))
-        else:  # gain and cost are never negative: the same bits
-            slope, size = gain - cost, gain if gain > cost else cost
+        ahead, behind = gain, cost  # gain and cost are never negative
+        for term in rest:
+            if term > 0.0:
+                ahead += term
+            else:
+                behind -= term
+        slope, size = ahead - behind, ahead if ahead > behind else behind
         if terms is not None and t not in terms:
             terms[t] = (gain, cost, sum(rest), sum(map(abs, rest)), goods)
         value = sum((gains, *offsets, -kappa * (c * money.value(t)))) if valued else math.nan
@@ -914,6 +963,14 @@ def corresponding_type(
     return raw / raw.sum()
 
 
+def _check_target(target, instance: BudgetInstance) -> None:
+    """Raise DomainError unless every allocation the target tabulates has
+    one entry per good of the instance."""
+    rows = (target.allocation,) if isinstance(target, ConstantTarget) else ()
+    if any(len(row) != instance.m for row in getattr(target, "allocations", rows)):
+        raise DomainError(f"bias target allocations need {instance.m} entries, one per good")
+
+
 class _TargetSides:
     """The target side of a biased objective, tabulated by tax.
 
@@ -932,10 +989,7 @@ class _TargetSides:
     """
 
     def __init__(self, bias: BiasSpec, instance: BudgetInstance):
-        target = bias.target
-        rows = (target.allocation,) if isinstance(target, ConstantTarget) else ()
-        if any(len(row) != instance.m for row in getattr(target, "allocations", rows)):
-            raise DomainError(f"bias target allocations need {instance.m} entries, one per good")
+        _check_target(bias.target, instance)
         self.bias, self.owner, self.instance = bias, bias, instance
         self._table: dict[float, tuple[list, list, list, float, float]] = {}
 
@@ -1035,9 +1089,11 @@ def optimize_biased(
     they share its target-side table of this bias and instance and are
     certified against the first one's slope terms (``_SlopeRecord``, one
     layout for every solver kind).  Without it the call builds its own
-    table.  The result is the same either way.
+    table.  The result is the same either way.  A null bias solves the
+    plain kind, after the same check of its target against the instance.
     """
     if bias.is_null:
+        _check_target(bias.target, instance)
         return optimize(agent, instance, run=run)
     sides = _shared(run, instance, _TargetSides, bias)
     return _solve(_BiasedObjective(agent, bias, instance, sides), run)

@@ -525,14 +525,15 @@ def test_targets_refuse_non_finite_entries_and_ragged_rows(entries):
 )
 def test_biased_solves_refuse_a_length_mismatch(target):
     # zip used to cut a 3-entry target, or type, to the running example's
-    # 2 goods, and the solve or the run returned a decision
+    # 2 goods, and the solve or the run returned a decision; a null bias
+    # (lam = 0, no psi) solves the plain kind but still refuses the target
     inst = make_running_instance()
     mean = mean_type(RUNNING_PROFILE)
     for lam in (0.5, 0.0):
         with pytest.raises(DomainError, match="one per good"):
             run_bus_vcg(RUNNING_PROFILE, BiasSpec(lam, target), inst)
-    with pytest.raises(DomainError, match="one per good"):
-        optimize_biased(mean, BiasSpec(0.5, target), inst)
+        with pytest.raises(DomainError, match="one per good"):
+            optimize_biased(mean, BiasSpec(lam, target), inst)
     with pytest.raises(DomainError, match="type length"):
         optimize_biased(AgentType((0.2, 0.3, 0.5), 1.0), BiasSpec(0.5, EquitableTarget()), inst)
 
@@ -1120,7 +1121,8 @@ def test_probes_per_solve(monkeypatch):
 def test_probes_per_pivot_solve(monkeypatch):
     # the pivot solves of every variant take the decision's proven slope
     # signs and probe little more than their brackets' ends and roots
-    # (about 8-9 here, against the decision's 46-50)
+    # (5-6 on the mixed catalog, 5-9 on the running example, against the
+    # decisions' 43-47)
     kept = _keep_probes(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
@@ -1163,26 +1165,48 @@ def _count_signs(monkeypatch) -> list[list[float]]:
     return evaluations
 
 
-def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
-    # on a 200-agent antithetic all-log population (criterion 5's triplet)
-    # each pivot solve proves its leading run of + samples and the tail of
-    # - samples past its bracket in one comparison each, and takes the
-    # per-sample sign only in between: at most 12 sign evaluations, where
-    # the decision's walk samples about 43
+def _all_log_run_inputs(n: int = 200):
+    """An n-agent antithetic all-log population (criterion 5's triplet) and
+    its per-capita instance."""
     sigma = CharacteristicTriplet(b0=0.0, mu=2.0, mean_type=AgentType((0.4, 0.6), 31.0 / 30.0))
-    profile = sigma_population(sigma, 200, np.random.default_rng(5))
+    profile = sigma_population(sigma, n, np.random.default_rng(5))
     instance = BudgetInstance(
         m=2,
-        n=200,
+        n=n,
         external_budget=0.0,
         gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
         money_curve=MoneyCurve.power(0.5),
         semantics="per_capita",
     )
+    return profile, instance
+
+
+def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
+    # on a 200-agent all-log population each pivot solve proves its leading
+    # run of + samples and the tail of - samples past its bracket in one
+    # comparison each, and takes the per-sample sign only in between: at
+    # most 12 sign evaluations, where the decision's walk samples about 43
+    profile, instance = _all_log_run_inputs()
     evaluations = _count_signs(monkeypatch)
     run_us_vcg(profile, instance)
     assert len(evaluations) == 200
     assert max(map(len, evaluations)) <= 12
+
+
+def test_pivot_solves_make_a_few_slope_probes(monkeypatch):
+    # every slope probe evaluates f' once (the inner stage is closed-form),
+    # so MoneyCurve.deriv counts them: a pivot solve probes its unproven
+    # signs and its bracket's two ends, and the secant in (log t,
+    # log(gain/cost)) lands on the root, at most 4 probes per pivot solve
+    # on average (3 here; 9 with a root search that opened at the midpoint)
+    profile, instance = _all_log_run_inputs()
+    taxes = []
+    deriv = MoneyCurve.deriv
+    monkeypatch.setattr(MoneyCurve, "deriv", lambda curve, t: taxes.append(t) or deriv(curve, t))
+    optimize(mean_type(profile), instance)
+    decision = len(taxes)  # the run's first solve is this cold one
+    run_us_vcg(profile, instance)
+    assert len(taxes) - 2 * decision <= 4 * len(profile)
 
 
 def test_biased_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
@@ -1504,8 +1528,8 @@ class _BracketProbe:
         return slope, size, math.nan
 
     def root(self):
-        at_lo, at_hi = self.slope_of(self.lo)[0], self.slope_of(self.hi)[0]
-        return solver._slope_root(self, self.lo, self.hi, at_lo, at_hi)
+        ends = self.slope_of(self.lo), self.slope_of(self.hi)
+        return solver._slope_root(self, self.lo, self.hi, *ends)
 
 
 @pytest.mark.parametrize(
@@ -1527,7 +1551,7 @@ def test_slope_root_meets_the_bound_on_a_smooth_slope(lo, root, exponent):
     slope, size = slope_of(t)
     assert abs(slope) <= solver._ROUNDING * size
     assert t == pytest.approx(root, rel=1e-14)
-    assert len(probe.calls) <= 10
+    assert len(probe.calls) <= 2  # the secant in (log t, log(gain/cost)) lands on it
 
 
 @pytest.mark.parametrize("below, above", [(1.0, -2.0), (3.0, -0.5), (2.0, -2.0)])
@@ -1651,6 +1675,48 @@ def test_biased_slope_matches_central_differences(monkeypatch, psi, kind, target
         difference = (probe(t + h, True)[2] - probe(t - h, True)[2]) / (2.0 * h)
         slope = probe(t)[0]
         assert slope == pytest.approx(difference, rel=1e-7, abs=0.0), t
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(_SLOPE_TARGETS[:3]),
+    lam=st.floats(0.0, 20.0),
+    amplitude=st.floats(1e3, 1e7) | st.floats(-1e7, -1e3),
+    decay=st.floats(0.5, 50.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_biased_slope_root_matches_bisection_where_other_terms_dominate(
+    seed, case, lam, amplitude, decay
+):
+    # psi' of a large amplitude (either sign), or the reweighted term of a
+    # large lam, outweighs the gain term over much of the tax axis, so the
+    # sum of the slope's positive or negative terms can exceed its largest
+    # term: the root search on log(P/N) neither raises nor leaves
+    # bisection's root.  The table target is left out: its slope jumps at
+    # the table's taxes, so a bracket can hold several roots, and a root
+    # search need not find bisection's
+    kind, target, _ = case
+    instance = _slope_instance(kind)
+    agent = random_profile(np.random.default_rng(seed), 1, 3)[0]
+    bias = BiasSpec(lam, target, TaxPreference.exp_decay(amplitude, decay))
+    outweighed = []
+    at = solver._BiasedObjective.at
+
+    def recording(objective, t):
+        entry = at(objective, t)
+        outweighed.append(max(map(abs, entry[3])) > entry[2])
+        return entry
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._BiasedObjective, "at", recording)
+        got = optimize_biased(agent, bias, instance)
+        assert any(outweighed)
+        patch.setattr(solver, "_slope_root", _bisected_slope_root)
+        ref = optimize_biased(agent, bias, instance)
+    assert got.tax == pytest.approx(ref.tax, rel=1e-9, abs=0.0)
+    v = valuation(agent, got, instance) + bias_value(bias, got, instance)
+    v_ref = valuation(agent, ref, instance) + bias_value(bias, ref, instance)
+    assert v >= v_ref - 1e-12 * max(1.0, abs(v_ref))
 
 
 @pytest.mark.parametrize(
