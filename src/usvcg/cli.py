@@ -18,11 +18,12 @@ deterministic given its inputs.  No command takes a numerical setting of
 the solver: tolerances, tax-sample growth, uniqueness margin and the
 non-positive scheme's finite-difference step are fixed by the library.
 
-``mechanism`` takes the accounting identity's residuals from the run's own
-pivot solves.  ``check`` runs the mechanism again and compares the stored
-decision, schedules and realised utilities with the fresh ones; it
-re-solves the residuals (``identity_residuals``) and bounds both the stored
-and the fresh ones.  ``python -m usvcg`` runs the same driver.
+``mechanism`` and ``check`` share one computation (``_mechanism_pass``):
+one run of the variant, its realised utilities, and the accounting
+identity's residuals from the run's own pivot solves.  ``mechanism`` writes
+it; ``check`` runs it again and compares the stored decision, schedules,
+realised utilities and residuals with the fresh ones, bounding both the
+stored and the fresh residuals.  ``python -m usvcg`` runs the same driver.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import SchemaError, UsvcgError
 from .mechanism import (
     NonPositiveConfig,
     Outcome,
-    identity_residuals,
     realized_utility,
     run_bus_vcg,
     run_us_vcg,
@@ -167,20 +167,28 @@ def cmd_elicit(args) -> int:
     return EXIT_OK
 
 
-def _run_variant(
+def _mechanism_pass(
     instance, profile, bias=None, hetero: bool = False, npc: NonPositiveConfig | None = None
-) -> Outcome:
+) -> tuple[Outcome, list[float], list[float] | None]:
     """Run one mechanism variant (at most one of ``bias``, ``hetero`` and
-    ``npc`` set)."""
-    if bias is not None:
-        return run_bus_vcg(profile, bias, instance)
-    if hetero:
-        return run_us_vcg_hetero(profile, instance)
-    outcome = run_us_vcg(profile, instance)
+    ``npc`` set): its outcome, the realised utilities and the accounting
+    identity's residuals from the run's own pivot solves (None for the
+    non-positive variant, which has no closed identity)."""
+    with mechanism._keeping_optima() as kept:
+        if bias is not None:
+            outcome = run_bus_vcg(profile, bias, instance)
+        elif hetero:
+            outcome = run_us_vcg_hetero(profile, instance)
+        else:
+            outcome = run_us_vcg(profile, instance)
     if npc is None:
-        return outcome
-    rebated = mechanism.non_positive_payments(profile, instance, npc, outcome=outcome)
-    return Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
+        residuals = mechanism._residuals(*kept[0], outcome)
+    else:
+        rebated = mechanism.non_positive_payments(profile, instance, npc, outcome=outcome)
+        outcome = Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
+        residuals = None
+    utilities = [realized_utility(profile, i, outcome, instance) for i in range(len(profile))]
+    return outcome, utilities, residuals
 
 
 def cmd_mechanism(args) -> int:
@@ -196,8 +204,7 @@ def cmd_mechanism(args) -> int:
         gamma = NonPositiveConfig.for_band(args.mu).gamma if args.gamma is None else args.gamma
         npc = NonPositiveConfig(gamma=gamma, r=args.rebate)
     bias = files.load_bias(args.bias) if args.bias else None
-    with mechanism._keeping_optima() as kept:
-        outcome = _run_variant(instance, profile, bias=bias, hetero=args.hetero, npc=npc)
+    outcome, utilities, residuals = _mechanism_pass(instance, profile, bias, args.hetero, npc)
     doc = {
         "command": "mechanism",
         "variant": {
@@ -206,11 +213,8 @@ def cmd_mechanism(args) -> int:
             "hetero": args.hetero,
         },
         **files.outcome_to_dict(outcome),
-        "realized_utilities": [
-            realized_utility(profile, i, outcome, instance) for i in range(len(profile))
-        ],
-        # the non-positive variant has no closed accounting identity
-        "identity_residuals": mechanism._residuals(*kept[0], outcome) if npc is None else None,
+        "realized_utilities": utilities,
+        "identity_residuals": residuals,
         "types": [files.type_to_dict(t) for t in profile],
         "validation": validate_assumptions(instance).as_dict(),
     }
@@ -324,22 +328,14 @@ def cmd_check(args) -> int:
         stored = files.outcome_from_dict(result, "result")
         stored_utilities = files.number_list(result, "realized_utilities", "result", nullable=True)
         residuals = files.number_list(result, "identity_residuals", "result", nullable=True)
-        fresh_outcome = _run_variant(instance, profile, bias=bias, hetero=hetero, npc=npc)
-        ok = close(stored.decision.tax, fresh_outcome.decision.tax)
-        ok = ok and same(stored.decision.allocation, fresh_outcome.decision.allocation, near)
-        ok = ok and same(stored.raw_vcg, fresh_outcome.raw_vcg, close)
-        ok = ok and same(stored.payments, fresh_outcome.payments, close)
-        ok = ok and close(stored.welfare, fresh_outcome.welfare)
-        utilities = [
-            realized_utility(profile, i, fresh_outcome, instance) for i in range(len(profile))
-        ]
+        fresh, utilities, audit = _mechanism_pass(instance, profile, bias, hetero, npc)
+        ok = close(stored.decision.tax, fresh.decision.tax)
+        ok = ok and same(stored.decision.allocation, fresh.decision.allocation, near)
+        ok = ok and same(stored.raw_vcg, fresh.raw_vcg, close)
+        ok = ok and same(stored.payments, fresh.payments, close)
+        ok = ok and close(stored.welfare, fresh.welfare)
         ok = ok and same(stored_utilities or (), utilities, close)
-        if npc is not None:
-            ok = ok and residuals is None
-        else:
-            # the stored residuals come from the run's pivot solves, the audit's from fresh ones
-            audit = identity_residuals(profile, fresh_outcome, instance, bias=bias, hetero=hetero)
-            ok = ok and same(residuals or (), audit, tiny)
+        ok = ok and (residuals is None if audit is None else same(residuals or (), audit, tiny))
     else:
         raise SchemaError(f"cannot re-verify result documents of command {command!r}")
 

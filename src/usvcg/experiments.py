@@ -635,10 +635,11 @@ def continuity_probe(
         for alloc_dir, money_dir in directions:
             h = delta
             if np.any(alloc_dir != 0.0):
+                # a direction that lowers a zero weight has no room: h = 0 skips it
                 room = min(
                     w / abs(d)
                     for w, d in zip(agent.alloc_weights, alloc_dir)
-                    if d != 0.0 and w > 0.0
+                    if d < 0.0 or (d > 0.0 and w > 0.0)
                 )
                 h = min(delta, 0.45 * room)
             if money_dir < 0.0:

@@ -24,10 +24,10 @@ the difference is open work (ROADMAP.md, "Cancellation-free pivot
 differences").
 
 One engine runs every variant (``_run``), and one step (``_residuals``)
-audits a run from the others' optima: ``usvcg mechanism`` passes the run's
-own pivot solves (``_keeping_optima``), and ``identity_residuals`` solves
-them afresh for ``usvcg check``, which bounds both its own and the stored
-residuals.  In one process both give the same bits.  A variant names
+audits a run from the others' optima: ``usvcg mechanism`` and ``usvcg
+check`` pass the run's own pivot solves (``_keeping_optima``), and
+``identity_residuals`` solves them afresh, an audit independent of the run.
+In one process both give the same bits.  A variant names
 only its decision oracle (``decide``), its others' optimum oracle
 (``others_optimum``), both given the run or none, and its excluded-welfare
 terms (``pivot_at`` for the payments, ``total`` and ``others_welfare`` for
@@ -326,9 +326,12 @@ def identity_residuals(
     scratch (fresh pivot solves) so results can be audited independently:
     ``_residuals`` at the others' optima solved afresh.  The decision is
     solved once more, not taken from ``outcome``, for the record its pivot
-    solves are certified against, in every variant.  ``usvcg mechanism``
-    takes its residuals from the run's own pivot solves instead, and
-    ``usvcg check`` bounds them next to these."""
+    solves are certified against, in every variant.  ``bias`` with
+    ``hetero`` raises DomainError: no variant is both.  ``usvcg mechanism``
+    and ``usvcg check`` take their residuals from their run's own pivot
+    solves instead, with the same bits."""
+    if hetero and bias is not None:
+        raise DomainError("the biased and heterogeneous variants cannot be audited together")
     if hetero:
         variant = _Hetero(profile, instance)
     elif bias is not None:
@@ -544,9 +547,10 @@ def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
     """Mechanism steered by a phantom bias: the decision maximises
     valuation-plus-bias of the mean, and the bias differences enter the
     payment inversion alongside the pivot term.  A target whose length is
-    not the instance's raises DomainError, a null bias's too."""
-    variant = _Biased(profile, instance, bias)
-    return run_us_vcg(profile, instance) if bias.is_null else _run(variant)
+    not the instance's raises DomainError, a null bias's too.  A null bias
+    gives ``run_us_vcg``'s outcome: its solves are the plain kind's and its
+    bias terms are 0.0."""
+    return _run(_Biased(profile, instance, bias))
 
 
 # =============================================================================
@@ -579,8 +583,35 @@ class _Hetero(_Plain):
         return self.instance.tax_weights[i] * decision.tax
 
     def pivot_at(self, decision: BudgetDecision):
+        """welfare(best) - welfare(decision) of the others without i, taken
+        good by good: each funded good's weight total times the change of
+        theta_j, and the money coefficient times the change of f, so
+        products and sum round at the size of those changes, not of the
+        welfare.  On one side of zero the change of f is
+        ``MoneyCurve.difference``, accurate to a few ulps of itself; the
+        rounding of theta_j at each decision is left, n-fold through the
+        totals."""
+        instance, money = self.instance, self.instance.money_curve
+        instance.check_decision(decision)
+        pool_d, td = instance.pool(decision.tax), decision.tax
+
         def pivot(i, best):
-            p = self.totals.pivot(i, best, decision)
+            weights, (below, above) = self.totals.without(i)
+            instance.check_decision(best)
+            pool_b, tb = instance.pool(best.tax), best.tax
+            terms = [
+                w * (curve.value(xb * pool_b) - curve.value(xd * pool_d))
+                for w, xb, xd, curve in zip(
+                    weights, best.allocation, decision.allocation, instance.gain_curves
+                )
+                if w > 0.0
+            ]
+            cb, cd = (above if tb > 0.0 else below), (above if td > 0.0 else below)
+            if cb == cd:
+                terms.append(-cb * money.difference(tb, td))
+            else:
+                terms += [-cb * money.value(tb), cd * money.value(td)]
+            p = math.fsum(terms)
             return p, p
 
         return pivot
@@ -589,7 +620,14 @@ class _Hetero(_Plain):
         return self.others_welfare(None, decision)
 
     def others_welfare(self, i: int | None, decision: BudgetDecision) -> float:
-        return self.totals.welfare(decision, i)
+        """sum_{k != i} v_k(decision), each agent under her own tax weight:
+        the others' weight totals times theta_j(x_j pool) (goods they weight
+        at exactly 0 skipped, as ``valuation`` does) minus their money
+        coefficient times f(t)."""
+        weights, (below, above) = self.totals.without(i)
+        self.instance.check_decision(decision)
+        tax = decision.tax
+        return _utility_at(weights, above if tax > 0.0 else below, decision, tax, self.instance)
 
 
 def run_us_vcg_hetero(profile, instance: BudgetInstance) -> Outcome:

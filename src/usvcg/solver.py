@@ -66,7 +66,7 @@ from .errors import (
     ResolutionTooCoarse,
     TaxDivergence,
 )
-from .model import AgentType, BudgetDecision, BudgetInstance, _exact_sum, _utility_at
+from .model import AgentType, BudgetDecision, BudgetInstance, _exact_sum
 
 __all__ = [
     "inner_allocation",
@@ -492,16 +492,12 @@ def _proof(entry: tuple, lo: float, up: float, hi: float, down: float, sigma: fl
     [lo, hi] times the recorded one, its cost term within [down, up] times
     it, and each good's marginal moves by a factor within [1/sigma, sigma]."""
     gain, cost, rest, rest_size, goods = entry
-    if rest_size or goods:
-        spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods)
-        pad = spread + _SLACK * (rest_size + spread)
-        if lo * gain > up * cost - rest + pad:
-            return 1.0
-        if hi * gain < down * cost - rest - pad:
-            return -1.0
-    elif lo * gain > up * cost:  # the padding is exactly 0
+    # the plain kind has no goods: no generator for it on this hot path
+    spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods) if goods else 0.0
+    pad = spread + _SLACK * (rest_size + spread)
+    if lo * gain > up * cost - rest + pad:
         return 1.0
-    elif hi * gain < down * cost:
+    if hi * gain < down * cost - rest - pad:
         return -1.0
     return 0.0
 
@@ -1188,7 +1184,8 @@ class _HeteroTotals:
     exact sums (``_exact_sum``).  Removing agent i is one short
     ``math.fsum`` per total, the correctly rounded sum of the others, so the
     profile without any one agent is priced in O(m), with the bits of a
-    fresh sum over it.
+    fresh sum over it.  The heterogeneous mechanism (``mechanism._Hetero``)
+    prices its pivots and the others' welfare from these totals.
     """
 
     def __init__(self, profile: tuple, instance: BudgetInstance):
@@ -1217,44 +1214,6 @@ class _HeteroTotals:
         others = [math.fsum((*total, -w)) for total, w in zip(self.weights, weights)]
         coefficients = tuple(math.fsum((*total, -c)) for total, c in zip(self.money, money))
         return others, coefficients
-
-    def welfare(self, decision: BudgetDecision, exclude: int | None = None) -> float:
-        """sum_{k != exclude} v_k(decision), each agent under her own tax
-        weight: the others' weight totals times theta_j(x_j pool) (goods
-        they weight at exactly 0 skipped, as ``valuation`` does) minus their
-        money coefficient times f(t)."""
-        weights, (below, above) = self.without(exclude)
-        self.instance.check_decision(decision)
-        tax = decision.tax
-        return _utility_at(weights, above if tax > 0.0 else below, decision, tax, self.instance)
-
-    def pivot(self, i: int, best: BudgetDecision, decision: BudgetDecision) -> float:
-        """welfare(best, i) - welfare(decision, i), taken good by good: each
-        funded good's weight total times the change of theta_j, and the
-        money coefficient times the change of f, so products and sum round
-        at the size of those changes, not of the welfare.  On one side of
-        zero the change of f is ``MoneyCurve.difference``, accurate to a few
-        ulps of itself; the rounding of theta_j at each decision is left,
-        n-fold through the totals."""
-        weights, (below, above) = self.without(i)
-        instance, money = self.instance, self.instance.money_curve
-        instance.check_decision(best)
-        instance.check_decision(decision)
-        pool_b, pool_d = instance.pool(best.tax), instance.pool(decision.tax)
-        terms = [
-            w * (curve.value(xb * pool_b) - curve.value(xd * pool_d))
-            for w, xb, xd, curve in zip(
-                weights, best.allocation, decision.allocation, instance.gain_curves
-            )
-            if w > 0.0
-        ]
-        tb, td = best.tax, decision.tax
-        cb, cd = (above if tb > 0.0 else below), (above if td > 0.0 else below)
-        if cb == cd:
-            terms.append(-cb * money.difference(tb, td))
-        else:
-            terms += [-cb * money.value(tb), cd * money.value(td)]
-        return math.fsum(terms)
 
 
 def optimize_hetero(

@@ -246,3 +246,20 @@ def test_continuity_mixed_catalog_stable():
     report = continuity_probe(AgentType((0.55, 0.45), 1.1), inst, [1e-2, 1e-3, 1e-4])
     assert report.passed
     assert report.ratio_spread <= 2.0
+
+
+def test_continuity_probe_skips_directions_that_lower_a_zero_weight():
+    # good 0 weighted at exactly 0 has no room to fall: the directions that
+    # lower it are skipped instead of probed at a negative weight, and the
+    # rest are still probed
+    inst = BudgetInstance(
+        m=3,
+        n=2,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log1p(4.0), GainCurve.power(5.0, 0.3), GainCurve.log1p(4.0)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+    )
+    report = continuity_probe(AgentType((0.0, 0.5, 0.5), 1.0), inst, [1e-2, 1e-3, 1e-4])
+    assert all(disp > 0.0 and ratio > 0.0 for _, disp, ratio in report.rows)
+    assert report.passed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 import statistics
 import warnings
@@ -551,10 +552,21 @@ def test_band_cover_constructor():
 
 
 def test_bus_vcg_zero_bias_identical(running_instance):
+    # a null bias runs the biased engine, whose solves are the plain kind's
+    # and whose bias terms are 0.0: US-VCG's outcome, bit for bit, on the
+    # running example and on a water-filling catalog under power and kt
+    # money, with and without an external budget
     bias = BiasSpec(lam=0.0, target=EquitableTarget())
     assert run_bus_vcg(RUNNING_PROFILE, bias, running_instance) == run_us_vcg(
         RUNNING_PROFILE, running_instance
     )
+    monies = (MoneyCurve.power(0.5), MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5))
+    for seed, money, b0 in itertools.product(range(4), monies, (0.0, 3.0)):
+        profile = random_profile(np.random.default_rng([seed, 554]), 7, 3)
+        inst = dataclasses.replace(_mixed_instance(profile, money), external_budget=b0)
+        plain = run_us_vcg(profile, inst)
+        for target in (EquitableTarget(), ConstantTarget((0.3, 0.3, 0.4))):
+            assert run_bus_vcg(profile, BiasSpec(lam=0.0, target=target), inst) == plain
 
 
 def test_bus_vcg_equitable_shifts_allocation(running_instance):
@@ -750,6 +762,17 @@ def test_hetero_pivot_splits_the_money_term_at_the_kink():
     assert optimize_hetero(profile, inst, exclude=0).tax < 0.0 < out.decision.tax
     _assert_matches_hetero_reference(out, profile, inst)
     assert max(map(abs, identity_residuals(profile, out, inst, hetero=True))) <= 1e-8
+
+
+def test_identity_residuals_refuses_a_bias_with_hetero():
+    # the audit used to drop the bias and audit the heterogeneous run; the
+    # CLI refuses --bias with --hetero, and so does the audit
+    profile, _, weighted = variants_catalog(6)
+    out = run_us_vcg_hetero(profile, weighted)
+    for lam in (0.5, 0.0):
+        bias = BiasSpec(lam=lam, target=EquitableTarget())
+        with pytest.raises(DomainError, match="cannot be audited together"):
+            identity_residuals(profile, out, weighted, bias=bias, hetero=True)
 
 
 def test_plain_and_biased_runs_refuse_designer_tax_weights():
