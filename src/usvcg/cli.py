@@ -181,13 +181,11 @@ def _mechanism_pass(
             outcome = run_us_vcg_hetero(profile, instance)
         else:
             outcome = run_us_vcg(profile, instance)
-    if npc is None:
-        residuals = mechanism._residuals(*kept[0], outcome)
-    else:
+    if npc is not None:
         rebated = mechanism.non_positive_payments(profile, instance, npc, outcome=outcome)
         outcome = Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
-        residuals = None
     utilities = [realized_utility(profile, i, outcome, instance) for i in range(len(profile))]
+    residuals = None if npc is not None else mechanism._residuals(*kept[0], outcome, utilities)
     return outcome, utilities, residuals
 
 

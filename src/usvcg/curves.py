@@ -148,6 +148,18 @@ class GainCurve:
             )
         return self.scale / marginal - 1.0
 
+    def spend_law(self, weight: float) -> tuple[float, float, float]:
+        """(c, p, d): a good weighted by ``weight`` spends max((c mu)**p - d, 0)
+        at water level mu = 1/lambda, lambda its weighted marginal
+        w theta'(spend).  c = w a and p = 1 for log (d = 0) and log1p
+        (d = 1); c = w a e and p = 1/(1 - e) for power (d = 0).  So the
+        spend's rate dspend/dmu is p (spend + d)/mu wherever it is funded,
+        with no second derivative, and at unit weight mu is 1/theta'(spend)
+        itself, whose rate d(1/theta')/dspend is mu/(p (spend + d))."""
+        if self.kind == "power":
+            return weight * self.scale * self.exponent, 1.0 / (1.0 - self.exponent), 0.0
+        return weight * self.scale, 1.0, 1.0 if self.kind == "log1p" else 0.0
+
     def inverse(self, y: float) -> float:
         """The spend at which theta reaches level ``y``."""
         if self.kind == "log":

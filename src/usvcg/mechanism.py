@@ -344,20 +344,21 @@ def identity_residuals(
     run = _Run(instance, variant.table)
     variant.decide(run)
     optima = ((excl, variant.others_optimum(excl, run)) for excl in variant.others())
-    return _residuals(variant, optima, outcome)
+    utilities = (realized_utility(variant.profile, i, outcome, instance) for i in range(variant.n))
+    return _residuals(variant, optima, outcome, utilities)
 
 
-def _residuals(variant, optima, outcome: Outcome) -> list[float]:
+def _residuals(variant, optima, outcome: Outcome, utilities) -> list[float]:
     """Per agent i, with ``optima``'s i-th pair the others without i and
-    their own optimum: realised utility minus (total welfare at the
+    their own optimum and ``utilities``' i-th entry its realised utility
+    (``realized_utility``): that utility minus (total welfare at the
     decision - the others' welfare at their optimum)."""
     if variant.n == 1:
         return [0.0]
     total = variant.total(outcome.decision)
     return [
-        realized_utility(variant.profile, i, outcome, variant.instance)
-        - (total - variant.others_welfare(excl, best))
-        for i, (excl, best) in enumerate(optima)
+        utility - (total - variant.others_welfare(excl, best))
+        for utility, (excl, best) in zip(utilities, optima)
     ]
 
 

@@ -9,7 +9,13 @@ The optimisation is solved in the two natural stages:
    funded goods share a common weighted marginal ``lambda``, goods whose
    best attainable weighted marginal stays below ``lambda`` are clipped
    to zero (KKT), and ``lambda`` is found by Newton's method on the water
-   level 1/lambda, from a start that only depends on (weights, curves, B).
+   level mu = 1/lambda, from a start that only depends on (weights,
+   curves, B).  Each good spends by its kind's spend law
+   max((c mu)**p - d, 0) (``GainCurve.spend_law``), built once per weight
+   vector, so a sweep asks no curve for a derivative.  The equitable
+   target's common level is found by the same monotone Newton
+   (``_descend``), with each good's inverse and marginal inline, and that
+   one pass gives the biased objective's whole target side.
 
 2. *Outer stage*: a search on t over the sign of the analytic conditional
    slope.  The feasible interval is cut at the kt money curve's kink t = 0
@@ -91,6 +97,7 @@ _ROUNDING = 4.0 * 2.0**-52  # a slope's rounding bound, per unit of its size max
 _MAX_BRACKET = 1e12  # largest tax offset the open piece samples before TaxDivergence
 _SLACK = 1e-8  # relative margin of a proven slope sign: 1e5x water-filling's error on lambda
 _X_TOLERANCE = 1e-13  # water-filling's budget residual, relative to the pool
+_LN2 = math.log(2.0)
 
 
 # =============================================================================
@@ -98,70 +105,96 @@ _X_TOLERANCE = 1e-13  # water-filling's budget residual, relative to the pool
 # =============================================================================
 
 
+def _descend(sweep: Callable, level: float, goal: float, tolerance: float, floor: float) -> tuple:
+    """Newton from above onto the level where an increasing convex total
+    meets ``goal``: the water level of ``_water_fill`` and the equalising
+    level of ``_equalised``.  ``sweep(level)`` gives (total, its slope, the
+    per-good row), evaluating each good once.  From a level whose total is
+    at least the goal, Newton on a convex increasing total never overshoots,
+    so the iterates fall monotonically onto the root; ``floor`` is a level
+    known to lie at or below it, and iterates are clamped to it.  One stop
+    rule: the total is within ``tolerance`` above the goal (or at or below
+    it, by rounding), or the level is at the floor, or the step no longer
+    lowers the level (the rounding floor of the total).  Returns (level,
+    total, row, sweeps), from the last sweep."""
+    for sweeps in range(1, _MAX_ITERATIONS + 1):
+        total, slope, row = sweep(level)
+        excess = total - goal
+        if excess <= tolerance or level <= floor:
+            return level, total, row, sweeps
+        if not slope > 0.0:
+            raise ConvergenceError("the level search funds no good")
+        lower = max(level - excess / slope, floor)
+        if not lower < level:
+            return level, total, row, sweeps
+        level = lower
+    raise ConvergenceError("the level search hit its iteration cap")
+
+
+def _spend_laws(weights: Sequence[float], curves: Sequence[GainCurve]) -> list[tuple]:
+    """(j, w_j, c, p, d) for each good j of positive weight: its index,
+    weight and spend law (``GainCurve.spend_law``), as ``_water_fill``
+    takes them."""
+    goods = enumerate(zip(weights, curves))
+    return [(j, w, *curve.spend_law(w)) for j, (w, curve) in goods if w > 0.0]
+
+
 def _water_fill(
-    weights: Sequence[float],
+    laws: Sequence[tuple[int, float, float, float, float]],
     curves: Sequence[GainCurve],
     budget: float,
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, float, float, list[float], int]:
     """Maximise sum_j w_j theta_j(x_j * budget) over the simplex.
 
-    Returns (allocation, gains, common marginal lambda).  Callers guarantee
-    budget > 0 and at least one strictly positive weight.
+    ``laws`` holds (j, w_j, c, p, d) for each good of positive weight, its
+    spend law (``GainCurve.spend_law``): at water level mu = 1/lambda good j
+    spends max((c mu)**p - d, 0).  Returns (allocation, gains, common
+    marginal lambda, levels theta_j(x_j budget) (0.0 where x_j = 0), Newton
+    sweeps).  Callers guarantee budget > 0 and at least one law.
 
-    Newton on the water level mu = 1/lambda (Palomar & Fonollosa, IEEE TSP
-    53:686, 2005).  Good j spends theta_j'^-1(1/(w_j mu)), or nothing once
-    1/mu reaches w_j theta_j'(0).  That spend is linear in mu for log and
-    log1p (clipped at 0) and c mu**(1/(1-e)) for power, so the total spend
-    is convex and increasing in mu.  At mu_0 = 1/max_j w_j theta_j'(budget)
-    the best good alone spends the budget, so Newton descends from there
-    onto the root monotonically.  It stops at a residual of _X_TOLERANCE of
-    the budget, or at a step within 1e-15 of mu, the rounding floor of the
-    spends (log1p's a/lambda - 1 at a tiny pool cannot meet the residual).
-    The result is a pure function of the arguments.
+    Newton on the water level mu (Palomar & Fonollosa, IEEE TSP 53:686,
+    2005; ``_descend``).  p >= 1, so the total spend is convex and
+    increasing in mu, and its slope is sum_j p (s_j + d)/mu over the funded
+    goods: no curve is asked for a derivative.  At mu_0 = min_j
+    (budget + d)**(1/p)/c the best good alone spends the budget, so Newton
+    descends from there onto the root monotonically, until the residual is
+    within _X_TOLERANCE of the budget or a step no longer lowers mu (log1p's
+    c mu - 1 at a tiny pool cannot meet the residual).  A single good of
+    positive weight takes the budget with no sweep.  The result is a pure
+    function of the arguments.
     """
-    m = len(weights)
-    active = [j for j in range(m) if weights[j] > 0.0]
-    x = np.zeros(m)
-
-    if len(active) == 1:
-        j = active[0]
+    x = np.zeros(len(curves))
+    levels = [0.0] * len(curves)
+    if len(laws) == 1:
+        j, w = laws[0][:2]
         x[j] = 1.0
-        lam = weights[j] * curves[j].deriv(budget)
-        return x, weights[j] * curves[j].value(budget), lam
+        levels[j] = level = curves[j].value(budget)
+        return x, w * level, w * curves[j].deriv(budget), levels, 0
 
-    goods = [(weights[j], curves[j], weights[j] * curves[j].deriv_at_zero()) for j in active]
-    tolerance = _X_TOLERANCE * budget
-    lam = max([w * curve.deriv(budget) for w, curve, _ in goods])
-    for _ in range(_MAX_ITERATIONS):
-        spends = [curve.inverse_deriv(lam / w) if lam < cap else 0.0 for w, curve, cap in goods]
-        total = math.fsum(spends)
-        excess = total - budget
-        if abs(excess) <= tolerance:
-            break
-        # d spend_j / d mu = -lambda**2 / (w_j theta_j''(spend_j))
-        square = -lam * lam
-        slope = math.fsum([
-            square / (w * curve.deriv2(s)) for (w, curve, _), s in zip(goods, spends) if s > 0.0
-        ])
-        if not slope > 0.0:
-            raise ConvergenceError("water-filling funds no good")
-        mu = 1.0 / lam
-        step = excess / slope
-        if abs(step) <= 1e-15 * mu:
-            break
-        lam = 1.0 / (mu - step)
-    else:
-        raise ConvergenceError("water-filling hit its iteration cap")
+    def sweep(mu: float) -> tuple[float, float, list[float]]:
+        spends, total, rate = [], 0.0, 0.0
+        for _, _, c, p, d in laws:
+            s = (c * mu) ** p - d
+            if s > 0.0:
+                total += s
+                rate += p * (s + d)
+            else:
+                s = 0.0
+            spends.append(s)
+        return total, rate / mu, spends
 
+    top = min([(budget + d) ** (1.0 / p) / c for _, _, c, p, d in laws])
+    mu, total, spends, sweeps = _descend(sweep, top, budget, _X_TOLERANCE * budget, 0.0)
     gains = 0.0
-    for j, s in zip(active, spends):
+    for (j, w, *_), s in zip(laws, spends):
         share = s / total
         x[j] = share
         if share > 0.0:
-            gains += weights[j] * curves[j].value(share * budget)
+            levels[j] = level = curves[j].value(share * budget)
+            gains += w * level
         elif curves[j].strict_domain:
             raise ConvergenceError("zero share on a strictly positive-domain curve")
-    return x, gains, lam
+    return x, gains, 1.0 / mu, levels, sweeps
 
 
 class _Conditional:
@@ -176,8 +209,10 @@ class _Conditional:
     of the conditional gains with respect to the pool, so one evaluation
     gives the value and the gain term Lambda rate of a tax's slope.
 
-    Otherwise each evaluation water-fills from scratch (``fills``), so
-    ``at`` is a pure function of the tax whatever was evaluated before it.
+    Otherwise each evaluation water-fills from scratch (``fills``) on the
+    spend laws of the goods of positive weight (``laws``), built once per
+    weight vector, so ``at`` is a pure function of the tax whatever was
+    evaluated before it.
     """
 
     def __init__(self, weights, curves: Sequence[GainCurve], start=0.0, rate=1.0):
@@ -186,7 +221,9 @@ class _Conditional:
         active = [j for j in range(len(curves)) if self.weights[j] > 0.0]
         self._fast = bool(active) and all(curves[j].kind == "log" for j in active)
         self.fills = not self._fast
-        if self._fast:
+        if self.fills:
+            self.laws = _spend_laws(self.weights, curves)
+        else:
             wa = [self.weights[j] * curves[j].scale for j in active]
             self._w_total = sum(wa)
             shares = [w / self._w_total for w in wa]
@@ -204,7 +241,7 @@ class _Conditional:
         if self._fast:
             gains = self._const + self._w_total * math.log(budget)
             return self._x, gains, self._w_total / budget * self.rate, (), (), ()
-        x, gains, marginal = _water_fill(self.weights, self.curves, budget)
+        x, gains, marginal, _, _ = _water_fill(self.laws, self.curves, budget)
         return x, gains, marginal * self.rate, (), (), ()
 
 
@@ -257,10 +294,12 @@ def _slope_root(probe: Callable, lo: float, hi: float, end_lo: tuple, end_hi: tu
 
     Chandrupatla's method (Adv. Eng. Softw. 28:145, 1997) runs on the
     ordinate r = log(P/N) (``_ordinate``) against u = log(t/lo) on a
-    positive bracket, else u = t.  For log gains against a power money
-    curve at B0 = 0, r is linear in log t, and it stays close to linear on
-    the other catalogs, so the first probe, the secant through the ends in
-    (u, r), lands within a probe or two of the root.  Each probe replaces
+    positive bracket and u = -log(t/lo) on a negative one, below the kt
+    kink, where the float next to 0 stands in for an end at 0 (u = +inf
+    there).  For log gains against a power money curve at B0 = 0, r is
+    linear in log t, as it is in log(-t) near the kink, and it stays close
+    to linear on the other catalogs, so the first probe, the secant through
+    the ends in (u, r), lands within a probe or two of the root.  Each probe replaces
     the bracket end of its sign.  The next one is the inverse quadratic
     interpolation through the probe, the other end and the replaced end
     when Chandrupatla's test accepts it; otherwise, or when a step is not
@@ -269,16 +308,26 @@ def _slope_root(probe: Callable, lo: float, hi: float, end_lo: tuple, end_hi: tu
     at a probe whose slope is within its rounding bound, or when lo and hi
     are adjacent floats (a kink maximum, or a slope whose noise never meets
     the bound), returning the end whose slope is smaller."""
-    anchor, geometric = lo, lo > 0.0
+    anchor = lo
+    if lo > 0.0:
 
-    def coordinate(t: float) -> float:
-        return math.log1p((t - anchor) / anchor) if geometric else t
+        def coordinate(t: float) -> float:
+            return math.log1p((t - anchor) / anchor)
 
-    def tax(u: float) -> float:
-        return anchor + anchor * math.expm1(u) if geometric else u
+        def tax(u: float) -> float:
+            return anchor + anchor * math.expm1(u)
+
+    else:  # log1p and expm1 within a factor of 2 of the anchor, where t - lo is exact
+
+        def coordinate(t: float) -> float:
+            ratio = (t - anchor) / anchor
+            return -math.log1p(ratio) if ratio > -0.5 else math.log(-anchor) - math.log(-t)
+
+        def tax(u: float) -> float:
+            return anchor + anchor * math.expm1(-u) if u < _LN2 else anchor * math.exp(-u)
 
     (at_lo, size_lo), (at_hi, size_hi) = end_lo, end_hi
-    u_lo, u_hi = coordinate(lo), coordinate(hi)
+    u_lo, u_hi = coordinate(lo), coordinate(hi or math.nextafter(hi, lo))
     r_lo, r_hi = _ordinate(at_lo, size_lo), _ordinate(at_hi, size_hi)
     spread = r_lo - r_hi  # r_lo >= 0 >= r_hi: a secant needs both finite, not both 0
     u = u_lo + r_lo / spread * (u_hi - u_lo) if 0.0 < spread < math.inf else math.nan
@@ -771,7 +820,7 @@ class ConstantTarget:
     def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
         return np.array(self.allocation)
 
-    def spend_rate(self, t: float, instance: BudgetInstance, allocation, reciprocal) -> list:
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation) -> list:
         """d(xhat_j(t) * pool)/dt, given xhat(t) = ``allocation``."""
         rate = instance.pool_rate
         return [x * rate for x in allocation]
@@ -784,15 +833,29 @@ class EquitableTarget:
     def allocation_at(self, t: float, instance: BudgetInstance) -> np.ndarray:
         return equitable_allocation(t, instance)
 
-    def spend_rate(self, t: float, instance: BudgetInstance, allocation, reciprocal) -> list:
-        """d(xhat_j(t) * pool)/dt: the funded goods share the level c, so
-        theta_j'(s_j) s_j' = c' with sum_j s_j' = d(pool)/dt, which gives
-        s_j' = rate / (theta_j'(s_j) sum_k 1/theta_k'(s_k)), with the
-        ``reciprocal`` marginals 1/theta_j'(s_j); the goods the deep branch
-        leaves at zero stay there."""
-        inv = [r if x > 0.0 else 0.0 for x, r in zip(allocation, reciprocal)]
-        scale = instance.pool_rate / math.fsum(inv)
-        return [r * scale for r in inv]
+    def side_at(self, t: float, instance: BudgetInstance) -> tuple[list, list, list, list]:
+        """The target-side terms at t from one equalising pass
+        (``_equalised``), per good: r_j = 1/theta_j'(s_j), the spend rate
+        s_j', the level theta_j(s_j) and r_j' = s_j' dr_j/ds_j.  The funded
+        goods share the level c, so theta_j'(s_j) s_j' = c' with
+        sum_j s_j' = d(pool)/dt, which gives s_j' = rate r_j / sum_k r_k over
+        the funded goods; the goods at zero spend stay there.  dr_j/ds_j is
+        r_j/(p (s_j + d)) from the unit-weight spend law (p, d)."""
+        spends, raw, level, _ = _equalised(t, instance)
+        scale = instance.pool_rate / math.fsum([r for s, r in zip(spends, raw) if s > 0.0])
+        rates, levels, raw_slope = [], [], []
+        for s, r, curve in zip(spends, raw, instance.gain_curves):
+            if s > 0.0:
+                _, p, d = curve.spend_law(1.0)
+                rate = r * scale
+                rates.append(rate)
+                levels.append(level)
+                raw_slope.append(rate * r / (p * (s + d)))
+            else:
+                rates.append(0.0)
+                levels.append(0.0)
+                raw_slope.append(0.0)
+        return raw, rates, levels, raw_slope
 
 
 @dataclass(frozen=True)
@@ -833,7 +896,7 @@ class TableTarget:
         u, _ = self._interpolated(t)
         return u / u.sum()
 
-    def spend_rate(self, t: float, instance: BudgetInstance, allocation, reciprocal) -> list:
+    def spend_rate(self, t: float, instance: BudgetInstance, allocation) -> list:
         """d(xhat_j(t) * pool)/dt with xhat = u/U and U = sum_j u_j:
         pool (u' - xhat U')/U + xhat rate, on the segment right of t."""
         u, du = self._interpolated(t)
@@ -891,13 +954,12 @@ class BiasSpec:
     """Weight, target family, and tax preference of a phantom-agent bias.
 
     The target is a ``ConstantTarget``, ``EquitableTarget`` or
-    ``TableTarget``; each gives ``allocation_at(t, instance)`` and the spend
-    rates ``spend_rate(t, instance, allocation, reciprocal)`` =
-    d(xhat_j(t) pool)/dt, from the allocation xhat(t) and the reciprocal
-    marginals 1/theta_j'(xhat_j(t) pool), as lists.  Only the equitable
-    target's rates depend on the marginals; ``_TargetSides`` computes them
-    once for its phantom weights and passes them to every target.  Any
-    other target raises DomainError.
+    ``TableTarget``; each gives ``allocation_at(t, instance)``.  The constant
+    and table targets give the spend rates ``spend_rate(t, instance,
+    allocation)`` = d(xhat_j(t) pool)/dt from the allocation xhat(t), as a
+    list; the equitable target gives every target-side term from the one
+    pass that finds its level (``EquitableTarget.side_at``).  Any other
+    target raises DomainError.
     """
 
     lam: float
@@ -976,8 +1038,12 @@ class _TargetSides:
     theta_j(s_j) with its derivative.  With r_j = 1/theta_j'(s_j) and the
     target's spend rates s_j', a = r / sum r, r_j' = -theta_j''(s_j) s_j'
     r_j^2 (0 at zero spend), a' = (r' - a sum r') / sum r, and a_j
-    theta_j'(s_j) = 1 / sum r.  None of it depends on the type being
-    solved, and each entry is a pure function of (bias, instance, t) keyed
+    theta_j'(s_j) = 1 / sum r.  The equitable target gives r_j, s_j', the
+    levels and r_j' from the pass that finds its level
+    (``EquitableTarget.side_at``), with no curve evaluated again; the
+    constant and table targets evaluate them at xhat_j(t) pool.  None of it
+    depends on the type being solved, and each entry is a pure function of
+    (bias, instance, t) keyed
     by the exact float t, so one table shared by every solve of a mechanism
     run gives the same bits as recomputing each entry, in any order of the
     solves.  The table lives as long as its owner (one run or one audit)
@@ -992,21 +1058,26 @@ class _TargetSides:
     def at(self, t: float) -> tuple[list, list, list, float, float]:
         """(a, levels, a', lam sum_j a_j theta_j(s_j), its derivative) at t,
         in one pass over the goods in plain floats: each 1/theta_j'(s_j) is
-        computed once, for a(t) and the target's spend rates."""
+        computed once, for a(t) and the target's spend rates, and the
+        equitable target's come with its levels from the pass that finds
+        them (``EquitableTarget.side_at``)."""
         side = self._table.get(t)
         if side is None:
             instance, target, lam = self.instance, self.bias.target, self.bias.lam
-            pool = instance.pool(t)
-            xhat = np.asarray(target.allocation_at(t, instance), dtype=float).tolist()
-            raw = _reciprocal_marginals(xhat, t, instance)
-            rates = target.spend_rate(t, instance, xhat, raw)
+            if isinstance(target, EquitableTarget):
+                raw, rates, levels, raw_slope = target.side_at(t, instance)
+            else:
+                pool = instance.pool(t)
+                xhat = np.asarray(target.allocation_at(t, instance), dtype=float).tolist()
+                raw = _reciprocal_marginals(xhat, t, instance)
+                rates = target.spend_rate(t, instance, xhat)
+                levels, raw_slope = [], []
+                for xj, r, rate, curve in zip(xhat, raw, rates, instance.gain_curves):
+                    spend = xj * pool
+                    levels.append(curve.value(spend) if r > 0.0 else 0.0)
+                    raw_slope.append(-curve.deriv2(spend) * rate * r * r if spend > 0.0 else 0.0)
             total = _array_sum(raw)
-            ahat, levels, raw_slope = [], [], []
-            for xj, r, rate, curve in zip(xhat, raw, rates, instance.gain_curves):
-                spend = xj * pool
-                ahat.append(r / total)
-                levels.append(curve.value(spend) if r > 0.0 else 0.0)
-                raw_slope.append(-curve.deriv2(spend) * rate * r * r if spend > 0.0 else 0.0)
+            ahat = [r / total for r in raw]
             shift = math.fsum(raw_slope)
             slope, at_target, at_target_slope = [], [], []
             for a, level, d, rate in zip(ahat, levels, raw_slope, rates):
@@ -1045,6 +1116,7 @@ class _BiasedObjective:
     (``_TargetSides``): the inner stage folds the phantom weights lam a(t)
     into the water-filling problem.  By the envelope theorem the other slope
     terms are lam sum_j a_j'(t) theta_j(x_j pool), the reweighted term,
+    whose levels are the ones the water-fill just computed for its gains,
     -d/dt[lam sum_j a_j theta_j(xhat_j pool)] and psi'(t); the other value
     terms are -lam sum_j a_j theta_j(xhat_j pool) and psi(t)."""
 
@@ -1063,11 +1135,16 @@ class _BiasedObjective:
         phantom, _, slopes, at_target, at_target_slope = self.sides.at(t)
         pool, curves = instance.pool(t), instance.gain_curves
         weights = [w + lam * a for w, a in zip(self.base, phantom)]
-        x, combined, gain = _Conditional(weights, curves, self.start, self.rate).at(t)[:3]
+        inner = _Conditional(weights, curves, self.start, self.rate)
+        if inner.fills:  # the fill's levels theta_j(x_j pool) serve the reweighted term
+            x, combined, marginal, levels, _ = _water_fill(inner.laws, curves, pool)
+            gain = marginal * self.rate
+        else:
+            (x, combined, gain), levels = inner.at(t)[:3], None
         reweighted, goods = 0, []  # sum_j a_j'(t) theta_j(x_j pool), over a_j'(t) != 0
-        for a, xj, curve in zip(slopes, x.tolist(), curves):
+        for j, (a, curve) in enumerate(zip(slopes, curves)):
             if a:
-                level = curve.value(xj * pool)
+                level = curve.value(float(x[j]) * pool) if levels is None else levels[j]
                 reweighted += a * level
                 goods.append((lam * abs(a), curve, level))
         rest = (lam * reweighted, -at_target_slope, psi.deriv(t))
@@ -1100,76 +1177,77 @@ def optimize_biased(
 # =============================================================================
 
 
-def _equalising_level(
-    curves: Sequence[GainCurve],
-    idx: Sequence[int],
-    pool: float,
-    c: float,
-    floor: float,
-) -> list[float]:
-    """The spends theta_j^{-1}(c) of the goods in ``idx`` at the level c
-    where they add up to the pool, by Newton from a level c at or above it.
+def _equalised(t: float, instance: BudgetInstance) -> tuple[list, list, float, int]:
+    """The equitable spends s_j at tax t, with r_j = 1/theta_j'(s_j), the
+    common level c of the funded goods and the Newton sweeps that found it.
 
-    g(c) = sum_j theta_j^{-1}(c) - pool is increasing and convex for every
-    gain kind (log, power, log1p), so Newton with the slope
-    sum_j 1/theta_j'(theta_j^{-1}(c)) descends monotonically onto the root
-    without overshooting.  ``floor`` is a level known to lie at or below
-    the root; iterates are clamped to it, so rounding never asks a curve
-    for a level under it.
+    When a common level c with theta_j(s_j) = c for all j fits inside the
+    pool, it is found by Newton (``_descend``) on g(c) = sum_j
+    theta_j^{-1}(c) - pool, down from the lowest full-pool level
+    min_j theta_j(pool).  g is increasing and convex for every gain kind,
+    and its slope is sum_j r_j, since d theta_j^{-1}/dc = 1/theta_j'(s_j):
+    each sweep evaluates each good's inverse and r_j inline, once.  When
+    some curves are bounded below (power, log1p, floored at level 0) the
+    level is clamped at 0, where they spend nothing, so no inverse is asked
+    for a negative level.  Otherwise (the unbounded (log) curves already
+    need more than the pool at level 0) they share the pool at a common
+    negative level and the rest sit at zero.  r_j at zero spend is the
+    continuous limit: 0 where the marginal diverges, 1/theta_j'(0) where it
+    is finite.
     """
-    picked = [curves[j] for j in idx]
-    for _ in range(_MAX_ITERATIONS):
-        spends = [curve.inverse(c) for curve in picked]
-        g = math.fsum(spends) - pool
-        if g <= 0.0 or c <= floor:
-            return spends
-        slope = math.fsum([
-            1.0 / (curve.deriv(s) if s > 0.0 else curve.deriv_at_zero())
-            for curve, s in zip(picked, spends)
-        ])
-        lower = max(c - g / slope, floor)
-        if not lower < c:
-            return spends
-        c = lower
-    raise ConvergenceError("equalising level did not converge")
+    pool = instance.pool(t)
+    if not pool > 0.0:
+        raise DomainError(f"equitable allocation needs a positive pool, got {pool}")
+    curves = instance.gain_curves
+    everyone = range(instance.m)
+    floored = [j for j in everyone if curves[j].value_limit_at_zero() == 0.0]
+    idx, floor = everyone, -math.inf
+    if floored:
+        if math.fsum(curve.inverse(0.0) for curve in curves) > pool:
+            idx = [j for j in everyone if j not in floored]
+        else:
+            floor = 0.0
+    goods = [(curves[j].kind, curves[j].scale, curves[j].exponent) for j in idx]
+
+    def sweep(c: float) -> tuple[float, float, tuple[list, list]]:
+        spends, raw, total, slope = [], [], 0.0, 0.0
+        for kind, a, e in goods:
+            if kind == "log":
+                s = math.exp(c / a)
+                r = s / a
+            elif kind == "power":
+                s = (c / a) ** (1.0 / e)
+                r = s / (e * c) if s > 0.0 else 0.0
+            else:
+                s = math.expm1(c / a)
+                r = (s + 1.0) / a
+            spends.append(s)
+            raw.append(r)
+            total += s
+            slope += r
+        return total, slope, (spends, raw)
+
+    top = min(curves[j].value(pool) for j in idx)
+    level, _, (spends, raw), sweeps = _descend(sweep, top, pool, 0.0, floor)
+    if idx is everyone:
+        return spends, raw, level, sweeps
+    zero = [0.0] * instance.m
+    all_spends, all_raw = zero.copy(), _reciprocal_marginals(zero, t, instance)
+    for j, s, r in zip(idx, spends, raw):
+        all_spends[j], all_raw[j] = s, r
+    return all_spends, all_raw, level, sweeps
 
 
 def equitable_allocation(t: float, instance: BudgetInstance) -> np.ndarray:
     """Allocation minimising the largest pairwise gap among the per-good
     utilities theta_j(x_j * pool); it simultaneously maximises the
-    smallest per-good utility.
-
-    When a common level c with theta_j(x_j B) = c for all j fits inside
-    the pool, it is found by monotone Newton on c, down from the lowest
-    full-pool level min_j theta_j(B).  Otherwise (mixed catalogs whose
-    bounded-below curves cannot reach the required negative level) the
-    curves with unbounded-below range absorb the whole pool at a common
-    level and the rest sit at zero.
+    smallest per-good utility.  The spends are ``_equalised``'s: a common
+    level of every good where one fits in the pool, else the unbounded-below
+    (log) goods at a common negative level and the rest at zero.
     """
-    pool = instance.pool(t)
-    if not pool > 0.0:
-        raise DomainError(f"equitable allocation needs a positive pool, got {pool}")
-    m = instance.m
-    if m == 1:
-        return np.array([1.0])
-    curves = instance.gain_curves
-    everyone = range(m)
-    floored = [j for j in everyone if curves[j].value_limit_at_zero() == 0.0]
-    idx, floor = everyone, -math.inf
-    if floored:
-        if math.fsum(curve.inverse(0.0) for curve in curves) > pool:
-            # No common level exists: bounded-below curves stop at level 0
-            # but the unbounded (log) curves already need more than the
-            # pool there, so they share it and the rest sit at zero.
-            idx = [j for j in everyone if j not in floored]
-        else:
-            floor = 0.0
-    c_hi = min(curves[j].value(pool) for j in idx)
-    x = [0.0] * m
-    for j, spend in zip(idx, _equalising_level(curves, idx, pool, c_hi, floor)):
-        x[j] = spend
-    total = _array_sum(x)
-    return np.array([spend / total for spend in x])
+    spends = _equalised(t, instance)[0]
+    total = _array_sum(spends)
+    return np.array([spend / total for spend in spends])
 
 
 # =============================================================================

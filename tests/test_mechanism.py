@@ -587,14 +587,15 @@ def test_phantom_type_for_log_curves(running_instance):
 
 
 class _CountingTarget(EquitableTarget):
-    """The equitable target, counting the taxes it is asked for."""
+    """The equitable target, counting the taxes its target side is asked
+    for (``side_at``, the one pass a target-side entry takes)."""
 
     def __init__(self):
         object.__setattr__(self, "asked", collections.Counter())
 
-    def allocation_at(self, t, instance):
+    def side_at(self, t, instance):
         self.asked[t] += 1
-        return super().allocation_at(t, instance)
+        return super().side_at(t, instance)
 
 
 def test_bus_shares_one_target_side_per_tax():

@@ -176,11 +176,16 @@ def _bisected_fill(weights, curves, budget):
     return np.array([next(funded) if w > 0.0 else 0.0 for w in weights]), lo
 
 
+def _fill(weights, curves, budget):
+    """``_water_fill`` on the spend laws of the goods of positive weight."""
+    return _water_fill(solver._spend_laws(weights, curves), curves, budget)
+
+
 @given(catalog=_catalogs(), budget=st.floats(1e-6, 1e6))
 @settings(max_examples=300, deadline=None)
 def test_water_fill_meets_kkt_and_matches_bisection(catalog, budget):
     weights, curves = catalog
-    x, _, lam = _water_fill(weights, curves, budget)
+    x, _, lam, _, _ = _fill(weights, curves, budget)
     for w, xj, curve in zip(weights, x, curves):
         if xj > 0.0:
             assert w * curve.deriv(xj * budget) == pytest.approx(lam, rel=1e-9, abs=0.0)
@@ -195,12 +200,10 @@ def test_water_fill_meets_kkt_and_matches_bisection(catalog, budget):
 @settings(max_examples=300, deadline=None)
 def test_water_fill_takes_at_most_eight_sweeps(catalog, budget):
     # Newton descends from the level where the best good alone spends the
-    # budget; each sweep asks every funded good for its spend once
+    # budget; each sweep evaluates every good's spend law once, and the
+    # fill reports its sweeps
     weights, curves = catalog
-    with pytest.MonkeyPatch.context() as patch:
-        calls = _count_calls(patch, "inverse_deriv")
-        _water_fill(weights, curves, budget)
-    assert len(calls) <= 8 * sum(w > 0.0 for w in weights)
+    assert _fill(weights, curves, budget)[4] <= 8
 
 
 @pytest.mark.parametrize(
@@ -208,47 +211,136 @@ def test_water_fill_takes_at_most_eight_sweeps(catalog, budget):
     [
         ((17.954, 16.161), (3.3857, 8.9038), 5.32e-4, [0.0, 1.0]),
         ((45.0, 5.75), (4.7, 2.5), 1.5e-4, [1.0, 0.0]),
+        ((26.07925961031258, 47.57272111997083), (1.8695163208365204, 9.512169747803817),
+         8.619743766571898e-05, [0.0, 1.0]),
     ],
 )
 def test_water_fill_stops_at_the_rounding_floor(scales, weights, budget, expected):
     # two log1p goods at a tiny pool: one is funded, and its spend
-    # a w / lambda - 1 carries a rounding error of about 1e-16, as large as
-    # the residual bound 1e-13 of the pool; where it misses the bound,
-    # Newton stops once its step falls under the rounding of mu (the second
-    # case loops to the iteration cap without that stop)
+    # c mu - 1 carries a rounding error of about 1e-16, as large as the
+    # residual bound 1e-13 of the pool; where it misses the bound, Newton
+    # stops once its step no longer lowers mu (the third case, after one
+    # sweep, would loop to the iteration cap without that stop; the first
+    # two end within the bound)
     curves = tuple(GainCurve.log1p(a) for a in scales)
-    x, _, _ = _water_fill(weights, curves, budget)
+    x = _fill(weights, curves, budget)[0]
     assert x.tolist() == expected
 
 
 def test_water_fill_returns_at_a_vanishing_tolerance(monkeypatch):
     monkeypatch.setattr(solver, "_X_TOLERANCE", 1e-300)
-    x, _, lam = _water_fill((1.0, 1.0), (GainCurve.log(10.0),) * 2, 3.0)
+    x, _, lam, _, _ = _fill((1.0, 1.0), (GainCurve.log(10.0),) * 2, 3.0)
     assert x.tolist() == [0.5, 0.5] and lam == pytest.approx(20.0 / 3.0, rel=1e-15)
     mixed = (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(4.0))
-    x, _, _ = _water_fill((0.5, 0.3, 0.2), mixed, 300.0)
+    x = _fill((0.5, 0.3, 0.2), mixed, 300.0)[0]
     assert math.fsum(x) == pytest.approx(1.0, abs=1e-15)
+
+
+_OVERFLOW_CASE = (
+    (0.06142889839419747, 0.00011761377621675979, 4644.446484465659, 3.779886705070044),
+    (
+        GainCurve.power(829.9637116363565, 0.4076448035910222),
+        GainCurve.log(0.040625629544154024),
+        GainCurve.log1p(71.16327482463628),
+        GainCurve.power(0.0010709090919621218, 0.9748944199852064),
+    ),
+    9.192832898781936e-05,
+)
 
 
 def test_water_fill_survives_a_curvature_overflow():
     # the last good (power, exponent 0.975) is left a spend of about 3e-316,
     # where theta'' = a e (e - 1) s**(e - 2) overflows: deriv2 gives -inf
-    # there (that good's spend no longer moves with the water level), and
-    # the fill meets KKT
-    weights = (0.06142889839419747, 0.00011761377621675979, 4644.446484465659, 3.779886705070044)
-    curves = (
-        GainCurve.power(829.9637116363565, 0.4076448035910222),
-        GainCurve.log(0.040625629544154024),
-        GainCurve.log1p(71.16327482463628),
-        GainCurve.power(0.0010709090919621218, 0.9748944199852064),
-    )
-    budget = 9.192832898781936e-05
+    # there, while the spend law's rate p s/mu stays finite, and the fill
+    # meets KKT
+    weights, curves, budget = _OVERFLOW_CASE
     assert curves[3].deriv2(3e-316) == -math.inf
-    x, _, lam = _water_fill(weights, curves, budget)
+    x, _, lam, _, _ = _fill(weights, curves, budget)
     assert math.fsum(x) == pytest.approx(1.0, abs=1e-12)
     for w, xj, curve in zip(weights, x, curves):
         assert xj > 0.0
         assert w * curve.deriv(xj * budget) == pytest.approx(lam, rel=1e-9, abs=0.0)
+
+
+def _exact_spend(curve, weight, lam, mp):
+    """theta'^-1(lambda/w) from the curve's definition, clipped at 0."""
+    a, marginal = mp.mpf(curve.scale), mp.mpf(lam) / mp.mpf(weight)
+    if curve.kind == "log":
+        return a / marginal
+    if curve.kind == "log1p":
+        return max(a / marginal - 1, mp.mpf(0))
+    e = mp.mpf(curve.exponent)
+    return (marginal / (a * e)) ** (1 / (e - 1))
+
+
+def _exact_fill(weights, curves, budget, mp):
+    """(lambda, shares) at 50 digits: bisection on log lambda, where the
+    total spend falls as lambda rises, down to 1e-45 relative."""
+    goods = [(w, curve) for w, curve in zip(weights, curves) if w > 0.0]
+    pool = mp.mpf(budget)
+    lo, hi = mp.mpf(1e-300), mp.mpf(1e300)
+    while hi / lo - 1 > mp.mpf(10) ** -45:
+        mid = mp.sqrt(lo * hi)
+        if mp.fsum(_exact_spend(curve, w, mid, mp) for w, curve in goods) > pool:
+            lo = mid
+        else:
+            hi = mid
+    lam = mp.sqrt(lo * hi)
+    shares = [
+        _exact_spend(c, w, lam, mp) / pool if w > 0.0 else mp.mpf(0) for w, c in zip(weights, curves)
+    ]
+    return lam, shares
+
+
+def _oracle_fills():
+    # 80 seeded mixed catalogs of 2-4 goods, some weights 0, budgets 1e-6
+    # to 1e6; log1p goods clipped at zero spend; the curvature overflow
+    rng = np.random.default_rng(2025)
+    cases = []
+    while len(cases) < 80:
+        m = int(rng.integers(2, 5))
+        curves = []
+        for kind in rng.integers(0, 3, m):
+            scale = float(rng.uniform(0.1, 50.0))
+            curves.append(
+                GainCurve.log(scale) if kind == 0
+                else GainCurve.power(scale, float(rng.uniform(0.1, 0.9))) if kind == 1
+                else GainCurve.log1p(scale)
+            )
+        weights = [0.0 if rng.random() < 0.2 else float(rng.uniform(0.01, 10.0)) for _ in range(m)]
+        if sum(w > 0.0 for w in weights) >= 2:
+            cases.append((weights, curves, float(10.0 ** rng.uniform(-6.0, 6.0))))
+    clipped = (GainCurve.log(10.0), GainCurve.power(5.0, 0.2), GainCurve.log1p(0.4))
+    cases += [
+        ((0.995, 0.005), (GainCurve.log(10.0), GainCurve.log1p(0.4)), 1000.0),
+        ((0.6, 0.3, 0.1), clipped, 2.0),
+        (
+            (0.2, 0.1, 0.7),
+            (GainCurve.log1p(4.0), GainCurve.log1p(0.3), GainCurve.power(2.0, 0.5)),
+            0.05,
+        ),
+        _OVERFLOW_CASE,
+    ]
+    return cases
+
+
+def test_water_fill_matches_a_50_digit_fill():
+    # lambda within 1e-12 relative (8.4e-14 seen), shares within
+    # 1e-13 + 1e-15 (1 + budget)/budget absolute (1.7e-14 seen off the
+    # rounding floor of log1p's c mu - 1, whose spend carries about one
+    # ulp of c mu: 1.3e-11 in a share at a budget of 6.5e-6)
+    mp = pytest.importorskip("mpmath")
+    clipped = 0
+    with mp.workdps(50):
+        for weights, curves, budget in _oracle_fills():
+            x, _, lam, _, _ = _fill(weights, curves, budget)
+            lam_ref, shares = _exact_fill(weights, curves, budget, mp)
+            assert abs(mp.mpf(lam) / lam_ref - 1) <= 1e-12
+            bound = 1e-13 + 1e-15 * (1.0 + budget) / budget
+            for xj, ref in zip(x.tolist(), shares):
+                assert abs(mp.mpf(xj) - ref) <= bound
+            clipped += sum(w > 0.0 and ref == 0 for w, ref in zip(weights, shares))
+    assert clipped >= 3
 
 
 @given(
@@ -640,15 +732,19 @@ _EQUITABLE_CATALOGS = [
 _EQUITABLE_POOLS = (1e-3, 0.5, 3.0, 90.0, 1e4, 1e7)
 
 
-def _equitable_on(curves, pool):
-    inst = BudgetInstance(
+def _equitable_instance(curves):
+    # n = 1 under nominal semantics: the pool is the tax
+    return BudgetInstance(
         m=len(curves),
         n=1,
         external_budget=0.0,
         gain_curves=tuple(curves),
         money_curve=MoneyCurve.power(0.5),
     )
-    return equitable_allocation(pool, inst)
+
+
+def _equitable_on(curves, pool):
+    return equitable_allocation(pool, _equitable_instance(curves))
 
 
 def _bisected_level(curves, pool, lo, hi):
@@ -699,11 +795,91 @@ def test_equitable_deep_branch_matches_bisection():
 
 @pytest.mark.parametrize("curves", _EQUITABLE_CATALOGS + [(GainCurve.log(10.0), GainCurve.log(20.0))])
 def test_equitable_inverse_calls_per_allocation(monkeypatch, curves):
+    # the floored check calls each curve's inverse at level 0 once, and each
+    # sweep of the equalising level evaluates each good's inverse once,
+    # inline; the level reports its sweeps
     calls = _count_calls(monkeypatch, "inverse")
     for pool in _EQUITABLE_POOLS:
         calls.clear()
-        _equitable_on(curves, pool)
-        assert len(calls) <= 12 * len(curves)
+        sweeps = solver._equalised(pool, _equitable_instance(curves))[3]
+        assert len(calls) + sweeps * len(curves) <= 12 * len(curves)
+
+
+def test_equalising_level_sweeps():
+    # Newton descends from the lowest full-pool level; the level reports its
+    # sweeps.  On 5,000 seeded catalogs of 2-4 log/power/log1p goods (scales
+    # 0.1-50, power exponents 0.1-0.9) at pools from 1e-6 to 1e6 it takes
+    # 3.95 sweeps in the mean and 8 at most.  Scales far apart take more:
+    # log goods of scale 0.1 against log goods of scale 36 at a pool of 2
+    # take 13, the most a search over such catalogs found
+    rng = np.random.default_rng(4242)
+    sweeps = []
+    for _ in range(5000):
+        curves = []
+        for kind in rng.integers(0, 3, int(rng.integers(2, 5))):
+            scale = float(rng.uniform(0.1, 50.0))
+            curves.append(
+                GainCurve.log(scale) if kind == 0
+                else GainCurve.power(scale, float(rng.uniform(0.1, 0.9))) if kind == 1
+                else GainCurve.log1p(scale)
+            )
+        pool = float(10.0 ** rng.uniform(-6.0, 6.0))
+        sweeps.append(solver._equalised(pool, _equitable_instance(curves))[3])
+    assert max(sweeps) <= 8 and sum(sweeps) <= 4.0 * len(sweeps)
+    extreme = (GainCurve.log(0.1),) * 2 + (GainCurve.log(35.8572465634989),) * 2
+    assert solver._equalised(1.9695590188284633, _equitable_instance(extreme))[3] == 13
+
+
+def _exact_equitable(curves, pool, mp):
+    """The equitable shares at 50 digits: the common level c of
+    sum_j theta_j^{-1}(c) = pool by bisection, over every good when the
+    curves bounded below (level 0 at zero spend) leave room for it at
+    c >= 0, else over the log goods alone at a negative level."""
+    def inverse(curve, c):
+        a = mp.mpf(curve.scale)
+        if curve.kind == "log":
+            return mp.exp(c / a)
+        if curve.kind == "power":
+            return (c / a) ** (1 / mp.mpf(curve.exponent))
+        return mp.expm1(c / a)
+
+    pool = mp.mpf(pool)
+    floored = [c.kind != "log" for c in curves]
+    funded = [True] * len(curves)
+    lo = mp.mpf(0) if any(floored) else mp.mpf(-1e4)
+    if any(floored) and mp.fsum(inverse(c, lo) for c in curves) > pool:
+        funded, lo = [not f for f in floored], mp.mpf(-1e4)
+    hi = mp.mpf(1e4)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mp.fsum(inverse(c, mid) for c, f in zip(curves, funded) if f) > pool:
+            hi = mid
+        else:
+            lo = mid
+    spends = [inverse(c, lo) if f else mp.mpf(0) for c, f in zip(curves, funded)]
+    return [s / mp.fsum(spends) for s in spends], funded
+
+
+def test_equitable_matches_a_50_digit_level():
+    # the floored branch (a common level >= 0 for every good) and the
+    # log-only branch (the log goods at a negative level, the rest at 0),
+    # each met by a catalog and pool below; shares within 1e-13 + 1e-15/pool
+    mp = pytest.importorskip("mpmath")
+    catalogs = _EQUITABLE_CATALOGS + [
+        (GainCurve.log(10.0), GainCurve.log(3.0), GainCurve.log1p(2.0)),
+        (GainCurve.log(2.0), GainCurve.log(5.0), GainCurve.power(1.0, 0.5)),
+    ]
+    branches = set()
+    with mp.workdps(50):
+        for curves in catalogs:
+            for pool in (*_EQUITABLE_POOLS, 0.5, 2.0, 2.5):
+                x = _equitable_on(curves, pool)
+                shares, funded = _exact_equitable(curves, pool, mp)
+                if any(c.kind != "log" for c in curves):
+                    branches.add("floored" if all(funded) else "log-only")
+                for xj, ref in zip(x.tolist(), shares):
+                    assert abs(mp.mpf(xj) - ref) <= 1e-13 + 1e-15 / pool, (curves, pool)
+    assert branches == {"floored", "log-only"}
 
 
 # =============================================================================
@@ -1569,8 +1745,11 @@ def test_slope_root_at_a_kink_returns_the_end_with_the_smaller_slope(below, abov
 def test_slope_root_below_the_kt_kink(gain):
     # below the kt money curve's kink the cost's slope grows like
     # |t|**(beta - 1) and is -inf at t = 0 itself: the interpolation through
-    # the -inf end is not finite, so the search bisects until a probe
-    # replaces it (a gain of 1e6 puts the root at -1e-20)
+    # the -inf end is not finite, so the search bisects in log(-t), with
+    # the float next to 0 standing in for the end at 0, until a probe
+    # replaces it; the ordinate is linear in log(-t), so the interpolation
+    # then lands (a gain of 1e6 puts the root at -1e-20; 6 probes for each
+    # gain, 76 for 1e6 when the search ran in raw t)
     def slope_of(t):
         cost = (-t) ** -0.3 if t < 0.0 else math.inf
         return gain - cost, max(gain, cost)
@@ -1579,6 +1758,7 @@ def test_slope_root_below_the_kt_kink(gain):
     t = probe.root()
     assert -16.0 < t <= 0.0
     assert t == pytest.approx(-(gain ** (-1.0 / 0.3)), rel=1e-14)
+    assert len(probe.calls) <= 10
 
 
 def test_slope_root_terminates_on_sign_noise():
@@ -1740,19 +1920,7 @@ def test_biased_tax_is_stationary(monkeypatch, bias):
 def _numpy_equitable(t, instance):
     # the equitable allocation with its numpy renormalisation, as it was
     # computed before the plain-float form
-    pool, m, curves = instance.pool(t), instance.m, instance.gain_curves
-    if m == 1:
-        return np.array([1.0])
-    floored = [j for j in range(m) if curves[j].value_limit_at_zero() == 0.0]
-    idx, floor = range(m), -math.inf
-    if floored:
-        if math.fsum(curve.inverse(0.0) for curve in curves) > pool:
-            idx = [j for j in range(m) if j not in floored]
-        else:
-            floor = 0.0
-    c_hi = min(curves[j].value(pool) for j in idx)
-    x = np.zeros(m)
-    x[list(idx)] = solver._equalising_level(curves, idx, pool, c_hi, floor)
+    x = np.array(solver._equalised(t, instance)[0])
     return x / x.sum()
 
 
@@ -1816,9 +1984,15 @@ def _bits(value):
 def test_one_pass_target_side_equals_the_field_by_field_entry(seed, kind, target):
     # each target-side entry, computed in one pass in plain floats, carries
     # the bits of the field-by-field numpy computation it replaces, at
-    # taxes from the feasible start up, for each target on random catalogs
-    # (numpy sums left to right below 8 terms and pairwise from 8 on, so
-    # one catalog of each size from 2 to 9 goods spans the switch)
+    # taxes from the feasible start up, for the constant and table targets
+    # on random catalogs (numpy sums left to right below 8 terms and
+    # pairwise from 8 on, so one catalog of each size from 2 to 9 goods
+    # spans the switch).  The equitable target takes r_j, its levels and
+    # its spend rates from the pass that finds its level, not from
+    # 1/theta_j', theta_j and theta_j'' at xhat_j pool, so it agrees to
+    # rounding: 3.3e-16 in a, 6.4e-15 in the levels and 3.1e-12 of the
+    # row's largest a'_j (the cancellation in r' - a sum r') over 3,000
+    # seeds of this draw
     rng = np.random.default_rng(seed)
     if kind == "2 to 9 goods":
         instances = [
@@ -1833,9 +2007,17 @@ def test_one_pass_target_side_equals_the_field_by_field_entry(seed, kind, target
         sides = solver._TargetSides(bias, instance)
         for t in start + 10.0 ** rng.uniform(-8.0, 3.0, 6):
             t = float(t)
-            assert _bits(sides.at(t)) == _bits(_field_by_field_side(bias, instance, t)), t
-            if target == "equitable":
-                assert _bits(equitable_allocation(t, instance)) == _bits(_numpy_equitable(t, instance))
+            entry, reference = sides.at(t), _field_by_field_side(bias, instance, t)
+            if target != "equitable":
+                assert _bits(entry) == _bits(reference), t
+                continue
+            (a, levels, slope, *sums), (a_ref, levels_ref, slope_ref, *sums_ref) = entry, reference
+            assert np.allclose(a, a_ref, rtol=0.0, atol=1e-14), t
+            for got, want in [*zip(levels, levels_ref), *zip(sums, sums_ref)]:
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), t
+            row = max(map(abs, slope_ref))
+            assert np.allclose(slope, slope_ref, rtol=0.0, atol=1e-10 * row), t
+            assert _bits(equitable_allocation(t, instance)) == _bits(_numpy_equitable(t, instance))
 
 
 def test_a_solve_water_fills_each_probed_tax_once(monkeypatch):
@@ -1871,6 +2053,41 @@ def test_a_solve_water_fills_each_probed_tax_once(monkeypatch):
         assert distinct <= len(fills) <= distinct + (len(kept) if k >= 3 else 0)
         if k < 3:
             assert len(fills) == distinct
+
+
+def test_mixed_catalog_runs_pin_their_inner_stage_counts(monkeypatch):
+    # one seeded n=150 run of each variant on the variants_mixed benchmark's
+    # catalog: its water-fills, the most Newton sweeps of one fill, and its
+    # target-side misses (one equalising pass each) with their most sweeps.
+    # A change to the inner stage or the tax search moves these counts
+    sweeps, levels = [], []
+    fill, equalised = solver._water_fill, solver._equalised
+
+    def counted_fill(laws, curves, budget):
+        out = fill(laws, curves, budget)
+        sweeps.append(out[4])
+        return out
+
+    def counted_level(t, instance):
+        out = equalised(t, instance)
+        levels.append(out[3])
+        return out
+
+    monkeypatch.setattr(solver, "_water_fill", counted_fill)
+    monkeypatch.setattr(solver, "_equalised", counted_level)
+    types, instance, hetero = variants_catalog(150)
+    runs = {
+        "us": lambda: run_us_vcg(types, instance),
+        "biased": lambda: run_bus_vcg(types, BiasSpec(0.5, EquitableTarget()), instance),
+        "hetero": lambda: run_us_vcg_hetero(types, hetero),
+    }
+    counts = {}
+    for name, run in runs.items():
+        sweeps.clear()
+        levels.clear()
+        run()
+        counts[name] = (len(sweeps), max(sweeps), len(levels), max(levels, default=0))
+    assert counts == {"us": (801, 5, 0, 0), "biased": (944, 5, 644, 7), "hetero": (794, 5, 0, 0)}
 
 
 class _RateFreeTarget:
