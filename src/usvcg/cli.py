@@ -176,16 +176,16 @@ def _mechanism_pass(
     non-positive variant, which has no closed identity)."""
     with mechanism._keeping_optima() as kept:
         if bias is not None:
-            outcome = run_bus_vcg(profile, bias, instance)
+            run_bus_vcg(profile, bias, instance)
         elif hetero:
-            outcome = run_us_vcg_hetero(profile, instance)
+            run_us_vcg_hetero(profile, instance)
+        elif npc is not None:
+            mechanism.non_positive_payments(profile, instance, npc)
         else:
-            outcome = run_us_vcg(profile, instance)
-    if npc is not None:
-        rebated = mechanism.non_positive_payments(profile, instance, npc, outcome=outcome)
-        outcome = Outcome(outcome.decision, outcome.raw_vcg, rebated, outcome.welfare)
+            run_us_vcg(profile, instance)
+    ((variant, optima, outcome),) = kept
     utilities = [realized_utility(profile, i, outcome, instance) for i in range(len(profile))]
-    residuals = None if npc is not None else mechanism._residuals(*kept[0], outcome, utilities)
+    residuals = None if npc is not None else mechanism._residuals(variant, optima, outcome, utilities)
     return outcome, utilities, residuals
 
 

@@ -341,9 +341,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[AssumptionCheck]:
-        return [c for c in self.checks if not c.passed]
-
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,

@@ -67,7 +67,6 @@ class FollowUp:
 
     good_index: int
     probe_spend: float
-    answer_tax_increase: float | None = None
 
 
 @dataclass
@@ -82,10 +81,6 @@ class ElicitationSession:
     instance: BudgetInstance
     pending: list[FollowUp] = field(default_factory=list)
     resolved_ratios: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return not self.pending
 
 
 def default_probe_spend(curve) -> float:
@@ -149,7 +144,6 @@ def answer_followup(
         ratio = 0.0
     else:
         ratio = (money.value(t + tau) - money.value(t)) / curve.value(fu.probe_spend)
-    fu.answer_tax_increase = tau
     session.pending.pop(k)
     session.resolved_ratios[good_index] = ratio
     return session

@@ -20,24 +20,24 @@ no raw pivot is <= 0 (the lowest is 1.4e-9, the median 1.5e-5), but moving
 the excluded optima within the slope's rounding bound changes 19 % of the
 pivots, some by half their value, and another such population had 3 of
 100,000 raw pivots <= 0, the lowest -7.1e-10.  A cancellation-free form of
-the difference is open work (ROADMAP.md, "Cancellation-free pivot
-differences").
+the difference is open work (ROADMAP.md, items 2-3).
 
-One engine runs every variant (``_run``), and one step (``_residuals``)
-audits a run from the others' optima: ``usvcg mechanism`` and ``usvcg
-check`` pass the run's own pivot solves (``_keeping_optima``), and
-``identity_residuals`` solves them afresh, an audit independent of the run.
-In one process both give the same bits.  A variant names
-only its decision oracle (``decide``), its others' optimum oracle
-(``others_optimum``), both given the run or none, and its excluded-welfare
-terms (``pivot_at`` for the payments, ``total`` and ``others_welfare`` for
-the audit): ``_Plain`` is US-VCG, ``_Biased`` steers toward phantom
-targets, ``_Hetero`` has designer-assigned tax weights (the other two
-refuse an instance that carries them).  The oracles are module globals
-read at call time, so rebinding one reaches every solve.  Non-positive
-payments are a Jacobian-bound rebate taken off the raw pivots of
-``run_us_vcg``; the Jacobian's perturbed solves are certified against the
-decision's as the pivot solves are, with the same bits.
+One engine runs every variant and payment rule (``_run``, the only loop
+over the agents), and one step (``_residuals``) audits a run from the
+others' optima: ``usvcg mechanism`` and ``usvcg check`` pass the run's own
+pivot solves (``_keeping_optima``), and ``identity_residuals`` takes them
+from a fresh run, an audit independent of the one it checks.  In one
+process both give the same bits.  A variant names only its decision oracle
+(``decide``), its others' optimum oracle (``others_optimum``), both given
+the run or none, its excluded-welfare terms (``pivot_at`` for the
+payments, ``total`` and ``others_welfare`` for the audit) and its payment
+(``payment``): ``_Plain`` is US-VCG, ``_NonPositive`` rebates its payments,
+``_Biased`` steers toward phantom targets, ``_Hetero`` has
+designer-assigned tax weights (the others refuse an instance that carries
+them).  The oracles are module globals read at call time, so rebinding one
+reaches every solve.  Non-positive payments take a Jacobian-bound rebate
+off each raw pivot; the Jacobian's perturbed solves are certified against
+the run's decision as its pivot solves are, with the same bits.
 
 Every variant prices all agents' removals from the profile's totals in one
 O(n*m) pass.  Welfare depends on a profile only through its mean, so
@@ -53,18 +53,17 @@ Every variant's pivot solves are certified against the decision's record
 (one ``solver._Run`` per run): an excluded mean lies within O(1/n) of the
 full mean, so a bound proves most of the tax-slope signs the decision's
 search sampled, and a pivot solve probes only the rest, its brackets' ends
-and its roots -- about 3-5 slope probes on all-log catalogs and 5-6 on a
+and its roots -- about 3 slope probes on all-log catalogs and 5-6 on a
 mixed one, against the decision's 43-47 -- and returns its own cold
 search's decision, bit for bit.  The leading run of
 samples the bound shows positive, and the tail past the bracket it shows
 negative, are each proven in one comparison, against a running minimum of
-how far the decision's samples let a type deviate, so a pivot evaluates
-about one per-sample sign where the decision walks about 43.  Where the
-slope has no term but gain and cost (US-VCG, heterogeneous and the
-Jacobian's pivots) that deviation is a ratio of the gain and cost terms;
-the biased variant's bound also covers its reweighted term, which moves
-with the type's own allocation, by how far each good's level can move
-(``GainCurve.level_shift``), and its deviation is one radius.
+the radius within which each of the decision's samples keeps its sign
+(``solver._radius``, one form for every solver kind), so a pivot evaluates
+about one per-sample sign where the decision walks about 43.  The biased
+variant's bound also covers its reweighted term, which moves with the
+type's own allocation, by how far each good's level can move
+(``GainCurve.level_shift``).
 
 Every run is a pure function of (profile, instance): no solve takes a
 numerical setting, and the non-positive scheme's finite-difference step
@@ -239,7 +238,7 @@ _KEPT: contextvars.ContextVar[list | None] = contextvars.ContextVar("kept_optima
 @contextlib.contextmanager
 def _keeping_optima():
     """Inside the block, each run appends (its variant, its (others, their
-    optimum) pairs) to the yielded list, for ``_residuals``."""
+    optimum) pairs, its outcome) to the yielded list, for ``_residuals``."""
     token = _KEPT.set(kept := [])
     try:
         yield kept
@@ -250,27 +249,26 @@ def _keeping_optima():
 def _run(variant) -> Outcome:
     """The variant's decision, then for every agent one solve of the
     others' optimum, certified against the decision's (one ``_Run``), its
-    pivot, and one money-curve inversion.  It keeps the (others, their
-    optimum) pairs for a caller inside ``_keeping_optima``."""
+    pivot and its payment.  It leaves (variant, the (others, their optimum)
+    pairs, the outcome) for a caller inside ``_keeping_optima``."""
     profile, instance = variant.profile, variant.instance
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
     _check_tax_weights(variant)
-    optima, run = [], _Run(instance, variant.table)
-    if (kept := _KEPT.get()) is not None:
-        kept.append((variant, optima))
+    optima, raw, payments, run = [], [], [], _Run(instance, variant.table)
     decision = variant.decide(run)
     welfare = social_welfare(profile, decision, instance)
-    if len(profile) == 1:
-        return Outcome(decision, (0.0,), (0.0,), welfare)
-    pivot = variant.pivot_at(decision)
-    raw, payments = [], []
-    for i, excl in enumerate(variant.others()):
-        optima.append((excl, variant.others_optimum(excl, run)))
-        p, argument = pivot(*optima[-1])
-        raw.append(p)
-        payments.append(variant.payment(i, argument, decision))
-    return Outcome(decision, tuple(raw), tuple(payments), welfare)
+    if len(profile) > 1:
+        pivot = variant.pivot_at(decision)
+        for i, excl in enumerate(variant.others()):
+            optima.append((excl, variant.others_optimum(excl, run)))
+            p, argument = pivot(*optima[-1])
+            raw.append(p)
+            payments.append(variant.payment(i, argument, decision))
+    outcome = Outcome(decision, tuple(raw) or (0.0,), tuple(payments) or (0.0,), welfare)
+    if (kept := _KEPT.get()) is not None:
+        kept.append((variant, optima, outcome))
+    return outcome
 
 
 def _one_agent(profile, i: int, instance: BudgetInstance, what: str):
@@ -323,13 +321,11 @@ def identity_residuals(
     hetero: bool = False,
 ) -> list[float]:
     """Per-agent residual of the accounting identity, recomputed from
-    scratch (fresh pivot solves) so results can be audited independently:
-    ``_residuals`` at the others' optima solved afresh.  The decision is
-    solved once more, not taken from ``outcome``, for the record its pivot
-    solves are certified against, in every variant.  ``bias`` with
-    ``hetero`` raises DomainError: no variant is both.  ``usvcg mechanism``
-    and ``usvcg check`` take their residuals from their run's own pivot
-    solves instead, with the same bits."""
+    scratch so results can be audited independently: ``_residuals`` at the
+    others' optima of a fresh run of the variant, not at ``outcome``'s.
+    ``bias`` with ``hetero`` raises DomainError: no variant is both.
+    ``usvcg mechanism`` and ``usvcg check`` take their residuals from their
+    run's own pivot solves instead, with the same bits."""
     if hetero and bias is not None:
         raise DomainError("the biased and heterogeneous variants cannot be audited together")
     if hetero:
@@ -338,12 +334,9 @@ def identity_residuals(
         variant = _Biased(profile, instance, bias)
     else:
         variant = _Plain(profile, instance)
-    _check_tax_weights(variant)
-    if variant.n == 1:
-        return [0.0]
-    run = _Run(instance, variant.table)
-    variant.decide(run)
-    optima = ((excl, variant.others_optimum(excl, run)) for excl in variant.others())
+    with _keeping_optima() as kept:
+        _run(variant)
+    ((_, optima, _),) = kept
     utilities = (realized_utility(variant.profile, i, outcome, instance) for i in range(variant.n))
     return _residuals(variant, optima, outcome, utilities)
 
@@ -416,14 +409,60 @@ def _decision_map_jacobian(
     return np.column_stack(cols)
 
 
+class _NonPositive(_Plain):
+    """US-VCG with every payment rebated: agent i's raw pivot less a bound
+    on any agent's pivot given the others' reports (``non_positive_payments``).
+    The Jacobian's perturbed solves are certified against the run's record,
+    as its pivot solves are."""
+
+    def __init__(self, profile, instance: BudgetInstance, np_config: NonPositiveConfig):
+        super().__init__(profile, instance)
+        self.np_config, self.excl, self.run = np_config, excluded_means(self.profile), None
+
+    def decide(self, run=None) -> BudgetDecision:
+        self.run = run  # the run the Jacobian's solves take
+        return super().decide(run)
+
+    def others(self):
+        return self.excl
+
+    def payment(self, i: int, argument: float, decision: BudgetDecision) -> float:
+        """Agent i's raw pivot ``argument`` less its rebate, pushed through
+        the money curve."""
+        excl, gamma, r = self.excl[i], self.np_config.gamma, self.np_config.r
+        norm_half, norm_full = (
+            float(np.linalg.norm(_decision_map_jacobian(excl, self.instance, h, self.run), 2))
+            for h in (_FD_STEP / 2.0, _FD_STEP)
+        )
+        rebate = (gamma**2 / self.n) * (norm_half + 1.0) + r / self.n
+        if not math.isfinite(rebate):
+            raise RangeError(
+                f"agent {i}: the rebate (gamma^2/n)(||D|| + 1) + r/n overflows at "
+                f"gamma {gamma:.6g} and ||D|| {norm_half:.6g}"
+            )
+        if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
+            warnings.warn(
+                f"decision-map Jacobian at agent {i} changes by more than 10% "
+                f"under step halving ({norm_full:.4g} vs {norm_half:.4g}); "
+                "the optimum may not be a regular maximum",
+                RegularityWarning,
+                stacklevel=4,  # past _run and non_positive_payments, to their caller
+            )
+        try:
+            return super().payment(i, argument - rebate, decision)
+        except RangeError as exc:
+            raise RangeError(
+                f"agent {i}: raw pivot {argument:.6g} minus rebate {rebate:.6g} is not a "
+                f"payment the money curve can carry ({exc})"
+            ) from exc
+
+
 def non_positive_payments(
-    profile,
-    instance: BudgetInstance,
-    np_config: NonPositiveConfig,
-    outcome: Outcome | None = None,
+    profile, instance: BudgetInstance, np_config: NonPositiveConfig
 ) -> tuple[float, ...]:
     """Pivot payments minus a certified per-capita rebate, so nobody pays on
-    top of the tax.
+    top of the tax: the payments of one US-VCG run (``_NonPositive``), the
+    rebate taken off each raw pivot.
 
     The rebate (gamma^2 / n) * (||D|| + 1) + r/n bounds any agent's possible
     pivot payment given the others' reports, with D the Jacobian of the
@@ -439,29 +478,21 @@ def non_positive_payments(
     the norm, right after that agent's norms; a rebated pivot the money
     curve cannot carry (below what the one-sided power curve attains)
     raises RangeError naming the agent, the raw pivot and the rebate.
-
-    The rebate is taken off the raw pivots of ``run_us_vcg``.  A caller that
-    already holds ``outcome = run_us_vcg(profile, instance)`` passes
-    it, so its decision and pivots are not solved a second time.
     """
     profile = tuple(profile)
     if instance.semantics != "per_capita":
         raise DomainError("non-positive payments are defined for per-capita semantics")
     if len(profile) != instance.n or len(profile) < 2:
         raise DomainError("non-positive payments need the instance's full profile, n >= 2")
-    n = len(profile)
-    if outcome is not None and len(outcome.raw_vcg) != n:
-        raise DomainError(f"outcome has {len(outcome.raw_vcg)} pivots, profile has {n} agents")
-    plain = _Plain(profile, instance)
-    _check_tax_weights(plain)
-    others = plain.others()
-    for i, excl in enumerate(others):
+    variant = _NonPositive(profile, instance, np_config)
+    _check_tax_weights(variant)
+    for i, excl in enumerate(variant.excl):
         if 0.0 in excl.alloc_weights:
             raise DomainError(
                 f"agent {i}: every other agent weights good {excl.alloc_weights.index(0.0)} "
                 "at 0, so the decision map has no two-sided difference at their mean"
             )
-    for i, (agent, excl) in enumerate(zip(profile, others)):
+    for i, (agent, excl) in enumerate(zip(profile, variant.excl)):
         distance = math.dist(
             (*agent.alloc_weights, agent.money_weight), (*excl.alloc_weights, excl.money_weight)
         )
@@ -470,37 +501,7 @@ def non_positive_payments(
                 f"agent {i}: distance {distance:.6g} to the others' mean exceeds "
                 f"gamma {np_config.gamma:.6g}, so the rebate does not bound its pivot"
             )
-    if outcome is None:
-        outcome = run_us_vcg(profile, instance)
-    payments, run = [], _Run(instance)
-    plain.decide(run)
-    for i, (excl, p) in enumerate(zip(others, outcome.raw_vcg)):
-        J_half = _decision_map_jacobian(excl, instance, _FD_STEP / 2.0, run)
-        J_full = _decision_map_jacobian(excl, instance, _FD_STEP, run)
-        norm_half = float(np.linalg.norm(J_half, 2))
-        norm_full = float(np.linalg.norm(J_full, 2))
-        rebate = (np_config.gamma**2 / n) * (norm_half + 1.0) + np_config.r / n
-        if not math.isfinite(rebate):
-            raise RangeError(
-                f"agent {i}: the rebate (gamma^2/n)(||D|| + 1) + r/n overflows at "
-                f"gamma {np_config.gamma:.6g} and ||D|| {norm_half:.6g}"
-            )
-        if abs(norm_full - norm_half) > 0.10 * max(norm_half, norm_full, 1e-12):
-            warnings.warn(
-                f"decision-map Jacobian at agent {i} changes by more than 10% "
-                f"under step halving ({norm_full:.4g} vs {norm_half:.4g}); "
-                "the optimum may not be a regular maximum",
-                RegularityWarning,
-                stacklevel=2,
-            )
-        try:
-            payments.append(plain.payment(i, p - rebate, outcome.decision))
-        except RangeError as exc:
-            raise RangeError(
-                f"agent {i}: raw pivot {p:.6g} minus rebate {rebate:.6g} is not a "
-                f"payment the money curve can carry ({exc})"
-            ) from exc
-    return tuple(payments)
+    return _run(variant).payments
 
 
 # =============================================================================

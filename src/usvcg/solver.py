@@ -602,24 +602,19 @@ class _SlopeRecord:
     search samples there.
 
     Each sample of a piece of the decision's walk (the bounded one below 0
-    from a negative start, and the open one) keeps the largest deviation of
-    another type at which its sign is still proven + and the one at which
-    it is proven -.  Where no other term enters (the plain kind, which
-    serves the US-VCG, hetero and Jacobian pivots) the deviations are
-    ratios: + is proven exactly where up/lo stays below gain/cost, and -
-    where hi/down stays below cost/gain (up and down the cost ratio on the
-    tax's side of 0, each with _SLACK to spare).  The biased kind's is one
-    radius, ``_radius``.  The record keeps, per piece, the running minimum
-    of the + deviations in walk order (negated, ``peaks``) and that of the
-    - deviations from the last sample back (``tails``), so one bisection
-    each, against the type's own deviation tightened by a few ulps, gives
-    the leading run of samples and the tail that ``_proof`` would each
-    prove.
+    from a negative start, and the open one) keeps, for every kind, the
+    radius within which another type's sign there is still proven + and the
+    one within which it is proven - (``_radius``).  A type lies within a
+    radius when its deviation max(1/w_lo, w_hi, 1/r, r), r the cost ratio on
+    the tax's side of 0, does.  The record keeps, per piece, the running
+    minimum of the + radii in walk order (negated, ``peaks``) and that of
+    the - radii from the last sample back (``tails``), so one bisection
+    each, against the type's own deviation widened by a few ulps, gives the
+    leading run of samples and the tail that ``_proof`` would each prove.
     """
 
     def __init__(self, objective, terms: dict[float, tuple]):
         self.objective, self.terms = objective, terms
-        self.padded = objective.sides is not None
         start, lower, s0 = _walk_origin(objective.instance)
         bounded = self._piece(start, s0, True) if start < 0.0 else ([], [])
         self.pieces = (bounded, self._piece(lower, s0))
@@ -627,24 +622,16 @@ class _SlopeRecord:
     def _piece(self, base: float, s0: float, bounded: bool = False) -> tuple[list, list]:
         """(peaks, tails) over the samples of the piece above ``base`` that
         the walk reached, both non-decreasing: peaks[k] is -min of the +
-        deviations of samples 0..k, tails[k] the min of the - deviations of
-        samples k and after."""
+        radii of samples 0..k, tails[k] the min of the - radii of samples k
+        and after."""
         plus, minus = [], []
         for k in itertools.count():
             t = base + math.ldexp(s0, k)
             entry = self.terms.get(t)
             if entry is None or (bounded and not t < 0.0):
                 break
-            gain, cost = entry[:2]
-            if self.padded:
-                reach = _radius(entry, 1.0), _radius(entry, -1.0)
-            elif gain >= 0.0 and cost >= 0.0:
-                reach = (gain / cost if cost else math.inf if gain else 0.0,
-                         cost / gain if gain else math.inf if cost else 0.0)
-            else:
-                reach = 0.0, 0.0
-            plus.append(-reach[0])
-            minus.append(reach[1])
+            plus.append(-_radius(entry, 1.0))
+            minus.append(_radius(entry, -1.0))
         tails = list(itertools.accumulate(reversed(minus), min))
         return list(itertools.accumulate(plus, max)), tails[::-1]
 
@@ -679,17 +666,13 @@ class _SlopeRecord:
         recorded_at = self.terms.get
 
         def runs(piece: tuple[list, list], ratio: float) -> tuple[int, int, int]:
-            # the type's + and - deviations, tightened by a few ulps, so
-            # that ``_proof`` proves each sample of the run and of the tail
+            # the type's deviation, widened by a few ulps, so that
+            # ``_proof`` proves each sample of the run and of the tail
             peaks, tails = piece
             if not peaks or w_lo == 0.0:
                 return 0, 0, 0
-            if self.padded:
-                plus = minus = max(1.0 / w_lo, w_hi, ratio, 1.0 / ratio)
-            else:
-                plus, minus = ratio * wide / lo, hi / (ratio * narrow)
-            first = bisect.bisect_right(tails, minus * (1.0 + _ROUNDING))
-            return bisect.bisect_left(peaks, -(plus * (1.0 + _ROUNDING))), first, len(tails)
+            reach = max(1.0 / w_lo, w_hi, ratio, 1.0 / ratio) * (1.0 + _ROUNDING)
+            return bisect.bisect_left(peaks, -reach), bisect.bisect_right(tails, reach), len(tails)
 
         def sign(t: float, probe: Callable) -> float:
             recorded = recorded_at(t)

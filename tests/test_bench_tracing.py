@@ -76,8 +76,8 @@ def _traced_solves(call) -> int:
 
 @pytest.mark.parametrize("variant", ["plain", "biased", "hetero"])
 def test_bench_tracer_counts_every_solve_of_an_audit(variant):
-    # identity_residuals solves the decision again and one pivot per agent,
-    # each through the public solver the tracer wraps
+    # identity_residuals runs the variant afresh: the decision and one pivot
+    # per agent, each through the public solver the tracer wraps
     instance, keywords = make_running_instance(), {}
     if variant == "biased":
         keywords = {"bias": BiasSpec(lam=0.5, target=EquitableTarget())}
@@ -96,19 +96,20 @@ def test_bench_tracer_counts_every_solve_of_an_audit(variant):
 
 
 def test_bench_tracer_counts_every_solve_of_the_non_positive_scheme():
-    # given the run's outcome: the decision, then per agent two central
-    # differences along m directions (m - 1 tangent, one money weight) at
-    # the step and at half of it, 1 + 4 m n = 73 solves at m = 3, n = 6
+    # the whole scheme is one run: the decision, then per agent its pivot
+    # solve and two central differences along m directions (m - 1 tangent,
+    # one money weight) at the step and at half of it, 1 + n + 4 m n = 79
+    # solves at m = 3, n = 6
     instance = make_water_fill_kt_instance(6)
     profile = instance.types
     gamma = max(
         math.dist((*t.alloc_weights, t.money_weight), (*e.alloc_weights, e.money_weight))
         for t, e in zip(profile, excluded_means(profile))
     )
-    outcome = mechanism.run_us_vcg(profile, instance)
     config = mechanism.NonPositiveConfig(gamma=gamma)
 
     def rebated():
-        return mechanism.non_positive_payments(profile, instance, config, outcome=outcome)
+        return mechanism.non_positive_payments(profile, instance, config)
 
-    assert _traced_solves(rebated) == 1 + 4 * instance.m * len(profile) == 73
+    n = len(profile)
+    assert _traced_solves(rebated) == 1 + n + 4 * instance.m * n == 79

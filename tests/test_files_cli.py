@@ -471,6 +471,39 @@ def test_cli_mechanism_non_positive_and_check(tmp_path):
     assert main(["check", str(inst_path), str(out)]) == 5
 
 
+def test_cli_non_positive_writes_the_runs_pivots_and_rebated_payments(tmp_path):
+    # one run gives the document both schedules, bit for bit: the decision,
+    # welfare and raw pivots of run_us_vcg and the payments of
+    # non_positive_payments (gamma 2.0 covers the profile's spread, 1.594;
+    # the two-sided kt money curve carries the rebate)
+    profile = random_profile(np.random.default_rng(8), 5, 2)
+    inst = BudgetInstance(
+        m=2,
+        n=5,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+        money_curve=MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5),
+        semantics="per_capita",
+        types=profile,
+    )
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(files.instance_to_dict(inst)))
+    out = tmp_path / "result.json"
+    argv = ["mechanism", str(inst_path), "--non-positive", "--gamma", "2.0", "--out", str(out)]
+    assert main(argv) == 0
+    written = files.outcome_from_dict(json.loads(out.read_text()))
+    run = run_us_vcg(profile, inst)
+    payments = non_positive_payments(profile, inst, NonPositiveConfig(gamma=2.0))
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    assert written.decision == run.decision
+    assert bits([written.welfare, *written.raw_vcg]) == bits([run.welfare, *run.raw_vcg])
+    assert bits(written.payments) == bits(payments)
+    assert max(payments) < 0.0
+
+
 def test_cli_non_positive_documents_carry_no_step(tmp_path, capsys):
     # the finite-difference step is a library constant: the flag is gone
     # (an unknown option is a usage error, exit 2), the result document no

@@ -371,22 +371,6 @@ def test_jacobian_matches_closed_form():
     assert np.max(np.abs(J - expected)) <= 1e-4
 
 
-def test_nonpositive_reuses_outcome_pivots():
-    # gamma covers the profile's spread (1.594); on the one-sided power
-    # money curve no such rebate is attainable, the two-sided kt one absorbs it
-    profile = random_profile(np.random.default_rng(8), 5, 2)
-    kt = MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5)
-    inst = dataclasses.replace(_per_capita_log_instance(5, profile), money_curve=kt)
-    npc = NonPositiveConfig(gamma=2.0)
-    outcome = run_us_vcg(profile, inst)
-    assert non_positive_payments(profile, inst, npc, outcome=outcome) == non_positive_payments(
-        profile, inst, npc
-    )
-    short = dataclasses.replace(inst, n=4, types=None, tax_weights=None)
-    with pytest.raises(DomainError):
-        non_positive_payments(profile, inst, npc, outcome=run_us_vcg(profile[:4], short))
-
-
 def test_nonpositive_rebate_the_money_curve_cannot_carry_names_its_agent():
     # on the one-sided power money curve the profile's spread (1.594) asks
     # for a rebate of 19.8 at gamma 1.6, which no payment can carry: the
@@ -409,8 +393,9 @@ def test_regularity_warning_at_branch_switch(kt_branch_switch):
     at = AgentType((0.5, 0.5), kt_branch_switch)
     profile = (AgentType((0.5, 0.5), 0.9),) + (at,) * 3
     inst = make_kt_branch_instance(profile)
-    with pytest.warns(RegularityWarning):
+    with pytest.warns(RegularityWarning) as caught:
         non_positive_payments(profile, inst, NonPositiveConfig(gamma=1.0))
+    assert {w.filename for w in caught} == {__file__}  # it points at the caller
 
 
 def test_no_regularity_warning_off_branch_switch(kt_branch_switch):

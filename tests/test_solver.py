@@ -1369,20 +1369,79 @@ def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
     assert max(map(len, evaluations)) <= 12
 
 
+def _count_slope_probes(patch) -> list[float]:
+    """The taxes of every slope probe from here on: each probe evaluates
+    the money curve's f' once, and nothing else in a solve does."""
+    taxes = []
+    deriv = MoneyCurve.deriv
+    patch.setattr(MoneyCurve, "deriv", lambda curve, t: taxes.append(t) or deriv(curve, t))
+    return taxes
+
+
 def test_pivot_solves_make_a_few_slope_probes(monkeypatch):
     # every slope probe evaluates f' once (the inner stage is closed-form),
     # so MoneyCurve.deriv counts them: a pivot solve probes its unproven
     # signs and its bracket's two ends, and the secant in (log t,
-    # log(gain/cost)) lands on the root, at most 4 probes per pivot solve
-    # on average (3 here; 9 with a root search that opened at the midpoint)
+    # log(gain/cost)) lands on the root, at most 3 probes per pivot solve
+    # on average (exactly 3 here; 9 with a root search that opened at the
+    # midpoint)
     profile, instance = _all_log_run_inputs()
-    taxes = []
-    deriv = MoneyCurve.deriv
-    monkeypatch.setattr(MoneyCurve, "deriv", lambda curve, t: taxes.append(t) or deriv(curve, t))
+    taxes = _count_slope_probes(monkeypatch)
     optimize(mean_type(profile), instance)
     decision = len(taxes)  # the run's first solve is this cold one
     run_us_vcg(profile, instance)
-    assert len(taxes) - 2 * decision <= 4 * len(profile)
+    assert len(taxes) - 2 * decision <= 3 * len(profile)
+
+
+def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
+    # the certified pivot solves' slope probes, summed over 8 seeds of 40
+    # fuzzed agents for each solver kind of the plain and hetero runs, and
+    # over the three n=150 runs of the variants_mixed catalog.  Every kind
+    # is certified in one form; a change to the bounds, the runs or the
+    # root search moves these counts
+    taxes = _count_slope_probes(monkeypatch)
+    counts = {}
+    for kind in _FUZZ_KINDS:
+        for hetero in (False, True):
+            total = 0
+            for seed in range(8):
+                solve, run = _fuzzed_pivots(seed, kind, 40, hetero)
+                solve(run=run)
+                taxes.clear()
+                for i in range(40):
+                    solve(i, run)
+                total += len(taxes)
+            counts[kind, hetero] = total
+    types, instance, weighted = variants_catalog(150)
+    bias = BiasSpec(0.5, EquitableTarget())
+    runs = {
+        "us": (lambda: optimize(mean_type(types), instance), lambda: run_us_vcg(types, instance)),
+        "biased": (
+            lambda: optimize_biased(mean_type(types), bias, instance),
+            lambda: run_bus_vcg(types, bias, instance),
+        ),
+        "hetero": (
+            lambda: optimize_hetero(types, weighted),
+            lambda: run_us_vcg_hetero(types, weighted),
+        ),
+    }
+    for name, (decide, run) in runs.items():
+        taxes.clear()
+        decide()
+        decision = len(taxes)  # the run's first solve is this cold one
+        run()
+        counts[name] = len(taxes) - 2 * decision
+    assert counts == {
+        ("all-log", False): 3638,
+        ("all-log", True): 3610,
+        ("water-fill", False): 3855,
+        ("water-fill", True): 3900,
+        ("kt-b0", False): 6491,
+        ("kt-b0", True): 6502,
+        "us": 805,
+        "biased": 900,
+        "hetero": 785,
+    }
 
 
 def test_biased_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
@@ -1444,11 +1503,10 @@ def _assert_proven_signs_hold(record, searches):
                 assert (probe(t)[0] > 0.0) == (proven > 0.0), t
 
 
-def _certified_equal_cold(seed, kind, n, hetero):
-    """Certify a fuzzed profile's pivot solves (plain, or hetero with drawn
-    tax weights) against its decision's record; each returns its cold
-    decision, none falls back and every proven sign and run holds.  Returns
-    the certified searches."""
+def _fuzzed_pivots(seed, kind, n, hetero):
+    """A fuzzed profile's solve (plain, or hetero with drawn tax weights) and
+    a fresh run: ``solve(run=run)`` is the decision, ``solve(i, run)`` agent
+    i's pivot solve."""
     rng = np.random.default_rng(seed)
     instance = dataclasses.replace(_fuzz_instance(rng, kind), n=n)
     profile = random_profile(rng, n, instance.m)
@@ -1466,6 +1524,15 @@ def _certified_equal_cold(seed, kind, n, hetero):
         def solve(i=None, run=None):
             return optimize(mean_type(profile) if i is None else excluded[i], instance, run=run)
 
+    return solve, run
+
+
+def _certified_equal_cold(seed, kind, n, hetero):
+    """Certify a fuzzed profile's pivot solves against its decision's
+    record (``_fuzzed_pivots``); each returns its cold decision, none falls
+    back and every proven sign and run holds.  Returns the certified
+    searches."""
+    solve, run = _fuzzed_pivots(seed, kind, n, hetero)
     cold = [solve(i) for i in range(n)]
     with pytest.MonkeyPatch.context() as patch:
         searches, fallbacks = _watch_searches(patch)
