@@ -10,7 +10,9 @@ Commands::
     usvcg converge SIGMA --n-list 10,100,1000 [--seed S] [--non-positive]
     usvcg check INSTANCE RESULT
 
-Results are JSON documents (stdout, or --out PATH).  Exit codes: 0 ok,
+Results are JSON documents (stdout, or --out PATH), written compactly on
+one line through the C encoder (``files.to_json``); every float is its
+``repr``, so a document parses back to the run's bits.  Exit codes: 0 ok,
 2 schema/input error, 3 solver or mechanism error, 4 follow-up questions
 pending (the questions are emitted as a request document), 5 a verified
 property failed.  Every command with randomness takes --seed and is
@@ -18,29 +20,37 @@ deterministic given its inputs.  No command takes a numerical setting of
 the solver: tolerances, tax-sample growth, uniqueness margin and the
 non-positive scheme's finite-difference step are fixed by the library.
 
-``mechanism`` and ``check`` share one computation (``_mechanism_pass``):
-one run of the variant, its realised utilities, and the accounting
-identity's residuals from the run's own pivot solves.  ``mechanism`` writes
-it; ``check`` runs it again and compares the stored decision, schedules,
-realised utilities and residuals with the fresh ones, bounding both the
-stored and the fresh residuals.  ``python -m usvcg`` runs the same driver.
+Ballots are parsed and inverted as arrays (``files.parse_ballots``,
+``elicitation.invert_ballots``), each row checked as one ballot is and the
+first failing row named.  ``mechanism`` and ``check`` share one
+computation (``_mechanism_pass``): one run of the variant, its realised
+utilities, and the accounting identity's residuals from the run's own
+pivot solves, every valuation at the decision read from its levels
+evaluated once (``model._levels``).  ``mechanism`` writes it.  ``check``
+first compares the document's types with the instance's profile
+(``_profile_mismatch``: the instance's types, or the ratios its ballots
+determine, follow-up goods left free), then runs the computation again and
+compares the stored decision, schedules, realised utilities and residuals
+with the fresh ones, bounding both the stored and the fresh residuals; a
+mismatch names the first agent that differs where it can.  ``python -m
+usvcg`` runs the same commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+
+import numpy as np
 
 from . import experiments, files, mechanism
 from .curves import validate_assumptions
-from .elicitation import answer_followup, complete_type, invert_ballot
+from .elicitation import answer_followups, complete_types, invert_ballots
 from .errors import SchemaError, UsvcgError
 from .mechanism import (
     NonPositiveConfig,
     Outcome,
-    realized_utility,
     run_bus_vcg,
     run_us_vcg,
     run_us_vcg_hetero,
@@ -57,6 +67,7 @@ EXIT_PENDING = 4
 EXIT_FAILED = 5
 
 _DEFAULT_MU = 2.0  # money-weight band behind the default non-positive gamma
+_TOL = 1e-6  # check's relative tolerance on a re-derived value
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -64,8 +75,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
         files.write_json(out_path, doc)
         print(f"wrote {out_path}")
     else:
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        print(files.to_json(doc))
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -98,27 +108,22 @@ def _profile_from_inputs(instance, ballots, answers_path: str | None):
     answers = {}
     if answers_path:
         answers = files.parse_answers(files.load_json(answers_path), where=answers_path)
-    sessions = [invert_ballot(b, instance) for b in ballots]
-    questions = []
-    for i, session in enumerate(sessions):
-        for fu in list(session.pending):
-            if (i, fu.good_index) in answers:
-                answer_followup(session, fu.good_index, answers[(i, fu.good_index)])
-            else:
-                questions.append(
-                    {
-                        "agent": i,
-                        "good": fu.good_index,
-                        "probe_spend": fu.probe_spend,
-                        "question": (
-                            f"Largest tax increase you would accept to fund a "
-                            f"spending of {fu.probe_spend:.6g} on good {fu.good_index}?"
-                        ),
-                    }
-                )
+    ratios, followups = invert_ballots(ballots, instance)
+    questions = [
+        {
+            "agent": i,
+            "good": fu.good_index,
+            "probe_spend": fu.probe_spend,
+            "question": (
+                f"Largest tax increase you would accept to fund a "
+                f"spending of {fu.probe_spend:.6g} on good {fu.good_index}?"
+            ),
+        }
+        for i, fu in answer_followups(ballots, instance, ratios, followups, answers)
+    ]
     if questions:
         return None, {"pending_followups": questions}
-    return tuple(complete_type(s) for s in sessions), None
+    return complete_types(ratios), None
 
 
 # =============================================================================
@@ -156,7 +161,7 @@ def cmd_elicit(args) -> int:
     instance, inline_ballots = files.load_instance(args.instance)
     ballots = inline_ballots
     if args.ballots:
-        ballots = files.parse_ballots(files.load_json(args.ballots), where=args.ballots)
+        ballots = files.parse_ballots(files.load_json(args.ballots), instance.m, where=args.ballots)
     if ballots is None:
         raise SchemaError("no ballots: put them in the instance file or pass --ballots")
     profile, questions = _profile_from_inputs(instance, ballots, args.answers)
@@ -183,10 +188,11 @@ def _mechanism_pass(
             mechanism.non_positive_payments(profile, instance, npc)
         else:
             run_us_vcg(profile, instance)
-    ((variant, optima, outcome),) = kept
-    utilities = [realized_utility(profile, i, outcome, instance) for i in range(len(profile))]
-    residuals = None if npc is not None else mechanism._residuals(variant, optima, outcome, utilities)
-    return outcome, utilities, residuals
+    ((variant, optima, outcome, levels),) = kept
+    utilities = mechanism._realized(variant, outcome, levels)
+    if npc is not None:
+        return outcome, utilities, None
+    return outcome, utilities, mechanism._residuals(variant, optima, outcome, utilities, levels)
 
 
 def cmd_mechanism(args) -> int:
@@ -277,31 +283,63 @@ def cmd_converge(args) -> int:
     return EXIT_OK if table.passed else EXIT_FAILED
 
 
+def _close(a, b):
+    """a and b agree within ``_TOL`` relative, or absolute below 1 (floats
+    or arrays, entry by entry)."""
+    return abs(a - b) <= _TOL * np.maximum(1.0, np.maximum(abs(a), abs(b)))
+
+
+def _profile_mismatch(instance, ballots, profile) -> str | None:
+    """Why a result document's ``profile`` is not the instance's, naming the
+    first agent that differs, or None.  A types instance must match every
+    weight within ``_close``.  A ballot instance must have each type
+    reproduce every ratio w_j / w_money its ballot determines
+    (``invert_ballots``) within ``_close``; goods left to a follow-up are
+    free, since ``check`` takes no answers.  An instance with neither has
+    nothing to compare."""
+    agents = instance.types if instance.types is not None else ballots
+    if agents is None:
+        return None
+    if len(profile) != len(agents):
+        return f"the result has {len(profile)} types, the instance {len(agents)} agents"
+    for i, agent in enumerate(profile):
+        if agent.m != instance.m:
+            return f"agent {i} has {agent.m} allocation weights, the instance {instance.m} goods"
+    stored = np.array([(*t.alloc_weights, t.money_weight) for t in profile])
+    if instance.types is not None:
+        fresh = np.array([(*t.alloc_weights, t.money_weight) for t in instance.types])
+        what = "the instance's"
+    else:
+        stored = stored[:, :-1] / stored[:, -1:]
+        ratios, _ = invert_ballots(ballots, instance)
+        fresh = np.where(np.isnan(ratios), stored, ratios)
+        what = "the ratios w_j / w_money of the instance's ballot"
+    differs = ~_close(stored, fresh).all(axis=1)
+    return f"agent {differs.argmax()}'s type differs from {what}" if differs.any() else None
+
+
 def cmd_check(args) -> int:
-    instance, _ = files.load_instance(args.instance)
+    instance, ballots = files.load_instance(args.instance)
     result = files.load_json(args.result)
     command = result.get("command")
-    tol = 1e-6
 
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    def near(a, b):
+        return abs(a - b) <= _TOL
 
-    def near(a: float, b: float) -> bool:
-        return abs(a - b) <= tol
-
-    def tiny(a: float, b: float) -> bool:
-        return max(abs(a), abs(b)) <= 1e-8
+    def tiny(a, b):
+        return np.maximum(abs(a), abs(b)) <= 1e-8
 
     def same(stored, fresh, match) -> bool:
-        return len(stored) == len(fresh) and all(map(match, stored, fresh))
+        stored, fresh = np.asarray(stored, dtype=float), np.asarray(fresh, dtype=float)
+        return stored.shape == fresh.shape and bool(match(stored, fresh).all())
 
     if command == "solve":
         agent = files.type_from_dict(result.get("agent"), "result agent")
         stored = files.decision_from_dict(result.get("decision"), "result decision")
         fresh = optimize(agent, instance)
-        ok = close(stored.tax, fresh.tax) and same(stored.allocation, fresh.allocation, near)
+        ok = _close(stored.tax, fresh.tax) and same(stored.allocation, fresh.allocation, near)
         stored_value = files._number(result, "valuation", "result")
-        ok = ok and close(stored_value, valuation(agent, fresh, instance))
+        ok = ok and _close(stored_value, valuation(agent, fresh, instance))
     elif command == "mechanism":
         rows = result.get("types")
         if not isinstance(rows, list) or not rows:
@@ -326,13 +364,17 @@ def cmd_check(args) -> int:
         stored = files.outcome_from_dict(result, "result")
         stored_utilities = files.number_list(result, "realized_utilities", "result", nullable=True)
         residuals = files.number_list(result, "identity_residuals", "result", nullable=True)
+        mismatch = _profile_mismatch(instance, ballots, profile)
+        if mismatch is not None:
+            print(f"check: MISMATCH: {mismatch}", file=sys.stderr)
+            return EXIT_FAILED
         fresh, utilities, audit = _mechanism_pass(instance, profile, bias, hetero, npc)
-        ok = close(stored.decision.tax, fresh.decision.tax)
+        ok = _close(stored.decision.tax, fresh.decision.tax)
         ok = ok and same(stored.decision.allocation, fresh.decision.allocation, near)
-        ok = ok and same(stored.raw_vcg, fresh.raw_vcg, close)
-        ok = ok and same(stored.payments, fresh.payments, close)
-        ok = ok and close(stored.welfare, fresh.welfare)
-        ok = ok and same(stored_utilities or (), utilities, close)
+        ok = ok and same(stored.raw_vcg, fresh.raw_vcg, _close)
+        ok = ok and same(stored.payments, fresh.payments, _close)
+        ok = ok and _close(stored.welfare, fresh.welfare)
+        ok = ok and same(stored_utilities or (), utilities, _close)
         ok = ok and (residuals is None if audit is None else same(residuals or (), audit, tiny))
     else:
         raise SchemaError(f"cannot re-verify result documents of command {command!r}")

@@ -118,6 +118,17 @@ class GainCurve:
             return self.scale * self.exponent * spend ** (self.exponent - 1.0)
         return self.scale / (1.0 + spend)
 
+    def deriv_array(self, spends: np.ndarray) -> np.ndarray:
+        """``deriv`` over an array of positive spends, entry by entry the same
+        bits: the quotients run on the whole array, the power kind's powers
+        one float at a time, because numpy's power may round differently."""
+        if self.kind == "log":
+            return self.scale / spends
+        if self.kind == "power":
+            e = self.exponent
+            return self.scale * e * np.array([s ** (e - 1.0) for s in spends.tolist()], dtype=float)
+        return self.scale / (1.0 + spends)
+
     def deriv2(self, spend: float) -> float:
         """Second derivative; strictly negative on the interior, and -inf
         where the power kind's magnitude overflows at a tiny spend."""
@@ -450,11 +461,13 @@ def validate_assumptions(instance: "BudgetInstance") -> ValidationReport:
 
     # Every agent must prefer some positive level of public spending over
     # the lowest feasible tax.  Compared near the boundary on a descending
-    # grid; both sides may diverge, so the ratio is what is tested.
+    # grid; both sides may diverge, so the ratio is what is tested.  One
+    # entry covers the profile; its witness lists the agents that fail.
     types = instance.types or ()
     floor = instance.tax_floor
     ts = np.geomspace(1e-2, 1e-12, 11)
     rate = instance.pool_rate
+    failing = []
     for i, agent in enumerate(types):
         satisfied = False
         for j, w in enumerate(agent.alloc_weights):
@@ -469,13 +482,16 @@ def validate_assumptions(instance: "BudgetInstance") -> ValidationReport:
             if lhs > rhs:
                 satisfied = True
                 break
+        if not satisfied:
+            failing.append(str(i))
+    if types:
         checks.append(
             AssumptionCheck(
-                f"positive-spending[{i}]",
-                satisfied,
-                "some good's boundary marginal gain beats the marginal money "
-                "disutility at the lowest feasible tax",
-                witness=None if satisfied else f"agent {i}",
+                "positive-spending",
+                not failing,
+                "every agent has a good whose boundary marginal gain beats the "
+                "marginal money disutility at the lowest feasible tax",
+                witness=f"agents {', '.join(failing)}" if failing else None,
             )
         )
 

@@ -34,7 +34,8 @@ from .model import (
     AgentType,
     BudgetInstance,
     CharacteristicTriplet,
-    _utility_at,
+    _gains,
+    _levels,
     excluded_means,
     mean_type,
 )
@@ -276,11 +277,11 @@ def _report_utility(variant: _Plain, i: int, agent: AgentType, decision, excl, b
     """``agent``'s utility when the mechanism on ``variant``'s profile chose
     ``decision`` and charges agent i the pivot against the others' optimum
     ``best_excl``, inverted through i's reported money weight."""
-    _, argument = variant.pivot_at(decision)(excl, best_excl)
-    payment = variant.payment(i, argument, decision)
-    transfer = variant.own_tax(i, decision) + payment
-    weights, instance = agent.alloc_weights, variant.instance
-    return _utility_at(weights, agent.money_weight, decision, transfer, instance)
+    levels = _levels(decision, variant.instance)
+    _, argument, _ = variant.pivot_at(decision, levels)(excl, best_excl)
+    transfer = variant.own_tax(i, decision) + variant.payment(i, argument, decision)
+    money = variant.instance.money_curve
+    return _gains(agent.alloc_weights, levels[0]) - agent.money_weight * money.value(transfer)
 
 
 # =============================================================================

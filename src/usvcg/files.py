@@ -19,7 +19,13 @@ One JSON document describes one budgeting instance::
     }
 
 ``types`` and ``ballots`` are both optional but mutually exclusive.  All
-loaders raise SchemaError with a pointed message on malformed input.
+loaders raise SchemaError with a pointed message on malformed input; a
+field of numbers takes JSON numbers only (no bools, strings or nulls), and
+a ballot's ``allocation`` exactly m of them.  Ballots load as one
+``elicitation.Ballots`` (an (n, m) array of allocations and a column of
+taxes), not one object per row.  Documents are written compactly through
+the C encoder (``to_json``), floats as their ``repr``, so every value
+keeps its bits.
 """
 
 from __future__ import annotations
@@ -28,8 +34,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .curves import GainCurve, MoneyCurve
-from .elicitation import Ballot
+from .elicitation import Ballots
 from .errors import SchemaError, UsvcgError
 from .mechanism import Outcome
 from .model import AgentType, BudgetDecision, BudgetInstance, CharacteristicTriplet
@@ -58,8 +66,11 @@ __all__ = [
     "outcome_from_dict",
     "type_to_dict",
     "load_json",
+    "to_json",
     "write_json",
 ]
+
+_PLAIN_NUMBERS = frozenset((int, float))
 
 
 def load_json(path) -> dict:
@@ -75,8 +86,15 @@ def load_json(path) -> dict:
     return doc
 
 
+def to_json(doc: dict) -> str:
+    """``doc`` as compact JSON text, through the C encoder: no indentation
+    and no spaces after separators, every float written as its ``repr``,
+    so it parses back to the same bits."""
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(to_json(doc) + "\n", encoding="utf-8")
 
 
 def _require(doc: dict, key: str, where: str):
@@ -94,18 +112,29 @@ def _number(doc: dict, key: str, where: str) -> float:
     return float(v)
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool (nor a string)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(values) -> bool:
+    """``values`` is a list of JSON numbers (``_is_number``); plain ints and
+    floats are told apart by their types alone."""
+    return isinstance(values, list) and (
+        _PLAIN_NUMBERS.issuperset(map(type, values)) or all(map(_is_number, values))
+    )
+
+
 def number_list(doc: dict, key: str, where: str, nullable: bool = False) -> tuple | None:
     """``doc[key]`` as a tuple of floats; it must be a list of numbers, or,
     when ``nullable``, null or absent (None)."""
     values = doc.get(key) if nullable else _require(doc, key, where)
     if nullable and values is None:
         return None
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+    if not _numbers(values):
         kind = "a list of numbers or null" if nullable else "a list of numbers"
         raise SchemaError(f"{where}: field {key!r} must be {kind}, got {values!r}")
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 # =============================================================================
@@ -164,12 +193,10 @@ def money_curve_to_dict(curve: MoneyCurve) -> dict:
 
 
 def type_from_dict(doc: dict, where: str = "type") -> AgentType:
-    weights = _require(doc, "alloc_weights", where)
-    if not isinstance(weights, list):
-        raise SchemaError(f"{where}: alloc_weights must be a list")
+    weights = number_list(doc, "alloc_weights", where)
     try:
-        return AgentType(tuple(float(w) for w in weights), _number(doc, "money_weight", where))
-    except (TypeError, ValueError) as exc:
+        return AgentType(weights, _number(doc, "money_weight", where))
+    except UsvcgError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -191,7 +218,7 @@ def decision_to_dict(decision: BudgetDecision) -> dict:
     return {"allocation": list(decision.allocation), "tax": decision.tax}
 
 
-def parse_instance(doc: dict, where: str = "instance") -> tuple[BudgetInstance, list[Ballot] | None]:
+def parse_instance(doc: dict, where: str = "instance") -> tuple[BudgetInstance, Ballots | None]:
     m = int(_number(doc, "m", where))
     n = int(_number(doc, "n", where))
     semantics = _require(doc, "semantics", where)
@@ -213,13 +240,8 @@ def parse_instance(doc: dict, where: str = "instance") -> tuple[BudgetInstance, 
         types = tuple(
             type_from_dict(t, f"{where}: types[{i}]") for i, t in enumerate(doc["types"])
         )
-    ballots = parse_ballots(doc, where) if "ballots" in doc else None
-
-    tax_weights = None
-    if "tax_weights" in doc:
-        if not isinstance(doc["tax_weights"], list):
-            raise SchemaError(f"{where}: tax_weights must be a list")
-        tax_weights = tuple(float(w) for w in doc["tax_weights"])
+    ballots = parse_ballots(doc, m, where) if "ballots" in doc else None
+    tax_weights = number_list(doc, "tax_weights", where) if "tax_weights" in doc else None
 
     try:
         instance = BudgetInstance(
@@ -238,7 +260,7 @@ def parse_instance(doc: dict, where: str = "instance") -> tuple[BudgetInstance, 
     return instance, ballots
 
 
-def load_instance(path) -> tuple[BudgetInstance, list[Ballot] | None]:
+def load_instance(path) -> tuple[BudgetInstance, Ballots | None]:
     return parse_instance(load_json(path), where=str(path))
 
 
@@ -390,19 +412,36 @@ def load_sigma(path, mu_default: float = 2.0) -> tuple[CharacteristicTriplet, Bu
 # =============================================================================
 
 
-def parse_ballots(doc: dict, where: str = "ballots") -> list[Ballot]:
+def parse_ballots(doc: dict, m: int, where: str = "ballots") -> Ballots:
+    """``doc["ballots"]`` as ``Ballots``: each row a JSON object whose
+    ``allocation`` is a list of m JSON numbers and whose ``tax`` is a finite
+    number, snapped onto the simplex by ``Ballots.from_raw``.  The first row
+    that breaks a rule raises SchemaError naming it."""
     rows = _require(doc, "ballots", where)
     if not isinstance(rows, list):
         raise SchemaError(f"{where}: ballots must be a list")
-    out = []
+
+    def malformed(i: int, allocation) -> SchemaError:
+        return SchemaError(
+            f"{where}: ballots[{i}]: field 'allocation' must be a list of {m} numbers, got {allocation!r}"
+        )
+
+    allocations, taxes = [], []
     for i, row in enumerate(rows):
-        alloc = _require(row, "allocation", f"{where}: ballots[{i}]")
-        tax = _number(row, "tax", f"{where}: ballots[{i}]")
-        try:
-            out.append(Ballot.from_raw(alloc, tax))
-        except UsvcgError as exc:
-            raise SchemaError(f"{where}: ballots[{i}]: {exc}") from exc
-    return out
+        allocation = _require(row, "allocation", f"{where}: ballots[{i}]")
+        if not (isinstance(allocation, list) and len(allocation) == m):
+            raise malformed(i, allocation)
+        allocations.append(allocation)
+        taxes.append(_number(row, "tax", f"{where}: ballots[{i}]"))
+    # one pass over the entries' types; the exact rule only if one is not a plain number
+    if not _PLAIN_NUMBERS.issuperset(type(x) for allocation in allocations for x in allocation):
+        for i, allocation in enumerate(allocations):
+            if not _numbers(allocation):
+                raise malformed(i, allocation)
+    try:
+        return Ballots.from_raw(np.array(allocations, dtype=float).reshape(len(rows), m), taxes)
+    except UsvcgError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def parse_answers(doc: dict, where: str = "answers") -> dict[tuple[int, int], float]:

@@ -29,15 +29,23 @@ pivot solves (``_keeping_optima``), and ``identity_residuals`` takes them
 from a fresh run, an audit independent of the one it checks.  In one
 process both give the same bits.  A variant names only its decision oracle
 (``decide``), its others' optimum oracle (``others_optimum``), both given
-the run or none, its excluded-welfare terms (``pivot_at`` for the
-payments, ``total`` and ``others_welfare`` for the audit) and its payment
-(``payment``): ``_Plain`` is US-VCG, ``_NonPositive`` rebates its payments,
-``_Biased`` steers toward phantom targets, ``_Hetero`` has
-designer-assigned tax weights (the others refuse an instance that carries
-them).  The oracles are module globals read at call time, so rebinding one
-reaches every solve.  Non-positive payments take a Jacobian-bound rebate
-off each raw pivot; the Jacobian's perturbed solves are certified against
-the run's decision as its pivot solves are, with the same bits.
+the run or none, its welfare terms (``welfare`` for the outcome,
+``pivot_at`` for the payments and the others' welfare at their optimum,
+``total`` for the audit) and its payment (``payment``): ``_Plain`` is
+US-VCG, ``_NonPositive`` rebates its payments, ``_Biased`` steers toward
+phantom targets, ``_Hetero`` has designer-assigned tax weights (the others
+refuse an instance that carries them).  The oracles are module globals
+read at call time, so rebinding one reaches every solve.  Non-positive
+payments take a Jacobian-bound rebate off each raw pivot; the Jacobian's
+perturbed solves are certified against the run's decision as its pivot
+solves are, with the same bits.
+
+A pass evaluates the decision's levels theta_j(x_j * pool) and f(t) once
+(``model._levels``): the welfare, every agent's others' valuation at the
+decision in its pivot, the realised utilities (``_realized``) and the
+audit's total read them, and the audit takes the others' welfare at their
+optimum from the pivot step that computed it.  Each sum keeps the order
+``valuation`` sums in, so the bits are those of valuing afresh.
 
 Every variant prices all agents' removals from the profile's totals in one
 O(n*m) pass.  Welfare depends on a profile only through its mean, so
@@ -92,6 +100,8 @@ from .model import (
     AgentType,
     BudgetDecision,
     BudgetInstance,
+    _gains,
+    _levels,
     _utility_at,
     excluded_means,
     feature_vector,
@@ -187,7 +197,8 @@ class _Plain:
         self.n, self.table = len(self.profile), None  # no table for a run's solves to share
 
     def decide(self, run=None) -> BudgetDecision:
-        return optimize(mean_type(self.profile), self.instance, run=run)
+        self.mean = mean_type(self.profile)  # the decision's type, which ``welfare`` reads
+        return optimize(self.mean, self.instance, run=run)
 
     def others(self):
         return excluded_means(self.profile)
@@ -198,13 +209,18 @@ class _Plain:
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return decision.tax
 
-    def pivot_at(self, decision: BudgetDecision):
-        """(others, their optimum) -> (raw pivot, payment argument)."""
-        inst = self.instance
+    def pivot_at(self, decision: BudgetDecision, levels):
+        """(others, their optimum) -> (raw pivot, payment argument, the
+        others' welfare at their optimum, which the audit reads).  The
+        others' valuation at ``decision`` is read from its ``levels``
+        (``model._levels``)."""
+        inst, n = self.instance, self.n
+        gains, f_t = levels
 
         def pivot(excl, best):
-            p = (self.n - 1) * (valuation(excl, best, inst) - valuation(excl, decision, inst))
-            return p, p
+            v_best = valuation(excl, best, inst)
+            p = (n - 1) * (v_best - (_gains(excl.alloc_weights, gains) - excl.money_weight * f_t))
+            return p, p, (n - 1) * v_best
 
         return pivot
 
@@ -214,11 +230,14 @@ class _Plain:
         money_weight = self.profile[i].money_weight
         return sensitive_payment(argument, own_tax, money_weight, self.instance.money_curve)
 
-    def total(self, decision: BudgetDecision) -> float:
-        return social_welfare(self.profile, decision, self.instance)
+    def welfare(self, decision: BudgetDecision, levels) -> float:
+        """``social_welfare`` at ``decision`` from its ``levels``: n times
+        the mean type's valuation, as under the homogeneous taxes this
+        variant runs."""
+        gains, f_t = levels
+        return self.n * (_gains(self.mean.alloc_weights, gains) - self.mean.money_weight * f_t)
 
-    def others_welfare(self, excl, decision: BudgetDecision) -> float:
-        return (self.n - 1) * valuation(excl, decision, self.instance)
+    total = welfare  # the total welfare the audit takes the others' welfare from
 
 
 def _check_tax_weights(variant) -> None:
@@ -238,7 +257,9 @@ _KEPT: contextvars.ContextVar[list | None] = contextvars.ContextVar("kept_optima
 @contextlib.contextmanager
 def _keeping_optima():
     """Inside the block, each run appends (its variant, its (others, their
-    optimum) pairs, its outcome) to the yielded list, for ``_residuals``."""
+    optimum, their welfare there) triples, its outcome, its decision's
+    ``model._levels``) to the yielded list, for ``_realized`` and
+    ``_residuals``."""
     token = _KEPT.set(kept := [])
     try:
         yield kept
@@ -247,27 +268,30 @@ def _keeping_optima():
 
 
 def _run(variant) -> Outcome:
-    """The variant's decision, then for every agent one solve of the
-    others' optimum, certified against the decision's (one ``_Run``), its
-    pivot and its payment.  It leaves (variant, the (others, their optimum)
-    pairs, the outcome) for a caller inside ``_keeping_optima``."""
+    """The variant's decision and its levels (``model._levels``), then for
+    every agent one solve of the others' optimum, certified against the
+    decision's (one ``_Run``), its pivot and its payment.  It leaves
+    (variant, the (others, their optimum, their welfare there) triples, the
+    outcome, the levels) for a caller inside ``_keeping_optima``."""
     profile, instance = variant.profile, variant.instance
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
     _check_tax_weights(variant)
     optima, raw, payments, run = [], [], [], _Run(instance, variant.table)
     decision = variant.decide(run)
-    welfare = social_welfare(profile, decision, instance)
+    levels = _levels(decision, instance)
+    welfare = variant.welfare(decision, levels)
     if len(profile) > 1:
-        pivot = variant.pivot_at(decision)
+        pivot = variant.pivot_at(decision, levels)
         for i, excl in enumerate(variant.others()):
-            optima.append((excl, variant.others_optimum(excl, run)))
-            p, argument = pivot(*optima[-1])
+            best = variant.others_optimum(excl, run)
+            p, argument, others_welfare = pivot(excl, best)
+            optima.append((excl, best, others_welfare))
             raw.append(p)
             payments.append(variant.payment(i, argument, decision))
     outcome = Outcome(decision, tuple(raw) or (0.0,), tuple(payments) or (0.0,), welfare)
     if (kept := _KEPT.get()) is not None:
-        kept.append((variant, optima, outcome))
+        kept.append((variant, optima, outcome, levels))
     return outcome
 
 
@@ -284,7 +308,7 @@ def _one_agent(profile, i: int, instance: BudgetInstance, what: str):
 def clarke_pivot(profile, i: int, instance: BudgetInstance) -> float:
     """Welfare the others would reach at their own optimum without agent i."""
     variant, excl, best = _one_agent(profile, i, instance, "the pivot term")
-    return variant.others_welfare(excl, best)
+    return (variant.n - 1) * valuation(excl, best, instance)
 
 
 def raw_vcg_payment(profile, i: int, instance: BudgetInstance) -> float:
@@ -293,7 +317,8 @@ def raw_vcg_payment(profile, i: int, instance: BudgetInstance) -> float:
     the computed value can fall slightly below 0 at large n (see the module
     docstring)."""
     variant, excl, best = _one_agent(profile, i, instance, "the pivot payment")
-    return variant.pivot_at(variant.decide())(excl, best)[0]
+    decision = variant.decide()
+    return variant.pivot_at(decision, _levels(decision, instance))(excl, best)[0]
 
 
 def run_us_vcg(profile, instance: BudgetInstance) -> Outcome:
@@ -336,23 +361,36 @@ def identity_residuals(
         variant = _Plain(profile, instance)
     with _keeping_optima() as kept:
         _run(variant)
-    ((_, optima, _),) = kept
-    utilities = (realized_utility(variant.profile, i, outcome, instance) for i in range(variant.n))
-    return _residuals(variant, optima, outcome, utilities)
+    ((_, optima, _, _),) = kept
+    levels = _levels(outcome.decision, instance)
+    return _residuals(variant, optima, outcome, _realized(variant, outcome, levels), levels)
 
 
-def _residuals(variant, optima, outcome: Outcome, utilities) -> list[float]:
-    """Per agent i, with ``optima``'s i-th pair the others without i and
-    their own optimum and ``utilities``' i-th entry its realised utility
-    (``realized_utility``): that utility minus (total welfare at the
-    decision - the others' welfare at their optimum)."""
+def _realized(variant, outcome: Outcome, levels) -> list[float]:
+    """Every agent's ``realized_utility`` at ``outcome``, with the same
+    bits: the gains from the decision's ``levels`` (``model._levels``), so
+    only each agent's transfer is evaluated per agent."""
+    gains, tax = levels[0], outcome.decision.tax
+    instance = variant.instance
+    money = instance.money_curve
+    return [
+        _gains(agent.alloc_weights, gains) - agent.money_weight * money.value(omega * tax + payment)
+        for agent, omega, payment in zip(
+            variant.profile, instance.tax_weights, outcome.payments, strict=True
+        )
+    ]
+
+
+def _residuals(variant, optima, outcome: Outcome, utilities, levels) -> list[float]:
+    """Per agent i, with ``optima``'s i-th triple the others without i,
+    their own optimum and their welfare there, and ``utilities``' i-th
+    entry its realised utility (``_realized``): that utility minus (total
+    welfare at the decision, from its ``levels`` - the others' welfare at
+    their optimum)."""
     if variant.n == 1:
         return [0.0]
-    total = variant.total(outcome.decision)
-    return [
-        utility - (total - variant.others_welfare(excl, best))
-        for utility, (excl, best) in zip(utilities, optima)
-    ]
+    total = variant.total(outcome.decision, levels)
+    return [utility - (total - others) for utility, (_, _, others) in zip(utilities, optima)]
 
 
 # =============================================================================
@@ -523,26 +561,24 @@ class _Biased(_Plain):
         return self.sides.bias_value(decision)
 
     def decide(self, run=None) -> BudgetDecision:
-        return optimize_biased(mean_type(self.profile), self.bias, self.instance, run=run)
+        self.mean = mean_type(self.profile)
+        return optimize_biased(self.mean, self.bias, self.instance, run=run)
 
     def others_optimum(self, excl, run=None) -> BudgetDecision:
         return optimize_biased(excl, self.bias, self.instance, run=run)
 
-    def pivot_at(self, decision: BudgetDecision):
-        plain, c_at_decision = super().pivot_at(decision), self._c(decision)
+    def pivot_at(self, decision: BudgetDecision, levels):
+        plain, c_at_decision = super().pivot_at(decision, levels), self._c(decision)
 
         def pivot(excl, best):
-            p, _ = plain(excl, best)
-            return p, p + self.n * (self._c(best) - c_at_decision)
+            p, _, others_welfare = plain(excl, best)
+            c_best = self._c(best)
+            return p, p + self.n * (c_best - c_at_decision), others_welfare + self.n * c_best
 
         return pivot
 
-    def total(self, decision: BudgetDecision) -> float:
-        mean = mean_type(self.profile)
-        return self.n * valuation(mean, decision, self.instance) + self.n * self._c(decision)
-
-    def others_welfare(self, excl, decision: BudgetDecision) -> float:
-        return super().others_welfare(excl, decision) + self.n * self._c(decision)
+    def total(self, decision: BudgetDecision, levels) -> float:
+        return self.welfare(decision, levels) + self.n * self._c(decision)
 
 
 def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
@@ -584,7 +620,7 @@ class _Hetero(_Plain):
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return self.instance.tax_weights[i] * decision.tax
 
-    def pivot_at(self, decision: BudgetDecision):
+    def pivot_at(self, decision: BudgetDecision, levels):
         """welfare(best) - welfare(decision) of the others without i, taken
         good by good: each funded good's weight total times the change of
         theta_j, and the money coefficient times the change of f, so
@@ -592,44 +628,47 @@ class _Hetero(_Plain):
         welfare.  On one side of zero the change of f is
         ``MoneyCurve.difference``, accurate to a few ulps of itself; the
         rounding of theta_j at each decision is left, n-fold through the
-        totals."""
+        totals.  The decision's theta_j and f(t) are its ``levels``
+        (``model._levels``); the others' welfare at best, for the audit, is
+        their weight totals against best's theta_j less their money
+        coefficient times f(t_best)."""
         instance, money = self.instance, self.instance.money_curve
-        instance.check_decision(decision)
-        pool_d, td = instance.pool(decision.tax), decision.tax
+        gains_d, f_d = levels
+        _gains(self.totals.without(None)[0], gains_d)  # raises where a weighted good has no level
+        td = decision.tax
 
         def pivot(i, best):
             weights, (below, above) = self.totals.without(i)
             instance.check_decision(best)
             pool_b, tb = instance.pool(best.tax), best.tax
-            terms = [
-                w * (curve.value(xb * pool_b) - curve.value(xd * pool_d))
-                for w, xb, xd, curve in zip(
-                    weights, best.allocation, decision.allocation, instance.gain_curves
-                )
-                if w > 0.0
-            ]
+            gains_b, terms = 0.0, []
+            for w, xb, level_d, curve in zip(weights, best.allocation, gains_d, instance.gain_curves):
+                if w > 0.0:
+                    level_b = curve.value(xb * pool_b)
+                    terms.append(w * (level_b - level_d))
+                    gains_b += w * level_b
             cb, cd = (above if tb > 0.0 else below), (above if td > 0.0 else below)
+            f_b = money.value(tb)
             if cb == cd:
                 terms.append(-cb * money.difference(tb, td))
             else:
-                terms += [-cb * money.value(tb), cd * money.value(td)]
+                terms += [-cb * f_b, cd * f_d]
             p = math.fsum(terms)
-            return p, p
+            return p, p, gains_b - cb * f_b
 
         return pivot
 
-    def total(self, decision: BudgetDecision) -> float:
-        return self.others_welfare(None, decision)
+    def welfare(self, decision: BudgetDecision, levels) -> float:
+        return social_welfare(self.profile, decision, self.instance)
 
-    def others_welfare(self, i: int | None, decision: BudgetDecision) -> float:
-        """sum_{k != i} v_k(decision), each agent under her own tax weight:
-        the others' weight totals times theta_j(x_j pool) (goods they weight
-        at exactly 0 skipped, as ``valuation`` does) minus their money
+    def total(self, decision: BudgetDecision, levels) -> float:
+        """sum_k v_k(decision), each agent under her own tax weight: the
+        weight totals against the decision's ``levels`` (goods weighted at
+        exactly 0 skipped, as ``valuation`` does) minus the money
         coefficient times f(t)."""
-        weights, (below, above) = self.totals.without(i)
-        self.instance.check_decision(decision)
-        tax = decision.tax
-        return _utility_at(weights, above if tax > 0.0 else below, decision, tax, self.instance)
+        weights, (below, above) = self.totals.without(None)
+        gains, f_t = levels
+        return _gains(weights, gains) - (above if decision.tax > 0.0 else below) * f_t
 
 
 def run_us_vcg_hetero(profile, instance: BudgetInstance) -> Outcome:

@@ -194,8 +194,8 @@ class BudgetInstance:
             object.__setattr__(self, "tax_weights", tuple(float(w) for w in self.tax_weights))
             if len(self.tax_weights) != self.n:
                 raise DomainError(f"expected {self.n} tax weights")
-            if any(w <= 0.0 for w in self.tax_weights):
-                raise DomainError("tax weights must be positive")
+            if not all(0.0 < w < math.inf for w in self.tax_weights):
+                raise DomainError("tax weights must be positive and finite")
             if abs(math.fsum(self.tax_weights) - self.n) > 1e-9:
                 raise DomainError(
                     f"tax weights must sum to n={self.n}, got {math.fsum(self.tax_weights)}"
@@ -318,6 +318,33 @@ def _utility_at(
         if w > 0.0:
             gains += w * curve.value(x * pool)
     return gains - money_weight * instance.money_curve.value(transfer)
+
+
+def _levels(decision: BudgetDecision, instance) -> tuple[list, float]:
+    """What every valuation at ``decision`` reads: each good's level
+    theta_j(x_j * pool), None where the spend is 0 on a curve undefined
+    there (a good only zero weights may skip), and f(t).  A pass that values
+    many weightings at one decision evaluates them once (``_gains``)."""
+    instance.check_decision(decision)
+    pool = instance.pool(decision.tax)
+    levels = [
+        None if not (spend := x * pool) > 0.0 and curve.strict_domain else curve.value(spend)
+        for x, curve in zip(decision.allocation, instance.gain_curves)
+    ]
+    return levels, instance.money_curve.value(decision.tax)
+
+
+def _gains(weights, levels) -> float:
+    """The weighted gains of ``_levels``' first part, summed in good order
+    over the positive weights as ``_utility_at`` sums them, so
+    ``_gains(w, levels) - w_money * f`` has ``_utility_at``'s bits."""
+    gains = 0.0
+    for w, level in zip(weights, levels):
+        if w > 0.0:
+            if level is None:
+                raise DomainError("a positive weight on a good with no spend, where its curve is undefined")
+            gains += w * level
+    return gains
 
 
 def feature_vector(decision: BudgetDecision, instance: BudgetInstance) -> np.ndarray:

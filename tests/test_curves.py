@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -297,6 +298,32 @@ def test_power_power_instance_flagged_divergent():
     assert all(c.passed for c in report.checks if c.name.startswith("marginal-outpaced"))
     assert all(c.passed for c in report.checks if c.name.startswith("positive-spending"))
     assert any("tax-divergent" in f for f in report.flags)
+
+
+def test_positive_spending_is_one_entry_naming_the_failing_agents():
+    # an agent weighting only the finite-marginal log1p good cannot beat
+    # the diverging money slope at the lowest tax; one entry names them all
+    types = (
+        AgentType((0.5, 0.5), 1.0),
+        AgentType((0.0, 1.0), 1.0),
+        AgentType((0.5, 0.5), 1.0),
+        AgentType((0.0, 1.0), 2.0),
+    )
+    inst = BudgetInstance(
+        m=2,
+        n=4,
+        external_budget=0.0,
+        gain_curves=(GainCurve.log(10.0), GainCurve.log1p(0.4)),
+        money_curve=MoneyCurve.power(0.5),
+        types=types,
+    )
+    entries = [c for c in validate_assumptions(inst).checks if "positive-spending" in c.name]
+    assert [(c.name, c.passed, c.witness) for c in entries] == [
+        ("positive-spending", False, "agents 1, 3")
+    ]
+    passing = dataclasses.replace(inst, types=(types[0], types[2]) * 2)
+    entries = [c for c in validate_assumptions(passing).checks if "positive-spending" in c.name]
+    assert [(c.name, c.passed, c.witness) for c in entries] == [("positive-spending", True, None)]
 
 
 def test_finite_marginal_catalog_fails_interior_optima():

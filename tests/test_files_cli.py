@@ -35,7 +35,7 @@ from usvcg import (
     solver,
 )
 from usvcg.cli import main
-from usvcg.mechanism import identity_residuals
+from usvcg.mechanism import identity_residuals, realized_utility
 from usvcg.solver import BiasSpec, ConstantTarget, EquitableTarget, TaxPreference
 
 RUNNING = "fixtures/running_example.json"
@@ -191,6 +191,101 @@ def test_cli_mechanism_and_check(tmp_path):
     assert main(["check", RUNNING, str(out)]) == 5
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_cli_documents_are_compact_and_keep_every_bit(tmp_path, capsys, to_file):
+    # a mechanism document, written to a file or to stdout, is one line of
+    # compact JSON that parses back to the run's floats bit for bit
+    instance, _ = files.load_instance(RUNNING)
+    outcome = run_us_vcg(instance.types, instance)
+    out = tmp_path / "result.json"
+    capsys.readouterr()
+    assert main(["mechanism", RUNNING, *(["--out", str(out)] if to_file else [])]) == 0
+    text = out.read_text() if to_file else capsys.readouterr().out
+    doc = json.loads(text)
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+    stored = files.outcome_from_dict(doc)
+
+    def hexes(o):
+        d = o.decision
+        return [x.hex() for x in (*d.allocation, d.tax, *o.raw_vcg, *o.payments, o.welfare)]
+
+    assert hexes(stored) == hexes(outcome)
+    for i, row in enumerate(doc["types"]):
+        assert files.type_from_dict(row) == instance.types[i]
+
+
+def _mechanism_document(tmp_path, doc: dict, *flags) -> Path:
+    """The ``mechanism`` result of an instance document, as a file."""
+    path, out = tmp_path / "source.json", tmp_path / "result.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mechanism", str(path), *flags, "--out", str(out)]) == 0
+    return out
+
+
+def test_cli_check_compares_the_profile_with_a_types_instance(tmp_path, capsys):
+    # a result computed on other types is self-consistent, so re-running
+    # it alone passes; check must compare its types with the instance's
+    doc = json.loads(Path(RUNNING).read_text())
+    doc["types"] = [{"alloc_weights": [0.5, 0.5], "money_weight": 1.0}] * 3
+    out = _mechanism_document(tmp_path, doc)
+    capsys.readouterr()
+    assert main(["check", RUNNING, str(out)]) == 5
+    assert "agent 0's type differs" in capsys.readouterr().err
+    doc["types"] = [files.type_to_dict(t) for t in RUNNING_PROFILE]
+    doc["types"][2] = {"alloc_weights": [0.5, 0.5], "money_weight": 1.0 + 1e-3}
+    out = _mechanism_document(tmp_path, doc)
+    assert main(["check", RUNNING, str(out)]) == 5
+    assert "agent 2's type differs" in capsys.readouterr().err
+    out = _mechanism_document(tmp_path, json.loads(Path(RUNNING).read_text()))
+    assert main(["check", RUNNING, str(out)]) == 0
+
+
+def test_cli_check_compares_the_profile_with_the_ballots(tmp_path, capsys):
+    # each type must reproduce the ratios w_j / w_money its ballot
+    # determines; a type that does not is named
+    out = tmp_path / "result.json"
+    assert main(["mechanism", BALLOTS, "--out", str(out)]) == 0
+    assert main(["check", BALLOTS, str(out)]) == 0
+    types = json.loads(out.read_text())["types"]
+    types[1]["money_weight"] *= 1.01
+    doc = {k: v for k, v in json.loads(Path(BALLOTS).read_text()).items() if k != "ballots"}
+    out = _mechanism_document(tmp_path, {**doc, "types": types})
+    capsys.readouterr()
+    assert main(["check", BALLOTS, str(out)]) == 5
+    assert "agent 1's type differs from the ratios" in capsys.readouterr().err
+    out = _mechanism_document(tmp_path, {**doc, "n": 2, "types": types[:2]})
+    assert main(["check", BALLOTS, str(out)]) == 5
+    assert "2 types, the instance 3 agents" in capsys.readouterr().err
+
+
+def test_cli_check_leaves_follow_up_goods_free(tmp_path, capsys):
+    # check takes no answers: a good the ballot leaves to a follow-up may
+    # carry any weight, while the funded goods' ratios must still match
+    doc = json.loads(Path(BALLOTS).read_text())
+    doc["gain_curves"][1] = {"kind": "log1p", "scale": 0.4}
+    doc["ballots"][0] = {"allocation": [1.0, 0.0], "tax": 396.0}
+    source = tmp_path / "ballots.json"
+    source.write_text(json.dumps(doc))
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps({"answers": [{"agent": 0, "good": 1, "tau": 5.0}]}))
+    out = tmp_path / "result.json"
+    assert main(["mechanism", str(source), "--answers", str(answers), "--out", str(out)]) == 0
+    assert main(["check", str(source), str(out)]) == 0
+    types = json.loads(out.read_text())["types"]
+    w0, money = types[0]["alloc_weights"][0], types[0]["money_weight"]
+    ratio = w0 / money
+    types[0] = {"alloc_weights": [0.9, 0.1], "money_weight": 0.9 / ratio}
+    assert types[0]["alloc_weights"][0] != w0
+    plain = {k: v for k, v in doc.items() if k != "ballots"}
+    out = _mechanism_document(tmp_path, {**plain, "types": types})
+    capsys.readouterr()
+    assert main(["check", str(source), str(out)]) == 0
+    types[0]["money_weight"] *= 1.01
+    out = _mechanism_document(tmp_path, {**plain, "types": types})
+    assert main(["check", str(source), str(out)]) == 5
+    assert "agent 0's type differs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tamper", ["cut_payments", "shift_raw_vcg"])
 def test_cli_check_catches_tampered_schedules(tmp_path, capsys, tamper):
     # a schedule cut short, or raw pivots that no longer match, is a
@@ -257,7 +352,46 @@ def _tampered_check(tmp_path, command: str, **fields) -> list[str]:
     return ["check", RUNNING, str(out)]
 
 
+def _tampered_instance(tmp_path, source: str, mutate) -> list[str]:
+    """``mechanism`` argv for a copy of the fixture ``source`` changed in
+    place by ``mutate(doc)``."""
+    doc = json.loads(Path(source).read_text())
+    mutate(doc)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return ["mechanism", str(path)]
+
+
+def _set_ballot_allocation(value):
+    return lambda doc: doc["ballots"][1].update(allocation=value)
+
+
+def _set_type_weights(value):
+    return lambda doc: doc["types"][1].update(alloc_weights=value)
+
+
 _MALFORMED = {
+    "ballot_entry_string": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation(["x", 1.0])),
+    "ballot_entry_null": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation([None, 1.0])),
+    "ballot_entry_bool": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation([False, True])),
+    "ballot_entry_numeric_string": lambda tmp: _tampered_instance(
+        tmp, BALLOTS, _set_ballot_allocation(["0.0", 1.0])
+    ),
+    "ballot_allocation_number": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation(5)),
+    "ballot_allocation_short": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation([1.0])),
+    "tax_weights_string": lambda tmp: _tampered_instance(
+        tmp, RUNNING, lambda doc: doc.update(tax_weights=["x", 1.0, 2.0])
+    ),
+    "tax_weights_null": lambda tmp: _tampered_instance(
+        tmp, RUNNING, lambda doc: doc.update(tax_weights=[None, 1.0, 2.0])
+    ),
+    "tax_weights_nan": lambda tmp: _tampered_instance(
+        tmp, RUNNING, lambda doc: doc.update(tax_weights=[math.nan, 1.0, 2.0])
+    ),
+    "type_weight_bool": lambda tmp: _tampered_instance(tmp, RUNNING, _set_type_weights([False, True])),
+    "type_weight_numeric_string": lambda tmp: _tampered_instance(
+        tmp, RUNNING, _set_type_weights(["0.0", "1.0"])
+    ),
     "raw_vcg_entry": lambda tmp: _tampered_check(tmp, "mechanism", raw_vcg=["x", 0.0, 0.0]),
     "payments_number": lambda tmp: _tampered_check(tmp, "mechanism", payments=5),
     "types_number": lambda tmp: _tampered_check(tmp, "mechanism", types=5),
@@ -344,7 +478,9 @@ def _variant_run(tmp_path, variant: str, n: int):
 @pytest.mark.parametrize("variant", ["plain", "biased", "hetero"])
 def test_cli_residuals_from_the_run_equal_a_fresh_audit(tmp_path, variant, n):
     # the document's residuals, from the run's own pivot solves, are the
-    # bits identity_residuals gets from solving them again
+    # bits identity_residuals gets from solving them again, and its
+    # realised utilities, from the decision's levels, those of
+    # realized_utility
     path, flags, keywords = _variant_run(tmp_path, variant, n)
     out = tmp_path / "result.json"
     assert main(["mechanism", str(path), *flags, "--out", str(out)]) == 0
@@ -354,6 +490,8 @@ def test_cli_residuals_from_the_run_equal_a_fresh_audit(tmp_path, variant, n):
     audit = identity_residuals(instance.types, outcome, instance, **keywords)
     assert len(doc["identity_residuals"]) == n
     assert all(a == b for a, b in zip(doc["identity_residuals"], audit, strict=True))
+    utilities = [realized_utility(instance.types, i, outcome, instance) for i in range(n)]
+    assert [u.hex() for u in doc["realized_utilities"]] == [u.hex() for u in utilities]
     if n == 1:
         assert doc["identity_residuals"] == [0.0]
     assert main(["check", str(path), str(out)]) == 0

@@ -276,7 +276,9 @@ def _assert_matches_hetero_reference(out, profile, inst):
 
 def test_pivot_loop_matches_slice_mean_reference():
     # reference: the O(n^2) loop that re-averaged the other n-1 types afresh
-    # for every agent, written out inline
+    # for every agent, written out inline with a fresh valuation per term;
+    # the run reads the decision's levels once, summed in the same order,
+    # so every raw pivot, payment and residual has the reference's bits
     n = 300
     profile = random_profile(np.random.default_rng(300), n, 2)
     inst = _per_capita_log_instance(n, profile)
@@ -292,10 +294,10 @@ def test_pivot_loop_matches_slice_mean_reference():
         payments.append(sensitive_payment(p, decision.tax, agent.money_weight, inst.money_curve))
         residuals.append(realized_utility(profile, i, out, inst) - (total - (n - 1) * v_own))
     assert out.decision == decision
-    np.testing.assert_allclose(out.raw_vcg, raw, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(out.payments, payments, rtol=0.0, atol=1e-12)
-    audited = identity_residuals(profile, out, inst)
-    np.testing.assert_allclose(audited, residuals, rtol=0.0, atol=1e-12)
+    assert out.raw_vcg == tuple(raw)
+    assert out.payments == tuple(payments)
+    assert out.welfare == total
+    assert identity_residuals(profile, out, inst) == residuals
 
     # the variants, bit for bit, on a water-filling log/power/log1p catalog
     mixed = random_profile(np.random.default_rng(301), 6, 3)
