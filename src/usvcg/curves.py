@@ -289,16 +289,22 @@ class MoneyCurve:
         """f(b) - f(a), without the cancellation of two rounded values when b
         and a lie strictly on one side of zero: there f(b) = f(a) (b/a)**e
         with e the exponent on that side, so the difference is
-        f(a) expm1(e ln(b/a)), a few ulps off itself.  ln(b/a) is
-        log1p((b - a)/a) while b lies within a factor of 2 of a, where
-        b - a is exact.  Across zero, or at it, the values have no common
-        factor, and it is their plain difference."""
+        f(a) expm1(e ln(b/a)), a few ulps off itself while |e ln(b/a)| < 1.
+        ln(b/a) is log1p((b - a)/a) while b lies within a factor of 2 of a,
+        where b - a is exact.  From |e ln(b/a)| = 1 on, f(b) and f(a) differ
+        by a factor of at least e, so their plain difference cancels less
+        than a bit, and the expm1 form's error grows with e ln(b/a) (8 ulps
+        at e ln(b/a) = 9.2): it is their plain difference, as it is across
+        zero, or at it, where the values have no common factor."""
         self._check(b)
         if a == 0.0 or b == 0.0 or (a < 0.0) != (b < 0.0):
             return self.value(b) - self.value(a)
         ratio = b / a
         growth = math.log1p((b - a) / a) if 0.5 <= ratio <= 2.0 else math.log(ratio)
-        return self.value(a) * math.expm1(self.exponent(a) * growth)
+        power = self.exponent(a) * growth
+        if abs(power) >= 1.0:
+            return self.value(b) - self.value(a)
+        return self.value(a) * math.expm1(power)
 
     def deriv(self, delta: float) -> float:
         """f'(delta); returns +inf at the origin where the slope diverges."""

@@ -29,10 +29,17 @@ The optimisation is solved in the two natural stages:
    secant through the bracket's ends.  For log gains against a power money
    curve at B0 = 0 that ordinate is linear in log t, so the secant lands
    on the root.  Every evaluation is a pure function of its tax, so a
-   search's result depends on nothing but the taxes it evaluates.  A
-   mechanism's pivot solves take the signs of the decision solve's samples
-   where a bound proves them (``_SlopeRecord``) and probe only the rest,
-   with the same result as the full search, bit for bit.
+   search's result depends on nothing but the taxes it evaluates.  Where
+   the catalog bounds the rate at which that ordinate falls (log and power
+   goods of exponent below the money curve's, at B0 = 0;
+   ``_PlainObjective.descent``) the walk's samples change sign once, and a
+   cold plain or hetero solve locates the walk's one bracket by bisecting
+   over the walk's own samples, from a probe at the start (``_located``):
+   the walk's result, bit for bit, from 4 slope probes on the running
+   example instead of 44.  A mechanism's pivot solves take the signs of
+   the decision solve's samples where a bound proves them
+   (``_SlopeRecord``) and probe only the rest, with the same result as the
+   full search, bit for bit.
    Each recorded sample keeps how far another type may deviate with its
    sign still proven, so the leading run of samples proven + and the tail
    proven - past the bracket each take one comparison, against a running
@@ -269,11 +276,24 @@ def _feasible_start(instance: BudgetInstance) -> float:
 
 def _walk_origin(instance: BudgetInstance) -> tuple[float, float, float]:
     """The tax walk's feasible start, the lower end of its open piece (0
-    when the start is negative) and its first offset 1e-8 max(1, |start|):
-    a piece's k-th sample lies ``math.ldexp(offset, k)`` above its lower
-    end, the bits of repeated doubling."""
+    when the start is negative) and its first offset 1e-8 max(1, |start|)
+    (``_rung``)."""
     start = _feasible_start(instance)
     return start, 0.0 if start < 0.0 else start, 1e-8 * max(1.0, abs(start))
+
+
+def _rung(base: float, s0: float, k: int) -> float:
+    """The k-th sample of the walk's piece above ``base``: ``math.ldexp(s0,
+    k)`` above it, the bits of the walk's repeated doubling of s0."""
+    return base + math.ldexp(s0, k)
+
+
+def _diverged(offset: float) -> TaxDivergence:
+    """The walk's TaxDivergence, at the first offset past the tax cap."""
+    return TaxDivergence(
+        f"conditional slope still positive at tax offset {offset:.3g}; "
+        "no finite optimum within the tax cap"
+    )
 
 
 def _ordinate(slope: float, size: float) -> float:
@@ -393,12 +413,15 @@ def _maximize_over_tax(
     from + to <= 0 is found (``_slope_root``); these roots and the feasible
     start, when its slope is <= 0, are compared by value, and within 1e-12
     relative the lowest tax wins.  Raises TaxDivergence when the slope is
-    still positive at the tax cap, _MAX_BRACKET.
+    still positive at the tax cap, _MAX_BRACKET.  A cold solve whose
+    objective bounds its ordinate's descent finds this result from a few of
+    these samples instead (``_located``).
 
     With ``unique`` a runner-up candidate within 1e-9 max(1, |v*|) of the
     best value v*, at a tax more than 1e-6 max(1, |t*|) from the best t*,
     raises NonUniqueOptimum; a local maximum no sample brackets is no
-    candidate, so it escapes.
+    candidate, so it escapes (on a catalog with a descent bound there is
+    one local maximum, the global one).
 
     Every probe is a pure function of its tax, so each root search starts
     from the (slope, size) sampled at its bracket's ends.  A certified search
@@ -434,7 +457,7 @@ def _maximize_over_tax(
         (from, past)."""
         run, first, end = piece
         if run:
-            samples.append((base + math.ldexp(s0, run - 1), 1.0, math.nan))
+            samples.append((_rung(base, s0, run - 1), 1.0, math.nan))
         return math.ldexp(s0, run), math.ldexp(s0, first), math.ldexp(s0, end)
 
     sample(start)
@@ -449,10 +472,7 @@ def _maximize_over_tax(
     while patience < _BRACKET_PATIENCE:
         if s > _MAX_BRACKET:
             if samples[-1][1] > 0.0:
-                raise TaxDivergence(
-                    f"conditional slope still positive at tax offset {s:.3g}; "
-                    "no finite optimum within the tax cap"
-                )
+                raise _diverged(s)
             break
         if sample(lower + s, -1.0 if tail <= s < past else 0.0) > 0.0:
             patience = 0
@@ -485,6 +505,63 @@ def _maximize_over_tax(
                 if abs(v - best_v) <= v_tol and abs(t - best_t) > t_tol:
                     raise NonUniqueOptimum(f"local maxima at t={best_t} and t={t} tie in value")
     return best_t
+
+
+def _located(
+    probe: Callable, instance: BudgetInstance, descent: tuple[float, float]
+) -> float | None:
+    """``_maximize_over_tax``'s result from a few of the walk's own samples,
+    where ``descent`` = (lo, hi) bounds the rate at which the ordinate
+    r = log(P/N) (``_ordinate``) falls in log t on t > 0, with lo > 0
+    (``_PlainObjective.descent``); None where a probed sample disagrees
+    with the bound.
+
+    The start is then positive, so the walk has one piece, and its samples
+    change sign once, from + to <= 0: the first sign change brackets the
+    one candidate, and a start whose slope is <= 0 is the result.  From
+    r0 at the start, a sample whose log(t/start) lies below
+    (r0 - _SLACK)/hi is +, and one past (r0 + _SLACK)/lo is <= 0, with
+    _SLACK to spare over the fill's error on r.  A bisection over the
+    ladder indices in between probes only the walk's taxes (``_rung``) and
+    finds its bracket; the bracket's probed ends seed ``_slope_root`` as
+    the walk's samples do, so the result is the walk's, bit for bit, and
+    so is TaxDivergence, where the last sample within the cap is +."""
+    lo_rate, hi_rate = descent
+    start, lower, s0 = _walk_origin(instance)
+    (m0, e0), (m1, e1) = math.frexp(s0), math.frexp(_MAX_BRACKET)
+    top = e1 - e0 - (m0 > m1)  # the last ladder index whose offset is within the cap
+    ends = {-1: probe(start)[:2]}  # (slope, size) by ladder index, the start at -1
+    slope, size = ends[-1]
+    if not slope > 0.0:
+        return start
+    r0 = _ordinate(slope, size)  # +inf puts the bracket past the cap
+
+    def index(growth: float) -> float:
+        # the real ladder index k at log(t_k/start) = growth, t_k = start + s0 2**k
+        x = math.expm1(min(growth, 700.0)) * start / s0 if growth > 0.0 else 0.0
+        return min(max(math.log2(x), -1.0), top + 1.0) if x > 0.0 else -1.0
+
+    def end(k: int) -> tuple[float, float]:
+        if k not in ends:
+            ends[k] = probe(_rung(lower, s0, k))[:2]
+        return ends[k]
+
+    a = max(math.ceil(index((r0 - _SLACK) / hi_rate)) - 1, -1)
+    b = min(math.floor(index((r0 + _SLACK) / lo_rate)) + 1, top + 1)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if end(mid)[0] > 0.0:
+            a = mid
+        else:
+            b = mid
+    if not end(a)[0] > 0.0:
+        return None
+    if b > top:
+        raise _diverged(math.ldexp(s0, b))
+    if end(b)[0] > 0.0:
+        return None
+    at_a = start if a < 0 else _rung(lower, s0, a)
+    return _slope_root(probe, at_a, _rung(lower, s0, b), end(a), end(b))
 
 
 def optimize(
@@ -626,7 +703,7 @@ class _SlopeRecord:
         and after."""
         plus, minus = [], []
         for k in itertools.count():
-            t = base + math.ldexp(s0, k)
+            t = _rung(base, s0, k)
             entry = self.terms.get(t)
             if entry is None or (bounded and not t < 0.0):
                 break
@@ -713,15 +790,18 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     its value the sum of (gains, *offsets, -kappa c f(t)).
     With a ``run`` (``_Run``) the solve is certified against the record of
     the run's first solve, or cold when that search cannot vouch for its
-    result; the first solve leaves the record.  With ``unique`` a tie raises
-    NonUniqueOptimum.  Where an evaluation water-fills (``objective.fills``)
-    the solve keeps ``at(t)`` of every tax it probes, so the re-probed
-    bracket ends, the valued candidates and the decision's allocation
-    water-fill no tax twice: US-VCG, biased and hetero runs on a mixed
-    catalog at n=150 execute about 8 % fewer bytecodes.  A closed-form
-    evaluation is evaluated again instead, since keeping it costs more than
-    it saves: an all-log US-VCG run at n=1k executes 2-4 % more bytecodes
-    when it keeps them.
+    result; the first solve leaves the record, from the walk's samples, so
+    it walks.  Without a run, a plain objective with a descent bound
+    (``_PlainObjective.descent``) locates the walk's bracket (``_located``),
+    and walks only where a probed sample disagrees with the bound.  With
+    ``unique`` a tie raises NonUniqueOptimum.  Where an evaluation
+    water-fills (``objective.fills``) the solve keeps ``at(t)`` of every
+    tax it probes, so the re-probed bracket ends, the valued candidates
+    and the decision's allocation water-fill no tax twice: US-VCG, biased
+    and hetero runs on a mixed catalog at n=150 execute about 8 % fewer
+    bytecodes.  A closed-form evaluation is evaluated again instead, since
+    keeping it costs more than it saves: an all-log US-VCG run at n=1k
+    executes 2-4 % more bytecodes when it keeps them.
     """
     instance, at, kappa = objective.instance, objective.at, objective.kappa
     below, above = objective.coefficients
@@ -750,6 +830,10 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     if record is not None:
         with contextlib.suppress(_Uncertified):
             t_star = _maximize_over_tax(probe, instance, record.signs(objective), unique)
+    elif run is None and isinstance(objective, _PlainObjective):
+        descent = objective.descent()
+        if descent is not None:
+            t_star = _located(probe, instance, descent)
     if t_star is None:
         t_star = _maximize_over_tax(probe, instance, None, unique)
         if terms is not None:
@@ -770,6 +854,30 @@ class _PlainObjective(_Conditional):
         super().__init__(weights, instance.gain_curves, instance.pool(0.0), instance.pool_rate)
         self.base, self.kappa, self.coefficients = self.weights, kappa, coefficients
         self.instance = instance
+
+    def descent(self) -> tuple[float, float] | None:
+        """(lo, hi): bounds on the rate at which r = log(P/N) falls in log t
+        on t > 0, where they prove that it falls (lo > _SLACK); else None.
+
+        With pool(0) = 0 the pool is rate t, and on a catalog whose weighted
+        goods all spend by laws (c mu)**p (log p = 1, power 1/(1 - e_j);
+        ``GainCurve.spend_law``) the fill's pool is sum_j (c_j mu)**p_j, so
+        d log Lambda / d log t = -h, with h between 1/p_max and 1/p_min
+        (h = 1 on the closed-form all-log path).  The cost kappa c f'(t) has
+        d log / d log t = e - 1, e the money curve's exponent above 0
+        (``MoneyCurve.exponent``), so r falls at rate h - (1 - e).  A log1p
+        good (d > 0) or pool(0) > 0 gets no bound."""
+        if self.start != 0.0:
+            return None
+        if self.fills:
+            if any(d for *_, d in self.laws):
+                return None
+            powers = [p for *_, p, _ in self.laws]
+            h_lo, h_hi = 1.0 / max(powers), 1.0 / min(powers)
+        else:
+            h_lo = h_hi = 1.0
+        drift = 1.0 - self.instance.money_curve.exponent(1.0)
+        return (h_lo - drift, h_hi - drift) if h_lo - drift > _SLACK else None
 
     @classmethod
     def of(cls, agent: AgentType, instance: BudgetInstance) -> "_PlainObjective":

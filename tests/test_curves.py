@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_running_instance
@@ -181,6 +181,7 @@ def _exact_money(curve, delta, mpmath):
     close=st.booleans(),
     negative=st.booleans(),
 )
+@example(a=205003.125, spread=5.01441, close=False, negative=False)  # 8.1 ulps by expm1
 @settings(max_examples=100, deadline=None)
 def test_money_difference_is_accurate_to_itself(curve, a, spread, close, negative):
     # f(b) - f(a) on one side of zero, for b from an ulp to a factor of 2

@@ -35,6 +35,7 @@ from usvcg import (
     TableTarget,
     TaxDivergence,
     TaxPreference,
+    UsvcgError,
     corresponding_type,
     equitable_allocation,
     excluded_means,
@@ -1258,10 +1259,11 @@ def test_uniqueness_check_passes_near_a_branch_switch():
     assert solver._require_unique_optimum(agent, instance) == optimize(agent, instance)
 
 
-def _keep_probes(monkeypatch):
-    """Wrap the outer search so that each solve's probe is kept and counted."""
+def _keep_probes(monkeypatch, search: str = "_maximize_over_tax"):
+    """Wrap an outer search (the walk, or ``_located``) so that the probe of
+    each solve that runs it is kept and counted."""
     kept = []
-    original = solver._maximize_over_tax
+    original = getattr(solver, search)
 
     def keeping(probe, *args, **kwargs):
         calls = []
@@ -1273,12 +1275,18 @@ def _keep_probes(monkeypatch):
         kept.append((probe, calls))
         return original(counted, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_maximize_over_tax", keeping)
+    monkeypatch.setattr(solver, search, keeping)
     return kept
 
 
 def test_probes_per_solve(monkeypatch):
+    # a cold solve on the all-log running example (B0 = 0) locates the
+    # walk's one bracket from the bound on its ordinate's descent, in at
+    # most 4 slope probes: the start, the bracket's two ends and the
+    # secant's root.  The biased solves and those of the mixed catalog
+    # (a log1p good) walk, in at most 60
     kept = _keep_probes(monkeypatch)
+    located = _keep_probes(monkeypatch, "_located")
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
     types, plain, hetero = variants_catalog()
@@ -1289,9 +1297,158 @@ def test_probes_per_solve(monkeypatch):
             optimize(agent, instance)
             optimize_biased(agent, bias, instance)
         optimize_hetero(profile, weighted)
-    assert len(kept) == 10
-    for _, calls in kept:
-        assert len(calls) <= 60
+    assert len(kept) == 7 and len(located) == 3
+    assert max(len(calls) for _, calls in located) <= 4
+    assert max(len(calls) for _, calls in kept) <= 60
+
+
+def _outcome(solve):
+    """A solve's decision, or the type and message of what it raised."""
+    try:
+        return solve()
+    except UsvcgError as error:
+        return type(error), str(error)
+
+
+def _cold_and_walked(agent, profile, instance, exclude=None):
+    """The outcomes of a plain and a hetero solve, each cold and with a
+    fresh run (whose first solve walks): two pairs that must be equal."""
+    hetero = solver._HeteroTotals(profile, instance)
+    return [
+        (
+            _outcome(lambda: optimize(agent, instance)),
+            _outcome(lambda: optimize(agent, instance, run=solver._Run(instance))),
+        ),
+        (
+            _outcome(lambda: optimize_hetero(profile, instance, exclude)),
+            _outcome(
+                lambda: optimize_hetero(
+                    profile, instance, exclude, run=solver._Run(instance, hetero)
+                )
+            ),
+        ),
+    ]
+
+
+_LOCATED_GOODS = st.one_of(
+    st.builds(GainCurve.log, st.floats(1.0, 15.0)),
+    st.builds(GainCurve.power, st.floats(1.0, 15.0), st.floats(0.05, 0.6)),
+)
+_LOCATED_MONEY = st.one_of(
+    st.builds(MoneyCurve.power, st.floats(0.35, 0.9)),
+    st.builds(
+        MoneyCurve.kahneman_tversky, st.floats(0.3, 0.95), st.floats(0.35, 0.9), st.floats(0.5, 2.5)
+    ),
+)
+
+
+@given(
+    curves=st.lists(_LOCATED_GOODS, min_size=1, max_size=3),
+    money=_LOCATED_MONEY,
+    n=st.integers(1, 4),
+    semantics=st.sampled_from(["nominal", "per_capita"]),
+    weighted=st.booleans(),
+    zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_located_cold_solves_equal_the_walk(curves, money, n, semantics, weighted, zero, seed):
+    # log and power catalogs at B0 = 0, some with a zero weight or a single
+    # good, under a power or kt money curve and either semantics, and hetero
+    # solves under drawn tax weights: a cold solve, located where the bound
+    # holds (a power exponent below the money exponent), gives the walk's
+    # decision bit for bit, or raises the walk's exception with its message
+    rng = np.random.default_rng(seed)
+    m = len(curves)
+    raw = rng.uniform(0.5, 1.5, n)
+    instance = BudgetInstance(
+        m=m,
+        n=n,
+        external_budget=0.0,
+        gain_curves=tuple(curves),
+        money_curve=money,
+        semantics=semantics,
+        tax_weights=tuple(raw * (n / raw.sum())) if weighted else None,
+    )
+    profile = random_profile(rng, n, m)
+    agent = profile[0]
+    if zero and m > 1:
+        alloc = list(agent.alloc_weights)
+        alloc[int(rng.integers(m))] = 0.0
+        agent = AgentType.normalized(alloc, agent.money_weight)
+    exclude = int(rng.integers(n)) if n > 1 and rng.random() < 0.5 else None
+    for cold, walked in _cold_and_walked(agent, profile, instance, exclude):
+        assert cold == walked
+
+
+def _log_instance(**changes):
+    return dataclasses.replace(
+        BudgetInstance(
+            m=2,
+            n=3,
+            external_budget=0.0,
+            gain_curves=(GainCurve.log(10.0), GainCurve.power(4.0, 0.3)),
+            money_curve=MoneyCurve.power(0.5),
+            semantics="per_capita",
+        ),
+        **changes,
+    )
+
+
+def test_located_solves_planted(monkeypatch):
+    # a start whose slope is <= 0 is the decision; a slope still positive
+    # at the tax cap raises the walk's TaxDivergence, with its message; the
+    # running example locates its bracket.  Each equals the walk's outcome
+    located = _keep_probes(monkeypatch, "_located")
+    walks = _keep_probes(monkeypatch, "_maximize_over_tax")
+    divergent = BudgetInstance(  # test_tax_divergence's: t* of order 1e45
+        m=1,
+        n=100_000,
+        external_budget=0.0,
+        gain_curves=(GainCurve.power(1.0, 0.45),),
+        money_curve=MoneyCurve.power(0.5),
+    )
+    cases = [
+        (AgentType((0.5, 0.5), 1e7), _log_instance()),
+        (AgentType((1.0,), 1.0), divergent),
+        (mean_type(RUNNING_PROFILE), make_running_instance()),
+    ]
+    outcomes = []
+    for agent, instance in cases:
+        [(cold, walked), _] = _cold_and_walked(agent, (agent,) * instance.n, instance)
+        assert cold == walked
+        outcomes.append(cold)
+    start = solver._feasible_start(cases[0][1])
+    assert outcomes[0].tax == start
+    assert outcomes[1][0] is TaxDivergence
+    assert outcomes[2].tax > start
+    # each case makes one located plain and one located hetero solve, and
+    # the runs' solves walk: the start alone; the start and the last sample
+    # within the cap; the start, the bracket's ends and the secant's root
+    assert [len(calls) for _, calls in located] == [1, 1, 2, 2, 4, 4]
+    assert len(walks) == 6
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        # a power exponent that reaches the money curve's (0.5): r need not fall
+        _log_instance(gain_curves=(GainCurve.log(10.0), GainCurve.power(4.0, 0.5))),
+        _log_instance(gain_curves=(GainCurve.log(10.0), GainCurve.power(4.0, 0.6))),
+        # a log1p good, whose spend law is offset (d = 1)
+        _log_instance(gain_curves=(GainCurve.log(10.0), GainCurve.log1p(4.0))),
+        # B0 > 0: the pool's elasticity in t falls below 1
+        _log_instance(external_budget=6.0),
+        _log_instance(external_budget=6.0, money_curve=MoneyCurve.kahneman_tversky(0.6, 0.8, 1.5)),
+    ],
+)
+def test_catalogs_without_a_bound_walk(monkeypatch, instance):
+    located = _keep_probes(monkeypatch, "_located")
+    agent = AgentType((0.5, 0.5), 1.0)
+    assert solver._PlainObjective.of(agent, instance).descent() is None
+    for cold, walked in _cold_and_walked(agent, (agent,) * instance.n, instance):
+        assert cold == walked
+    assert located == []
 
 
 def test_probes_per_pivot_solve(monkeypatch):
@@ -1387,8 +1544,8 @@ def test_pivot_solves_make_a_few_slope_probes(monkeypatch):
     # midpoint)
     profile, instance = _all_log_run_inputs()
     taxes = _count_slope_probes(monkeypatch)
-    optimize(mean_type(profile), instance)
-    decision = len(taxes)  # the run's first solve is this cold one
+    optimize(mean_type(profile), instance, run=solver._Run(instance))
+    decision = len(taxes)  # the run's first solve walks, as this one does
     run_us_vcg(profile, instance)
     assert len(taxes) - 2 * decision <= 3 * len(profile)
 
