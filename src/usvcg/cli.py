@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -229,6 +230,8 @@ def cmd_mechanism(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 0:
         raise SchemaError(f"--trials must be >= 0, got {args.trials}")
+    if not 1.0 <= args.mu < math.inf:
+        raise SchemaError(f"--mu must satisfy 1 <= mu < inf, got {args.mu}")
     instance, _ = files.load_instance(args.instance)
     if args.coalition:
         report = experiments.coalition_probe(

@@ -289,6 +289,15 @@ def _report_utility(variant: _Plain, i: int, agent: AgentType, decision, excl, b
 # =============================================================================
 
 
+def _check_draws(mu: float, misreport_space: str) -> None:
+    """Refuse a money-weight band [1/mu, mu] that is reversed, unbounded or
+    not a number, and an unknown misreport space."""
+    if not 1.0 <= mu < math.inf:
+        raise DomainError(f"money-weight band bound mu must satisfy 1 <= mu < inf, got {mu}")
+    if misreport_space not in ("full", "allocation"):
+        raise DomainError(f"unknown misreport space {misreport_space!r}")
+
+
 def sdsic_fuzz(
     instance: BudgetInstance,
     trials: int,
@@ -305,16 +314,17 @@ def sdsic_fuzz(
     (interior optima certified) and "dsic" otherwise; the numeric pass
     criterion -- max gain at most _TOLERANCE (1e-9) -- is the same in both.
 
-    ``misreport_space`` is "full" or "allocation".  No-profit holds on the
-    allocation space: a lie there only displaces the outcome away from the
-    true-mean optimum.  On the full space the payment inversion divides
-    the pivot term by the *reported* money weight, which hands every agent
-    with a positive pivot payment a first-order gain (slope p_i/w_money at
-    the truth) from shading that weight; full-space runs therefore surface
-    genuine positive gains and exist to measure them.
+    Money weights are drawn log-uniformly from [1/mu, mu], 1 <= mu < inf;
+    another mu raises DomainError.  ``misreport_space`` is "full" or
+    "allocation".  No-profit holds on the allocation space: a lie there only
+    displaces the outcome away from the true-mean optimum.  On the full
+    space the payment inversion divides the pivot term by the *reported*
+    money weight, which hands every agent with a positive pivot payment a
+    first-order gain (slope p_i/w_money at the truth) from shading that
+    weight; full-space runs therefore surface genuine positive gains and
+    exist to measure them.
     """
-    if misreport_space not in ("full", "allocation"):
-        raise DomainError(f"unknown misreport space {misreport_space!r}")
+    _check_draws(mu, misreport_space)
     interior = all(math.isinf(c.deriv_at_zero()) for c in instance.gain_curves)
     mode = "sdsic" if interior else "dsic"
     n = instance.n
@@ -368,12 +378,11 @@ def coalition_probe(
 
     One-step coalition-proofness is inherited from the no-profitable-
     misreport property, so like ``sdsic_fuzz`` it is only guaranteed on the
-    "allocation" misreport space."""
+    "allocation" misreport space.  ``mu`` bounds the money weights as there."""
     n = instance.n
     if not 0 < coalition_size < n:
         raise DomainError("coalition size must be between 1 and n-1")
-    if misreport_space not in ("full", "allocation"):
-        raise DomainError(f"unknown misreport space {misreport_space!r}")
+    _check_draws(mu, misreport_space)
     found = 0
     unstable = 0
     stable_cases: list[dict] = []

@@ -112,6 +112,23 @@ def _number(doc: dict, key: str, where: str) -> float:
     return float(v)
 
 
+def _count(doc: dict, key: str, where: str) -> int:
+    """``doc[key]`` as an int: a finite JSON number with an integral value."""
+    v = _number(doc, key, where)
+    if not v.is_integer():
+        raise SchemaError(f"{where}: field {key!r} must be an integer, got {doc[key]!r}")
+    return int(v)
+
+
+def _gain_curves(doc: dict, m: int, where: str) -> tuple:
+    curves_doc = _require(doc, "gain_curves", where)
+    if not isinstance(curves_doc, list) or len(curves_doc) != m:
+        raise SchemaError(f"{where}: gain_curves must be a list of {m} descriptors")
+    return tuple(
+        gain_curve_from_dict(c, f"{where}: gain_curves[{j}]") for j, c in enumerate(curves_doc)
+    )
+
+
 def _is_number(v) -> bool:
     """A JSON number: an int or a float, not a bool (nor a string)."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -219,16 +236,11 @@ def decision_to_dict(decision: BudgetDecision) -> dict:
 
 
 def parse_instance(doc: dict, where: str = "instance") -> tuple[BudgetInstance, Ballots | None]:
-    m = int(_number(doc, "m", where))
-    n = int(_number(doc, "n", where))
+    m = _count(doc, "m", where)
+    n = _count(doc, "n", where)
     semantics = _require(doc, "semantics", where)
     convention = _require(doc, "mrs_convention", where)
-    curves_doc = _require(doc, "gain_curves", where)
-    if not isinstance(curves_doc, list) or len(curves_doc) != m:
-        raise SchemaError(f"{where}: gain_curves must be a list of {m} descriptors")
-    gain_curves = tuple(
-        gain_curve_from_dict(c, f"{where}: gain_curves[{j}]") for j, c in enumerate(curves_doc)
-    )
+    gain_curves = _gain_curves(doc, m, where)
     money = money_curve_from_dict(_require(doc, "money_curve", where), f"{where}: money_curve")
 
     if "types" in doc and "ballots" in doc:
@@ -361,15 +373,11 @@ def bias_to_dict(bias: BiasSpec) -> dict:
 def parse_sigma(doc: dict, mu_default: float = 2.0, where: str = "sigma") -> tuple[CharacteristicTriplet, BudgetInstance]:
     """A triplet document carries b0/mu/mean_type plus the curve catalog; an
     instance document works too (mean of its types, b0 from its budget)."""
+    mu = _number(doc, "mu", where) if "mu" in doc else mu_default
     if "mean_type" in doc:
         mean = type_from_dict(_require(doc, "mean_type", where), f"{where}: mean_type")
         b0 = _number(doc, "b0", where)
-        mu = _number(doc, "mu", where) if "mu" in doc else mu_default
-        curves_doc = _require(doc, "gain_curves", where)
-        gain_curves = tuple(
-            gain_curve_from_dict(c, f"{where}: gain_curves[{j}]")
-            for j, c in enumerate(curves_doc)
-        )
+        gain_curves = _gain_curves(doc, mean.m, where)
         money = money_curve_from_dict(_require(doc, "money_curve", where), f"{where}: money_curve")
         convention = doc.get("mrs_convention", "n_free")
         try:
@@ -393,10 +401,9 @@ def parse_sigma(doc: dict, mu_default: float = 2.0, where: str = "sigma") -> tup
     from .model import mean_type as _mean
 
     mean = _mean(instance.types)
-    mu = doc.get("mu", mu_default)
     try:
         sigma = CharacteristicTriplet(
-            b0=instance.external_budget / instance.n, mu=float(mu), mean_type=mean
+            b0=instance.external_budget / instance.n, mu=mu, mean_type=mean
         )
     except UsvcgError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
@@ -450,8 +457,8 @@ def parse_answers(doc: dict, where: str = "answers") -> dict[tuple[int, int], fl
         raise SchemaError(f"{where}: answers must be a list")
     out: dict[tuple[int, int], float] = {}
     for i, row in enumerate(rows):
-        agent = int(_number(row, "agent", f"{where}: answers[{i}]"))
-        good = int(_number(row, "good", f"{where}: answers[{i}]"))
+        agent = _count(row, "agent", f"{where}: answers[{i}]")
+        good = _count(row, "good", f"{where}: answers[{i}]")
         out[(agent, good)] = _number(row, "tau", f"{where}: answers[{i}]")
     return out
 

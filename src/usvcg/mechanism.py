@@ -5,22 +5,34 @@ mean-dependency, is the optimum of the mean type -- and charges each agent
 a pivot payment pushed through the money curve so that the quasi-linear
 accounting identity survives non-quasi-linear utilities:
 
-    p_i = (n-1) * (v_excl(best_excl) - v_excl(best_all))     (pivot)
+    p_i = W_i(best_i) - W_i(best_all)                        (pivot)
     P_i = -t_i + f^{-1}( f(t_i) + p_i / w_money_i )          (t_i: own tax)
 
-Here v_excl is the valuation of the mean of the other n-1 agents and
-best_excl its optimum.  With that P_i the realised utility of agent i equals
-the total welfare at the chosen decision minus the others' welfare in their
-absence, which is what makes truthful reporting dominant.  The pivot is >= 0
-in exact arithmetic, since best_excl maximises v_excl.  Computed, it is the
-difference of two O(1) valuations that differ by O(1/n^2), so its relative
-error grows about as n^2 and a pivot near 0 can come out slightly negative:
-on ``bench/workloads.py``'s per-capita all-log population at n = 100,000
-no raw pivot is <= 0 (the lowest is 1.4e-9, the median 1.5e-5), but moving
-the excluded optima within the slope's rounding bound changes 19 % of the
-pivots, some by half their value, and another such population had 3 of
-100,000 raw pivots <= 0, the lowest -7.1e-10.  A cancellation-free form of
-the difference is open work (ROADMAP.md, items 2-3).
+Here W_i is the welfare of the others without agent i and best_i its
+optimum.  With that P_i the realised utility of agent i equals the total
+welfare at the chosen decision minus the others' welfare in their absence,
+which is what makes truthful reporting dominant.  The pivot is >= 0 in
+exact arithmetic, since best_i maximises W_i.
+
+One step computes every pivot (``_Plain.pivot_at``), good by good, from the
+others' allocation weights w_j, their money coefficient c on each side of
+zero and how many agents they stand for, k (a variant's ``weights``):
+
+    p_i = k * fsum( w_j (theta_j(best_i) - theta_j(best_all)),
+                    -c (f(t_best_i) - f(t_best_all)) )
+
+the change of f from ``MoneyCurve.difference``, so products and sum round at
+the size of the changes, not of the welfare.  The same weights give the
+others' welfare at their optimum, which the audit reads, and the total
+welfare (``_Plain.welfare``).  The levels theta_j carry one rounding each,
+which the difference does not cancel, so the pivot's relative error still
+grows about as n^2.  On ``bench/workloads.py``'s per-capita all-log population at
+n = 100,000 (generator seeds 1-4, 300 sampled agents each), the median
+relative error of the raw pivots against their 50-digit value is 1.1e-5 to
+1.3e-5 (2.8e-5 to 3.6e-5 as the difference of two valuations), the worst
+1.6e-3 to 2.3e-2, and no raw pivot is <= 0, the lowest 9.0e-11 (the
+valuation difference gave 4 of the 400,000 at 0).  A form free of the
+levels' rounding is open work (ROADMAP.md, items 2-3).
 
 One engine runs every variant and payment rule (``_run``, the only loop
 over the agents), and one step (``_residuals``) audits a run from the
@@ -29,11 +41,12 @@ pivot solves (``_keeping_optima``), and ``identity_residuals`` takes them
 from a fresh run, an audit independent of the one it checks.  In one
 process both give the same bits.  A variant names only its decision oracle
 (``decide``), its others' optimum oracle (``others_optimum``), both given
-the run or none, its welfare terms (``welfare`` for the outcome,
-``pivot_at`` for the payments and the others' welfare at their optimum,
-``total`` for the audit) and its payment (``payment``): ``_Plain`` is
-US-VCG, ``_NonPositive`` rebates its payments, ``_Biased`` steers toward
-phantom targets, ``_Hetero`` has designer-assigned tax weights (the others
+the run or none, the others' weights (``weights``) and its payment
+(``payment``): ``_Plain`` is US-VCG, the others an excluded mean n-1
+strong; ``_NonPositive`` rebates its payments; ``_Biased`` steers toward
+phantom targets and adds its bias terms to the payment argument and the
+audit's welfare; ``_Hetero`` has designer-assigned tax weights, the others
+the profile's totals without agent i, standing for 1 (the other variants
 refuse an instance that carries them).  The oracles are module globals
 read at call time, so rebinding one reaches every solve.  Non-positive
 payments take a Jacobian-bound rebate off each raw pivot; the Jacobian's
@@ -41,11 +54,12 @@ perturbed solves are certified against the run's decision as its pivot
 solves are, with the same bits.
 
 A pass evaluates the decision's levels theta_j(x_j * pool) and f(t) once
-(``model._levels``): the welfare, every agent's others' valuation at the
-decision in its pivot, the realised utilities (``_realized``) and the
-audit's total read them, and the audit takes the others' welfare at their
-optimum from the pivot step that computed it.  Each sum keeps the order
-``valuation`` sums in, so the bits are those of valuing afresh.
+(``model._levels``): the welfare, the pivots, the realised utilities
+(``_realized``) and the audit's total read them, and each pivot evaluates
+its others' optimum's levels once, for its terms and for the others'
+welfare there, which the audit reads.  Each sum keeps the order
+``model.valuation`` sums in, so every welfare has the bits of valuing
+afresh.
 
 Every variant prices all agents' removals from the profile's totals in one
 O(n*m) pass.  Welfare depends on a profile only through its mean, so
@@ -102,12 +116,9 @@ from .model import (
     BudgetInstance,
     _gains,
     _levels,
-    _utility_at,
     excluded_means,
     feature_vector,
     mean_type,
-    social_welfare,
-    valuation,
 )
 from .solver import (
     BiasSpec,
@@ -197,7 +208,7 @@ class _Plain:
         self.n, self.table = len(self.profile), None  # no table for a run's solves to share
 
     def decide(self, run=None) -> BudgetDecision:
-        self.mean = mean_type(self.profile)  # the decision's type, which ``welfare`` reads
+        self.mean = mean_type(self.profile)  # the decision's type, which ``weights`` reads
         return optimize(self.mean, self.instance, run=run)
 
     def others(self):
@@ -209,18 +220,44 @@ class _Plain:
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return decision.tax
 
+    def weights(self, others):
+        """The others' allocation weights, their money coefficients (t <= 0,
+        t > 0) and how many agents they stand for: an excluded mean ``others``
+        n-1 strong, or for None the whole profile's mean (``decide`` sets
+        it), n strong."""
+        mean, count = (self.mean, self.n) if others is None else (others, self.n - 1)
+        return mean.alloc_weights, (mean.money_weight, mean.money_weight), count
+
     def pivot_at(self, decision: BudgetDecision, levels):
         """(others, their optimum) -> (raw pivot, payment argument, the
-        others' welfare at their optimum, which the audit reads).  The
-        others' valuation at ``decision`` is read from its ``levels``
+        others' welfare at their optimum, which the audit reads).  The pivot
+        is the others' (``weights``) welfare change from the decision to
+        their optimum, taken good by good (module docstring); on one side of
+        zero the change of f is ``MoneyCurve.difference``, accurate to a few
+        ulps of itself.  The decision's theta_j and f(t) are its ``levels``
         (``model._levels``)."""
-        inst, n = self.instance, self.n
-        gains, f_t = levels
+        instance, (gains_d, f_d), td = self.instance, levels, decision.tax
+        money = instance.money_curve
+        _gains(self.weights(None)[0], gains_d)  # raises where a weighted good has no level
 
-        def pivot(excl, best):
-            v_best = valuation(excl, best, inst)
-            p = (n - 1) * (v_best - (_gains(excl.alloc_weights, gains) - excl.money_weight * f_t))
-            return p, p, (n - 1) * v_best
+        def pivot(others, best):
+            weights, (below, above), count = self.weights(others)
+            instance.check_decision(best)
+            pool_b, tb = instance.pool(best.tax), best.tax
+            gains_b, terms = 0.0, []  # gains_b sums as ``_gains`` does
+            for w, xb, level_d, curve in zip(weights, best.allocation, gains_d, instance.gain_curves):
+                if w > 0.0:
+                    level_b = curve.value(xb * pool_b)
+                    terms.append(w * (level_b - level_d))
+                    gains_b += w * level_b
+            cb, cd = (above if tb > 0.0 else below), (above if td > 0.0 else below)
+            f_b = money.value(tb)
+            if cb == cd:
+                terms.append(-cb * money.difference(tb, td))
+            else:
+                terms += [-cb * f_b, cd * f_d]
+            p = count * math.fsum(terms)
+            return p, p, count * (gains_b - cb * f_b)
 
         return pivot
 
@@ -230,12 +267,14 @@ class _Plain:
         money_weight = self.profile[i].money_weight
         return sensitive_payment(argument, own_tax, money_weight, self.instance.money_curve)
 
-    def welfare(self, decision: BudgetDecision, levels) -> float:
-        """``social_welfare`` at ``decision`` from its ``levels``: n times
-        the mean type's valuation, as under the homogeneous taxes this
-        variant runs."""
+    def welfare(self, decision: BudgetDecision, levels, others=None) -> float:
+        """The welfare of ``others`` (``weights``; None: the whole profile)
+        at ``decision`` from its ``levels`` (``model._levels``): their
+        weights against theta_j, less their money coefficient on t's side
+        of zero times f(t), times how many they stand for."""
+        weights, (below, above), count = self.weights(others)
         gains, f_t = levels
-        return self.n * (_gains(self.mean.alloc_weights, gains) - self.mean.money_weight * f_t)
+        return count * (_gains(weights, gains) - (above if decision.tax > 0.0 else below) * f_t)
 
     total = welfare  # the total welfare the audit takes the others' welfare from
 
@@ -308,7 +347,7 @@ def _one_agent(profile, i: int, instance: BudgetInstance, what: str):
 def clarke_pivot(profile, i: int, instance: BudgetInstance) -> float:
     """Welfare the others would reach at their own optimum without agent i."""
     variant, excl, best = _one_agent(profile, i, instance, "the pivot term")
-    return (variant.n - 1) * valuation(excl, best, instance)
+    return variant.welfare(best, _levels(best, instance), excl)
 
 
 def raw_vcg_payment(profile, i: int, instance: BudgetInstance) -> float:
@@ -335,7 +374,8 @@ def realized_utility(profile, i: int, outcome: Outcome, instance: BudgetInstance
         raise DomainError(f"agent index {i} out of range for n={len(profile)}")
     agent, decision = profile[i], outcome.decision
     transfer = instance.tax_weights[i] * decision.tax + outcome.payments[i]
-    return _utility_at(agent.alloc_weights, agent.money_weight, decision, transfer, instance)
+    gains, money = _levels(decision, instance)[0], instance.money_curve
+    return _gains(agent.alloc_weights, gains) - agent.money_weight * money.value(transfer)
 
 
 def identity_residuals(
@@ -620,55 +660,10 @@ class _Hetero(_Plain):
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return self.instance.tax_weights[i] * decision.tax
 
-    def pivot_at(self, decision: BudgetDecision, levels):
-        """welfare(best) - welfare(decision) of the others without i, taken
-        good by good: each funded good's weight total times the change of
-        theta_j, and the money coefficient times the change of f, so
-        products and sum round at the size of those changes, not of the
-        welfare.  On one side of zero the change of f is
-        ``MoneyCurve.difference``, accurate to a few ulps of itself; the
-        rounding of theta_j at each decision is left, n-fold through the
-        totals.  The decision's theta_j and f(t) are its ``levels``
-        (``model._levels``); the others' welfare at best, for the audit, is
-        their weight totals against best's theta_j less their money
-        coefficient times f(t_best)."""
-        instance, money = self.instance, self.instance.money_curve
-        gains_d, f_d = levels
-        _gains(self.totals.without(None)[0], gains_d)  # raises where a weighted good has no level
-        td = decision.tax
-
-        def pivot(i, best):
-            weights, (below, above) = self.totals.without(i)
-            instance.check_decision(best)
-            pool_b, tb = instance.pool(best.tax), best.tax
-            gains_b, terms = 0.0, []
-            for w, xb, level_d, curve in zip(weights, best.allocation, gains_d, instance.gain_curves):
-                if w > 0.0:
-                    level_b = curve.value(xb * pool_b)
-                    terms.append(w * (level_b - level_d))
-                    gains_b += w * level_b
-            cb, cd = (above if tb > 0.0 else below), (above if td > 0.0 else below)
-            f_b = money.value(tb)
-            if cb == cd:
-                terms.append(-cb * money.difference(tb, td))
-            else:
-                terms += [-cb * f_b, cd * f_d]
-            p = math.fsum(terms)
-            return p, p, gains_b - cb * f_b
-
-        return pivot
-
-    def welfare(self, decision: BudgetDecision, levels) -> float:
-        return social_welfare(self.profile, decision, self.instance)
-
-    def total(self, decision: BudgetDecision, levels) -> float:
-        """sum_k v_k(decision), each agent under her own tax weight: the
-        weight totals against the decision's ``levels`` (goods weighted at
-        exactly 0 skipped, as ``valuation`` does) minus the money
-        coefficient times f(t)."""
-        weights, (below, above) = self.totals.without(None)
-        gains, f_t = levels
-        return _gains(weights, gains) - (above if decision.tax > 0.0 else below) * f_t
+    def weights(self, others: int | None):
+        """The profile's exact totals without agent ``others`` (None: the
+        whole profile), standing for 1: they are sums, not a mean."""
+        return (*self.totals.without(others), 1)
 
 
 def run_us_vcg_hetero(profile, instance: BudgetInstance) -> Outcome:

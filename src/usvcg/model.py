@@ -301,23 +301,10 @@ def valuation(
     Goods with a zero weight contribute exactly 0 even where the curve
     itself is undefined at zero spend.
     """
-    instance.check_decision(decision)
-    transfer = tax_weight * decision.tax
-    return _utility_at(agent.alloc_weights, agent.money_weight, decision, transfer, instance)
-
-
-def _utility_at(
-    weights, money_weight: float, decision: BudgetDecision, transfer: float, instance
-) -> float:
-    """Gains under allocation weights at the decision's spends minus the
-    money weight times the disutility of a transfer (``valuation`` when the
-    weights are a type's and the transfer its weighted tax)."""
-    pool = instance.pool(decision.tax)
-    gains = 0.0
-    for w, x, curve in zip(weights, decision.allocation, instance.gain_curves):
-        if w > 0.0:
-            gains += w * curve.value(x * pool)
-    return gains - money_weight * instance.money_curve.value(transfer)
+    gains, f_t = _levels(decision, instance)
+    if tax_weight != 1.0:
+        f_t = instance.money_curve.value(tax_weight * decision.tax)
+    return _gains(agent.alloc_weights, gains) - agent.money_weight * f_t
 
 
 def _levels(decision: BudgetDecision, instance) -> tuple[list, float]:
@@ -336,8 +323,8 @@ def _levels(decision: BudgetDecision, instance) -> tuple[list, float]:
 
 def _gains(weights, levels) -> float:
     """The weighted gains of ``_levels``' first part, summed in good order
-    over the positive weights as ``_utility_at`` sums them, so
-    ``_gains(w, levels) - w_money * f`` has ``_utility_at``'s bits."""
+    over the positive weights: ``_gains(w, levels) - w_money * f`` is the
+    valuation of a type (w, w_money)."""
     gains = 0.0
     for w, level in zip(weights, levels):
         if w > 0.0:
@@ -350,13 +337,10 @@ def _gains(weights, levels) -> float:
 def feature_vector(decision: BudgetDecision, instance: BudgetInstance) -> np.ndarray:
     """(theta_1(spend_1), .., theta_m(spend_m), -f(t)); any type's valuation
     is its dot product with this vector."""
-    instance.check_decision(decision)
-    pool = instance.pool(decision.tax)
-    out = np.empty(instance.m + 1)
-    for j, (x, curve) in enumerate(zip(decision.allocation, instance.gain_curves)):
-        out[j] = curve.value(x * pool)
-    out[instance.m] = -instance.money_curve.value(decision.tax)
-    return out
+    gains, f_t = _levels(decision, instance)
+    if None in gains:
+        raise DomainError(f"good {gains.index(None)} has no spend, where its curve is undefined")
+    return np.array([*gains, -f_t])
 
 
 def mean_type(types) -> AgentType:

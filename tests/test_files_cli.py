@@ -370,6 +370,28 @@ def _set_type_weights(value):
     return lambda doc: doc["types"][1].update(alloc_weights=value)
 
 
+def _answers(tmp_path, row: dict) -> list[str]:
+    """``mechanism`` argv for the ballots fixture with one follow-up answer."""
+    path = tmp_path / "answers.json"
+    path.write_text(json.dumps({"answers": [{"agent": 1, "good": 0, "tau": 5.0, **row}]}))
+    return ["mechanism", BALLOTS, "--answers", str(path)]
+
+
+def _converge(tmp_path, doc: dict) -> list[str]:
+    """``converge`` argv for the triplet or instance document ``doc``."""
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(doc))
+    return ["converge", str(path), "--n-list", "10"]
+
+
+_TRIPLET = {
+    "b0": 0.0,
+    "mean_type": {"alloc_weights": [0.4, 0.6], "money_weight": 1.0},
+    "gain_curves": [{"kind": "log", "scale": 10.0}, {"kind": "log", "scale": 10.0}],
+    "money_curve": {"kind": "power", "q": 0.5},
+}
+
+
 _MALFORMED = {
     "ballot_entry_string": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation(["x", 1.0])),
     "ballot_entry_null": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation([None, 1.0])),
@@ -404,6 +426,20 @@ _MALFORMED = {
     "type_not_numbers": lambda tmp: ["solve", RUNNING, "--type", "a,b,c"],
     "n_list_not_integers": lambda tmp: ["converge", RUNNING, "--n-list", "10,x"],
     "negative_trials": lambda tmp: ["fuzz", RUNNING, "--trials", "-5"],
+    # counts must be integral, not truncated
+    "m_fraction": lambda tmp: _tampered_instance(tmp, RUNNING, lambda doc: doc.update(m=2.5)),
+    "n_fraction": lambda tmp: _tampered_instance(tmp, RUNNING, lambda doc: doc.update(n=3.9)),
+    "answer_agent_fraction": lambda tmp: _answers(tmp, {"agent": 1.5}),
+    "answer_good_fraction": lambda tmp: _answers(tmp, {"good": 0.5}),
+    "triplet_gain_curves_number": lambda tmp: _converge(tmp, {**_TRIPLET, "gain_curves": 5}),
+    "instance_mu_string": lambda tmp: _converge(
+        tmp, {**json.loads(Path(RUNNING).read_text()), "mu": "abc"}
+    ),
+    # the money-weight band [1/mu, mu] needs 1 <= mu < inf
+    **{
+        f"fuzz_mu_{name}": lambda tmp, mu=mu: ["fuzz", RUNNING, "--trials", "1", "--mu", mu]
+        for name, mu in (("zero", "0"), ("negative", "-1"), ("nan", "nan"), ("inf", "inf"), ("below_one", "0.5"))
+    },
 }
 
 

@@ -266,10 +266,19 @@ def _hetero_reference(profile, inst):
 # 1.7e-11 in payments).
 _HETERO_RTOL = 1e-9
 
+# The run takes a US-VCG or biased raw pivot good by good, a reference as
+# the difference of two valuations of the excluded mean, which cancels: it
+# rounds at about (n-1) eps |v|, up to 1.3e-8 relative on the smallest pivot
+# of the n = 300 profile below (2.0e-4; the median is 6.4e-11), so 1e-7
+# leaves 8x to spare.  A payment carries its pivot's relative error.
+_VALUATION_DIFFERENCE_RTOL = 1e-7
+
 
 def _assert_matches_hetero_reference(out, profile, inst):
     decision, raw, payments = _hetero_reference(profile, inst)
     assert out.decision == decision
+    # the welfare from the profile's totals, the reference summed per agent
+    assert out.welfare == pytest.approx(social_welfare(profile, decision, inst), rel=1e-12)
     np.testing.assert_allclose(out.raw_vcg, raw, rtol=_HETERO_RTOL, atol=0.0)
     np.testing.assert_allclose(out.payments, payments, rtol=_HETERO_RTOL, atol=0.0)
 
@@ -278,7 +287,10 @@ def test_pivot_loop_matches_slice_mean_reference():
     # reference: the O(n^2) loop that re-averaged the other n-1 types afresh
     # for every agent, written out inline with a fresh valuation per term;
     # the run reads the decision's levels once, summed in the same order,
-    # so every raw pivot, payment and residual has the reference's bits
+    # so the decision, the welfare and every residual have the reference's
+    # bits.  The run takes each raw pivot good by good and the reference as
+    # a difference of two valuations, so those agree within
+    # _VALUATION_DIFFERENCE_RTOL, and so do the payments
     n = 300
     profile = random_profile(np.random.default_rng(300), n, 2)
     inst = _per_capita_log_instance(n, profile)
@@ -294,18 +306,22 @@ def test_pivot_loop_matches_slice_mean_reference():
         payments.append(sensitive_payment(p, decision.tax, agent.money_weight, inst.money_curve))
         residuals.append(realized_utility(profile, i, out, inst) - (total - (n - 1) * v_own))
     assert out.decision == decision
-    assert out.raw_vcg == tuple(raw)
-    assert out.payments == tuple(payments)
+    np.testing.assert_allclose(out.raw_vcg, raw, rtol=_VALUATION_DIFFERENCE_RTOL, atol=0.0)
+    np.testing.assert_allclose(out.payments, payments, rtol=_VALUATION_DIFFERENCE_RTOL, atol=0.0)
     assert out.welfare == total
     assert identity_residuals(profile, out, inst) == residuals
 
-    # the variants, bit for bit, on a water-filling log/power/log1p catalog
+    # the variants on a water-filling log/power/log1p catalog: the decision
+    # bit for bit, the pivots and payments as above
     mixed = random_profile(np.random.default_rng(301), 6, 3)
     inst = _mixed_instance(mixed, MoneyCurve.power(0.5))
     for target in (ConstantTarget((0.3, 0.3, 0.4)), EquitableTarget()):
         bias = BiasSpec(lam=0.5, target=target)
         out = run_bus_vcg(mixed, bias, inst)
-        assert (out.decision, out.raw_vcg, out.payments) == _bus_reference(mixed, bias, inst)
+        decision, raw, payments = _bus_reference(mixed, bias, inst)
+        assert out.decision == decision
+        np.testing.assert_allclose(out.raw_vcg, raw, rtol=_VALUATION_DIFFERENCE_RTOL, atol=0.0)
+        np.testing.assert_allclose(out.payments, payments, rtol=_VALUATION_DIFFERENCE_RTOL, atol=0.0)
     kt = MoneyCurve.kahneman_tversky(0.6, 0.7, 1.5)
     inst = _mixed_instance(mixed, kt, tax_weights=(1.6, 0.6, 1.2, 0.9, 0.7, 1.0))
     out = run_us_vcg_hetero(mixed, inst)
@@ -796,10 +812,11 @@ def test_hetero_pivots_match_reference_at_larger_n():
     _assert_matches_hetero_reference(out, profile, inst)
 
 
-def _exact_hetero_pivots(profile, inst, decision, bests, mpmath):
-    # sum_{k != i} v_k(best_i) - v_k(decision) at 50 digits, at the engine's
-    # own decisions, from exact weight totals and the power money curve's
-    # exact coefficient sum_k w_k omega_k^q
+def _exact_pivots(inst, decision, bests, others, mpmath):
+    # count * (welfare(best_i) - welfare(decision)) of each agent's others at
+    # 50 digits, at the engine's own decisions; ``others(mpf)`` gives, per
+    # agent, its others' exact weights, their power money curve's
+    # coefficient and how many agents they stand for
     mp = mpmath.mpf
     curves, q = inst.gain_curves, mp(inst.money_curve.q)
     assert inst.money_curve.kind == "power" and inst.semantics == "per_capita"
@@ -817,41 +834,77 @@ def _exact_hetero_pivots(profile, inst, decision, bests, mpmath):
         return mpmath.fsum(gains) - coefficient * mp(d.tax) ** q
 
     with mpmath.workdps(50):
-        totals = [mpmath.fsum(mp(a.alloc_weights[j]) for a in profile) for j in range(inst.m)]
-        terms = [mp(a.money_weight) * mp(w) ** q for a, w in zip(profile, inst.tax_weights)]
-        total_money = mpmath.fsum(terms)
-        exact = []
-        for i, (agent, best) in enumerate(zip(profile, bests)):
-            weights = [t - mp(w) for t, w in zip(totals, agent.alloc_weights)]
-            coefficient = total_money - terms[i]
-            rise = welfare(weights, coefficient, best) - welfare(weights, coefficient, decision)
-            exact.append(rise)
-        return [float(p) for p in exact]
+        return [
+            float(count * (welfare(weights, c, best) - welfare(weights, c, decision)))
+            for (weights, c, count), best in zip(others(mp), bests)
+        ]
+
+
+def _assert_as_accurate(pivots, reference, exact):
+    # the engine's raw pivots are about as accurate as ``reference`` against
+    # the 50-digit values, none falls to 0 or below
+    def errors(values):
+        return [abs(p - e) / e for p, e in zip(values, exact)]
+
+    engine, reference = errors(pivots), errors(reference)
+    assert statistics.median(engine) <= 4.0 * statistics.median(reference)
+    assert max(engine) <= 4.0 * max(reference)
+    assert min(pivots) > 0.0
 
 
 @pytest.mark.parametrize("n", [40, 150])
 def test_hetero_pivots_against_a_50_digit_reference(n):
     # the pivots from the profile's totals are about as accurate as the
     # per-agent sums (both lose about n^2 eps through the shared rounding of
-    # theta_j and f), none falls to 0 or below, and the audit closes
+    # theta_j and f), and the audit closes
     mpmath = pytest.importorskip("mpmath")
     profile, _, inst = variants_catalog(n)
     out = run_us_vcg_hetero(profile, inst)
     bests = [optimize_hetero(profile, inst, exclude=i) for i in range(n)]
-    exact = _exact_hetero_pivots(profile, inst, out.decision, bests, mpmath)
+
+    def others(mp):
+        # exact weight totals and the exact coefficient sum_k w_k omega_k^q
+        totals = [mpmath.fsum(mp(a.alloc_weights[j]) for a in profile) for j in range(inst.m)]
+        q = mp(inst.money_curve.q)
+        terms = [mp(a.money_weight) * mp(w) ** q for a, w in zip(profile, inst.tax_weights)]
+        money = mpmath.fsum(terms)
+        return [
+            ([t - mp(w) for t, w in zip(totals, a.alloc_weights)], money - term, 1)
+            for a, term in zip(profile, terms)
+        ]
+
+    exact = _exact_pivots(inst, out.decision, bests, others, mpmath)
     per_agent = [
         _hetero_others(profile, inst, i, best) - _hetero_others(profile, inst, i, out.decision)
         for i, best in enumerate(bests)
     ]
-
-    def errors(pivots):
-        return [abs(p - e) / e for p, e in zip(pivots, exact)]
-
-    engine, reference = errors(out.raw_vcg), errors(per_agent)
-    assert statistics.median(engine) <= 4.0 * statistics.median(reference)
-    assert max(engine) <= 4.0 * max(reference)
-    assert min(out.raw_vcg) > 0.0
+    _assert_as_accurate(out.raw_vcg, per_agent, exact)
     residuals = identity_residuals(profile, out, inst, hetero=True)
+    assert max(abs(r) for r in residuals) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_us_pivots_against_a_50_digit_reference(n):
+    # US-VCG's pivots, taken good by good, are about as accurate as the
+    # difference of two valuations of each excluded mean, written out here
+    # (its cancellation loses about n^2 eps), and the audit closes
+    mpmath = pytest.importorskip("mpmath")
+    profile, inst, _ = variants_catalog(n)
+    out = run_us_vcg(profile, inst)
+    excl = excluded_means(profile)
+    bests = [optimize(e, inst) for e in excl]
+
+    def others(mp):
+        # the engine's excluded means, n-1 strong
+        return [([mp(w) for w in e.alloc_weights], mp(e.money_weight), n - 1) for e in excl]
+
+    exact = _exact_pivots(inst, out.decision, bests, others, mpmath)
+    differences = [
+        (n - 1) * (valuation(e, best, inst) - valuation(e, out.decision, inst))
+        for e, best in zip(excl, bests)
+    ]
+    _assert_as_accurate(out.raw_vcg, differences, exact)
+    residuals = identity_residuals(profile, out, inst)
     assert max(abs(r) for r in residuals) <= 1e-8
 
 
