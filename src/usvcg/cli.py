@@ -232,8 +232,12 @@ def cmd_fuzz(args) -> int:
         raise SchemaError(f"--trials must be >= 0, got {args.trials}")
     if not 1.0 <= args.mu < math.inf:
         raise SchemaError(f"--mu must satisfy 1 <= mu < inf, got {args.mu}")
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be >= 0, got {args.seed}")
     instance, _ = files.load_instance(args.instance)
-    if args.coalition:
+    if args.coalition is not None:
+        if not 0 < args.coalition < instance.n:
+            raise SchemaError(f"--coalition must lie in 1..{instance.n - 1}, got {args.coalition}")
         report = experiments.coalition_probe(
             instance,
             args.coalition,
@@ -264,11 +268,16 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    sigma, template = files.load_sigma(args.sigma, mu_default=args.mu)
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be >= 0, got {args.seed}")
     try:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError as exc:
         raise SchemaError(f"--n-list: {exc}") from exc
+    low = 2 if args.non_positive else 1  # the non-positive scheme needs two agents
+    if not n_list or n_list[0] < low or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise SchemaError(f"--n-list needs strictly increasing sizes >= {low}, got {args.n_list!r}")
+    sigma, template = files.load_sigma(args.sigma, mu_default=args.mu)
     rule = "non_positive" if args.non_positive else "sensitive"
     table = experiments.convergence_study(
         sigma, template, n_list, args.seed, payment_rule=rule
@@ -354,6 +363,9 @@ def cmd_check(args) -> int:
         np_doc, hetero = variant.get("non_positive", False), variant.get("hetero", False)
         if not isinstance(np_doc, (bool, dict)) or not isinstance(hetero, bool):
             raise SchemaError("result variant: non_positive is a flag or object, hetero a flag")
+        bias_doc = variant.get("bias")
+        if sum(bool(x) for x in (bias_doc, np_doc, hetero)) > 1:
+            raise SchemaError("result variant names more than one of bias, non_positive and hetero")
         npc = None
         if np_doc:
             spec = np_doc if isinstance(np_doc, dict) else {}
@@ -362,7 +374,6 @@ def cmd_check(args) -> int:
                 gamma=files._number(spec, "gamma", where) if "gamma" in spec else default.gamma,
                 r=files._number(spec, "r", where) if "r" in spec else 0.0,
             )
-        bias_doc = variant.get("bias")
         bias = files.parse_bias(bias_doc, "result variant bias") if bias_doc else None
         stored = files.outcome_from_dict(result, "result")
         stored_utilities = files.number_list(result, "realized_utilities", "result", nullable=True)

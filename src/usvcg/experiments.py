@@ -343,8 +343,8 @@ def sdsic_fuzz(
         lie = _Plain(profile[:i] + (report,) + profile[i + 1 :], instance)
         (excl,) = excluded_means(profile, (i,))
         best_excl = truth.others_optimum(excl)
-        u_truth = _report_utility(truth, i, profile[i], truth.decide(), excl, best_excl)
-        u_lie = _report_utility(lie, i, profile[i], lie.decide(), excl, best_excl)
+        u_truth = _report_utility(truth, i, profile[i], truth.others_optimum(None), excl, best_excl)
+        u_lie = _report_utility(lie, i, profile[i], lie.others_optimum(None), excl, best_excl)
         gain = u_lie - u_truth
         gains.append(gain)
         if gain > max_gain:
@@ -390,7 +390,7 @@ def coalition_probe(
 
     def utilities(reported: tuple[AgentType, ...], members) -> dict[int, float]:
         variant = _Plain(reported, instance)
-        decision = variant.decide()
+        decision = variant.others_optimum(None)
         out = {}
         for i, excl in zip(members, excluded_means(reported, members)):
             best_excl = variant.others_optimum(excl)

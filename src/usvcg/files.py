@@ -31,7 +31,7 @@ keeps its bits.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,7 @@ def load_json(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
@@ -107,7 +107,7 @@ def _require(doc: dict, key: str, where: str):
 
 def _number(doc: dict, key: str, where: str) -> float:
     v = _require(doc, key, where)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if not (_is_number(v) and abs(v) <= sys.float_info.max):  # not NaN, inf or too large
         raise SchemaError(f"{where}: field {key!r} must be a finite number, got {v!r}")
     return float(v)
 
@@ -151,7 +151,11 @@ def number_list(doc: dict, key: str, where: str, nullable: bool = False) -> tupl
     if not _numbers(values):
         kind = "a list of numbers or null" if nullable else "a list of numbers"
         raise SchemaError(f"{where}: field {key!r} must be {kind}, got {values!r}")
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # a JSON integer too large for a float
+        too_large = f"{where}: field {key!r} holds an integer too large for a float"
+        raise SchemaError(too_large) from None
 
 
 # =============================================================================
@@ -227,7 +231,7 @@ def decision_from_dict(doc: dict, where: str = "decision") -> BudgetDecision:
         raise SchemaError(f"{where}: allocation must be a list")
     try:
         return BudgetDecision(tuple(float(x) for x in alloc), _number(doc, "tax", where))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -447,6 +451,9 @@ def parse_ballots(doc: dict, m: int, where: str = "ballots") -> Ballots:
                 raise malformed(i, allocation)
     try:
         return Ballots.from_raw(np.array(allocations, dtype=float).reshape(len(rows), m), taxes)
+    except OverflowError:  # a JSON integer too large for a float
+        too_large = f"{where}: field 'allocation' holds an integer too large for a float"
+        raise SchemaError(too_large) from None
     except UsvcgError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -39,19 +39,19 @@ over the agents), and one step (``_residuals``) audits a run from the
 others' optima: ``usvcg mechanism`` and ``usvcg check`` pass the run's own
 pivot solves (``_keeping_optima``), and ``identity_residuals`` takes them
 from a fresh run, an audit independent of the one it checks.  In one
-process both give the same bits.  A variant names only its decision oracle
-(``decide``), its others' optimum oracle (``others_optimum``), both given
-the run or none, the others' weights (``weights``) and its payment
-(``payment``): ``_Plain`` is US-VCG, the others an excluded mean n-1
-strong; ``_NonPositive`` rebates its payments; ``_Biased`` steers toward
-phantom targets and adds its bias terms to the payment argument and the
-audit's welfare; ``_Hetero`` has designer-assigned tax weights, the others
-the profile's totals without agent i, standing for 1 (the other variants
-refuse an instance that carries them).  The oracles are module globals
-read at call time, so rebinding one reaches every solve.  Non-positive
-payments take a Jacobian-bound rebate off each raw pivot; the Jacobian's
-perturbed solves are certified against the run's decision as its pivot
-solves are, with the same bits.
+process both give the same bits.  A variant, its inputs checked when it is
+built, owns its run's ``_Run`` and names only its others' optimum oracle
+(``others_optimum``; with nobody excluded, None, it decides), the others'
+weights (``weights``) and its payment (``payment``): ``_Plain`` is US-VCG,
+the others an excluded mean n-1 strong; ``_NonPositive`` rebates its
+payments; ``_Biased`` steers toward phantom targets and adds its bias
+terms to the payment argument and the audit's welfare; ``_Hetero`` has
+designer-assigned tax weights, the others the profile's totals without
+agent i, standing for 1 (the other variants refuse an instance that
+carries them).  The solvers are module globals read at call time, so
+rebinding one reaches every solve.  Non-positive payments take a
+Jacobian-bound rebate off each raw pivot; the Jacobian's perturbed solves
+take the run and are certified as its pivot solves are.
 
 A pass evaluates the decision's levels theta_j(x_j * pool) and f(t) once
 (``model._levels``): the welfare, the pivots, the realised utilities
@@ -106,6 +106,7 @@ import contextvars
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -206,16 +207,28 @@ class _Plain:
     def __init__(self, profile, instance: BudgetInstance):
         self.profile, self.instance = tuple(profile), instance
         self.n, self.table = len(self.profile), None  # no table for a run's solves to share
+        self._mean = None
+        if not (instance.homogeneous_tax or isinstance(self, _Hetero)):
+            raise DomainError(  # its payments would ignore what realized_utility charges
+                "the instance carries designer tax weights; run it with run_us_vcg_hetero "
+                "(CLI: --hetero)"
+            )
 
-    def decide(self, run=None) -> BudgetDecision:
-        self.mean = mean_type(self.profile)  # the decision's type, which ``weights`` reads
-        return optimize(self.mean, self.instance, run=run)
+    @property
+    def mean(self) -> AgentType:  # the profile's, which decides; lazy, with no lock
+        if self._mean is None:
+            self._mean = mean_type(self.profile)
+        return self._mean
+
+    @cached_property
+    def run(self) -> _Run:  # the one every solve of ``_run`` takes
+        return _Run(self.instance, self.table)
 
     def others(self):
         return excluded_means(self.profile)
 
     def others_optimum(self, excl, run=None) -> BudgetDecision:
-        return optimize(excl, self.instance, run=run)
+        return optimize(self.mean if excl is None else excl, self.instance, run=run)
 
     def own_tax(self, i: int, decision: BudgetDecision) -> float:
         return decision.tax
@@ -223,8 +236,7 @@ class _Plain:
     def weights(self, others):
         """The others' allocation weights, their money coefficients (t <= 0,
         t > 0) and how many agents they stand for: an excluded mean ``others``
-        n-1 strong, or for None the whole profile's mean (``decide`` sets
-        it), n strong."""
+        n-1 strong, or for None the whole profile's mean, n strong."""
         mean, count = (self.mean, self.n) if others is None else (others, self.n - 1)
         return mean.alloc_weights, (mean.money_weight, mean.money_weight), count
 
@@ -279,17 +291,6 @@ class _Plain:
     total = welfare  # the total welfare the audit takes the others' welfare from
 
 
-def _check_tax_weights(variant) -> None:
-    """Refuse designer tax weights in a variant that charges every agent t:
-    its decision and payments would ignore them, while ``realized_utility``
-    charges agent i tax_weights[i] * t."""
-    if not (isinstance(variant, _Hetero) or variant.instance.homogeneous_tax):
-        raise DomainError(
-            "the instance carries designer tax weights; run it with run_us_vcg_hetero "
-            "(CLI: --hetero)"
-        )
-
-
 _KEPT: contextvars.ContextVar[list | None] = contextvars.ContextVar("kept_optima", default=None)
 
 
@@ -307,17 +308,17 @@ def _keeping_optima():
 
 
 def _run(variant) -> Outcome:
-    """The variant's decision and its levels (``model._levels``), then for
-    every agent one solve of the others' optimum, certified against the
-    decision's (one ``_Run``), its pivot and its payment.  It leaves
+    """The variant's decision (its others' optimum, nobody excluded) and its
+    levels (``model._levels``), then for every agent one solve of the
+    others' optimum, certified against the decision's (one ``_Run``), its
+    pivot and its payment.  It leaves
     (variant, the (others, their optimum, their welfare there) triples, the
     outcome, the levels) for a caller inside ``_keeping_optima``."""
     profile, instance = variant.profile, variant.instance
     if len(profile) != instance.n:
         raise DomainError(f"profile has {len(profile)} agents, instance has {instance.n}")
-    _check_tax_weights(variant)
-    optima, raw, payments, run = [], [], [], _Run(instance, variant.table)
-    decision = variant.decide(run)
+    optima, raw, payments, run = [], [], [], variant.run
+    decision = variant.others_optimum(None, run)
     levels = _levels(decision, instance)
     welfare = variant.welfare(decision, levels)
     if len(profile) > 1:
@@ -337,7 +338,6 @@ def _run(variant) -> Outcome:
 def _one_agent(profile, i: int, instance: BudgetInstance, what: str):
     """US-VCG's (variant, others, their optimum) for agent i alone."""
     variant = _Plain(profile, instance)
-    _check_tax_weights(variant)
     if variant.n < 2:
         raise PivotUndefined(f"{what} needs at least two agents")
     (excl,) = excluded_means(variant.profile, (i,))
@@ -356,7 +356,7 @@ def raw_vcg_payment(profile, i: int, instance: BudgetInstance) -> float:
     the computed value can fall slightly below 0 at large n (see the module
     docstring)."""
     variant, excl, best = _one_agent(profile, i, instance, "the pivot payment")
-    decision = variant.decide()
+    decision = variant.others_optimum(None)
     return variant.pivot_at(decision, _levels(decision, instance))(excl, best)[0]
 
 
@@ -490,16 +490,33 @@ def _decision_map_jacobian(
 class _NonPositive(_Plain):
     """US-VCG with every payment rebated: agent i's raw pivot less a bound
     on any agent's pivot given the others' reports (``non_positive_payments``).
-    The Jacobian's perturbed solves are certified against the run's record,
-    as its pivot solves are."""
+    The Jacobian's perturbed solves take the run and are certified against
+    its record, as its pivot solves are.  Built, it checks the scheme's
+    inputs (``non_positive_payments``)."""
 
     def __init__(self, profile, instance: BudgetInstance, np_config: NonPositiveConfig):
+        profile = tuple(profile)
+        if instance.semantics != "per_capita":
+            raise DomainError("non-positive payments are defined for per-capita semantics")
+        if len(profile) != instance.n or len(profile) < 2:
+            raise DomainError("non-positive payments need the instance's full profile, n >= 2")
         super().__init__(profile, instance)
-        self.np_config, self.excl, self.run = np_config, excluded_means(self.profile), None
-
-    def decide(self, run=None) -> BudgetDecision:
-        self.run = run  # the run the Jacobian's solves take
-        return super().decide(run)
+        self.np_config, self.excl = np_config, excluded_means(profile)
+        for i, excl in enumerate(self.excl):
+            if 0.0 in excl.alloc_weights:
+                raise DomainError(
+                    f"agent {i}: every other agent weights good {excl.alloc_weights.index(0.0)} "
+                    "at 0, so the decision map has no two-sided difference at their mean"
+                )
+        for i, (agent, excl) in enumerate(zip(profile, self.excl)):
+            distance = math.dist(
+                (*agent.alloc_weights, agent.money_weight), (*excl.alloc_weights, excl.money_weight)
+            )
+            if distance > np_config.gamma:
+                raise DomainError(
+                    f"agent {i}: distance {distance:.6g} to the others' mean exceeds "
+                    f"gamma {np_config.gamma:.6g}, so the rebate does not bound its pivot"
+                )
 
     def others(self):
         return self.excl
@@ -557,29 +574,7 @@ def non_positive_payments(
     curve cannot carry (below what the one-sided power curve attains)
     raises RangeError naming the agent, the raw pivot and the rebate.
     """
-    profile = tuple(profile)
-    if instance.semantics != "per_capita":
-        raise DomainError("non-positive payments are defined for per-capita semantics")
-    if len(profile) != instance.n or len(profile) < 2:
-        raise DomainError("non-positive payments need the instance's full profile, n >= 2")
-    variant = _NonPositive(profile, instance, np_config)
-    _check_tax_weights(variant)
-    for i, excl in enumerate(variant.excl):
-        if 0.0 in excl.alloc_weights:
-            raise DomainError(
-                f"agent {i}: every other agent weights good {excl.alloc_weights.index(0.0)} "
-                "at 0, so the decision map has no two-sided difference at their mean"
-            )
-    for i, (agent, excl) in enumerate(zip(profile, variant.excl)):
-        distance = math.dist(
-            (*agent.alloc_weights, agent.money_weight), (*excl.alloc_weights, excl.money_weight)
-        )
-        if distance > np_config.gamma:
-            raise DomainError(
-                f"agent {i}: distance {distance:.6g} to the others' mean exceeds "
-                f"gamma {np_config.gamma:.6g}, so the rebate does not bound its pivot"
-            )
-    return _run(variant).payments
+    return _run(_NonPositive(profile, instance, np_config)).payments
 
 
 # =============================================================================
@@ -594,31 +589,24 @@ class _Biased(_Plain):
     def __init__(self, profile, instance: BudgetInstance, bias: BiasSpec):
         super().__init__(profile, instance)
         self.bias = bias
-        self.sides = _TargetSides(bias, instance)
-        self.table = None if bias.is_null else self.sides  # a null bias solves the plain kind
-
-    def _c(self, decision: BudgetDecision) -> float:
-        return self.sides.bias_value(decision)
-
-    def decide(self, run=None) -> BudgetDecision:
-        self.mean = mean_type(self.profile)
-        return optimize_biased(self.mean, self.bias, self.instance, run=run)
+        self.table = self.sides = _TargetSides(bias, instance)
 
     def others_optimum(self, excl, run=None) -> BudgetDecision:
-        return optimize_biased(excl, self.bias, self.instance, run=run)
+        agent = self.mean if excl is None else excl
+        return optimize_biased(agent, self.bias, self.instance, run=run)
 
     def pivot_at(self, decision: BudgetDecision, levels):
-        plain, c_at_decision = super().pivot_at(decision, levels), self._c(decision)
+        plain, c_at_decision = super().pivot_at(decision, levels), self.sides.bias_value(decision)
 
         def pivot(excl, best):
             p, _, others_welfare = plain(excl, best)
-            c_best = self._c(best)
+            c_best = self.sides.bias_value(best)
             return p, p + self.n * (c_best - c_at_decision), others_welfare + self.n * c_best
 
         return pivot
 
     def total(self, decision: BudgetDecision, levels) -> float:
-        return self.welfare(decision, levels) + self.n * self._c(decision)
+        return self.welfare(decision, levels) + self.n * self.sides.bias_value(decision)
 
 
 def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
@@ -626,8 +614,8 @@ def run_bus_vcg(profile, bias: BiasSpec, instance: BudgetInstance) -> Outcome:
     valuation-plus-bias of the mean, and the bias differences enter the
     payment inversion alongside the pivot term.  A target whose length is
     not the instance's raises DomainError, a null bias's too.  A null bias
-    gives ``run_us_vcg``'s outcome: its solves are the plain kind's and its
-    bias terms are 0.0."""
+    gives ``run_us_vcg``'s outcome: its biased solves decide as the plain
+    kind's do, bit for bit, and its bias terms are 0.0."""
     return _run(_Biased(profile, instance, bias))
 
 
@@ -647,9 +635,6 @@ class _Hetero(_Plain):
     def __init__(self, profile, instance: BudgetInstance):
         super().__init__(profile, instance)
         self.table = self.totals = _HeteroTotals(self.profile, instance)
-
-    def decide(self, run=None) -> BudgetDecision:
-        return self.others_optimum(None, run)
 
     def others(self):
         return range(self.n)

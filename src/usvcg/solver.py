@@ -166,8 +166,9 @@ def _water_fill(
     (budget + d)**(1/p)/c the best good alone spends the budget, so Newton
     descends from there onto the root monotonically, until the residual is
     within _X_TOLERANCE of the budget or a step no longer lowers mu (log1p's
-    c mu - 1 at a tiny pool cannot meet the residual).  A single good of
-    positive weight takes the budget with no sweep.  The result is a pure
+    c mu - 1 at a tiny pool cannot meet the residual; below about 1.1e-16 it
+    rounds to 0, and a good that sets mu_0 takes the budget).  A single good
+    of positive weight takes the budget with no sweep.  The result is a pure
     function of the arguments.
     """
     x = np.zeros(len(curves))
@@ -190,8 +191,12 @@ def _water_fill(
             spends.append(s)
         return total, rate / mu, spends
 
-    top = min([(budget + d) ** (1.0 / p) / c for _, _, c, p, d in laws])
+    tops = [(budget + d) ** (1.0 / p) / c for _, _, c, p, d in laws]
+    top = min(tops)
     mu, total, spends, sweeps = _descend(sweep, top, budget, _X_TOLERANCE * budget, 0.0)
+    if not total > 0.0:  # every spend rounded to 0: the zero-pool limit
+        spends = [0.0] * len(laws)
+        spends[tops.index(top)] = total = 1.0
     gains = 0.0
     for (j, w, *_), s in zip(laws, spends):
         share = s / total
@@ -1063,10 +1068,6 @@ class BiasSpec:
         if not isinstance(self.target, (ConstantTarget, EquitableTarget, TableTarget)):
             raise DomainError(f"unknown bias target {self.target!r}")
 
-    @property
-    def is_null(self) -> bool:
-        return self.lam == 0.0 and self.psi.kind == "none"
-
 
 def _reciprocal_marginals(x: list[float], t: float, instance: BudgetInstance) -> list[float]:
     """1/theta_j'(x_j * pool); on boundary coordinates the continuous limit
@@ -1112,14 +1113,6 @@ def corresponding_type(
     return raw / raw.sum()
 
 
-def _check_target(target, instance: BudgetInstance) -> None:
-    """Raise DomainError unless every allocation the target tabulates has
-    one entry per good of the instance."""
-    rows = (target.allocation,) if isinstance(target, ConstantTarget) else ()
-    if any(len(row) != instance.m for row in getattr(target, "allocations", rows)):
-        raise DomainError(f"bias target allocations need {instance.m} entries, one per good")
-
-
 class _TargetSides:
     """The target side of a biased objective, tabulated by tax.
 
@@ -1142,7 +1135,10 @@ class _TargetSides:
     """
 
     def __init__(self, bias: BiasSpec, instance: BudgetInstance):
-        _check_target(bias.target, instance)
+        target = bias.target  # every allocation it tabulates needs one entry per good
+        rows = (target.allocation,) if isinstance(target, ConstantTarget) else ()
+        if any(len(row) != instance.m for row in getattr(target, "allocations", rows)):
+            raise DomainError(f"bias target allocations need {instance.m} entries, one per good")
         self.bias, self.owner, self.instance = bias, bias, instance
         self._table: dict[float, tuple[list, list, list, float, float]] = {}
 
@@ -1253,12 +1249,9 @@ def optimize_biased(
     they share its target-side table of this bias and instance and are
     certified against the first one's slope terms (``_SlopeRecord``, one
     layout for every solver kind).  Without it the call builds its own
-    table.  The result is the same either way.  A null bias solves the
-    plain kind, after the same check of its target against the instance.
+    table.  The result is the same either way.  A null bias gives
+    ``optimize``'s decision, bit for bit: its terms are all 0.0.
     """
-    if bias.is_null:
-        _check_target(bias.target, instance)
-        return optimize(agent, instance, run=run)
     sides = _shared(run, instance, _TargetSides, bias)
     return _solve(_BiasedObjective(agent, bias, instance, sides), run)
 

@@ -84,7 +84,7 @@ def test_truthful_report_gains_nothing(running_instance):
     truth = _Plain(profile, running_instance)
     for i, excl in enumerate(excluded_means(profile)):
         u = _report_utility(
-            truth, i, profile[i], truth.decide(), excl, truth.others_optimum(excl)
+            truth, i, profile[i], truth.others_optimum(None), excl, truth.others_optimum(excl)
         )
         assert u == realized_utility(profile, i, outcome, running_instance)
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import usvcg
 from conftest import (
@@ -377,12 +379,16 @@ def _answers(tmp_path, row: dict) -> list[str]:
     return ["mechanism", BALLOTS, "--answers", str(path)]
 
 
-def _converge(tmp_path, doc: dict) -> list[str]:
+def _converge(tmp_path, doc: dict, n_list: str = "10", *flags: str) -> list[str]:
     """``converge`` argv for the triplet or instance document ``doc``."""
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps(doc))
-    return ["converge", str(path), "--n-list", "10"]
+    return ["converge", str(path), "--n-list", n_list, *flags]
 
+
+_HUGE = 10**400  # a JSON integer that no float holds
+
+_BIAS = {"lambda": 0.5, "target": {"kind": "equitable"}}
 
 _TRIPLET = {
     "b0": 0.0,
@@ -440,6 +446,49 @@ _MALFORMED = {
         f"fuzz_mu_{name}": lambda tmp, mu=mu: ["fuzz", RUNNING, "--trials", "1", "--mu", mu]
         for name, mu in (("zero", "0"), ("negative", "-1"), ("nan", "nan"), ("inf", "inf"), ("below_one", "0.5"))
     },
+    # a JSON integer too large for a float, in every field of numbers
+    "n_huge": lambda tmp: _tampered_instance(tmp, RUNNING, lambda doc: doc.update(n=_HUGE)),
+    "external_budget_huge": lambda tmp: _tampered_instance(
+        tmp, RUNNING, lambda doc: doc.update(external_budget=_HUGE)
+    ),
+    "type_weight_huge": lambda tmp: _tampered_instance(tmp, RUNNING, _set_type_weights([_HUGE, 1.0])),
+    "money_weight_huge": lambda tmp: _tampered_instance(
+        tmp, RUNNING, lambda doc: doc["types"][1].update(money_weight=_HUGE)
+    ),
+    "tax_weights_huge": lambda tmp: _tampered_instance(
+        tmp, RUNNING, lambda doc: doc.update(tax_weights=[_HUGE, 1.0, 2.0])
+    ),
+    "ballot_entry_huge": lambda tmp: _tampered_instance(tmp, BALLOTS, _set_ballot_allocation([_HUGE, 1.0])),
+    "ballot_tax_huge": lambda tmp: _tampered_instance(
+        tmp, BALLOTS, lambda doc: doc["ballots"][1].update(tax=_HUGE)
+    ),
+    # run parameters that used to crash, pass vacuously or run another study
+    **{
+        f"fuzz_coalition_{name}": lambda tmp, k=k: ["fuzz", RUNNING, "--trials", "1", "--coalition", k]
+        for name, k in (("zero", "0"), ("negative", "-1"), ("n", "3"))
+    },
+    "fuzz_negative_seed": lambda tmp: ["fuzz", RUNNING, "--trials", "1", "--seed", "-1"],
+    "coalition_negative_seed": lambda tmp: [
+        "fuzz", RUNNING, "--trials", "1", "--coalition", "1", "--seed", "-1"
+    ],
+    "converge_negative_seed": lambda tmp: _converge(tmp, _TRIPLET, "10", "--seed", "-1"),
+    **{
+        f"n_list_{name}": lambda tmp, n_list=n_list: _converge(tmp, _TRIPLET, n_list)
+        for name, n_list in (
+            ("empty", ""), ("zero", "0"), ("negative", "-5"), ("decreasing", "5,3"), ("repeated", "2,2")
+        )
+    },
+    "n_list_one_non_positive": lambda tmp: _converge(tmp, _TRIPLET, "1,4", "--non-positive"),
+    # a result document names at most one variant
+    "variant_bias_and_hetero": lambda tmp: _tampered_check(
+        tmp, "mechanism", variant={"bias": _BIAS, "non_positive": False, "hetero": True}
+    ),
+    "variant_bias_and_non_positive": lambda tmp: _tampered_check(
+        tmp, "mechanism", variant={"bias": _BIAS, "non_positive": {"gamma": 10.0}, "hetero": False}
+    ),
+    "variant_hetero_and_non_positive": lambda tmp: _tampered_check(
+        tmp, "mechanism", variant={"bias": None, "non_positive": True, "hetero": True}
+    ),
 }
 
 
@@ -451,6 +500,38 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def triplet_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("triplet") / "sigma.json"
+    path.write_text(json.dumps(_TRIPLET))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    converge=st.booleans(),
+    seed=st.integers(-(2**70), 2**70),
+    trials=st.integers(-2, 2),
+    coalition=st.one_of(st.none(), st.integers(-2, 4)),
+    mu=st.one_of(st.floats(0.5, 1e6), st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])),
+    n_list=st.lists(st.integers(-3, 6), max_size=3),
+)
+def test_cli_run_parameters_exit_0_2_or_5(triplet_path, converge, seed, trials, coalition, mu, n_list):
+    # ``fuzz`` on the running example (n = 3) and ``converge`` on a triplet
+    # run, refuse a parameter (2) or report a failed property (5): no
+    # traceback, no engine error from a run parameter.  A band past about
+    # mu = 1e12 draws money weights whose optimum lies past the tax cap, a
+    # TaxDivergence (3) of the drawn profile, so mu stays below 1e6
+    flags = [f"--seed={seed}", f"--mu={mu!r}"]
+    if converge:
+        argv = ["converge", triplet_path, f"--n-list={','.join(map(str, n_list))}", *flags]
+    else:
+        argv = ["fuzz", RUNNING, f"--trials={trials}", *flags]
+        if coalition is not None:
+            argv.append(f"--coalition={coalition}")
+    assert main(argv) in (0, 2, 5)
 
 
 _MALFORMED_TARGETS = {

@@ -38,6 +38,7 @@ from usvcg import (
     RangeError,
     RegularityWarning,
     clarke_pivot,
+    coalition_probe,
     corresponding_type,
     excluded_means,
     mean_excluding,
@@ -50,6 +51,7 @@ from usvcg import (
     run_bus_vcg,
     run_us_vcg,
     run_us_vcg_hetero,
+    sdsic_fuzz,
     sensitive_payment,
     social_welfare,
     solver,
@@ -781,7 +783,8 @@ def test_identity_residuals_refuses_a_bias_with_hetero():
 
 def test_plain_and_biased_runs_refuse_designer_tax_weights():
     # they charge every agent t, so on a weighted instance their decision
-    # and payments would ignore the weights that realized_utility charges
+    # and payments would ignore the weights that realized_utility charges;
+    # the fuzzers build US-VCG and refuse them as it does
     profile = random_profile(np.random.default_rng(301), 6, 3)
     weights = np.random.default_rng(302).uniform(0.5, 1.5, 6)
     weights *= 6 / weights.sum()
@@ -795,6 +798,8 @@ def test_plain_and_biased_runs_refuse_designer_tax_weights():
         lambda: identity_residuals(profile, out, inst),
         lambda: identity_residuals(profile, out, inst, bias=bias),
         lambda: non_positive_payments(profile, inst, NonPositiveConfig(gamma=10.0)),
+        lambda: sdsic_fuzz(inst, 1, 0),
+        lambda: coalition_probe(inst, 2, 1, 0),
     ]
     for call in refused:
         with pytest.raises(DomainError, match="run_us_vcg_hetero"):

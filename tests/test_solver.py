@@ -115,6 +115,24 @@ def test_corner_clipping_with_finite_marginal():
     assert x[1] == 0.0 and x[0] == 1.0
 
 
+def test_log1p_catalog_at_a_tiny_pool_takes_the_zero_pool_limit():
+    # below a pool of about 1.1e-16 every log1p spend (B + 1) - 1 at the
+    # start level rounds to 0; the good of the larger marginal at zero spend
+    # takes the pool, as it does at 1e-15, instead of a ZeroDivisionError
+    inst = dataclasses.replace(
+        make_running_instance(),
+        gain_curves=(GainCurve.log1p(2.0), GainCurve.log1p(3.0)),
+    )
+    laws = solver._spend_laws((0.5, 0.5), inst.gain_curves)
+    for budget in (1e-15, 1e-16, 1e-17, 1e-300, 5e-324):
+        x = inner_allocation(AgentType((0.5, 0.5), 1.0), budget, inst)
+        assert x.tolist() == [0.0, 1.0]
+        _, gains, marginal, levels, _ = solver._water_fill(laws, inst.gain_curves, budget)
+        assert levels == [0.0, inst.gain_curves[1].value(budget)]
+        assert gains == 0.5 * levels[1]
+        assert marginal == pytest.approx(0.5 * 3.0, rel=1e-15)
+
+
 # =============================================================================
 # Water-filling
 # =============================================================================
