@@ -263,6 +263,8 @@ def cmd_fuzz(args) -> int:
     doc = report.as_dict()
     if args.trials == 0:
         doc["warning"] = "zero trials requested; the pass is vacuous"
+    elif report.diverged == args.trials:
+        doc["warning"] = "every trial diverged; the pass is vacuous"
     _emit(doc, args.out)
     return EXIT_OK if report.passed else EXIT_FAILED
 

@@ -73,19 +73,15 @@ gains and f(t), O(m) per agent.  In both forms removing agent i is one short
 a run costs one solve for the decision plus one pivot solve per agent.
 Every variant's pivot solves are certified against the decision's record
 (one ``solver._Run`` per run): an excluded mean lies within O(1/n) of the
-full mean, so a bound proves most of the tax-slope signs the decision's
-search sampled, and a pivot solve probes only the rest, its brackets' ends
-and its roots -- about 3 slope probes on all-log catalogs and 5-6 on a
-mixed one, against the decision's 43-47 -- and returns its own cold
-search's decision, bit for bit.  The leading run of
-samples the bound shows positive, and the tail past the bracket it shows
-negative, are each proven in one comparison, against a running minimum of
-the radius within which each of the decision's samples keeps its sign
-(``solver._radius``, one form for every solver kind), so a pivot evaluates
-about one per-sample sign where the decision walks about 43.  The biased
-variant's bound also covers its reweighted term, which moves with the
-type's own allocation, by how far each good's level can move
-(``GainCurve.level_shift``).
+full mean, so one radius per piece of the decision's walk
+(``solver._radius``, one form for every solver kind) proves the tax-slope
+signs at every sample but those next to a sign change.  A pivot solve
+within it probes only those and its roots -- about 3 slope probes on
+all-log catalogs and 5-6 on a mixed one, against the decision's 43-47 --
+and returns its own cold search's decision, bit for bit; one outside it
+is solved cold.  The biased variant's bound also covers its reweighted
+term, which moves with the type's own allocation, by how far each good's
+level can move (``GainCurve.level_shift``).
 
 Every run is a pure function of (profile, instance): no solve takes a
 numerical setting, and the non-positive scheme's finite-difference step

@@ -36,16 +36,17 @@ The optimisation is solved in the two natural stages:
    cold plain or hetero solve locates the walk's one bracket by bisecting
    over the walk's own samples, from a probe at the start (``_located``):
    the walk's result, bit for bit, from 4 slope probes on the running
-   example instead of 44.  A mechanism's pivot solves take the signs of
-   the decision solve's samples where a bound proves them
-   (``_SlopeRecord``) and probe only the rest, with the same result as the
-   full search, bit for bit.
-   Each recorded sample keeps how far another type may deviate with its
-   sign still proven, so the leading run of samples proven + and the tail
-   proven - past the bracket each take one comparison, against a running
-   minimum, and a pivot solve asks for the sign of about one sample by
-   itself, for every solver kind.  A solve keeps the inner evaluation of
-   each tax it probes, so no tax is water-filled twice within it.
+   example instead of 44.  A mechanism's pivot solves are certified
+   against the decision solve's walk (``_SlopeRecord``): each piece of
+   the walk keeps one radius, the least over its samples of how far
+   another type may deviate with its sign there still proven, and a pivot
+   within it probes only the samples no bound vouches for: those next to
+   a sign change, and those with no radius, such as the kt kink at 0.
+   Where they show the decision's signs, the pivot's brackets are the
+   decision's and it goes straight to their roots, with the same result
+   as the full search, bit for bit; a pivot outside the radius is solved
+   cold.  A solve keeps the inner evaluation of each tax it probes, so no
+   tax is water-filled twice within it.
 
 Each solver kind is one objective whose ``at(t)`` names, from one inner
 evaluation, the allocation, the gains and the slope and value terms
@@ -62,8 +63,6 @@ then lexicographically smallest allocation.
 from __future__ import annotations
 
 import bisect
-import contextlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -389,17 +388,8 @@ def _slope_root(probe: Callable, lo: float, hi: float, end_lo: tuple, end_hi: tu
         u += step * (b - u)
 
 
-class _Uncertified(Exception):
-    """A certified tax search cannot vouch for the cold search's result."""
-
-
-def _maximize_over_tax(
-    probe: Callable[..., tuple[float, float, float]],
-    instance: BudgetInstance,
-    signs: Callable[[float, Callable], float] | None = None,
-    unique: bool = False,
-) -> float:
-    """The tax of the best local maximum of a conditional value.
+def _walk(probe: Callable[..., tuple[float, float, float]], instance: BudgetInstance) -> list:
+    """The samples (tax, slope, size) of the tax walk, in increasing tax.
 
     ``probe(t, valued=False)`` gives, from one inner evaluation, the slope at
     t, its size (the larger of the sums of its positive and its negative
@@ -411,92 +401,67 @@ def _maximize_over_tax(
     cut at t = 0 when negative taxes are feasible (only the kt money curve
     admits them; its slope is -inf there), and each piece is
     sampled geometrically up from its lower end, at offsets 1e-8 max(1,
-    |start|) times powers of 2: the bounded one up to 0, the open one
-    until the slope has stayed <= 0 for _BRACKET_PATIENCE samples past both
-    its last positive slope and the scale max(1, |start|), so that a dip
-    after the kink cannot end it.  The root of every sampled sign change
-    from + to <= 0 is found (``_slope_root``); these roots and the feasible
-    start, when its slope is <= 0, are compared by value, and within 1e-12
-    relative the lowest tax wins.  Raises TaxDivergence when the slope is
-    still positive at the tax cap, _MAX_BRACKET.  A cold solve whose
-    objective bounds its ordinate's descent finds this result from a few of
-    these samples instead (``_located``).
+    |start|) times powers of 2 (``_rung``): the bounded one up to 0, the
+    open one until the slope has stayed <= 0 for _BRACKET_PATIENCE samples
+    past both its last positive slope and the scale max(1, |start|), so
+    that a dip after the kink cannot end it.  Raises TaxDivergence when the
+    slope is still positive at the tax cap, _MAX_BRACKET.  Which taxes the
+    walk samples depends only on where their slopes are positive.
+    """
+    start, lower, s0 = _walk_origin(instance)
+    scale = max(1.0, abs(start))
+    samples = []
+
+    def sample(t: float) -> float:
+        slope, size, _ = probe(t)
+        samples.append((t, slope, size))
+        return slope
+
+    sample(start)
+    if start < 0.0:
+        s = s0
+        while start + s < 0.0:
+            sample(start + s)
+            s *= 2.0
+        sample(0.0)
+    s, patience = s0, 0
+    while patience < _BRACKET_PATIENCE:
+        if s > _MAX_BRACKET:
+            if samples[-1][1] > 0.0:
+                raise _diverged(s)
+            break
+        if sample(lower + s) > 0.0:
+            patience = 0
+        elif s > scale:
+            patience += 1
+        s *= 2.0
+    return samples
+
+
+def _maximize_over_tax(probe: Callable, samples: list, unique: bool = False) -> float:
+    """The tax of the best local maximum of a conditional value, from
+    samples (tax, slope, size) in increasing tax whose first is the walk's
+    start: the walk's own (``_walk``), or the ones a located or certified
+    search keeps (``_located``, ``_SlopeRecord.samples``).
+
+    The start, when its slope is <= 0, and the root of every pair of
+    neighbouring samples whose slope turns from + to <= 0 (``_slope_root``,
+    from the (slope, size) sampled at the pair's ends) are compared by
+    value, and within 1e-12 relative the lowest tax wins.  Every probe is a
+    pure function of its tax, so samples that hold the walk's start and
+    brackets, with the walk's bits at the brackets' ends, give the walk's
+    result.
 
     With ``unique`` a runner-up candidate within 1e-9 max(1, |v*|) of the
     best value v*, at a tax more than 1e-6 max(1, |t*|) from the best t*,
     raises NonUniqueOptimum; a local maximum no sample brackets is no
     candidate, so it escapes (on a catalog with a descent bound there is
     one local maximum, the global one).
-
-    Every probe is a pure function of its tax, so each root search starts
-    from the (slope, size) sampled at its bracket's ends.  A certified search
-    passes ``signs(t, probe)``: the slope at t, or a number of its sign
-    where a bound proves it (``_SlopeRecord.signs``).  ``signs.runs`` is,
-    for the bounded and the open piece, (run, first, end): its leading
-    ``run`` samples are proven +, and its samples first to end - 1, the
-    tail of the decision's walk, are proven -.  The walk keeps only the
-    last of the leading samples, with sign +1, goes on from the offset
-    after it, and takes -1 for a sample of the tail without asking
-    ``signs``.  Patience stays 0 over a leading run, counts on over a tail,
-    and no bracket lies inside either, so the brackets are the cold
-    search's.  A proven sign has no slope or size, so its root searches
-    start from fresh probes of their ends: the cold search's samples, bit
-    for bit.  A fresh sign that differs raises _Uncertified.
     """
-    start, lower, s0 = _walk_origin(instance)
-    scale = max(1.0, abs(start))
-    bounded, unbounded = ((0, 0, 0),) * 2 if signs is None else signs.runs
-    samples = []  # (tax, slope, size), in increasing tax; a sign has no size
-
-    def sample(t: float, proven: float = 0.0) -> float:
-        if proven or signs is not None:
-            slope, size = proven or signs(t, probe), math.nan
-        else:
-            slope, size, _ = probe(t)
-        samples.append((t, slope, size))
-        return slope
-
-    def skip(base: float, piece: tuple[int, int, int]) -> tuple[float, float, float]:
-        """Keep the last of a piece's leading samples, proven +, and give
-        the offset of the sample after them and the offsets its tail spans
-        (from, past)."""
-        run, first, end = piece
-        if run:
-            samples.append((_rung(base, s0, run - 1), 1.0, math.nan))
-        return math.ldexp(s0, run), math.ldexp(s0, first), math.ldexp(s0, end)
-
-    sample(start)
-    if start < 0.0:
-        s, tail, past = skip(start, bounded)
-        while start + s < 0.0:
-            sample(start + s, -1.0 if tail <= s < past else 0.0)
-            s *= 2.0
-        sample(0.0)
-    s, tail, past = skip(lower, unbounded)
-    patience = 0
-    while patience < _BRACKET_PATIENCE:
-        if s > _MAX_BRACKET:
-            if samples[-1][1] > 0.0:
-                raise _diverged(s)
-            break
-        if sample(lower + s, -1.0 if tail <= s < past else 0.0) > 0.0:
-            patience = 0
-        elif s > scale:
-            patience += 1
-        s *= 2.0
-
-    candidates = [] if samples[0][1] > 0.0 else [start]
-    brackets = [
-        (a, b, (at_a, size_a), (at_b, size_b))
-        for (a, at_a, size_a), (b, at_b, size_b) in zip(samples, samples[1:])
-        if at_a > 0.0 and not at_b > 0.0
-    ]
-    for a, b, end_a, end_b in brackets:
-        if signs is not None:
-            end_a, end_b = probe(a)[:2], probe(b)[:2]
-            if not (end_a[0] > 0.0 and not end_b[0] > 0.0):
-                raise _Uncertified
-        candidates.append(_slope_root(probe, a, b, end_a, end_b))
+    candidates = [] if samples[0][1] > 0.0 else [samples[0][0]]
+    for (a, at_a, size_a), (b, at_b, size_b) in zip(samples, samples[1:]):
+        if at_a > 0.0 and not at_b > 0.0:
+            candidates.append(_slope_root(probe, a, b, (at_a, size_a), (at_b, size_b)))
     best_t = candidates[0]
     if len(candidates) > 1:
         valued = [(t, probe(t, True)[2]) for t in candidates]
@@ -515,11 +480,11 @@ def _maximize_over_tax(
 def _located(
     probe: Callable, instance: BudgetInstance, descent: tuple[float, float]
 ) -> float | None:
-    """``_maximize_over_tax``'s result from a few of the walk's own samples,
-    where ``descent`` = (lo, hi) bounds the rate at which the ordinate
-    r = log(P/N) (``_ordinate``) falls in log t on t > 0, with lo > 0
-    (``_PlainObjective.descent``); None where a probed sample disagrees
-    with the bound.
+    """The walk's result (``_walk``, ``_maximize_over_tax``) from a few of
+    its own samples, where ``descent`` = (lo, hi) bounds the rate at which
+    the ordinate r = log(P/N) (``_ordinate``) falls in log t on t > 0, with
+    lo > 0 (``_PlainObjective.descent``); None where a probed sample
+    disagrees with the bound.
 
     The start is then positive, so the walk has one piece, and its samples
     change sign once, from + to <= 0: the first sign change brackets the
@@ -528,7 +493,7 @@ def _located(
     (r0 - _SLACK)/hi is +, and one past (r0 + _SLACK)/lo is <= 0, with
     _SLACK to spare over the fill's error on r.  A bisection over the
     ladder indices in between probes only the walk's taxes (``_rung``) and
-    finds its bracket; the bracket's probed ends seed ``_slope_root`` as
+    finds its bracket, whose probed ends go to ``_maximize_over_tax`` as
     the walk's samples do, so the result is the walk's, bit for bit, and
     so is TaxDivergence, where the last sample within the cap is +."""
     lo_rate, hi_rate = descent
@@ -566,7 +531,7 @@ def _located(
     if end(b)[0] > 0.0:
         return None
     at_a = start if a < 0 else _rung(lower, s0, a)
-    return _slope_root(probe, at_a, _rung(lower, s0, b), end(a), end(b))
+    return _maximize_over_tax(probe, [(at_a, *end(a)), (_rung(lower, s0, b), *end(b))])
 
 
 def optimize(
@@ -596,8 +561,10 @@ def _require_unique_optimum(agent: AgentType, instance: BudgetInstance) -> Budge
 class _Run:
     """One mechanism run's state, which each of its solves takes as ``run=``:
     its instance, its kind's shared table (``_TargetSides``, ``_HeteroTotals``
-    or None) and the slope record that its first solve leaves, against which
-    every later one is certified.  A solve without a run is cold."""
+    or None) and the slope record that its first solve leaves
+    (``_SlopeRecord``), against which every later one is certified, or
+    solved cold where the record does not cover it.  A solve without a run
+    is cold."""
 
     def __init__(self, instance: BudgetInstance, table=None):
         self.instance, self.table, self.record = instance, table, None
@@ -623,8 +590,7 @@ def _proof(entry: tuple, lo: float, up: float, hi: float, down: float, sigma: fl
     [lo, hi] times the recorded one, its cost term within [down, up] times
     it, and each good's marginal moves by a factor within [1/sigma, sigma]."""
     gain, cost, rest, rest_size, goods = entry
-    # the plain kind has no goods: no generator for it on this hot path
-    spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods) if goods else 0.0
+    spread = sum(c * curve.level_shift(level, sigma) for c, curve, level in goods)
     pad = spread + _SLACK * (rest_size + spread)
     if lo * gain > up * cost - rest + pad:
         return 1.0
@@ -658,13 +624,15 @@ def _radius(entry: tuple, sign: float) -> float:
 
 
 class _SlopeRecord:
-    """The slope terms by tax of the solve that made the record (its
-    ``objective``), in one layout for every solver kind: (gain, cost, rest,
-    rest_size, goods).  gain is the gain term Lambda rate, cost the cost
-    term kappa c f'(t), rest the sum of the other slope terms and rest_size
-    the sum of their sizes; goods holds (lam |a_j'(t)|, curve, level
-    theta_j(s_j)) for each good the reweighted term lam sum_j a_j'(t)
-    theta_j(s_j) weights.  The plain kind has no other term: (0, 0, ()).
+    """What a run's pivot solves are certified against, made from the walk
+    and the slope terms by tax of the solve that made the record (its
+    ``objective``), the terms in one layout for every solver kind: (gain,
+    cost, rest, rest_size, goods).  gain is the gain term Lambda rate, cost
+    the cost term kappa c f'(t), rest the sum of the other slope terms and
+    rest_size the sum of their sizes; goods holds (lam |a_j'(t)|, curve,
+    level theta_j(s_j)) for each good the reweighted term lam sum_j
+    a_j'(t) theta_j(s_j) weights.  The plain kind has no other term: (0,
+    0, ()).
 
     Another type's inner weights are b' + lam a(t) against the record's
     b + lam a(t) (lam a = 0 for the plain kind).  Good by good their ratio
@@ -683,90 +651,89 @@ class _SlopeRecord:
     _SLACK of the terms to spare (``_proof``) is the sign the type's cold
     search samples there.
 
-    Each sample of a piece of the decision's walk (the bounded one below 0
-    from a negative start, and the open one) keeps, for every kind, the
-    radius within which another type's sign there is still proven + and the
-    one within which it is proven - (``_radius``).  A type lies within a
-    radius when its deviation max(1/w_lo, w_hi, 1/r, r), r the cost ratio on
-    the tax's side of 0, does.  The record keeps, per piece, the running
-    minimum of the + radii in walk order (negated, ``peaks``) and that of
-    the - radii from the last sample back (``tails``), so one bisection
-    each, against the type's own deviation widened by a few ulps, gives the
-    leading run of samples and the tail that ``_proof`` would each prove.
+    The record keeps, for each piece of the decision's walk (its samples at
+    t <= 0, the bounded piece below the kt kink, and at t > 0, the open
+    piece), the least radius within which another type's sign is proven
+    the decision's (``_radius``) over the piece's samples, the start
+    included, but for those that a bound cannot vouch for: the samples next
+    to a sign change, which hold the walk's brackets, and those where
+    ``_radius`` finds none, such as the kt kink at t = 0, whose cost is
+    infinite.  A type lies within a piece's radius when its deviation
+    max(1/w_lo, w_hi, 1/r, r), r the cost ratio on the piece's side of 0,
+    does.  A type within every piece's radius probes only the unvouched
+    samples (``samples``); where each shows the decision's sign, its cold
+    walk would sample the decision's taxes with the decision's signs, so
+    its start candidate and its brackets are the decision's, with its own
+    probes at the brackets' ends.
     """
 
-    def __init__(self, objective, terms: dict[float, tuple]):
-        self.objective, self.terms = objective, terms
-        start, lower, s0 = _walk_origin(objective.instance)
-        bounded = self._piece(start, s0, True) if start < 0.0 else ([], [])
-        self.pieces = (bounded, self._piece(lower, s0))
+    def __init__(self, objective, terms: dict[float, tuple], samples: list):
+        self.objective, self.radii = objective, [math.inf, math.inf]
+        # kept: (tax, slope) of the start and the unvouched samples;
+        # vouched: the other samples' slopes by tax
+        self.kept, self.vouched = [], {}
+        positive = [slope > 0.0 for _, slope, _ in samples]
+        for k, (t, slope, _) in enumerate(samples):
+            turns = len(set(positive[max(k - 1, 0) : k + 2])) > 1
+            radius = 0.0 if turns else _radius(terms[t], 1.0 if positive[k] else -1.0)
+            if radius:
+                self.radii[t > 0.0] = min(self.radii[t > 0.0], radius)
+                self.vouched[t] = slope
+            if not radius or k == 0:
+                self.kept.append((t, slope))
 
-    def _piece(self, base: float, s0: float, bounded: bool = False) -> tuple[list, list]:
-        """(peaks, tails) over the samples of the piece above ``base`` that
-        the walk reached, both non-decreasing: peaks[k] is -min of the +
-        radii of samples 0..k, tails[k] the min of the - radii of samples k
-        and after."""
-        plus, minus = [], []
-        for k in itertools.count():
-            t = _rung(base, s0, k)
-            entry = self.terms.get(t)
-            if entry is None or (bounded and not t < 0.0):
-                break
-            plus.append(-_radius(entry, 1.0))
-            minus.append(_radius(entry, -1.0))
-        tails = list(itertools.accumulate(reversed(minus), min))
-        return list(itertools.accumulate(plus, max)), tails[::-1]
-
-    def _bounds(self, base) -> tuple[float, float, float]:
-        """w_lo, w_hi and sigma for another type's type weights ``base``;
-        sigma only bounds the reweighted term, which needs phantom weights."""
+    def _bounds(self, base) -> tuple[float, float]:
+        """w_lo and w_hi for another type's type weights ``base``."""
         made = self.objective
         ratios = [
             w / v if v > 0.0 else math.inf for w, v in zip(base, made.base) if w > 0.0 or v > 0.0
         ]
         if made.sides is not None:  # the phantom weights lam a(t) are every type's
             ratios.append(1.0)
-        w_lo, w_hi = min(ratios), max(ratios)
-        return w_lo, w_hi, w_hi / w_lo if w_lo > 0.0 else math.inf
+        return min(ratios), max(ratios)
 
-    def signs(self, other) -> Callable[[float, Callable], float]:
-        """The ``signs`` of a certified search for the objective ``other``,
-        of the record's kind: at a tax of the record where the bounds prove
-        the sign it is +-1, elsewhere the probed slope.  Its ``runs`` are,
-        for the bounded and the open piece, the length of the leading run of
-        samples proven + and the indices first and end that bound the tail
-        proven -, each found in O(log K)."""
-        w_lo, w_hi, sigma = self._bounds(other.base)
-        # the bounds with _SLACK to spare: w_lo and w_hi on the gain
-        # term, and the cost ratio on each side of 0 widened both ways
-        wide, narrow = 1.0 + _SLACK, 1.0 - _SLACK
-        lo, hi = w_lo * narrow, w_hi * wide
+    def samples(self, other, probe: Callable) -> list | None:
+        """The samples that ``_maximize_over_tax`` takes for the objective
+        ``other``, of the record's kind, whose ``probe`` this is; None where
+        other lies outside a piece's radius, so that it is solved cold.
+
+        A vouched sample takes the decision's slope, and any other sample
+        the probe's.  Where each unvouched sample shows the decision's sign, the
+        samples are the start and the unvouched ones, in walk order.  Where
+        one does not, other's brackets have moved, and they are other's own
+        walk (``_walk``) over those slopes.  A bracket end that was vouched
+        for is probed; None where it shows a sign that is not the
+        decision's."""
+        w_lo, w_hi = self._bounds(other.base)
         made = self.objective
         r = other.kappa / made.kappa
-        (c_below, c_above), (d_below, d_above) = other.coefficients, made.coefficients
-        below, above = r * c_below / d_below, r * c_above / d_above
-        recorded_at = self.terms.get
+        for radius, c, d in zip(self.radii, other.coefficients, made.coefficients):
+            if radius < math.inf:
+                # the type's deviation, widened by a few ulps, so that
+                # ``_proof`` proves every sample the radius covers
+                ratio = r * c / d
+                reach = max(1.0 / w_lo, w_hi, ratio, 1.0 / ratio) if w_lo > 0.0 else math.inf
+                if not reach * (1.0 + _ROUNDING) <= radius:
+                    return None
+        vouched = self.vouched
 
-        def runs(piece: tuple[list, list], ratio: float) -> tuple[int, int, int]:
-            # the type's deviation, widened by a few ulps, so that
-            # ``_proof`` proves each sample of the run and of the tail
-            peaks, tails = piece
-            if not peaks or w_lo == 0.0:
-                return 0, 0, 0
-            reach = max(1.0 / w_lo, w_hi, ratio, 1.0 / ratio) * (1.0 + _ROUNDING)
-            return bisect.bisect_left(peaks, -reach), bisect.bisect_right(tails, reach), len(tails)
+        def proven(t: float) -> tuple[float, float, float]:
+            slope = vouched.get(t)
+            return probe(t) if slope is None else (slope, math.nan, math.nan)
 
-        def sign(t: float, probe: Callable) -> float:
-            recorded = recorded_at(t)
-            if recorded is not None:
-                ratio = above if t > 0.0 else below
-                proven = _proof(recorded, lo, ratio * wide, hi, ratio * narrow, sigma)
-                if proven:
-                    return proven
-            return probe(t)[0]
-
-        sign.runs = (runs(self.pieces[0], below), runs(self.pieces[1], above))
-        return sign
+        samples = [(t, *proven(t)[:2]) for t, _ in self.kept]
+        if any((at > 0.0) != (slope > 0.0) for (_, at, _), (_, slope) in zip(samples, self.kept)):
+            samples = _walk(proven, made.instance)  # other's brackets moved
+        for k in range(len(samples) - 1):
+            if samples[k][1] > 0.0 and not samples[k + 1][1] > 0.0:
+                for j in (k, k + 1):
+                    t, slope, size = samples[j]
+                    if math.isnan(size):
+                        at, size, _ = probe(t)
+                        if (at > 0.0) != (slope > 0.0):
+                            return None
+                        samples[j] = (t, at, size)
+        return samples
 
 
 def _kept(at: Callable[[float], tuple]) -> Callable[[float], tuple]:
@@ -793,20 +760,22 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     slope is P - N, P the sum of gain and the positive other terms and N
     that of cost and the negative ones' magnitudes, its size max(P, N) and
     its value the sum of (gains, *offsets, -kappa c f(t)).
-    With a ``run`` (``_Run``) the solve is certified against the record of
-    the run's first solve, or cold when that search cannot vouch for its
-    result; the first solve leaves the record, from the walk's samples, so
-    it walks.  Without a run, a plain objective with a descent bound
+    A run's (``_Run``) first solve walks (``_walk``) and leaves the record
+    of its walk and its slope terms (``_SlopeRecord``).  A later solve of
+    the run probes only the samples that the record cannot vouch for, and
+    where they show the decision's signs it goes from them straight to the
+    roots (``_maximize_over_tax``).  Otherwise, and without a run, the
+    solve is cold: a plain objective with a descent bound
     (``_PlainObjective.descent``) locates the walk's bracket (``_located``),
-    and walks only where a probed sample disagrees with the bound.  With
+    and walks only where a probed sample disagrees with the bound; any
+    other walks.  Each way gives the walk's result, bit for bit.  With
     ``unique`` a tie raises NonUniqueOptimum.  Where an evaluation
     water-fills (``objective.fills``) the solve keeps ``at(t)`` of every
-    tax it probes, so the re-probed bracket ends, the valued candidates
-    and the decision's allocation water-fill no tax twice: US-VCG, biased
-    and hetero runs on a mixed catalog at n=150 execute about 8 % fewer
-    bytecodes.  A closed-form evaluation is evaluated again instead, since
-    keeping it costs more than it saves: an all-log US-VCG run at n=1k
-    executes 2-4 % more bytecodes when it keeps them.
+    tax it probes, so the valued candidates, the decision's allocation and
+    a cold solve after a failed certificate water-fill no tax twice.  A
+    closed-form evaluation is evaluated again instead, since keeping it
+    costs more than it saves: an all-log US-VCG run at n=1k executes 2-4 %
+    more bytecodes when it keeps them.
     """
     instance, at, kappa = objective.instance, objective.at, objective.kappa
     below, above = objective.coefficients
@@ -831,18 +800,16 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
         value = sum((gains, *offsets, -kappa * (c * money.value(t)))) if valued else math.nan
         return slope, size, value
 
-    t_star = None
-    if record is not None:
-        with contextlib.suppress(_Uncertified):
-            t_star = _maximize_over_tax(probe, instance, record.signs(objective), unique)
-    elif run is None and isinstance(objective, _PlainObjective):
+    t_star, samples = None, record.samples(objective, probe) if record else None
+    if samples is None and terms is None and isinstance(objective, _PlainObjective):
         descent = objective.descent()
         if descent is not None:
             t_star = _located(probe, instance, descent)
     if t_star is None:
-        t_star = _maximize_over_tax(probe, instance, None, unique)
+        samples = samples or _walk(probe, instance)
+        t_star = _maximize_over_tax(probe, samples, unique)
         if terms is not None:
-            run.record = _SlopeRecord(objective, terms)
+            run.record = _SlopeRecord(objective, terms, samples)
     return BudgetDecision(tuple(at(t_star)[0]), t_star)
 
 

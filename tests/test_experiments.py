@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,19 @@ def test_coalition_probe_allocation_space(running_instance):
     assert report.as_dict()["misreport_space"] == "allocation"
 
 
+def test_fuzzers_count_diverging_trials_and_go_on(running_instance):
+    # a band of mu = 1e12 draws money weights whose optimum lies past the
+    # tax cap: such a trial raised TaxDivergence out of the whole fuzz; it
+    # is counted, with a nan gain, and the other trials run
+    report = sdsic_fuzz(running_instance, 50, seed=2, mu=1e12)
+    assert report.diverged == 1 and report.as_dict()["diverged"] == 1
+    assert [k for k, gain in enumerate(report.gains) if math.isnan(gain)] == [11]
+    assert math.isfinite(report.max_gain)
+    coalitions = coalition_probe(running_instance, 1, 20, seed=2, mu=1e12)
+    assert coalitions.diverged == 1 and coalitions.as_dict()["diverged"] == 1
+    assert len(coalitions.per_trial) == 19
+
+
 def test_coalition_size_must_be_partial(running_instance):
     with pytest.raises(DomainError):
         coalition_probe(running_instance, 3, 5, seed=1)
@@ -152,6 +166,17 @@ def test_population_preserves_mean_exactly():
             for t in types
         )
         assert spread <= population_spread(SIGMA) + 1e-12
+
+
+def test_population_passes_the_simplex_check_at_large_n():
+    # a centred offset kept its rounding, which the scaling by the draw's
+    # width carried past AgentType's simplex check at n = 1e5 (4 of the
+    # generator seeds [s, 7], s = 1-8, raised DomainError, this one among
+    # them); an offset whose last entry cancels the rest exactly does not
+    types = sigma_population(SIGMA, 100_000, np.random.default_rng([1, 7]))
+    assert len(types) == 100_000
+    mean = mean_type(types)
+    assert np.max(np.abs(mean.as_vector() - SIGMA.mean_type.as_vector())) <= 1e-12
 
 
 def test_convergence_payments_decay():

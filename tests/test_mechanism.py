@@ -511,21 +511,27 @@ def test_nonpositive_jacobian_solves_are_certified_bit_for_bit(monkeypatch, kt_b
         (water.types, water, NonPositiveConfig(gamma=gamma)),
         (switch, make_kt_branch_instance(switch), NonPositiveConfig(gamma=1.0)),
     ]
-    searches = []
-    original = solver._maximize_over_tax
+    solves, searches = [], []  # every solve; for each run against a record, whether it covers it
+    solve, samples = solver._solve, solver._SlopeRecord.samples
 
-    def keeping(probe, instance, signs=None, *rest):
-        searches.append(signs is not None)
-        return original(probe, instance, signs, *rest)
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_maximize_over_tax", keeping)
+    def keeping(record, other, probe):
+        kept = samples(record, other, probe)
+        searches.append(kept is not None)
+        return kept
+
+    monkeypatch.setattr(solver, "_solve", counted)
+    monkeypatch.setattr(solver._SlopeRecord, "samples", keeping)
     certified = [_nonpositive_and_warnings(*case) for case in cases]
-    assert sum(searches) > len(searches) // 2
+    assert sum(searches) > len(solves) // 2
     assert certified[1][1]  # the switch warns
     monkeypatch.setattr(mechanism, "_Run", lambda *_: None)  # every solve without a run
     del searches[:]
     assert [_nonpositive_and_warnings(*case) for case in cases] == certified
-    assert not any(searches)
+    assert not searches
 
 
 def test_no_warning_on_smooth_family():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -1259,12 +1258,12 @@ def test_uniqueness_check_runs_one_tax_search(monkeypatch, kt_branch_switch):
     # search, whether the check passes or raises
     profile = (AgentType((0.5, 0.5), kt_branch_switch),) * 4
     instance = make_kt_branch_instance(profile)
-    kept = _keep_probes(monkeypatch)
+    solves = _keep_probes(monkeypatch)
     with pytest.raises(NonUniqueOptimum):
         solver._require_unique_optimum(mean_type(profile), instance)
-    assert len(kept) == 1
+    assert [searches for searches, _ in solves] == [["_walk"]]
     solver._require_unique_optimum(AgentType((0.5, 0.5), 0.6), instance)
-    assert len(kept) == 2
+    assert [searches for searches, _ in solves] == [["_walk"]] * 2
 
 
 def test_uniqueness_check_passes_near_a_branch_switch():
@@ -1277,24 +1276,53 @@ def test_uniqueness_check_passes_near_a_branch_switch():
     assert solver._require_unique_optimum(agent, instance) == optimize(agent, instance)
 
 
-def _keep_probes(monkeypatch, search: str = "_maximize_over_tax"):
-    """Wrap an outer search (the walk, or ``_located``) so that the probe of
-    each solve that runs it is kept and counted."""
-    kept = []
-    original = getattr(solver, search)
+def _walked_probes(monkeypatch):
+    """The probe of each solve that walks from here on."""
+    probes, walk = [], solver._walk
 
-    def keeping(probe, *args, **kwargs):
-        calls = []
+    def walking(probe, instance):
+        probes.append(probe)
+        return walk(probe, instance)
 
-        def counted(t, *more):
-            calls.append(t)
-            return probe(t, *more)
+    monkeypatch.setattr(solver, "_walk", walking)
+    return probes
 
-        kept.append((probe, calls))
-        return original(counted, *args, **kwargs)
 
-    monkeypatch.setattr(solver, search, keeping)
-    return kept
+def _keep_probes(monkeypatch):
+    """Keep, for each solve from here on, the outer searches it ran
+    (``_walk``, ``_located``; a pivot solve certified against its run's
+    record runs neither, unless its brackets moved) and the taxes of its
+    slope probes: each probe evaluates the money curve's f' once, and
+    nothing else in a solve does."""
+    solves, open_solves = [], []
+    solve, deriv = solver._solve, MoneyCurve.deriv
+
+    def solving(*args, **kwargs):
+        solves.append(([], []))
+        open_solves.append(solves[-1])
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            open_solves.pop()
+
+    def noting(name, search):
+        def noted(*args, **kwargs):
+            if open_solves:
+                open_solves[-1][0].append(name)
+            return search(*args, **kwargs)
+
+        return noted
+
+    def counted(curve, t):
+        if open_solves:
+            open_solves[-1][1].append(t)
+        return deriv(curve, t)
+
+    monkeypatch.setattr(solver, "_solve", solving)
+    for name in ("_walk", "_located"):
+        monkeypatch.setattr(solver, name, noting(name, getattr(solver, name)))
+    monkeypatch.setattr(MoneyCurve, "deriv", counted)
+    return solves
 
 
 def test_probes_per_solve(monkeypatch):
@@ -1303,8 +1331,7 @@ def test_probes_per_solve(monkeypatch):
     # most 4 slope probes: the start, the bracket's two ends and the
     # secant's root.  The biased solves and those of the mixed catalog
     # (a log1p good) walk, in at most 60
-    kept = _keep_probes(monkeypatch)
-    located = _keep_probes(monkeypatch, "_located")
+    solves = _keep_probes(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
     types, plain, hetero = variants_catalog()
@@ -1315,9 +1342,11 @@ def test_probes_per_solve(monkeypatch):
             optimize(agent, instance)
             optimize_biased(agent, bias, instance)
         optimize_hetero(profile, weighted)
-    assert len(kept) == 7 and len(located) == 3
-    assert max(len(calls) for _, calls in located) <= 4
-    assert max(len(calls) for _, calls in kept) <= 60
+    walked = [taxes for searches, taxes in solves if searches == ["_walk"]]
+    located = [taxes for searches, taxes in solves if searches == ["_located"]]
+    assert len(solves) == 10 and len(walked) == 7 and len(located) == 3
+    assert max(map(len, located)) <= 4
+    assert max(map(len, walked)) <= 60
 
 
 def _outcome(solve):
@@ -1417,8 +1446,7 @@ def test_located_solves_planted(monkeypatch):
     # a start whose slope is <= 0 is the decision; a slope still positive
     # at the tax cap raises the walk's TaxDivergence, with its message; the
     # running example locates its bracket.  Each equals the walk's outcome
-    located = _keep_probes(monkeypatch, "_located")
-    walks = _keep_probes(monkeypatch, "_maximize_over_tax")
+    solves = _keep_probes(monkeypatch)
     divergent = BudgetInstance(  # test_tax_divergence's: t* of order 1e45
         m=1,
         n=100_000,
@@ -1443,8 +1471,9 @@ def test_located_solves_planted(monkeypatch):
     # each case makes one located plain and one located hetero solve, and
     # the runs' solves walk: the start alone; the start and the last sample
     # within the cap; the start, the bracket's ends and the secant's root
-    assert [len(calls) for _, calls in located] == [1, 1, 2, 2, 4, 4]
-    assert len(walks) == 6
+    located = [len(taxes) for searches, taxes in solves if searches == ["_located"]]
+    assert located == [1, 1, 2, 2, 4, 4]
+    assert [searches for searches, _ in solves].count(["_walk"]) == 6
 
 
 @pytest.mark.parametrize(
@@ -1461,20 +1490,22 @@ def test_located_solves_planted(monkeypatch):
     ],
 )
 def test_catalogs_without_a_bound_walk(monkeypatch, instance):
-    located = _keep_probes(monkeypatch, "_located")
+    solves = _keep_probes(monkeypatch)
     agent = AgentType((0.5, 0.5), 1.0)
     assert solver._PlainObjective.of(agent, instance).descent() is None
     for cold, walked in _cold_and_walked(agent, (agent,) * instance.n, instance):
         assert cold == walked
-    assert located == []
+    assert all(searches == ["_walk"] for searches, _ in solves)
 
 
 def test_probes_per_pivot_solve(monkeypatch):
-    # the pivot solves of every variant take the decision's proven slope
-    # signs and probe little more than their brackets' ends and roots
-    # (5-6 on the mixed catalog, 5-9 on the running example, against the
-    # decisions' 43-47)
-    kept = _keep_probes(monkeypatch)
+    # the pivot solves of every variant probe the samples the decision's
+    # record cannot vouch for, its brackets' ends, and their roots: at most
+    # 6 slope probes, against the decisions' 43-47.  A pivot solve outside
+    # the record's radius is cold: a plain or hetero one locates (at most
+    # 4), a biased one walks, as two of the running example's three do; a
+    # pivot whose bracket moved walks on the vouched signs (at most 60)
+    solves = _keep_probes(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
     types, plain, hetero = variants_catalog()
@@ -1486,34 +1517,12 @@ def test_probes_per_pivot_solve(monkeypatch):
             (run_us_vcg_hetero, profile, weighted),
         )
         for run, *args in runs:
-            kept.clear()
+            solves.clear()
             run(*args)
-            assert len(kept) == len(profile) + 1
-            pivots = [len(calls) for _, calls in kept[1:]]
-            assert sum(pivots) <= 15 * len(pivots)
-            assert max(len(calls) for _, calls in kept) <= 60
-
-
-def _count_signs(monkeypatch) -> list[list[float]]:
-    """Wrap the outer search so that the taxes each certified search asks
-    its ``signs`` for are kept, one list per search."""
-    evaluations = []
-    original = solver._maximize_over_tax
-
-    def counting(probe, instance, signs=None, *rest):
-        if signs is None:
-            return original(probe, instance, signs, *rest)
-        calls = []
-
-        def counted(t, probe):
-            calls.append(t)
-            return signs(t, probe)
-
-        evaluations.append(calls)
-        return original(probe, instance, functools.update_wrapper(counted, signs), *rest)
-
-    monkeypatch.setattr(solver, "_maximize_over_tax", counting)
-    return evaluations
+            assert len(solves) == len(profile) + 1
+            for searches, taxes in solves[1:]:
+                assert len(taxes) <= {(): 6, ("_located",): 4}.get(tuple(searches), 60)
+            assert max(len(taxes) for _, taxes in solves) <= 60
 
 
 def _all_log_run_inputs(n: int = 200):
@@ -1532,16 +1541,28 @@ def _all_log_run_inputs(n: int = 200):
     return profile, instance
 
 
+def _assert_vouched_but_the_bracket(monkeypatch, run):
+    """``run`` a mechanism: its decision's record vouches for every sample
+    of the walk but the one bracket's two ends, and every pivot solve is
+    certified against it with no walk, probing those two ends and its
+    roots: at most 6 slope probes, where the decision's walk samples about
+    43."""
+    searches, fallbacks = _watch_searches(monkeypatch)
+    solves = _keep_probes(monkeypatch)
+    run()
+    (record,) = {id(record): record for record, *_ in searches}.values()
+    unvouched = [t for t, _ in record.kept if t not in record.vouched]
+    assert len(unvouched) == 2 and len(record.vouched) == len(record.walk) - 2
+    assert fallbacks == [] and len(searches) == len(solves) - 1
+    assert all(ran == [] and len(taxes) <= 6 for ran, taxes in solves[1:])
+
+
 def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
-    # on a 200-agent all-log population each pivot solve proves its leading
-    # run of + samples and the tail of - samples past its bracket in one
-    # comparison each, and takes the per-sample sign only in between: at
-    # most 12 sign evaluations, where the decision's walk samples about 43
+    # a 200-agent all-log population: one radius per piece of the
+    # decision's walk covers every pivot, which probes only its bracket's
+    # ends before the root search
     profile, instance = _all_log_run_inputs()
-    evaluations = _count_signs(monkeypatch)
-    run_us_vcg(profile, instance)
-    assert len(evaluations) == 200
-    assert max(map(len, evaluations)) <= 12
+    _assert_vouched_but_the_bracket(monkeypatch, lambda: run_us_vcg(profile, instance))
 
 
 def _count_slope_probes(patch) -> list[float]:
@@ -1569,11 +1590,12 @@ def test_pivot_solves_make_a_few_slope_probes(monkeypatch):
 
 
 def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
-    # the certified pivot solves' slope probes, summed over 8 seeds of 40
-    # fuzzed agents for each solver kind of the plain and hetero runs, and
-    # over the three n=150 runs of the variants_mixed catalog.  Every kind
-    # is certified in one form; a change to the bounds, the runs or the
-    # root search moves these counts
+    # the pivot solves' slope probes, summed over 8 seeds of 40 fuzzed
+    # agents for each solver kind of the plain and hetero runs, and over
+    # the three n=150 runs of the variants_mixed catalog.  Every kind is
+    # certified in one form, and a pivot outside the record's radius is
+    # solved cold; a change to the bounds, the record or the root search
+    # moves these counts
     taxes = _count_slope_probes(monkeypatch)
     counts = {}
     for kind in _FUZZ_KINDS:
@@ -1607,75 +1629,98 @@ def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
         run()
         counts[name] = len(taxes) - 2 * decision
     assert counts == {
-        ("all-log", False): 3638,
-        ("all-log", True): 3610,
-        ("water-fill", False): 3855,
-        ("water-fill", True): 3900,
-        ("kt-b0", False): 6491,
-        ("kt-b0", True): 6502,
-        "us": 805,
+        ("all-log", False): 3954,
+        ("all-log", True): 3843,
+        ("water-fill", False): 4120,
+        ("water-fill", True): 4223,
+        ("kt-b0", False): 7326,
+        ("kt-b0", True): 7859,
+        "us": 782,
         "biased": 900,
-        "hetero": 785,
+        "hetero": 753,
     }
+
+
+def test_benchmark_catalogs_certify_every_pivot(monkeypatch):
+    # the variants_mixed benchmark's catalog (n=150: US, biased, hetero)
+    # and a 200-agent all-log population: the record's one radius per
+    # piece covers every pivot solve, so none falls back to a cold solve.
+    # The pivots whose own probes move a bracket walk on the vouched signs
+    types, instance, weighted = variants_catalog(150)
+    profile, all_log = _all_log_run_inputs()
+    bias = BiasSpec(0.5, EquitableTarget())
+    runs = {
+        "us": (150, lambda: run_us_vcg(types, instance)),
+        "biased": (150, lambda: run_bus_vcg(types, bias, instance)),
+        "hetero": (150, lambda: run_us_vcg_hetero(types, weighted)),
+        "all-log": (200, lambda: run_us_vcg(profile, all_log)),
+    }
+    searches, fallbacks = _watch_searches(monkeypatch)
+    solves = _keep_probes(monkeypatch)
+    moved = {}
+    for name, (n, run) in runs.items():
+        searches.clear()
+        solves.clear()
+        run()
+        assert fallbacks == [] and len(searches) == n
+        moved[name] = sum(ran == ["_walk"] for ran, _ in solves[1:])
+    assert moved == {"us": 8, "biased": 0, "hetero": 1, "all-log": 0}
 
 
 def test_biased_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
     # the biased twin, on a 200-agent mixed catalog with the equitable
-    # target: each sample keeps the radius within which its sign is proven
-    # with its padding, so the biased pivot solves prove their leading run
-    # and tail in one comparison each as well (about 40 per-sample signs
-    # per pivot before)
+    # target: each sample's radius keeps the padding of the reweighted
+    # term, and the least of them still covers every biased pivot solve
     types, instance, _ = variants_catalog(200)
-    evaluations = _count_signs(monkeypatch)
-    run_bus_vcg(types, BiasSpec(0.5, EquitableTarget()), instance)
-    assert len(evaluations) == 200
-    assert max(map(len, evaluations)) <= 12
+    bias = BiasSpec(0.5, EquitableTarget())
+    _assert_vouched_but_the_bracket(monkeypatch, lambda: run_bus_vcg(types, bias, instance))
 
 
 def _watch_searches(patch):
-    """Wrap the outer search so that the arguments of each certified search
-    are kept, and those of each one that cannot vouch for its result (and
-    so falls back to the cold search) are counted."""
+    """Watch the slope records made from here on, each keeping the
+    ``terms`` and the ``walk`` it is made from, and the solves certified
+    against them: ``searches`` keeps (record, objective, probe, samples)
+    for each solve that a record covers, ``fallbacks`` (record, objective)
+    for each that it does not, which is solved cold."""
     searches, fallbacks = [], []
-    original = solver._maximize_over_tax
 
-    def watched(*args):
-        if args[2] is not None:
-            searches.append(args)
-        try:
-            return original(*args)
-        except solver._Uncertified:
-            fallbacks.append(args)
-            raise
+    class Watched(solver._SlopeRecord):
+        def __init__(self, objective, terms, walk):
+            super().__init__(objective, terms, walk)
+            self.terms, self.walk = terms, walk
 
-    patch.setattr(solver, "_maximize_over_tax", watched)
+        def samples(self, other, probe):
+            samples = super().samples(other, probe)
+            if samples is None:
+                fallbacks.append((self, other))
+            else:
+                searches.append((self, other, probe, samples))
+            return samples
+
+    patch.setattr(solver, "_SlopeRecord", Watched)
     return searches, fallbacks
 
 
-def _assert_proven_signs_hold(record, searches):
+def _brackets(samples):
+    """The pairs of neighbouring samples whose slope turns from + to <= 0."""
+    return [(a, b) for a, b in zip(samples, samples[1:]) if a[1] > 0.0 and not b[1] > 0.0]
+
+
+def _assert_proven_signs_hold(searches):
     # every kind writes one entry layout, (gain, cost, rest, rest_size,
-    # goods); at every tax of the record, a sign the bounds prove for a
-    # certified search is the sign of that search's own probe, not only
-    # where the search asked for it; and every sample inside the search's
-    # leading run (proven + in one comparison) or its tail (proven -) on
-    # each piece of the walk is one that its sign proves so and that its
-    # own probe samples so
-    for entry in record.terms.values():
-        assert len(entry) == 5 and all(len(good) == 3 for good in entry[4])
+    # goods); at every sample its record vouches for, a certified search's
+    # own probe has the decision's sign, not only where the search used
+    # it; and the samples the search takes hold its cold walk's start
+    # candidate and brackets, with the walk's bits at the brackets' ends
     assert searches
-    for probe, instance, signs, _ in searches:
-        for t in record.terms:
-            sign = signs(t, lambda t: (math.nan,))
-            if not math.isnan(sign):
-                assert (sign > 0.0) == (probe(t)[0] > 0.0), t
-        start, lower, s0 = solver._walk_origin(instance)
-        for base, (run, first, end) in zip((start, lower), signs.runs):
-            assert run <= first or first == end
-            for k in (*range(run), *range(first, end)):
-                t, proven = base + math.ldexp(s0, k), 1.0 if k < run else -1.0
-                assert t in record.terms
-                assert signs(t, lambda t: (math.nan,)) == proven, t
-                assert (probe(t)[0] > 0.0) == (proven > 0.0), t
+    for record, other, probe, samples in searches:
+        for entry in record.terms.values():
+            assert len(entry) == 5 and all(len(good) == 3 for good in entry[4])
+        for t, slope in record.vouched.items():
+            assert (probe(t)[0] > 0.0) == (slope > 0.0), t
+        walk = solver._walk(probe, other.instance)
+        assert samples[0][0] == walk[0][0] and (samples[0][1] > 0.0) == (walk[0][1] > 0.0)
+        assert _brackets(samples) == _brackets(walk)
 
 
 def _fuzzed_pivots(seed, kind, n, hetero):
@@ -1703,19 +1748,20 @@ def _fuzzed_pivots(seed, kind, n, hetero):
 
 
 def _certified_equal_cold(seed, kind, n, hetero):
-    """Certify a fuzzed profile's pivot solves against its decision's
-    record (``_fuzzed_pivots``); each returns its cold decision, none falls
-    back and every proven sign and run holds.  Returns the certified
-    searches."""
+    """Run a fuzzed profile's pivot solves against its decision's record
+    (``_fuzzed_pivots``); each returns its cold decision, and every sign
+    the record vouches for holds in each pivot it covers.  Returns the
+    certified searches and the fallbacks."""
     solve, run = _fuzzed_pivots(seed, kind, n, hetero)
     cold = [solve(i) for i in range(n)]
     with pytest.MonkeyPatch.context() as patch:
         searches, fallbacks = _watch_searches(patch)
         solve(run=run)
         assert [solve(i, run) for i in range(n)] == cold
-    assert fallbacks == []
-    _assert_proven_signs_hold(run.record, searches)
-    return searches
+    assert len(searches) + len(fallbacks) == n
+    if searches:
+        _assert_proven_signs_hold(searches)
+    return searches, fallbacks
 
 
 @given(
@@ -1726,9 +1772,10 @@ def _certified_equal_cold(seed, kind, n, hetero):
 )
 @settings(max_examples=60, deadline=None)
 def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
-    # every pivot solve certified against the decision's record returns the
-    # decision of its own cold search, bit for bit, and every sign the
-    # bounds prove, one by one or in a run, is the pivot's own
+    # every pivot solve run against the decision's record returns the
+    # decision of its own cold search, bit for bit, whether the record
+    # covers it or not, and every sign the record vouches for is the
+    # pivot's own
     _certified_equal_cold(seed, kind, n, hetero)
 
 
@@ -1736,13 +1783,18 @@ def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_certified_runs_on_a_kt_walk_with_an_external_budget(seed, hetero):
     # B0 > 0 makes negative taxes feasible: the walk samples a bounded piece
-    # below the kt kink at t = 0, then the open piece above it.  Every
-    # pivot's run proves the bounded piece's leading samples + in one
-    # comparison; the open piece starts at the kink, where the money
-    # curve's marginal is infinite, so it has no leading run and is walked
-    # sample by sample up to its tail, from the same offsets
-    searches = _certified_equal_cold(seed, "kt-b0", 12, hetero)
-    assert all(signs.runs[0][0] >= 20 and signs.runs[1][0] == 0 for _, _, signs, _ in searches)
+    # below the kt kink at t = 0, then the open piece above it.  The
+    # bounded piece keeps a radius of its own, over 20 samples or more; at
+    # the kink the money curve's marginal is infinite, so no radius vouches
+    # for it and every certified pivot probes it
+    searches, _ = _certified_equal_cold(seed, "kt-b0", 40, hetero)
+    assert searches
+    for record, _, _, samples in searches:
+        bounded = [t for t in record.vouched if t < 0.0]
+        assert record.radii[0] < math.inf and len(bounded) >= 20
+        assert 0.0 not in record.vouched
+        (size,) = [size for t, _, size in samples if t == 0.0]
+        assert not math.isnan(size)
 
 
 def _fuzz_bias(rng, instance, target, psi, lam):
@@ -1792,15 +1844,16 @@ def test_certified_biased_pivot_solves_equal_the_cold_search(seed, kind, n, targ
         optimize_biased(mean_type(profile), bias, instance, run=run)
         certified = [optimize_biased(excl, bias, instance, run=run) for excl in excluded]
     assert certified == cold
-    assert fallbacks == []
-    _assert_proven_signs_hold(run.record, searches)
+    assert len(searches) + len(fallbacks) == n
+    if searches:
+        _assert_proven_signs_hold(searches)
 
 
 def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
     # a run belongs to one instance and one solver kind: a solve handed a
     # run of another kind, instance, table or profile is refused, and a
     # solve without a run keeps its cold search while a run's record exists
-    kept = _keep_probes(monkeypatch)
+    solves = _keep_probes(monkeypatch)
     instance = _slope_instance("mixed")
     first, other = AgentType((0.5, 0.3, 0.2), 1.1), AgentType((0.45, 0.35, 0.2), 1.0)
     bias = BiasSpec(0.5, EquitableTarget())
@@ -1827,51 +1880,67 @@ def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
             solve()
     plain, biased = optimize(other, instance), optimize_biased(other, bias, instance)
     optimize_biased(first, bias, instance, run=biased_run)
-    kept.clear()
+    solves.clear()
     assert optimize(other, instance) == plain
     assert optimize_biased(other, bias, instance) == biased
-    cold = [len(calls) for _, calls in kept]
+    cold = [len(taxes) for _, taxes in solves]
     assert optimize_biased(other, bias, instance, run=biased_run) == biased
     assert min(cold) >= 40
-    assert len(kept[-1][1]) <= 15
+    assert solves[-1][0] == [] and len(solves[-1][1]) <= 15
 
 
 def test_certified_pivot_solve_at_a_sampled_root_needs_no_fallback(monkeypatch):
-    # n = 2, far-apart types: without agent 0 the others are agent 1, whose
-    # optimum (per-capita all-log, q = 1/2: t* = (20 / w_money)**2) is put on
-    # a tax the decision's search samples, where that agent's slope is 0 to
-    # rounding; no bound proves its sign there, so it is probed, with the
-    # bits the cold search samples, and no pivot solve falls back
+    # agents 1 and 2 are one type, so without agent 0 the others are that
+    # type, whose optimum (per-capita all-log, q = 1/2: t* = (20 /
+    # w_money)**2) is put on a tax the decision's walk samples, where its
+    # slope is 0 to rounding.  That sample ends the decision's bracket, so
+    # no bound vouches for it: it is probed, with the bits the cold search
+    # samples, and no pivot solve falls back
     instance = BudgetInstance(
         m=2,
-        n=2,
+        n=3,
         external_budget=0.0,
         gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
         money_curve=MoneyCurve.power(0.5),
         semantics="per_capita",
     )
     sampled = instance.tax_floor + instance.tax_epsilon + 1e-8 * 2.0**35
-    profile = (AgentType((0.9, 0.1), 3.0), AgentType((0.1, 0.9), 20.0 / math.sqrt(sampled)))
-    _, fallbacks = _watch_searches(monkeypatch)
+    other = AgentType((0.1, 0.9), 20.0 / math.sqrt(sampled))
+    profile = (AgentType((0.11, 0.89), 1.1 * other.money_weight), other, other)
+    searches, fallbacks = _watch_searches(monkeypatch)
     cold = [optimize(excl, instance) for excl in excluded_means(profile)]
     assert cold[0].tax == pytest.approx(sampled, rel=1e-12)
     run = solver._Run(instance)
     optimize(mean_type(profile), instance, run=run)
     assert [optimize(excl, instance, run=run) for excl in excluded_means(profile)] == cold
-    assert fallbacks == []
+    assert fallbacks == [] and len(searches) == 3
+    assert sampled not in run.record.vouched
+
+
+def _planted(run, planted):
+    """``run``'s record made again with the decision's slope and its gain
+    term planted far too large (+, with a wide radius) at each tax of
+    ``planted``."""
+    record = run.record
+    terms, walk = dict(record.terms), list(record.walk)
+    for k, (t, _, size) in enumerate(walk):
+        if t in planted:
+            terms[t] = (1e300, *terms[t][1:])
+            walk[k] = (t, 1.0, size)
+    run.record = solver._SlopeRecord(record.objective, terms, walk)
 
 
 @pytest.mark.parametrize("biased", [False, True])
 def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
-    # a record whose gain term is planted far too large at the third of the
-    # six taxes past the decision's root where its slope stayed <= 0 (the
-    # largest six it probed) proves a + sign there that no pivot's slope
-    # has (the record made from those terms starts its tail after it): the
-    # search samples on past it, the fresh probe of the bracket end it
-    # leaves disagrees, and every pivot solve falls back to its cold search
-    # and its result
+    # a record planted with a + sign at the second to fourth of the six
+    # samples past the decision's root where its slope stayed <= 0 vouches
+    # for the third, which no pivot's slope has: each pivot, covered by the
+    # record's radius, probes a planted sample next to the planted sign
+    # change, sees its bracket move and walks on the vouched signs; the
+    # probe of the planted bracket end it meets disagrees, and every pivot
+    # solve falls back to its cold search and its result
     types, instance, _ = variants_catalog()
-    profile = types[:6]
+    profile = types[:12]
     bias = BiasSpec(0.5, EquitableTarget())
     run = solver._Run(instance, solver._TargetSides(bias, instance) if biased else None)
 
@@ -1882,43 +1951,37 @@ def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
 
     excluded = excluded_means(profile)
     cold = [solve(excl) for excl in excluded]
-    _, fallbacks = _watch_searches(monkeypatch)
+    searches, fallbacks = _watch_searches(monkeypatch)
     solve(mean_type(profile), run)
-    terms = dict(run.record.terms)
-    planted = sorted(terms)[-4]
-    terms[planted] = (1e300, *terms[planted][1:])
-    run.record = solver._SlopeRecord(run.record.objective, terms)
+    assert [solve(excl, run) for excl in excluded] == cold
+    assert len(searches) == len(profile) and fallbacks == []
+    past = [t for t, _, _ in run.record.walk[-6:]]
+    _planted(run, past[1:4])
+    assert past[2] in run.record.vouched
     assert [solve(excl, run) for excl in excluded] == cold
     assert len(fallbacks) == len(profile)
 
 
 def test_a_run_stretched_past_the_roots_falls_back_to_the_cold_search(monkeypatch):
-    # a record whose gain terms are planted far too large at every sample
-    # of the open piece up to the third past the decision's root gives every
-    # pivot a run that covers its own root: the search walks on from the
-    # run's last sample, the fresh probe of that bracket end disagrees,
-    # and every pivot solve falls back to its cold search and its result
+    # a record planted with a + sign at every sample of the open piece up
+    # to the third past the decision's root vouches for every pivot's own
+    # root bracket as +: each pivot probes the planted sign change, sees
+    # its bracket move and walks on the vouched signs, the probe of the
+    # planted bracket end it meets disagrees, and every pivot solve falls
+    # back to its cold search and its result
     types, instance, _ = variants_catalog()
-    profile = types[:6]
+    profile = types[:12]
     excluded = excluded_means(profile)
     cold = [optimize(excl, instance) for excl in excluded]
-    _, lower, s0 = solver._walk_origin(instance)
     searches, fallbacks = _watch_searches(monkeypatch)
     run = solver._Run(instance)
     root = optimize(mean_type(profile), instance, run=run).tax
-    terms = dict(run.record.terms)
-    walk = [lower + math.ldexp(s0, k) for k in range(len(run.record.pieces[1][0]))]
+    walk = [t for t, _, _ in run.record.walk]
     last = [t for t in walk if t > root][2]
     assert max(c.tax for c in cold) < last
-    for t in walk[: walk.index(last) + 1]:
-        terms[t] = (1e300, *terms[t][1:])
-    run.record = solver._SlopeRecord(run.record.objective, terms)
+    _planted(run, walk[: walk.index(last) + 1])
     assert [optimize(excl, instance, run=run) for excl in excluded] == cold
-    for _, _, signs, _ in searches:
-        bounded, (run, first, end) = signs.runs
-        assert bounded == (0, 0, 0)  # the walk starts at 0: no bounded piece
-        assert run == walk.index(last) + 1 and run <= first <= end
-    assert len(fallbacks) == len(profile)
+    assert searches == [] and len(fallbacks) == len(profile)
 
 
 class _BracketProbe:
@@ -2083,11 +2146,11 @@ def _slope_instance(kind):
 @pytest.mark.parametrize("psi", [TaxPreference.none(), TaxPreference.exp_decay(3.0, 5.0)])
 @pytest.mark.parametrize("kind, target, taxes", _SLOPE_TARGETS)
 def test_biased_slope_matches_central_differences(monkeypatch, psi, kind, target, taxes):
-    kept = _keep_probes(monkeypatch)
+    probes = _walked_probes(monkeypatch)
     instance = _slope_instance(kind)
     agent = AgentType((0.5, 0.3, 0.2), 1.1)
     optimize_biased(agent, BiasSpec(0.5, target, psi), instance)
-    probe = kept[0][0]
+    (probe,) = probes
     for t in taxes:
         if isinstance(target, EquitableTarget):
             xhat = equitable_allocation(t, instance)
@@ -2153,9 +2216,10 @@ def test_biased_tax_is_stationary(monkeypatch, bias):
     # on the closed-form all-log running example the slope at the returned
     # tax is within its rounding bound: the tax is resolved past the value
     # plateau that a value-comparison search stops on
-    kept = _keep_probes(monkeypatch)
+    probes = _walked_probes(monkeypatch)
     d = optimize_biased(mean_type(RUNNING_PROFILE), bias, make_running_instance())
-    slope, size, _ = kept[0][0](d.tax)
+    (probe,) = probes
+    slope, size, _ = probe(d.tax)
     assert abs(slope) <= solver._ROUNDING * size
 
 
@@ -2264,11 +2328,11 @@ def test_one_pass_target_side_equals_the_field_by_field_entry(seed, kind, target
 
 def test_a_solve_water_fills_each_probed_tax_once(monkeypatch):
     # a solve keeps the inner evaluation of each tax it probes: on the
-    # mixed catalog the re-probed bracket ends, the valued candidates and
-    # the decision's allocation water-fill nothing twice, for the plain,
+    # mixed catalog the valued candidates, the decision's allocation and a
+    # walk after a moved bracket water-fill nothing twice, for the plain,
     # biased and hetero solves, cold or certified (where a decision at a
-    # tax proven without a probe takes one water-fill more)
-    kept = _keep_probes(monkeypatch)
+    # start vouched for without a probe takes one water-fill more)
+    solves = _keep_probes(monkeypatch)
     fills = []
     original = solver._water_fill
 
@@ -2288,11 +2352,11 @@ def test_a_solve_water_fills_each_probed_tax_once(monkeypatch):
         lambda: run_us_vcg_hetero(types, hetero),
     )
     for k, run in enumerate(runs):
-        kept.clear()
+        solves.clear()
         fills.clear()
         run()
-        distinct = sum(len(set(calls)) for _, calls in kept)
-        assert distinct <= len(fills) <= distinct + (len(kept) if k >= 3 else 0)
+        distinct = sum(len(set(taxes)) for _, taxes in solves)
+        assert distinct <= len(fills) <= distinct + (len(solves) if k >= 3 else 0)
         if k < 3:
             assert len(fills) == distinct
 
@@ -2329,7 +2393,7 @@ def test_mixed_catalog_runs_pin_their_inner_stage_counts(monkeypatch):
         levels.clear()
         run()
         counts[name] = (len(sweeps), max(sweeps), len(levels), max(levels, default=0))
-    assert counts == {"us": (801, 5, 0, 0), "biased": (944, 5, 644, 7), "hetero": (794, 5, 0, 0)}
+    assert counts == {"us": (809, 5, 0, 0), "biased": (944, 5, 644, 7), "hetero": (795, 5, 0, 0)}
 
 
 class _RateFreeTarget:
