@@ -74,9 +74,10 @@ class FuzzReport:
     worst_case: dict | None
     tolerance: float
     mode: str  # "sdsic" or "dsic"
-    gains: tuple[float, ...] = ()  # one entry per trial, nan for a diverged one
+    gains: tuple[float, ...] = ()  # one entry per trial, nan where no gain was measured
     misreport_space: str = "full"
     diverged: int = 0  # trials whose drawn profile raised TaxDivergence
+    misreports_diverged: int = 0  # misreported profiles that raised it, skipped
 
     @property
     def passed(self) -> bool:
@@ -92,6 +93,7 @@ class FuzzReport:
             "mode": self.mode,
             "misreport_space": self.misreport_space,
             "diverged": self.diverged,
+            "misreports_diverged": self.misreports_diverged,
             "passed": self.passed,
         }
 
@@ -106,6 +108,7 @@ class CoalitionReport:
     per_trial: tuple[tuple[int, int, int], ...] = ()  # (trial, found, unstable), not diverged
     misreport_space: str = "full"
     diverged: int = 0  # trials whose drawn profile raised TaxDivergence
+    misreports_diverged: int = 0  # misreported profiles that raised it, skipped
 
     @property
     def passed(self) -> bool:
@@ -121,6 +124,7 @@ class CoalitionReport:
             "stable_cases": list(self.stable_cases),
             "misreport_space": self.misreport_space,
             "diverged": self.diverged,
+            "misreports_diverged": self.misreports_diverged,
             "passed": self.passed,
         }
 
@@ -327,7 +331,8 @@ def sdsic_fuzz(
     first-order gain (slope p_i/w_money at the truth) from shading that
     weight; full-space runs therefore surface genuine positive gains and
     exist to measure them.  A trial whose drawn profile raises
-    TaxDivergence counts as ``diverged``, with a nan gain.
+    TaxDivergence, or whose lie does, measures no gain (nan) and counts as
+    ``diverged``, or ``misreports_diverged``.
     """
     _check_draws(mu, misreport_space)
     interior = all(math.isinf(c.deriv_at_zero()) for c in instance.gain_curves)
@@ -338,7 +343,7 @@ def sdsic_fuzz(
     max_gain = -math.inf
     worst: dict | None = None
     gains: list[float] = []
-    diverged = 0
+    diverged = misreports_diverged = 0
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         profile = tuple(_draw_type(rng, instance.m, mu) for _ in range(n))
@@ -351,12 +356,16 @@ def sdsic_fuzz(
         try:
             best_excl = truth.others_optimum(excl)
             u_truth = _report_utility(truth, i, profile[i], truth.others_optimum(None), excl, best_excl)
-            u_lie = _report_utility(lie, i, profile[i], lie.others_optimum(None), excl, best_excl)
         except TaxDivergence:
             diverged += 1
             gains.append(math.nan)
             continue
-        gain = u_lie - u_truth
+        try:
+            u_lie = _report_utility(lie, i, profile[i], lie.others_optimum(None), excl, best_excl)
+            gain = u_lie - u_truth
+        except TaxDivergence:
+            misreports_diverged += 1
+            gain = math.nan  # no gain, so no worst case
         gains.append(gain)
         if gain > max_gain:
             max_gain = gain
@@ -367,10 +376,11 @@ def sdsic_fuzz(
                 "misreport": list(report.alloc_weights) + [report.money_weight],
                 "gain": gain,
             }
-    if trials == diverged:  # no trial measured a gain
+    if worst is None:  # no trial measured a gain
         max_gain = 0.0
     return FuzzReport(
-        trials, max_gain, worst, _TOLERANCE, mode, tuple(gains), misreport_space, diverged
+        trials, max_gain, worst, _TOLERANCE, mode, tuple(gains), misreport_space, diverged,
+        misreports_diverged,
     )
 
 
@@ -389,82 +399,89 @@ def coalition_probe(
 
     One-step coalition-proofness is inherited from the no-profitable-
     misreport property, so like ``sdsic_fuzz`` it is only guaranteed on the
-    "allocation" misreport space.  ``mu`` bounds the money weights, and a
-    trial whose profiles raise TaxDivergence counts as ``diverged``, as
-    there."""
+    "allocation" misreport space.  ``mu`` bounds the money weights and
+    TaxDivergence is counted as there; a lie or deviation that raises it
+    is skipped, and its trial keeps what it found."""
     n = instance.n
     if not 0 < coalition_size < n:
         raise DomainError("coalition size must be between 1 and n-1")
     _check_draws(mu, misreport_space)
+    found = unstable = 0
     stable_cases: list[dict] = []
     per_trial: list[tuple[int, int, int]] = []
-    diverged = 0
+    diverged = misreports_diverged = 0
 
-    def utilities(reported: tuple[AgentType, ...], members) -> dict[int, float]:
-        variant = _Plain(reported, instance)
-        decision = variant.others_optimum(None)
-        out = {}
-        for i, excl in zip(members, excluded_means(reported, members)):
-            best_excl = variant.others_optimum(excl)
-            out[i] = _report_utility(variant, i, true_profile[i], decision, excl, best_excl)
+    def utilities(reported: tuple[AgentType, ...], members) -> dict[int, float] | None:
+        # None where a solve of the reported profile raises TaxDivergence
+        try:
+            variant = _Plain(reported, instance)
+            decision = variant.others_optimum(None)
+            out = {}
+            for i, excl in zip(members, excluded_means(reported, members)):
+                best_excl = variant.others_optimum(excl)
+                out[i] = _report_utility(variant, i, true_profile[i], decision, excl, best_excl)
+        except TaxDivergence:
+            return None
         return out
 
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         true_profile = tuple(_draw_type(rng, instance.m, mu) for _ in range(n))
         members = sorted(rng.choice(n, size=coalition_size, replace=False).tolist())
-        trial_found = trial_unstable = 0
-        trial_stable: list[dict] = []
-        try:
-            u_truth = utilities(true_profile, members)
-            for _ in range(_COALITION_LIES):
-                lies = {
-                    i: _draw_misreport(rng, true_profile[i], mu, misreport_space)
-                    for i in members
-                }
-                reported = tuple(
-                    lies.get(k, true_profile[k]) for k in range(n)
-                )
-                u_lie = utilities(reported, members)
-                weak = all(u_lie[i] >= u_truth[i] - 1e-12 for i in members)
-                strict = any(u_lie[i] > u_truth[i] + _TOLERANCE for i in members)
-                if not (weak and strict):
-                    continue
-                trial_found += 1
-                deviator = None
-                for i in members:
-                    candidates = [true_profile[i]] + [
-                        _draw_misreport(rng, true_profile[i], mu, misreport_space)
-                        for _ in range(2)
-                    ]
-                    for cand in candidates:
-                        probe = reported[:i] + (cand,) + reported[i + 1 :]
-                        u_cand = utilities(probe, [i])[i]
-                        if u_cand > u_lie[i] + _TOLERANCE:
-                            deviator = i
-                            break
-                    if deviator is not None:
-                        break
-                if deviator is not None:
-                    trial_unstable += 1
-                else:
-                    trial_stable.append(
-                        {
-                            "trial": trial,
-                            "members": members,
-                            "gains": [u_lie[i] - u_truth[i] for i in members],
-                        }
-                    )
-        except TaxDivergence:
+        u_truth = utilities(true_profile, members)
+        if u_truth is None:
             diverged += 1
             continue
-        stable_cases += trial_stable
+        trial_found = trial_unstable = 0
+        for _ in range(_COALITION_LIES):
+            lies = {
+                i: _draw_misreport(rng, true_profile[i], mu, misreport_space)
+                for i in members
+            }
+            reported = tuple(
+                lies.get(k, true_profile[k]) for k in range(n)
+            )
+            u_lie = utilities(reported, members)
+            if u_lie is None:
+                misreports_diverged += 1
+                continue
+            weak = all(u_lie[i] >= u_truth[i] - 1e-12 for i in members)
+            strict = any(u_lie[i] > u_truth[i] + _TOLERANCE for i in members)
+            if not (weak and strict):
+                continue
+            found += 1
+            trial_found += 1
+            deviator = None
+            for i in members:
+                candidates = [true_profile[i]] + [
+                    _draw_misreport(rng, true_profile[i], mu, misreport_space)
+                    for _ in range(2)
+                ]
+                for cand in candidates:
+                    probe = reported[:i] + (cand,) + reported[i + 1 :]
+                    u_cand = utilities(probe, [i])
+                    if u_cand is None:
+                        misreports_diverged += 1
+                    elif u_cand[i] > u_lie[i] + _TOLERANCE:
+                        deviator = i
+                        break
+                if deviator is not None:
+                    break
+            if deviator is not None:
+                unstable += 1
+                trial_unstable += 1
+            else:
+                stable_cases.append(
+                    {
+                        "trial": trial,
+                        "members": members,
+                        "gains": [u_lie[i] - u_truth[i] for i in members],
+                    }
+                )
         per_trial.append((trial, trial_found, trial_unstable))
-    found = sum(f for _, f, _ in per_trial)
-    unstable = sum(u for _, _, u in per_trial)
     return CoalitionReport(
         trials, coalition_size, found, unstable, tuple(stable_cases), tuple(per_trial),
-        misreport_space, diverged,
+        misreport_space, diverged, misreports_diverged,
     )
 
 
@@ -490,9 +507,7 @@ def sigma_population(
     """Population of size n whose mean equals the triplet's mean exactly.
 
     Types come in mirrored (antithetic) pairs around the mean inside the
-    money band; an odd population gets one agent at the mean itself.  Each
-    pair's offset z sums to exactly 0 (its last entry is minus the exact
-    sum of the others), so every type's weights sum to 1 within rounding.
+    money band; an odd population gets one agent at the mean itself.
     ``spread_scale`` shrinks the draw ranges (0 gives a homogeneous
     population).  Requires an interior mean allocation.
     """
@@ -518,7 +533,7 @@ def sigma_population(
             z = np.zeros(m)
         else:
             z *= rng.uniform(0.0, 1.0) * alloc_room / peak
-            z[-1] = -math.fsum(z[:-1])
+            z[-1] = -math.fsum(z[:-1])  # an exact 0 sum keeps each type on the simplex
         dm = rng.uniform(-1.0, 1.0) * money_room
         types.append(AgentType(tuple(w + z), base.money_weight + dm))
         types.append(AgentType(tuple(w - z), base.money_weight - dm))

@@ -73,13 +73,14 @@ gains and f(t), O(m) per agent.  In both forms removing agent i is one short
 a run costs one solve for the decision plus one pivot solve per agent.
 Every variant's pivot solves are certified against the decision's record
 (one ``solver._Run`` per run): an excluded mean lies within O(1/n) of the
-full mean, so one radius per piece of the decision's walk
+full mean, so the radius each sample of the decision's walk keeps
 (``solver._radius``, one form for every solver kind) proves the tax-slope
-signs at every sample but those next to a sign change.  A pivot solve
-within it probes only those and its roots -- about 3 slope probes on
-all-log catalogs and 5-6 on a mixed one, against the decision's 43-47 --
-and returns its own cold search's decision, bit for bit; one outside it
-is solved cold.  The biased variant's bound also covers its reweighted
+signs at every sample but the ends of its brackets.  A pivot solve within
+every such radius probes only those and its roots -- about 3 slope probes
+on all-log catalogs and 5-6 on a mixed one, against the decision's 43-47
+-- and one farther off also probes the samples whose radius it exceeds;
+each returns its own cold search's decision, bit for bit.  The biased
+variant's bound also covers its reweighted
 term, which moves with the type's own allocation, by how far each good's
 level can move (``GainCurve.level_shift``).
 

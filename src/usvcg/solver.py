@@ -37,16 +37,14 @@ The optimisation is solved in the two natural stages:
    over the walk's own samples, from a probe at the start (``_located``):
    the walk's result, bit for bit, from 4 slope probes on the running
    example instead of 44.  A mechanism's pivot solves are certified
-   against the decision solve's walk (``_SlopeRecord``): each piece of
-   the walk keeps one radius, the least over its samples of how far
-   another type may deviate with its sign there still proven, and a pivot
-   within it probes only the samples no bound vouches for: those next to
-   a sign change, and those with no radius, such as the kt kink at 0.
-   Where they show the decision's signs, the pivot's brackets are the
-   decision's and it goes straight to their roots, with the same result
-   as the full search, bit for bit; a pivot outside the radius is solved
-   cold.  A solve keeps the inner evaluation of each tax it probes, so no
-   tax is water-filled twice within it.
+   against the decision solve's walk (``_SlopeRecord``): each sample but
+   the brackets' ends and the kt kink at 0 keeps how far another type may
+   deviate with its sign there still proven.  A pivot within every such
+   radius probes only the others and goes straight to the brackets'
+   roots; any other walks on the signs that cover it and probes the rest.
+   Either way the result is the full search's, bit for bit.  A solve
+   keeps the inner evaluation of each tax it probes, so no tax is
+   water-filled twice within it.
 
 Each solver kind is one objective whose ``at(t)`` names, from one inner
 evaluation, the allocation, the gains and the slope and value terms
@@ -562,9 +560,8 @@ class _Run:
     """One mechanism run's state, which each of its solves takes as ``run=``:
     its instance, its kind's shared table (``_TargetSides``, ``_HeteroTotals``
     or None) and the slope record that its first solve leaves
-    (``_SlopeRecord``), against which every later one is certified, or
-    solved cold where the record does not cover it.  A solve without a run
-    is cold."""
+    (``_SlopeRecord``), against which every later one is certified.  A
+    solve without a run is cold."""
 
     def __init__(self, instance: BudgetInstance, table=None):
         self.instance, self.table, self.record = instance, table, None
@@ -651,79 +648,80 @@ class _SlopeRecord:
     _SLACK of the terms to spare (``_proof``) is the sign the type's cold
     search samples there.
 
-    The record keeps, for each piece of the decision's walk (its samples at
-    t <= 0, the bounded piece below the kt kink, and at t > 0, the open
-    piece), the least radius within which another type's sign is proven
-    the decision's (``_radius``) over the piece's samples, the start
-    included, but for those that a bound cannot vouch for: the samples next
-    to a sign change, which hold the walk's brackets, and those where
-    ``_radius`` finds none, such as the kt kink at t = 0, whose cost is
-    infinite.  A type lies within a piece's radius when its deviation
-    max(1/w_lo, w_hi, 1/r, r), r the cost ratio on the piece's side of 0,
-    does.  A type within every piece's radius probes only the unvouched
-    samples (``samples``); where each shows the decision's sign, its cold
-    walk would sample the decision's taxes with the decision's signs, so
-    its start candidate and its brackets are the decision's, with its own
-    probes at the brackets' ends.
+    The record vouches for each sample of the decision's walk but the ends
+    of its brackets (+ to <= 0), whose probes the root search needs, and
+    those with no radius (``_radius``), such as the kt kink at t = 0: it
+    keeps its slope and radius, and each piece of the walk (t <= 0 and
+    t > 0) the least of them.  A type's deviation on a side of 0
+    (``reach``) is max(1/w_lo, w_hi, 1/r, r), and a radius that covers it
+    proves the type's sign there.  A type within every piece's least
+    radius probes only the unvouched samples; where each shows the
+    decision's sign, its cold walk would take the decision's taxes and
+    signs, so its start and brackets are the decision's, with its own
+    probes at the brackets' ends.  Any other type walks on the vouched
+    signs that cover it and probes the rest.
     """
 
     def __init__(self, objective, terms: dict[float, tuple], samples: list):
         self.objective, self.radii = objective, [math.inf, math.inf]
         # kept: (tax, slope) of the start and the unvouched samples;
-        # vouched: the other samples' slopes by tax
+        # vouched: (slope, radius) of the others by tax
         self.kept, self.vouched = [], {}
         positive = [slope > 0.0 for _, slope, _ in samples]
+        # the first samples of the brackets, whose slope turns from + to <= 0
+        firsts = {k for k in range(len(samples) - 1) if positive[k] and not positive[k + 1]}
         for k, (t, slope, _) in enumerate(samples):
-            turns = len(set(positive[max(k - 1, 0) : k + 2])) > 1
-            radius = 0.0 if turns else _radius(terms[t], 1.0 if positive[k] else -1.0)
+            ends = k in firsts or k - 1 in firsts
+            radius = 0.0 if ends else _radius(terms[t], 1.0 if positive[k] else -1.0)
             if radius:
                 self.radii[t > 0.0] = min(self.radii[t > 0.0], radius)
-                self.vouched[t] = slope
+                self.vouched[t] = slope, radius
             if not radius or k == 0:
                 self.kept.append((t, slope))
 
-    def _bounds(self, base) -> tuple[float, float]:
-        """w_lo and w_hi for another type's type weights ``base``."""
+    def reach(self, other) -> list[float]:
+        """The deviation of the objective ``other``, of the record's kind,
+        below and above 0, widened by a few ulps, so that ``_proof`` proves
+        every sample whose radius covers it.  A plain slope, gain - cost,
+        has the sign of gain/r - cost, so there it is also at most
+        max(r/w_lo, w_hi/r): small where weights and cost shrink alike."""
         made = self.objective
-        ratios = [
-            w / v if v > 0.0 else math.inf for w, v in zip(base, made.base) if w > 0.0 or v > 0.0
-        ]
+        pairs = zip(other.base, made.base)
+        ratios = [w / v if v > 0.0 else math.inf for w, v in pairs if w > 0.0 or v > 0.0]
         if made.sides is not None:  # the phantom weights lam a(t) are every type's
             ratios.append(1.0)
-        return min(ratios), max(ratios)
+        w_lo, w_hi, scale = min(ratios), max(ratios), other.kappa / made.kappa
+        reach = [math.inf, math.inf]
+        for side, (c, d) in enumerate(zip(other.coefficients, made.coefficients)):
+            if w_lo > 0.0:
+                r = scale * c / d
+                deviation = max(1.0 / w_lo, w_hi, r, 1.0 / r)
+                if made.sides is None:  # the plain kind: no other slope term
+                    deviation = min(deviation, max(r / w_lo, w_hi / r))
+                reach[side] = deviation * (1.0 + _ROUNDING)
+        return reach
 
     def samples(self, other, probe: Callable) -> list | None:
         """The samples that ``_maximize_over_tax`` takes for the objective
-        ``other``, of the record's kind, whose ``probe`` this is; None where
-        other lies outside a piece's radius, so that it is solved cold.
-
-        A vouched sample takes the decision's slope, and any other sample
-        the probe's.  Where each unvouched sample shows the decision's sign, the
-        samples are the start and the unvouched ones, in walk order.  Where
-        one does not, other's brackets have moved, and they are other's own
-        walk (``_walk``) over those slopes.  A bracket end that was vouched
-        for is probed; None where it shows a sign that is not the
-        decision's."""
-        w_lo, w_hi = self._bounds(other.base)
-        made = self.objective
-        r = other.kappa / made.kappa
-        for radius, c, d in zip(self.radii, other.coefficients, made.coefficients):
-            if radius < math.inf:
-                # the type's deviation, widened by a few ulps, so that
-                # ``_proof`` proves every sample the radius covers
-                ratio = r * c / d
-                reach = max(1.0 / w_lo, w_hi, ratio, 1.0 / ratio) if w_lo > 0.0 else math.inf
-                if not reach * (1.0 + _ROUNDING) <= radius:
-                    return None
-        vouched = self.vouched
+        ``other``, of the record's kind, whose ``probe`` this is: the start
+        and the unvouched samples where those show the decision's signs,
+        else other's walk (``_walk``), a vouched sign standing for each
+        probe it covers.  A bracket end whose sign was vouched for is
+        probed; None where it shows another sign, so that other is solved
+        cold."""
+        reach, vouched, probe = self.reach(other), self.vouched, _kept(probe)
 
         def proven(t: float) -> tuple[float, float, float]:
-            slope = vouched.get(t)
-            return probe(t) if slope is None else (slope, math.nan, math.nan)
+            entry = vouched.get(t)
+            if entry is not None and reach[t > 0.0] <= entry[1]:
+                return entry[0], math.nan, math.nan
+            return probe(t)
 
-        samples = [(t, *proven(t)[:2]) for t, _ in self.kept]
-        if any((at > 0.0) != (slope > 0.0) for (_, at, _), (_, slope) in zip(samples, self.kept)):
-            samples = _walk(proven, made.instance)  # other's brackets moved
+        samples = []
+        if reach[0] <= self.radii[0] and reach[1] <= self.radii[1]:
+            samples = [(t, *proven(t)[:2]) for t, _ in self.kept]
+        if [at > 0.0 for _, at, _ in samples] != [slope > 0.0 for _, slope in self.kept]:
+            samples = _walk(proven, self.objective.instance)  # not covered, or a bracket moved
         for k in range(len(samples) - 1):
             if samples[k][1] > 0.0 and not samples[k + 1][1] > 0.0:
                 for j in (k, k + 1):
@@ -761,14 +759,13 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     that of cost and the negative ones' magnitudes, its size max(P, N) and
     its value the sum of (gains, *offsets, -kappa c f(t)).
     A run's (``_Run``) first solve walks (``_walk``) and leaves the record
-    of its walk and its slope terms (``_SlopeRecord``).  A later solve of
-    the run probes only the samples that the record cannot vouch for, and
-    where they show the decision's signs it goes from them straight to the
-    roots (``_maximize_over_tax``).  Otherwise, and without a run, the
-    solve is cold: a plain objective with a descent bound
-    (``_PlainObjective.descent``) locates the walk's bracket (``_located``),
-    and walks only where a probed sample disagrees with the bound; any
-    other walks.  Each way gives the walk's result, bit for bit.  With
+    of its walk and slope terms; a later one takes the signs the record
+    vouches for and probes the rest (``_SlopeRecord.samples``).  Without a
+    run, or where a probe contradicts a vouched sign, the solve is cold:
+    a plain objective with a descent bound (``_PlainObjective.descent``)
+    locates the walk's bracket (``_located``), and walks only where a
+    probed sample disagrees with the bound; any other walks.  Each way
+    gives the walk's result, bit for bit (``_maximize_over_tax``).  With
     ``unique`` a tie raises NonUniqueOptimum.  Where an evaluation
     water-fills (``objective.fills``) the solve keeps ``at(t)`` of every
     tax it probes, so the valued candidates, the decision's allocation and

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -28,7 +29,10 @@ from usvcg import (
     sigma_population,
     tax_divergence_demo,
 )
+from usvcg import experiments
+from usvcg.errors import TaxDivergence
 from usvcg.experiments import population_spread
+from usvcg.mechanism import _Plain
 
 SIGMA = CharacteristicTriplet(
     b0=0.0, mu=2.0, mean_type=AgentType((0.4, 0.6), 31.0 / 30.0)
@@ -136,11 +140,62 @@ def test_fuzzers_count_diverging_trials_and_go_on(running_instance):
     # is counted, with a nan gain, and the other trials run
     report = sdsic_fuzz(running_instance, 50, seed=2, mu=1e12)
     assert report.diverged == 1 and report.as_dict()["diverged"] == 1
+    assert report.misreports_diverged == 0
     assert [k for k, gain in enumerate(report.gains) if math.isnan(gain)] == [11]
     assert math.isfinite(report.max_gain)
     coalitions = coalition_probe(running_instance, 1, 20, seed=2, mu=1e12)
     assert coalitions.diverged == 1 and coalitions.as_dict()["diverged"] == 1
+    assert coalitions.misreports_diverged == 0
     assert len(coalitions.per_trial) == 19
+
+
+def _diverging_plain(monkeypatch, diverges):
+    """Make every mechanism the fuzzers build raise TaxDivergence at its
+    decision where ``diverges(profile)``."""
+
+    class Diverging(_Plain):
+        def others_optimum(self, excl):
+            if excl is None and diverges(self.profile):
+                raise TaxDivergence("planted")
+            return super().others_optimum(excl)
+
+    monkeypatch.setattr(experiments, "_Plain", Diverging)
+
+
+def test_a_diverging_misreport_keeps_what_its_trial_found(monkeypatch, running_instance):
+    # a misreported profile whose solve diverges is skipped and counted in
+    # misreports_diverged, not as a diverging drawn profile, and its trial
+    # keeps what it has found.  In the coalition probe, each manipulation
+    # found has its member's truth probed as a deviation, which puts back
+    # the true profile: that second solve of the profile diverges, after
+    # the manipulation was found, and every stable case is still reported
+    plain = coalition_probe(running_instance, 1, 20, seed=1)
+    assert plain.manipulations_found == len(plain.stable_cases) == 6
+    seen = collections.Counter()
+
+    def again(profile):
+        seen[profile] += 1
+        return seen[profile] > 1
+
+    _diverging_plain(monkeypatch, again)
+    probed = coalition_probe(running_instance, 1, 20, seed=1)
+    assert probed.stable_cases == plain.stable_cases
+    assert probed.per_trial == plain.per_trial and probed.diverged == 0
+    assert probed.misreports_diverged == probed.as_dict()["misreports_diverged"] == 6
+    # in the unilateral fuzz every lie diverges: no gain is measured
+    lies = set()
+    _diverging_plain(monkeypatch, lambda profile: not lies.isdisjoint(profile))
+    draw = experiments._draw_misreport
+
+    def drawing(*args):
+        lie = draw(*args)
+        lies.add(lie)
+        return lie
+
+    monkeypatch.setattr(experiments, "_draw_misreport", drawing)
+    report = sdsic_fuzz(running_instance, 5, seed=1)
+    assert report.diverged == 0 and report.misreports_diverged == 5
+    assert all(math.isnan(gain) for gain in report.gains) and report.max_gain == 0.0
 
 
 def test_coalition_size_must_be_partial(running_instance):

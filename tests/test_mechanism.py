@@ -511,7 +511,7 @@ def test_nonpositive_jacobian_solves_are_certified_bit_for_bit(monkeypatch, kt_b
         (water.types, water, NonPositiveConfig(gamma=gamma)),
         (switch, make_kt_branch_instance(switch), NonPositiveConfig(gamma=1.0)),
     ]
-    solves, searches = [], []  # every solve; for each run against a record, whether it covers it
+    solves, searches = [], []  # every solve; for each run against a record, whether it certifies it
     solve, samples = solver._solve, solver._SlopeRecord.samples
 
     def counted(*args, **kwargs):

@@ -1499,12 +1499,10 @@ def test_catalogs_without_a_bound_walk(monkeypatch, instance):
 
 
 def test_probes_per_pivot_solve(monkeypatch):
-    # the pivot solves of every variant probe the samples the decision's
-    # record cannot vouch for, its brackets' ends, and their roots: at most
-    # 6 slope probes, against the decisions' 43-47.  A pivot solve outside
-    # the record's radius is cold: a plain or hetero one locates (at most
-    # 4), a biased one walks, as two of the running example's three do; a
-    # pivot whose bracket moved walks on the vouched signs (at most 60)
+    # the pivot solves of every variant take the signs the decision's
+    # record vouches for and probe little more than their brackets' ends
+    # and roots, against the decisions' 43-47 slope probes: a pivot within
+    # every piece's least radius, with no walk, at most 6
     solves = _keep_probes(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
@@ -1520,8 +1518,9 @@ def test_probes_per_pivot_solve(monkeypatch):
             solves.clear()
             run(*args)
             assert len(solves) == len(profile) + 1
-            for searches, taxes in solves[1:]:
-                assert len(taxes) <= {(): 6, ("_located",): 4}.get(tuple(searches), 60)
+            pivots = [len(taxes) for _, taxes in solves[1:]]
+            assert sum(pivots) <= 15 * len(pivots)
+            assert all(len(taxes) <= 6 for ran, taxes in solves[1:] if ran == [])
             assert max(len(taxes) for _, taxes in solves) <= 60
 
 
@@ -1558,9 +1557,9 @@ def _assert_vouched_but_the_bracket(monkeypatch, run):
 
 
 def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
-    # a 200-agent all-log population: one radius per piece of the
-    # decision's walk covers every pivot, which probes only its bracket's
-    # ends before the root search
+    # a 200-agent all-log population: the least radius of each piece of
+    # the decision's walk covers every pivot, which probes only its
+    # bracket's ends before the root search
     profile, instance = _all_log_run_inputs()
     _assert_vouched_but_the_bracket(monkeypatch, lambda: run_us_vcg(profile, instance))
 
@@ -1593,9 +1592,9 @@ def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
     # the pivot solves' slope probes, summed over 8 seeds of 40 fuzzed
     # agents for each solver kind of the plain and hetero runs, and over
     # the three n=150 runs of the variants_mixed catalog.  Every kind is
-    # certified in one form, and a pivot outside the record's radius is
-    # solved cold; a change to the bounds, the record or the root search
-    # moves these counts
+    # certified in one form, and a pivot outside a piece's least radius
+    # walks on the signs vouched for within its reach; a change to the
+    # bounds, the record or the root search moves these counts
     taxes = _count_slope_probes(monkeypatch)
     counts = {}
     for kind in _FUZZ_KINDS:
@@ -1629,23 +1628,24 @@ def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
         run()
         counts[name] = len(taxes) - 2 * decision
     assert counts == {
-        ("all-log", False): 3954,
-        ("all-log", True): 3843,
-        ("water-fill", False): 4120,
-        ("water-fill", True): 4223,
-        ("kt-b0", False): 7326,
-        ("kt-b0", True): 7859,
-        "us": 782,
+        ("all-log", False): 3628,
+        ("all-log", True): 3627,
+        ("water-fill", False): 3858,
+        ("water-fill", True): 3925,
+        ("kt-b0", False): 6630,
+        ("kt-b0", True): 6696,
+        "us": 766,
         "biased": 900,
-        "hetero": 753,
+        "hetero": 751,
     }
 
 
 def test_benchmark_catalogs_certify_every_pivot(monkeypatch):
     # the variants_mixed benchmark's catalog (n=150: US, biased, hetero)
-    # and a 200-agent all-log population: the record's one radius per
-    # piece covers every pivot solve, so none falls back to a cold solve.
-    # The pivots whose own probes move a bracket walk on the vouched signs
+    # and a 200-agent all-log population: the least radius of each piece
+    # of the decision's walk covers every pivot solve, and none falls back
+    # to a cold solve.  The pivots whose own probes move a bracket walk on
+    # the vouched signs
     types, instance, weighted = variants_catalog(150)
     profile, all_log = _all_log_run_inputs()
     bias = BiasSpec(0.5, EquitableTarget())
@@ -1680,8 +1680,9 @@ def _watch_searches(patch):
     """Watch the slope records made from here on, each keeping the
     ``terms`` and the ``walk`` it is made from, and the solves certified
     against them: ``searches`` keeps (record, objective, probe, samples)
-    for each solve that a record covers, ``fallbacks`` (record, objective)
-    for each that it does not, which is solved cold."""
+    for each solve that takes its samples from a record, ``fallbacks``
+    (record, objective) for each where a probe contradicts a vouched sign,
+    which is solved cold."""
     searches, fallbacks = [], []
 
     class Watched(solver._SlopeRecord):
@@ -1708,16 +1709,18 @@ def _brackets(samples):
 
 def _assert_proven_signs_hold(searches):
     # every kind writes one entry layout, (gain, cost, rest, rest_size,
-    # goods); at every sample its record vouches for, a certified search's
-    # own probe has the decision's sign, not only where the search used
-    # it; and the samples the search takes hold its cold walk's start
+    # goods); at every sample its record vouches for with a radius that
+    # covers a certified search, the search's own probe has the decision's
+    # sign, not only where the search used it; and the samples the search takes hold its cold walk's start
     # candidate and brackets, with the walk's bits at the brackets' ends
     assert searches
     for record, other, probe, samples in searches:
         for entry in record.terms.values():
             assert len(entry) == 5 and all(len(good) == 3 for good in entry[4])
-        for t, slope in record.vouched.items():
-            assert (probe(t)[0] > 0.0) == (slope > 0.0), t
+        reach = record.reach(other)
+        for t, (slope, radius) in record.vouched.items():
+            if reach[t > 0.0] <= radius:
+                assert (probe(t)[0] > 0.0) == (slope > 0.0), t
         walk = solver._walk(probe, other.instance)
         assert samples[0][0] == walk[0][0] and (samples[0][1] > 0.0) == (walk[0][1] > 0.0)
         assert _brackets(samples) == _brackets(walk)
@@ -1748,20 +1751,19 @@ def _fuzzed_pivots(seed, kind, n, hetero):
 
 
 def _certified_equal_cold(seed, kind, n, hetero):
-    """Run a fuzzed profile's pivot solves against its decision's record
-    (``_fuzzed_pivots``); each returns its cold decision, and every sign
-    the record vouches for holds in each pivot it covers.  Returns the
-    certified searches and the fallbacks."""
+    """Certify a fuzzed profile's pivot solves against its decision's
+    record (``_fuzzed_pivots``); each returns its cold decision, none falls
+    back, and every sign the record vouches for holds in each pivot it
+    covers.  Returns the certified searches."""
     solve, run = _fuzzed_pivots(seed, kind, n, hetero)
     cold = [solve(i) for i in range(n)]
     with pytest.MonkeyPatch.context() as patch:
         searches, fallbacks = _watch_searches(patch)
         solve(run=run)
         assert [solve(i, run) for i in range(n)] == cold
-    assert len(searches) + len(fallbacks) == n
-    if searches:
-        _assert_proven_signs_hold(searches)
-    return searches, fallbacks
+    assert fallbacks == [] and len(searches) == n
+    _assert_proven_signs_hold(searches)
+    return searches
 
 
 @given(
@@ -1772,10 +1774,10 @@ def _certified_equal_cold(seed, kind, n, hetero):
 )
 @settings(max_examples=60, deadline=None)
 def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
-    # every pivot solve run against the decision's record returns the
-    # decision of its own cold search, bit for bit, whether the record
-    # covers it or not, and every sign the record vouches for is the
-    # pivot's own
+    # every pivot solve certified against the decision's record returns
+    # the decision of its own cold search, bit for bit, none falls back,
+    # and every sign the record vouches for within the pivot's reach is
+    # the pivot's own
     _certified_equal_cold(seed, kind, n, hetero)
 
 
@@ -1784,11 +1786,11 @@ def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
 def test_certified_runs_on_a_kt_walk_with_an_external_budget(seed, hetero):
     # B0 > 0 makes negative taxes feasible: the walk samples a bounded piece
     # below the kt kink at t = 0, then the open piece above it.  The
-    # bounded piece keeps a radius of its own, over 20 samples or more; at
-    # the kink the money curve's marginal is infinite, so no radius vouches
-    # for it and every certified pivot probes it
-    searches, _ = _certified_equal_cold(seed, "kt-b0", 40, hetero)
-    assert searches
+    # bounded piece keeps a least radius of its own, over 20 vouched
+    # samples or more; at the kink the money curve's marginal is infinite,
+    # so no radius vouches for it and every pivot probes it.  No pivot
+    # falls back to a cold solve
+    searches = _certified_equal_cold(seed, "kt-b0", 12, hetero)
     for record, _, _, samples in searches:
         bounded = [t for t in record.vouched if t < 0.0]
         assert record.radii[0] < math.inf and len(bounded) >= 20
@@ -1844,9 +1846,8 @@ def test_certified_biased_pivot_solves_equal_the_cold_search(seed, kind, n, targ
         optimize_biased(mean_type(profile), bias, instance, run=run)
         certified = [optimize_biased(excl, bias, instance, run=run) for excl in excluded]
     assert certified == cold
-    assert len(searches) + len(fallbacks) == n
-    if searches:
-        _assert_proven_signs_hold(searches)
+    assert fallbacks == [] and len(searches) == n
+    _assert_proven_signs_hold(searches)
 
 
 def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
@@ -1890,31 +1891,39 @@ def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
 
 
 def test_certified_pivot_solve_at_a_sampled_root_needs_no_fallback(monkeypatch):
-    # agents 1 and 2 are one type, so without agent 0 the others are that
-    # type, whose optimum (per-capita all-log, q = 1/2: t* = (20 /
-    # w_money)**2) is put on a tax the decision's walk samples, where its
-    # slope is 0 to rounding.  That sample ends the decision's bracket, so
-    # no bound vouches for it: it is probed, with the bits the cold search
-    # samples, and no pivot solve falls back
-    instance = BudgetInstance(
-        m=2,
-        n=3,
-        external_budget=0.0,
-        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
-        money_curve=MoneyCurve.power(0.5),
-        semantics="per_capita",
-    )
-    sampled = instance.tax_floor + instance.tax_epsilon + 1e-8 * 2.0**35
-    other = AgentType((0.1, 0.9), 20.0 / math.sqrt(sampled))
-    profile = (AgentType((0.11, 0.89), 1.1 * other.money_weight), other, other)
+    # without agent 0 the others are one type: agent 1 of two far-apart
+    # types, or agents 1 and 2 of three; their optimum (per-capita all-log,
+    # q = 1/2: t* = (20 / w_money)**2) is put on a tax the decision's walk
+    # samples, where their slope is 0 to rounding.  No bound proves its
+    # sign there, so agent 0's pivot probes it, with the bits the cold
+    # search samples, and no pivot solve falls back.  With three agents
+    # that sample ends the decision's bracket, so no radius vouches for it
     searches, fallbacks = _watch_searches(monkeypatch)
-    cold = [optimize(excl, instance) for excl in excluded_means(profile)]
-    assert cold[0].tax == pytest.approx(sampled, rel=1e-12)
-    run = solver._Run(instance)
-    optimize(mean_type(profile), instance, run=run)
-    assert [optimize(excl, instance, run=run) for excl in excluded_means(profile)] == cold
-    assert fallbacks == [] and len(searches) == 3
-    assert sampled not in run.record.vouched
+    for n in (2, 3):
+        instance = BudgetInstance(
+            m=2,
+            n=n,
+            external_budget=0.0,
+            gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+            money_curve=MoneyCurve.power(0.5),
+            semantics="per_capita",
+        )
+        sampled = instance.tax_floor + instance.tax_epsilon + 1e-8 * 2.0**35
+        other = AgentType((0.1, 0.9), 20.0 / math.sqrt(sampled))
+        if n == 2:
+            profile = (AgentType((0.9, 0.1), 3.0), other)
+        else:
+            profile = (AgentType((0.11, 0.89), 1.1 * other.money_weight), other, other)
+        cold = [optimize(excl, instance) for excl in excluded_means(profile)]
+        assert cold[0].tax == pytest.approx(sampled, rel=1e-12)
+        run = solver._Run(instance)
+        searches.clear()
+        optimize(mean_type(profile), instance, run=run)
+        assert [optimize(excl, instance, run=run) for excl in excluded_means(profile)] == cold
+        assert fallbacks == [] and len(searches) == n
+        (size,) = [size for t, _, size in searches[0][3] if t == sampled]
+        assert not math.isnan(size)
+        assert n == 2 or sampled not in run.record.vouched
 
 
 def _planted(run, planted):
@@ -1934,54 +1943,61 @@ def _planted(run, planted):
 def test_false_proven_sign_falls_back_to_the_cold_search(monkeypatch, biased):
     # a record planted with a + sign at the second to fourth of the six
     # samples past the decision's root where its slope stayed <= 0 vouches
-    # for the third, which no pivot's slope has: each pivot, covered by the
-    # record's radius, probes a planted sample next to the planted sign
-    # change, sees its bracket move and walks on the vouched signs; the
-    # probe of the planted bracket end it meets disagrees, and every pivot
-    # solve falls back to its cold search and its result
+    # for the third, with a radius that covers every pivot, which no
+    # pivot's slope has: each pivot walks on the vouched signs (at once, or
+    # once a planted sample next to the planted sign change shows its
+    # bracket moved); the probe of the planted bracket end it meets
+    # disagrees, and every pivot solve falls back to its cold search and
+    # its result.  The first 6 agents of the catalog and the first 12
     types, instance, _ = variants_catalog()
-    profile = types[:12]
     bias = BiasSpec(0.5, EquitableTarget())
-    run = solver._Run(instance, solver._TargetSides(bias, instance) if biased else None)
+    searches, fallbacks = _watch_searches(monkeypatch)
 
     def solve(agent, run=None):
         if biased:
             return optimize_biased(agent, bias, instance, run=run)
         return optimize(agent, instance, run=run)
 
-    excluded = excluded_means(profile)
-    cold = [solve(excl) for excl in excluded]
-    searches, fallbacks = _watch_searches(monkeypatch)
-    solve(mean_type(profile), run)
-    assert [solve(excl, run) for excl in excluded] == cold
-    assert len(searches) == len(profile) and fallbacks == []
-    past = [t for t, _, _ in run.record.walk[-6:]]
-    _planted(run, past[1:4])
-    assert past[2] in run.record.vouched
-    assert [solve(excl, run) for excl in excluded] == cold
-    assert len(fallbacks) == len(profile)
+    for n in (6, 12):
+        profile = types[:n]
+        run = solver._Run(instance, solver._TargetSides(bias, instance) if biased else None)
+        excluded = excluded_means(profile)
+        cold = [solve(excl) for excl in excluded]
+        searches.clear()
+        fallbacks.clear()
+        solve(mean_type(profile), run)
+        assert [solve(excl, run) for excl in excluded] == cold
+        assert len(searches) == n and fallbacks == []
+        past = [t for t, _, _ in run.record.walk[-6:]]
+        _planted(run, past[1:4])
+        assert past[2] in run.record.vouched
+        assert [solve(excl, run) for excl in excluded] == cold
+        assert len(fallbacks) == n
 
 
 def test_a_run_stretched_past_the_roots_falls_back_to_the_cold_search(monkeypatch):
     # a record planted with a + sign at every sample of the open piece up
     # to the third past the decision's root vouches for every pivot's own
-    # root bracket as +: each pivot probes the planted sign change, sees
-    # its bracket move and walks on the vouched signs, the probe of the
-    # planted bracket end it meets disagrees, and every pivot solve falls
-    # back to its cold search and its result
+    # root bracket as +: each pivot walks on the vouched signs (at once, or
+    # once the probe of the planted sign change shows its bracket moved),
+    # the probe of the planted bracket end it meets disagrees, and every
+    # pivot solve falls back to its cold search and its result.  The first
+    # 6 agents of the catalog and the first 12
     types, instance, _ = variants_catalog()
-    profile = types[:12]
-    excluded = excluded_means(profile)
-    cold = [optimize(excl, instance) for excl in excluded]
     searches, fallbacks = _watch_searches(monkeypatch)
-    run = solver._Run(instance)
-    root = optimize(mean_type(profile), instance, run=run).tax
-    walk = [t for t, _, _ in run.record.walk]
-    last = [t for t in walk if t > root][2]
-    assert max(c.tax for c in cold) < last
-    _planted(run, walk[: walk.index(last) + 1])
-    assert [optimize(excl, instance, run=run) for excl in excluded] == cold
-    assert searches == [] and len(fallbacks) == len(profile)
+    for n in (6, 12):
+        profile = types[:n]
+        excluded = excluded_means(profile)
+        cold = [optimize(excl, instance) for excl in excluded]
+        fallbacks.clear()
+        run = solver._Run(instance)
+        root = optimize(mean_type(profile), instance, run=run).tax
+        walk = [t for t, _, _ in run.record.walk]
+        last = [t for t in walk if t > root][2]
+        assert max(c.tax for c in cold) < last
+        _planted(run, walk[: walk.index(last) + 1])
+        assert [optimize(excl, instance, run=run) for excl in excluded] == cold
+        assert searches == [] and len(fallbacks) == n
 
 
 class _BracketProbe:
