@@ -109,6 +109,12 @@ def _profile_from_inputs(instance, ballots, answers_path: str | None):
     answers = {}
     if answers_path:
         answers = files.parse_answers(files.load_json(answers_path), where=answers_path)
+    for (agent, good), tau in answers.items():
+        if not (0 <= agent < instance.n and 0 <= good < instance.m and tau >= 0.0):
+            raise SchemaError(
+                f"{answers_path}: the answer of agent {agent} for good {good} (tau {tau:g}) "
+                f"needs 0 <= agent < {instance.n}, 0 <= good < {instance.m} and tau >= 0"
+            )
     ratios, followups = invert_ballots(ballots, instance)
     questions = [
         {
@@ -265,6 +271,8 @@ def cmd_fuzz(args) -> int:
         doc["warning"] = "zero trials requested; the pass is vacuous"
     elif report.diverged == args.trials:
         doc["warning"] = "every trial diverged; the pass is vacuous"
+    elif args.coalition is None and all(map(math.isnan, report.gains)):
+        doc["warning"] = "no trial measured a gain; the pass is vacuous"
     _emit(doc, args.out)
     return EXIT_OK if report.passed else EXIT_FAILED
 

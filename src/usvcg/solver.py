@@ -33,11 +33,11 @@ The optimisation is solved in the two natural stages:
    the catalog bounds the rate at which that ordinate falls (log and power
    goods of exponent below the money curve's, at B0 = 0;
    ``_PlainObjective.descent``) the walk's samples change sign once, and a
-   cold plain or hetero solve locates the walk's one bracket by bisecting
-   over the walk's own samples, from a probe at the start (``_located``):
-   the walk's result, bit for bit, from 4 slope probes on the running
-   example instead of 44.  A mechanism's pivot solves are certified
-   against the decision solve's walk (``_SlopeRecord``): each sample but
+   cold plain or hetero solve's walk skips, from a probe at the start, to
+   the last sample the bound proves positive and ends at its first
+   non-positive one (``_walk``): the full walk's result, bit for bit, from
+   4 slope probes on the running example instead of 44.  A mechanism's
+   pivot solves are certified against the decision solve's walk (``_SlopeRecord``): each sample but
    the brackets' ends and the kt kink at 0 keeps how far another type may
    deviate with its sign there still proven.  A pivot within every such
    radius probes only the others and goes straight to the brackets'
@@ -278,16 +278,9 @@ def _feasible_start(instance: BudgetInstance) -> float:
 
 def _walk_origin(instance: BudgetInstance) -> tuple[float, float, float]:
     """The tax walk's feasible start, the lower end of its open piece (0
-    when the start is negative) and its first offset 1e-8 max(1, |start|)
-    (``_rung``)."""
+    when the start is negative) and its first offset 1e-8 max(1, |start|)."""
     start = _feasible_start(instance)
     return start, 0.0 if start < 0.0 else start, 1e-8 * max(1.0, abs(start))
-
-
-def _rung(base: float, s0: float, k: int) -> float:
-    """The k-th sample of the walk's piece above ``base``: ``math.ldexp(s0,
-    k)`` above it, the bits of the walk's repeated doubling of s0."""
-    return base + math.ldexp(s0, k)
 
 
 def _diverged(offset: float) -> TaxDivergence:
@@ -386,7 +379,11 @@ def _slope_root(probe: Callable, lo: float, hi: float, end_lo: tuple, end_hi: tu
         u += step * (b - u)
 
 
-def _walk(probe: Callable[..., tuple[float, float, float]], instance: BudgetInstance) -> list:
+def _walk(
+    probe: Callable[..., tuple[float, float, float]],
+    instance: BudgetInstance,
+    descent: float | None = None,
+) -> list:
     """The samples (tax, slope, size) of the tax walk, in increasing tax.
 
     ``probe(t, valued=False)`` gives, from one inner evaluation, the slope at
@@ -399,12 +396,26 @@ def _walk(probe: Callable[..., tuple[float, float, float]], instance: BudgetInst
     cut at t = 0 when negative taxes are feasible (only the kt money curve
     admits them; its slope is -inf there), and each piece is
     sampled geometrically up from its lower end, at offsets 1e-8 max(1,
-    |start|) times powers of 2 (``_rung``): the bounded one up to 0, the
+    |start|) times powers of 2: the bounded one up to 0, the
     open one until the slope has stayed <= 0 for _BRACKET_PATIENCE samples
     past both its last positive slope and the scale max(1, |start|), so
     that a dip after the kink cannot end it.  Raises TaxDivergence when the
     slope is still positive at the tax cap, _MAX_BRACKET.  Which taxes the
     walk samples depends only on where their slopes are positive.
+
+    A ``descent`` rate (``_PlainObjective.descent``) is the fastest the
+    ordinate r = log(P/N) (``_ordinate``) can fall in log t on t > 0, where
+    the catalog proves that it falls.  The start is then positive, so the
+    walk has one piece, and its slope changes sign once, from + to <= 0: a
+    start whose slope is <= 0 ends the walk, and so does the first sample
+    after it that is not positive.  From r0 at the start, a sample whose
+    log(t/start) lies below (r0 - _SLACK)/descent is +, with _SLACK to
+    spare over the fill's error on r, so the walk skips to the last such
+    sample within the cap and walks up from there.  Where that sample is
+    not + the bound failed, and the walk starts over without it.  The
+    samples it skips or leaves are no candidate's, so ``_maximize_over_tax``
+    gives the full walk's result, bit for bit, and the walk raises its
+    TaxDivergence.
     """
     start, lower, s0 = _walk_origin(instance)
     scale = max(1.0, abs(start))
@@ -422,7 +433,29 @@ def _walk(probe: Callable[..., tuple[float, float, float]], instance: BudgetInst
             sample(start + s)
             s *= 2.0
         sample(0.0)
-    s, patience = s0, 0
+    s = s0
+    if descent is not None:
+        _, slope, size = samples[0]
+        if not slope > 0.0:
+            return samples
+        # x = 2**k at the real ladder index k where log(t_k/start) =
+        # (r0 - _SLACK)/descent, t_k = start + s0 2**k: the bound proves
+        # every offset below s0 x positive.  r0 = +inf puts it past the cap
+        growth = (_ordinate(slope, size) - _SLACK) / descent
+        x = math.expm1(min(growth, 700.0)) * start / s0 if growth > 0.0 else 0.0
+        if x > 1.0:
+            (m0, e0), (m1, e1) = math.frexp(s0), math.frexp(_MAX_BRACKET)
+            top = e1 - e0 - (m0 > m1)  # the last ladder index whose offset is within the cap
+            s = math.ldexp(s0, math.ceil(min(math.log2(x), top + 1.0)) - 1)
+            if not sample(lower + s) > 0.0:
+                return _walk(probe, instance)  # the bound failed
+            s *= 2.0
+        while s <= _MAX_BRACKET:
+            if not sample(lower + s) > 0.0:
+                return samples
+            s *= 2.0
+        raise _diverged(s)
+    patience = 0
     while patience < _BRACKET_PATIENCE:
         if s > _MAX_BRACKET:
             if samples[-1][1] > 0.0:
@@ -439,8 +472,9 @@ def _walk(probe: Callable[..., tuple[float, float, float]], instance: BudgetInst
 def _maximize_over_tax(probe: Callable, samples: list, unique: bool = False) -> float:
     """The tax of the best local maximum of a conditional value, from
     samples (tax, slope, size) in increasing tax whose first is the walk's
-    start: the walk's own (``_walk``), or the ones a located or certified
-    search keeps (``_located``, ``_SlopeRecord.samples``).
+    start: the walk's own (``_walk``, which may skip samples a descent
+    bound proves positive), or the ones a certified search keeps
+    (``_SlopeRecord.samples``).
 
     The start, when its slope is <= 0, and the root of every pair of
     neighbouring samples whose slope turns from + to <= 0 (``_slope_root``,
@@ -473,63 +507,6 @@ def _maximize_over_tax(probe: Callable, samples: list, unique: bool = False) -> 
                 if abs(v - best_v) <= v_tol and abs(t - best_t) > t_tol:
                     raise NonUniqueOptimum(f"local maxima at t={best_t} and t={t} tie in value")
     return best_t
-
-
-def _located(
-    probe: Callable, instance: BudgetInstance, descent: tuple[float, float]
-) -> float | None:
-    """The walk's result (``_walk``, ``_maximize_over_tax``) from a few of
-    its own samples, where ``descent`` = (lo, hi) bounds the rate at which
-    the ordinate r = log(P/N) (``_ordinate``) falls in log t on t > 0, with
-    lo > 0 (``_PlainObjective.descent``); None where a probed sample
-    disagrees with the bound.
-
-    The start is then positive, so the walk has one piece, and its samples
-    change sign once, from + to <= 0: the first sign change brackets the
-    one candidate, and a start whose slope is <= 0 is the result.  From
-    r0 at the start, a sample whose log(t/start) lies below
-    (r0 - _SLACK)/hi is +, and one past (r0 + _SLACK)/lo is <= 0, with
-    _SLACK to spare over the fill's error on r.  A bisection over the
-    ladder indices in between probes only the walk's taxes (``_rung``) and
-    finds its bracket, whose probed ends go to ``_maximize_over_tax`` as
-    the walk's samples do, so the result is the walk's, bit for bit, and
-    so is TaxDivergence, where the last sample within the cap is +."""
-    lo_rate, hi_rate = descent
-    start, lower, s0 = _walk_origin(instance)
-    (m0, e0), (m1, e1) = math.frexp(s0), math.frexp(_MAX_BRACKET)
-    top = e1 - e0 - (m0 > m1)  # the last ladder index whose offset is within the cap
-    ends = {-1: probe(start)[:2]}  # (slope, size) by ladder index, the start at -1
-    slope, size = ends[-1]
-    if not slope > 0.0:
-        return start
-    r0 = _ordinate(slope, size)  # +inf puts the bracket past the cap
-
-    def index(growth: float) -> float:
-        # the real ladder index k at log(t_k/start) = growth, t_k = start + s0 2**k
-        x = math.expm1(min(growth, 700.0)) * start / s0 if growth > 0.0 else 0.0
-        return min(max(math.log2(x), -1.0), top + 1.0) if x > 0.0 else -1.0
-
-    def end(k: int) -> tuple[float, float]:
-        if k not in ends:
-            ends[k] = probe(_rung(lower, s0, k))[:2]
-        return ends[k]
-
-    a = max(math.ceil(index((r0 - _SLACK) / hi_rate)) - 1, -1)
-    b = min(math.floor(index((r0 + _SLACK) / lo_rate)) + 1, top + 1)
-    while b - a > 1:
-        mid = (a + b) // 2
-        if end(mid)[0] > 0.0:
-            a = mid
-        else:
-            b = mid
-    if not end(a)[0] > 0.0:
-        return None
-    if b > top:
-        raise _diverged(math.ldexp(s0, b))
-    if end(b)[0] > 0.0:
-        return None
-    at_a = start if a < 0 else _rung(lower, s0, a)
-    return _maximize_over_tax(probe, [(at_a, *end(a)), (_rung(lower, s0, b), *end(b))])
 
 
 def optimize(
@@ -761,11 +738,10 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     A run's (``_Run``) first solve walks (``_walk``) and leaves the record
     of its walk and slope terms; a later one takes the signs the record
     vouches for and probes the rest (``_SlopeRecord.samples``).  Without a
-    run, or where a probe contradicts a vouched sign, the solve is cold:
-    a plain objective with a descent bound (``_PlainObjective.descent``)
-    locates the walk's bracket (``_located``), and walks only where a
-    probed sample disagrees with the bound; any other walks.  Each way
-    gives the walk's result, bit for bit (``_maximize_over_tax``).  With
+    run, or where a probe contradicts a vouched sign, the solve is cold and
+    walks, skipping by the descent bound of a plain objective
+    (``_PlainObjective.descent``).  Either way one ``_maximize_over_tax``
+    takes the samples and gives the full walk's result, bit for bit; with
     ``unique`` a tie raises NonUniqueOptimum.  Where an evaluation
     water-fills (``objective.fills``) the solve keeps ``at(t)`` of every
     tax it probes, so the valued candidates, the decision's allocation and
@@ -797,16 +773,13 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
         value = sum((gains, *offsets, -kappa * (c * money.value(t)))) if valued else math.nan
         return slope, size, value
 
-    t_star, samples = None, record.samples(objective, probe) if record else None
-    if samples is None and terms is None and isinstance(objective, _PlainObjective):
-        descent = objective.descent()
-        if descent is not None:
-            t_star = _located(probe, instance, descent)
-    if t_star is None:
-        samples = samples or _walk(probe, instance)
-        t_star = _maximize_over_tax(probe, samples, unique)
-        if terms is not None:
-            run.record = _SlopeRecord(objective, terms, samples)
+    samples = record.samples(objective, probe) if record else None
+    if samples is None:  # cold, or a run's first solve, whose record takes every sample
+        bounded = terms is None and isinstance(objective, _PlainObjective)
+        samples = _walk(probe, instance, objective.descent() if bounded else None)
+    t_star = _maximize_over_tax(probe, samples, unique)
+    if terms is not None:
+        run.record = _SlopeRecord(objective, terms, samples)
     return BudgetDecision(tuple(at(t_star)[0]), t_star)
 
 
@@ -824,9 +797,10 @@ class _PlainObjective(_Conditional):
         self.base, self.kappa, self.coefficients = self.weights, kappa, coefficients
         self.instance = instance
 
-    def descent(self) -> tuple[float, float] | None:
-        """(lo, hi): bounds on the rate at which r = log(P/N) falls in log t
-        on t > 0, where they prove that it falls (lo > _SLACK); else None.
+    def descent(self) -> float | None:
+        """The fastest rate at which r = log(P/N) can fall in log t on t > 0,
+        where the catalog proves that it falls, at a rate above _SLACK, so
+        that ``_walk`` skips the samples it proves positive; else None.
 
         With pool(0) = 0 the pool is rate t, and on a catalog whose weighted
         goods all spend by laws (c mu)**p (log p = 1, power 1/(1 - e_j);
@@ -846,7 +820,7 @@ class _PlainObjective(_Conditional):
         else:
             h_lo = h_hi = 1.0
         drift = 1.0 - self.instance.money_curve.exponent(1.0)
-        return (h_lo - drift, h_hi - drift) if h_lo - drift > _SLACK else None
+        return h_hi - drift if h_lo - drift > _SLACK else None
 
     @classmethod
     def of(cls, agent: AgentType, instance: BudgetInstance) -> "_PlainObjective":

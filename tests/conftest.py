@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from usvcg import AgentType, BudgetInstance, GainCurve, MoneyCurve, optimize
+from usvcg import AgentType, BudgetInstance, GainCurve, MoneyCurve, experiments, optimize
+from usvcg.errors import TaxDivergence
+from usvcg.mechanism import _Plain
 
 RUNNING_PROFILE = (
     AgentType((0.7, 0.3), 0.8),
@@ -204,3 +206,31 @@ def random_instance(
 
 def with_convention(instance: BudgetInstance, convention: str) -> BudgetInstance:
     return dataclasses.replace(instance, mrs_convention=convention)
+
+
+def diverging_plain(monkeypatch, diverges):
+    """Make every mechanism the fuzzers build raise TaxDivergence at its
+    decision where ``diverges(profile)``."""
+
+    class Diverging(_Plain):
+        def others_optimum(self, excl):
+            if excl is None and diverges(self.profile):
+                raise TaxDivergence("planted")
+            return super().others_optimum(excl)
+
+    monkeypatch.setattr(experiments, "_Plain", Diverging)
+
+
+def diverging_lies(monkeypatch):
+    """Make every misreported profile the fuzzers draw raise TaxDivergence
+    at its decision, and no drawn profile."""
+    lies = set()
+    diverging_plain(monkeypatch, lambda profile: not lies.isdisjoint(profile))
+    draw = experiments._draw_misreport
+
+    def drawing(*args):
+        lie = draw(*args)
+        lies.add(lie)
+        return lie
+
+    monkeypatch.setattr(experiments, "_draw_misreport", drawing)

@@ -18,6 +18,7 @@ import usvcg
 from conftest import (
     BOUNDARY_CATALOGS,
     RUNNING_PROFILE,
+    diverging_lies,
     make_boundary_instance,
     make_running_instance,
     make_water_fill_kt_instance,
@@ -437,6 +438,18 @@ _MALFORMED = {
     "n_fraction": lambda tmp: _tampered_instance(tmp, RUNNING, lambda doc: doc.update(n=3.9)),
     "answer_agent_fraction": lambda tmp: _answers(tmp, {"agent": 1.5}),
     "answer_good_fraction": lambda tmp: _answers(tmp, {"good": 0.5}),
+    # an answer for no agent or good of the instance (n = 3, m = 2), or a
+    # negative tax increase, is refused, not dropped
+    **{
+        f"answer_{name}": lambda tmp, row=row: _answers(tmp, row)
+        for name, row in (
+            ("agent_99", {"agent": 99}),
+            ("agent_negative", {"agent": -1}),
+            ("agent_n", {"agent": 3}),
+            ("good_past_the_end", {"good": 7}),
+            ("tau_negative", {"tau": -5.0}),
+        )
+    },
     "triplet_gain_curves_number": lambda tmp: _converge(tmp, {**_TRIPLET, "gain_curves": 5}),
     "instance_mu_string": lambda tmp: _converge(
         tmp, {**json.loads(Path(RUNNING).read_text()), "mu": "abc"}
@@ -884,6 +897,17 @@ def test_cli_fuzz_pass_and_fail(tmp_path):
 
     rc = main(["fuzz", RUNNING, "--trials", "40", "--seed", "3", "--out", str(out)])
     assert rc == 5  # full-space misreports expose the money-weight channel
+
+
+def test_cli_fuzz_warns_when_no_trial_measured_a_gain(monkeypatch, tmp_path):
+    # every misreported profile diverges and no drawn one does: the fuzz
+    # passes with no gain measured, and says that the pass is vacuous
+    diverging_lies(monkeypatch)
+    out = tmp_path / "fuzz.json"
+    assert main(["fuzz", RUNNING, "--trials", "5", "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["diverged"] == 0 and doc["misreports_diverged"] == 5
+    assert doc["warning"] == "no trial measured a gain; the pass is vacuous"
 
 
 def test_cli_fuzz_deterministic_output(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1258,12 +1259,12 @@ def test_uniqueness_check_runs_one_tax_search(monkeypatch, kt_branch_switch):
     # search, whether the check passes or raises
     profile = (AgentType((0.5, 0.5), kt_branch_switch),) * 4
     instance = make_kt_branch_instance(profile)
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     with pytest.raises(NonUniqueOptimum):
         solver._require_unique_optimum(mean_type(profile), instance)
-    assert [searches for searches, _ in solves] == [["_walk"]]
+    assert [solve.bounds for solve in solves] == [[False]]
     solver._require_unique_optimum(AgentType((0.5, 0.5), 0.6), instance)
-    assert [searches for searches, _ in solves] == [["_walk"]] * 2
+    assert [solve.bounds for solve in solves] == [[False]] * 2
 
 
 def test_uniqueness_check_passes_near_a_branch_switch():
@@ -1276,62 +1277,47 @@ def test_uniqueness_check_passes_near_a_branch_switch():
     assert solver._require_unique_optimum(agent, instance) == optimize(agent, instance)
 
 
-def _walked_probes(monkeypatch):
-    """The probe of each solve that walks from here on."""
-    probes, walk = [], solver._walk
-
-    def walking(probe, instance):
-        probes.append(probe)
-        return walk(probe, instance)
-
-    monkeypatch.setattr(solver, "_walk", walking)
-    return probes
-
-
-def _keep_probes(monkeypatch):
-    """Keep, for each solve from here on, the outer searches it ran
-    (``_walk``, ``_located``; a pivot solve certified against its run's
-    record runs neither, unless its brackets moved) and the taxes of its
-    slope probes: each probe evaluates the money curve's f' once, and
-    nothing else in a solve does."""
+def _record_solves(patch):
+    """Record each solve from here on: its walks' ``bounds`` (True for a
+    walk that took a descent bound; a pivot solve certified against its
+    run's record walks only where its brackets moved), the walks'
+    ``probes`` and the ``taxes`` of its slope probes: each probe evaluates
+    the money curve's f' once, and nothing else in a solve does."""
     solves, open_solves = [], []
-    solve, deriv = solver._solve, MoneyCurve.deriv
+    solve, walk, deriv = solver._solve, solver._walk, MoneyCurve.deriv
 
     def solving(*args, **kwargs):
-        solves.append(([], []))
+        solves.append(SimpleNamespace(bounds=[], probes=[], taxes=[]))
         open_solves.append(solves[-1])
         try:
             return solve(*args, **kwargs)
         finally:
             open_solves.pop()
 
-    def noting(name, search):
-        def noted(*args, **kwargs):
-            if open_solves:
-                open_solves[-1][0].append(name)
-            return search(*args, **kwargs)
-
-        return noted
+    def walking(probe, instance, descent=None):
+        if open_solves:
+            open_solves[-1].bounds.append(descent is not None)
+            open_solves[-1].probes.append(probe)
+        return walk(probe, instance, descent)
 
     def counted(curve, t):
         if open_solves:
-            open_solves[-1][1].append(t)
+            open_solves[-1].taxes.append(t)
         return deriv(curve, t)
 
-    monkeypatch.setattr(solver, "_solve", solving)
-    for name in ("_walk", "_located"):
-        monkeypatch.setattr(solver, name, noting(name, getattr(solver, name)))
-    monkeypatch.setattr(MoneyCurve, "deriv", counted)
+    patch.setattr(solver, "_solve", solving)
+    patch.setattr(solver, "_walk", walking)
+    patch.setattr(MoneyCurve, "deriv", counted)
     return solves
 
 
 def test_probes_per_solve(monkeypatch):
-    # a cold solve on the all-log running example (B0 = 0) locates the
-    # walk's one bracket from the bound on its ordinate's descent, in at
+    # a cold solve on the all-log running example (B0 = 0) skips to the
+    # walk's one bracket by the bound on its ordinate's descent, in at
     # most 4 slope probes: the start, the bracket's two ends and the
     # secant's root.  The biased solves and those of the mixed catalog
     # (a log1p good) walk, in at most 60
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
     types, plain, hetero = variants_catalog()
@@ -1342,8 +1328,8 @@ def test_probes_per_solve(monkeypatch):
             optimize(agent, instance)
             optimize_biased(agent, bias, instance)
         optimize_hetero(profile, weighted)
-    walked = [taxes for searches, taxes in solves if searches == ["_walk"]]
-    located = [taxes for searches, taxes in solves if searches == ["_located"]]
+    walked = [solve.taxes for solve in solves if solve.bounds == [False]]
+    located = [solve.taxes for solve in solves if solve.bounds == [True]]
     assert len(solves) == 10 and len(walked) == 7 and len(located) == 3
     assert max(map(len, located)) <= 4
     assert max(map(len, walked)) <= 60
@@ -1402,9 +1388,10 @@ _LOCATED_MONEY = st.one_of(
 def test_located_cold_solves_equal_the_walk(curves, money, n, semantics, weighted, zero, seed):
     # log and power catalogs at B0 = 0, some with a zero weight or a single
     # good, under a power or kt money curve and either semantics, and hetero
-    # solves under drawn tax weights: a cold solve, located where the bound
-    # holds (a power exponent below the money exponent), gives the walk's
-    # decision bit for bit, or raises the walk's exception with its message
+    # solves under drawn tax weights: a cold solve, which skips by the bound
+    # where it holds (a power exponent below the money exponent), gives the
+    # walk's decision bit for bit, or raises the walk's exception with its
+    # message, and makes no more slope probes than the walk
     rng = np.random.default_rng(seed)
     m = len(curves)
     raw = rng.uniform(0.5, 1.5, n)
@@ -1424,8 +1411,40 @@ def test_located_cold_solves_equal_the_walk(curves, money, n, semantics, weighte
         alloc[int(rng.integers(m))] = 0.0
         agent = AgentType.normalized(alloc, agent.money_weight)
     exclude = int(rng.integers(n)) if n > 1 and rng.random() < 0.5 else None
-    for cold, walked in _cold_and_walked(agent, profile, instance, exclude):
+    with pytest.MonkeyPatch.context() as patch:
+        solves = _record_solves(patch)
+        pairs = _cold_and_walked(agent, profile, instance, exclude)
+    assert len(solves) == 4
+    for (cold, walked), cold_solve, walked_solve in zip(pairs, solves[::2], solves[1::2]):
         assert cold == walked
+        assert len(cold_solve.taxes) <= len(walked_solve.taxes)
+
+
+@given(
+    scales=st.lists(st.floats(5.0, 15.0), min_size=2, max_size=2),
+    q=st.floats(0.4, 0.7),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_all_log_cold_solves_take_at_most_4_probes(scales, q, seed):
+    # the all-log catalogs of the fuzz_cold benchmark (n = 3, two log goods
+    # of scale 5-15, a power money curve of exponent 0.4-0.7, B0 = 0), under
+    # a seeded misreport fuzz: the bound puts the walk's bracket one rung
+    # past the last sample it proves positive, so every solve is cold, skips
+    # by the bound and makes at most 4 slope probes: the start, the
+    # bracket's two ends and the secant's root
+    instance = BudgetInstance(
+        m=2,
+        n=3,
+        external_budget=0.0,
+        gain_curves=tuple(GainCurve.log(scale) for scale in scales),
+        money_curve=MoneyCurve.power(q),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        solves = _record_solves(patch)
+        sdsic_fuzz(instance, 2, seed, misreport_space="allocation")
+    assert solves and all(solve.bounds == [True] for solve in solves)
+    assert max(len(solve.taxes) for solve in solves) <= 4
 
 
 def _log_instance(**changes):
@@ -1446,7 +1465,7 @@ def test_located_solves_planted(monkeypatch):
     # a start whose slope is <= 0 is the decision; a slope still positive
     # at the tax cap raises the walk's TaxDivergence, with its message; the
     # running example locates its bracket.  Each equals the walk's outcome
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     divergent = BudgetInstance(  # test_tax_divergence's: t* of order 1e45
         m=1,
         n=100_000,
@@ -1471,9 +1490,24 @@ def test_located_solves_planted(monkeypatch):
     # each case makes one located plain and one located hetero solve, and
     # the runs' solves walk: the start alone; the start and the last sample
     # within the cap; the start, the bracket's ends and the secant's root
-    located = [len(taxes) for searches, taxes in solves if searches == ["_located"]]
+    located = [len(solve.taxes) for solve in solves if solve.bounds == [True]]
     assert located == [1, 1, 2, 2, 4, 4]
-    assert [searches for searches, _ in solves].count(["_walk"]) == 6
+    assert [solve.bounds for solve in solves].count([False]) == 6
+
+
+def test_a_failed_descent_bound_starts_the_walk_over(monkeypatch):
+    # on the running example the true rate skips to the bracket, and a rate
+    # far below it proves samples positive past the bracket: the first one
+    # after the skip is not, and the walk starts over without the bound,
+    # with the full walk's samples
+    solves = _record_solves(monkeypatch)
+    agent, instance = mean_type(RUNNING_PROFILE), make_running_instance()
+    optimize(agent, instance)
+    [(probe,)] = [solve.probes for solve in solves]
+    full = solver._walk(probe, instance)
+    skipped = solver._walk(probe, instance, solver._PlainObjective.of(agent, instance).descent())
+    assert len(skipped) == 3 and _brackets(skipped) == _brackets(full)
+    assert solver._walk(probe, instance, 1e-3) == full
 
 
 @pytest.mark.parametrize(
@@ -1490,12 +1524,12 @@ def test_located_solves_planted(monkeypatch):
     ],
 )
 def test_catalogs_without_a_bound_walk(monkeypatch, instance):
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     agent = AgentType((0.5, 0.5), 1.0)
     assert solver._PlainObjective.of(agent, instance).descent() is None
     for cold, walked in _cold_and_walked(agent, (agent,) * instance.n, instance):
         assert cold == walked
-    assert all(searches == ["_walk"] for searches, _ in solves)
+    assert all(solve.bounds == [False] for solve in solves)
 
 
 def test_probes_per_pivot_solve(monkeypatch):
@@ -1503,7 +1537,7 @@ def test_probes_per_pivot_solve(monkeypatch):
     # record vouches for and probe little more than their brackets' ends
     # and roots, against the decisions' 43-47 slope probes: a pivot within
     # every piece's least radius, with no walk, at most 6
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     bias = BiasSpec(0.5, EquitableTarget())
     running = make_running_instance()
     types, plain, hetero = variants_catalog()
@@ -1518,10 +1552,10 @@ def test_probes_per_pivot_solve(monkeypatch):
             solves.clear()
             run(*args)
             assert len(solves) == len(profile) + 1
-            pivots = [len(taxes) for _, taxes in solves[1:]]
+            pivots = [len(solve.taxes) for solve in solves[1:]]
             assert sum(pivots) <= 15 * len(pivots)
-            assert all(len(taxes) <= 6 for ran, taxes in solves[1:] if ran == [])
-            assert max(len(taxes) for _, taxes in solves) <= 60
+            assert all(len(solve.taxes) <= 6 for solve in solves[1:] if solve.bounds == [])
+            assert max(len(solve.taxes) for solve in solves) <= 60
 
 
 def _all_log_run_inputs(n: int = 200):
@@ -1547,13 +1581,13 @@ def _assert_vouched_but_the_bracket(monkeypatch, run):
     roots: at most 6 slope probes, where the decision's walk samples about
     43."""
     searches, fallbacks = _watch_searches(monkeypatch)
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     run()
     (record,) = {id(record): record for record, *_ in searches}.values()
     unvouched = [t for t, _ in record.kept if t not in record.vouched]
     assert len(unvouched) == 2 and len(record.vouched) == len(record.walk) - 2
     assert fallbacks == [] and len(searches) == len(solves) - 1
-    assert all(ran == [] and len(taxes) <= 6 for ran, taxes in solves[1:])
+    assert all(solve.bounds == [] and len(solve.taxes) <= 6 for solve in solves[1:])
 
 
 def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
@@ -1656,14 +1690,14 @@ def test_benchmark_catalogs_certify_every_pivot(monkeypatch):
         "all-log": (200, lambda: run_us_vcg(profile, all_log)),
     }
     searches, fallbacks = _watch_searches(monkeypatch)
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     moved = {}
     for name, (n, run) in runs.items():
         searches.clear()
         solves.clear()
         run()
         assert fallbacks == [] and len(searches) == n
-        moved[name] = sum(ran == ["_walk"] for ran, _ in solves[1:])
+        moved[name] = sum(solve.bounds == [False] for solve in solves[1:])
     assert moved == {"us": 8, "biased": 0, "hetero": 1, "all-log": 0}
 
 
@@ -1854,7 +1888,7 @@ def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
     # a run belongs to one instance and one solver kind: a solve handed a
     # run of another kind, instance, table or profile is refused, and a
     # solve without a run keeps its cold search while a run's record exists
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     instance = _slope_instance("mixed")
     first, other = AgentType((0.5, 0.3, 0.2), 1.1), AgentType((0.45, 0.35, 0.2), 1.0)
     bias = BiasSpec(0.5, EquitableTarget())
@@ -1884,10 +1918,10 @@ def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
     solves.clear()
     assert optimize(other, instance) == plain
     assert optimize_biased(other, bias, instance) == biased
-    cold = [len(taxes) for _, taxes in solves]
+    cold = [len(solve.taxes) for solve in solves]
     assert optimize_biased(other, bias, instance, run=biased_run) == biased
     assert min(cold) >= 40
-    assert solves[-1][0] == [] and len(solves[-1][1]) <= 15
+    assert solves[-1].bounds == [] and len(solves[-1].taxes) <= 15
 
 
 def test_certified_pivot_solve_at_a_sampled_root_needs_no_fallback(monkeypatch):
@@ -2162,11 +2196,11 @@ def _slope_instance(kind):
 @pytest.mark.parametrize("psi", [TaxPreference.none(), TaxPreference.exp_decay(3.0, 5.0)])
 @pytest.mark.parametrize("kind, target, taxes", _SLOPE_TARGETS)
 def test_biased_slope_matches_central_differences(monkeypatch, psi, kind, target, taxes):
-    probes = _walked_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     instance = _slope_instance(kind)
     agent = AgentType((0.5, 0.3, 0.2), 1.1)
     optimize_biased(agent, BiasSpec(0.5, target, psi), instance)
-    (probe,) = probes
+    [(probe,)] = [solve.probes for solve in solves]
     for t in taxes:
         if isinstance(target, EquitableTarget):
             xhat = equitable_allocation(t, instance)
@@ -2232,9 +2266,9 @@ def test_biased_tax_is_stationary(monkeypatch, bias):
     # on the closed-form all-log running example the slope at the returned
     # tax is within its rounding bound: the tax is resolved past the value
     # plateau that a value-comparison search stops on
-    probes = _walked_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     d = optimize_biased(mean_type(RUNNING_PROFILE), bias, make_running_instance())
-    (probe,) = probes
+    [(probe,)] = [solve.probes for solve in solves]
     slope, size, _ = probe(d.tax)
     assert abs(slope) <= solver._ROUNDING * size
 
@@ -2348,7 +2382,7 @@ def test_a_solve_water_fills_each_probed_tax_once(monkeypatch):
     # walk after a moved bracket water-fill nothing twice, for the plain,
     # biased and hetero solves, cold or certified (where a decision at a
     # start vouched for without a probe takes one water-fill more)
-    solves = _keep_probes(monkeypatch)
+    solves = _record_solves(monkeypatch)
     fills = []
     original = solver._water_fill
 
@@ -2371,7 +2405,7 @@ def test_a_solve_water_fills_each_probed_tax_once(monkeypatch):
         solves.clear()
         fills.clear()
         run()
-        distinct = sum(len(set(taxes)) for _, taxes in solves)
+        distinct = sum(len(set(solve.taxes)) for solve in solves)
         assert distinct <= len(fills) <= distinct + (len(solves) if k >= 3 else 0)
         if k < 3:
             assert len(fills) == distinct
