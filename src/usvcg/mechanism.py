@@ -71,16 +71,19 @@ the others' welfare at a decision is those totals against the decision's
 gains and f(t), O(m) per agent.  In both forms removing agent i is one short
 ``math.fsum`` of exact totals, the correctly rounded sum of the others, and
 a run costs one solve for the decision plus one pivot solve per agent.
-Every variant's pivot solves are certified against the decision's record
+A variant's pivot solves are certified against the decision's record
 (one ``solver._Run`` per run): an excluded mean lies within O(1/n) of the
 full mean, so the radius each sample of the decision's walk keeps
 (``solver._radius``, one form for every solver kind) proves the tax-slope
 signs at every sample but the ends of its brackets.  A pivot solve within
 every such radius probes only those and its roots -- about 3 slope probes
-on all-log catalogs and 5-6 on a mixed one, against the decision's 43-47
--- and one farther off also probes the samples whose radius it exceeds;
-each returns its own cold search's decision, bit for bit.  The biased
-variant's bound also covers its reweighted
+where the goods' spend laws share one power and 5-6 on a mixed catalog,
+against the decision's 43-47 -- and one farther off also probes the
+samples whose radius it exceeds; each returns its own cold search's
+decision, bit for bit.  On an all-log catalog with a descent bound (B0 =
+0) the plain and heterogeneous solves keep no record: each walks cold in
+4 slope probes, which costs less than the record (``solver._solve``).
+The biased variant's bound also covers its reweighted
 term, which moves with the type's own allocation, by how far each good's
 level can move (``GainCurve.level_shift``).
 
@@ -307,8 +310,8 @@ def _keeping_optima():
 def _run(variant) -> Outcome:
     """The variant's decision (its others' optimum, nobody excluded) and its
     levels (``model._levels``), then for every agent one solve of the
-    others' optimum, certified against the decision's (one ``_Run``), its
-    pivot and its payment.  It leaves
+    others' optimum, certified against the decision's (one ``_Run``) or
+    cold (``solver._solve``), its pivot and its payment.  It leaves
     (variant, the (others, their optimum, their welfare there) triples, the
     outcome, the levels) for a caller inside ``_keeping_optima``."""
     profile, instance = variant.profile, variant.instance
@@ -488,8 +491,8 @@ class _NonPositive(_Plain):
     """US-VCG with every payment rebated: agent i's raw pivot less a bound
     on any agent's pivot given the others' reports (``non_positive_payments``).
     The Jacobian's perturbed solves take the run and are certified against
-    its record, as its pivot solves are.  Built, it checks the scheme's
-    inputs (``non_positive_payments``)."""
+    its record, or walk cold, as its pivot solves do.  Built, it checks the
+    scheme's inputs (``non_positive_payments``)."""
 
     def __init__(self, profile, instance: BudgetInstance, np_config: NonPositiveConfig):
         profile = tuple(profile)

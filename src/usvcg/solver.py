@@ -33,18 +33,20 @@ The optimisation is solved in the two natural stages:
    the catalog bounds the rate at which that ordinate falls (log and power
    goods of exponent below the money curve's, at B0 = 0;
    ``_PlainObjective.descent``) the walk's samples change sign once, and a
-   cold plain or hetero solve's walk skips, from a probe at the start, to
-   the last sample the bound proves positive and ends at its first
-   non-positive one (``_walk``): the full walk's result, bit for bit, from
-   4 slope probes on the running example instead of 44.  A mechanism's
-   pivot solves are certified against the decision solve's walk (``_SlopeRecord``): each sample but
-   the brackets' ends and the kt kink at 0 keeps how far another type may
-   deviate with its sign there still proven.  A pivot within every such
-   radius probes only the others and goes straight to the brackets'
-   roots; any other walks on the signs that cover it and probes the rest.
-   Either way the result is the full search's, bit for bit.  A solve
-   keeps the inner evaluation of each tax it probes, so no tax is
-   water-filled twice within it.
+   cold plain or hetero solve's walk skips, from a probe at the start and
+   from each positive sample after it, to the last sample the bound proves
+   positive and ends at its first non-positive one (``_walk``): the full
+   walk's result, bit for bit, from 4 slope probes on the running example
+   instead of 44.  On a closed-form (all-log) catalog with such a bound a
+   mechanism's solves walk cold too.  Elsewhere its pivot solves are
+   certified against the decision solve's walk (``_SlopeRecord``): each
+   sample but the brackets' ends and the kt kink at 0 keeps how far
+   another type may deviate with its sign there still proven.  A pivot
+   within every such radius probes only the others and goes straight to
+   the brackets' roots; any other walks on the signs that cover it and
+   probes the rest.  Either way the result is the full search's, bit for
+   bit.  A solve keeps the inner evaluation of each tax it probes, so no
+   tax is water-filled twice within it.
 
 Each solver kind is one objective whose ``at(t)`` names, from one inner
 evaluation, the allocation, the gains and the slope and value terms
@@ -408,14 +410,15 @@ def _walk(
     the catalog proves that it falls.  The start is then positive, so the
     walk has one piece, and its slope changes sign once, from + to <= 0: a
     start whose slope is <= 0 ends the walk, and so does the first sample
-    after it that is not positive.  From r0 at the start, a sample whose
-    log(t/start) lies below (r0 - _SLACK)/descent is +, with _SLACK to
-    spare over the fill's error on r, so the walk skips to the last such
-    sample within the cap and walks up from there.  Where that sample is
-    not + the bound failed, and the walk starts over without it.  The
-    samples it skips or leaves are no candidate's, so ``_maximize_over_tax``
-    gives the full walk's result, bit for bit, and the walk raises its
-    TaxDivergence.
+    after it that is not positive.  From r at any + sample t, a sample
+    whose log(t'/t) lies below (r - _SLACK)/descent is +, with _SLACK to
+    spare over the fill's error on r.  So from the start and from each +
+    sample after it the walk skips to the last such sample within the cap,
+    or climbs one rung where the bound proves none past the next.  Where a
+    skip lands on a sample that is not + the bound failed, and the walk
+    starts over without it.  The samples it skips or leaves are no
+    candidate's, so ``_maximize_over_tax`` gives the full walk's result,
+    bit for bit, and the walk raises its TaxDivergence.
     """
     start, lower, s0 = _walk_origin(instance)
     scale = max(1.0, abs(start))
@@ -433,28 +436,35 @@ def _walk(
             sample(start + s)
             s *= 2.0
         sample(0.0)
-    s = s0
     if descent is not None:
-        _, slope, size = samples[0]
-        if not slope > 0.0:
-            return samples
-        # x = 2**k at the real ladder index k where log(t_k/start) =
-        # (r0 - _SLACK)/descent, t_k = start + s0 2**k: the bound proves
-        # every offset below s0 x positive.  r0 = +inf puts it past the cap
-        growth = (_ordinate(slope, size) - _SLACK) / descent
-        x = math.expm1(min(growth, 700.0)) * start / s0 if growth > 0.0 else 0.0
-        if x > 1.0:
-            (m0, e0), (m1, e1) = math.frexp(s0), math.frexp(_MAX_BRACKET)
-            top = e1 - e0 - (m0 > m1)  # the last ladder index whose offset is within the cap
-            s = math.ldexp(s0, math.ceil(min(math.log2(x), top + 1.0)) - 1)
-            if not sample(lower + s) > 0.0:
-                return _walk(probe, instance)  # the bound failed
-            s *= 2.0
-        while s <= _MAX_BRACKET:
-            if not sample(lower + s) > 0.0:
-                return samples
-            s *= 2.0
-        raise _diverged(s)
+        (m0, e0), (m1, e1) = math.frexp(s0), math.frexp(_MAX_BRACKET)
+        top = e1 - e0 - (m0 > m1)  # the last ladder index whose offset is within the cap
+        t, slope, size = samples[0]
+        s = 0.0  # the offset of the last sample t, t = start + s
+        while slope > 0.0:
+            # x = 2**k at the real ladder index k where log(t_k/t) = (r -
+            # _SLACK)/descent, t_k = start + s0 2**k and r the ordinate at
+            # t: the bound proves every offset below s0 x positive.  r =
+            # +inf puts it past the cap
+            growth = (_ordinate(slope, size) - _SLACK) / descent
+            x = (math.expm1(min(growth, 700.0)) * t + s) / s0 if growth > 0.0 else 0.0
+            step = 2.0 * s or s0
+            if x > step / s0:  # where the skip can pass the next rung
+                jump = math.ldexp(s0, math.ceil(min(math.log2(x), top + 1.0)) - 1)
+                if jump >= step:
+                    sample(lower + jump)
+                    t, slope, size = samples[-1]
+                    if not slope > 0.0:
+                        return _walk(probe, instance)  # the bound failed
+                    s = jump
+                    continue
+            if step > _MAX_BRACKET:
+                raise _diverged(step)
+            sample(lower + step)
+            t, slope, size = samples[-1]
+            s = step
+        return samples
+    s = s0
     patience = 0
     while patience < _BRACKET_PATIENCE:
         if s > _MAX_BRACKET:
@@ -538,7 +548,8 @@ class _Run:
     its instance, its kind's shared table (``_TargetSides``, ``_HeteroTotals``
     or None) and the slope record that its first solve leaves
     (``_SlopeRecord``), against which every later one is certified.  A
-    solve without a run is cold."""
+    solve without a run is cold, and so is a closed-form one with a
+    descent bound, which leaves no record (``_solve``)."""
 
     def __init__(self, instance: BudgetInstance, table=None):
         self.instance, self.table, self.record = instance, table, None
@@ -740,18 +751,26 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     vouches for and probes the rest (``_SlopeRecord.samples``).  Without a
     run, or where a probe contradicts a vouched sign, the solve is cold and
     walks, skipping by the descent bound of a plain objective
-    (``_PlainObjective.descent``).  Either way one ``_maximize_over_tax``
-    takes the samples and gives the full walk's result, bit for bit; with
-    ``unique`` a tie raises NonUniqueOptimum.  Where an evaluation
-    water-fills (``objective.fills``) the solve keeps ``at(t)`` of every
-    tax it probes, so the valued candidates, the decision's allocation and
-    a cold solve after a failed certificate water-fill no tax twice.  A
+    (``_PlainObjective.descent``).  One rule sets runs aside: a closed-form
+    objective (not ``fills``) with a descent bound neither makes nor reads
+    a record and walks cold, since its cold walk takes about 4 probes and
+    keeping the record costs more than the probe it saves; a water-fill,
+    biased or unbounded run solve keeps the record.  Either way one
+    ``_maximize_over_tax`` takes the samples and gives the full walk's
+    result, bit for bit; with ``unique`` a tie raises NonUniqueOptimum.
+    Where an evaluation water-fills (``objective.fills``) the solve keeps
+    ``at(t)`` of every tax it probes, so the valued candidates, the
+    decision's allocation and a cold solve after a failed certificate
+    water-fill no tax twice.  A
     closed-form evaluation is evaluated again instead, since keeping it
     costs more than it saves: an all-log US-VCG run at n=1k executes 2-4 %
     more bytecodes when it keeps them.
     """
     instance, at, kappa = objective.instance, objective.at, objective.kappa
     below, above = objective.coefficients
+    plain = isinstance(objective, _PlainObjective)
+    if run and plain and not objective.fills and objective.descent() is not None:
+        run = None  # closed-form and bounded: cold, with no record
     money, record = instance.money_curve, run.record if run else None
     terms = {} if run and record is None else None
     if objective.fills:
@@ -775,8 +794,7 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
 
     samples = record.samples(objective, probe) if record else None
     if samples is None:  # cold, or a run's first solve, whose record takes every sample
-        bounded = terms is None and isinstance(objective, _PlainObjective)
-        samples = _walk(probe, instance, objective.descent() if bounded else None)
+        samples = _walk(probe, instance, objective.descent() if plain and terms is None else None)
     t_star = _maximize_over_tax(probe, samples, unique)
     if terms is not None:
         run.record = _SlopeRecord(objective, terms, samples)

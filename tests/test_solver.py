@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
@@ -53,7 +54,9 @@ from usvcg import (
     social_welfare,
     valuation,
 )
-from usvcg import solver
+from usvcg import files, mechanism, solver
+from usvcg.cli import main
+from usvcg.mechanism import NonPositiveConfig, non_positive_payments
 from usvcg.solver import (
     _Conditional,
     _water_fill,
@@ -1345,7 +1348,9 @@ def _outcome(solve):
 
 def _cold_and_walked(agent, profile, instance, exclude=None):
     """The outcomes of a plain and a hetero solve, each cold and with a
-    fresh run (whose first solve walks): two pairs that must be equal."""
+    fresh run (whose first solve walks, unless the catalog is closed-form
+    with a descent bound, ``solver._solve``): two pairs that must be
+    equal."""
     hetero = solver._HeteroTotals(profile, instance)
     return [
         (
@@ -1447,6 +1452,12 @@ def test_all_log_cold_solves_take_at_most_4_probes(scales, q, seed):
     assert max(len(solve.taxes) for solve in solves) <= 4
 
 
+# two power goods of one exponent: a water-fill catalog whose spend laws
+# share one power, so that with B0 = 0 the ordinate log(P/N) is linear in
+# log t, as on all-log
+_TWIN_GOODS = (GainCurve.power(10.0, 0.3), GainCurve.power(10.0, 0.3))
+
+
 def _log_instance(**changes):
     return dataclasses.replace(
         BudgetInstance(
@@ -1463,9 +1474,12 @@ def _log_instance(**changes):
 
 def test_located_solves_planted(monkeypatch):
     # a start whose slope is <= 0 is the decision; a slope still positive
-    # at the tax cap raises the walk's TaxDivergence, with its message; the
-    # running example locates its bracket.  Each equals the walk's outcome
+    # at the tax cap raises the walk's TaxDivergence, with its message; two
+    # power goods of one exponent (``_TWIN_GOODS``) locate their bracket.
+    # Each equals the walk's outcome.  Every catalog water-fills, so its
+    # runs keep a record and their first solve walks
     solves = _record_solves(monkeypatch)
+    twin = _log_instance(gain_curves=_TWIN_GOODS)
     divergent = BudgetInstance(  # test_tax_divergence's: t* of order 1e45
         m=1,
         n=100_000,
@@ -1476,7 +1490,7 @@ def test_located_solves_planted(monkeypatch):
     cases = [
         (AgentType((0.5, 0.5), 1e7), _log_instance()),
         (AgentType((1.0,), 1.0), divergent),
-        (mean_type(RUNNING_PROFILE), make_running_instance()),
+        (mean_type(RUNNING_PROFILE), twin),
     ]
     outcomes = []
     for agent, instance in cases:
@@ -1508,6 +1522,33 @@ def test_a_failed_descent_bound_starts_the_walk_over(monkeypatch):
     skipped = solver._walk(probe, instance, solver._PlainObjective.of(agent, instance).descent())
     assert len(skipped) == 3 and _brackets(skipped) == _brackets(full)
     assert solver._walk(probe, instance, 1e-3) == full
+
+
+def test_a_bounded_walk_skips_again_from_each_positive_sample(monkeypatch):
+    # two power goods whose spend-law powers lie far apart (1.25 and 2.5:
+    # exponents 0.2 and 0.6) under a money exponent of 0.7.  The bound's
+    # rate is the fastest fall, which the power 1.25 sets, so a skip from
+    # the start stops far short of the bracket: climbing the rest one rung
+    # at a time took 38 slope probes.  Skipping again from each positive
+    # sample takes 20, with the full walk's bracket and decision, bit for bit
+    solves = _record_solves(monkeypatch)
+    instance = BudgetInstance(
+        m=2,
+        n=3,
+        external_budget=0.0,
+        gain_curves=(GainCurve.power(10.0, 0.2), GainCurve.power(4.0, 0.6)),
+        money_curve=MoneyCurve.power(0.7),
+    )
+    agent = AgentType((0.2, 0.8), 0.5)
+    decision = optimize(agent, instance)
+    [solve] = solves
+    [probe] = solve.probes
+    assert solve.bounds == [True] and len(solve.taxes) == 20
+    full = solver._walk(probe, instance)
+    skipped = solver._walk(probe, instance, solver._PlainObjective.of(agent, instance).descent())
+    assert len(full) == 68 and set(skipped) < set(full)
+    assert _brackets(skipped) == _brackets(full)
+    assert decision.tax == solver._maximize_over_tax(probe, full)
 
 
 @pytest.mark.parametrize(
@@ -1558,16 +1599,18 @@ def test_probes_per_pivot_solve(monkeypatch):
             assert max(len(solve.taxes) for solve in solves) <= 60
 
 
-def _all_log_run_inputs(n: int = 200):
-    """An n-agent antithetic all-log population (criterion 5's triplet) and
-    its per-capita instance."""
+def _triplet_run_inputs(n: int = 200, gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0))):
+    """An n-agent antithetic population (criterion 5's triplet) and its
+    per-capita instance: all-log, or on ``gain_curves``.  All-log runs walk
+    cold with no record (``solver._solve``); on ``_TWIN_GOODS`` they
+    water-fill and keep the record."""
     sigma = CharacteristicTriplet(b0=0.0, mu=2.0, mean_type=AgentType((0.4, 0.6), 31.0 / 30.0))
     profile = sigma_population(sigma, n, np.random.default_rng(5))
     instance = BudgetInstance(
         m=2,
         n=n,
         external_budget=0.0,
-        gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
+        gain_curves=gain_curves,
         money_curve=MoneyCurve.power(0.5),
         semantics="per_capita",
     )
@@ -1591,11 +1634,84 @@ def _assert_vouched_but_the_bracket(monkeypatch, run):
 
 
 def test_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
-    # a 200-agent all-log population: the least radius of each piece of
-    # the decision's walk covers every pivot, which probes only its
-    # bracket's ends before the root search
-    profile, instance = _all_log_run_inputs()
+    # a 200-agent population on two power goods of one exponent: the least
+    # radius of each piece of the decision's walk covers every pivot, which
+    # probes only its bracket's ends before the root search
+    profile, instance = _triplet_run_inputs(gain_curves=_TWIN_GOODS)
     _assert_vouched_but_the_bracket(monkeypatch, lambda: run_us_vcg(profile, instance))
+
+
+def _watch_run_solves(patch):
+    """Watch the mechanism's solves from here on: ``records`` gets the
+    arguments of each slope record made, ``calls`` (solve, args, keywords,
+    decision) for each ``optimize`` or ``optimize_hetero`` call that the
+    mechanism makes, its keywords without the run, and ``solves`` what
+    ``_record_solves`` records."""
+    records, calls = [], []
+    patch.setattr(solver, "_SlopeRecord", lambda *args: records.append(args))
+    for name in ("optimize", "optimize_hetero"):
+        original = getattr(mechanism, name)
+
+        def watched(*args, _original=original, **keywords):
+            decision = _original(*args, **keywords)
+            keywords.pop("run", None)
+            calls.append((_original, args, keywords, decision))
+            return decision
+
+        patch.setattr(mechanism, name, watched)
+    return records, calls, _record_solves(patch)
+
+
+def test_closed_form_bounded_runs_keep_no_record(tmp_path, monkeypatch):
+    # an all-log catalog at B0 = 0 is closed-form with a descent bound: the
+    # solves of a US-VCG and a hetero run, of the non-positive scheme's
+    # Jacobians and of usvcg check's audit make no slope record.  Each
+    # walks cold in 4 slope probes (the start, the bracket's two ends and
+    # the secant's root) to the decision of a cold optimize or
+    # optimize_hetero, bit for bit
+    profile, instance = _triplet_run_inputs(12)
+    weights = np.random.default_rng(7).uniform(0.5, 1.5, 12)
+    weighted = dataclasses.replace(instance, tax_weights=tuple(weights * (12 / weights.sum())))
+    path, out = tmp_path / "instance.json", tmp_path / "result.json"
+    path.write_text(json.dumps(files.instance_to_dict(dataclasses.replace(instance, types=profile))))
+    assert main(["mechanism", str(path), "--out", str(out)]) == 0
+    runs = {
+        "us": lambda: run_us_vcg(profile, instance),
+        "hetero": lambda: run_us_vcg_hetero(profile, weighted),
+        "non-positive": lambda: non_positive_payments(profile, instance, NonPositiveConfig(1.0)),
+        "check": lambda: main(["check", str(path), str(out)]),
+    }
+    for name, run in runs.items():
+        with pytest.MonkeyPatch.context() as patch:
+            records, calls, solves = _watch_run_solves(patch)
+            run()
+        assert records == [], name
+        assert len(calls) == len(solves) > len(profile), name
+        assert all(solve.bounds == [True] and len(solve.taxes) == 4 for solve in solves), name
+        for solve, args, keywords, decision in calls:
+            assert solve(*args, **keywords) == decision, name
+
+
+def test_a_bounded_water_fill_run_keeps_its_record(monkeypatch):
+    # three power goods at B0 = 0 have a descent bound too, but they
+    # water-fill: the run keeps its record and certifies every pivot
+    # against it, so the cold rule stays with closed-form catalogs
+    instance = BudgetInstance(
+        m=3,
+        n=12,
+        external_budget=0.0,
+        gain_curves=tuple(GainCurve.power(10.0, e) for e in (0.1, 0.25, 0.4)),
+        money_curve=MoneyCurve.power(0.5),
+        semantics="per_capita",
+    )
+    profile = random_profile(np.random.default_rng(7), 12, 3)
+    assert solver._PlainObjective.of(mean_type(profile), instance).descent() is not None
+    searches, fallbacks = _watch_searches(monkeypatch)
+    solves = _record_solves(monkeypatch)
+    run_us_vcg(profile, instance)
+    assert len({id(record) for record, *_ in searches}) == 1
+    assert len(searches) == len(profile) and fallbacks == []
+    assert solves[0].bounds == [False]
 
 
 def _count_slope_probes(patch) -> list[float]:
@@ -1608,13 +1724,13 @@ def _count_slope_probes(patch) -> list[float]:
 
 
 def test_pivot_solves_make_a_few_slope_probes(monkeypatch):
-    # every slope probe evaluates f' once (the inner stage is closed-form),
-    # so MoneyCurve.deriv counts them: a pivot solve probes its unproven
+    # every slope probe evaluates f' once, so MoneyCurve.deriv counts them:
+    # on two power goods of one exponent a pivot solve probes its unproven
     # signs and its bracket's two ends, and the secant in (log t,
     # log(gain/cost)) lands on the root, at most 3 probes per pivot solve
     # on average (exactly 3 here; 9 with a root search that opened at the
     # midpoint)
-    profile, instance = _all_log_run_inputs()
+    profile, instance = _triplet_run_inputs(gain_curves=_TWIN_GOODS)
     taxes = _count_slope_probes(monkeypatch)
     optimize(mean_type(profile), instance, run=solver._Run(instance))
     decision = len(taxes)  # the run's first solve walks, as this one does
@@ -1628,7 +1744,11 @@ def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
     # the three n=150 runs of the variants_mixed catalog.  Every kind is
     # certified in one form, and a pivot outside a piece's least radius
     # walks on the signs vouched for within its reach; a change to the
-    # bounds, the record or the root search moves these counts
+    # bounds, the record or the root search moves these counts.  The
+    # closed-form catalogs with a descent bound keep no record, and their
+    # pivots walk cold in 4 probes each: the all-log kind's seeds 0, 2, 3
+    # and 6 (B0 = 0) and the water-fill kind's seed 3, which drew three log
+    # goods under a power money curve
     taxes = _count_slope_probes(monkeypatch)
     counts = {}
     for kind in _FUZZ_KINDS:
@@ -1662,10 +1782,10 @@ def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
         run()
         counts[name] = len(taxes) - 2 * decision
     assert counts == {
-        ("all-log", False): 3628,
-        ("all-log", True): 3627,
-        ("water-fill", False): 3858,
-        ("water-fill", True): 3925,
+        ("all-log", False): 3750,
+        ("all-log", True): 3786,
+        ("water-fill", False): 3898,
+        ("water-fill", True): 3943,
         ("kt-b0", False): 6630,
         ("kt-b0", True): 6696,
         "us": 766,
@@ -1676,18 +1796,19 @@ def test_certified_pivot_solves_pin_their_slope_probes(monkeypatch):
 
 def test_benchmark_catalogs_certify_every_pivot(monkeypatch):
     # the variants_mixed benchmark's catalog (n=150: US, biased, hetero)
-    # and a 200-agent all-log population: the least radius of each piece
-    # of the decision's walk covers every pivot solve, and none falls back
-    # to a cold solve.  The pivots whose own probes move a bracket walk on
-    # the vouched signs
+    # and a 200-agent population on two power goods of one exponent (the
+    # all-log population's water-fill twin: all-log runs keep no record):
+    # the least radius of each piece of the decision's walk covers every
+    # pivot solve, and none falls back to a cold solve.  The pivots whose
+    # own probes move a bracket walk on the vouched signs
     types, instance, weighted = variants_catalog(150)
-    profile, all_log = _all_log_run_inputs()
+    profile, twin = _triplet_run_inputs(gain_curves=_TWIN_GOODS)
     bias = BiasSpec(0.5, EquitableTarget())
     runs = {
         "us": (150, lambda: run_us_vcg(types, instance)),
         "biased": (150, lambda: run_bus_vcg(types, bias, instance)),
         "hetero": (150, lambda: run_us_vcg_hetero(types, weighted)),
-        "all-log": (200, lambda: run_us_vcg(profile, all_log)),
+        "twin": (200, lambda: run_us_vcg(profile, twin)),
     }
     searches, fallbacks = _watch_searches(monkeypatch)
     solves = _record_solves(monkeypatch)
@@ -1698,7 +1819,7 @@ def test_benchmark_catalogs_certify_every_pivot(monkeypatch):
         run()
         assert fallbacks == [] and len(searches) == n
         moved[name] = sum(solve.bounds == [False] for solve in solves[1:])
-    assert moved == {"us": 8, "biased": 0, "hetero": 1, "all-log": 0}
+    assert moved == {"us": 8, "biased": 0, "hetero": 1, "twin": 0}
 
 
 def test_biased_runs_leave_a_few_signs_per_pivot_solve(monkeypatch):
@@ -1760,12 +1881,17 @@ def _assert_proven_signs_hold(searches):
         assert _brackets(samples) == _brackets(walk)
 
 
-def _fuzzed_pivots(seed, kind, n, hetero):
+def _fuzzed_pivots(seed, kind, n, hetero, certified=False):
     """A fuzzed profile's solve (plain, or hetero with drawn tax weights) and
     a fresh run: ``solve(run=run)`` is the decision, ``solve(i, run)`` agent
-    i's pivot solve."""
+    i's pivot solve.  With ``certified`` an all-log catalog drawn at B0 = 0,
+    whose runs keep no record (``solver._solve``), gets B0 = 20, so that
+    its pivot solves are certified."""
     rng = np.random.default_rng(seed)
     instance = dataclasses.replace(_fuzz_instance(rng, kind), n=n)
+    logs = all(curve.kind == "log" for curve in instance.gain_curves)
+    if certified and logs and instance.external_budget == 0.0:
+        instance = dataclasses.replace(instance, external_budget=20.0)
     profile = random_profile(rng, n, instance.m)
     if hetero:
         weights = rng.uniform(0.5, 1.5, n)
@@ -1789,7 +1915,7 @@ def _certified_equal_cold(seed, kind, n, hetero):
     record (``_fuzzed_pivots``); each returns its cold decision, none falls
     back, and every sign the record vouches for holds in each pivot it
     covers.  Returns the certified searches."""
-    solve, run = _fuzzed_pivots(seed, kind, n, hetero)
+    solve, run = _fuzzed_pivots(seed, kind, n, hetero, certified=True)
     cold = [solve(i) for i in range(n)]
     with pytest.MonkeyPatch.context() as patch:
         searches, fallbacks = _watch_searches(patch)
@@ -1811,7 +1937,8 @@ def test_certified_pivot_solves_equal_the_cold_search(seed, kind, n, hetero):
     # every pivot solve certified against the decision's record returns
     # the decision of its own cold search, bit for bit, none falls back,
     # and every sign the record vouches for within the pivot's reach is
-    # the pivot's own
+    # the pivot's own.  All-log catalogs are drawn with B0 = 20, where runs
+    # keep a record
     _certified_equal_cold(seed, kind, n, hetero)
 
 
@@ -1926,24 +2053,28 @@ def test_certified_solves_of_another_kind_stay_cold(monkeypatch):
 
 def test_certified_pivot_solve_at_a_sampled_root_needs_no_fallback(monkeypatch):
     # without agent 0 the others are one type: agent 1 of two far-apart
-    # types, or agents 1 and 2 of three; their optimum (per-capita all-log,
-    # q = 1/2: t* = (20 / w_money)**2) is put on a tax the decision's walk
-    # samples, where their slope is 0 to rounding.  No bound proves its
-    # sign there, so agent 0's pivot probes it, with the bits the cold
-    # search samples, and no pivot solve falls back.  With three agents
-    # that sample ends the decision's bracket, so no radius vouches for it
+    # types, or agents 1 and 2 of three; their optimum (per-capita all-log
+    # with B0 = 1, where runs keep a record, and q = 1/2: the slope
+    # 10/(b + t) - w_money/(2 sqrt(t)), b = B0/n, is 0 where w_money = 20
+    # sqrt(t)/(b + t)) is put on a tax the decision's walk samples, where
+    # their slope is 0 to rounding.  No bound proves its sign there, so
+    # agent 0's pivot probes it, with the bits the cold search samples, and
+    # no pivot solve falls back.  With three agents that sample ends the
+    # decision's bracket, so no radius vouches for it
     searches, fallbacks = _watch_searches(monkeypatch)
     for n in (2, 3):
         instance = BudgetInstance(
             m=2,
             n=n,
-            external_budget=0.0,
+            external_budget=1.0,
             gain_curves=(GainCurve.log(10.0), GainCurve.log(10.0)),
             money_curve=MoneyCurve.power(0.5),
             semantics="per_capita",
         )
-        sampled = instance.tax_floor + instance.tax_epsilon + 1e-8 * 2.0**35
-        other = AgentType((0.1, 0.9), 20.0 / math.sqrt(sampled))
+        _, lower, s0 = solver._walk_origin(instance)
+        sampled = lower + s0 * 2.0**35
+        b = instance.pool(0.0)
+        other = AgentType((0.1, 0.9), 20.0 * math.sqrt(sampled) / (b + sampled))
         if n == 2:
             profile = (AgentType((0.9, 0.1), 3.0), other)
         else:
