@@ -755,7 +755,9 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     objective (not ``fills``) with a descent bound neither makes nor reads
     a record and walks cold, since its cold walk takes about 4 probes and
     keeping the record costs more than the probe it saves; a water-fill,
-    biased or unbounded run solve keeps the record.  Either way one
+    biased or unbounded run solve keeps the record, since there each probe
+    it saves is a water-fill (cold, an n=150 run on three power goods at
+    B0 = 0 made 1.2-4.9 times the slope probes).  Either way one
     ``_maximize_over_tax`` takes the samples and gives the full walk's
     result, bit for bit; with ``unique`` a tie raises NonUniqueOptimum.
     Where an evaluation water-fills (``objective.fills``) the solve keeps
@@ -768,8 +770,8 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
     """
     instance, at, kappa = objective.instance, objective.at, objective.kappa
     below, above = objective.coefficients
-    plain = isinstance(objective, _PlainObjective)
-    if run and plain and not objective.fills and objective.descent() is not None:
+    descent = objective.descent() if isinstance(objective, _PlainObjective) else None
+    if descent is not None and not objective.fills:
         run = None  # closed-form and bounded: cold, with no record
     money, record = instance.money_curve, run.record if run else None
     terms = {} if run and record is None else None
@@ -794,7 +796,7 @@ def _solve(objective, run: _Run | None = None, unique: bool = False) -> BudgetDe
 
     samples = record.samples(objective, probe) if record else None
     if samples is None:  # cold, or a run's first solve, whose record takes every sample
-        samples = _walk(probe, instance, objective.descent() if plain and terms is None else None)
+        samples = _walk(probe, instance, descent if terms is None else None)
     t_star = _maximize_over_tax(probe, samples, unique)
     if terms is not None:
         run.record = _SlopeRecord(objective, terms, samples)

@@ -1346,20 +1346,27 @@ def _outcome(solve):
         return type(error), str(error)
 
 
+def _walked(solve):
+    """``solve``'s outcome with no descent bound, so that it walks every
+    sample of the ladder."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._PlainObjective, "descent", lambda objective: None)
+        return _outcome(solve)
+
+
 def _cold_and_walked(agent, profile, instance, exclude=None):
-    """The outcomes of a plain and a hetero solve, each cold and with a
-    fresh run (whose first solve walks, unless the catalog is closed-form
-    with a descent bound, ``solver._solve``): two pairs that must be
-    equal."""
+    """The outcomes of a plain and a hetero solve, each cold and as the
+    first solve of a fresh run with no descent bound, which walks every
+    sample (``_walked``): two pairs that must be equal."""
     hetero = solver._HeteroTotals(profile, instance)
     return [
         (
             _outcome(lambda: optimize(agent, instance)),
-            _outcome(lambda: optimize(agent, instance, run=solver._Run(instance))),
+            _walked(lambda: optimize(agent, instance, run=solver._Run(instance))),
         ),
         (
             _outcome(lambda: optimize_hetero(profile, instance, exclude)),
-            _outcome(
+            _walked(
                 lambda: optimize_hetero(
                     profile, instance, exclude, run=solver._Run(instance, hetero)
                 )
@@ -1396,7 +1403,8 @@ def test_located_cold_solves_equal_the_walk(curves, money, n, semantics, weighte
     # solves under drawn tax weights: a cold solve, which skips by the bound
     # where it holds (a power exponent below the money exponent), gives the
     # walk's decision bit for bit, or raises the walk's exception with its
-    # message, and makes no more slope probes than the walk
+    # message, and makes no more slope probes than the walk, which takes
+    # no bound
     rng = np.random.default_rng(seed)
     m = len(curves)
     raw = rng.uniform(0.5, 1.5, n)
@@ -1421,6 +1429,7 @@ def test_located_cold_solves_equal_the_walk(curves, money, n, semantics, weighte
         pairs = _cold_and_walked(agent, profile, instance, exclude)
     assert len(solves) == 4
     for (cold, walked), cold_solve, walked_solve in zip(pairs, solves[::2], solves[1::2]):
+        assert walked_solve.bounds == [False]
         assert cold == walked
         assert len(cold_solve.taxes) <= len(walked_solve.taxes)
 
@@ -1668,7 +1677,7 @@ def test_closed_form_bounded_runs_keep_no_record(tmp_path, monkeypatch):
     # Jacobians and of usvcg check's audit make no slope record.  Each
     # walks cold in 4 slope probes (the start, the bracket's two ends and
     # the secant's root) to the decision of a cold optimize or
-    # optimize_hetero, bit for bit
+    # optimize_hetero and of one that walks with no bound, bit for bit
     profile, instance = _triplet_run_inputs(12)
     weights = np.random.default_rng(7).uniform(0.5, 1.5, 12)
     weighted = dataclasses.replace(instance, tax_weights=tuple(weights * (12 / weights.sum())))
@@ -1690,6 +1699,7 @@ def test_closed_form_bounded_runs_keep_no_record(tmp_path, monkeypatch):
         assert all(solve.bounds == [True] and len(solve.taxes) == 4 for solve in solves), name
         for solve, args, keywords, decision in calls:
             assert solve(*args, **keywords) == decision, name
+            assert _walked(lambda: solve(*args, **keywords)) == decision, name
 
 
 def test_a_bounded_water_fill_run_keeps_its_record(monkeypatch):
